@@ -42,9 +42,12 @@ pub(crate) fn scatter_tile(out: &mut BeamformedVolume, tile: Tile, values: &[f64
 }
 
 /// Warm per-tile state: one task's delay slab, output staging buffer and
-/// the three row-length scratch buffers of the vectorized inner kernel
-/// (compacted delay row → quantized index row → gathered sample row),
-/// allocated once at construction and refilled every frame. One
+/// the kernel's scratch, allocated once at construction and refilled
+/// every frame. A single-transmit tile carries one nappe's worth of
+/// quantized indices (or fractional delays) for every scanline of the
+/// tile plus one accumulator per scanline — the voxel-parallel block
+/// the kernel sums one channel at a time; a compound tile carries the
+/// row-length scratch of the per-voxel compound kernels instead. One
 /// definition shared by [`VolumeLoop`](crate::VolumeLoop) and
 /// [`FramePipeline`](crate::FramePipeline) (and through the latter,
 /// [`ShardedRuntime`](crate::ShardedRuntime)), so the warm-state shape
@@ -57,10 +60,24 @@ pub struct TileState {
     /// slab row (bypassed when the aperture is full — the slab row is
     /// already the active row).
     pub(crate) delays: Vec<f64>,
-    /// The quantized echo-buffer index row, filled by one
-    /// [`DelayEngine::quantize_row`] call per (nappe, scanline).
+    /// Single-transmit nearest kernel: the nappe's quantized echo-buffer
+    /// indices, `[scanline-within-tile][active]` row-major — one
+    /// [`DelayEngine::quantize_row`] call writes each scanline's row.
+    /// Empty for linear interpolation and for compound sequences.
+    pub(crate) index_block: Vec<i32>,
+    /// Single-transmit linear kernel: the nappe's compacted fractional
+    /// delays, same `[scanline-within-tile][active]` shape. Empty for
+    /// nearest interpolation and for compound sequences.
+    pub(crate) delay_block: Vec<f64>,
+    /// One running sum per scanline of the tile: the single-transmit
+    /// kernels' independent accumulator chains. Empty for compound
+    /// sequences.
+    pub(crate) acc: Vec<f64>,
+    /// Compound kernels: the quantized echo-buffer index row of one
+    /// (voxel, transmit). Empty for the single point-source emission.
     pub(crate) indices: Vec<i32>,
-    /// The gathered sample row the weighted accumulate consumes.
+    /// Compound kernels: the gathered sample row the weighted accumulate
+    /// consumes. Empty for the single point-source emission.
     pub(crate) samples: Vec<f64>,
     /// Low-resolution-image staging for compound sequences: one
     /// transmit's tile volume, re-beamformed per angle and accumulated
@@ -87,14 +104,26 @@ pub struct TileState {
 impl TileState {
     /// Allocates the warm state for one schedule tile of `beamformer`'s
     /// spec: the delay slab, the `[scanline][depth]` staging buffer and
-    /// the kernel's three scratch rows, sized to the compacted aperture.
+    /// the kernel's scratch, sized to the compacted aperture — the index
+    /// (nearest) or delay (linear) block and per-scanline accumulators
+    /// for a single transmit, the per-voxel rows and mask weights for a
+    /// compound sequence.
     #[must_use]
     pub fn new(beamformer: &Beamformer, tile: Tile) -> Self {
         let spec = beamformer.spec();
         let active = beamformer.aperture().len();
         let n_depth = spec.volume_grid.n_depth();
         let n_values = tile.scanlines() * n_depth;
-        let (lri, tx_weights) = if spec.is_single_point_source() {
+        let single = spec.is_single_point_source();
+        // A single transmit needs one nappe's block and one accumulator
+        // per scanline; a compound sequence needs the per-voxel rows.
+        let (block, n_acc, compound_row) = if single {
+            (tile.scanlines() * active, tile.scanlines(), 0)
+        } else {
+            (0, 0, active)
+        };
+        let nearest = beamformer.interpolation == Interpolation::Nearest;
+        let (lri, tx_weights) = if single {
             (Vec::new(), Vec::new())
         } else {
             // Compound sequence: stage each angle's low-resolution image
@@ -117,9 +146,12 @@ impl TileState {
             slab: NappeDelays::for_tile(spec, tile),
             values: vec![0.0; n_values],
             delays: vec![0.0; active],
-            indices: vec![0; active],
-            samples: vec![0.0; active],
-            tx_row: if spec.is_single_point_source() {
+            index_block: vec![0; if nearest { block } else { 0 }],
+            delay_block: vec![0.0; if nearest { 0 } else { block }],
+            acc: vec![0.0; n_acc],
+            indices: vec![0; compound_row],
+            samples: vec![0.0; compound_row],
+            tx_row: if single {
                 Vec::new()
             } else {
                 vec![0.0; spec.elements.count()]
@@ -180,27 +212,43 @@ fn compact_row(row: &[f64], channels: &[u32], out: &mut [f64]) {
     }
 }
 
-/// The Eq. 1 accumulate: `Σ_k w[k] · s[k]` over the compacted aperture,
-/// dispatched on the beamformer's [`Reduction`] mode. Every path of a
-/// beamformer (scalar walk and tile kernels alike) routes through this
-/// with the same mode, so batched-vs-scalar bit-identity holds **within**
-/// each mode.
-#[inline]
-fn weighted_sum(weights: &[f64], samples: &[f64], reduction: Reduction) -> f64 {
-    match reduction {
-        Reduction::Sequential => weighted_sum_sequential(weights, samples),
-        Reduction::Wide4 => weighted_sum_wide4(weights, samples),
-    }
+/// Channels the voxel-parallel kernels prefetch ahead of the one they
+/// sum: far enough for a sample window 64 KB away to arrive, near enough
+/// that it is still cached when its turn comes.
+const PREFETCH_AHEAD: usize = 8;
+
+/// Nearest-index read of one trace, bit-identical to
+/// [`RfFrame::sample`]: out-of-window indices (negative ones wrap to huge
+/// under the cast) read as `0.0`.
+#[inline(always)]
+fn read_nearest(trace: &[f64], i: i32) -> f64 {
+    trace.get(i as usize).copied().unwrap_or(0.0)
 }
 
-/// Sequential MAC, unrolled in chunks of 8 multiply-accumulates. A
-/// **single** running accumulator keeps the floating-point addition order
-/// identical to a plain per-element walk (the historical bit pattern
-/// every existing output reproduces; multi-lane reductions would
-/// reassociate the sum), so the chunking only removes loop-control
-/// overhead.
+/// Linearly interpolated read of one trace: the floor/blend arithmetic of
+/// [`RfFrame::sample_interp`], with the same zero reads outside the
+/// window.
+#[inline(always)]
+fn read_linear(trace: &[f64], t: f64) -> f64 {
+    let i0 = t.floor() as i64;
+    let frac = t - i0 as f64;
+    let at = |i: i64| {
+        usize::try_from(i)
+            .ok()
+            .and_then(|i| trace.get(i))
+            .copied()
+            .unwrap_or(0.0)
+    };
+    at(i0) * (1.0 - frac) + at(i0 + 1) * frac
+}
+
+/// The Eq. 1 accumulate of the compound kernels: `Σ_k w[k] · s[k]` over
+/// one compacted sample row, unrolled in chunks of 8 multiply-accumulates.
+/// One running accumulator keeps the addition order identical to the
+/// scalar walk's per-element loop, so the chunking only removes
+/// loop-control overhead.
 #[inline]
-fn weighted_sum_sequential(weights: &[f64], samples: &[f64]) -> f64 {
+fn weighted_sum(weights: &[f64], samples: &[f64]) -> f64 {
     debug_assert_eq!(weights.len(), samples.len());
     let mut acc = 0.0;
     let mut wc = weights.chunks_exact(8);
@@ -221,37 +269,6 @@ fn weighted_sum_sequential(weights: &[f64], samples: &[f64]) -> f64 {
     acc
 }
 
-/// Four-lane MAC: four independent accumulators striped over chunks of 8,
-/// merged pairwise `(a0+a1)+(a2+a3)`, remainder folded sequentially. The
-/// lanes break the loop-carried addition dependency (≈4 FMAs in flight
-/// instead of 1), which is the ROADMAP "wider MAC lanes" win — at the
-/// price of a **reassociated** sum relative to [`Reduction::Sequential`].
-/// The association is itself fixed and deterministic, so outputs are
-/// reproducible and the batched/scalar bit-identity proptests hold within
-/// the mode; only cross-mode equality is (deliberately) surrendered.
-#[inline]
-fn weighted_sum_wide4(weights: &[f64], samples: &[f64]) -> f64 {
-    debug_assert_eq!(weights.len(), samples.len());
-    let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    let mut wc = weights.chunks_exact(8);
-    let mut sc = samples.chunks_exact(8);
-    for (w, s) in (&mut wc).zip(&mut sc) {
-        a0 += w[0] * s[0];
-        a1 += w[1] * s[1];
-        a2 += w[2] * s[2];
-        a3 += w[3] * s[3];
-        a0 += w[4] * s[4];
-        a1 += w[5] * s[5];
-        a2 += w[6] * s[6];
-        a3 += w[7] * s[7];
-    }
-    let mut acc = (a0 + a1) + (a2 + a3);
-    for (&w, &s) in wc.remainder().iter().zip(sc.remainder()) {
-        acc += w * s;
-    }
-    acc
-}
-
 /// How echo samples are fetched at the computed delay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Interpolation {
@@ -264,21 +281,6 @@ pub enum Interpolation {
     Linear,
 }
 
-/// How the Eq. 1 aperture sum is reduced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Reduction {
-    /// One running accumulator in element order — the historical bit
-    /// pattern, bit-identical to a plain per-element walk.
-    #[default]
-    Sequential,
-    /// Four independent accumulator lanes merged `(a0+a1)+(a2+a3)` —
-    /// breaks the loop-carried FP dependency for throughput. The sum is
-    /// reassociated relative to [`Sequential`](Reduction::Sequential)
-    /// (deterministically — all paths of a beamformer share the mode, so
-    /// batched/scalar bit-identity still holds within it).
-    Wide4,
-}
-
 /// A delay-and-sum beamformer bound to a system spec.
 ///
 /// The engine is passed per call, so one beamformer can compare multiple
@@ -288,7 +290,6 @@ pub struct Beamformer {
     spec: SystemSpec,
     apodization: Apodization,
     interpolation: Interpolation,
-    reduction: Reduction,
     order: ScanOrder,
     /// The compacted `(channel, weight)` aperture — Eq. 1's `w`, built
     /// once per beamformer lifetime and shared by every path (scalar
@@ -309,7 +310,6 @@ impl Beamformer {
             spec: spec.clone(),
             apodization: Apodization::default(),
             interpolation: Interpolation::default(),
-            reduction: Reduction::default(),
             order: ScanOrder::NappeByNappe,
             aperture: ActiveAperture::build(Apodization::default(), &spec.elements),
             post: PostChain::empty(),
@@ -332,24 +332,6 @@ impl Beamformer {
     pub fn with_interpolation(mut self, interpolation: Interpolation) -> Self {
         self.interpolation = interpolation;
         self
-    }
-
-    /// Sets the aperture-sum reduction mode. [`Reduction::Wide4`] trades
-    /// the historical sequential-sum bit pattern for ~4 FP adds in
-    /// flight; every path of this beamformer (scalar walk, tile kernels,
-    /// fused and factored compound loops) switches together, so the
-    /// batched-vs-scalar bit-identity invariant is preserved within the
-    /// chosen mode.
-    #[must_use = "with_reduction returns the configured beamformer; dropping it discards the mode"]
-    pub fn with_reduction(mut self, reduction: Reduction) -> Self {
-        self.reduction = reduction;
-        self
-    }
-
-    /// The configured aperture-sum reduction mode.
-    #[inline]
-    pub fn reduction(&self) -> Reduction {
-        self.reduction
     }
 
     /// Sets the traversal order (Algorithm 1 flavour).
@@ -459,33 +441,16 @@ impl Beamformer {
     }
 
     /// The scalar reference walk's Eq. 1 sum over the compacted aperture,
-    /// with `fetch` producing each element's delayed sample. Sequential
-    /// mode keeps the allocation-free per-element accumulate; Wide4 mode
-    /// materializes the fetched row and reuses the tile kernels' exact
-    /// reduction routine, so the reference replicates the batched
-    /// association bit-for-bit (a per-call `Vec` is acceptable here — the
-    /// scalar walk is the reference oracle, not the warm path).
+    /// with `fetch` producing each element's delayed sample: one running
+    /// accumulator from `0.0`, in ascending aperture order — the addition
+    /// order every batched kernel reproduces per voxel.
     fn scalar_aperture_sum(&self, fetch: &mut dyn FnMut(ElementIndex) -> f64) -> f64 {
         let nx = self.spec.elements.nx();
-        let element = |chan: u32| ElementIndex::new(chan as usize % nx, chan as usize / nx);
-        match self.reduction {
-            Reduction::Sequential => {
-                let mut acc = 0.0;
-                for (&chan, &w) in self.aperture.channels().iter().zip(self.aperture.weights()) {
-                    acc += w * fetch(element(chan));
-                }
-                acc
-            }
-            Reduction::Wide4 => {
-                let samples: Vec<f64> = self
-                    .aperture
-                    .channels()
-                    .iter()
-                    .map(|&chan| fetch(element(chan)))
-                    .collect();
-                weighted_sum_wide4(self.aperture.weights(), &samples)
-            }
+        let mut acc = 0.0;
+        for (&chan, &w) in self.aperture.channels().iter().zip(self.aperture.weights()) {
+            acc += w * fetch(ElementIndex::new(chan as usize % nx, chan as usize / nx));
         }
+        acc
     }
 
     /// Beamforms the whole volume.
@@ -564,22 +529,26 @@ impl Beamformer {
     /// is the allocation-free kernel [`VolumeLoop`](crate::VolumeLoop)
     /// and [`FramePipeline`](crate::FramePipeline) drive every frame.
     ///
-    /// The kernel is split by interpolation mode into two monomorphized
-    /// inner loops chosen **once per tile** (no per-element dispatch),
-    /// each structured as row-batched stages: one
-    /// [`DelayEngine::quantize_row`] (or direct fractional-delay) pass
-    /// per (nappe, scanline) row, one [`RfFrame`] gather into the
-    /// state's sample row, one chunked multiply-accumulate over the
-    /// compacted aperture weights. Output is bit-identical to the scalar
+    /// A single transmit runs the voxel-parallel kernel, split by
+    /// interpolation mode into two monomorphized loops chosen **once per
+    /// tile**: per nappe, one [`DelayEngine::quantize_row`] (or
+    /// fractional-delay copy) per scanline fills the state's
+    /// `[scanline][active]` block, then the aperture is walked one
+    /// channel at a time, each channel's sample adding into one
+    /// accumulator per scanline. A compound sequence runs the per-voxel
+    /// compound kernels (gather a sample row, then one sequential
+    /// multiply-accumulate). Either way every voxel's sum starts at
+    /// `0.0` and adds its `w·s` terms in ascending aperture order, so the
+    /// output is bit-identical to the scalar
     /// [`beamform_voxel`](Self::beamform_voxel) walk, and engines'
     /// rounding telemetry (TABLESTEER clamp counts) advances exactly as
     /// the per-element path would.
     ///
     /// # Panics
     ///
-    /// Panics if `state` was built for a different spec or aperture
-    /// shape, or (for a compound sequence) if the engine or RF frame
-    /// does not carry every transmit of the spec's sequence.
+    /// Panics if `state` was built for a different spec, aperture or
+    /// interpolation, or (for a compound sequence) if the engine or RF
+    /// frame does not carry every transmit of the spec's sequence.
     pub fn beamform_tile_into(
         &self,
         engine: &dyn DelayEngine,
@@ -594,7 +563,7 @@ impl Beamformer {
             "values buffer must cover the tile"
         );
         assert_eq!(
-            state.indices.len(),
+            state.delays.len(),
             self.aperture.len(),
             "scratch rows must match the compacted aperture"
         );
@@ -602,6 +571,9 @@ impl Beamformer {
             slab,
             values,
             delays,
+            index_block,
+            delay_block,
+            acc,
             indices,
             samples,
             tx_row,
@@ -611,13 +583,22 @@ impl Beamformer {
         } = state;
         if self.spec.is_single_point_source() {
             // The classic single-emission path: beamform straight into
-            // the staging buffer, exactly as before compounding existed.
+            // the staging buffer.
+            let block_len = match self.interpolation {
+                Interpolation::Nearest => index_block.len(),
+                Interpolation::Linear => delay_block.len(),
+            };
+            assert_eq!(
+                block_len,
+                tile.scanlines() * self.aperture.len(),
+                "tile state must be built for this beamformer's interpolation"
+            );
             match self.interpolation {
                 Interpolation::Nearest => {
-                    self.tile_kernel_nearest(engine, rf, 0, slab, values, delays, indices, samples)
+                    self.tile_block_nearest(engine, rf, slab, values, delays, index_block, acc)
                 }
                 Interpolation::Linear => {
-                    self.tile_kernel_linear(engine, rf, 0, slab, values, delays, samples)
+                    self.tile_block_linear(engine, rf, slab, values, delay_block, acc)
                 }
             }
         } else {
@@ -660,14 +641,21 @@ impl Beamformer {
                     ),
                 }
             } else {
+                // Fused fallback, for engines without a separable receive
+                // leg: one full per-transmit slab fill per nappe, each row
+                // summed into that transmit's low-resolution image.
                 for tx in 0..n_tx {
-                    match self.interpolation {
-                        Interpolation::Nearest => self.tile_kernel_nearest(
-                            engine, rf, tx, slab, lri, delays, indices, samples,
-                        ),
-                        Interpolation::Linear => {
-                            self.tile_kernel_linear(engine, rf, tx, slab, lri, delays, samples)
-                        }
+                    for id in 0..n_depth {
+                        engine.fill_nappe_streamed_for(tx, id, slab, &mut |slot, row| {
+                            let active = self.active_row(row, delays);
+                            lri[slot * n_depth + id] = match self.interpolation {
+                                Interpolation::Nearest => {
+                                    engine.quantize_row(active, indices);
+                                    self.sum_nearest(rf, tx, indices, samples)
+                                }
+                                Interpolation::Linear => self.sum_linear(rf, tx, active, samples),
+                            };
+                        });
                     }
                     let mask = &tx_weights[tx * n_values..(tx + 1) * n_values];
                     for ((v, &l), &m) in values.iter_mut().zip(lri.iter()).zip(mask) {
@@ -691,51 +679,139 @@ impl Beamformer {
         }
     }
 
-    /// The nearest-index kernel: slab row → (compact) → quantized index
-    /// row → gathered sample row → weighted accumulate.
+    /// The single-transmit nearest-index kernel, voxel-parallel per
+    /// nappe.
     ///
-    /// Rows are consumed through
-    /// [`DelayEngine::fill_nappe_streamed`], so for engines with a
-    /// batched fill the gather/MAC of row *s* is software-pipelined
-    /// against the generation of row *s + 1* (cache-hot rows, fill
-    /// latency hidden behind the accumulate); engines on the default
-    /// fill see the same row sequence after the slab completes. Row
-    /// order and all per-row arithmetic are unchanged, so the output
-    /// (and the engines' rounding telemetry) stays bit-identical to the
-    /// fill-then-consume schedule.
+    /// 1. Rows arrive through [`DelayEngine::fill_nappe_streamed_for`]
+    ///    (so engines with a batched fill hand each row over cache-hot);
+    ///    each is compacted to the active aperture and quantized by one
+    ///    [`DelayEngine::quantize_row`] call straight into its scanline's
+    ///    row of `block` — the engine's own final rounding stage, so
+    ///    rounding telemetry (TABLESTEER's clamp counter) advances
+    ///    exactly as it does for per-element queries.
+    /// 2. The aperture is walked channel by channel: channel `k` adds
+    ///    `w[k] · trace_k[block[slot][k]]` into `acc[slot]` for every
+    ///    scanline of the tile. Per voxel that is the scalar walk's
+    ///    ascending-order sum from `0.0`, so the output is bit-identical
+    ///    to it; across voxels the tile's accumulators are independent
+    ///    chains, and one channel's lookups stay inside a short window
+    ///    of one trace. `block` is read with a stride of one row rather
+    ///    than transposed into a channel-major copy, whose scattered
+    ///    writes would be a second pass over the block every nappe.
+    /// 3. Before channel `k`, the window channel `k + 8` will read — from
+    ///    its first scanline's index to its last's — is prefetched, so
+    ///    the trace 64 KB away is in flight while this channel sums.
     #[allow(clippy::too_many_arguments)]
-    fn tile_kernel_nearest(
+    fn tile_block_nearest(
         &self,
         engine: &dyn DelayEngine,
         rf: &RfFrame,
-        tx: usize,
         slab: &mut NappeDelays,
         out: &mut [f64],
         delays: &mut [f64],
-        indices: &mut [i32],
-        samples: &mut [f64],
+        block: &mut [i32],
+        acc: &mut [f64],
+    ) {
+        let n_depth = self.spec.volume_grid.n_depth();
+        let channels = self.aperture.channels();
+        let weights = self.aperture.weights();
+        let active = channels.len();
+        let last_row = block.len() - active;
+        for id in 0..n_depth {
+            engine.fill_nappe_streamed_for(0, id, slab, &mut |slot, row| {
+                let indices = &mut block[slot * active..(slot + 1) * active];
+                engine.quantize_row(self.active_row(row, delays), indices);
+            });
+            acc.fill(0.0);
+            for (k, (&chan, &w)) in channels.iter().zip(weights).enumerate() {
+                if let Some(&ahead) = channels.get(k + PREFETCH_AHEAD) {
+                    let j = k + PREFETCH_AHEAD;
+                    rf.prefetch_window_for(0, ahead, block[j], block[last_row + j]);
+                }
+                let trace = rf.channel_trace_for(0, chan);
+                for (a, &i) in acc.iter_mut().zip(block[k..].iter().step_by(active)) {
+                    *a += w * read_nearest(trace, i);
+                }
+            }
+            for (slot, &a) in acc.iter().enumerate() {
+                out[slot * n_depth + id] = a;
+            }
+        }
+    }
+
+    /// The single-transmit linear-interpolation kernel: the
+    /// voxel-parallel loop of [`tile_block_nearest`](Self::tile_block_nearest)
+    /// over a block of compacted fractional delays. No quantization
+    /// stage — each row is copied (or compacted) into the block and the
+    /// channel walk interpolates straight from it.
+    fn tile_block_linear(
+        &self,
+        engine: &dyn DelayEngine,
+        rf: &RfFrame,
+        slab: &mut NappeDelays,
+        out: &mut [f64],
+        block: &mut [f64],
+        acc: &mut [f64],
     ) {
         let n_depth = self.spec.volume_grid.n_depth();
         let channels = self.aperture.channels();
         let weights = self.aperture.weights();
         let full = self.aperture.is_full();
+        let active = channels.len();
+        let last_row = block.len() - active;
         for id in 0..n_depth {
-            engine.fill_nappe_streamed_for(tx, id, slab, &mut |slot, row| {
-                let active_delays = if full {
-                    row
+            engine.fill_nappe_streamed_for(0, id, slab, &mut |slot, row| {
+                let delays = &mut block[slot * active..(slot + 1) * active];
+                if full {
+                    delays.copy_from_slice(row);
                 } else {
                     compact_row(row, channels, delays);
-                    &*delays
-                };
-                // One virtual call quantizes the whole row — the
-                // engine's own final rounding stage, so rounding
-                // telemetry (e.g. TABLESTEER's clamp counter) sees this
-                // path exactly as it sees per-element queries.
-                engine.quantize_row(active_delays, indices);
-                rf.gather_nearest_into_for(tx, channels, indices, samples);
-                out[slot * n_depth + id] = weighted_sum(weights, samples, self.reduction);
+                }
             });
+            acc.fill(0.0);
+            for (k, (&chan, &w)) in channels.iter().zip(weights).enumerate() {
+                if let Some(&ahead) = channels.get(k + PREFETCH_AHEAD) {
+                    let j = k + PREFETCH_AHEAD;
+                    rf.prefetch_window_for(0, ahead, block[j] as i32, block[last_row + j] as i32);
+                }
+                let trace = rf.channel_trace_for(0, chan);
+                for (a, &t) in acc.iter_mut().zip(block[k..].iter().step_by(active)) {
+                    *a += w * read_linear(trace, t);
+                }
+            }
+            for (slot, &a) in acc.iter().enumerate() {
+                out[slot * n_depth + id] = a;
+            }
         }
+    }
+
+    /// The active-aperture view of a full element row: the row itself
+    /// when the aperture is full, else its compaction into `scratch`.
+    #[inline]
+    fn active_row<'a>(&self, row: &'a [f64], scratch: &'a mut [f64]) -> &'a [f64] {
+        if self.aperture.is_full() {
+            row
+        } else {
+            compact_row(row, self.aperture.channels(), scratch);
+            scratch
+        }
+    }
+
+    /// One compound voxel's nearest-index sum: gathers transmit `tx`'s
+    /// samples at the quantized `indices` and reduces them against the
+    /// aperture weights.
+    #[inline]
+    fn sum_nearest(&self, rf: &RfFrame, tx: usize, indices: &[i32], samples: &mut [f64]) -> f64 {
+        rf.gather_nearest_into_for(tx, self.aperture.channels(), indices, samples);
+        weighted_sum(self.aperture.weights(), samples)
+    }
+
+    /// One compound voxel's linear-interpolation sum over the compacted
+    /// fractional `delays` of transmit `tx`.
+    #[inline]
+    fn sum_linear(&self, rf: &RfFrame, tx: usize, delays: &[f64], samples: &mut [f64]) -> f64 {
+        rf.gather_linear_into_for(tx, self.aperture.channels(), delays, samples);
+        weighted_sum(self.aperture.weights(), samples)
     }
 
     /// The factored compound nearest-index kernel: one receive-leg slab
@@ -773,11 +849,7 @@ impl Beamformer {
         let tile = slab.tile();
         let n_depth = self.spec.volume_grid.n_depth();
         let n_values = values.len();
-        let channels = self.aperture.channels();
-        let weights = self.aperture.weights();
-        let full = self.aperture.is_full();
         let skip_masked = !engine.rounding_telemetry();
-        let reduction = self.reduction;
         for id in 0..n_depth {
             engine.fill_nappe_rx_streamed(id, slab, &mut |slot, rx_row| {
                 let (it, ip) = tile.scanline_at(slot);
@@ -788,17 +860,10 @@ impl Beamformer {
                         continue;
                     }
                     engine.combine_tx_row(tx, vox, rx_row, tx_row);
-                    let active_delays = if full {
-                        &*tx_row
-                    } else {
-                        compact_row(tx_row, channels, delays);
-                        &*delays
-                    };
-                    engine.quantize_row(active_delays, indices);
+                    engine.quantize_row(self.active_row(tx_row, delays), indices);
                     if m != 0.0 {
-                        rf.gather_nearest_into_for(tx, channels, indices, samples);
                         values[slot * n_depth + id] +=
-                            m * weighted_sum(weights, samples, reduction);
+                            m * self.sum_nearest(rf, tx, indices, samples);
                     }
                 }
             });
@@ -807,9 +872,9 @@ impl Beamformer {
 
     /// The factored compound linear-interpolation kernel: one receive-leg
     /// slab fill per nappe, per-voxel transmit combines feeding the
-    /// fractional-delay gather directly (no quantization stage, so — like
-    /// the fused linear kernel — no rounding telemetry advances and the
-    /// whole per-transmit body can be skipped on a zero mask weight).
+    /// fractional-delay gather directly (no quantization stage, so no
+    /// rounding telemetry advances and the whole per-transmit body can be
+    /// skipped on a zero mask weight).
     #[allow(clippy::too_many_arguments)]
     fn tile_compound_factored_linear(
         &self,
@@ -826,10 +891,6 @@ impl Beamformer {
         let tile = slab.tile();
         let n_depth = self.spec.volume_grid.n_depth();
         let n_values = values.len();
-        let channels = self.aperture.channels();
-        let weights = self.aperture.weights();
-        let full = self.aperture.is_full();
-        let reduction = self.reduction;
         for id in 0..n_depth {
             engine.fill_nappe_rx_streamed(id, slab, &mut |slot, rx_row| {
                 let (it, ip) = tile.scanline_at(slot);
@@ -840,49 +901,9 @@ impl Beamformer {
                         continue;
                     }
                     engine.combine_tx_row(tx, vox, rx_row, tx_row);
-                    let active_delays = if full {
-                        &*tx_row
-                    } else {
-                        compact_row(tx_row, channels, delays);
-                        &*delays
-                    };
-                    rf.gather_linear_into_for(tx, channels, active_delays, samples);
-                    values[slot * n_depth + id] += m * weighted_sum(weights, samples, reduction);
+                    let active = self.active_row(tx_row, delays);
+                    values[slot * n_depth + id] += m * self.sum_linear(rf, tx, active, samples);
                 }
-            });
-        }
-    }
-
-    /// The linear-interpolation kernel: slab row → (compact) → gathered
-    /// interpolated sample row → weighted accumulate. No quantization
-    /// stage — the fractional delays feed the gather directly. Rows are
-    /// consumed streamed, like
-    /// [`tile_kernel_nearest`](Self::tile_kernel_nearest).
-    #[allow(clippy::too_many_arguments)]
-    fn tile_kernel_linear(
-        &self,
-        engine: &dyn DelayEngine,
-        rf: &RfFrame,
-        tx: usize,
-        slab: &mut NappeDelays,
-        out: &mut [f64],
-        delays: &mut [f64],
-        samples: &mut [f64],
-    ) {
-        let n_depth = self.spec.volume_grid.n_depth();
-        let channels = self.aperture.channels();
-        let weights = self.aperture.weights();
-        let full = self.aperture.is_full();
-        for id in 0..n_depth {
-            engine.fill_nappe_streamed_for(tx, id, slab, &mut |slot, row| {
-                let active_delays = if full {
-                    row
-                } else {
-                    compact_row(row, channels, delays);
-                    &*delays
-                };
-                rf.gather_linear_into_for(tx, channels, active_delays, samples);
-                out[slot * n_depth + id] = weighted_sum(weights, samples, self.reduction);
             });
         }
     }
@@ -1082,41 +1103,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn wide4_reduction_is_bit_identical_between_batched_and_scalar_paths() {
-        // Wide4 reassociates the aperture sum, but deterministically:
-        // the scalar reference replicates the 4-lane association, so the
-        // batched/scalar invariant holds within the mode.
-        let (spec, rf) = setup(Vec3::new(0.004, -0.002, 0.055));
-        let engine = ExactEngine::new(&spec);
-        for interp in [Interpolation::Nearest, Interpolation::Linear] {
-            let bf = |order| {
-                Beamformer::new(&spec)
-                    .with_interpolation(interp)
-                    .with_reduction(Reduction::Wide4)
-                    .with_order(order)
-            };
-            let batched = bf(ScanOrder::NappeByNappe).beamform_volume(&engine, &rf);
-            let scalar = bf(ScanOrder::ScanlineByScanline).beamform_volume(&engine, &rf);
-            assert_eq!(batched, scalar, "{interp:?}");
-        }
-    }
-
-    #[test]
-    fn wide4_reduction_still_focuses_on_the_target() {
-        let spec = SystemSpec::tiny();
-        let vox = VoxelIndex::new(3, 4, 9);
-        let rf = EchoSynthesizer::new(&spec).synthesize(
-            &Phantom::point(on_voxel_target(&spec, vox)),
-            &Pulse::from_spec(&spec),
-        );
-        let engine = ExactEngine::new(&spec);
-        let vol = Beamformer::new(&spec)
-            .with_reduction(Reduction::Wide4)
-            .beamform_volume(&engine, &rf);
-        assert_eq!(vol.argmax(), vox);
-    }
-
     /// A 4-angle compound spec on the tiny grid, with a synthesized
     /// multi-transmit acquisition.
     fn compound_setup() -> (SystemSpec, RfFrame) {
@@ -1141,33 +1127,24 @@ mod tests {
         let exact = ExactEngine::new(&spec);
         let steer = TableSteerEngine::new(&spec, TableSteerConfig::bits18()).unwrap();
         for interp in [Interpolation::Nearest, Interpolation::Linear] {
-            for reduction in [Reduction::Sequential, Reduction::Wide4] {
-                for engine in [&exact as &dyn usbf_core::DelayEngine, &steer] {
-                    assert!(engine.supports_factored_fill());
-                    let bf = Beamformer::new(&spec)
-                        .with_interpolation(interp)
-                        .with_reduction(reduction);
-                    let schedule = usbf_core::NappeSchedule::fitted(&spec, 4);
-                    let factored = bf.beamform_volume_tiled(engine, &rf, &schedule);
-                    let fused = match engine.name() {
-                        "EXACT" => bf.beamform_volume_tiled(
-                            &usbf_core::FusedOnly(exact.clone()),
-                            &rf,
-                            &schedule,
-                        ),
-                        _ => bf.beamform_volume_tiled(
-                            &usbf_core::FusedOnly(steer.clone()),
-                            &rf,
-                            &schedule,
-                        ),
-                    };
-                    assert_eq!(
-                        factored,
-                        fused,
-                        "{} {interp:?} {reduction:?}",
-                        engine.name()
-                    );
-                }
+            for engine in [&exact as &dyn usbf_core::DelayEngine, &steer] {
+                assert!(engine.supports_factored_fill());
+                let bf = Beamformer::new(&spec).with_interpolation(interp);
+                let schedule = usbf_core::NappeSchedule::fitted(&spec, 4);
+                let factored = bf.beamform_volume_tiled(engine, &rf, &schedule);
+                let fused = match engine.name() {
+                    "EXACT" => bf.beamform_volume_tiled(
+                        &usbf_core::FusedOnly(exact.clone()),
+                        &rf,
+                        &schedule,
+                    ),
+                    _ => bf.beamform_volume_tiled(
+                        &usbf_core::FusedOnly(steer.clone()),
+                        &rf,
+                        &schedule,
+                    ),
+                };
+                assert_eq!(factored, fused, "{} {interp:?}", engine.name());
             }
         }
     }

@@ -71,7 +71,7 @@ mod volume;
 mod volume_loop;
 
 pub use apodization::{ActiveAperture, Apodization};
-pub use beamformer::{Beamformer, Interpolation, Reduction, TileState};
+pub use beamformer::{Beamformer, Interpolation, TileState};
 pub use frame_pipeline::{
     FramePipeline, FrameRing, FrameSource, PipelineError, PipelineStats, SynthesizedFrames,
     VolumeTicket,

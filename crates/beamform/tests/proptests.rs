@@ -1,7 +1,7 @@
 //! Property-based invariants of the beamforming pipeline.
 
 use proptest::prelude::*;
-use usbf_beamform::{Apodization, Beamformer, BmodeConfig, Interpolation, PostChain, Reduction};
+use usbf_beamform::{Apodization, Beamformer, BmodeConfig, Interpolation, PostChain};
 use usbf_core::{
     DelayEngine, ExactEngine, NaiveTableEngine, TableFreeConfig, TableFreeEngine, TableSteerConfig,
     TableSteerEngine,
@@ -105,32 +105,27 @@ where
 {
     let schedule = usbf_core::NappeSchedule::fitted(spec, 3);
     for interp in [Interpolation::Nearest, Interpolation::Linear] {
-        for reduction in [Reduction::Sequential, Reduction::Wide4] {
-            let factored_engine = make();
-            prop_assert!(
-                factored_engine.supports_factored_fill(),
-                "{} must join the factored family",
-                factored_engine.name()
+        let factored_engine = make();
+        prop_assert!(
+            factored_engine.supports_factored_fill(),
+            "{} must join the factored family",
+            factored_engine.name()
+        );
+        let fused_engine = usbf_core::FusedOnly(make());
+        let bf = Beamformer::new(spec).with_interpolation(interp);
+        let factored = bf.beamform_volume_tiled(&factored_engine, rf, &schedule);
+        let fused = bf.beamform_volume_tiled(&fused_engine, rf, &schedule);
+        for (i, (a, b)) in factored.as_slice().iter().zip(fused.as_slice()).enumerate() {
+            prop_assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{} {:?} voxel {}: {} vs {}",
+                factored_engine.name(),
+                interp,
+                i,
+                a,
+                b
             );
-            let fused_engine = usbf_core::FusedOnly(make());
-            let bf = Beamformer::new(spec)
-                .with_interpolation(interp)
-                .with_reduction(reduction);
-            let factored = bf.beamform_volume_tiled(&factored_engine, rf, &schedule);
-            let fused = bf.beamform_volume_tiled(&fused_engine, rf, &schedule);
-            for (i, (a, b)) in factored.as_slice().iter().zip(fused.as_slice()).enumerate() {
-                prop_assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{} {:?} {:?} voxel {}: {} vs {}",
-                    factored_engine.name(),
-                    interp,
-                    reduction,
-                    i,
-                    a,
-                    b
-                );
-            }
         }
     }
     Ok(())
@@ -156,9 +151,9 @@ proptest! {
         // receive leg out of the compound loop (one fill_nappe_rx per
         // (nappe, tile) + per-transmit combine_tx_row) changes the
         // delay-generation cost, not a single output bit — for all four
-        // engines × both interpolations × both reductions, on random
-        // transmit sequences mixing steered plane waves with point
-        // emissions. TABLESTEER additionally proves the rounding
+        // engines × both interpolations, on random transmit sequences
+        // mixing steered plane waves with point emissions. TABLESTEER
+        // additionally proves the rounding
         // telemetry matches: the factored nearest kernel quantizes every
         // transmit's combined row, masked ones included, exactly like
         // the fused kernel.
@@ -261,14 +256,21 @@ proptest! {
         n_depth in 4usize..10,
         target in 0usize..1_000_000,
         apod_pick in 0usize..3,
+        tiles_pick in 0usize..1000,
     ) {
-        // The PR 5 tentpole invariant: the vectorized tile kernel
-        // (batched quantize_row → gather → chunked accumulate over the
-        // compacted aperture) reproduces the scalar ScanlineByScanline
-        // walk bit for bit, for all four engines × both interpolations,
-        // on randomized geometry — including apertures with zero-weight
-        // borders (Hann) that exercise the row compaction.
+        // The voxel-parallel tile kernel (per nappe: batched quantize_row
+        // into the [scanline][active] block, then one channel at a time
+        // into per-scanline accumulators) reproduces the scalar
+        // ScanlineByScanline walk bit for bit, for all four engines ×
+        // both interpolations, on randomized geometry — including
+        // apertures with zero-weight borders (Hann) that exercise the row
+        // compaction and the full Rect aperture that skips it. Both the
+        // global pool's schedule and a random tile count from one
+        // single-scanline tile per scanline up to one whole-fan tile
+        // drive the block kernel.
         let spec = random_spec(nx, ny, n_theta, n_phi, n_depth);
+        let schedule =
+            usbf_core::NappeSchedule::fitted(&spec, 1 + tiles_pick % (n_theta * n_phi));
         let vox = spec.volume_grid.voxel_at(target % spec.volume_grid.voxel_count());
         let rf = rf_for(&spec, vox);
         let apod = [Apodization::Rect, Apodization::Hann, Apodization::Tukey(0.5)][apod_pick];
@@ -285,20 +287,23 @@ proptest! {
                         .with_interpolation(interp)
                         .with_order(order)
                 };
-                let vectorized = bf(ScanOrder::NappeByNappe).beamform_volume(engine, &rf);
                 let scalar = bf(ScanOrder::ScanlineByScanline).beamform_volume(engine, &rf);
-                for (i, (a, b)) in vectorized
-                    .as_slice()
-                    .iter()
-                    .zip(scalar.as_slice())
-                    .enumerate()
-                {
-                    prop_assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "{} {:?} {:?} voxel {}: {} vs {}",
-                        engine.name(), interp, apod, i, a, b
-                    );
+                let pooled = bf(ScanOrder::NappeByNappe).beamform_volume(engine, &rf);
+                let tiled = bf(ScanOrder::NappeByNappe).beamform_volume_tiled(engine, &rf, &schedule);
+                for (label, vectorized) in [("pool", &pooled), ("fitted", &tiled)] {
+                    for (i, (a, b)) in vectorized
+                        .as_slice()
+                        .iter()
+                        .zip(scalar.as_slice())
+                        .enumerate()
+                    {
+                        prop_assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "{} {:?} {:?} {} schedule ({} tiles) voxel {}: {} vs {}",
+                            engine.name(), interp, apod, label, schedule.tiles().len(), i, a, b
+                        );
+                    }
                 }
             }
         }

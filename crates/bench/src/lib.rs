@@ -39,15 +39,14 @@ pub fn cpwc_spec(n_angles: usize) -> SystemSpec {
     .with_transmits(TransmitModel::plane_wave_fan(n_angles, deg(10.0)))
 }
 
-/// The PR 4 inner kernel, kept verbatim as the measured baseline for the
-/// vectorized `Beamformer::beamform_tile_into`: per element per voxel it
+/// The PR 4 inner kernel, kept verbatim as the measured baseline for
+/// `Beamformer::beamform_tile_into`: per element per voxel it
 /// pays a virtual `delay_index_from` call, an `ElementIndex` div/mod
 /// recovery, a `w == 0` branch, a per-fetch channel-offset recompute
 /// inside `RfFrame::sample`, and a per-element interpolation match.
-/// Outputs are bit-identical to the vectorized kernel — only the
-/// per-sample overhead differs, which is exactly what
-/// `bench_beamform`'s `tile_kernel_reduced` group and `perf_snapshot`
-/// quantify.
+/// Outputs are bit-identical to the tile kernel — only the per-sample
+/// overhead differs, which is exactly what `bench_beamform`'s
+/// `tile_kernel_reduced` group quantifies.
 pub fn legacy_beamform_tile_into(
     bf: &Beamformer,
     interpolation: Interpolation,
@@ -95,10 +94,9 @@ pub fn legacy_beamform_tile_into(
 /// constant re-derived (three `exp2` libm calls per element). Outputs
 /// are bit-identical to `TableFreeEngine::fill_nappe`'s batched row
 /// path — only the per-element overhead differs, which is what
-/// `bench_beamform`'s `tablefree_fill_reduced` group and
-/// `perf_snapshot`'s `tablefree_fill` section quantify. (The baseline
-/// skips the engine's op-counter update: atomics are irrelevant to the
-/// measured datapath.)
+/// `bench_beamform`'s `tablefree_fill_reduced` group quantifies. (The
+/// baseline skips the engine's op-counter update: atomics are irrelevant
+/// to the measured datapath.)
 pub struct LegacyTableFreeFill {
     /// Element positions in linear order, precomputed like the engine
     /// caches them so the timed region measures only the fill.

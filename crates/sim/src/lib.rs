@@ -35,7 +35,9 @@
 //! assert!(rf.max_abs() > 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: the cache-prefetch hint in `rf.rs` is the one
+// audited `#[allow(unsafe_code)]` block in this crate.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod echo;

@@ -2,6 +2,31 @@
 
 use usbf_geometry::ElementIndex;
 
+/// Samples per 64-byte cache line: the step of a window prefetch.
+const SAMPLES_PER_LINE: usize = 64 / std::mem::size_of::<f64>();
+
+/// Most cache lines one [`RfFrame::prefetch_window_for`] call requests,
+/// so a pathological window cannot turn a hint into a trace-long sweep.
+const MAX_PREFETCH_LINES: usize = 32;
+
+/// Issues a prefetch-to-L1 hint for the cache line holding `sample`.
+#[inline(always)]
+fn prefetch_line(sample: &f64) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `_mm_prefetch` is `unsafe` only because it takes a raw
+    // pointer. It never dereferences it architecturally — a prefetch is a
+    // hint that cannot fault — and the pointer here comes from a live
+    // reference to an in-bounds sample anyway. SSE is part of the x86-64
+    // baseline, so the instruction always exists.
+    #[allow(unsafe_code)]
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(sample).cast::<i8>());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = sample;
+}
+
 /// A frame of receive data: `n_elements` traces of `n_samples` each,
 /// sampled at the system's `fs`. Element traces are stored row-major in
 /// the transducer's linear order (`iy·nx + ix`).
@@ -173,7 +198,7 @@ impl RfFrame {
     /// in-range mask — the same clamped-fetch semantics as
     /// [`RfFrame::sample`], without its per-fetch channel-offset
     /// recompute or early return. This is the fetch stage of the
-    /// beamformer's vectorized inner kernel.
+    /// beamformer's per-voxel compound kernels.
     ///
     /// # Panics
     ///
@@ -318,6 +343,52 @@ impl RfFrame {
         let v0 = if in0 { r0 } else { 0.0 };
         let v1 = if in1 { r1 } else { 0.0 };
         v0 * (1.0 - frac) + v1 * frac
+    }
+
+    /// One channel's trace of transmit event `tx`, addressed by flat
+    /// channel index (`iy·nx + ix`, the order of
+    /// [`channel_bases`](Self::channel_bases)) — the per-channel read side
+    /// of the beamformer's voxel-parallel kernel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tx` or `channel` is out of range.
+    #[inline]
+    pub fn channel_trace_for(&self, tx: usize, channel: u32) -> &[f64] {
+        assert!(tx < self.n_transmits, "transmit {tx} out of range");
+        let start = self.transmit_base(tx) + self.bases[channel as usize];
+        &self.data[start..start + self.n_samples]
+    }
+
+    /// Asks the CPU to pull the samples between indices `a` and `b`
+    /// (inclusive, in either order) of flat channel `channel`, transmit
+    /// `tx`, into cache ahead of a gather. The window is clipped to the
+    /// trace, so a window wholly outside it prefetches nothing, and at
+    /// most 32 cache lines (256 samples) from its low end are requested.
+    /// A prefetch is only a hint: it never changes what any read returns.
+    /// (A no-op on targets other than x86-64.)
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tx` or `channel` is out of range.
+    #[inline]
+    pub fn prefetch_window_for(&self, tx: usize, channel: u32, a: i32, b: i32) {
+        let trace = self.channel_trace_for(tx, channel);
+        let (lo, hi) = (i64::from(a.min(b)).max(0), i64::from(a.max(b)));
+        let hi = hi.min(trace.len() as i64 - 1);
+        if lo > hi {
+            return;
+        }
+        let window = &trace[lo as usize..=hi as usize];
+        // Chunk starts lie one line apart, so they touch every line from
+        // the window's first up to one short of its last; the last sample
+        // covers that final line.
+        for line in window.chunks(SAMPLES_PER_LINE).take(MAX_PREFETCH_LINES) {
+            prefetch_line(&line[0]);
+        }
+        if window.len() <= MAX_PREFETCH_LINES * SAMPLES_PER_LINE {
+            prefetch_line(&window[window.len() - 1]);
+        }
     }
 
     /// Sets every sample of every trace to `value` (no reallocation) —
@@ -523,6 +594,81 @@ mod tests {
         rf.gather_nearest_into(&channels, &[0, 2], &mut a);
         rf.gather_nearest_into_for(0, &channels, &[0, 2], &mut b);
         assert_eq!(a, b);
+    }
+
+    /// A 3×2-element, 2-transmit, 40-sample frame whose every sample is
+    /// distinct, so a gather that read the wrong place would show.
+    fn ramp_frame() -> RfFrame {
+        let mut rf = RfFrame::zeros_multi(3, 2, 40, 2);
+        for tx in 0..2 {
+            for l in 0..6 {
+                let e = ElementIndex::new(l % 3, l / 3);
+                for (i, v) in rf.trace_for_mut(tx, e).iter_mut().enumerate() {
+                    *v = (tx * 1000 + l * 100 + i) as f64;
+                }
+            }
+        }
+        rf
+    }
+
+    #[test]
+    fn channel_trace_matches_element_trace_in_every_block() {
+        let rf = ramp_frame();
+        for tx in 0..2 {
+            for c in 0..6u32 {
+                let e = ElementIndex::new(c as usize % 3, c as usize / 3);
+                assert_eq!(rf.channel_trace_for(tx, c), rf.trace_for(tx, e));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "transmit 2 out of range")]
+    fn channel_trace_rejects_missing_transmit() {
+        ramp_frame().channel_trace_for(2, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn prefetch_rejects_missing_channel() {
+        ramp_frame().prefetch_window_for(0, 6, 0, 3);
+    }
+
+    #[test]
+    fn prefetch_accepts_any_window_and_changes_no_read() {
+        let rf = ramp_frame();
+        let channels: Vec<u32> = (0..6).collect();
+        let indices = [0i32, 39, 7, -1, 40, 20];
+        let delays = [0.5, 38.75, -0.5, 39.5, 12.25, 0.0];
+        let gathers = |rf: &RfFrame, tx: usize| {
+            let (mut near, mut lin) = ([0.0; 6], [0.0; 6]);
+            rf.gather_nearest_into_for(tx, &channels, &indices, &mut near);
+            rf.gather_linear_into_for(tx, &channels, &delays, &mut lin);
+            (near, lin)
+        };
+        let before = [gathers(&rf, 0), gathers(&rf, 1)];
+        let windows = [
+            (3, 17),              // inside the trace
+            (-25, 4),             // crosses the start
+            (30, 90),             // crosses the end
+            (-5, 60),             // covers the whole trace
+            (33, 2),              // reversed
+            (-9, -1),             // empty: wholly before the start
+            (40, 41),             // empty: wholly past the end
+            (7, 7),               // one sample
+            (i32::MIN, i32::MAX), // extreme
+        ];
+        for tx in 0..2 {
+            for c in 0..6 {
+                for (a, b) in windows {
+                    rf.prefetch_window_for(tx, c, a, b);
+                }
+            }
+        }
+        // A window longer than the line cap is clipped, not rejected.
+        let long = RfFrame::zeros(1, 1, 4096);
+        long.prefetch_window_for(0, 0, 0, 4095);
+        assert_eq!(before, [gathers(&rf, 0), gathers(&rf, 1)]);
     }
 
     #[test]

@@ -75,6 +75,45 @@ proptest! {
     }
 
     #[test]
+    fn prefetch_never_panics_and_never_changes_a_gather(
+        a in any::<i32>(),
+        b in any::<i32>(),
+        near_a in -40i32..80,
+        near_b in -40i32..80,
+        tx in 0usize..3,
+        channel in 0u32..6,
+        seed in 0u64..1000,
+    ) {
+        // A prefetch is a hint: for any window — random extremes and
+        // windows near the 48-sample trace, in either order — it must
+        // neither panic nor change what a gather reads.
+        let mut rf = RfFrame::zeros_multi(3, 2, 48, 3);
+        for t in 0..3 {
+            for l in 0..6 {
+                let e = ElementIndex::new(l % 3, l / 3);
+                for (i, v) in rf.trace_for_mut(t, e).iter_mut().enumerate() {
+                    *v = ((seed as usize + 31 * t + 7 * l + i) % 97) as f64 - 48.0;
+                }
+            }
+        }
+        let channels: Vec<u32> = (0..6).collect();
+        let indices: Vec<i32> = (0..6).map(|k| near_a + 9 * k).collect();
+        let delays: Vec<f64> = (0..6).map(|k| f64::from(near_b) + 7.25 * k as f64).collect();
+        let read = |rf: &RfFrame| {
+            let (mut near, mut lin) = (vec![0.0; 6], vec![0.0; 6]);
+            rf.gather_nearest_into_for(tx, &channels, &indices, &mut near);
+            rf.gather_linear_into_for(tx, &channels, &delays, &mut lin);
+            (near, lin)
+        };
+        let before = read(&rf);
+        rf.prefetch_window_for(tx, channel, a, b);
+        rf.prefetch_window_for(tx, channel, near_a, near_b);
+        rf.prefetch_window_for(tx, channel, near_b, near_a);
+        let after = read(&rf);
+        prop_assert_eq!(before, after);
+    }
+
+    #[test]
     fn fwhm_scales_with_gaussian_sigma(sigma in 2.0f64..10.0) {
         let profile: Vec<f64> = (0..201)
             .map(|i| (-((i as f64 - 100.0) / sigma).powi(2) / 2.0).exp())
