@@ -43,12 +43,12 @@ pub(crate) fn scatter_tile(out: &mut BeamformedVolume, tile: Tile, values: &[f64
 
 /// Warm per-tile state: one task's delay slab, output staging buffer and
 /// the kernel's scratch, allocated once at construction and refilled
-/// every frame. A single-transmit tile carries one nappe's worth of
-/// quantized indices (or fractional delays) for every scanline of the
-/// tile plus one accumulator per scanline — the voxel-parallel block
-/// the kernel sums one channel at a time; a compound tile carries the
-/// row-length scratch of the per-voxel compound kernels instead. One
-/// definition shared by [`VolumeLoop`](crate::VolumeLoop) and
+/// every frame. The kernel's block holds one (nappe, transmit)'s worth of
+/// quantized indices (or fractional delays) for up to every scanline of
+/// the tile, with one accumulator per block row and a `live` map from
+/// block rows back to scanlines — the voxel-parallel block it sums one
+/// channel at a time. One definition shared by
+/// [`VolumeLoop`](crate::VolumeLoop) and
 /// [`FramePipeline`](crate::FramePipeline) (and through the latter,
 /// [`ShardedRuntime`](crate::ShardedRuntime)), so the warm-state shape
 /// (and with it the bit-identical-to-serial invariant) cannot drift
@@ -56,45 +56,32 @@ pub(crate) fn scatter_tile(out: &mut BeamformedVolume, tile: Tile, values: &[f64
 pub struct TileState {
     pub(crate) slab: NappeDelays,
     pub(crate) values: Vec<f64>,
-    /// Active elements' delays of one scanline row, compacted out of the
-    /// slab row (bypassed when the aperture is full — the slab row is
-    /// already the active row).
+    /// Active elements' delays of one row, compacted out of a full
+    /// element row before quantization (bypassed when the aperture is
+    /// full — the row is already the active row).
     pub(crate) delays: Vec<f64>,
-    /// Single-transmit nearest kernel: the nappe's quantized echo-buffer
-    /// indices, `[scanline-within-tile][active]` row-major — one
-    /// [`DelayEngine::quantize_row`] call writes each scanline's row.
-    /// Empty for linear interpolation and for compound sequences.
+    /// Nearest kernel: quantized echo-buffer indices,
+    /// `[block row][active]` row-major — one
+    /// [`DelayEngine::quantize_row`] call writes each row. Empty for
+    /// linear interpolation.
     pub(crate) index_block: Vec<i32>,
-    /// Single-transmit linear kernel: the nappe's compacted fractional
-    /// delays, same `[scanline-within-tile][active]` shape. Empty for
-    /// nearest interpolation and for compound sequences.
+    /// Linear kernel: compacted fractional delays, same
+    /// `[block row][active]` shape. Empty for nearest interpolation.
     pub(crate) delay_block: Vec<f64>,
-    /// One running sum per scanline of the tile: the single-transmit
-    /// kernels' independent accumulator chains. Empty for compound
-    /// sequences.
+    /// One running sum per block row: the kernel's independent
+    /// accumulator chains.
     pub(crate) acc: Vec<f64>,
-    /// Compound kernels: the quantized echo-buffer index row of one
-    /// (voxel, transmit). Empty for the single point-source emission.
-    pub(crate) indices: Vec<i32>,
-    /// Compound kernels: the gathered sample row the weighted accumulate
-    /// consumes. Empty for the single point-source emission.
-    pub(crate) samples: Vec<f64>,
-    /// Low-resolution-image staging for compound sequences: one
-    /// transmit's tile volume, re-beamformed per angle and accumulated
-    /// into `values`. Empty for the classic single point-source emission
-    /// (which beamforms straight into `values`).
-    pub(crate) lri: Vec<f64>,
-    /// One combined per-transmit delay row of the factored compound
-    /// kernel: [`DelayEngine::combine_tx_row`] writes the transmit term
-    /// folded onto the receive-leg slab row here, per (voxel, transmit).
-    /// Sized to the full element row; empty for the single point-source
-    /// emission (which never runs the factored loop).
+    /// The scanline slot each block row belongs to: only insonified
+    /// (nonzero-weight) rows are packed into the block.
+    pub(crate) live: Vec<u32>,
+    /// One combined per-transmit delay row of a compound frame:
+    /// [`DelayEngine::combine_tx_row`] writes the transmit term folded
+    /// onto a receive-leg slab row here. Sized to the full element row.
     pub(crate) tx_row: Vec<f64>,
-    /// Compound mask weights, `[transmit][scanline-within-tile][depth]`
-    /// (same inner layout as `values`): the per-voxel insonification
-    /// weight of each transmit, precomputed at construction so the warm
-    /// accumulate is a pure multiply-add with an explicit zero skip.
-    /// Empty for the single point-source emission.
+    /// Mask weights, `[transmit][scanline-within-tile][depth]` (same
+    /// inner layout as `values`): the per-voxel insonification weight of
+    /// each transmit, precomputed at construction so the warm accumulate
+    /// is a pure multiply-add with an explicit zero skip.
     pub(crate) tx_weights: Vec<f64>,
     /// I/Q scratch for the fused post-processing chain (empty when the
     /// beamformer carries no chain).
@@ -103,61 +90,43 @@ pub struct TileState {
 
 impl TileState {
     /// Allocates the warm state for one schedule tile of `beamformer`'s
-    /// spec: the delay slab, the `[scanline][depth]` staging buffer and
-    /// the kernel's scratch, sized to the compacted aperture — the index
-    /// (nearest) or delay (linear) block and per-scanline accumulators
-    /// for a single transmit, the per-voxel rows and mask weights for a
-    /// compound sequence.
+    /// spec: the delay slab, the `[scanline][depth]` staging buffer, the
+    /// index (nearest) or delay (linear) block sized to the compacted
+    /// aperture, and every transmit's mask weights.
     #[must_use]
     pub fn new(beamformer: &Beamformer, tile: Tile) -> Self {
         let spec = beamformer.spec();
         let active = beamformer.aperture().len();
         let n_depth = spec.volume_grid.n_depth();
         let n_values = tile.scanlines() * n_depth;
-        let single = spec.is_single_point_source();
-        // A single transmit needs one nappe's block and one accumulator
-        // per scanline; a compound sequence needs the per-voxel rows.
-        let (block, n_acc, compound_row) = if single {
-            (tile.scanlines() * active, tile.scanlines(), 0)
-        } else {
-            (0, 0, active)
-        };
+        let block = tile.scanlines() * active;
         let nearest = beamformer.interpolation == Interpolation::Nearest;
-        let (lri, tx_weights) = if single {
-            (Vec::new(), Vec::new())
-        } else {
-            // Compound sequence: stage each angle's low-resolution image
-            // and precompute every transmit's per-voxel mask weight in
-            // the `values` layout, so the warm accumulate never calls
-            // back into geometry.
-            let mut weights = vec![0.0; spec.n_transmits() * n_values];
-            for tx in 0..spec.n_transmits() {
-                let block = &mut weights[tx * n_values..(tx + 1) * n_values];
-                for (slot, it, ip) in tile.iter_scanlines() {
-                    for id in 0..n_depth {
-                        let s = spec.volume_grid.position(VoxelIndex::new(it, ip, id));
-                        block[slot * n_depth + id] = spec.transmit_weight(tx, s);
-                    }
+        // Precompute every transmit's per-voxel mask weight in the
+        // `values` layout, so the warm accumulate never calls back into
+        // geometry.
+        let mut tx_weights = vec![0.0; spec.n_transmits() * n_values];
+        for (tx, weights) in tx_weights.chunks_exact_mut(n_values).enumerate() {
+            for (slot, it, ip) in tile.iter_scanlines() {
+                for id in 0..n_depth {
+                    let s = spec.volume_grid.position(VoxelIndex::new(it, ip, id));
+                    weights[slot * n_depth + id] = spec.transmit_weight(tx, s);
                 }
             }
-            (vec![0.0; n_values], weights)
-        };
+        }
         TileState {
             slab: NappeDelays::for_tile(spec, tile),
             values: vec![0.0; n_values],
             delays: vec![0.0; active],
+            acc: vec![0.0; tile.scanlines()],
+            live: vec![0; tile.scanlines()],
+            tx_row: vec![0.0; spec.elements.count()],
+            tx_weights,
+            // The block is allocated after the small row buffers: placed
+            // between them, it shifted glibc's heap layout so that a
+            // pipeline's dropped RF ring stayed resident (+8 MB peak RSS
+            // on the benchmark's cpwc16-tiny set-up, 2-vCPU x86-64).
             index_block: vec![0; if nearest { block } else { 0 }],
             delay_block: vec![0.0; if nearest { 0 } else { block }],
-            acc: vec![0.0; n_acc],
-            indices: vec![0; compound_row],
-            samples: vec![0.0; compound_row],
-            tx_row: if single {
-                Vec::new()
-            } else {
-                vec![0.0; spec.elements.count()]
-            },
-            lri,
-            tx_weights,
             post_scratch: if beamformer.postproc().is_empty() {
                 PostScratch::default()
             } else {
@@ -212,61 +181,163 @@ fn compact_row(row: &[f64], channels: &[u32], out: &mut [f64]) {
     }
 }
 
-/// Channels the voxel-parallel kernels prefetch ahead of the one they
-/// sum: far enough for a sample window 64 KB away to arrive, near enough
-/// that it is still cached when its turn comes.
+/// Channels the tile kernel prefetches ahead of the one it sums: far
+/// enough for a sample window 64 KB away to arrive, near enough that it
+/// is still cached when its turn comes.
 const PREFETCH_AHEAD: usize = 8;
 
-/// Nearest-index read of one trace, bit-identical to
-/// [`RfFrame::sample`]: out-of-window indices (negative ones wrap to huge
-/// under the cast) read as `0.0`.
-#[inline(always)]
-fn read_nearest(trace: &[f64], i: i32) -> f64 {
-    trace.get(i as usize).copied().unwrap_or(0.0)
+/// One interpolation mode of the tile kernel: the block entry type
+/// (`i32` echo-buffer indices for nearest fetch, `f64` fractional delays
+/// for linear), how a full element delay row is packed into a block row,
+/// and how a trace is read at an entry. The kernel is generic over it, so
+/// each mode compiles to its own monomorphized loop.
+trait Fetch: Copy {
+    /// Whether packing runs the engine's rounding stage (and with it any
+    /// rounding telemetry).
+    const ROUNDS: bool;
+
+    /// Packs one full element row into one block row of active
+    /// channels, using `scratch` for the compaction if needed.
+    fn pack(
+        engine: &dyn DelayEngine,
+        aperture: &ActiveAperture,
+        row: &[f64],
+        scratch: &mut [f64],
+        out: &mut [Self],
+    );
+
+    /// Reads `trace` at this entry, bit-identical to the scalar walk's
+    /// [`RfFrame`] read; out-of-window reads give `0.0`.
+    fn read(trace: &[f64], at: Self) -> f64;
+
+    /// The sample index this entry reads near, for prefetching.
+    fn index(self) -> i32;
 }
 
-/// Linearly interpolated read of one trace: the floor/blend arithmetic of
-/// [`RfFrame::sample_interp`], with the same zero reads outside the
-/// window.
-#[inline(always)]
-fn read_linear(trace: &[f64], t: f64) -> f64 {
-    let i0 = t.floor() as i64;
-    let frac = t - i0 as f64;
-    let at = |i: i64| {
-        usize::try_from(i)
-            .ok()
-            .and_then(|i| trace.get(i))
-            .copied()
-            .unwrap_or(0.0)
-    };
-    at(i0) * (1.0 - frac) + at(i0 + 1) * frac
+impl Fetch for i32 {
+    const ROUNDS: bool = true;
+
+    /// Compaction, then the engine's own final rounding stage via one
+    /// [`DelayEngine::quantize_row`] call, so rounding telemetry
+    /// (TABLESTEER's clamp counter) advances exactly as it does for
+    /// per-element queries.
+    #[inline]
+    fn pack(
+        engine: &dyn DelayEngine,
+        aperture: &ActiveAperture,
+        row: &[f64],
+        scratch: &mut [f64],
+        out: &mut [i32],
+    ) {
+        let active = if aperture.is_full() {
+            row
+        } else {
+            compact_row(row, aperture.channels(), scratch);
+            scratch
+        };
+        engine.quantize_row(active, out);
+    }
+
+    /// [`RfFrame::sample`]: negative indices wrap to huge under the cast
+    /// and read `0.0` like any other out-of-window index.
+    #[inline(always)]
+    fn read(trace: &[f64], i: i32) -> f64 {
+        trace.get(i as usize).copied().unwrap_or(0.0)
+    }
+
+    #[inline(always)]
+    fn index(self) -> i32 {
+        self
+    }
 }
 
-/// The Eq. 1 accumulate of the compound kernels: `Σ_k w[k] · s[k]` over
-/// one compacted sample row, unrolled in chunks of 8 multiply-accumulates.
-/// One running accumulator keeps the addition order identical to the
-/// scalar walk's per-element loop, so the chunking only removes
-/// loop-control overhead.
-#[inline]
-fn weighted_sum(weights: &[f64], samples: &[f64]) -> f64 {
-    debug_assert_eq!(weights.len(), samples.len());
-    let mut acc = 0.0;
-    let mut wc = weights.chunks_exact(8);
-    let mut sc = samples.chunks_exact(8);
-    for (w, s) in (&mut wc).zip(&mut sc) {
-        acc += w[0] * s[0];
-        acc += w[1] * s[1];
-        acc += w[2] * s[2];
-        acc += w[3] * s[3];
-        acc += w[4] * s[4];
-        acc += w[5] * s[5];
-        acc += w[6] * s[6];
-        acc += w[7] * s[7];
+impl Fetch for f64 {
+    const ROUNDS: bool = false;
+
+    /// No quantization stage: the row is copied (or compacted) straight
+    /// into the block.
+    #[inline]
+    fn pack(
+        _: &dyn DelayEngine,
+        aperture: &ActiveAperture,
+        row: &[f64],
+        _: &mut [f64],
+        out: &mut [f64],
+    ) {
+        if aperture.is_full() {
+            out.copy_from_slice(row);
+        } else {
+            compact_row(row, aperture.channels(), out);
+        }
     }
-    for (&w, &s) in wc.remainder().iter().zip(sc.remainder()) {
-        acc += w * s;
+
+    /// The floor/blend arithmetic of [`RfFrame::sample_interp`], with the
+    /// same zero reads outside the window.
+    #[inline(always)]
+    fn read(trace: &[f64], t: f64) -> f64 {
+        let i0 = t.floor() as i64;
+        let frac = t - i0 as f64;
+        let at = |i: i64| {
+            usize::try_from(i)
+                .ok()
+                .and_then(|i| trace.get(i))
+                .copied()
+                .unwrap_or(0.0)
+        };
+        at(i0) * (1.0 - frac) + at(i0 + 1) * frac
     }
-    acc
+
+    #[inline(always)]
+    fn index(self) -> i32 {
+        self as i32
+    }
+}
+
+/// The kernel's per-(nappe, transmit) block under construction: rows are
+/// pushed in scanline order and the insonified ones packed densely.
+struct Block<'a, T> {
+    rows: &'a mut [T],
+    live: &'a mut [u32],
+    scratch: &'a mut [f64],
+    /// Packed (live) rows so far.
+    len: usize,
+}
+
+impl<T: Fetch> Block<'_, T> {
+    /// Offers scanline `slot`'s delay row with mask weight `m`. A live
+    /// row is packed into the next free block row; a masked row is
+    /// dropped, unless `keep_masked` — then it is still packed into the
+    /// next free row (which the next live row overwrites) so the engine's
+    /// rounding telemetry counts it.
+    #[inline]
+    fn push(
+        &mut self,
+        engine: &dyn DelayEngine,
+        aperture: &ActiveAperture,
+        slot: usize,
+        m: f64,
+        keep_masked: bool,
+        row: &[f64],
+    ) {
+        if m == 0.0 && !keep_masked {
+            return;
+        }
+        let active = aperture.len();
+        let out = &mut self.rows[self.len * active..(self.len + 1) * active];
+        T::pack(engine, aperture, row, self.scratch, out);
+        if m != 0.0 {
+            self.live[self.len] = slot as u32;
+            self.len += 1;
+        }
+    }
+}
+
+/// The kernel's row-sized scratch, borrowed out of a [`TileState`].
+struct Scratch<'a> {
+    delays: &'a mut [f64],
+    acc: &'a mut [f64],
+    live: &'a mut [u32],
+    tx_row: &'a mut [f64],
 }
 
 /// How echo samples are fetched at the computed delay.
@@ -405,8 +476,8 @@ impl Beamformer {
     pub fn beamform_voxel(&self, engine: &dyn DelayEngine, rf: &RfFrame, vox: VoxelIndex) -> f64 {
         if self.spec.is_single_point_source() {
             return self.scalar_aperture_sum(&mut |e| match self.interpolation {
-                Interpolation::Nearest => rf.sample(e, engine.delay_index(vox, e)),
-                Interpolation::Linear => rf.sample_interp(e, engine.delay_samples(vox, e)),
+                Interpolation::Nearest => rf.sample(e, engine.delay_index(0, vox, e)),
+                Interpolation::Linear => rf.sample_interp(e, engine.delay_samples(0, vox, e)),
             });
         }
         let s = self.spec.volume_grid.position(vox);
@@ -433,10 +504,8 @@ impl Beamformer {
         vox: VoxelIndex,
     ) -> f64 {
         self.scalar_aperture_sum(&mut |e| match self.interpolation {
-            Interpolation::Nearest => rf.sample_for(tx, e, engine.delay_index_for(tx, vox, e)),
-            Interpolation::Linear => {
-                rf.sample_interp_for(tx, e, engine.delay_samples_for(tx, vox, e))
-            }
+            Interpolation::Nearest => rf.sample_for(tx, e, engine.delay_index(tx, vox, e)),
+            Interpolation::Linear => rf.sample_interp_for(tx, e, engine.delay_samples(tx, vox, e)),
         })
     }
 
@@ -529,26 +598,25 @@ impl Beamformer {
     /// is the allocation-free kernel [`VolumeLoop`](crate::VolumeLoop)
     /// and [`FramePipeline`](crate::FramePipeline) drive every frame.
     ///
-    /// A single transmit runs the voxel-parallel kernel, split by
+    /// One voxel-parallel kernel serves every transmit sequence, split by
     /// interpolation mode into two monomorphized loops chosen **once per
-    /// tile**: per nappe, one [`DelayEngine::quantize_row`] (or
-    /// fractional-delay copy) per scanline fills the state's
-    /// `[scanline][active]` block, then the aperture is walked one
-    /// channel at a time, each channel's sample adding into one
-    /// accumulator per scanline. A compound sequence runs the per-voxel
-    /// compound kernels (gather a sample row, then one sequential
-    /// multiply-accumulate). Either way every voxel's sum starts at
-    /// `0.0` and adds its `w·s` terms in ascending aperture order, so the
-    /// output is bit-identical to the scalar
-    /// [`beamform_voxel`](Self::beamform_voxel) walk, and engines'
-    /// rounding telemetry (TABLESTEER clamp counts) advances exactly as
-    /// the per-element path would.
+    /// tile**. Per (nappe, transmit), delay rows come from the engine's
+    /// fused [`DelayEngine::fill_nappe_streamed`] for a single transmit,
+    /// or from one [`DelayEngine::fill_nappe_rx`] per nappe plus one
+    /// [`DelayEngine::combine_tx_row`] per row for a compound sequence;
+    /// the insonified rows are packed into a `[row][active]` block that
+    /// is summed one channel at a time into per-row accumulators. Every
+    /// voxel's delay-and-sum starts at `0.0` and adds its `w·s` terms in
+    /// ascending aperture order, and each transmit's sum enters the voxel
+    /// as `m·sum` in transmit order, skipping `m == 0` — so the output is
+    /// bit-identical to the scalar
+    /// [`beamform_voxel`](Self::beamform_voxel) walk.
     ///
     /// # Panics
     ///
     /// Panics if `state` was built for a different spec, aperture or
-    /// interpolation, or (for a compound sequence) if the engine or RF
-    /// frame does not carry every transmit of the spec's sequence.
+    /// interpolation, or if the engine or RF frame does not carry every
+    /// transmit of the spec's sequence.
     pub fn beamform_tile_into(
         &self,
         engine: &dyn DelayEngine,
@@ -557,15 +625,32 @@ impl Beamformer {
     ) {
         let tile = state.slab.tile();
         let n_depth = self.spec.volume_grid.n_depth();
+        let n_tx = self.spec.n_transmits();
+        let n_values = tile.scanlines() * n_depth;
         assert_eq!(
             state.values.len(),
-            tile.scanlines() * n_depth,
+            n_values,
             "values buffer must cover the tile"
+        );
+        assert_eq!(
+            state.tx_weights.len(),
+            n_tx * n_values,
+            "tile state must be built for this spec's transmit sequence"
         );
         assert_eq!(
             state.delays.len(),
             self.aperture.len(),
             "scratch rows must match the compacted aperture"
+        );
+        assert_eq!(
+            engine.transmit_count(),
+            n_tx,
+            "engine must cover the spec's transmit sequence"
+        );
+        assert_eq!(
+            rf.n_transmits(),
+            n_tx,
+            "RF frame must hold every transmit acquisition"
         );
         let TileState {
             slab,
@@ -574,96 +659,32 @@ impl Beamformer {
             index_block,
             delay_block,
             acc,
-            indices,
-            samples,
+            live,
             tx_row,
-            lri,
             tx_weights,
             post_scratch,
         } = state;
-        if self.spec.is_single_point_source() {
-            // The classic single-emission path: beamform straight into
-            // the staging buffer.
-            let block_len = match self.interpolation {
-                Interpolation::Nearest => index_block.len(),
-                Interpolation::Linear => delay_block.len(),
-            };
-            assert_eq!(
-                block_len,
-                tile.scanlines() * self.aperture.len(),
-                "tile state must be built for this beamformer's interpolation"
-            );
-            match self.interpolation {
-                Interpolation::Nearest => {
-                    self.tile_block_nearest(engine, rf, slab, values, delays, index_block, acc)
-                }
-                Interpolation::Linear => {
-                    self.tile_block_linear(engine, rf, slab, values, delay_block, acc)
-                }
+        let block_len = match self.interpolation {
+            Interpolation::Nearest => index_block.len(),
+            Interpolation::Linear => delay_block.len(),
+        };
+        assert_eq!(
+            block_len,
+            tile.scanlines() * self.aperture.len(),
+            "tile state must be built for this beamformer's interpolation"
+        );
+        let scratch = Scratch {
+            delays,
+            acc,
+            live,
+            tx_row,
+        };
+        match self.interpolation {
+            Interpolation::Nearest => {
+                self.tile_kernel(engine, rf, slab, values, tx_weights, scratch, index_block)
             }
-        } else {
-            // Coherent compounding: beamform each transmit's
-            // low-resolution image into the staging buffer and
-            // mask-weight it into the accumulator. The zero-weight skip
-            // is a correctness requirement, not an optimization: outside
-            // a steered wave's footprint the LRI value is meaningless
-            // (and may be non-finite under hostile inputs), so it must
-            // never enter the arithmetic — `0.0 * NaN` is NaN.
-            let n_tx = self.spec.n_transmits();
-            assert_eq!(
-                engine.transmit_count(),
-                n_tx,
-                "engine must cover the spec's transmit sequence"
-            );
-            assert_eq!(
-                rf.n_transmits(),
-                n_tx,
-                "RF frame must hold every transmit acquisition"
-            );
-            values.fill(0.0);
-            let n_values = values.len();
-            if engine.supports_factored_fill() {
-                // Factored compound loop: the transmit-invariant receive
-                // leg is generated ONCE per (nappe, tile) via
-                // `fill_nappe_rx_streamed`, and each transmit only adds
-                // its per-voxel scalar term onto the cached row —
-                // per-angle delay-generation cost drops from
-                // O(N·elements) to O(elements + N) per voxel. Per-voxel
-                // accumulation stays transmit-ascending, so the output is
-                // bit-identical to the fused per-transmit loop below.
-                match self.interpolation {
-                    Interpolation::Nearest => self.tile_compound_factored_nearest(
-                        engine, rf, n_tx, slab, values, tx_row, delays, indices, samples,
-                        tx_weights,
-                    ),
-                    Interpolation::Linear => self.tile_compound_factored_linear(
-                        engine, rf, n_tx, slab, values, tx_row, delays, samples, tx_weights,
-                    ),
-                }
-            } else {
-                // Fused fallback, for engines without a separable receive
-                // leg: one full per-transmit slab fill per nappe, each row
-                // summed into that transmit's low-resolution image.
-                for tx in 0..n_tx {
-                    for id in 0..n_depth {
-                        engine.fill_nappe_streamed_for(tx, id, slab, &mut |slot, row| {
-                            let active = self.active_row(row, delays);
-                            lri[slot * n_depth + id] = match self.interpolation {
-                                Interpolation::Nearest => {
-                                    engine.quantize_row(active, indices);
-                                    self.sum_nearest(rf, tx, indices, samples)
-                                }
-                                Interpolation::Linear => self.sum_linear(rf, tx, active, samples),
-                            };
-                        });
-                    }
-                    let mask = &tx_weights[tx * n_values..(tx + 1) * n_values];
-                    for ((v, &l), &m) in values.iter_mut().zip(lri.iter()).zip(mask) {
-                        if m != 0.0 {
-                            *v += m * l;
-                        }
-                    }
-                }
+            Interpolation::Linear => {
+                self.tile_kernel(engine, rf, slab, values, tx_weights, scratch, delay_block)
             }
         }
         if !self.post.is_empty() {
@@ -679,232 +700,143 @@ impl Beamformer {
         }
     }
 
-    /// The single-transmit nearest-index kernel, voxel-parallel per
-    /// nappe.
+    /// The voxel-parallel tile kernel, for one interpolation mode.
     ///
-    /// 1. Rows arrive through [`DelayEngine::fill_nappe_streamed_for`]
-    ///    (so engines with a batched fill hand each row over cache-hot);
-    ///    each is compacted to the active aperture and quantized by one
-    ///    [`DelayEngine::quantize_row`] call straight into its scanline's
-    ///    row of `block` — the engine's own final rounding stage, so
-    ///    rounding telemetry (TABLESTEER's clamp counter) advances
-    ///    exactly as it does for per-element queries.
-    /// 2. The aperture is walked channel by channel: channel `k` adds
-    ///    `w[k] · trace_k[block[slot][k]]` into `acc[slot]` for every
-    ///    scanline of the tile. Per voxel that is the scalar walk's
-    ///    ascending-order sum from `0.0`, so the output is bit-identical
-    ///    to it; across voxels the tile's accumulators are independent
-    ///    chains, and one channel's lookups stay inside a short window
-    ///    of one trace. `block` is read with a stride of one row rather
-    ///    than transposed into a channel-major copy, whose scattered
-    ///    writes would be a second pass over the block every nappe.
-    /// 3. Before channel `k`, the window channel `k + 8` will read — from
-    ///    its first scanline's index to its last's — is prefetched, so
-    ///    the trace 64 KB away is in flight while this channel sums.
+    /// Per nappe and transmit:
+    ///
+    /// 1. Delay rows arrive in scanline order. A single-transmit frame
+    ///    takes them from the engine's fused
+    ///    [`DelayEngine::fill_nappe_streamed`], each row handed over
+    ///    cache-hot; a compound frame fills the transmit-invariant
+    ///    receive leg once per nappe ([`DelayEngine::fill_nappe_rx`]) and
+    ///    builds each transmit's row with one
+    ///    [`DelayEngine::combine_tx_row`]. (Routing a single transmit
+    ///    through the receive leg plus a combine measured slower than the
+    ///    one-pass fused fill.)
+    /// 2. Only insonified rows (mask weight `m ≠ 0`) are packed into the
+    ///    `[row][active]` block, the `live` map recording their
+    ///    scanlines. A masked row contributes nothing, so it is skipped
+    ///    — except in nearest mode under an engine with rounding
+    ///    telemetry ([`DelayEngine::rounding_telemetry`]), where it is
+    ///    still quantized into the next free row (and overwritten) so
+    ///    TABLESTEER's clamp counter counts every (voxel, transmit) row.
+    /// 3. The aperture is walked channel by channel: channel `k` adds
+    ///    `w[k] · trace_k[block[r][k]]` into `acc[r]` for every block row.
+    ///    Per voxel that is the scalar walk's ascending-order sum from
+    ///    `0.0`; across voxels the accumulators are independent chains,
+    ///    and one channel's lookups stay inside a short window of one
+    ///    trace. `block` is read with a stride of one row rather than
+    ///    transposed into a channel-major copy, whose scattered writes
+    ///    would be a second pass over the block. Before channel `k`, the
+    ///    window channel `k + 8` will read — from its first row's index
+    ///    to its last's — is prefetched, so the trace 64 KB away is in
+    ///    flight while this channel sums.
+    /// 4. Each live voxel adds `m · acc[r]`. The zero-weight skip is a
+    ///    correctness requirement, not an optimization: outside a steered
+    ///    wave's footprint the sum is meaningless (and may be non-finite
+    ///    under hostile inputs), so it must never enter the arithmetic —
+    ///    `0.0 * NaN` is NaN. A point source weighs 1 everywhere, and an
+    ///    accumulator starting at `+0.0` never becomes `-0.0`, so there
+    ///    `0.0 + 1.0 · acc` is `acc` bit for bit.
     #[allow(clippy::too_many_arguments)]
-    fn tile_block_nearest(
+    fn tile_kernel<T: Fetch>(
         &self,
         engine: &dyn DelayEngine,
         rf: &RfFrame,
         slab: &mut NappeDelays,
-        out: &mut [f64],
-        delays: &mut [f64],
-        block: &mut [i32],
-        acc: &mut [f64],
+        values: &mut [f64],
+        tx_weights: &[f64],
+        scratch: Scratch<'_>,
+        block: &mut [T],
     ) {
+        let Scratch {
+            delays,
+            acc,
+            live,
+            tx_row,
+        } = scratch;
+        let tile = slab.tile();
         let n_depth = self.spec.volume_grid.n_depth();
-        let channels = self.aperture.channels();
-        let weights = self.aperture.weights();
-        let active = channels.len();
-        let last_row = block.len() - active;
+        let n_values = values.len();
+        let aperture = &self.aperture;
+        let single = self.spec.n_transmits() == 1;
+        let keep_masked = T::ROUNDS && engine.rounding_telemetry();
+        values.fill(0.0);
         for id in 0..n_depth {
-            engine.fill_nappe_streamed_for(0, id, slab, &mut |slot, row| {
-                let indices = &mut block[slot * active..(slot + 1) * active];
-                engine.quantize_row(self.active_row(row, delays), indices);
-            });
-            acc.fill(0.0);
-            for (k, (&chan, &w)) in channels.iter().zip(weights).enumerate() {
-                if let Some(&ahead) = channels.get(k + PREFETCH_AHEAD) {
-                    let j = k + PREFETCH_AHEAD;
-                    rf.prefetch_window_for(0, ahead, block[j], block[last_row + j]);
-                }
-                let trace = rf.channel_trace_for(0, chan);
-                for (a, &i) in acc.iter_mut().zip(block[k..].iter().step_by(active)) {
-                    *a += w * read_nearest(trace, i);
-                }
-            }
-            for (slot, &a) in acc.iter().enumerate() {
-                out[slot * n_depth + id] = a;
-            }
-        }
-    }
-
-    /// The single-transmit linear-interpolation kernel: the
-    /// voxel-parallel loop of [`tile_block_nearest`](Self::tile_block_nearest)
-    /// over a block of compacted fractional delays. No quantization
-    /// stage — each row is copied (or compacted) into the block and the
-    /// channel walk interpolates straight from it.
-    fn tile_block_linear(
-        &self,
-        engine: &dyn DelayEngine,
-        rf: &RfFrame,
-        slab: &mut NappeDelays,
-        out: &mut [f64],
-        block: &mut [f64],
-        acc: &mut [f64],
-    ) {
-        let n_depth = self.spec.volume_grid.n_depth();
-        let channels = self.aperture.channels();
-        let weights = self.aperture.weights();
-        let full = self.aperture.is_full();
-        let active = channels.len();
-        let last_row = block.len() - active;
-        for id in 0..n_depth {
-            engine.fill_nappe_streamed_for(0, id, slab, &mut |slot, row| {
-                let delays = &mut block[slot * active..(slot + 1) * active];
-                if full {
-                    delays.copy_from_slice(row);
+            for (tx, mask) in tx_weights.chunks_exact(n_values).enumerate() {
+                let mut rows = Block {
+                    rows: &mut *block,
+                    live: &mut *live,
+                    scratch: &mut *delays,
+                    len: 0,
+                };
+                if single {
+                    engine.fill_nappe_streamed(id, slab, &mut |slot, row| {
+                        let m = mask[slot * n_depth + id];
+                        rows.push(engine, aperture, slot, m, keep_masked, row);
+                    });
                 } else {
-                    compact_row(row, channels, delays);
+                    if tx == 0 {
+                        engine.fill_nappe_rx(id, slab);
+                    }
+                    for (slot, it, ip) in tile.iter_scanlines() {
+                        let m = mask[slot * n_depth + id];
+                        if m == 0.0 && !keep_masked {
+                            continue;
+                        }
+                        let vox = VoxelIndex::new(it, ip, id);
+                        engine.combine_tx_row(tx, vox, slab.row(slot), tx_row);
+                        rows.push(engine, aperture, slot, m, keep_masked, tx_row);
+                    }
                 }
-            });
-            acc.fill(0.0);
-            for (k, (&chan, &w)) in channels.iter().zip(weights).enumerate() {
-                if let Some(&ahead) = channels.get(k + PREFETCH_AHEAD) {
-                    let j = k + PREFETCH_AHEAD;
-                    rf.prefetch_window_for(0, ahead, block[j] as i32, block[last_row + j] as i32);
-                }
-                let trace = rf.channel_trace_for(0, chan);
-                for (a, &t) in acc.iter_mut().zip(block[k..].iter().step_by(active)) {
-                    *a += w * read_linear(trace, t);
-                }
+                let n_live = rows.len;
+                self.accumulate(rf, tx, id, block, n_live, acc, live, mask, values);
             }
-            for (slot, &a) in acc.iter().enumerate() {
-                out[slot * n_depth + id] = a;
+        }
+    }
+
+    /// Steps 3 and 4 of [`tile_kernel`](Self::tile_kernel) for one
+    /// (nappe `id`, transmit `tx`): the channel-outer MAC over the first
+    /// `n_live` rows of `block`, then each live voxel's `m · acc` into
+    /// `values`.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn accumulate<T: Fetch>(
+        &self,
+        rf: &RfFrame,
+        tx: usize,
+        id: usize,
+        block: &[T],
+        n_live: usize,
+        acc: &mut [f64],
+        live: &[u32],
+        mask: &[f64],
+        values: &mut [f64],
+    ) {
+        if n_live == 0 {
+            return;
+        }
+        let channels = self.aperture.channels();
+        let weights = self.aperture.weights();
+        let active = channels.len();
+        let block = &block[..n_live * active];
+        let acc = &mut acc[..n_live];
+        let last_row = (n_live - 1) * active;
+        acc.fill(0.0);
+        for (k, (&chan, &w)) in channels.iter().zip(weights).enumerate() {
+            if let Some(&ahead) = channels.get(k + PREFETCH_AHEAD) {
+                let j = k + PREFETCH_AHEAD;
+                rf.prefetch_window_for(tx, ahead, block[j].index(), block[last_row + j].index());
+            }
+            let trace = rf.channel_trace_for(tx, chan);
+            for (a, &at) in acc.iter_mut().zip(block[k..].iter().step_by(active)) {
+                *a += w * T::read(trace, at);
             }
         }
-    }
-
-    /// The active-aperture view of a full element row: the row itself
-    /// when the aperture is full, else its compaction into `scratch`.
-    #[inline]
-    fn active_row<'a>(&self, row: &'a [f64], scratch: &'a mut [f64]) -> &'a [f64] {
-        if self.aperture.is_full() {
-            row
-        } else {
-            compact_row(row, self.aperture.channels(), scratch);
-            scratch
-        }
-    }
-
-    /// One compound voxel's nearest-index sum: gathers transmit `tx`'s
-    /// samples at the quantized `indices` and reduces them against the
-    /// aperture weights.
-    #[inline]
-    fn sum_nearest(&self, rf: &RfFrame, tx: usize, indices: &[i32], samples: &mut [f64]) -> f64 {
-        rf.gather_nearest_into_for(tx, self.aperture.channels(), indices, samples);
-        weighted_sum(self.aperture.weights(), samples)
-    }
-
-    /// One compound voxel's linear-interpolation sum over the compacted
-    /// fractional `delays` of transmit `tx`.
-    #[inline]
-    fn sum_linear(&self, rf: &RfFrame, tx: usize, delays: &[f64], samples: &mut [f64]) -> f64 {
-        rf.gather_linear_into_for(tx, self.aperture.channels(), delays, samples);
-        weighted_sum(self.aperture.weights(), samples)
-    }
-
-    /// The factored compound nearest-index kernel: one receive-leg slab
-    /// fill per nappe ([`DelayEngine::fill_nappe_rx_streamed`]), then per
-    /// voxel an inner transmit loop that combines the cached row with
-    /// each transmit's per-voxel term ([`DelayEngine::combine_tx_row`])
-    /// and runs the usual compact → quantize → gather → MAC stages.
-    ///
-    /// Masked transmits are where the factored kernel earns its keep on
-    /// steered fans: a zero mask weight contributes nothing to the sum,
-    /// so when the engine's rounding stage is side-effect-free
-    /// ([`DelayEngine::rounding_telemetry`] is `false`) the whole
-    /// per-transmit body is skipped — bit-identical output, and no
-    /// telemetry exists to diverge. Engines **with** rounding telemetry
-    /// (TABLESTEER's clamp counter) still combine and quantize every
-    /// (voxel, transmit) pair, because the fused per-transmit kernel
-    /// quantizes masked pairs too and the counters must advance
-    /// identically on both paths; only the gather/MAC/accumulate is
-    /// skipped on a zero mask weight there (same non-finite-poisoning
-    /// guard as the fused accumulate).
-    #[allow(clippy::too_many_arguments)]
-    fn tile_compound_factored_nearest(
-        &self,
-        engine: &dyn DelayEngine,
-        rf: &RfFrame,
-        n_tx: usize,
-        slab: &mut NappeDelays,
-        values: &mut [f64],
-        tx_row: &mut [f64],
-        delays: &mut [f64],
-        indices: &mut [i32],
-        samples: &mut [f64],
-        tx_weights: &[f64],
-    ) {
-        let tile = slab.tile();
         let n_depth = self.spec.volume_grid.n_depth();
-        let n_values = values.len();
-        let skip_masked = !engine.rounding_telemetry();
-        for id in 0..n_depth {
-            engine.fill_nappe_rx_streamed(id, slab, &mut |slot, rx_row| {
-                let (it, ip) = tile.scanline_at(slot);
-                let vox = VoxelIndex::new(it, ip, id);
-                for tx in 0..n_tx {
-                    let m = tx_weights[tx * n_values + slot * n_depth + id];
-                    if skip_masked && m == 0.0 {
-                        continue;
-                    }
-                    engine.combine_tx_row(tx, vox, rx_row, tx_row);
-                    engine.quantize_row(self.active_row(tx_row, delays), indices);
-                    if m != 0.0 {
-                        values[slot * n_depth + id] +=
-                            m * self.sum_nearest(rf, tx, indices, samples);
-                    }
-                }
-            });
-        }
-    }
-
-    /// The factored compound linear-interpolation kernel: one receive-leg
-    /// slab fill per nappe, per-voxel transmit combines feeding the
-    /// fractional-delay gather directly (no quantization stage, so no
-    /// rounding telemetry advances and the whole per-transmit body can be
-    /// skipped on a zero mask weight).
-    #[allow(clippy::too_many_arguments)]
-    fn tile_compound_factored_linear(
-        &self,
-        engine: &dyn DelayEngine,
-        rf: &RfFrame,
-        n_tx: usize,
-        slab: &mut NappeDelays,
-        values: &mut [f64],
-        tx_row: &mut [f64],
-        delays: &mut [f64],
-        samples: &mut [f64],
-        tx_weights: &[f64],
-    ) {
-        let tile = slab.tile();
-        let n_depth = self.spec.volume_grid.n_depth();
-        let n_values = values.len();
-        for id in 0..n_depth {
-            engine.fill_nappe_rx_streamed(id, slab, &mut |slot, rx_row| {
-                let (it, ip) = tile.scanline_at(slot);
-                let vox = VoxelIndex::new(it, ip, id);
-                for tx in 0..n_tx {
-                    let m = tx_weights[tx * n_values + slot * n_depth + id];
-                    if m == 0.0 {
-                        continue;
-                    }
-                    engine.combine_tx_row(tx, vox, rx_row, tx_row);
-                    let active = self.active_row(tx_row, delays);
-                    values[slot * n_depth + id] += m * self.sum_linear(rf, tx, active, samples);
-                }
-            });
+        for (&slot, &a) in live.iter().zip(acc.iter()) {
+            let v = slot as usize * n_depth + id;
+            values[v] += mask[v] * a;
         }
     }
 
@@ -1118,45 +1050,14 @@ mod tests {
     }
 
     #[test]
-    fn factored_compound_path_is_bit_identical_to_fused_path() {
-        // The tentpole invariant: routing the compound loop through
-        // fill_nappe_rx_streamed + combine_tx_row must reproduce the
-        // fused per-transmit kernel exactly. `FusedOnly` hides the
-        // factored family, forcing the fallback loop on the same engine.
-        let (spec, rf) = compound_setup();
-        let exact = ExactEngine::new(&spec);
-        let steer = TableSteerEngine::new(&spec, TableSteerConfig::bits18()).unwrap();
-        for interp in [Interpolation::Nearest, Interpolation::Linear] {
-            for engine in [&exact as &dyn usbf_core::DelayEngine, &steer] {
-                assert!(engine.supports_factored_fill());
-                let bf = Beamformer::new(&spec).with_interpolation(interp);
-                let schedule = usbf_core::NappeSchedule::fitted(&spec, 4);
-                let factored = bf.beamform_volume_tiled(engine, &rf, &schedule);
-                let fused = match engine.name() {
-                    "EXACT" => bf.beamform_volume_tiled(
-                        &usbf_core::FusedOnly(exact.clone()),
-                        &rf,
-                        &schedule,
-                    ),
-                    _ => bf.beamform_volume_tiled(
-                        &usbf_core::FusedOnly(steer.clone()),
-                        &rf,
-                        &schedule,
-                    ),
-                };
-                assert_eq!(factored, fused, "{} {interp:?}", engine.name());
-            }
-        }
-    }
-
-    #[test]
-    fn factored_compound_path_preserves_clamp_telemetry() {
-        // The factored nearest kernel must quantize every transmit's
-        // combined row — masked ones included — exactly like the fused
-        // kernel does, so TABLESTEER's clamp counter advances
-        // identically on both paths. A wide aperture on the tiny grid
-        // (same trick as the single-source telemetry test) steers corner
-        // fetches out of the echo window so clamps actually happen.
+    fn compound_path_preserves_clamp_telemetry() {
+        // The nearest kernel must quantize every transmit's combined row
+        // — masked ones included — so TABLESTEER's clamp counter ends at
+        // exactly the count of per-element `delay_index` queries over
+        // every voxel × transmit × active channel. A wide aperture on the
+        // tiny grid (same trick as the single-source telemetry test)
+        // steers corner fetches out of the echo window so clamps actually
+        // happen.
         let base = SystemSpec::tiny();
         let spec = SystemSpec::new(
             base.speed_of_sound,
@@ -1174,7 +1075,8 @@ mod tests {
             // A point-source emission in the sequence reproduces the
             // clamping geometry of the single-source telemetry test
             // (two-way distances overrun the echo window at the
-            // corners); the plane waves ride along as the compound part.
+            // corners); the plane waves ride along as the compound part,
+            // masked over much of the fan.
             let mut txs = vec![usbf_geometry::TransmitModel::PointSource];
             txs.extend(usbf_geometry::TransmitModel::plane_wave_fan(
                 3,
@@ -1183,27 +1085,30 @@ mod tests {
             txs
         });
         let rf = RfFrame::zeros_multi(100, 100, spec.echo_buffer_len(), spec.n_transmits());
-        let factored_engine = TableSteerEngine::new(&spec, TableSteerConfig::bits18()).unwrap();
-        let fused_engine = usbf_core::FusedOnly(factored_engine.clone()); // fresh zeroed counter
-        let bf = Beamformer::new(&spec).with_apodization(crate::Apodization::Rect);
-        let schedule = usbf_core::NappeSchedule::fitted(&spec, 2);
-        bf.beamform_volume_tiled(&factored_engine, &rf, &schedule);
-        bf.beamform_volume_tiled(&fused_engine, &rf, &schedule);
-        assert!(
-            factored_engine.clamp_events() > 0,
-            "setup must actually clamp"
-        );
-        assert_eq!(
-            factored_engine.clamp_events(),
-            fused_engine.0.clamp_events()
-        );
+        let batched = TableSteerEngine::new(&spec, TableSteerConfig::bits18()).unwrap();
+        let oracle = batched.clone(); // fresh zeroed counter
+        let bf = Beamformer::new(&spec).with_apodization(crate::Apodization::Hann);
+        bf.beamform_volume_tiled(&batched, &rf, &usbf_core::NappeSchedule::fitted(&spec, 2));
+        let nx = spec.elements.nx();
+        for i in 0..spec.volume_grid.voxel_count() {
+            let vox = spec.volume_grid.voxel_at(i);
+            for tx in 0..spec.n_transmits() {
+                for &chan in bf.aperture().channels() {
+                    let e = ElementIndex::new(chan as usize % nx, chan as usize / nx);
+                    oracle.delay_index(tx, vox, e);
+                }
+            }
+        }
+        assert!(oracle.clamp_events() > 0, "setup must actually clamp");
+        assert_eq!(batched.clamp_events(), oracle.clamp_events());
     }
 
     #[test]
-    fn factored_compound_path_matches_scalar_reference() {
-        // End-to-end: the factored batched volume equals the per-voxel
-        // scalar compound walk (which reaches the same numbers through
-        // delay_index_for / delay_samples_for, never the row family).
+    fn compound_path_matches_scalar_reference() {
+        // End-to-end: the batched compound volume (receive-leg fill plus
+        // per-transmit combines) equals the per-voxel scalar compound
+        // walk, which reaches the same numbers through per-element
+        // delay_index / delay_samples queries, never the row family.
         let (spec, rf) = compound_setup();
         let engine = ExactEngine::new(&spec);
         for interp in [Interpolation::Nearest, Interpolation::Linear] {

@@ -8,7 +8,8 @@ use usbf_core::{
 };
 use usbf_geometry::scan::ScanOrder;
 use usbf_geometry::{
-    SystemSpec, TransducerSpec, TransmitModel, Vec3, VolumeSpec, VoxelIndex, SPEED_OF_SOUND,
+    ElementIndex, SystemSpec, TransducerSpec, TransmitModel, Vec3, VolumeSpec, VoxelIndex,
+    SPEED_OF_SOUND,
 };
 use usbf_sim::{EchoSynthesizer, Phantom, Pulse};
 
@@ -91,96 +92,8 @@ fn random_transmits(n_tx: usize, kinds: usize, a: usize, b: usize) -> Vec<Transm
         .collect()
 }
 
-/// Asserts the factored compound path (rx slab filled once per nappe +
-/// per-transmit combines) reproduces the fused per-transmit loop bit for
-/// bit on one engine: `FusedOnly` hides the factored family, forcing the
-/// fallback loop on an otherwise-identical engine instance.
-fn prop_factored_matches_fused<E>(
-    spec: &SystemSpec,
-    rf: &usbf_sim::RfFrame,
-    make: impl Fn() -> E,
-) -> Result<(), TestCaseError>
-where
-    E: DelayEngine + Clone + std::fmt::Debug,
-{
-    let schedule = usbf_core::NappeSchedule::fitted(spec, 3);
-    for interp in [Interpolation::Nearest, Interpolation::Linear] {
-        let factored_engine = make();
-        prop_assert!(
-            factored_engine.supports_factored_fill(),
-            "{} must join the factored family",
-            factored_engine.name()
-        );
-        let fused_engine = usbf_core::FusedOnly(make());
-        let bf = Beamformer::new(spec).with_interpolation(interp);
-        let factored = bf.beamform_volume_tiled(&factored_engine, rf, &schedule);
-        let fused = bf.beamform_volume_tiled(&fused_engine, rf, &schedule);
-        for (i, (a, b)) in factored.as_slice().iter().zip(fused.as_slice()).enumerate() {
-            prop_assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "{} {:?} voxel {}: {} vs {}",
-                factored_engine.name(),
-                interp,
-                i,
-                a,
-                b
-            );
-        }
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn factored_compound_path_bit_identical_to_fused_on_random_transmits(
-        nx in 2usize..6,
-        ny in 2usize..6,
-        n_theta in 2usize..6,
-        n_phi in 2usize..6,
-        n_depth in 4usize..10,
-        target in 0usize..1_000_000,
-        n_tx in 1usize..5,
-        kinds in 0usize..16,
-        angle_a in 0usize..1000,
-        angle_b in 0usize..1000,
-    ) {
-        // The PR 10 tentpole invariant: factoring the transmit-invariant
-        // receive leg out of the compound loop (one fill_nappe_rx per
-        // (nappe, tile) + per-transmit combine_tx_row) changes the
-        // delay-generation cost, not a single output bit — for all four
-        // engines × both interpolations, on random transmit sequences
-        // mixing steered plane waves with point emissions. TABLESTEER
-        // additionally proves the rounding
-        // telemetry matches: the factored nearest kernel quantizes every
-        // transmit's combined row, masked ones included, exactly like
-        // the fused kernel.
-        let spec = random_compound_spec(nx, ny, n_theta, n_phi, n_depth)
-            .with_transmits(random_transmits(n_tx, kinds, angle_a, angle_b));
-        let vox = spec.volume_grid.voxel_at(target % spec.volume_grid.voxel_count());
-        let rf = rf_for(&spec, vox);
-        prop_factored_matches_fused(&spec, &rf, || ExactEngine::new(&spec))?;
-        prop_factored_matches_fused(&spec, &rf, || {
-            NaiveTableEngine::build(&spec, u64::MAX).expect("tiny table fits")
-        })?;
-        prop_factored_matches_fused(&spec, &rf, || {
-            TableFreeEngine::new(&spec, TableFreeConfig::paper()).expect("builds")
-        })?;
-        prop_factored_matches_fused(&spec, &rf, || {
-            TableSteerEngine::new(&spec, TableSteerConfig::bits18()).expect("builds")
-        })?;
-        // Rounding-telemetry leg: clamp counts advance identically on
-        // the factored and fused nearest kernels (clones start zeroed).
-        let factored_engine = TableSteerEngine::new(&spec, TableSteerConfig::bits18()).expect("builds");
-        let fused_engine = usbf_core::FusedOnly(factored_engine.clone());
-        let schedule = usbf_core::NappeSchedule::fitted(&spec, 3);
-        let bf = Beamformer::new(&spec);
-        bf.beamform_volume_tiled(&factored_engine, &rf, &schedule);
-        bf.beamform_volume_tiled(&fused_engine, &rf, &schedule);
-        prop_assert_eq!(factored_engine.clamp_events(), fused_engine.0.clamp_events());
-    }
 
     #[test]
     fn beamforming_is_linear_in_rf(
@@ -321,17 +234,25 @@ proptest! {
         kinds in 0usize..16,
         angle_a in 0usize..1000,
         angle_b in 0usize..1000,
+        apod_pick in 0usize..3,
+        tiles_pick in 0usize..1000,
     ) {
-        // The PR 9 tentpole invariant: the compound tile kernel (per
-        // transmit: batched fill → gather → MAC into the low-resolution
-        // scratch, then the masked skip-on-zero accumulate) reproduces
-        // the scalar per-voxel compound walk bit for bit, for all four
-        // engines × both interpolations, on random transmit sequences
-        // mixing steered plane waves with point emissions.
+        // The tile kernel on a compound sequence (per nappe: one
+        // receive-leg fill; per transmit: combine each insonified row,
+        // pack it into the live block, channel-outer MAC, masked
+        // skip-on-zero accumulate) reproduces the scalar per-voxel
+        // compound walk bit for bit, for all four engines × both
+        // interpolations, on random transmit sequences mixing steered
+        // plane waves with point emissions. Live-row packing depends on
+        // the tile shape and the compaction on the aperture, so both are
+        // random too.
         let spec = random_compound_spec(nx, ny, n_theta, n_phi, n_depth)
             .with_transmits(random_transmits(n_tx, kinds, angle_a, angle_b));
+        let schedule =
+            usbf_core::NappeSchedule::fitted(&spec, 1 + tiles_pick % (n_theta * n_phi));
         let vox = spec.volume_grid.voxel_at(target % spec.volume_grid.voxel_count());
         let rf = rf_for(&spec, vox);
+        let apod = [Apodization::Rect, Apodization::Hann, Apodization::Tukey(0.5)][apod_pick];
         let exact = ExactEngine::new(&spec);
         let naive = NaiveTableEngine::build(&spec, u64::MAX).expect("tiny table fits");
         let tablefree = TableFreeEngine::new(&spec, TableFreeConfig::paper()).expect("builds");
@@ -341,21 +262,42 @@ proptest! {
             for interp in [Interpolation::Nearest, Interpolation::Linear] {
                 let bf = |order| {
                     Beamformer::new(&spec)
+                        .with_apodization(apod)
                         .with_interpolation(interp)
                         .with_order(order)
                 };
-                let tiled = bf(ScanOrder::NappeByNappe).beamform_volume(engine, &rf);
+                let tiled = bf(ScanOrder::NappeByNappe).beamform_volume_tiled(engine, &rf, &schedule);
                 let scalar = bf(ScanOrder::ScanlineByScanline).beamform_volume(engine, &rf);
                 for (i, (a, b)) in tiled.as_slice().iter().zip(scalar.as_slice()).enumerate() {
                     prop_assert_eq!(
                         a.to_bits(),
                         b.to_bits(),
-                        "{} {:?} {} transmits (kinds {:#x}) voxel {}: {} vs {}",
-                        engine.name(), interp, n_tx, kinds, i, a, b
+                        "{} {:?} {:?} {} transmits (kinds {:#x}), {} tiles, voxel {}: {} vs {}",
+                        engine.name(), interp, apod, n_tx, kinds, schedule.tiles().len(), i, a, b
                     );
                 }
             }
         }
+        // Rounding-telemetry leg: the nearest kernel quantizes every
+        // (voxel, transmit) row, masked ones included, so TABLESTEER's
+        // clamp count equals that of per-element `delay_index` queries
+        // over every voxel × transmit × active channel (clones start
+        // zeroed).
+        let oracle = tablesteer.clone();
+        let batched = tablesteer.clone();
+        let bf = Beamformer::new(&spec).with_apodization(apod);
+        bf.beamform_volume_tiled(&batched, &rf, &schedule);
+        let nx = spec.elements.nx();
+        for i in 0..spec.volume_grid.voxel_count() {
+            let vox = spec.volume_grid.voxel_at(i);
+            for tx in 0..n_tx {
+                for &chan in bf.aperture().channels() {
+                    let e = ElementIndex::new(chan as usize % nx, chan as usize / nx);
+                    oracle.delay_index(tx, vox, e);
+                }
+            }
+        }
+        prop_assert_eq!(batched.clamp_events(), oracle.clamp_events());
     }
 
     #[test]

@@ -37,8 +37,8 @@ fn bench_beamform(c: &mut Criterion) {
 
     // Batched parallel pipeline vs the scalar per-voxel reference walk on
     // a realistic fan (32×32×128 voxels, 1024 elements): nappe order runs
-    // the tiled fill_nappe path across threads, scanline order the legacy
-    // scalar loop. Outputs are bit-identical; only the throughput differs.
+    // the tiled kernel across threads, scanline order the scalar loop.
+    // Outputs are bit-identical; only the throughput differs.
     use usbf_geometry::scan::ScanOrder;
     let red = SystemSpec::reduced();
     let red_rf = EchoSynthesizer::new(&red).synthesize(
@@ -59,11 +59,8 @@ fn bench_beamform(c: &mut Criterion) {
     g.finish();
 
     // Single-thread inner-kernel throughput on one schedule tile of the
-    // reduced spec (1024 elements per voxel): the PR 4 per-element loop
-    // (virtual delay_index_from + div/mod + w==0 branch + per-fetch
-    // offset recompute) vs the vectorized row-batched kernel
-    // (quantize_row → gather → chunked MAC). Bit-identical outputs; the
-    // acceptance gate for PR 5 is ≥2× here.
+    // reduced spec (1024 elements per voxel): the voxel-parallel tile
+    // kernel (quantize_row → index block → channel-outer MAC).
     use usbf_beamform::TileState;
     let tile = usbf_core::NappeSchedule::fitted(&red, 64).tiles()[27];
     let tile_voxels = (tile.scanlines() * red.volume_grid.n_depth()) as u64;
@@ -75,23 +72,6 @@ fn bench_beamform(c: &mut Criterion) {
         ("exact", &red_exact as &dyn DelayEngine),
     ] {
         let bf = Beamformer::new(&red).with_apodization(Apodization::Hann);
-        let weights = bf.element_weights();
-        g.bench_function(format!("{name}_pr4_legacy"), |b| {
-            let mut slab = usbf_core::NappeDelays::for_tile(&red, tile);
-            let mut values = vec![0.0; tile.scanlines() * red.volume_grid.n_depth()];
-            b.iter(|| {
-                usbf_bench::legacy_beamform_tile_into(
-                    &bf,
-                    usbf_beamform::Interpolation::Nearest,
-                    black_box(eng),
-                    black_box(&red_rf),
-                    &weights,
-                    &mut slab,
-                    &mut values,
-                );
-                black_box(values[0])
-            })
-        });
         g.bench_function(format!("{name}_vectorized"), |b| {
             let mut state = TileState::new(&bf, tile);
             b.iter(|| {
@@ -103,9 +83,7 @@ fn bench_beamform(c: &mut Criterion) {
     g.finish();
 
     // TABLEFREE slab-fill throughput (delays/s) on the reduced spec: the
-    // PR 5 per-element eval_tracked fill vs the segment-major batched row
-    // evaluator. Bit-identical slabs; the acceptance gate for PR 6 is
-    // ≥10× here.
+    // segment-major batched row evaluator.
     let red_free = TableFreeEngine::new(&red, TableFreeConfig::paper()).expect("builds");
     let mut g = c.benchmark_group("tablefree_fill_reduced");
     {
@@ -114,15 +92,6 @@ fn bench_beamform(c: &mut Criterion) {
             * slab.scanline_count() as u64
             * slab.n_elements() as u64;
         g.throughput(Throughput::Elements(per_pass));
-        g.bench_function("pr5_legacy_eval_tracked", |b| {
-            let legacy = usbf_bench::LegacyTableFreeFill::new(&red_free);
-            b.iter(|| {
-                for id in 0..red.volume_grid.n_depth() {
-                    legacy.fill(black_box(&red_free), id, &mut slab);
-                }
-                black_box(slab.samples()[0])
-            })
-        });
         g.bench_function("segment_major_batched", |b| {
             b.iter(|| {
                 for id in 0..red.volume_grid.n_depth() {

@@ -49,7 +49,7 @@ fn bench_engines(c: &mut Criterion) {
             b.iter(|| {
                 let mut acc = 0i64;
                 for &(vox, e) in &q {
-                    acc = acc.wrapping_add(eng.delay_index(black_box(vox), black_box(e)));
+                    acc = acc.wrapping_add(eng.delay_index(0, black_box(vox), black_box(e)));
                 }
                 acc
             })
@@ -86,7 +86,7 @@ fn bench_engines(c: &mut Criterion) {
             let mut slab = NappeDelays::full(&spec);
             b.iter(|| {
                 for id in nappes {
-                    slab.fill_scalar(eng, black_box(id));
+                    slab.fill_scalar(eng, 0, black_box(id));
                 }
                 slab.samples()[0]
             })

@@ -66,7 +66,7 @@ fn main() {
     );
     let before = engine.sqrt_evals();
     let vox = spec.volume_grid.voxel_at(1000);
-    engine.delay_samples(vox, spec.elements.center_element());
+    engine.delay_samples(0, vox, spec.elements.center_element());
     println!(
         "{}",
         compare_line(

@@ -13,7 +13,7 @@ use usbf_geometry::{ElementIndex, SystemSpec, Vec3, VoxelIndex};
 /// use usbf_geometry::{SystemSpec, VoxelIndex, ElementIndex};
 /// let spec = SystemSpec::tiny();
 /// let e = ExactEngine::new(&spec);
-/// let t = e.delay_samples(VoxelIndex::new(4, 4, 15), ElementIndex::new(0, 0));
+/// let t = e.delay_samples(0, VoxelIndex::new(4, 4, 15), ElementIndex::new(0, 0));
 /// assert!(t > 0.0);
 /// ```
 #[derive(Debug, Clone)]
@@ -42,6 +42,30 @@ impl ExactEngine {
     pub fn spec(&self) -> &SystemSpec {
         &self.spec
     }
+
+    /// The shared slab walk of both batched fills: per scanline of the
+    /// tile, `row(s, slab_row)` writes the row of focal point `s`, which
+    /// is then handed to `consume`.
+    fn fill_rows(
+        &self,
+        nappe_idx: usize,
+        out: &mut NappeDelays,
+        row: impl Fn(Vec3, &mut [f64]),
+        consume: &mut dyn FnMut(usize, &[f64]),
+    ) {
+        let tile = out.tile();
+        let n_elements = out.n_elements();
+        let buf = out.begin_fill(nappe_idx);
+        for (slot, it, ip) in tile.iter_scanlines() {
+            let s = self
+                .spec
+                .volume_grid
+                .position(VoxelIndex::new(it, ip, nappe_idx));
+            let range = slot * n_elements..(slot + 1) * n_elements;
+            row(s, &mut buf[range.clone()]);
+            consume(slot, &buf[range]);
+        }
+    }
 }
 
 impl DelayEngine for ExactEngine {
@@ -49,52 +73,18 @@ impl DelayEngine for ExactEngine {
         "EXACT"
     }
 
-    fn delay_samples(&self, vox: VoxelIndex, e: ElementIndex) -> f64 {
-        self.delay_samples_for(0, vox, e)
+    fn echo_buffer_len(&self) -> usize {
+        self.echo_len
     }
 
     fn transmit_count(&self) -> usize {
         self.spec.n_transmits()
     }
 
-    fn delay_samples_for(&self, tx: usize, vox: VoxelIndex, e: ElementIndex) -> f64 {
+    fn delay_samples(&self, tx: usize, vox: VoxelIndex, e: ElementIndex) -> f64 {
         let s = self.spec.volume_grid.position(vox);
         let d = self.spec.elements.position(e);
         self.spec.two_way_delay_samples_for(tx, s, d)
-    }
-
-    fn echo_buffer_len(&self) -> usize {
-        self.echo_len
-    }
-
-    /// Batched nappe fill for transmit 0: see
-    /// [`ExactEngine::fill_nappe_for`].
-    fn fill_nappe(&self, nappe_idx: usize, out: &mut NappeDelays) {
-        self.fill_nappe_for(0, nappe_idx, out);
-    }
-
-    /// Batched nappe fill: the focal-point position and the transmit leg
-    /// (point source `|S − O|`, plane wave `n̂ · S`) are computed once per
-    /// focal point and shared across all elements (the scalar path
-    /// re-derives both per query). Bit-exact: the per-element expression
-    /// `((tx + |S − D|) / c) · fs` is unchanged.
-    fn fill_nappe_for(&self, tx: usize, nappe_idx: usize, out: &mut NappeDelays) {
-        let tile = out.tile();
-        let n_elements = out.n_elements();
-        let spec = &self.spec;
-        let fs = spec.sampling_frequency;
-        let c = spec.speed_of_sound;
-        let buf = out.begin_fill(nappe_idx);
-        for (slot, it, ip) in tile.iter_scanlines() {
-            let s = spec
-                .volume_grid
-                .position(VoxelIndex::new(it, ip, nappe_idx));
-            let t = spec.transmit_distance(tx, s);
-            let row = &mut buf[slot * n_elements..(slot + 1) * n_elements];
-            for (j, value) in row.iter_mut().enumerate() {
-                *value = (t + s.distance(self.elem_pos[j])) / c * fs;
-            }
-        }
     }
 
     /// Batched rounding: one monomorphic clamp loop per row instead of a
@@ -103,41 +93,44 @@ impl DelayEngine for ExactEngine {
         crate::engine::quantize_row_clamped(self.echo_len, row, out);
     }
 
-    fn supports_factored_fill(&self) -> bool {
-        true
+    /// Batched nappe fill: the focal-point position and the transmit leg
+    /// (point source `|S − O|`, plane wave `n̂ · S`) are computed once per
+    /// focal point and shared across all elements (the scalar path
+    /// re-derives both per query). Bit-exact: the per-element expression
+    /// `((tx + |S − D|) / c) · fs` is unchanged.
+    fn fill_nappe_streamed(
+        &self,
+        nappe_idx: usize,
+        out: &mut NappeDelays,
+        consume: &mut dyn FnMut(usize, &[f64]),
+    ) {
+        let (c, fs) = (self.spec.speed_of_sound, self.spec.sampling_frequency);
+        let row = |s: Vec3, row: &mut [f64]| {
+            let t = self.spec.transmit_distance(0, s);
+            for (value, d) in row.iter_mut().zip(&self.elem_pos) {
+                *value = (t + s.distance(*d)) / c * fs;
+            }
+        };
+        self.fill_rows(nappe_idx, out, row, consume);
     }
 
     /// Receive-leg fill: the slab rows hold `|S − D|` in **metres** — the
     /// per-element Euclidean distances, which are the expensive,
     /// transmit-invariant part of the fused fill's
     /// `((tx + |S − D|) / c) · fs` expression.
-    fn fill_nappe_rx_streamed(
-        &self,
-        nappe_idx: usize,
-        out: &mut NappeDelays,
-        consume: &mut dyn FnMut(usize, &[f64]),
-    ) {
-        let tile = out.tile();
-        let n_elements = out.n_elements();
-        let spec = &self.spec;
-        let buf = out.begin_fill(nappe_idx);
-        for (slot, it, ip) in tile.iter_scanlines() {
-            let s = spec
-                .volume_grid
-                .position(VoxelIndex::new(it, ip, nappe_idx));
-            let range = slot * n_elements..(slot + 1) * n_elements;
-            let row = &mut buf[range.clone()];
+    fn fill_nappe_rx(&self, nappe_idx: usize, out: &mut NappeDelays) {
+        let row = |s: Vec3, row: &mut [f64]| {
             for (value, d) in row.iter_mut().zip(&self.elem_pos) {
                 *value = s.distance(*d);
             }
-            consume(slot, &buf[range]);
-        }
+        };
+        self.fill_rows(nappe_idx, out, row, &mut |_, _| {});
     }
 
     /// Transmit combine: `((t + rx) / c) · fs` with the transmit distance
-    /// `t` computed once per row — literally the fused fill's per-element
+    /// `t` computed once per row — literally the scalar per-element
     /// expression with the receive distance read from the rx slab, so the
-    /// output is bit-identical to [`ExactEngine::fill_nappe_for`].
+    /// output is bit-identical to [`ExactEngine::delay_samples`].
     fn combine_tx_row(&self, tx: usize, vox: VoxelIndex, rx_row: &[f64], out: &mut [f64]) {
         assert_eq!(rx_row.len(), out.len(), "combine row length mismatch");
         let spec = &self.spec;
@@ -180,7 +173,7 @@ mod tests {
         let vox = VoxelIndex::new(4, 4, 7);
         let center = spec.elements.center_element();
         let expect = 2.0 * spec.metres_to_samples(spec.volume_grid.depth_of(7));
-        assert!((eng.delay_samples(vox, center) - expect).abs() < 1e-9);
+        assert!((eng.delay_samples(0, vox, center) - expect).abs() < 1e-9);
     }
 
     #[test]
@@ -189,8 +182,8 @@ mod tests {
         let eng = ExactEngine::new(&spec);
         // On-axis-ish voxel: farther elements have longer receive paths.
         let vox = VoxelIndex::new(4, 4, 15);
-        let near = eng.delay_samples(vox, ElementIndex::new(4, 4));
-        let far = eng.delay_samples(vox, ElementIndex::new(0, 0));
+        let near = eng.delay_samples(0, vox, ElementIndex::new(4, 4));
+        let far = eng.delay_samples(0, vox, ElementIndex::new(0, 0));
         assert!(far > near);
     }
 
@@ -200,8 +193,8 @@ mod tests {
         let eng = ExactEngine::new(&spec);
         let vox = VoxelIndex::new(2, 5, 9);
         let e = ElementIndex::new(1, 6);
-        let s = eng.delay_samples(vox, e);
-        assert_eq!(eng.delay_index(vox, e), (s + 0.5).floor() as i64);
+        let s = eng.delay_samples(0, vox, e);
+        assert_eq!(eng.delay_index(0, vox, e), (s + 0.5).floor() as i64);
     }
 
     #[test]
@@ -219,61 +212,18 @@ mod tests {
         let d = spec.elements.position(e);
         let n = usbf_geometry::SphericalDirection::new(theta, 0.0).unit();
         let expect = (n.dot(s) + s.distance(d)) / spec.speed_of_sound * spec.sampling_frequency;
-        assert!((eng.delay_samples_for(1, vox, e) - expect).abs() < 1e-9);
-        // Transmit 0 still answers the historical point-source delay.
-        assert_eq!(
-            eng.delay_samples_for(0, vox, e).to_bits(),
-            eng.delay_samples(vox, e).to_bits()
-        );
+        assert!((eng.delay_samples(1, vox, e) - expect).abs() < 1e-9);
     }
 
     #[test]
-    fn plane_wave_fill_bit_exact_with_scalar_path() {
-        let spec = SystemSpec::tiny().with_transmits(usbf_geometry::TransmitModel::plane_wave_fan(
-            3,
-            usbf_geometry::deg(12.0),
-        ));
+    fn rx_fill_plus_combine_bit_identical_to_scalar_per_transmit() {
+        let spec = SystemSpec::tiny().with_transmits(vec![
+            usbf_geometry::TransmitModel::PointSource,
+            usbf_geometry::TransmitModel::plane_wave(usbf_geometry::deg(10.0), 0.0),
+            usbf_geometry::TransmitModel::plane_wave(usbf_geometry::deg(-12.0), 0.0),
+        ]);
         let eng = ExactEngine::new(&spec);
-        for tx in 0..3 {
-            let mut batched = crate::NappeDelays::full(&spec);
-            let mut scalar = crate::NappeDelays::full(&spec);
-            eng.fill_nappe_for(tx, 9, &mut batched);
-            scalar.fill_scalar_for(&eng, tx, 9);
-            for (a, b) in batched.samples().iter().zip(scalar.samples()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "tx {tx}");
-            }
-        }
-    }
-
-    #[test]
-    fn factored_fill_bit_identical_to_fused_fill() {
-        let spec = SystemSpec::tiny().with_transmits(usbf_geometry::TransmitModel::plane_wave_fan(
-            4,
-            usbf_geometry::deg(10.0),
-        ));
-        let eng = ExactEngine::new(&spec);
-        assert!(eng.supports_factored_fill());
-        let mut rx = crate::NappeDelays::full(&spec);
-        let mut fused = crate::NappeDelays::full(&spec);
-        let mut combined = vec![0.0; rx.n_elements()];
-        for id in [0, 7, 15] {
-            eng.fill_nappe_rx(id, &mut rx);
-            assert_eq!(rx.nappe(), Some(id));
-            for tx in 0..4 {
-                eng.fill_nappe_for(tx, id, &mut fused);
-                for (slot, it, ip) in fused.scanlines() {
-                    eng.combine_tx_row(
-                        tx,
-                        VoxelIndex::new(it, ip, id),
-                        rx.row(slot),
-                        &mut combined,
-                    );
-                    for (a, b) in combined.iter().zip(fused.row(slot)) {
-                        assert_eq!(a.to_bits(), b.to_bits(), "tx {tx} nappe {id} slot {slot}");
-                    }
-                }
-            }
-        }
+        crate::engine::assert_rx_combine_matches_scalar(&eng, &spec, &[0, 7, 15]);
     }
 
     #[test]

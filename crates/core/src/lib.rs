@@ -31,7 +31,7 @@
 //! let tf = TableFreeEngine::new(&spec, TableFreeConfig::paper())?;
 //! let vox = VoxelIndex::new(3, 4, 10);
 //! for e in spec.elements.iter() {
-//!     let err = (tf.delay_samples(vox, e) - exact.delay_samples(vox, e)).abs();
+//!     let err = (tf.delay_samples(0, vox, e) - exact.delay_samples(0, vox, e)).abs();
 //!     assert!(err < 1.0); // two δ=0.25 approximations + fixed point
 //! }
 //! # Ok::<(), usbf_core::EngineError>(())
@@ -49,7 +49,7 @@ pub mod stats;
 mod tablefree;
 mod tablesteer;
 
-pub use engine::{DelayEngine, EngineError, FusedOnly};
+pub use engine::{DelayEngine, EngineError};
 pub use exact::ExactEngine;
 pub use naive::NaiveTableEngine;
 pub use nappe::{FillBuffers, NappeDelays};

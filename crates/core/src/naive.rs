@@ -64,8 +64,7 @@ impl NaiveTableEngine {
             for i in 0..v.voxel_count() {
                 let vox = v.voxel_at(i);
                 for (j, e) in el.iter().enumerate() {
-                    table[base + i * elements_per_voxel + j] =
-                        exact.delay_index_for(tx, vox, e) as u16;
+                    table[base + i * elements_per_voxel + j] = exact.delay_index(tx, vox, e) as u16;
                 }
             }
         }
@@ -85,6 +84,17 @@ impl NaiveTableEngine {
     pub fn storage_bytes(&self) -> u64 {
         self.table.len() as u64 * 2
     }
+
+    /// Widens transmit `tx`'s stored index row of focal point `vox` —
+    /// one contiguous run of the table — into `out` as `f64`s.
+    fn widen_row(&self, tx: usize, vox: VoxelIndex, out: &mut [f64]) {
+        let vi = (vox.it * self.n_phi + vox.ip) * self.n_depth + vox.id;
+        let base = tx * self.transmit_stride + vi * self.elements_per_voxel;
+        let src = &self.table[base..base + self.elements_per_voxel];
+        for (value, &raw) in out.iter_mut().zip(src) {
+            *value = raw as i64 as f64;
+        }
+    }
 }
 
 impl DelayEngine for NaiveTableEngine {
@@ -92,56 +102,22 @@ impl DelayEngine for NaiveTableEngine {
         "NAIVE-TABLE"
     }
 
-    fn delay_samples(&self, vox: VoxelIndex, e: ElementIndex) -> f64 {
-        self.delay_index(vox, e) as f64
+    fn echo_buffer_len(&self) -> usize {
+        self.echo_len
     }
 
     fn transmit_count(&self) -> usize {
         self.n_transmits
     }
 
-    fn delay_samples_for(&self, tx: usize, vox: VoxelIndex, e: ElementIndex) -> f64 {
-        self.delay_index_for(tx, vox, e) as f64
+    fn delay_samples(&self, tx: usize, vox: VoxelIndex, e: ElementIndex) -> f64 {
+        self.delay_index(tx, vox, e) as f64
     }
 
-    fn delay_index(&self, vox: VoxelIndex, e: ElementIndex) -> i64 {
-        self.delay_index_for(0, vox, e)
-    }
-
-    fn delay_index_for(&self, tx: usize, vox: VoxelIndex, e: ElementIndex) -> i64 {
+    fn delay_index(&self, tx: usize, vox: VoxelIndex, e: ElementIndex) -> i64 {
         let vi = (vox.it * self.n_phi + vox.ip) * self.n_depth + vox.id;
         let ei = e.iy * self.nx + e.ix;
         self.table[tx * self.transmit_stride + vi * self.elements_per_voxel + ei] as i64
-    }
-
-    fn echo_buffer_len(&self) -> usize {
-        self.echo_len
-    }
-
-    /// Batched nappe fill for transmit 0: see
-    /// [`NaiveTableEngine::fill_nappe_for`].
-    fn fill_nappe(&self, nappe_idx: usize, out: &mut NappeDelays) {
-        self.fill_nappe_for(0, nappe_idx, out);
-    }
-
-    /// Batched nappe fill: each scanline's element block is one contiguous
-    /// run of the precomputed table (offset into transmit `tx`'s stride),
-    /// widened `u16 → f64` in place of per-query indexed lookups.
-    fn fill_nappe_for(&self, tx: usize, nappe_idx: usize, out: &mut NappeDelays) {
-        let tile = out.tile();
-        let n_elements = out.n_elements();
-        let (n_phi, n_depth) = (self.n_phi, self.n_depth);
-        let base = tx * self.transmit_stride;
-        let buf = out.begin_fill(nappe_idx);
-        for (slot, it, ip) in tile.iter_scanlines() {
-            let vi = (it * n_phi + ip) * n_depth + nappe_idx;
-            let src = &self.table
-                [base + vi * self.elements_per_voxel..base + (vi + 1) * self.elements_per_voxel];
-            let row = &mut buf[slot * n_elements..(slot + 1) * n_elements];
-            for (value, &raw) in row.iter_mut().zip(src) {
-                *value = raw as i64 as f64;
-            }
-        }
     }
 
     /// Batched rounding. The stored indices are already integral and
@@ -151,43 +127,40 @@ impl DelayEngine for NaiveTableEngine {
         crate::engine::quantize_row_clamped(self.echo_len, row, out);
     }
 
-    fn supports_factored_fill(&self) -> bool {
-        true
-    }
-
-    /// The naive table has **no separable receive leg** — it stores the
-    /// final rounded index per `(transmit, voxel, element)`, with the two
-    /// legs fused at precompute time. The rx pass therefore only stamps
-    /// the slab's nappe marker and streams the (unspecified) rows;
-    /// [`NaiveTableEngine::combine_tx_row`] produces each transmit's row
-    /// entirely from the table. Supporting the family anyway keeps the
-    /// compound kernel on one code path for all engines, at identical
-    /// work to the fused fill.
-    fn fill_nappe_rx_streamed(
+    /// Batched nappe fill: each scanline's element block is one contiguous
+    /// run of the precomputed table, widened `u16 → f64` in place of
+    /// per-query indexed lookups.
+    fn fill_nappe_streamed(
         &self,
         nappe_idx: usize,
         out: &mut NappeDelays,
         consume: &mut dyn FnMut(usize, &[f64]),
     ) {
+        let tile = out.tile();
         let n_elements = out.n_elements();
-        let scanlines = out.scanline_count();
         let buf = out.begin_fill(nappe_idx);
-        for slot in 0..scanlines {
-            consume(slot, &buf[slot * n_elements..(slot + 1) * n_elements]);
+        for (slot, it, ip) in tile.iter_scanlines() {
+            let row = &mut buf[slot * n_elements..(slot + 1) * n_elements];
+            self.widen_row(0, VoxelIndex::new(it, ip, nappe_idx), row);
+            consume(slot, row);
         }
     }
 
-    /// Transmit combine: the fused fill's contiguous `u16 → f64` table-row
-    /// widen for `(tx, vox)`, ignoring the rx row.
+    /// The naive table has **no separable receive leg** — it stores the
+    /// final rounded index per `(transmit, voxel, element)`, with the two
+    /// legs fused at precompute time. The rx pass therefore only stamps
+    /// the slab's nappe marker; [`NaiveTableEngine::combine_tx_row`]
+    /// produces each transmit's row entirely from the table, at identical
+    /// work to a fused per-transmit fill.
+    fn fill_nappe_rx(&self, nappe_idx: usize, out: &mut NappeDelays) {
+        out.begin_fill(nappe_idx);
+    }
+
+    /// Transmit combine: the contiguous `u16 → f64` table-row widen for
+    /// `(tx, vox)`, ignoring the rx row.
     fn combine_tx_row(&self, tx: usize, vox: VoxelIndex, rx_row: &[f64], out: &mut [f64]) {
         assert_eq!(rx_row.len(), out.len(), "combine row length mismatch");
-        let vi = (vox.it * self.n_phi + vox.ip) * self.n_depth + vox.id;
-        let base = tx * self.transmit_stride;
-        let src = &self.table
-            [base + vi * self.elements_per_voxel..base + (vi + 1) * self.elements_per_voxel];
-        for (value, &raw) in out.iter_mut().zip(src) {
-            *value = raw as i64 as f64;
-        }
+        self.widen_row(tx, vox, out);
     }
 }
 
@@ -203,7 +176,7 @@ mod tests {
         for i in 0..spec.volume_grid.voxel_count() {
             let vox = spec.volume_grid.voxel_at(i);
             for e in spec.elements.iter() {
-                assert_eq!(naive.delay_index(vox, e), exact.delay_index(vox, e));
+                assert_eq!(naive.delay_index(0, vox, e), exact.delay_index(0, vox, e));
             }
         }
     }
@@ -260,18 +233,11 @@ mod tests {
             for i in (0..spec.volume_grid.voxel_count()).step_by(5) {
                 let vox = spec.volume_grid.voxel_at(i);
                 for e in spec.elements.iter() {
-                    assert_eq!(
-                        naive.delay_index_for(tx, vox, e),
-                        exact.delay_index_for(tx, vox, e)
-                    );
+                    assert_eq!(naive.delay_index(tx, vox, e), exact.delay_index(tx, vox, e));
                 }
             }
-            let mut batched = NappeDelays::full(&spec);
-            let mut scalar = NappeDelays::full(&spec);
-            naive.fill_nappe_for(tx, 7, &mut batched);
-            scalar.fill_scalar_for(&naive, tx, 7);
-            assert_eq!(batched, scalar);
         }
+        crate::engine::assert_rx_combine_matches_scalar(&naive, &spec, &[0, 7, 15]);
     }
 
     #[test]
@@ -286,38 +252,6 @@ mod tests {
         );
         let naive = NaiveTableEngine::build(&compound, u64::MAX).unwrap();
         assert_eq!(naive.storage_bytes(), 4 * 131_072);
-    }
-
-    #[test]
-    fn factored_fill_bit_identical_to_fused_fill() {
-        let spec = SystemSpec::tiny().with_transmits(usbf_geometry::TransmitModel::plane_wave_fan(
-            3,
-            usbf_geometry::deg(9.0),
-        ));
-        let naive = NaiveTableEngine::build(&spec, u64::MAX).unwrap();
-        assert!(naive.supports_factored_fill());
-        let mut rx = NappeDelays::full(&spec);
-        let mut fused = NappeDelays::full(&spec);
-        let mut combined = vec![0.0; rx.n_elements()];
-        for id in [0, 8, 15] {
-            let mut delivered = 0;
-            naive.fill_nappe_rx_streamed(id, &mut rx, &mut |_, _| delivered += 1);
-            assert_eq!(delivered, rx.scanline_count());
-            for tx in 0..3 {
-                naive.fill_nappe_for(tx, id, &mut fused);
-                for (slot, it, ip) in fused.scanlines() {
-                    naive.combine_tx_row(
-                        tx,
-                        VoxelIndex::new(it, ip, id),
-                        rx.row(slot),
-                        &mut combined,
-                    );
-                    for (a, b) in combined.iter().zip(fused.row(slot)) {
-                        assert_eq!(a.to_bits(), b.to_bits(), "tx {tx} nappe {id} slot {slot}");
-                    }
-                }
-            }
-        }
     }
 
     #[test]

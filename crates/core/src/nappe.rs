@@ -9,10 +9,13 @@
 //! fan (a [`NappeSchedule`](crate::NappeSchedule) block's ownership), for
 //! every element.
 //!
-//! Engines fill slabs through [`DelayEngine::fill_nappe`]
-//! (crate::DelayEngine::fill_nappe); the default implementation falls back
-//! to scalar [`delay_samples`](crate::DelayEngine::delay_samples) queries,
-//! and is the bit-exactness reference for the specialized batched paths.
+//! Engines fill slabs through
+//! [`fill_nappe_streamed`](crate::DelayEngine::fill_nappe_streamed) (the
+//! fused transmit-0 fill) and
+//! [`fill_nappe_rx`](crate::DelayEngine::fill_nappe_rx) (the receive leg
+//! of a compound frame); [`NappeDelays::fill_scalar`] falls back to scalar
+//! [`delay_samples`](crate::DelayEngine::delay_samples) queries and is the
+//! bit-exactness reference for both.
 
 use crate::schedule::Tile;
 use usbf_geometry::{ElementIndex, SystemSpec, VoxelIndex};
@@ -198,8 +201,8 @@ impl NappeDelays {
     /// Marks the slab as holding `nappe_idx` and hands out the raw buffer
     /// for an engine's batched fill.
     ///
-    /// Every engine's [`fill_nappe`](crate::DelayEngine::fill_nappe)
-    /// routes through here, so this is the single validation point for
+    /// Every engine's slab fill (fused, receive-leg or scalar) routes
+    /// through here, so this is the single validation point for
     /// the slab API.
     ///
     /// # Panics
@@ -236,32 +239,14 @@ impl NappeDelays {
         }
     }
 
-    /// Scalar reference fill: one
+    /// Scalar reference fill of transmit `tx`: one
     /// [`delay_samples`](crate::DelayEngine::delay_samples) query per slab
     /// entry. This is the
-    /// [`fill_nappe`](crate::DelayEngine::fill_nappe) default, and the
-    /// bit-exactness oracle for every specialized batched path.
-    pub fn fill_scalar<E: crate::DelayEngine + ?Sized>(&mut self, engine: &E, nappe_idx: usize) {
-        let tile = self.tile;
-        let n_elements = self.n_elements;
-        let nx = self.elements_nx;
-        let buf = self.begin_fill(nappe_idx);
-        for (s, it, ip) in tile.iter_scanlines() {
-            let vox = VoxelIndex::new(it, ip, nappe_idx);
-            let row = &mut buf[s * n_elements..(s + 1) * n_elements];
-            for (j, out) in row.iter_mut().enumerate() {
-                *out = engine.delay_samples(vox, ElementIndex::new(j % nx, j / nx));
-            }
-        }
-    }
-
-    /// Transmit-indexed scalar reference fill: one
-    /// [`delay_samples_for`](crate::DelayEngine::delay_samples_for) query
-    /// per slab entry. This is the
-    /// [`fill_nappe_for`](crate::DelayEngine::fill_nappe_for) bit-exactness
-    /// oracle, exactly as [`fill_scalar`](Self::fill_scalar) is for the
-    /// unindexed path.
-    pub fn fill_scalar_for<E: crate::DelayEngine + ?Sized>(
+    /// [`fill_nappe_streamed`](crate::DelayEngine::fill_nappe_streamed)
+    /// default, and the bit-exactness oracle for every batched path — the
+    /// fused transmit-0 fill and each transmit's receive-leg fill plus
+    /// [`combine_tx_row`](crate::DelayEngine::combine_tx_row) alike.
+    pub fn fill_scalar<E: crate::DelayEngine + ?Sized>(
         &mut self,
         engine: &E,
         tx: usize,
@@ -275,7 +260,7 @@ impl NappeDelays {
             let vox = VoxelIndex::new(it, ip, nappe_idx);
             let row = &mut buf[s * n_elements..(s + 1) * n_elements];
             for (j, out) in row.iter_mut().enumerate() {
-                *out = engine.delay_samples_for(tx, vox, ElementIndex::new(j % nx, j / nx));
+                *out = engine.delay_samples(tx, vox, ElementIndex::new(j % nx, j / nx));
             }
         }
     }
@@ -326,12 +311,12 @@ mod tests {
             phi_end: 2,
         };
         let mut slab = NappeDelays::for_tile(&spec, tile);
-        slab.fill_scalar(&engine, 5);
+        slab.fill_scalar(&engine, 0, 5);
         assert_eq!(slab.nappe(), Some(5));
         for (_, it, ip) in slab.scanlines() {
             for e in spec.elements.iter() {
                 let vox = VoxelIndex::new(it, ip, 5);
-                assert_eq!(slab.at(it, ip, e), engine.delay_samples(vox, e));
+                assert_eq!(slab.at(it, ip, e), engine.delay_samples(0, vox, e));
             }
         }
     }

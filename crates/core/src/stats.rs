@@ -74,7 +74,7 @@ pub fn selection_error(
         let vox: VoxelIndex = v.voxel_at(vi);
         for ei in strided(el.count(), element_stride) {
             let e: ElementIndex = el.element_at(ei);
-            let d = (engine.delay_index(vox, e) - exact.delay_index(vox, e)).abs();
+            let d = (engine.delay_index(0, vox, e) - exact.delay_index(0, vox, e)).abs();
             count += 1;
             sum += d as u64;
             max = max.max(d);
@@ -116,7 +116,7 @@ pub fn sample_error(
         let vox = v.voxel_at(vi);
         for ei in strided(el.count(), element_stride) {
             let e = el.element_at(ei);
-            let d = (engine.delay_samples(vox, e) - exact.delay_samples(vox, e)).abs();
+            let d = (engine.delay_samples(0, vox, e) - exact.delay_samples(0, vox, e)).abs();
             count += 1;
             sum += d;
             max = max.max(d);

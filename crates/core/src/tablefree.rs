@@ -251,79 +251,31 @@ impl TableFreeEngine {
         }
         tracker.stats()
     }
-}
 
-impl DelayEngine for TableFreeEngine {
-    fn name(&self) -> &'static str {
-        "TABLEFREE"
-    }
-
-    fn delay_samples(&self, vox: VoxelIndex, e: ElementIndex) -> f64 {
-        self.delay_samples_for(0, vox, e)
-    }
-
-    fn transmit_count(&self) -> usize {
-        self.spec.n_transmits()
-    }
-
-    fn delay_samples_for(&self, tx: usize, vox: VoxelIndex, e: ElementIndex) -> f64 {
-        let t = self.tx_term(tx, vox);
-        let rx = self.sqrt_approx(self.rx_alpha(vox, e));
-        t + rx
-    }
-
-    fn echo_buffer_len(&self) -> usize {
-        self.echo_len
-    }
-
-    /// Batched nappe fill: [`fill_nappe_streamed`](DelayEngine::fill_nappe_streamed)
-    /// with no row consumer.
-    fn fill_nappe(&self, nappe_idx: usize, out: &mut NappeDelays) {
-        self.fill_nappe_streamed(nappe_idx, out, &mut |_, _| {});
-    }
-
-    /// Transmit-indexed batched fill: streamed fill with no row consumer.
-    fn fill_nappe_for(&self, tx: usize, nappe_idx: usize, out: &mut NappeDelays) {
-        self.fill_nappe_streamed_for(tx, nappe_idx, out, &mut |_, _| {});
-    }
-
-    /// Segment-major batched nappe fill (§IV-B's streaming view): the
-    /// transmit square roots are evaluated once per focal point in one
-    /// batched pass over the nappe's scanlines, then each scanline's
-    /// receive arguments are assembled into a row and pushed through
-    /// [`QuantizedPwl::eval_row_tracked`], which fetches each PWL
-    /// segment's `(c1, c0)` once per contiguous element span instead of
-    /// once per element. The arguments a nappe-major sweep produces drift
-    /// slowly — exactly the paper's "no segment search needed" operating
-    /// regime, which is also what makes the spans long and the batched
-    /// walk O(segments) per row. Bit-exact with the scalar path because
-    /// the row evaluator replicates the `Fixed` datapath stage for stage
-    /// and the transmit term is added to each receive value in the same
-    /// `tx + rx` order the scalar path uses.
+    /// The segment-major slab walk shared by both batched fills (§IV-B's
+    /// streaming view). Per scanline, the receive arguments are assembled
+    /// into a row and pushed through [`QuantizedPwl::eval_row_tracked`],
+    /// which fetches each PWL segment's `(c1, c0)` once per contiguous
+    /// element span instead of once per element. The arguments a
+    /// nappe-major sweep produces drift slowly — exactly the paper's "no
+    /// segment search needed" operating regime, which is also what makes
+    /// the spans long and the walk O(segments) per row. Bit-exact with
+    /// the scalar path because the row evaluator replicates the `Fixed`
+    /// datapath stage for stage.
     ///
-    /// Each completed row is handed to `consume` while still cache-hot,
-    /// letting the tile kernel overlap gather/MAC with the next row's
-    /// generation.
-    fn fill_nappe_streamed(
+    /// With `with_tx` (the fused transmit-0 fill), the transmit terms of
+    /// the nappe are first evaluated in one batched pass — one tracked
+    /// row evaluation for a point source, the exact projection `n̂ · S`
+    /// for a plane wave (no square root: CPWC makes TABLEFREE's transmit
+    /// leg free) — and added to each receive value in the scalar path's
+    /// `tx + rx` order. Without it (the receive-leg fill) the rows hold
+    /// the receive square roots alone. Each completed row is handed to
+    /// `consume` while still cache-hot.
+    fn fill_rows(
         &self,
         nappe_idx: usize,
         out: &mut NappeDelays,
-        consume: &mut dyn FnMut(usize, &[f64]),
-    ) {
-        self.fill_nappe_streamed_for(0, nappe_idx, out, consume);
-    }
-
-    /// Transmit-indexed streamed fill. Point-source transmits batch their
-    /// square roots exactly as the historical path did; plane-wave
-    /// transmits replace pass 1 with the exact linear projection `n̂ · S`
-    /// per focal point (no square root, no PWL — CPWC makes TABLEFREE's
-    /// transmit leg free). Pass 2 (the per-element receive datapath) is
-    /// identical for every transmit model.
-    fn fill_nappe_streamed_for(
-        &self,
-        tx: usize,
-        nappe_idx: usize,
-        out: &mut NappeDelays,
+        with_tx: bool,
         consume: &mut dyn FnMut(usize, &[f64]),
     ) {
         let tile = out.tile();
@@ -334,44 +286,43 @@ impl DelayEngine for TableFreeEngine {
         let line_args = bufs.line_args;
         let line_vals = bufs.line_vals;
         let row_args = bufs.row_args;
-        // Pass 1: all transmit terms of the nappe, batched. One tracked
-        // row evaluation (or one projection per scanline) replaces
-        // `scanlines` pointer walks.
-        match &self.spec.transmits[tx] {
-            TransmitModel::PointSource => {
-                for (slot, it, ip) in tile.iter_scanlines() {
-                    line_args[slot] = self.tx_alpha(VoxelIndex::new(it, ip, nappe_idx));
-                }
-                if self.config.exact_transmit {
-                    for (v, &a) in line_vals.iter_mut().zip(line_args.iter()) {
-                        *v = a.sqrt();
+        let position = |it, ip| {
+            self.spec
+                .volume_grid
+                .position(VoxelIndex::new(it, ip, nappe_idx))
+        };
+        // Pass 1: all transmit terms of the nappe, batched.
+        if with_tx {
+            match &self.spec.transmits[0] {
+                TransmitModel::PointSource => {
+                    for (slot, it, ip) in tile.iter_scanlines() {
+                        line_args[slot] = self.tx_alpha(VoxelIndex::new(it, ip, nappe_idx));
                     }
-                } else {
-                    let mut tx_hint = 0usize;
-                    self.quant
-                        .eval_row_tracked(&mut tx_hint, line_args, line_vals);
+                    if self.config.exact_transmit {
+                        for (v, &a) in line_vals.iter_mut().zip(line_args.iter()) {
+                            *v = a.sqrt();
+                        }
+                    } else {
+                        let mut tx_hint = 0usize;
+                        self.quant
+                            .eval_row_tracked(&mut tx_hint, line_args, line_vals);
+                    }
                 }
-            }
-            TransmitModel::PlaneWave(pw) => {
-                // The same `unit().dot(s) * spm` expression as the scalar
-                // `tx_term`, so the batched path stays bit-exact.
-                let n = pw.steering.unit();
-                for (slot, it, ip) in tile.iter_scanlines() {
-                    let s = self
-                        .spec
-                        .volume_grid
-                        .position(VoxelIndex::new(it, ip, nappe_idx));
-                    line_vals[slot] = n.dot(s) * spm;
+                TransmitModel::PlaneWave(pw) => {
+                    // The same `unit().dot(s) * spm` expression as the
+                    // scalar `tx_term`, so the batched path stays
+                    // bit-exact.
+                    let n = pw.steering.unit();
+                    for (slot, it, ip) in tile.iter_scanlines() {
+                        line_vals[slot] = n.dot(position(it, ip)) * spm;
+                    }
                 }
             }
         }
         // Pass 2: one receive row per scanline, segment-major.
         let mut rx_hint = 0usize;
         for (slot, it, ip) in tile.iter_scanlines() {
-            let s = self
-                .spec
-                .volume_grid
-                .position(VoxelIndex::new(it, ip, nappe_idx));
+            let s = position(it, ip);
             let dz = s.z * spm;
             let dz2 = dz * dz;
             for (a, d) in row_args.iter_mut().zip(&self.elem_pos) {
@@ -379,22 +330,43 @@ impl DelayEngine for TableFreeEngine {
                 let dy = (s.y - d.y) * spm;
                 *a = dx * dx + dy * dy + dz2;
             }
-            let range = slot * n_elements..(slot + 1) * n_elements;
-            let row = &mut buf[range.clone()];
+            let row = &mut buf[slot * n_elements..(slot + 1) * n_elements];
             self.quant.eval_row_tracked(&mut rx_hint, row_args, row);
-            let t = line_vals[slot];
-            // IEEE addition commutes bit-for-bit, so += matches the
-            // scalar path's `tx + rx` exactly.
-            for value in row.iter_mut() {
-                *value += t;
+            if with_tx {
+                let t = line_vals[slot];
+                // IEEE addition commutes bit-for-bit, so += matches the
+                // scalar path's `tx + rx` exactly.
+                for value in row.iter_mut() {
+                    *value += t;
+                }
             }
-            consume(slot, &buf[range]);
+            consume(slot, row);
         }
         // One bulk update keeps the op counter consistent with the scalar
         // path's per-evaluation increments.
-        let per_voxel = n_elements as u64 + self.tx_sqrt_cost(tx);
+        let per_voxel = n_elements as u64 + if with_tx { self.tx_sqrt_cost(0) } else { 0 };
         self.sqrt_evals
             .fetch_add(tile.scanlines() as u64 * per_voxel, Ordering::Relaxed);
+    }
+}
+
+impl DelayEngine for TableFreeEngine {
+    fn name(&self) -> &'static str {
+        "TABLEFREE"
+    }
+
+    fn echo_buffer_len(&self) -> usize {
+        self.echo_len
+    }
+
+    fn transmit_count(&self) -> usize {
+        self.spec.n_transmits()
+    }
+
+    fn delay_samples(&self, tx: usize, vox: VoxelIndex, e: ElementIndex) -> f64 {
+        let t = self.tx_term(tx, vox);
+        let rx = self.sqrt_approx(self.rx_alpha(vox, e));
+        t + rx
     }
 
     /// Batched rounding: one monomorphic clamp loop per row instead of a
@@ -403,61 +375,36 @@ impl DelayEngine for TableFreeEngine {
         crate::engine::quantize_row_clamped(self.echo_len, row, out);
     }
 
-    fn supports_factored_fill(&self) -> bool {
-        true
-    }
-
-    /// Receive-leg fill: pass 2 of the fused fill **without** the
-    /// transmit add — each scanline's receive arguments are assembled and
-    /// pushed through the tracked PWL row evaluation once, and the slab
-    /// rows hold the receive square roots in samples. This is where the
-    /// factorization pays: the per-element PWL evaluations (the §IV
-    /// datapath cost) run once per compound frame instead of once per
-    /// angle, so `sqrt_evals` grows by `scanlines · elements` here and
-    /// only by the per-row transmit cost in each combine —
-    /// `O(elements + N)` per voxel instead of `O(N · elements)`.
-    fn fill_nappe_rx_streamed(
+    /// Segment-major fused fill of transmit 0 (see the shared slab walk
+    /// behind both fills): the gather/MAC of row *s* can run while row
+    /// *s + 1* is generated.
+    fn fill_nappe_streamed(
         &self,
         nappe_idx: usize,
         out: &mut NappeDelays,
         consume: &mut dyn FnMut(usize, &[f64]),
     ) {
-        let tile = out.tile();
-        let n_elements = out.n_elements();
-        let spm = self.samples_per_metre;
-        let bufs = out.begin_fill_scratch(nappe_idx);
-        let buf = bufs.samples;
-        let row_args = bufs.row_args;
-        let mut rx_hint = 0usize;
-        for (slot, it, ip) in tile.iter_scanlines() {
-            let s = self
-                .spec
-                .volume_grid
-                .position(VoxelIndex::new(it, ip, nappe_idx));
-            let dz = s.z * spm;
-            let dz2 = dz * dz;
-            for (a, d) in row_args.iter_mut().zip(&self.elem_pos) {
-                let dx = (s.x - d.x) * spm;
-                let dy = (s.y - d.y) * spm;
-                *a = dx * dx + dy * dy + dz2;
-            }
-            let range = slot * n_elements..(slot + 1) * n_elements;
-            self.quant
-                .eval_row_tracked(&mut rx_hint, row_args, &mut buf[range.clone()]);
-            consume(slot, &buf[range]);
-        }
-        self.sqrt_evals.fetch_add(
-            tile.scanlines() as u64 * n_elements as u64,
-            Ordering::Relaxed,
-        );
+        self.fill_rows(nappe_idx, out, true, consume);
+    }
+
+    /// Receive-leg fill: the fused fill's per-element datapath **without**
+    /// the transmit add — the slab rows hold the receive square roots in
+    /// samples. This is where the factorization pays: the per-element PWL
+    /// evaluations (the §IV datapath cost) run once per compound frame
+    /// instead of once per angle, so `sqrt_evals` grows by
+    /// `scanlines · elements` here and only by the per-row transmit cost
+    /// in each combine — `O(elements + N)` per voxel instead of
+    /// `O(N · elements)`.
+    fn fill_nappe_rx(&self, nappe_idx: usize, out: &mut NappeDelays) {
+        self.fill_rows(nappe_idx, out, false, &mut |_, _| {});
     }
 
     /// Transmit combine: `rx + t` with the transmit term computed once
     /// per row (point sources one PWL/exact square root, plane waves the
     /// free projection `n̂ · S`). IEEE addition commutes bit-for-bit and
     /// the tracked row evaluation is bit-exact with the scalar
-    /// [`QuantizedPwl::eval`], so the combined row matches the fused
-    /// [`fill_nappe_for`](DelayEngine::fill_nappe_for) row exactly. The
+    /// [`QuantizedPwl::eval`], so the combined row matches the scalar
+    /// [`delay_samples`](DelayEngine::delay_samples) queries exactly. The
     /// square-root counter advances by the transmit cost only — the
     /// receive roots were already counted by the rx fill.
     fn combine_tx_row(&self, tx: usize, vox: VoxelIndex, rx_row: &[f64], out: &mut [f64]) {
@@ -488,7 +435,7 @@ mod tests {
         for i in 0..spec.volume_grid.voxel_count() {
             let vox = spec.volume_grid.voxel_at(i);
             for e in spec.elements.iter() {
-                let err = (tf.delay_samples(vox, e) - ex.delay_samples(vox, e)).abs();
+                let err = (tf.delay_samples(0, vox, e) - ex.delay_samples(0, vox, e)).abs();
                 assert!(err <= bound, "{vox} {e}: err = {err}");
             }
         }
@@ -502,7 +449,7 @@ mod tests {
         for i in 0..spec.volume_grid.voxel_count() {
             let vox = spec.volume_grid.voxel_at(i);
             for e in spec.elements.iter() {
-                let d = (tf.delay_index(vox, e) - ex.delay_index(vox, e)).abs();
+                let d = (tf.delay_index(0, vox, e) - ex.delay_index(0, vox, e)).abs();
                 max = max.max(d);
             }
         }
@@ -527,8 +474,8 @@ mod tests {
         for i in (0..spec.volume_grid.voxel_count()).step_by(7) {
             let vox = spec.volume_grid.voxel_at(i);
             for e in spec.elements.iter() {
-                sum_both += (both.delay_samples(vox, e) - ex.delay_samples(vox, e)).abs();
-                sum_tx += (tx_exact.delay_samples(vox, e) - ex.delay_samples(vox, e)).abs();
+                sum_both += (both.delay_samples(0, vox, e) - ex.delay_samples(0, vox, e)).abs();
+                sum_tx += (tx_exact.delay_samples(0, vox, e) - ex.delay_samples(0, vox, e)).abs();
             }
         }
         assert!(sum_tx < sum_both, "{sum_tx} !< {sum_both}");
@@ -543,8 +490,8 @@ mod tests {
         let ex = ExactEngine::new(&spec);
         let vox = VoxelIndex::new(0, 7, 3);
         let e = ElementIndex::new(7, 0);
-        let ec = (coarse.delay_samples(vox, e) - ex.delay_samples(vox, e)).abs();
-        let ef = (fine.delay_samples(vox, e) - ex.delay_samples(vox, e)).abs();
+        let ec = (coarse.delay_samples(0, vox, e) - ex.delay_samples(0, vox, e)).abs();
+        let ef = (fine.delay_samples(0, vox, e) - ex.delay_samples(0, vox, e)).abs();
         assert!(ef <= ec + 0.1);
     }
 
@@ -561,7 +508,7 @@ mod tests {
     fn op_counter_counts_two_sqrts_per_query() {
         let (_, tf, _) = engines();
         let before = tf.sqrt_evals();
-        tf.delay_samples(VoxelIndex::new(0, 0, 0), ElementIndex::new(0, 0));
+        tf.delay_samples(0, VoxelIndex::new(0, 0, 0), ElementIndex::new(0, 0));
         assert_eq!(tf.sqrt_evals() - before, 2);
         let tx_exact = TableFreeEngine::new(
             &SystemSpec::tiny(),
@@ -571,7 +518,7 @@ mod tests {
             },
         )
         .unwrap();
-        tx_exact.delay_samples(VoxelIndex::new(0, 0, 0), ElementIndex::new(0, 0));
+        tx_exact.delay_samples(0, VoxelIndex::new(0, 0, 0), ElementIndex::new(0, 0));
         assert_eq!(tx_exact.sqrt_evals(), 1);
     }
 
@@ -632,7 +579,7 @@ mod tests {
         let mut scalar = NappeDelays::full(&spec);
         for id in 0..spec.volume_grid.n_depth() {
             tf.fill_nappe(id, &mut batched);
-            scalar.fill_scalar(&tf, id);
+            scalar.fill_scalar(&tf, 0, id);
             for (a, b) in batched.samples().iter().zip(scalar.samples()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "nappe {id}");
             }
@@ -654,7 +601,7 @@ mod tests {
         let mut scalar = NappeDelays::full(&spec);
         for id in [0, 7, 15] {
             tf.fill_nappe(id, &mut batched);
-            scalar.fill_scalar(&tf, id);
+            scalar.fill_scalar(&tf, 0, id);
             for (a, b) in batched.samples().iter().zip(scalar.samples()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "nappe {id}");
             }
@@ -716,20 +663,19 @@ mod tests {
 
     #[test]
     fn plane_wave_fill_bit_exact_with_scalar_path() {
-        let spec = SystemSpec::tiny()
-            .with_transmits(TransmitModel::plane_wave_fan(4, usbf_geometry::deg(10.0)));
+        // A single steered wave: the fused transmit-0 fill takes the
+        // projection pass instead of the transmit square roots.
+        let spec = SystemSpec::tiny().with_transmits(vec![TransmitModel::plane_wave(
+            usbf_geometry::deg(10.0),
+            0.0,
+        )]);
         let tf = TableFreeEngine::new(&spec, TableFreeConfig::paper()).unwrap();
-        assert_eq!(tf.transmit_count(), 4);
-        for tx in 0..4 {
-            let mut batched = NappeDelays::full(&spec);
-            let mut scalar = NappeDelays::full(&spec);
-            for id in [0, 8, 15] {
-                tf.fill_nappe_for(tx, id, &mut batched);
-                scalar.fill_scalar_for(&tf, tx, id);
-                for (a, b) in batched.samples().iter().zip(scalar.samples()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "tx {tx} nappe {id}");
-                }
-            }
+        let mut batched = NappeDelays::full(&spec);
+        let mut scalar = NappeDelays::full(&spec);
+        for id in [0, 8, 15] {
+            tf.fill_nappe(id, &mut batched);
+            scalar.fill_scalar(&tf, 0, id);
+            assert_eq!(batched, scalar, "nappe {id}");
         }
     }
 
@@ -739,16 +685,16 @@ mod tests {
         // roots are counted, scalar and batched alike.
         let spec = SystemSpec::tiny().with_transmits(vec![TransmitModel::plane_wave(0.1, 0.0)]);
         let tf = TableFreeEngine::new(&spec, TableFreeConfig::paper()).unwrap();
-        tf.delay_samples_for(0, VoxelIndex::new(0, 0, 0), ElementIndex::new(0, 0));
+        tf.delay_samples(0, VoxelIndex::new(0, 0, 0), ElementIndex::new(0, 0));
         assert_eq!(tf.sqrt_evals(), 1); // receive root only
         let mut slab = NappeDelays::full(&spec);
-        tf.fill_nappe_for(0, 0, &mut slab);
+        tf.fill_nappe(0, &mut slab);
         // 64 scanlines × 64 rx evaluations, no tx term.
         assert_eq!(tf.sqrt_evals(), 1 + 64 * 64);
     }
 
     #[test]
-    fn factored_fill_bit_identical_to_fused_fill() {
+    fn rx_fill_plus_combine_bit_identical_to_scalar_per_transmit() {
         // Mixed sequence: a point source and plane waves, so the combine
         // exercises both transmit models.
         let spec = SystemSpec::tiny().with_transmits(vec![
@@ -757,22 +703,7 @@ mod tests {
             TransmitModel::plane_wave(usbf_geometry::deg(-6.0), 0.0),
         ]);
         let tf = TableFreeEngine::new(&spec, TableFreeConfig::paper()).unwrap();
-        assert!(tf.supports_factored_fill());
-        let mut rx = NappeDelays::full(&spec);
-        let mut fused = NappeDelays::full(&spec);
-        let mut combined = vec![0.0; rx.n_elements()];
-        for id in [0, 7, 15] {
-            tf.fill_nappe_rx(id, &mut rx);
-            for tx in 0..3 {
-                tf.fill_nappe_for(tx, id, &mut fused);
-                for (slot, it, ip) in fused.scanlines() {
-                    tf.combine_tx_row(tx, VoxelIndex::new(it, ip, id), rx.row(slot), &mut combined);
-                    for (a, b) in combined.iter().zip(fused.row(slot)) {
-                        assert_eq!(a.to_bits(), b.to_bits(), "tx {tx} nappe {id} slot {slot}");
-                    }
-                }
-            }
-        }
+        crate::engine::assert_rx_combine_matches_scalar(&tf, &spec, &[0, 7, 15]);
     }
 
     #[test]

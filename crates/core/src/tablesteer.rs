@@ -148,8 +148,51 @@ pub struct TableSteerEngine {
     /// Quantized y-corrections for every `(φ line, element row)` pair,
     /// indexed `ip · ny + iy`. Depth- and θ-independent, so built once.
     cy_fixed: Vec<Fixed>,
+    /// The batched fills' wide-add chain, derived once from the formats.
+    chain: SumChain,
     echo_len: usize,
     clamp_events: AtomicU64,
+}
+
+/// The raw-integer form of the scalar `ref + cx + cy + Δtx` wide-add
+/// chain: every operand of a batched fill shares the same three formats,
+/// so the alignment shifts of [`Fixed::wide_add`] and the output scale of
+/// [`Fixed::to_f64`] are fixed per engine. With them, one element is
+/// `((((r << sh_r) + (cx << sh_c1)) << sh_12) + ((cy + Δtx) << sh_c2)) ·
+/// res` — the identical raw integers through the identical shifts, so the
+/// final `f64`s match the scalar chain bit for bit.
+#[derive(Debug, Clone, Copy)]
+struct SumChain {
+    /// Reference → `f1 = ref + cx` alignment.
+    sh_r: u32,
+    /// Correction → `f1` alignment.
+    sh_c1: u32,
+    /// `f1` → `f2 = f1 + cy` alignment.
+    sh_12: u32,
+    /// Correction → `f2` alignment. `f3 = f2 + Δtx` shares `f2`'s
+    /// fraction bits (both cy and Δtx carry the correction format), so
+    /// the last add needs no shift of its own and Δtx folds into the
+    /// per-row constant alongside cy.
+    sh_c2: u32,
+    /// Resolution of the final sum format `f3`.
+    res: f64,
+}
+
+impl SumChain {
+    fn new(config: &TableSteerConfig) -> Self {
+        let (r, c) = (config.reference_format, config.correction_format);
+        let f1 = QFormat::sum_format(r, c);
+        let f2 = QFormat::sum_format(f1, c);
+        let f3 = QFormat::sum_format(f2, c);
+        debug_assert_eq!(f3.frac_bits(), f2.frac_bits());
+        SumChain {
+            sh_r: f1.frac_bits() - r.frac_bits(),
+            sh_c1: f1.frac_bits() - c.frac_bits(),
+            sh_12: f2.frac_bits() - f1.frac_bits(),
+            sh_c2: f2.frac_bits() - c.frac_bits(),
+            res: f3.resolution(),
+        }
+    }
 }
 
 impl Clone for TableSteerEngine {
@@ -164,6 +207,7 @@ impl Clone for TableSteerEngine {
             fold_x: self.fold_x.clone(),
             fold_y: self.fold_y.clone(),
             cy_fixed: self.cy_fixed.clone(),
+            chain: self.chain,
             echo_len: self.echo_len,
             clamp_events: AtomicU64::new(0),
         }
@@ -223,6 +267,7 @@ impl TableSteerEngine {
             fold_x,
             fold_y,
             cy_fixed,
+            chain: SumChain::new(&config),
             echo_len: spec.echo_buffer_len(),
             clamp_events: AtomicU64::new(0),
         })
@@ -305,6 +350,82 @@ impl TableSteerEngine {
             .metres_to_samples(self.spec.transmit_distance(tx, s) - s.distance(self.spec.origin));
         Fixed::saturating_from_f64(delta, self.config.correction_format, RoundingMode::Nearest)
     }
+
+    /// The batched slab walk shared by both fills — the Fig. 4 schedule
+    /// in software. Within one insonification the correction registers
+    /// of a block never change: the quadrant fold maps and the quantized
+    /// y-corrections are depth-independent and cached at construction,
+    /// and the quantized x-corrections are built once per scanline
+    /// **row** (`nx` conversions, pre-shifted into the slab's
+    /// preallocated `row_regs` scratch, so a warm refill allocates
+    /// nothing) instead of `2·nx·ny` float→fixed conversions per
+    /// scanline; the reference BRAM is read as one contiguous nappe
+    /// slice, exactly what the §V-B circular buffer streams. The chain
+    /// itself runs on the hoisted raw arithmetic of [`SumChain`].
+    ///
+    /// With `with_tx` (the fused transmit-0 fill), transmit 0's Δtx — a
+    /// per-scanline constant at a fixed nappe depth — folds into the
+    /// per-row constant alongside the y-correction, so the fourth add of
+    /// the scalar chain costs **nothing** in the inner loop, and each raw
+    /// sum is scaled to samples. Without it (the receive-leg fill) the
+    /// rows hold the **pre-scale raw** sums as `f64` (engine-defined
+    /// intermediates, not delays; the i64 → f64 conversion is exact for
+    /// these ~21-bit integers): Δtx and the scale move into
+    /// [`combine_tx_row`](DelayEngine::combine_tx_row).
+    fn fill_rows(
+        &self,
+        nappe_idx: usize,
+        out: &mut NappeDelays,
+        with_tx: bool,
+        consume: &mut dyn FnMut(usize, &[f64]),
+    ) {
+        let tile = out.tile();
+        let n_elements = out.n_elements();
+        let (qx, qy) = self.reference.quadrant_dims();
+        let nx = self.spec.elements.nx();
+        let ny = self.spec.elements.ny();
+        let fmt = self.config.correction_format;
+        let SumChain {
+            sh_r,
+            sh_c1,
+            sh_12,
+            sh_c2,
+            res,
+        } = self.chain;
+        let scale = if with_tx { res } else { 1.0 };
+        let ref_slice = &self.ref_fixed[nappe_idx * qy * qx..(nappe_idx + 1) * qy * qx];
+        let bufs = out.begin_fill_scratch(nappe_idx);
+        let buf = bufs.samples;
+        let cx = &mut bufs.row_regs[..nx];
+        for (slot, it, ip) in tile.iter_scanlines() {
+            for (ix, c) in cx.iter_mut().enumerate() {
+                *c = Fixed::saturating_from_f64(
+                    -self.steering.x_term_samples(ix, it, ip),
+                    fmt,
+                    RoundingMode::Nearest,
+                )
+                .raw()
+                    << sh_c1;
+            }
+            let dtx = if with_tx {
+                self.dtx_fixed(0, VoxelIndex::new(it, ip, nappe_idx)).raw() << sh_c2
+            } else {
+                0
+            };
+            let cy_col = &self.cy_fixed[ip * ny..(ip + 1) * ny];
+            let row = &mut buf[slot * n_elements..(slot + 1) * n_elements];
+            for (iy, chunk) in row.chunks_mut(nx).enumerate() {
+                let ref_row = &ref_slice[self.fold_y[iy] * qx..];
+                let row_const = (cy_col[iy].raw() << sh_c2) + dtx;
+                for (ix, value) in chunk.iter_mut().enumerate() {
+                    let r = ref_row[self.fold_x[ix]].raw();
+                    let raw = (((r << sh_r) + cx[ix]) << sh_12) + row_const;
+                    *value = raw as f64 * scale;
+                }
+            }
+            consume(slot, row);
+        }
+    }
 }
 
 impl DelayEngine for TableSteerEngine {
@@ -312,8 +433,8 @@ impl DelayEngine for TableSteerEngine {
         "TABLESTEER"
     }
 
-    fn delay_samples(&self, vox: VoxelIndex, e: ElementIndex) -> f64 {
-        self.delay_samples_for(0, vox, e)
+    fn echo_buffer_len(&self) -> usize {
+        self.echo_len
     }
 
     fn transmit_count(&self) -> usize {
@@ -323,9 +444,8 @@ impl DelayEngine for TableSteerEngine {
     /// Scalar fixed-point chain `ref + cx + cy + Δtx`. The transmit
     /// correction shares the correction format, so the fourth `wide_add`
     /// widens by one integer bit but keeps the resolution — for point
-    /// sources (Δtx raw = 0) the result is bit-identical to the
-    /// historical three-term chain.
-    fn delay_samples_for(&self, tx: usize, vox: VoxelIndex, e: ElementIndex) -> f64 {
+    /// sources (Δtx raw = 0) it leaves the three-term sum unchanged.
+    fn delay_samples(&self, tx: usize, vox: VoxelIndex, e: ElementIndex) -> f64 {
         let r = self.ref_fixed_at(vox.id, e);
         let (cx, cy) = self.corrections_fixed(vox, e);
         r.wide_add(cx)
@@ -346,115 +466,6 @@ impl DelayEngine for TableSteerEngine {
         clamped
     }
 
-    fn echo_buffer_len(&self) -> usize {
-        self.echo_len
-    }
-
-    /// Batched nappe fill — the Fig. 4 schedule in software. Within one
-    /// insonification the correction registers of a block never change:
-    /// the quadrant fold maps and the quantized y-corrections are
-    /// depth-independent and cached at construction, and the quantized
-    /// x-corrections are built once per scanline **row** (`nx`
-    /// conversions) instead of `2·nx·ny` float→fixed conversions per
-    /// scanline; the reference BRAM is read as one contiguous nappe
-    /// slice, exactly what the §V-B circular buffer streams.
-    ///
-    /// The `r + cx + cy` wide-add chain runs on **hoisted** raw
-    /// arithmetic: every operand of a fill shares the same three
-    /// formats, so the alignment shifts and the output scale of
-    /// [`Fixed::wide_add`]/[`Fixed::to_f64`] are computed once per fill
-    /// (and the x-corrections pre-shifted once per row) instead of per
-    /// element, leaving shift–add–shift–add–convert–multiply in the
-    /// inner loop. Bit-exact with the scalar path by construction: the
-    /// identical raw integers flow through the identical shifts, so the
-    /// final `f64`s match bit for bit (`fill_nappe_bit_exact_*` tests).
-    fn fill_nappe(&self, nappe_idx: usize, out: &mut NappeDelays) {
-        self.fill_nappe_streamed(nappe_idx, out, &mut |_, _| {});
-    }
-
-    /// Transmit-indexed batched fill: streamed fill with no row consumer.
-    fn fill_nappe_for(&self, tx: usize, nappe_idx: usize, out: &mut NappeDelays) {
-        self.fill_nappe_streamed_for(tx, nappe_idx, out, &mut |_, _| {});
-    }
-
-    fn fill_nappe_streamed(
-        &self,
-        nappe_idx: usize,
-        out: &mut NappeDelays,
-        consume: &mut dyn FnMut(usize, &[f64]),
-    ) {
-        self.fill_nappe_streamed_for(0, nappe_idx, out, consume);
-    }
-
-    /// The fill loop proper, streaming each completed row to `consume`.
-    /// The pre-shifted raw x-corrections live in the slab's preallocated
-    /// `row_regs` scratch (rebuilt once per scanline row), so a warm
-    /// refill performs no heap allocation.
-    ///
-    /// The transmit-model correction Δtx is a per-scanline constant at a
-    /// fixed nappe depth, quantized in the correction format; since that
-    /// format's fraction bits match the chain's final format, it folds
-    /// into the per-row constant alongside the y-correction — the fourth
-    /// add of the scalar chain costs **nothing** in the inner loop.
-    fn fill_nappe_streamed_for(
-        &self,
-        tx: usize,
-        nappe_idx: usize,
-        out: &mut NappeDelays,
-        consume: &mut dyn FnMut(usize, &[f64]),
-    ) {
-        let tile = out.tile();
-        let n_elements = out.n_elements();
-        let (qx, qy) = self.reference.quadrant_dims();
-        let nx = self.spec.elements.nx();
-        let ny = self.spec.elements.ny();
-        let fmt = self.config.correction_format;
-        // The wide-add chain's formats, fixed for the whole fill:
-        // f1 = ref + cx, f2 = f1 + cy, f3 = f2 + Δtx.
-        let f1 = QFormat::sum_format(self.config.reference_format, fmt);
-        let f2 = QFormat::sum_format(f1, fmt);
-        let f3 = QFormat::sum_format(f2, fmt);
-        let sh_r = f1.frac_bits() - self.config.reference_format.frac_bits();
-        let sh_c1 = f1.frac_bits() - fmt.frac_bits();
-        let sh_12 = f2.frac_bits() - f1.frac_bits();
-        let sh_c2 = f2.frac_bits() - fmt.frac_bits();
-        // f2 and f3 share fraction bits (both cy and Δtx carry the
-        // correction format), so the last add needs no alignment shift
-        // and Δtx merges into the row constant below.
-        debug_assert_eq!(f3.frac_bits(), f2.frac_bits());
-        let res = f3.resolution();
-        let ref_slice = &self.ref_fixed[nappe_idx * qy * qx..(nappe_idx + 1) * qy * qx];
-        let bufs = out.begin_fill_scratch(nappe_idx);
-        let buf = bufs.samples;
-        // Pre-shifted raw x-corrections, rebuilt once per scanline row.
-        let cx = &mut bufs.row_regs[..nx];
-        for (slot, it, ip) in tile.iter_scanlines() {
-            for (ix, c) in cx.iter_mut().enumerate() {
-                *c = Fixed::saturating_from_f64(
-                    -self.steering.x_term_samples(ix, it, ip),
-                    fmt,
-                    RoundingMode::Nearest,
-                )
-                .raw()
-                    << sh_c1;
-            }
-            let dtx_shifted = self.dtx_fixed(tx, VoxelIndex::new(it, ip, nappe_idx)).raw() << sh_c2;
-            let cy_col = &self.cy_fixed[ip * ny..(ip + 1) * ny];
-            let range = slot * n_elements..(slot + 1) * n_elements;
-            let row = &mut buf[range.clone()];
-            for (iy, chunk) in row.chunks_mut(nx).enumerate() {
-                let ref_row = &ref_slice[self.fold_y[iy] * qx..];
-                let row_const = (cy_col[iy].raw() << sh_c2) + dtx_shifted;
-                for (ix, value) in chunk.iter_mut().enumerate() {
-                    let r = ref_row[self.fold_x[ix]].raw();
-                    let raw = (((r << sh_r) + cx[ix]) << sh_12) + row_const;
-                    *value = raw as f64 * res;
-                }
-            }
-            consume(slot, &buf[range]);
-        }
-    }
-
     /// Batched rounding with batched clamp telemetry: the row's clamp
     /// count is accumulated locally and published with **one** atomic
     /// add, so a row of N elements costs one `fetch_add` instead of up
@@ -467,92 +478,45 @@ impl DelayEngine for TableSteerEngine {
         }
     }
 
-    fn supports_factored_fill(&self) -> bool {
+    /// TABLESTEER's rounding stage publishes clamp telemetry
+    /// ([`TableSteerEngine::clamp_events`]), so the tile kernel keeps
+    /// quantizing masked rows to count their clamps.
+    fn rounding_telemetry(&self) -> bool {
         true
     }
 
-    /// Receive-leg fill: TABLESTEER's datapath **already factors** the
-    /// transmit term — the fused fill folds Δtx into a per-row constant,
-    /// so the rx pass is the same `r + cx + cy` raw chain with that
-    /// constant left out. The slab rows hold the **pre-scale raw**
-    /// fixed-point sums as `f64` (engine-defined intermediates, not
-    /// delays): the final `· res` scaling moves into the combine, after
-    /// the transmit correction is added.
-    fn fill_nappe_rx_streamed(
+    /// Batched fused fill of transmit 0 (see the shared slab walk behind
+    /// both fills). Bit-exact with the scalar path by construction
+    /// (`fill_nappe_bit_exact_*` tests).
+    fn fill_nappe_streamed(
         &self,
         nappe_idx: usize,
         out: &mut NappeDelays,
         consume: &mut dyn FnMut(usize, &[f64]),
     ) {
-        let tile = out.tile();
-        let n_elements = out.n_elements();
-        let (qx, qy) = self.reference.quadrant_dims();
-        let nx = self.spec.elements.nx();
-        let ny = self.spec.elements.ny();
-        let fmt = self.config.correction_format;
-        let f1 = QFormat::sum_format(self.config.reference_format, fmt);
-        let f2 = QFormat::sum_format(f1, fmt);
-        let sh_r = f1.frac_bits() - self.config.reference_format.frac_bits();
-        let sh_c1 = f1.frac_bits() - fmt.frac_bits();
-        let sh_12 = f2.frac_bits() - f1.frac_bits();
-        let sh_c2 = f2.frac_bits() - fmt.frac_bits();
-        let ref_slice = &self.ref_fixed[nappe_idx * qy * qx..(nappe_idx + 1) * qy * qx];
-        let bufs = out.begin_fill_scratch(nappe_idx);
-        let buf = bufs.samples;
-        let cx = &mut bufs.row_regs[..nx];
-        for (slot, it, ip) in tile.iter_scanlines() {
-            for (ix, c) in cx.iter_mut().enumerate() {
-                *c = Fixed::saturating_from_f64(
-                    -self.steering.x_term_samples(ix, it, ip),
-                    fmt,
-                    RoundingMode::Nearest,
-                )
-                .raw()
-                    << sh_c1;
-            }
-            let cy_col = &self.cy_fixed[ip * ny..(ip + 1) * ny];
-            let range = slot * n_elements..(slot + 1) * n_elements;
-            let row = &mut buf[range.clone()];
-            for (iy, chunk) in row.chunks_mut(nx).enumerate() {
-                let ref_row = &ref_slice[self.fold_y[iy] * qx..];
-                let row_const = cy_col[iy].raw() << sh_c2;
-                for (ix, value) in chunk.iter_mut().enumerate() {
-                    let r = ref_row[self.fold_x[ix]].raw();
-                    // Pre-scale raw sum; the i64 → f64 conversion is
-                    // exact (the raws are ~21-bit integers).
-                    *value = ((((r << sh_r) + cx[ix]) << sh_12) + row_const) as f64;
-                }
-            }
-            consume(slot, &buf[range]);
-        }
+        self.fill_rows(nappe_idx, out, true, consume);
+    }
+
+    /// Receive-leg fill: TABLESTEER's datapath **already factors** the
+    /// transmit term, so the rx pass is the fused `r + cx + cy` raw chain
+    /// with Δtx and the final scale left to the combine.
+    fn fill_nappe_rx(&self, nappe_idx: usize, out: &mut NappeDelays) {
+        self.fill_rows(nappe_idx, out, false, &mut |_, _| {});
     }
 
     /// Transmit combine: adds the pre-shifted raw transmit correction and
     /// applies the final scale — `(rx_raw + Δtx_raw) · res`. Bit-identical
-    /// to the fused fill because both addends are integer-valued `f64`s
-    /// far below 2⁵³, so the float add reproduces the fused path's i64
-    /// add exactly, and the closing multiply is the identical operation
-    /// on the identical value.
+    /// to the scalar chain because both addends are integer-valued `f64`s
+    /// far below 2⁵³, so the float add reproduces the raw i64 add exactly,
+    /// and the closing multiply is the identical operation on the
+    /// identical value.
     fn combine_tx_row(&self, tx: usize, vox: VoxelIndex, rx_row: &[f64], out: &mut [f64]) {
         assert_eq!(rx_row.len(), out.len(), "combine row length mismatch");
-        let fmt = self.config.correction_format;
-        let f1 = QFormat::sum_format(self.config.reference_format, fmt);
-        let f2 = QFormat::sum_format(f1, fmt);
-        let f3 = QFormat::sum_format(f2, fmt);
-        let sh_c2 = f2.frac_bits() - fmt.frac_bits();
-        debug_assert_eq!(f3.frac_bits(), f2.frac_bits());
-        let res = f3.resolution();
+        let SumChain { sh_c2, res, .. } = self.chain;
         let dtx = (self.dtx_fixed(tx, vox).raw() << sh_c2) as f64;
         for (o, &rx) in out.iter_mut().zip(rx_row) {
             *o = (rx + dtx) * res;
         }
-    }
-
-    /// TABLESTEER's rounding stage publishes clamp telemetry
-    /// ([`TableSteerEngine::clamp_events`]), so compound kernels must
-    /// keep quantizing masked transmits to count their clamps.
-    fn rounding_telemetry(&self) -> bool {
-        true
     }
 }
 
@@ -572,12 +536,11 @@ mod tests {
     #[test]
     fn quantization_reports_rounding_telemetry() {
         // TABLESTEER is the one engine whose rounding stage has an
-        // observable counter; the flag is what keeps compound kernels
-        // from skipping masked quantizations (and their clamp counts).
+        // observable counter; the flag is what keeps the tile kernel from
+        // skipping masked quantizations (and their clamp counts).
         let (_, ts, ex) = engines();
         assert!(ts.rounding_telemetry());
         assert!(!ex.rounding_telemetry());
-        assert!(crate::FusedOnly(ts).rounding_telemetry());
     }
 
     #[test]
@@ -589,7 +552,7 @@ mod tests {
         for i in (0..spec.volume_grid.voxel_count()).step_by(5) {
             let vox = spec.volume_grid.voxel_at(i);
             for e in spec.elements.iter() {
-                let d = (ts.delay_samples(vox, e) - ts.float_delay_samples(vox, e)).abs();
+                let d = (ts.delay_samples(0, vox, e) - ts.float_delay_samples(vox, e)).abs();
                 assert!(d <= bound + 1e-12, "{vox} {e}: {d}");
             }
         }
@@ -602,7 +565,7 @@ mod tests {
         for i in (0..spec.volume_grid.voxel_count()).step_by(3) {
             let vox = spec.volume_grid.voxel_at(i);
             for e in spec.elements.iter() {
-                let d = (ts.delay_samples(vox, e) - ex.delay_samples(vox, e)).abs();
+                let d = (ts.delay_samples(0, vox, e) - ex.delay_samples(0, vox, e)).abs();
                 assert!(d <= bound, "{vox} {e}: {d} > {bound}");
             }
         }
@@ -628,7 +591,7 @@ mod tests {
         for id in 0..spec.volume_grid.n_depth() {
             let vox = VoxelIndex::new(4, 4, id);
             for e in spec.elements.iter() {
-                let d = (ts.delay_samples(vox, e) - ex.delay_samples(vox, e)).abs();
+                let d = (ts.delay_samples(0, vox, e) - ex.delay_samples(0, vox, e)).abs();
                 // Only quantization remains on the unsteered line.
                 assert!(d <= 0.05, "{vox} {e}: {d}");
             }
@@ -644,8 +607,8 @@ mod tests {
         for i in (0..spec.volume_grid.voxel_count()).step_by(7) {
             let vox = spec.volume_grid.voxel_at(i);
             for e in spec.elements.iter() {
-                q18 += (e18.delay_samples(vox, e) - e18.float_delay_samples(vox, e)).abs();
-                q14 += (e14.delay_samples(vox, e) - e14.float_delay_samples(vox, e)).abs();
+                q18 += (e18.delay_samples(0, vox, e) - e18.float_delay_samples(vox, e)).abs();
+                q14 += (e14.delay_samples(0, vox, e) - e14.float_delay_samples(vox, e)).abs();
             }
         }
         assert!(
@@ -686,7 +649,7 @@ mod tests {
             for ip in v.n_phi() / 4..3 * v.n_phi() / 4 {
                 for id in (0..v.n_depth()).step_by(3) {
                     for e in spec.elements.iter() {
-                        let _ = ts.delay_index(VoxelIndex::new(it, ip, id), e);
+                        let _ = ts.delay_index(0, VoxelIndex::new(it, ip, id), e);
                     }
                 }
             }
@@ -712,7 +675,7 @@ mod tests {
         let ts = TableSteerEngine::new(&wide, TableSteerConfig::bits18()).unwrap();
         let vw = &wide.volume_grid;
         for e in wide.elements.iter() {
-            let _ = ts.delay_index(VoxelIndex::new(0, 0, vw.n_depth() - 1), e);
+            let _ = ts.delay_index(0, VoxelIndex::new(0, 0, vw.n_depth() - 1), e);
         }
         assert!(ts.clamp_events() > 0);
     }
@@ -724,7 +687,7 @@ mod tests {
         let mut scalar = NappeDelays::full(&spec);
         for id in 0..spec.volume_grid.n_depth() {
             ts.fill_nappe(id, &mut batched);
-            scalar.fill_scalar(&ts, id);
+            scalar.fill_scalar(&ts, 0, id);
             for (a, b) in batched.samples().iter().zip(scalar.samples()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "nappe {id}");
             }
@@ -749,7 +712,7 @@ mod tests {
         let mut batched = NappeDelays::full(&spec);
         let mut scalar = NappeDelays::full(&spec);
         ts.fill_nappe(7, &mut batched);
-        scalar.fill_scalar(&ts, 7);
+        scalar.fill_scalar(&ts, 0, 7);
         assert_eq!(batched, scalar);
     }
 
@@ -769,7 +732,7 @@ mod tests {
                 let vox = VoxelIndex::new(it, ip, 3);
                 assert_eq!(
                     slab.at(it, ip, e).to_bits(),
-                    ts.delay_samples(vox, e).to_bits()
+                    ts.delay_samples(0, vox, e).to_bits()
                 );
             }
         }
@@ -777,21 +740,21 @@ mod tests {
 
     #[test]
     fn plane_wave_fill_bit_exact_with_scalar_path() {
-        let spec = SystemSpec::tiny().with_transmits(usbf_geometry::TransmitModel::plane_wave_fan(
-            3,
-            usbf_geometry::deg(8.0),
-        ));
+        // A single steered wave: the fused transmit-0 fill folds a
+        // nonzero Δtx into the row constant.
+        let spec =
+            SystemSpec::tiny().with_transmits(vec![usbf_geometry::TransmitModel::plane_wave(
+                usbf_geometry::deg(8.0),
+                0.0,
+            )]);
         let ts = TableSteerEngine::new(&spec, TableSteerConfig::bits18()).unwrap();
-        assert_eq!(ts.transmit_count(), 3);
-        for tx in 0..3 {
-            let mut batched = NappeDelays::full(&spec);
-            let mut scalar = NappeDelays::full(&spec);
-            for id in [0, 7, 15] {
-                ts.fill_nappe_for(tx, id, &mut batched);
-                scalar.fill_scalar_for(&ts, tx, id);
-                for (a, b) in batched.samples().iter().zip(scalar.samples()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "tx {tx} nappe {id}");
-                }
+        let mut batched = NappeDelays::full(&spec);
+        let mut scalar = NappeDelays::full(&spec);
+        for id in [0, 7, 15] {
+            ts.fill_nappe(id, &mut batched);
+            scalar.fill_scalar(&ts, 0, id);
+            for (a, b) in batched.samples().iter().zip(scalar.samples()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "nappe {id}");
             }
         }
     }
@@ -812,8 +775,8 @@ mod tests {
             let vox = single.volume_grid.voxel_at(i);
             for e in single.elements.iter() {
                 assert_eq!(
-                    ts1.delay_samples(vox, e).to_bits(),
-                    ts2.delay_samples_for(0, vox, e).to_bits()
+                    ts1.delay_samples(0, vox, e).to_bits(),
+                    ts2.delay_samples(0, vox, e).to_bits()
                 );
             }
         }
@@ -831,13 +794,13 @@ mod tests {
         let ts = TableSteerEngine::new(&spec, TableSteerConfig::bits18()).unwrap();
         let vox = VoxelIndex::new(0, 4, 10); // steered off-normal scanline
         let e = spec.elements.center_element();
-        let ps = ts.delay_samples_for(0, vox, e);
-        let pw = ts.delay_samples_for(1, vox, e);
+        let ps = ts.delay_samples(0, vox, e);
+        let pw = ts.delay_samples(1, vox, e);
         assert!(pw < ps, "plane wave {pw} !< point source {ps}");
     }
 
     #[test]
-    fn factored_fill_bit_identical_to_fused_fill() {
+    fn rx_fill_plus_combine_bit_identical_to_scalar_per_transmit() {
         // All three fixed-point configurations, mixed transmit models —
         // the raw-integer argument behind the combine must hold for every
         // format pair.
@@ -852,31 +815,7 @@ mod tests {
             TableSteerConfig::int13(),
         ] {
             let ts = TableSteerEngine::new(&spec, config).unwrap();
-            assert!(ts.supports_factored_fill());
-            let mut rx = NappeDelays::full(&spec);
-            let mut fused = NappeDelays::full(&spec);
-            let mut combined = vec![0.0; rx.n_elements()];
-            for id in [0, 9, 15] {
-                ts.fill_nappe_rx(id, &mut rx);
-                for tx in 0..3 {
-                    ts.fill_nappe_for(tx, id, &mut fused);
-                    for (slot, it, ip) in fused.scanlines() {
-                        ts.combine_tx_row(
-                            tx,
-                            VoxelIndex::new(it, ip, id),
-                            rx.row(slot),
-                            &mut combined,
-                        );
-                        for (a, b) in combined.iter().zip(fused.row(slot)) {
-                            assert_eq!(
-                                a.to_bits(),
-                                b.to_bits(),
-                                "{config:?} tx {tx} nappe {id} slot {slot}"
-                            );
-                        }
-                    }
-                }
-            }
+            crate::engine::assert_rx_combine_matches_scalar(&ts, &spec, &[0, 9, 15]);
         }
     }
 
@@ -888,7 +827,7 @@ mod tests {
         let e = ElementIndex::new(1, 1);
         // Reference contribution is integer; only corrections carry
         // fraction bits (1/16).
-        let v = ts.delay_samples(vox, e);
+        let v = ts.delay_samples(0, vox, e);
         let frac = (v * 16.0).round() / 16.0;
         assert!((v - frac).abs() < 1e-12);
     }

@@ -98,10 +98,10 @@ proptest! {
         let f = fixture();
         let vox = f.spec.volume_grid.voxel_at(vox_pick % f.spec.volume_grid.voxel_count());
         let e = f.spec.elements.element_at(e_pick % f.spec.elements.count());
-        let err = (f.tablefree.delay_samples(vox, e) - f.exact.delay_samples(vox, e)).abs();
+        let err = (f.tablefree.delay_samples(0, vox, e) - f.exact.delay_samples(0, vox, e)).abs();
         // Two δ=0.25 PWL approximations + quantization headroom.
         prop_assert!(err <= 0.7, "err = {}", err);
-        let sel = (f.tablefree.delay_index(vox, e) - f.exact.delay_index(vox, e)).abs();
+        let sel = (f.tablefree.delay_index(0, vox, e) - f.exact.delay_index(0, vox, e)).abs();
         prop_assert!(sel <= 2, "selection error {}", sel);
     }
 
@@ -113,7 +113,7 @@ proptest! {
         let f = fixture();
         let vox = f.spec.volume_grid.voxel_at(vox_pick % f.spec.volume_grid.voxel_count());
         let e = f.spec.elements.element_at(e_pick % f.spec.elements.count());
-        let err = (f.tablesteer.delay_samples(vox, e) - f.exact.delay_samples(vox, e)).abs();
+        let err = (f.tablesteer.delay_samples(0, vox, e) - f.exact.delay_samples(0, vox, e)).abs();
         prop_assert!(err <= f.bound_samples + 1.0, "err = {} bound = {}", err, f.bound_samples);
     }
 
@@ -126,7 +126,7 @@ proptest! {
         let vox = f.spec.volume_grid.voxel_at(vox_pick % f.spec.volume_grid.voxel_count());
         let e = f.spec.elements.element_at(e_pick % f.spec.elements.count());
         for eng in [&f.exact as &dyn DelayEngine, &f.tablefree, &f.tablesteer] {
-            let idx = eng.delay_index(vox, e);
+            let idx = eng.delay_index(0, vox, e);
             prop_assert!(idx >= 0 && (idx as usize) < eng.echo_buffer_len());
         }
     }
@@ -140,8 +140,8 @@ proptest! {
         let vox = f.spec.volume_grid.voxel_at(vox_pick % f.spec.volume_grid.voxel_count());
         let e = f.spec.elements.element_at(e_pick % f.spec.elements.count());
         for eng in [&f.exact as &dyn DelayEngine, &f.tablefree, &f.tablesteer] {
-            prop_assert_eq!(eng.delay_samples(vox, e), eng.delay_samples(vox, e));
-            prop_assert_eq!(eng.delay_index(vox, e), eng.delay_index(vox, e));
+            prop_assert_eq!(eng.delay_samples(0, vox, e), eng.delay_samples(0, vox, e));
+            prop_assert_eq!(eng.delay_index(0, vox, e), eng.delay_index(0, vox, e));
         }
     }
 
@@ -170,7 +170,7 @@ proptest! {
             let mut batched = NappeDelays::for_tile(&spec, tile);
             engine.fill_nappe(nappe, &mut batched);
             let mut scalar = NappeDelays::for_tile(&spec, tile);
-            scalar.fill_scalar(engine, nappe);
+            scalar.fill_scalar(engine, 0, nappe);
             prop_assert_eq!(
                 batched.samples(), scalar.samples(),
                 "{} {}x{} elements, {}x{}x{} fan, tile {:?}, nappe {}",
@@ -194,11 +194,11 @@ proptest! {
         angle_a in 0usize..1000,
         angle_b in 0usize..1000,
     ) {
-        // Every engine's transmit-indexed batched fill — plain and
-        // streamed — must reproduce the scalar per-voxel reference bit
-        // for bit on every transmit of a random compound sequence, and
-        // the streamed path must deliver each row exactly once in slot
-        // order.
+        // Every engine's receive-leg fill plus per-row transmit combine
+        // must reproduce the scalar per-voxel reference bit for bit on
+        // every transmit of a random compound sequence; the fused
+        // streamed fill must do the same for transmit 0 and deliver each
+        // row exactly once, in slot order, equal to the slab row.
         let transmits = random_transmits(n_tx, kinds, angle_a, angle_b);
         let spec = random_spec(nx, ny, n_theta, n_phi, n_depth).with_transmits(transmits);
         let exact = ExactEngine::new(&spec);
@@ -212,32 +212,37 @@ proptest! {
         let nappe = nappe_pick % n_depth;
         for engine in [&exact as &dyn DelayEngine, &naive, &tablefree, &tablesteer] {
             prop_assert_eq!(engine.transmit_count(), n_tx, "{}", engine.name());
+            let mut scalar = NappeDelays::for_tile(&spec, tile);
+            let mut rx = NappeDelays::for_tile(&spec, tile);
+            engine.fill_nappe_rx(nappe, &mut rx);
+            let mut combined = vec![0.0; rx.n_elements()];
             for tx in 0..n_tx {
-                let mut scalar = NappeDelays::for_tile(&spec, tile);
-                scalar.fill_scalar_for(engine, tx, nappe);
-
-                let mut batched = NappeDelays::for_tile(&spec, tile);
-                engine.fill_nappe_for(tx, nappe, &mut batched);
-                prop_assert_eq!(
-                    batched.samples(), scalar.samples(),
-                    "{} tx {}/{} on {}x{} elements, {}x{}x{} fan, tile {:?}, nappe {}",
-                    engine.name(), tx, n_tx, nx, ny, n_theta, n_phi, n_depth, tile, nappe
-                );
-
-                let mut streamed = NappeDelays::for_tile(&spec, tile);
-                let mut delivered: Vec<(usize, Vec<f64>)> = Vec::new();
-                engine.fill_nappe_streamed_for(tx, nappe, &mut streamed, &mut |slot, row| {
-                    delivered.push((slot, row.to_vec()));
-                });
-                prop_assert_eq!(
-                    streamed.samples(), scalar.samples(),
-                    "{} streamed tx {}/{} drifted from scalar", engine.name(), tx, n_tx
-                );
-                prop_assert_eq!(delivered.len(), tile.scanlines());
-                for (i, (slot, row)) in delivered.iter().enumerate() {
-                    prop_assert_eq!(*slot, i, "{} rows out of order", engine.name());
-                    prop_assert_eq!(row.as_slice(), streamed.row(i));
+                scalar.fill_scalar(engine, tx, nappe);
+                for (slot, it, ip) in tile.iter_scanlines() {
+                    let vox = VoxelIndex::new(it, ip, nappe);
+                    engine.combine_tx_row(tx, vox, rx.row(slot), &mut combined);
+                    prop_assert_eq!(
+                        combined.as_slice(), scalar.row(slot),
+                        "{} tx {}/{} slot {} on {}x{} elements, {}x{}x{} fan, tile {:?}, nappe {}",
+                        engine.name(), tx, n_tx, slot, nx, ny, n_theta, n_phi, n_depth, tile, nappe
+                    );
                 }
+            }
+
+            scalar.fill_scalar(engine, 0, nappe);
+            let mut streamed = NappeDelays::for_tile(&spec, tile);
+            let mut delivered: Vec<(usize, Vec<f64>)> = Vec::new();
+            engine.fill_nappe_streamed(nappe, &mut streamed, &mut |slot, row| {
+                delivered.push((slot, row.to_vec()));
+            });
+            prop_assert_eq!(
+                streamed.samples(), scalar.samples(),
+                "{} streamed transmit 0 drifted from scalar", engine.name()
+            );
+            prop_assert_eq!(delivered.len(), tile.scanlines());
+            for (i, (slot, row)) in delivered.iter().enumerate() {
+                prop_assert_eq!(*slot, i, "{} rows out of order", engine.name());
+                prop_assert_eq!(row.as_slice(), streamed.row(i));
             }
         }
     }
@@ -274,7 +279,7 @@ proptest! {
 
         let mut scalar = NappeDelays::for_tile(&spec, tile);
         let before = tablefree.sqrt_evals();
-        scalar.fill_scalar(&tablefree, nappe);
+        scalar.fill_scalar(&tablefree, 0, nappe);
         let scalar_evals = tablefree.sqrt_evals() - before;
 
         let scanlines = tile.scanlines() as u64;

@@ -138,11 +138,11 @@ impl SystemSpec {
         self.transmits.len()
     }
 
-    /// `true` for the historical single point-source emission — the case
-    /// every pre-compounding datapath was built for. Consumers use this
-    /// to route single-emission frames through the classic kernels
-    /// (keeping them bit-identical to earlier revisions) and everything
-    /// else through the compound accumulator.
+    /// `true` for the paper's single point-source emission, whose
+    /// mask weight is 1 everywhere. Only the scalar per-voxel walk (which
+    /// then sums without the per-transmit mask loop) and the benchmark's
+    /// per-layer replay branch on it; the tile kernel branches on the
+    /// transmit count instead.
     #[inline]
     pub fn is_single_point_source(&self) -> bool {
         self.transmits.len() == 1 && self.transmits[0] == TransmitModel::PointSource

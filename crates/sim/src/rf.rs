@@ -46,7 +46,7 @@ pub struct RfFrame {
     n_samples: usize,
     n_transmits: usize,
     /// Start offset of every channel's trace within one transmit block,
-    /// in linear element order — precomputed once so the gather paths
+    /// in linear element order — precomputed once so per-channel reads
     /// never re-derive `linear(e) * n_samples` per fetch.
     bases: Vec<usize>,
 }
@@ -186,163 +186,10 @@ impl RfFrame {
 
     /// Start offset of every channel's trace in the flat sample buffer,
     /// in linear element order (`iy·nx + ix`) — precomputed at
-    /// construction for the gather paths.
+    /// construction for the per-channel trace reads.
     #[inline]
     pub fn channel_bases(&self) -> &[usize] {
         &self.bases
-    }
-
-    /// Gathers one nearest-index sample per channel: for each position
-    /// `k`, reads sample `indices[k]` of flat channel `channels[k]` into
-    /// `out[k]`. Out-of-window indices read as `0.0` through a branchless
-    /// in-range mask — the same clamped-fetch semantics as
-    /// [`RfFrame::sample`], without its per-fetch channel-offset
-    /// recompute or early return. This is the fetch stage of the
-    /// beamformer's per-voxel compound kernels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the three slices differ in length or a channel is out of
-    /// range.
-    #[inline]
-    pub fn gather_nearest_into(&self, channels: &[u32], indices: &[i32], out: &mut [f64]) {
-        self.gather_nearest_into_for(0, channels, indices, out);
-    }
-
-    /// [`gather_nearest_into`](Self::gather_nearest_into) over transmit
-    /// block `tx` — the fetch stage of the compound kernel, reading one
-    /// steering angle's acquisition. Transmit 0 is bit-identical to the
-    /// single-transmit gather (the block offset is zero).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the three slices differ in length or a channel is out of
-    /// range.
-    #[inline]
-    pub fn gather_nearest_into_for(
-        &self,
-        tx: usize,
-        channels: &[u32],
-        indices: &[i32],
-        out: &mut [f64],
-    ) {
-        assert_eq!(channels.len(), indices.len(), "one index per channel");
-        assert_eq!(channels.len(), out.len(), "one output slot per channel");
-        let n = self.n_samples;
-        let base = self.transmit_base(tx);
-        // Four independent fetch lanes per iteration: each lane is a pure
-        // load + select with no cross-lane dependency, so unrolling wides
-        // the memory-level parallelism without touching the arithmetic —
-        // every lane computes exactly what the scalar loop computes, and
-        // no accumulation exists to reassociate, so the unroll is
-        // trivially bit-identical.
-        let mut oc = out.chunks_exact_mut(4);
-        let mut cc = channels.chunks_exact(4);
-        let mut ic = indices.chunks_exact(4);
-        for ((o, c), i) in (&mut oc).zip(&mut cc).zip(&mut ic) {
-            o[0] = self.fetch_nearest(base, c[0], i[0], n);
-            o[1] = self.fetch_nearest(base, c[1], i[1], n);
-            o[2] = self.fetch_nearest(base, c[2], i[2], n);
-            o[3] = self.fetch_nearest(base, c[3], i[3], n);
-        }
-        for ((o, &c), &i) in oc
-            .into_remainder()
-            .iter_mut()
-            .zip(cc.remainder())
-            .zip(ic.remainder())
-        {
-            *o = self.fetch_nearest(base, c, i, n);
-        }
-    }
-
-    /// One nearest-index fetch lane of the gather: negative indices wrap
-    /// to huge values under the unsigned compare, so one test covers both
-    /// window edges; the conditional compiles to a select, not a branch,
-    /// and the masked fetch reads the trace head so it never faults.
-    #[inline(always)]
-    fn fetch_nearest(&self, base: usize, c: u32, i: i32, n: usize) -> f64 {
-        let inside = (i as usize) < n;
-        let v = self.data[base + self.bases[c as usize] + if inside { i as usize } else { 0 }];
-        if inside {
-            v
-        } else {
-            0.0
-        }
-    }
-
-    /// Gathers one linearly interpolated sample per channel: for each
-    /// position `k`, reads the fractional delay `delays[k]` of flat
-    /// channel `channels[k]` into `out[k]`, bit-identical to
-    /// [`RfFrame::sample_interp`] (same floor/blend arithmetic, same
-    /// zero reads outside the window) with the channel offset looked up
-    /// once and branchless edge masks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the three slices differ in length or a channel is out of
-    /// range.
-    #[inline]
-    pub fn gather_linear_into(&self, channels: &[u32], delays: &[f64], out: &mut [f64]) {
-        self.gather_linear_into_for(0, channels, delays, out);
-    }
-
-    /// [`gather_linear_into`](Self::gather_linear_into) over transmit
-    /// block `tx`. Transmit 0 is bit-identical to the single-transmit
-    /// gather.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the three slices differ in length or a channel is out of
-    /// range.
-    #[inline]
-    pub fn gather_linear_into_for(
-        &self,
-        tx: usize,
-        channels: &[u32],
-        delays: &[f64],
-        out: &mut [f64],
-    ) {
-        assert_eq!(channels.len(), delays.len(), "one delay per channel");
-        assert_eq!(channels.len(), out.len(), "one output slot per channel");
-        let n = self.n_samples as u64;
-        let tx_base = self.transmit_base(tx);
-        // Same 4-lane unroll as the nearest gather: each lane's
-        // floor/blend arithmetic is per-element and independent, so the
-        // unroll stays bit-identical to the scalar loop.
-        let mut oc = out.chunks_exact_mut(4);
-        let mut cc = channels.chunks_exact(4);
-        let mut dc = delays.chunks_exact(4);
-        for ((o, c), t) in (&mut oc).zip(&mut cc).zip(&mut dc) {
-            o[0] = self.fetch_linear(tx_base, c[0], t[0], n);
-            o[1] = self.fetch_linear(tx_base, c[1], t[1], n);
-            o[2] = self.fetch_linear(tx_base, c[2], t[2], n);
-            o[3] = self.fetch_linear(tx_base, c[3], t[3], n);
-        }
-        for ((o, &c), &t) in oc
-            .into_remainder()
-            .iter_mut()
-            .zip(cc.remainder())
-            .zip(dc.remainder())
-        {
-            *o = self.fetch_linear(tx_base, c, t, n);
-        }
-    }
-
-    /// One linear-interpolation fetch lane: the same floor/blend
-    /// arithmetic as [`RfFrame::sample_interp`], with branchless edge
-    /// masks on both neighbouring reads.
-    #[inline(always)]
-    fn fetch_linear(&self, tx_base: usize, c: u32, t: f64, n: u64) -> f64 {
-        let base = tx_base + self.bases[c as usize];
-        let i0 = t.floor() as i64;
-        let frac = t - i0 as f64;
-        let in0 = (i0 as u64) < n;
-        let in1 = ((i0 + 1) as u64) < n;
-        let r0 = self.data[base + if in0 { i0 as usize } else { 0 }];
-        let r1 = self.data[base + if in1 { (i0 + 1) as usize } else { 0 }];
-        let v0 = if in0 { r0 } else { 0.0 };
-        let v1 = if in1 { r1 } else { 0.0 };
-        v0 * (1.0 - frac) + v1 * frac
     }
 
     /// One channel's trace of transmit event `tx`, addressed by flat
@@ -362,7 +209,7 @@ impl RfFrame {
 
     /// Asks the CPU to pull the samples between indices `a` and `b`
     /// (inclusive, in either order) of flat channel `channel`, transmit
-    /// `tx`, into cache ahead of a gather. The window is clipped to the
+    /// `tx`, into cache ahead of its reads. The window is clipped to the
     /// trace, so a window wholly outside it prefetches nothing, and at
     /// most 32 cache lines (256 samples) from its low end are requested.
     /// A prefetch is only a hint: it never changes what any read returns.
@@ -473,52 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_nearest_matches_per_element_sample() {
-        let mut rf = RfFrame::zeros(3, 2, 4);
-        for (l, e) in [(0, (0, 0)), (2, (2, 0)), (4, (1, 1))] {
-            let e = ElementIndex::new(e.0, e.1);
-            for (i, v) in rf.trace_mut(e).iter_mut().enumerate() {
-                *v = -(l as f64) - i as f64 * 0.25;
-            }
-        }
-        let channels: Vec<u32> = (0..6).collect();
-        let indices = [0i32, -1, 3, 4, 2, 1];
-        let mut out = [9.0; 6];
-        rf.gather_nearest_into(&channels, &indices, &mut out);
-        for ((&c, &i), &o) in channels.iter().zip(&indices).zip(&out) {
-            let e = ElementIndex::new(c as usize % 3, c as usize / 3);
-            assert_eq!(o, rf.sample(e, i as i64), "channel {c} index {i}");
-        }
-    }
-
-    #[test]
-    fn gather_linear_matches_per_element_interp() {
-        let mut rf = RfFrame::zeros(2, 2, 4);
-        for e in [ElementIndex::new(0, 0), ElementIndex::new(1, 1)] {
-            rf.trace_mut(e).copy_from_slice(&[-1.0, 2.0, -3.0, 4.0]);
-        }
-        let channels = [0u32, 1, 2, 3, 0, 3];
-        let delays = [0.5, 1.25, -0.75, 3.5, -2.0, 2.999];
-        let mut out = [0.0; 6];
-        rf.gather_linear_into(&channels, &delays, &mut out);
-        for ((&c, &t), &o) in channels.iter().zip(&delays).zip(&out) {
-            let e = ElementIndex::new(c as usize % 2, c as usize / 2);
-            assert_eq!(
-                o.to_bits(),
-                rf.sample_interp(e, t).to_bits(),
-                "channel {c} delay {t}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "one index per channel")]
-    fn gather_rejects_length_mismatch() {
-        let rf = RfFrame::zeros(2, 2, 4);
-        rf.gather_nearest_into(&[0, 1], &[0], &mut [0.0, 0.0]);
-    }
-
-    #[test]
     fn energy_and_max_abs() {
         let mut rf = RfFrame::zeros(1, 2, 3);
         rf.trace_mut(ElementIndex::new(0, 0))
@@ -573,31 +374,8 @@ mod tests {
         assert_eq!(rf.sample(e, 2), rf.sample_for(0, e, 2));
     }
 
-    #[test]
-    fn multi_transmit_gathers_read_their_block() {
-        let mut rf = RfFrame::zeros_multi(2, 1, 4, 2);
-        let e = ElementIndex::new(0, 0);
-        rf.trace_for_mut(0, e)
-            .copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
-        rf.trace_for_mut(1, e)
-            .copy_from_slice(&[-1.0, -2.0, -3.0, -4.0]);
-        let channels = [0u32, 0];
-        let mut out = [0.0; 2];
-        rf.gather_nearest_into_for(1, &channels, &[1, 3], &mut out);
-        assert_eq!(out, [-2.0, -4.0]);
-        rf.gather_linear_into_for(1, &channels, &[0.5, 2.0], &mut out);
-        assert_eq!(out[0].to_bits(), rf.sample_interp_for(1, e, 0.5).to_bits());
-        assert_eq!(out[1], -3.0);
-        // The tx-0 gathers match the historical single-transmit gathers.
-        let mut a = [0.0; 2];
-        let mut b = [0.0; 2];
-        rf.gather_nearest_into(&channels, &[0, 2], &mut a);
-        rf.gather_nearest_into_for(0, &channels, &[0, 2], &mut b);
-        assert_eq!(a, b);
-    }
-
     /// A 3×2-element, 2-transmit, 40-sample frame whose every sample is
-    /// distinct, so a gather that read the wrong place would show.
+    /// distinct, so a read of the wrong place would show.
     fn ramp_frame() -> RfFrame {
         let mut rf = RfFrame::zeros_multi(3, 2, 40, 2);
         for tx in 0..2 {
@@ -637,16 +415,20 @@ mod tests {
     #[test]
     fn prefetch_accepts_any_window_and_changes_no_read() {
         let rf = ramp_frame();
-        let channels: Vec<u32> = (0..6).collect();
-        let indices = [0i32, 39, 7, -1, 40, 20];
+        let indices = [0i64, 39, 7, -1, 40, 20];
         let delays = [0.5, 38.75, -0.5, 39.5, 12.25, 0.0];
-        let gathers = |rf: &RfFrame, tx: usize| {
-            let (mut near, mut lin) = ([0.0; 6], [0.0; 6]);
-            rf.gather_nearest_into_for(tx, &channels, &indices, &mut near);
-            rf.gather_linear_into_for(tx, &channels, &delays, &mut lin);
-            (near, lin)
+        let reads = |rf: &RfFrame, tx: usize| -> Vec<(f64, f64)> {
+            (0..6)
+                .map(|l| {
+                    let e = ElementIndex::new(l % 3, l / 3);
+                    (
+                        rf.sample_for(tx, e, indices[l]),
+                        rf.sample_interp_for(tx, e, delays[l]),
+                    )
+                })
+                .collect()
         };
-        let before = [gathers(&rf, 0), gathers(&rf, 1)];
+        let before = [reads(&rf, 0), reads(&rf, 1)];
         let windows = [
             (3, 17),              // inside the trace
             (-25, 4),             // crosses the start
@@ -668,7 +450,7 @@ mod tests {
         // A window longer than the line cap is clipped, not rejected.
         let long = RfFrame::zeros(1, 1, 4096);
         long.prefetch_window_for(0, 0, 0, 4095);
-        assert_eq!(before, [gathers(&rf, 0), gathers(&rf, 1)]);
+        assert_eq!(before, [reads(&rf, 0), reads(&rf, 1)]);
     }
 
     #[test]

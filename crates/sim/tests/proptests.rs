@@ -75,7 +75,7 @@ proptest! {
     }
 
     #[test]
-    fn prefetch_never_panics_and_never_changes_a_gather(
+    fn prefetch_never_panics_and_never_changes_a_read(
         a in any::<i32>(),
         b in any::<i32>(),
         near_a in -40i32..80,
@@ -86,7 +86,7 @@ proptest! {
     ) {
         // A prefetch is a hint: for any window — random extremes and
         // windows near the 48-sample trace, in either order — it must
-        // neither panic nor change what a gather reads.
+        // neither panic nor change what a read returns.
         let mut rf = RfFrame::zeros_multi(3, 2, 48, 3);
         for t in 0..3 {
             for l in 0..6 {
@@ -96,14 +96,15 @@ proptest! {
                 }
             }
         }
-        let channels: Vec<u32> = (0..6).collect();
-        let indices: Vec<i32> = (0..6).map(|k| near_a + 9 * k).collect();
-        let delays: Vec<f64> = (0..6).map(|k| f64::from(near_b) + 7.25 * k as f64).collect();
-        let read = |rf: &RfFrame| {
-            let (mut near, mut lin) = (vec![0.0; 6], vec![0.0; 6]);
-            rf.gather_nearest_into_for(tx, &channels, &indices, &mut near);
-            rf.gather_linear_into_for(tx, &channels, &delays, &mut lin);
-            (near, lin)
+        let read = |rf: &RfFrame| -> Vec<(f64, f64)> {
+            (0..6)
+                .map(|l| {
+                    let e = ElementIndex::new(l % 3, l / 3);
+                    let i = i64::from(near_a) + 9 * l as i64;
+                    let t = f64::from(near_b) + 7.25 * l as f64;
+                    (rf.sample_for(tx, e, i), rf.sample_interp_for(tx, e, t))
+                })
+                .collect()
         };
         let before = read(&rf);
         rf.prefetch_window_for(tx, channel, a, b);

@@ -1,6 +1,6 @@
 //! Coherent plane-wave compounding demo: a 16-angle steered fan
 //! acquired and beamformed as ONE compound frame through the warm
-//! `FramePipeline`, with the factored delay-generation stages (the
+//! `FramePipeline`, with the tile kernel's delay-generation stages (the
 //! transmit-invariant receive leg vs the per-transmit combine vs the
 //! quantize/gather/MAC back end) timed individually on one tile.
 //!
@@ -65,10 +65,9 @@ fn main() {
     );
 
     // --- Per-stage split on one tile, single-threaded: peel the
-    // factored loop apart through the public engine API. The receive
+    // compound kernel apart through the public engine API. The receive
     // leg is filled ONCE per nappe regardless of the angle count; only
     // the combine and the gather/MAC scale with N. ---
-    assert!(engine.supports_factored_fill());
     let bf = Beamformer::new(&spec);
     let tile = NappeSchedule::fitted(&spec, 16).tiles()[5];
     let n_depth = grid.n_depth();
@@ -78,38 +77,35 @@ fn main() {
     let budget = 0.2;
     let fill_s = time_mean(budget, || {
         for id in 0..n_depth {
-            engine.fill_nappe_rx_streamed(id, &mut slab, &mut |_, _| {});
+            engine.fill_nappe_rx(id, &mut slab);
         }
         std::hint::black_box(slab.samples()[0]);
     });
     // Mirror the kernel's masked-transmit skip: EXACT has no rounding
-    // telemetry, so the factored loop never combines a (voxel, transmit)
-    // pair outside that wave's footprint. Precompute the mask the way
-    // `TileState` does so the peel times only combine work.
+    // telemetry, so the kernel never combines a (voxel, transmit) pair
+    // outside that wave's footprint. Precompute which pairs are
+    // insonified so the peel times only combine work.
     let skip_masked = !engine.rounding_telemetry();
-    let n_values = tile.scanlines() * n_depth;
-    let mut mask = vec![0.0; n_tx * n_values];
-    for tx in 0..n_tx {
-        let block = &mut mask[tx * n_values..(tx + 1) * n_values];
-        for (slot, it, ip) in tile.iter_scanlines() {
-            for id in 0..n_depth {
-                let s = grid.position(VoxelIndex::new(it, ip, id));
-                block[slot * n_depth + id] = spec.transmit_weight(tx, s);
-            }
-        }
-    }
+    let voxels: Vec<VoxelIndex> = (0..n_depth)
+        .flat_map(|id| {
+            tile.iter_scanlines()
+                .map(move |(_, it, ip)| VoxelIndex::new(it, ip, id))
+        })
+        .collect();
+    let insonified: Vec<bool> = voxels
+        .iter()
+        .flat_map(|&vox| (0..n_tx).map(move |tx| (vox, tx)))
+        .map(|(vox, tx)| !skip_masked || spec.transmit_weight(tx, grid.position(vox)) != 0.0)
+        .collect();
     let fill_combine_s = time_mean(budget, || {
         for id in 0..n_depth {
-            engine.fill_nappe_rx_streamed(id, &mut slab, &mut |slot, rx_row| {
-                let (it, ip) = tile.scanline_at(slot);
-                let vox = VoxelIndex::new(it, ip, id);
-                for tx in 0..n_tx {
-                    if skip_masked && mask[tx * n_values + slot * n_depth + id] == 0.0 {
-                        continue;
-                    }
-                    engine.combine_tx_row(tx, vox, rx_row, &mut tx_row);
+            engine.fill_nappe_rx(id, &mut slab);
+            for slot in 0..tile.scanlines() {
+                let v = id * tile.scanlines() + slot;
+                for tx in (0..n_tx).filter(|&tx| insonified[v * n_tx + tx]) {
+                    engine.combine_tx_row(tx, voxels[v], slab.row(slot), &mut tx_row);
                 }
-            });
+            }
         }
         std::hint::black_box(tx_row[0]);
     });
@@ -128,7 +124,7 @@ fn main() {
         ("rx-leg slab fill (once per nappe)", fill_s),
         ("per-transmit combine (xN angles)", combine_s),
         ("quantize + gather + MAC (xN)", back_end_s),
-        ("total factored tile", total_s),
+        ("total tile kernel", total_s),
     ] {
         println!(
             "  {stage:<36} {:10.1} us  ({:5.1}% of total)",

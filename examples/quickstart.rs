@@ -91,7 +91,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 "{:<12} {:>10} {:>8.2}",
                 e.to_string(),
                 eng.name(),
-                eng.delay_samples(vox, e)
+                eng.delay_samples(0, vox, e)
             );
         }
     }
@@ -109,7 +109,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         slab.n_elements(),
         slab.samples().len()
     );
-    let scalar = tablesteer.delay_samples(vox, ElementIndex::new(15, 15));
+    let scalar = tablesteer.delay_samples(0, vox, ElementIndex::new(15, 15));
     let batched = slab.at(vox.it, vox.ip, ElementIndex::new(15, 15));
     println!(
         "bit-exact vs scalar   : {} ({batched} == {scalar})",

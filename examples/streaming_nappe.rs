@@ -149,7 +149,7 @@ fn main() {
         for (_, it, ip) in slab.scanlines() {
             for e in small.elements.iter() {
                 let vox = usbf::geometry::VoxelIndex::new(it, ip, id);
-                assert_eq!(slab.at(it, ip, e), engine.delay_samples(vox, e));
+                assert_eq!(slab.at(it, ip, e), engine.delay_samples(0, vox, e));
                 checked += 1;
             }
         }

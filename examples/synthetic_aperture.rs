@@ -62,8 +62,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let e = displaced_spec.elements.center_element();
     println!(
         "\ndisplaced-origin delay check at {vox}: steer = {:.2}, exact = {:.2} samples",
-        eng.delay_samples(vox, e),
-        exact.delay_samples(vox, e)
+        eng.delay_samples(0, vox, e),
+        exact.delay_samples(0, vox, e)
     );
     Ok(())
 }

@@ -31,8 +31,8 @@
 //! let steer = TableSteerEngine::new(&spec, TableSteerConfig::bits18()).unwrap();
 //! let vox = VoxelIndex::new(4, 4, 8);
 //! let e = spec.elements.center_element();
-//! let t_exact = exact.delay_samples(vox, e);
-//! let t_steer = steer.delay_samples(vox, e);
+//! let t_exact = exact.delay_samples(0, vox, e);
+//! let t_steer = steer.delay_samples(0, vox, e);
 //! assert!((t_exact - t_steer).abs() < 4.0); // within a few samples near axis
 //! ```
 //!
@@ -49,7 +49,7 @@
 //! steer.fill_nappe(8, &mut slab);
 //! let e = spec.elements.center_element();
 //! // Batched fills are bit-exact with scalar queries.
-//! assert_eq!(slab.at(4, 4, e), steer.delay_samples(VoxelIndex::new(4, 4, 8), e));
+//! assert_eq!(slab.at(4, 4, e), steer.delay_samples(0, VoxelIndex::new(4, 4, 8), e));
 //! ```
 
 #![forbid(unsafe_code)]

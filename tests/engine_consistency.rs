@@ -20,7 +20,7 @@ fn assert_fill_nappe_bit_exact(
     let mut scalar = NappeDelays::for_tile(spec, tile);
     for &id in nappes {
         engine.fill_nappe(id, &mut batched);
-        scalar.fill_scalar(engine, id);
+        scalar.fill_scalar(engine, 0, id);
         for (slot, (a, b)) in batched.samples().iter().zip(scalar.samples()).enumerate() {
             assert_eq!(
                 a.to_bits(),
@@ -72,9 +72,9 @@ fn engines_respect_error_ordering_in_far_field() {
         for ip in 0..v.n_phi() {
             let vox = usbf::geometry::VoxelIndex::new(it, ip, v.n_depth() - 1);
             for e in spec.elements.iter() {
-                let te = exact.delay_samples(vox, e);
-                assert!((tablefree.delay_samples(vox, e) - te).abs() < 1.0);
-                assert!((tablesteer.delay_samples(vox, e) - te).abs() < 2.0);
+                let te = exact.delay_samples(0, vox, e);
+                assert!((tablefree.delay_samples(0, vox, e) - te).abs() < 1.0);
+                assert!((tablesteer.delay_samples(0, vox, e) - te).abs() < 2.0);
             }
         }
     }
@@ -90,14 +90,14 @@ fn engine_trait_objects_are_interchangeable() {
     ];
     let vox = usbf::geometry::VoxelIndex::new(3, 3, 10);
     let e = spec.elements.center_element();
-    let reference = engines[0].delay_samples(vox, e);
+    let reference = engines[0].delay_samples(0, vox, e);
     for eng in &engines {
         assert!(
-            (eng.delay_samples(vox, e) - reference).abs() < 2.0,
+            (eng.delay_samples(0, vox, e) - reference).abs() < 2.0,
             "{}",
             eng.name()
         );
-        assert!(eng.delay_index(vox, e) >= 0);
+        assert!(eng.delay_index(0, vox, e) >= 0);
         assert_eq!(eng.echo_buffer_len(), spec.echo_buffer_len());
     }
 }

@@ -6,11 +6,13 @@ use usbf::beamform::{
     Beamformer, FramePipeline, FrameRing, PipelineError, ShardConfig, ShardedRuntime, VolumeLoop,
 };
 use usbf::core::{
-    DelayEngine, EngineError, ExactEngine, NaiveTableEngine, TableFreeConfig, TableFreeEngine,
-    TableSteerConfig, TableSteerEngine,
+    DelayEngine, EngineError, ExactEngine, NaiveTableEngine, NappeDelays, TableFreeConfig,
+    TableFreeEngine, TableSteerConfig, TableSteerEngine,
 };
 use usbf::fixed::{Fixed, FixedError, QFormat, RoundingMode};
-use usbf::geometry::{ElementIndex, SystemSpec, TransducerSpec, VolumeSpec, VoxelIndex};
+use usbf::geometry::{
+    deg, ElementIndex, SystemSpec, TransducerSpec, TransmitModel, VolumeSpec, VoxelIndex,
+};
 use usbf::pwl::{PwlApprox, PwlError, SqrtFn, TrackingEvaluator};
 use usbf::sim::{EchoSynthesizer, Phantom, Pulse, RfFrame};
 
@@ -85,7 +87,7 @@ fn delay_indices_clamp_into_echo_window() {
     let v = &wide.volume_grid;
     let mut max_idx = 0i64;
     for e in wide.elements.iter() {
-        let idx = eng.delay_index(VoxelIndex::new(0, 0, v.n_depth() - 1), e);
+        let idx = eng.delay_index(0, VoxelIndex::new(0, 0, v.n_depth() - 1), e);
         assert!(idx >= 0 && (idx as usize) < wide.echo_buffer_len());
         max_idx = max_idx.max(idx);
     }
@@ -124,22 +126,63 @@ impl FaultyEngine {
     fn arm(&self, on: bool) {
         self.armed.store(on, std::sync::atomic::Ordering::SeqCst);
     }
-}
 
-impl DelayEngine for FaultyEngine {
-    fn name(&self) -> &'static str {
-        "FAULTY"
-    }
-    fn delay_samples(&self, vox: VoxelIndex, e: ElementIndex) -> f64 {
+    fn fault_if_armed(&self) {
         assert!(
             !self.armed.load(std::sync::atomic::Ordering::SeqCst),
             "injected delay fault"
         );
-        self.inner.delay_samples(vox, e)
+    }
+}
+
+/// Every delay path faults when armed: the scalar queries (and through
+/// them the default fused fill a single-transmit frame takes) and the
+/// receive-leg fill and combine of a compound frame.
+impl DelayEngine for FaultyEngine {
+    fn name(&self) -> &'static str {
+        "FAULTY"
     }
     fn echo_buffer_len(&self) -> usize {
         self.inner.echo_buffer_len()
     }
+    fn transmit_count(&self) -> usize {
+        self.inner.transmit_count()
+    }
+    fn delay_samples(&self, tx: usize, vox: VoxelIndex, e: ElementIndex) -> f64 {
+        self.fault_if_armed();
+        self.inner.delay_samples(tx, vox, e)
+    }
+    fn fill_nappe_rx(&self, nappe_idx: usize, out: &mut NappeDelays) {
+        self.fault_if_armed();
+        self.inner.fill_nappe_rx(nappe_idx, out);
+    }
+    fn combine_tx_row(&self, tx: usize, vox: VoxelIndex, rx_row: &[f64], out: &mut [f64]) {
+        self.fault_if_armed();
+        self.inner.combine_tx_row(tx, vox, rx_row, out);
+    }
+}
+
+/// The geometries the fault tests run on: the classic single point
+/// source and a 4-angle plane-wave compound on a narrow cone (under the
+/// stock ±36.5° cone the steered footprints miss the tiny grid).
+fn fault_specs() -> [SystemSpec; 2] {
+    let tiny = SystemSpec::tiny();
+    let lambda = tiny.wavelength();
+    let cpwc = SystemSpec::new(
+        tiny.speed_of_sound,
+        tiny.sampling_frequency,
+        tiny.transducer.clone(),
+        VolumeSpec {
+            theta_max: deg(4.0),
+            phi_max: deg(4.0),
+            depth_max: 60.0 * lambda,
+            ..tiny.volume.clone()
+        },
+        tiny.origin,
+        tiny.frame_rate,
+    )
+    .with_transmits(TransmitModel::plane_wave_fan(4, deg(10.0)));
+    [tiny, cpwc]
 }
 
 fn point_frame(spec: &SystemSpec) -> RfFrame {
@@ -184,94 +227,96 @@ fn pipelined_source_panic_is_a_clean_error_and_the_pipeline_recovers() {
 
 #[test]
 fn pipelined_beamform_panic_is_a_clean_error_and_the_pool_survives() {
-    let spec = SystemSpec::tiny();
-    let rf = point_frame(&spec);
-    let engine = Arc::new(FaultyEngine::new(&spec));
-    let reference = VolumeLoop::new(Beamformer::new(&spec))
-        .beamform(engine.as_ref(), &rf)
-        .clone();
-    let pool = Arc::new(usbf::par::ThreadPool::new(2));
-    let schedule = usbf::core::NappeSchedule::fitted(&spec, 8);
-    let mut pipe = FramePipeline::with_pool(
-        Beamformer::new(&spec),
-        Arc::clone(&engine) as Arc<dyn DelayEngine + Send + Sync>,
-        FrameRing::new(vec![rf]),
-        Arc::clone(&pool),
-        &schedule,
-    );
-    assert_eq!(pipe.next_volume().expect("clean frame"), &reference);
-    // The panic is delivered through the asynchronous ticket too: the
-    // engine faults mid-flight, wait() reports it as a typed error.
-    engine.arm(true);
-    let ticket = pipe.submit().expect("acquisition is healthy");
-    match ticket.wait() {
-        Err(PipelineError::Beamform(msg)) => {
-            assert!(msg.contains("injected delay fault"), "message: {msg}")
+    for spec in fault_specs() {
+        let rf = point_frame(&spec);
+        let engine = Arc::new(FaultyEngine::new(&spec));
+        let reference = VolumeLoop::new(Beamformer::new(&spec))
+            .beamform(engine.as_ref(), &rf)
+            .clone();
+        let pool = Arc::new(usbf::par::ThreadPool::new(2));
+        let schedule = usbf::core::NappeSchedule::fitted(&spec, 8);
+        let mut pipe = FramePipeline::with_pool(
+            Beamformer::new(&spec),
+            Arc::clone(&engine) as Arc<dyn DelayEngine + Send + Sync>,
+            FrameRing::new(vec![rf]),
+            Arc::clone(&pool),
+            &schedule,
+        );
+        assert_eq!(pipe.next_volume().expect("clean frame"), &reference);
+        // The panic is delivered through the asynchronous ticket too: the
+        // engine faults mid-flight, wait() reports it as a typed error.
+        engine.arm(true);
+        let ticket = pipe.submit().expect("acquisition is healthy");
+        match ticket.wait() {
+            Err(PipelineError::Beamform(msg)) => {
+                assert!(msg.contains("injected delay fault"), "message: {msg}")
+            }
+            other => panic!("expected Beamform error, got {other:?}"),
         }
-        other => panic!("expected Beamform error, got {other:?}"),
+        engine.arm(false);
+        // The pipeline's pool and warm state beamform the next frames
+        // correctly — and the shared pool itself still serves other work.
+        for _ in 0..3 {
+            assert_eq!(pipe.next_volume().expect("recovered"), &reference);
+        }
+        let items: Vec<usize> = (0..32).collect();
+        assert_eq!(
+            pool.par_map_indexed(&items, |_, &x| x + 1),
+            (1..=32).collect::<Vec<_>>()
+        );
     }
-    engine.arm(false);
-    // The pipeline's pool and warm state beamform the next frames
-    // correctly — and the shared pool itself still serves other work.
-    for _ in 0..3 {
-        assert_eq!(pipe.next_volume().expect("recovered"), &reference);
-    }
-    let items: Vec<usize> = (0..32).collect();
-    assert_eq!(
-        pool.par_map_indexed(&items, |_, &x| x + 1),
-        (1..=32).collect::<Vec<_>>()
-    );
 }
 
 #[test]
 fn sharded_engine_panic_never_poisons_sibling_shards() {
-    let spec = SystemSpec::tiny();
-    let rf = point_frame(&spec);
-    let faulty = Arc::new(FaultyEngine::new(&spec));
-    let healthy: Arc<dyn DelayEngine + Send + Sync> = Arc::new(ExactEngine::new(&spec));
-    let reference = VolumeLoop::new(Beamformer::new(&spec))
-        .beamform(healthy.as_ref(), &rf)
-        .clone();
-    let faulty_reference = VolumeLoop::new(Beamformer::new(&spec))
-        .beamform(faulty.as_ref(), &rf)
-        .clone();
-    let pool = Arc::new(usbf::par::ThreadPool::new(2));
-    let mut rt = ShardedRuntime::new(
-        pool,
-        vec![
-            ShardConfig::new(
-                Beamformer::new(&spec),
-                Arc::clone(&faulty) as Arc<dyn DelayEngine + Send + Sync>,
-                FrameRing::new(vec![rf.clone()]),
-            ),
-            ShardConfig::new(
-                Beamformer::new(&spec),
-                Arc::clone(&healthy),
-                FrameRing::new(vec![rf.clone()]),
-            ),
-        ],
-    );
-    assert!(rt.round().iter().all(|o| o.is_ok()), "clean warm-up round");
-    faulty.arm(true);
-    let outcomes = rt.round();
-    match outcomes[0].error() {
-        Some(PipelineError::Beamform(msg)) => {
-            assert!(msg.contains("injected delay fault"), "message: {msg}")
+    for spec in fault_specs() {
+        let rf = point_frame(&spec);
+        let faulty = Arc::new(FaultyEngine::new(&spec));
+        let healthy: Arc<dyn DelayEngine + Send + Sync> = Arc::new(ExactEngine::new(&spec));
+        let reference = VolumeLoop::new(Beamformer::new(&spec))
+            .beamform(healthy.as_ref(), &rf)
+            .clone();
+        let faulty_reference = VolumeLoop::new(Beamformer::new(&spec))
+            .beamform(faulty.as_ref(), &rf)
+            .clone();
+        let pool = Arc::new(usbf::par::ThreadPool::new(2));
+        let mut rt = ShardedRuntime::new(
+            pool,
+            vec![
+                ShardConfig::new(
+                    Beamformer::new(&spec),
+                    Arc::clone(&faulty) as Arc<dyn DelayEngine + Send + Sync>,
+                    FrameRing::new(vec![rf.clone()]),
+                ),
+                ShardConfig::new(
+                    Beamformer::new(&spec),
+                    Arc::clone(&healthy),
+                    FrameRing::new(vec![rf.clone()]),
+                ),
+            ],
+        );
+        assert!(rt.round().iter().all(|o| o.is_ok()), "clean warm-up round");
+        faulty.arm(true);
+        let outcomes = rt.round();
+        match outcomes[0].error() {
+            Some(PipelineError::Beamform(msg)) => {
+                assert!(msg.contains("injected delay fault"), "message: {msg}")
+            }
+            other => panic!("expected shard 0 Beamform error, got {other:?}"),
         }
-        other => panic!("expected shard 0 Beamform error, got {other:?}"),
+        // The sibling's frame of the same round is untouched — the shared
+        // pool contained the panic to shard 0's tasks.
+        assert!(outcomes[1].is_ok(), "sibling shard must stay healthy");
+        assert_eq!(rt.volume(1), Some(&reference));
+        faulty.arm(false);
+        // Both shards recover on the same pool; counters attribute the
+        // lost frame to the faulty shard only.
+        assert!(rt.round().iter().all(|o| o.is_ok()), "recovery round");
+        assert_eq!(rt.volume(0), Some(&faulty_reference));
+        assert_eq!(rt.shard(0).errors(), 1);
+        assert_eq!(rt.shard(1).errors(), 0);
+        assert_eq!(rt.frame_counts(), vec![2, 3]);
     }
-    // The sibling's frame of the same round is untouched — the shared
-    // pool contained the panic to shard 0's tasks.
-    assert!(outcomes[1].is_ok(), "sibling shard must stay healthy");
-    assert_eq!(rt.volume(1), Some(&reference));
-    faulty.arm(false);
-    // Both shards recover on the same pool; counters attribute the lost
-    // frame to the faulty shard only.
-    assert!(rt.round().iter().all(|o| o.is_ok()), "recovery round");
-    assert_eq!(rt.volume(0), Some(&faulty_reference));
-    assert_eq!(rt.shard(0).errors(), 1);
-    assert_eq!(rt.shard(1).errors(), 0);
-    assert_eq!(rt.frame_counts(), vec![2, 3]);
 }
 
 #[test]
