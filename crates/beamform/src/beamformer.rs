@@ -172,15 +172,6 @@ pub(crate) fn scatter_tiles(
     }
 }
 
-/// Compacts one slab row down to the active aperture: `out[k] =
-/// row[channels[k]]`. Skipped entirely when the aperture is full.
-#[inline]
-fn compact_row(row: &[f64], channels: &[u32], out: &mut [f64]) {
-    for (o, &c) in out.iter_mut().zip(channels) {
-        *o = row[c as usize];
-    }
-}
-
 /// Channels the tile kernel prefetches ahead of the one it sums: far
 /// enough for a sample window 64 KB away to arrive, near enough that it
 /// is still cached when its turn comes.
@@ -232,7 +223,7 @@ impl Fetch for i32 {
         let active = if aperture.is_full() {
             row
         } else {
-            compact_row(row, aperture.channels(), scratch);
+            aperture.compact_row(row, scratch);
             scratch
         };
         engine.quantize_row(active, out);
@@ -267,7 +258,7 @@ impl Fetch for f64 {
         if aperture.is_full() {
             out.copy_from_slice(row);
         } else {
-            compact_row(row, aperture.channels(), out);
+            aperture.compact_row(row, out);
         }
     }
 

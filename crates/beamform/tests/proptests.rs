@@ -1,15 +1,17 @@
 //! Property-based invariants of the beamforming pipeline.
 
 use proptest::prelude::*;
-use usbf_beamform::{Apodization, Beamformer, BmodeConfig, Interpolation, PostChain};
+use usbf_beamform::{
+    ActiveAperture, Apodization, Beamformer, BmodeConfig, Interpolation, PostChain,
+};
 use usbf_core::{
     DelayEngine, ExactEngine, NaiveTableEngine, TableFreeConfig, TableFreeEngine, TableSteerConfig,
     TableSteerEngine,
 };
 use usbf_geometry::scan::ScanOrder;
 use usbf_geometry::{
-    ElementIndex, SystemSpec, TransducerSpec, TransmitModel, Vec3, VolumeSpec, VoxelIndex,
-    SPEED_OF_SOUND,
+    ElementIndex, SystemSpec, TransducerArray, TransducerSpec, TransmitModel, Vec3, VolumeSpec,
+    VoxelIndex, SPEED_OF_SOUND,
 };
 use usbf_sim::{EchoSynthesizer, Phantom, Pulse};
 
@@ -374,5 +376,41 @@ proptest! {
         // Constant traces: both read 1.0 per element wherever the index
         // lands inside the buffer.
         prop_assert!((near - lin).abs() < 1e-9);
+    }
+
+    #[test]
+    fn aperture_runs_cover_the_channels_and_compact_like_a_gather(
+        nx in 1usize..14,
+        ny in 1usize..14,
+        column in any::<bool>(),
+        apod_pick in 0usize..4,
+        taper in 0.0f64..1.0,
+        offset in -50.0f64..50.0,
+    ) {
+        // `column` forces a 1×N array; other draws cover odd and even
+        // sizes of both axes.
+        let nx = if column { 1 } else { nx };
+        let apod = match apod_pick {
+            0 => Apodization::Rect,
+            1 => Apodization::Hann,
+            2 => Apodization::Hamming,
+            _ => Apodization::Tukey(taper),
+        };
+        let array = TransducerArray::new(nx, ny, 0.2e-3);
+        let aperture = ActiveAperture::build(apod, &array);
+        let runs = aperture.runs();
+        prop_assert!(runs.iter().all(|r| !r.is_empty()), "{:?} {}x{}: empty run", apod, nx, ny);
+        prop_assert!(
+            runs.windows(2).all(|p| p[0].end < p[1].start),
+            "{:?} {}x{}: runs unsorted or adjacent: {:?}", apod, nx, ny, runs
+        );
+        let covered: Vec<u32> = runs.iter().flat_map(|r| r.clone()).map(|c| c as u32).collect();
+        prop_assert_eq!(covered.as_slice(), aperture.channels(), "{:?} {}x{}", apod, nx, ny);
+
+        let row: Vec<f64> = (0..array.count()).map(|j| offset + 0.37 * j as f64).collect();
+        let mut compacted = vec![f64::NAN; aperture.len()];
+        aperture.compact_row(&row, &mut compacted);
+        let gathered: Vec<f64> = aperture.channels().iter().map(|&c| row[c as usize]).collect();
+        prop_assert_eq!(compacted, gathered, "{:?} {}x{}", apod, nx, ny);
     }
 }

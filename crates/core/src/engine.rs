@@ -201,11 +201,12 @@ pub trait DelayEngine: Sync {
     fn combine_tx_row(&self, tx: usize, vox: VoxelIndex, rx_row: &[f64], out: &mut [f64]);
 }
 
-/// The shared branch-lean body of the specialized [`DelayEngine::quantize_row`]
-/// overrides: `floor(x + ½)` rounding clamped to `[0, echo_len)`, exactly
-/// the default `delay_index_from` arithmetic, plus a clamp count for
-/// engines that keep rounding telemetry. One definition so the engines
-/// cannot drift from each other (or from the scalar rounding stage).
+/// The shared branch-free body of the specialized
+/// [`DelayEngine::quantize_row`] overrides: `floor(x + ½)` rounding
+/// clamped to `[0, echo_len)`, exactly the default `delay_index_from`
+/// arithmetic, plus a clamp count for engines that keep rounding
+/// telemetry. One definition so the engines cannot drift from each other
+/// (or from the scalar rounding stage).
 #[inline]
 pub(crate) fn quantize_row_clamped(echo_len: usize, row: &[f64], out: &mut [i32]) -> u64 {
     assert_eq!(row.len(), out.len(), "index row must match delay row");
@@ -213,23 +214,28 @@ pub(crate) fn quantize_row_clamped(echo_len: usize, row: &[f64], out: &mut [i32]
         echo_len as u64 <= i32::MAX as u64,
         "echo buffer too long for i32 indices"
     );
+    // Adding 2⁵² to an integer-valued f64 in [0, 2³¹) leaves the integer
+    // in the low mantissa bits.
+    const BIAS: f64 = (1u64 << 52) as f64;
     let hi = (echo_len - 1) as f64;
     let lim = echo_len as f64;
     let mut clamps = 0u64;
     for (o, &s) in out.iter_mut().zip(row) {
-        // Clamp in float space, then truncate. This avoids both `floor`
-        // (a libm call on baseline x86-64 — no `roundpd` below SSE4.1)
-        // and the f64→i64 conversion (no packed form below AVX-512), so
-        // the loop autovectorizes. It is bit-identical to the default
-        // `floor(x+½).clamp(0, hi)` path: after the clamp every value is
-        // non-negative, where truncation *is* floor; `max` maps NaN to 0
-        // like the saturating int cast does; and a fetch is out of
-        // window exactly when `x+½ < 0` (floor < 0) or `x+½ ≥ echo_len`
-        // (floor > hi), which is the clamp-telemetry condition below.
+        // Floor and clamp in float space, then read the integer out of
+        // the biased value's bits. The saturating `f64 as i32` cast keeps
+        // the loop scalar even on x86-64-v3 (its NaN and range fix-ups
+        // have no packed form); `floor` (`vroundpd`), `max`/`min` and the
+        // bias add are all packed ops, so this loop vectorizes. It is
+        // bit-identical to the default `floor(x+½).clamp(0, hi)` path:
+        // `max` maps NaN to 0 like the saturating int cast does, and the
+        // clamped value is an integer in `[0, hi]`, so `z + 2⁵²` is exact
+        // and its low 32 bits are `z`. A fetch is out of window exactly
+        // when `x+½ < 0` (floor < 0) or `x+½ ≥ echo_len` (floor > hi),
+        // which is the clamp-telemetry condition below.
         let y = s + 0.5;
-        let z = y.max(0.0).min(hi);
+        let z = y.floor().max(0.0).min(hi);
         clamps += u64::from((y < 0.0) | (y >= lim));
-        *o = z as i32;
+        *o = (z + BIAS).to_bits() as i32;
     }
     clamps
 }

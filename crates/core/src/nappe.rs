@@ -38,7 +38,7 @@ pub struct NappeDelays {
     row_args: Vec<f64>,
     line_args: Vec<f64>,
     line_vals: Vec<f64>,
-    row_regs: Vec<i64>,
+    row_regs: Vec<f64>,
 }
 
 impl PartialEq for NappeDelays {
@@ -65,9 +65,10 @@ pub struct FillBuffers<'a> {
     pub line_args: &'a mut [f64],
     /// Per-scanline value scratch (`scanlines` slots).
     pub line_vals: &'a mut [f64],
-    /// One element-row of integer register scratch (`elements_nx`
-    /// slots).
-    pub row_regs: &'a mut [i64],
+    /// One element-row of register scratch (`elements_nx` slots):
+    /// TABLESTEER's per-scanline x-corrections, held as integer-valued
+    /// `f64`s.
+    pub row_regs: &'a mut [f64],
 }
 
 impl NappeDelays {
@@ -98,7 +99,7 @@ impl NappeDelays {
             row_args: vec![0.0; n_elements],
             line_args: vec![0.0; tile.scanlines()],
             line_vals: vec![0.0; tile.scanlines()],
-            row_regs: vec![0; spec.elements.nx()],
+            row_regs: vec![0.0; spec.elements.nx()],
         }
     }
 
@@ -222,8 +223,9 @@ impl NappeDelays {
 
     /// Like [`begin_fill`](Self::begin_fill), but also hands out the
     /// slab's preallocated scratch rows — the warm state engines with a
-    /// batched datapath (TABLEFREE's argument rows, TABLESTEER's
-    /// correction registers) use so a warm refill allocates nothing.
+    /// batched datapath (TABLEFREE's argument rows, TABLESTEER's unfolded
+    /// reference row and correction registers) use so a warm refill
+    /// allocates nothing.
     ///
     /// # Panics
     ///

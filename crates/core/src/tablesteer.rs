@@ -2,7 +2,7 @@
 
 use crate::{DelayEngine, EngineError, NappeDelays};
 use std::sync::atomic::{AtomicU64, Ordering};
-use usbf_fixed::{Fixed, QFormat, RoundingMode};
+use usbf_fixed::{Fixed, FixedError, QFormat, RoundingMode};
 use usbf_geometry::{ElementIndex, SystemSpec, VoxelIndex};
 use usbf_tables::{fold_coord, ReferenceTable, SteeringTables};
 
@@ -158,9 +158,16 @@ pub struct TableSteerEngine {
 /// chain: every operand of a batched fill shares the same three formats,
 /// so the alignment shifts of [`Fixed::wide_add`] and the output scale of
 /// [`Fixed::to_f64`] are fixed per engine. With them, one element is
-/// `((((r << sh_r) + (cx << sh_c1)) << sh_12) + ((cy + Δtx) << sh_c2)) ·
-/// res` — the identical raw integers through the identical shifts, so the
-/// final `f64`s match the scalar chain bit for bit.
+/// `((r << (sh_r + sh_12)) + (cx << (sh_c1 + sh_12)) + ((cy + Δtx) <<
+/// sh_c2)) · res` — the scalar chain's raw integers through the same
+/// shifts (a shift distributes over an integer add), so the final `f64`s
+/// match it bit for bit.
+///
+/// The batched fills run those adds on integer-valued `f64`s rather than
+/// `i64`s, which is exact only while every partial sum stays below 2⁵³ in
+/// magnitude. The partial sums all fit the final sum format `f3`, so the
+/// chain requires `f3` to be at most 53 bits wide; [`SumChain::new`]
+/// rejects wider formats, and with them the engine.
 #[derive(Debug, Clone, Copy)]
 struct SumChain {
     /// Reference → `f1 = ref + cx` alignment.
@@ -178,20 +185,34 @@ struct SumChain {
     res: f64,
 }
 
+/// Widest final sum format whose raw integers (and every partial sum on
+/// the way to them) an `f64` holds exactly.
+const F64_EXACT_BITS: u32 = f64::MANTISSA_DIGITS;
+
 impl SumChain {
-    fn new(config: &TableSteerConfig) -> Self {
+    /// Derives the chain from the engine's formats.
+    ///
+    /// # Errors
+    ///
+    /// [`FixedError::Overflow`] naming `f3` when the final sum format is
+    /// wider than 53 bits, where integer-valued `f64` adds stop being
+    /// exact.
+    fn new(config: &TableSteerConfig) -> Result<Self, FixedError> {
         let (r, c) = (config.reference_format, config.correction_format);
         let f1 = QFormat::sum_format(r, c);
         let f2 = QFormat::sum_format(f1, c);
         let f3 = QFormat::sum_format(f2, c);
         debug_assert_eq!(f3.frac_bits(), f2.frac_bits());
-        SumChain {
+        if f3.total_bits() > F64_EXACT_BITS {
+            return Err(FixedError::Overflow { format: f3 });
+        }
+        Ok(SumChain {
             sh_r: f1.frac_bits() - r.frac_bits(),
             sh_c1: f1.frac_bits() - c.frac_bits(),
             sh_12: f2.frac_bits() - f1.frac_bits(),
             sh_c2: f2.frac_bits() - c.frac_bits(),
             res: f3.resolution(),
-        }
+        })
     }
 }
 
@@ -221,8 +242,10 @@ impl TableSteerEngine {
     ///
     /// Returns a fixed-point overflow error if a delay or correction does
     /// not fit the configured formats (e.g. a geometry whose delays exceed
-    /// 13 integer bits).
+    /// 13 integer bits), or if the formats' final sum is wider than the 53
+    /// bits the batched fills add exactly in `f64`.
     pub fn new(spec: &SystemSpec, config: TableSteerConfig) -> Result<Self, EngineError> {
+        let chain = SumChain::new(&config)?;
         let reference = ReferenceTable::build(spec);
         let steering = SteeringTables::build(spec);
         // Quantize the folded reference storage once; indexed through the
@@ -267,7 +290,7 @@ impl TableSteerEngine {
             fold_x,
             fold_y,
             cy_fixed,
-            chain: SumChain::new(&config),
+            chain,
             echo_len: spec.echo_buffer_len(),
             clamp_events: AtomicU64::new(0),
         })
@@ -356,21 +379,27 @@ impl TableSteerEngine {
     /// of a block never change: the quadrant fold maps and the quantized
     /// y-corrections are depth-independent and cached at construction,
     /// and the quantized x-corrections are built once per scanline
-    /// **row** (`nx` conversions, pre-shifted into the slab's
-    /// preallocated `row_regs` scratch, so a warm refill allocates
-    /// nothing) instead of `2·nx·ny` float→fixed conversions per
-    /// scanline; the reference BRAM is read as one contiguous nappe
-    /// slice, exactly what the §V-B circular buffer streams. The chain
-    /// itself runs on the hoisted raw arithmetic of [`SumChain`].
+    /// **row** (`nx` conversions) instead of `2·nx·ny` float→fixed
+    /// conversions per scanline; the reference BRAM is read as one
+    /// nappe slice, exactly what the §V-B circular buffer streams.
+    ///
+    /// The chain runs as packed `f64` adds on the raw integers of
+    /// [`SumChain`]. The nappe's folded reference slice is unfolded once
+    /// per call into the slab's `row_args` scratch as `r << (sh_r +
+    /// sh_12)`, and each scanline's x-corrections go into `row_regs` as
+    /// `cx << (sh_c1 + sh_12)` (both preallocated with the slab, so a
+    /// warm refill allocates nothing). One element is then
+    /// `((ref + cx) + row_const) · scale`: integer-valued `f64`s below
+    /// 2⁵³ add exactly, so every sum equals the scalar chain's `i64` sum
+    /// and the closing multiply is the scalar chain's `raw as f64 · res`.
     ///
     /// With `with_tx` (the fused transmit-0 fill), transmit 0's Δtx — a
     /// per-scanline constant at a fixed nappe depth — folds into the
     /// per-row constant alongside the y-correction, so the fourth add of
     /// the scalar chain costs **nothing** in the inner loop, and each raw
     /// sum is scaled to samples. Without it (the receive-leg fill) the
-    /// rows hold the **pre-scale raw** sums as `f64` (engine-defined
-    /// intermediates, not delays; the i64 → f64 conversion is exact for
-    /// these ~21-bit integers): Δtx and the scale move into
+    /// rows hold the **pre-scale raw** sums (engine-defined
+    /// intermediates, not delays): Δtx and the scale move into
     /// [`combine_tx_row`](DelayEngine::combine_tx_row).
     fn fill_rows(
         &self,
@@ -396,16 +425,23 @@ impl TableSteerEngine {
         let ref_slice = &self.ref_fixed[nappe_idx * qy * qx..(nappe_idx + 1) * qy * qx];
         let bufs = out.begin_fill_scratch(nappe_idx);
         let buf = bufs.samples;
+        let refs = &mut bufs.row_args[..n_elements];
+        for (ref_row, &fy) in refs.chunks_exact_mut(nx).zip(&self.fold_y) {
+            let folded = &ref_slice[fy * qx..(fy + 1) * qx];
+            for (r, &fx) in ref_row.iter_mut().zip(&self.fold_x) {
+                *r = (folded[fx].raw() << (sh_r + sh_12)) as f64;
+            }
+        }
         let cx = &mut bufs.row_regs[..nx];
         for (slot, it, ip) in tile.iter_scanlines() {
             for (ix, c) in cx.iter_mut().enumerate() {
-                *c = Fixed::saturating_from_f64(
+                let raw = Fixed::saturating_from_f64(
                     -self.steering.x_term_samples(ix, it, ip),
                     fmt,
                     RoundingMode::Nearest,
                 )
-                .raw()
-                    << sh_c1;
+                .raw();
+                *c = (raw << (sh_c1 + sh_12)) as f64;
             }
             let dtx = if with_tx {
                 self.dtx_fixed(0, VoxelIndex::new(it, ip, nappe_idx)).raw() << sh_c2
@@ -414,13 +450,14 @@ impl TableSteerEngine {
             };
             let cy_col = &self.cy_fixed[ip * ny..(ip + 1) * ny];
             let row = &mut buf[slot * n_elements..(slot + 1) * n_elements];
-            for (iy, chunk) in row.chunks_mut(nx).enumerate() {
-                let ref_row = &ref_slice[self.fold_y[iy] * qx..];
-                let row_const = (cy_col[iy].raw() << sh_c2) + dtx;
-                for (ix, value) in chunk.iter_mut().enumerate() {
-                    let r = ref_row[self.fold_x[ix]].raw();
-                    let raw = (((r << sh_r) + cx[ix]) << sh_12) + row_const;
-                    *value = raw as f64 * scale;
+            for ((chunk, ref_row), cy) in row
+                .chunks_exact_mut(nx)
+                .zip(refs.chunks_exact(nx))
+                .zip(cy_col)
+            {
+                let row_const = ((cy.raw() << sh_c2) + dtx) as f64;
+                for ((value, &r), &c) in chunk.iter_mut().zip(ref_row).zip(&*cx) {
+                    *value = ((r + c) + row_const) * scale;
                 }
             }
             consume(slot, row);
@@ -507,9 +544,10 @@ impl DelayEngine for TableSteerEngine {
     /// Transmit combine: adds the pre-shifted raw transmit correction and
     /// applies the final scale — `(rx_raw + Δtx_raw) · res`. Bit-identical
     /// to the scalar chain because both addends are integer-valued `f64`s
-    /// far below 2⁵³, so the float add reproduces the raw i64 add exactly,
-    /// and the closing multiply is the identical operation on the
-    /// identical value.
+    /// below 2⁵³ (a precondition checked at construction),
+    /// so the float add reproduces the raw i64 add exactly, and the
+    /// closing multiply is the identical operation on the identical
+    /// value.
     fn combine_tx_row(&self, tx: usize, vox: VoxelIndex, rx_row: &[f64], out: &mut [f64]) {
         assert_eq!(rx_row.len(), out.len(), "combine row length mismatch");
         let SumChain { sh_c2, res, .. } = self.chain;
@@ -816,6 +854,34 @@ mod tests {
         ] {
             let ts = TableSteerEngine::new(&spec, config).unwrap();
             crate::engine::assert_rx_combine_matches_scalar(&ts, &spec, &[0, 9, 15]);
+        }
+    }
+
+    #[test]
+    fn sum_formats_wider_than_f64_mantissa_are_rejected() {
+        // The batched fills add raw integers as f64s, exact only while
+        // the final sum format `f3` is at most 53 bits wide. Reference
+        // u45.4 + three s13.4 corrections sums into s48.4 (53 bits, the
+        // widest accepted); one more reference integer bit gives s49.4.
+        let spec = SystemSpec::tiny();
+        let config = |int_bits| TableSteerConfig {
+            reference_format: QFormat::unsigned(int_bits, 4),
+            correction_format: QFormat::CORR_18,
+        };
+        let widest = TableSteerEngine::new(&spec, config(45)).expect("53-bit sum builds");
+        let mut batched = NappeDelays::full(&spec);
+        let mut scalar = NappeDelays::full(&spec);
+        widest.fill_nappe(9, &mut batched);
+        scalar.fill_scalar(&widest, 0, 9);
+        assert_eq!(batched, scalar);
+        for int_bits in [46, 50, 54] {
+            let err = TableSteerEngine::new(&spec, config(int_bits)).unwrap_err();
+            let f3 = QFormat::signed(int_bits + 3, 4);
+            assert_eq!(
+                err,
+                EngineError::Fixed(FixedError::Overflow { format: f3 }),
+                "u{int_bits}.4 reference"
+            );
         }
     }
 

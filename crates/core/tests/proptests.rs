@@ -15,8 +15,17 @@ use std::sync::OnceLock;
 /// A randomized tiny geometry with the paper's physical extents: small
 /// enough that all four engines build and fill in microseconds, varied
 /// enough that slab layouts, fold maps and PWL walks see every
-/// even/odd × wide/narrow combination.
-fn random_spec(nx: usize, ny: usize, n_theta: usize, n_phi: usize, n_depth: usize) -> SystemSpec {
+/// even/odd × wide/narrow combination. `origin` places the array
+/// origin: on axis TABLESTEER folds its reference table, off axis it
+/// stores it whole.
+fn random_spec(
+    nx: usize,
+    ny: usize,
+    n_theta: usize,
+    n_phi: usize,
+    n_depth: usize,
+    origin: Vec3,
+) -> SystemSpec {
     let fc = 4.0e6;
     let lambda = SPEED_OF_SOUND / fc;
     SystemSpec::new(
@@ -37,9 +46,29 @@ fn random_spec(nx: usize, ny: usize, n_theta: usize, n_phi: usize, n_depth: usiz
             n_phi,
             n_depth,
         },
-        Vec3::ZERO,
+        origin,
         15.0,
     )
+}
+
+/// An array origin from a proptest integer: on axis for even `pick`,
+/// else off axis by a nonzero offset in each of x and y (±0.125 to
+/// ±0.875 mm, the scale of the random arrays).
+fn random_origin(pick: usize) -> Vec3 {
+    if pick.is_multiple_of(2) {
+        return Vec3::ZERO;
+    }
+    let offset = |k: usize| ((k % 8) as f64 - 3.5) * 0.25e-3;
+    Vec3::new(offset(pick / 2), offset(pick / 16), 0.0)
+}
+
+/// One of the three TABLESTEER fixed-point configurations.
+fn random_tablesteer_config(pick: usize) -> TableSteerConfig {
+    match pick % 3 {
+        0 => TableSteerConfig::bits18(),
+        1 => TableSteerConfig::bits14(),
+        _ => TableSteerConfig::int13(),
+    }
 }
 
 /// A random transmit sequence mixing steered plane waves with the
@@ -70,6 +99,7 @@ fn random_span(n: usize, a: usize, b: usize) -> (usize, usize) {
 struct Fixture {
     spec: SystemSpec,
     exact: ExactEngine,
+    naive: NaiveTableEngine,
     tablefree: TableFreeEngine,
     tablesteer: TableSteerEngine,
     bound_samples: f64,
@@ -81,6 +111,7 @@ fn fixture() -> &'static Fixture {
         let spec = SystemSpec::tiny();
         Fixture {
             exact: ExactEngine::new(&spec),
+            naive: NaiveTableEngine::build(&spec, u64::MAX).expect("tiny table fits"),
             tablefree: TableFreeEngine::new(&spec, TableFreeConfig::paper()).expect("builds"),
             tablesteer: TableSteerEngine::new(&spec, TableSteerConfig::bits18()).expect("builds"),
             bound_samples: spec.seconds_to_samples(theoretical_bound_seconds(&spec)),
@@ -89,7 +120,83 @@ fn fixture() -> &'static Fixture {
     })
 }
 
+/// One rounding-stage input from a 64-bit draw: mostly finite delays in
+/// `±2·echo_len`, with every edge of the `floor(x + ½)` clamp mixed in —
+/// NaN, ±∞, ±0, exact half-integers and both window edges (`−½` and
+/// `echo_len − ½`) with their next-lower neighbours.
+fn rounding_input(draw: u64, echo_len: usize) -> f64 {
+    let n = echo_len as f64;
+    let unit = (draw >> 11) as f64 / (1u64 << 53) as f64;
+    match draw % 16 {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => 0.0,
+        4 => -0.0,
+        5 => (unit * 4.0 * n).floor() - 2.0 * n + 0.5,
+        6 => -0.5,
+        7 => f64::next_down(-0.5),
+        8 => n - 0.5,
+        9 => f64::next_down(n - 0.5),
+        _ => (unit * 2.0 - 1.0) * 2.0 * n,
+    }
+}
+
+/// SplitMix64: a deterministic stream of draws from one proptest seed.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 proptest! {
+    #[test]
+    fn quantize_row_equals_per_element_rounding_for_every_engine(
+        seed in any::<u64>(),
+        len in 1usize..70,
+    ) {
+        // The batched rounding stage against its scalar definition, on
+        // rows long and short enough to hit both the vector body and the
+        // scalar tail of the loop. TABLESTEER runs on fresh clones (zeroed
+        // counters), so its clamp telemetry can be compared exactly.
+        let f = fixture();
+        let mut state = seed;
+        let echo_len = f.exact.echo_buffer_len();
+        let row: Vec<f64> = (0..len)
+            .map(|_| rounding_input(splitmix(&mut state), echo_len))
+            .collect();
+        let batched_ts = f.tablesteer.clone();
+        let scalar_ts = f.tablesteer.clone();
+        let engines: [(&dyn DelayEngine, &dyn DelayEngine); 4] = [
+            (&f.exact, &f.exact),
+            (&f.naive, &f.naive),
+            (&f.tablefree, &f.tablefree),
+            (&batched_ts, &scalar_ts),
+        ];
+        for (batched, scalar) in engines {
+            prop_assert_eq!(batched.echo_buffer_len(), echo_len);
+            let mut out = vec![-1i32; len];
+            batched.quantize_row(&row, &mut out);
+            for (&x, &o) in row.iter().zip(&out) {
+                prop_assert_eq!(
+                    i64::from(o), scalar.delay_index_from(x),
+                    "{} rounds {:?} differently", batched.name(), x
+                );
+            }
+        }
+        let clamps = row
+            .iter()
+            .filter(|&&x| {
+                let idx = (x + 0.5).floor() as i64;
+                idx != idx.clamp(0, echo_len as i64 - 1)
+            })
+            .count() as u64;
+        prop_assert_eq!(scalar_ts.clamp_events(), clamps);
+        prop_assert_eq!(batched_ts.clamp_events(), clamps, "row {:?}", row);
+    }
+
     #[test]
     fn tablefree_error_envelope_everywhere(
         vox_pick in 0usize..100_000,
@@ -155,13 +262,17 @@ proptest! {
         tile_theta in (0usize..1000, 0usize..1000),
         tile_phi in (0usize..1000, 0usize..1000),
         nappe_pick in 0usize..1000,
+        origin_pick in 0usize..1000,
+        config_pick in 0usize..3,
     ) {
-        let spec = random_spec(nx, ny, n_theta, n_phi, n_depth);
+        let origin = random_origin(origin_pick);
+        let spec = random_spec(nx, ny, n_theta, n_phi, n_depth, origin);
         let exact = ExactEngine::new(&spec);
         let naive = NaiveTableEngine::build(&spec, u64::MAX).expect("tiny table fits");
         let tablefree = TableFreeEngine::new(&spec, TableFreeConfig::paper()).expect("builds");
-        let tablesteer =
-            TableSteerEngine::new(&spec, TableSteerConfig::bits18()).expect("builds");
+        let config = random_tablesteer_config(config_pick);
+        let tablesteer = TableSteerEngine::new(&spec, config).expect("builds");
+        prop_assert_eq!(tablesteer.reference().is_folded(), origin == Vec3::ZERO);
         let (theta_start, theta_end) = random_span(n_theta, tile_theta.0, tile_theta.1);
         let (phi_start, phi_end) = random_span(n_phi, tile_phi.0, tile_phi.1);
         let tile = Tile { theta_start, theta_end, phi_start, phi_end };
@@ -173,8 +284,8 @@ proptest! {
             scalar.fill_scalar(engine, 0, nappe);
             prop_assert_eq!(
                 batched.samples(), scalar.samples(),
-                "{} {}x{} elements, {}x{}x{} fan, tile {:?}, nappe {}",
-                engine.name(), nx, ny, n_theta, n_phi, n_depth, tile, nappe
+                "{} {}x{} elements, {}x{}x{} fan, tile {:?}, nappe {}, origin {:?}, {:?}",
+                engine.name(), nx, ny, n_theta, n_phi, n_depth, tile, nappe, origin, config
             );
         }
     }
@@ -189,6 +300,8 @@ proptest! {
         tile_theta in (0usize..1000, 0usize..1000),
         tile_phi in (0usize..1000, 0usize..1000),
         nappe_pick in 0usize..1000,
+        origin_pick in 0usize..1000,
+        config_pick in 0usize..3,
         n_tx in 1usize..5,
         kinds in 0usize..16,
         angle_a in 0usize..1000,
@@ -200,12 +313,15 @@ proptest! {
         // streamed fill must do the same for transmit 0 and deliver each
         // row exactly once, in slot order, equal to the slab row.
         let transmits = random_transmits(n_tx, kinds, angle_a, angle_b);
-        let spec = random_spec(nx, ny, n_theta, n_phi, n_depth).with_transmits(transmits);
+        let origin = random_origin(origin_pick);
+        let spec =
+            random_spec(nx, ny, n_theta, n_phi, n_depth, origin).with_transmits(transmits);
         let exact = ExactEngine::new(&spec);
         let naive = NaiveTableEngine::build(&spec, u64::MAX).expect("tiny table fits");
         let tablefree = TableFreeEngine::new(&spec, TableFreeConfig::paper()).expect("builds");
-        let tablesteer =
-            TableSteerEngine::new(&spec, TableSteerConfig::bits18()).expect("builds");
+        let config = random_tablesteer_config(config_pick);
+        let tablesteer = TableSteerEngine::new(&spec, config).expect("builds");
+        prop_assert_eq!(tablesteer.reference().is_folded(), origin == Vec3::ZERO);
         let (theta_start, theta_end) = random_span(n_theta, tile_theta.0, tile_theta.1);
         let (phi_start, phi_end) = random_span(n_phi, tile_phi.0, tile_phi.1);
         let tile = Tile { theta_start, theta_end, phi_start, phi_end };
@@ -223,8 +339,9 @@ proptest! {
                     engine.combine_tx_row(tx, vox, rx.row(slot), &mut combined);
                     prop_assert_eq!(
                         combined.as_slice(), scalar.row(slot),
-                        "{} tx {}/{} slot {} on {}x{} elements, {}x{}x{} fan, tile {:?}, nappe {}",
-                        engine.name(), tx, n_tx, slot, nx, ny, n_theta, n_phi, n_depth, tile, nappe
+                        "{} tx {}/{} slot {} on {}x{} elements, {}x{}x{} fan, tile {:?}, nappe {}, origin {:?}, {:?}",
+                        engine.name(), tx, n_tx, slot, nx, ny, n_theta, n_phi, n_depth, tile, nappe,
+                        origin, config
                     );
                 }
             }
@@ -264,7 +381,7 @@ proptest! {
         // for — scanlines × (elements + 1 transmit eval unless exact) —
         // while the scalar walk pays the transmit eval per element; both
         // formulas are part of the engine's telemetry contract.
-        let spec = random_spec(nx, ny, n_theta, n_phi, n_depth);
+        let spec = random_spec(nx, ny, n_theta, n_phi, n_depth, Vec3::ZERO);
         let config = TableFreeConfig { exact_transmit, ..TableFreeConfig::paper() };
         let tablefree = TableFreeEngine::new(&spec, config).expect("builds");
         let (theta_start, theta_end) = random_span(n_theta, tile_theta.0, tile_theta.1);
@@ -297,7 +414,7 @@ proptest! {
         n_phi in 1usize..17,
         target_tiles in 1usize..40,
     ) {
-        let spec = random_spec(2, 2, n_theta, n_phi, 4);
+        let spec = random_spec(2, 2, n_theta, n_phi, 4, Vec3::ZERO);
         let schedule = NappeSchedule::fitted(&spec, target_tiles);
         let mut covered = vec![0u32; n_theta * n_phi];
         for tile in schedule.tiles() {
