@@ -2,15 +2,20 @@
 //!
 //! The volume path mirrors the paper's architecture: delays are consumed
 //! as per-nappe slabs ([`DelayEngine::fill_nappe`]) rather than per-voxel
-//! queries, and the steering fan is split into [`NappeSchedule`] tiles
-//! beamformed in parallel — each worker owns one tile's slab and walks
-//! the nappes in depth order, exactly like a Fig. 4 block bound to its
-//! correction registers. The output volume is bit-identical to the scalar
-//! per-voxel path, which is kept as the reference implementation (and as
-//! the executed path for scanline-by-scanline traversal).
+//! queries, and the steering fan is split into [`NappeSchedule`] tiles,
+//! each filled like a Fig. 4 block bound to its correction registers.
+//! The parallel tasks are either those tiles (walking every nappe) or,
+//! for single-transmit raw frames in the warm runtimes, whole-fan depth
+//! bands whose slab visits every tile per nappe — so each channel's echo
+//! samples for a nappe are read in one pass, the paper's nappe-major
+//! streaming applied to the echo buffer. The output volume is
+//! bit-identical to the scalar per-voxel path, which is kept as the
+//! reference implementation (and as the executed path for
+//! scanline-by-scanline traversal).
 
 use crate::postproc::{PostChain, PostScratch};
 use crate::{ActiveAperture, Apodization, BeamformedVolume};
+use std::ops::Range;
 use usbf_core::{DelayEngine, NappeDelays, NappeSchedule, Tile};
 use usbf_geometry::scan::ScanOrder;
 use usbf_geometry::{ElementIndex, SystemSpec, VoxelIndex};
@@ -26,62 +31,127 @@ pub(crate) fn pool_fitted_schedule(
     NappeSchedule::fitted(spec, pool.threads().max(1) * 4)
 }
 
-/// Scatters one tile's beamformed values (in
-/// `[scanline-within-tile][depth]` order) into the output volume — the
-/// single copy of the tile→volume layout mapping, shared by the cold
-/// tiled path, [`VolumeLoop`](crate::VolumeLoop) and
-/// [`FramePipeline`](crate::FramePipeline) so all three stay
-/// bit-identical by construction.
-pub(crate) fn scatter_tile(out: &mut BeamformedVolume, tile: Tile, values: &[f64], n_depth: usize) {
-    for (slot, it, ip) in tile.iter_scanlines() {
-        let column = &values[slot * n_depth..(slot + 1) * n_depth];
-        for (id, &v) in column.iter().enumerate() {
-            out.set(VoxelIndex::new(it, ip, id), v);
+/// The depth bands a single-transmit raw frame is split into on a pool
+/// of `workers`: two per worker (so a worker that finishes early can
+/// claim a second band), never more than the volume has nappes. Each
+/// band is one task over the whole fan.
+pub(crate) fn depth_bands(n_depth: usize, workers: usize) -> impl Iterator<Item = Range<usize>> {
+    let n = (2 * workers.max(1)).min(n_depth);
+    (0..n).map(move |b| b * n_depth / n..(b + 1) * n_depth / n)
+}
+
+/// Builds a runtime's warm task states for one frame shape. A
+/// single-transmit frame with raw output runs as whole-fan depth bands
+/// ([`depth_bands`]), each band's slab re-pointed at every schedule tile
+/// in turn; compound frames (whose receive leg is reused across
+/// transmits) and post-processed frames (whose chain needs whole depth
+/// columns) run one task per schedule tile over every nappe. The only
+/// place the task shape is chosen.
+pub(crate) fn warm_task_states(
+    beamformer: &Beamformer,
+    tiles: &[Tile],
+    workers: usize,
+) -> Vec<TileState> {
+    let spec = beamformer.spec();
+    if spec.n_transmits() == 1 && beamformer.postproc().is_empty() {
+        depth_bands(spec.volume_grid.n_depth(), workers)
+            .map(|band| TileState::band(beamformer, tiles, band))
+            .collect()
+    } else {
+        tiles
+            .iter()
+            .map(|&tile| TileState::new(beamformer, tile))
+            .collect()
+    }
+}
+
+/// Scatters every task's staged values into the output volume, in task
+/// order — the deterministic sequential merge every runtime ends a frame
+/// with, and the single copy of the task→volume layout mapping. Each
+/// state's `values` hold `[scanline-in-region][nappe-in-band]`; a
+/// column's band is contiguous in the volume's depth-inner layout.
+pub(crate) fn scatter_tasks(out: &mut BeamformedVolume, states: &[TileState]) {
+    for state in states {
+        let band = state.nappes();
+        for (column, (_, it, ip)) in state
+            .values
+            .chunks_exact(band.len())
+            .zip(state.region.iter_scanlines())
+        {
+            for (id, &v) in band.clone().zip(column) {
+                out.set(VoxelIndex::new(it, ip, id), v);
+            }
         }
     }
 }
 
-/// Warm per-tile state: one task's delay slab, output staging buffer and
+/// Warm per-task state: one task's delay slab, output staging buffer and
 /// the kernel's scratch, allocated once at construction and refilled
-/// every frame. The kernel's block holds one (nappe, transmit)'s worth of
-/// quantized indices (or fractional delays) for up to every scanline of
-/// the tile, with one accumulator per block row and a `live` map from
-/// block rows back to scanlines — the voxel-parallel block it sums one
-/// channel at a time. One definition shared by
-/// [`VolumeLoop`](crate::VolumeLoop) and
+/// every frame.
+///
+/// A task beamforms a depth band (`nappes`) over a fan region (`region`),
+/// tiled by one or more schedule tiles of one shape. Its slab stays one
+/// schedule tile in size and is re-pointed at each of them in turn
+/// ([`NappeDelays::retarget`]), so the engines' per-(tile, nappe) fill
+/// is the same whatever the task shape. [`TileState::new`] builds the
+/// fan-tile task (one schedule tile, every nappe); [`TileState::band`]
+/// builds any other.
+///
+/// The kernel's block holds one (nappe, transmit)'s worth of quantized
+/// indices (or fractional delays) for up to every scanline of the
+/// region, in channel-interleaved groups of rows, with one accumulator
+/// per block row and a `live` map from block rows back to scanlines.
+/// One definition shared by [`VolumeLoop`](crate::VolumeLoop) and
 /// [`FramePipeline`](crate::FramePipeline) (and through the latter,
 /// [`ShardedRuntime`](crate::ShardedRuntime)), so the warm-state shape
 /// (and with it the bit-identical-to-serial invariant) cannot drift
 /// between the runtimes.
 pub struct TileState {
     pub(crate) slab: NappeDelays,
+    /// The fan region the task covers: the union of `tiles`.
+    region: Tile,
+    /// The nappes the task covers.
+    nappes: Range<usize>,
+    /// The schedule tiles the slab is re-pointed at, in the order given.
+    tiles: Vec<Tile>,
+    /// Output, `[scanline-in-region][nappe-in-band]`.
     pub(crate) values: Vec<f64>,
     /// Active elements' delays of one row, compacted out of a full
     /// element row before quantization (bypassed when the aperture is
     /// full — the row is already the active row).
     pub(crate) delays: Vec<f64>,
-    /// Nearest kernel: quantized echo-buffer indices,
-    /// `[block row][active]` row-major — one
-    /// [`DelayEngine::quantize_row`] call writes each row. Empty for
+    /// Nearest kernel: quantized echo-buffer indices in the grouped
+    /// `[group][channel][row-in-group]` layout (see [`Fetch::GROUP`]),
+    /// plus one group's slack for aligning it to a cache line. Empty for
     /// linear interpolation.
     pub(crate) index_block: Vec<i32>,
-    /// Linear kernel: compacted fractional delays, same
-    /// `[block row][active]` shape. Empty for nearest interpolation.
+    /// Nearest kernel: one group of packed rows, `[row-in-group][active]`
+    /// — [`DelayEngine::quantize_row`] writes each row here, and a full
+    /// group is transposed into `index_block` in one pass.
+    index_staging: Vec<i32>,
+    /// Linear kernel: compacted fractional delays, same grouped layout as
+    /// `index_block`. Empty for nearest interpolation.
     pub(crate) delay_block: Vec<f64>,
+    /// Linear kernel: one group of packed rows, like `index_staging`.
+    delay_staging: Vec<f64>,
+    /// Per active channel, the lowest sample index the block's rows
+    /// read, then per active channel the highest: the windows the kernel
+    /// prefetches.
+    windows: Vec<i32>,
     /// One running sum per block row: the kernel's independent
     /// accumulator chains.
     pub(crate) acc: Vec<f64>,
-    /// The scanline slot each block row belongs to: only insonified
+    /// The region slot each block row belongs to: only insonified
     /// (nonzero-weight) rows are packed into the block.
     pub(crate) live: Vec<u32>,
     /// One combined per-transmit delay row of a compound frame:
     /// [`DelayEngine::combine_tx_row`] writes the transmit term folded
     /// onto a receive-leg slab row here. Sized to the full element row.
     pub(crate) tx_row: Vec<f64>,
-    /// Mask weights, `[transmit][scanline-within-tile][depth]` (same
-    /// inner layout as `values`): the per-voxel insonification weight of
-    /// each transmit, precomputed at construction so the warm accumulate
-    /// is a pure multiply-add with an explicit zero skip.
+    /// Mask weights, `[transmit][scanline-in-region][nappe-in-band]`
+    /// (same inner layout as `values`): the per-voxel insonification
+    /// weight of each transmit, precomputed at construction so the warm
+    /// accumulate is a pure multiply-add with an explicit zero skip.
     pub(crate) tx_weights: Vec<f64>,
     /// I/Q scratch for the fused post-processing chain (empty when the
     /// beamformer carries no chain).
@@ -89,44 +159,90 @@ pub struct TileState {
 }
 
 impl TileState {
-    /// Allocates the warm state for one schedule tile of `beamformer`'s
-    /// spec: the delay slab, the `[scanline][depth]` staging buffer, the
-    /// index (nearest) or delay (linear) block sized to the compacted
-    /// aperture, and every transmit's mask weights.
+    /// Allocates the warm state of a fan-tile task: one schedule tile of
+    /// `beamformer`'s spec over every nappe.
     #[must_use]
     pub fn new(beamformer: &Beamformer, tile: Tile) -> Self {
+        Self::band(
+            beamformer,
+            &[tile],
+            0..beamformer.spec().volume_grid.n_depth(),
+        )
+    }
+
+    /// Allocates the warm state of the task that beamforms the depth
+    /// band `nappes` over the fan region `tiles` partition: the delay
+    /// slab (one tile in size), the `[scanline][nappe]` values buffer,
+    /// the grouped index (nearest) or delay (linear) block and its
+    /// one-group staging buffer, sized to the region and the compacted
+    /// aperture, and every transmit's mask weights.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tiles` is empty, mixes tile shapes, or does not
+    /// exactly partition its bounding rectangle; if `nappes` is empty or
+    /// runs past the grid; if a compound sequence's task has more than
+    /// one tile (its receive leg is reused across transmits, so the slab
+    /// cannot move); or if a post-processing chain's task does not cover
+    /// every nappe (the chain filters whole depth columns).
+    #[must_use]
+    pub fn band(beamformer: &Beamformer, tiles: &[Tile], nappes: Range<usize>) -> Self {
         let spec = beamformer.spec();
-        let active = beamformer.aperture().len();
         let n_depth = spec.volume_grid.n_depth();
-        let n_values = tile.scanlines() * n_depth;
-        let block = tile.scanlines() * active;
+        let region = bounding_region(tiles);
+        assert!(
+            !nappes.is_empty() && nappes.end <= n_depth,
+            "nappes {nappes:?} outside the grid's {n_depth} depth steps"
+        );
+        assert!(
+            spec.n_transmits() == 1 || tiles.len() == 1,
+            "a compound task covers one schedule tile"
+        );
+        assert!(
+            beamformer.postproc().is_empty() || nappes == (0..n_depth),
+            "a post-processed task covers every nappe"
+        );
+        let active = beamformer.aperture().len();
+        let rows = region.scanlines();
+        let n_values = rows * nappes.len();
         let nearest = beamformer.interpolation == Interpolation::Nearest;
         // Precompute every transmit's per-voxel mask weight in the
         // `values` layout, so the warm accumulate never calls back into
         // geometry.
         let mut tx_weights = vec![0.0; spec.n_transmits() * n_values];
         for (tx, weights) in tx_weights.chunks_exact_mut(n_values).enumerate() {
-            for (slot, it, ip) in tile.iter_scanlines() {
-                for id in 0..n_depth {
+            for (column, (_, it, ip)) in weights
+                .chunks_exact_mut(nappes.len())
+                .zip(region.iter_scanlines())
+            {
+                for (w, id) in column.iter_mut().zip(nappes.clone()) {
                     let s = spec.volume_grid.position(VoxelIndex::new(it, ip, id));
-                    weights[slot * n_depth + id] = spec.transmit_weight(tx, s);
+                    *w = spec.transmit_weight(tx, s);
                 }
             }
         }
+        let block = |group: usize| block_len(rows, active, group);
+        let staging = |group: usize| group * active;
         TileState {
-            slab: NappeDelays::for_tile(spec, tile),
+            slab: NappeDelays::for_tile(spec, tiles[0]),
+            region,
+            nappes,
+            tiles: tiles.to_vec(),
             values: vec![0.0; n_values],
             delays: vec![0.0; active],
-            acc: vec![0.0; tile.scanlines()],
-            live: vec![0; tile.scanlines()],
+            acc: vec![0.0; rows],
+            live: vec![0; rows],
             tx_row: vec![0.0; spec.elements.count()],
             tx_weights,
-            // The block is allocated after the small row buffers: placed
-            // between them, it shifted glibc's heap layout so that a
+            windows: vec![0; 2 * active],
+            // The blocks are allocated after the small row buffers: placed
+            // between them, a block shifted glibc's heap layout so that a
             // pipeline's dropped RF ring stayed resident (+8 MB peak RSS
             // on the benchmark's cpwc16-tiny set-up, 2-vCPU x86-64).
-            index_block: vec![0; if nearest { block } else { 0 }],
-            delay_block: vec![0.0; if nearest { 0 } else { block }],
+            index_staging: vec![0; if nearest { staging(i32::GROUP) } else { 0 }],
+            delay_staging: vec![0.0; if nearest { 0 } else { staging(f64::GROUP) }],
+            index_block: vec![0; if nearest { block(i32::GROUP) } else { 0 }],
+            delay_block: vec![0.0; if nearest { 0 } else { block(f64::GROUP) }],
             post_scratch: if beamformer.postproc().is_empty() {
                 PostScratch::default()
             } else {
@@ -135,41 +251,71 @@ impl TileState {
         }
     }
 
-    /// The tile this state beamforms.
+    /// The fan region this task beamforms.
     #[inline]
-    pub fn tile(&self) -> Tile {
-        self.slab.tile()
+    pub fn region(&self) -> Tile {
+        self.region
     }
 
-    /// The staged output values in `[scanline-within-tile][depth]` order
-    /// (the layout the volume scatter consumes).
+    /// The nappes (depth indices) this task beamforms.
+    #[inline]
+    pub fn nappes(&self) -> Range<usize> {
+        self.nappes.clone()
+    }
+
+    /// The staged output values in `[scanline-in-region][nappe-in-band]`
+    /// order — scanlines in the region's slot order
+    /// ([`Tile::iter_scanlines`]), each holding one value per nappe of
+    /// [`nappes`](Self::nappes) (the layout the volume scatter and
+    /// [`VolumeView`](crate::VolumeView) consume).
     #[inline]
     pub fn values(&self) -> &[f64] {
         &self.values
     }
 }
 
-/// Builds the warm state for every tile of a schedule: the only place
-/// the slab/values/scratch sizing lives.
-pub(crate) fn warm_tile_states(beamformer: &Beamformer, tiles: &[Tile]) -> Vec<TileState> {
-    tiles
-        .iter()
-        .map(|&tile| TileState::new(beamformer, tile))
-        .collect()
+/// Entries of a grouped block over `rows` rows of `active` channels:
+/// whole groups, plus one group of slack so the kernel can start it on a
+/// cache line.
+fn block_len(rows: usize, active: usize, group: usize) -> usize {
+    (rows.div_ceil(group) * active + 1) * group
 }
 
-/// Scatters every tile's staged values into the output volume, in tile
-/// order — the deterministic sequential merge both runtimes end a frame
-/// with.
-pub(crate) fn scatter_tiles(
-    out: &mut BeamformedVolume,
-    tiles: &[Tile],
-    states: &[TileState],
-    n_depth: usize,
-) {
-    for (tile, state) in tiles.iter().zip(states) {
-        scatter_tile(out, *tile, &state.values, n_depth);
+/// The rectangle `tiles` partition.
+///
+/// # Panics
+///
+/// Panics if `tiles` is empty, mixes shapes, or leaves a gap or overlap.
+fn bounding_region(tiles: &[Tile]) -> Tile {
+    let first = *tiles.first().expect("a task needs at least one tile");
+    let region = tiles.iter().fold(first, |r, t| Tile {
+        theta_start: r.theta_start.min(t.theta_start),
+        theta_end: r.theta_end.max(t.theta_end),
+        phi_start: r.phi_start.min(t.phi_start),
+        phi_end: r.phi_end.max(t.phi_end),
+    });
+    let shape = |t: &Tile| (t.theta_end - t.theta_start, t.phi_end - t.phi_start);
+    let overlap = |a: &Tile, b: &Tile| {
+        a.theta_start < b.theta_end
+            && b.theta_start < a.theta_end
+            && a.phi_start < b.phi_end
+            && b.phi_start < a.phi_end
+    };
+    for (i, t) in tiles.iter().enumerate() {
+        assert_eq!(shape(t), shape(&first), "a task's tiles share one shape");
+        assert!(
+            tiles[..i].iter().all(|u| !overlap(t, u)),
+            "tiles overlap at {t:?}"
+        );
     }
+    // Disjoint tiles inside the rectangle cover it exactly when their
+    // areas add up to its area.
+    assert_eq!(
+        tiles.len() * first.scanlines(),
+        region.scanlines(),
+        "tiles must partition their bounding region {region:?}"
+    );
+    region
 }
 
 /// Channels the tile kernel prefetches ahead of the one it sums: far
@@ -183,6 +329,10 @@ const PREFETCH_AHEAD: usize = 8;
 /// and how a trace is read at an entry. The kernel is generic over it, so
 /// each mode compiles to its own monomorphized loop.
 trait Fetch: Copy {
+    /// Block rows per group: one channel's entries for a group fill one
+    /// 64-byte cache line.
+    const GROUP: usize = 64 / std::mem::size_of::<Self>();
+
     /// Whether packing runs the engine's rounding stage (and with it any
     /// rounding telemetry).
     const ROUNDS: bool;
@@ -203,6 +353,12 @@ trait Fetch: Copy {
 
     /// The sample index this entry reads near, for prefetching.
     fn index(self) -> i32;
+
+    /// Moves staged rows (`[row][active]`, at most [`GROUP`](Self::GROUP)
+    /// of them) into one group of the block (`[channel][row-in-group]`,
+    /// one line per channel), widening each channel's `lows`/`highs`
+    /// read window to cover the rows' indices.
+    fn transpose(staging: &[Self], group: &mut [Self], lows: &mut [i32], highs: &mut [i32]);
 }
 
 impl Fetch for i32 {
@@ -239,6 +395,10 @@ impl Fetch for i32 {
     #[inline(always)]
     fn index(self) -> i32 {
         self
+    }
+
+    fn transpose(staging: &[i32], group: &mut [i32], lows: &mut [i32], highs: &mut [i32]) {
+        transpose_group::<i32, 16>(staging, group, lows, highs);
     }
 }
 
@@ -282,12 +442,28 @@ impl Fetch for f64 {
     fn index(self) -> i32 {
         self as i32
     }
+
+    fn transpose(staging: &[f64], group: &mut [f64], lows: &mut [i32], highs: &mut [i32]) {
+        transpose_group::<f64, 8>(staging, group, lows, highs);
+    }
 }
 
 /// The kernel's per-(nappe, transmit) block under construction: rows are
-/// pushed in scanline order and the insonified ones packed densely.
+/// pushed in region order, the insonified ones packed densely into a
+/// one-group staging buffer, and each full group transposed into the
+/// grouped block.
+///
+/// The block is `[group][channel][row-in-group]`: one cache line per
+/// (group, channel), holding that channel's entries for [`Fetch::GROUP`]
+/// consecutive rows.
 struct Block<'a, T> {
+    /// The grouped block, starting on a cache line.
     rows: &'a mut [T],
+    /// One group of packed rows, `[row-in-group][active]`.
+    staging: &'a mut [T],
+    /// Per channel, the lowest index the block reads, then per channel
+    /// the highest.
+    windows: &'a mut [i32],
     live: &'a mut [u32],
     scratch: &'a mut [f64],
     /// Packed (live) rows so far.
@@ -295,8 +471,8 @@ struct Block<'a, T> {
 }
 
 impl<T: Fetch> Block<'_, T> {
-    /// Offers scanline `slot`'s delay row with mask weight `m`. A live
-    /// row is packed into the next free block row; a masked row is
+    /// Offers region slot `slot`'s delay row with mask weight `m`. A live
+    /// row is packed into the next free staging row; a masked row is
     /// dropped, unless `keep_masked` — then it is still packed into the
     /// next free row (which the next live row overwrites) so the engine's
     /// rounding telemetry counts it.
@@ -314,11 +490,92 @@ impl<T: Fetch> Block<'_, T> {
             return;
         }
         let active = aperture.len();
-        let out = &mut self.rows[self.len * active..(self.len + 1) * active];
+        let r = self.len % T::GROUP;
+        let out = &mut self.staging[r * active..(r + 1) * active];
         T::pack(engine, aperture, row, self.scratch, out);
         if m != 0.0 {
             self.live[self.len] = slot as u32;
             self.len += 1;
+            if self.len.is_multiple_of(T::GROUP) {
+                self.transpose(T::GROUP);
+            }
+        }
+    }
+
+    /// Transposes the last partial group, if any, and returns the number
+    /// of live rows.
+    fn finish(&mut self) -> usize {
+        let tail = self.len % T::GROUP;
+        if tail != 0 {
+            self.transpose(tail);
+        }
+        self.len
+    }
+
+    /// Moves the first `rows` staging rows into the block's group that
+    /// ends at row `len`, and widens each channel's read window to cover
+    /// them (starting the windows afresh at the block's first group).
+    fn transpose(&mut self, rows: usize) {
+        let active = self.windows.len() / 2;
+        let g = (self.len - rows) / T::GROUP;
+        let size = active * T::GROUP;
+        let (lows, highs) = self.windows.split_at_mut(active);
+        if g == 0 {
+            lows.fill(i32::MAX);
+            highs.fill(i32::MIN);
+        }
+        let group = &mut self.rows[g * size..(g + 1) * size];
+        T::transpose(&self.staging[..rows * active], group, lows, highs);
+    }
+}
+
+/// [`Fetch::transpose`] for a group of `N` rows (`N` = the type's
+/// [`Fetch::GROUP`]). The group is written one `N × N` square at a time
+/// — `N` channels × the staged rows — so the staging lines read and the
+/// block lines written stay in L1, and with `N` a constant the square's
+/// loops unroll and the window updates run across its channels as vector
+/// min/max.
+#[inline]
+fn transpose_group<T: Fetch, const N: usize>(
+    staging: &[T],
+    group: &mut [T],
+    lows: &mut [i32],
+    highs: &mut [i32],
+) {
+    debug_assert_eq!(N, T::GROUP);
+    let active = lows.len();
+    let (lines, _) = group.as_chunks_mut::<N>();
+    let squares = lines
+        .chunks_mut(N)
+        .zip(lows.chunks_mut(N).zip(highs.chunks_mut(N)));
+    for (c, (square, (lo, hi))) in squares.enumerate() {
+        let width = lo.len();
+        let rows = staging
+            .chunks_exact(active)
+            .map(|row| &row[c * N..][..width]);
+        if let (Ok(square), Ok(lo), Ok(hi)) = (
+            <&mut [[T; N]; N]>::try_from(&mut *square),
+            <&mut [i32; N]>::try_from(&mut *lo),
+            <&mut [i32; N]>::try_from(&mut *hi),
+        ) {
+            for (r, src) in rows.enumerate() {
+                let src = <&[T; N]>::try_from(src).expect("a whole square row");
+                for k in 0..N {
+                    square[k][r] = src[k];
+                    lo[k] = lo[k].min(src[k].index());
+                    hi[k] = hi[k].max(src[k].index());
+                }
+            }
+        } else {
+            // The aperture's last channels, fewer than `N`.
+            for (r, src) in rows.enumerate() {
+                let lanes = square.iter_mut().zip(lo.iter_mut().zip(hi.iter_mut()));
+                for ((line, (l, h)), &x) in lanes.zip(src) {
+                    line[r] = x;
+                    *l = (*l).min(x.index());
+                    *h = (*h).max(x.index());
+                }
+            }
         }
     }
 }
@@ -329,6 +586,15 @@ struct Scratch<'a> {
     acc: &'a mut [f64],
     live: &'a mut [u32],
     tx_row: &'a mut [f64],
+    windows: &'a mut [i32],
+}
+
+/// What a [`TileState`] covers, borrowed out of it for the kernel.
+struct Task<'a> {
+    slab: &'a mut NappeDelays,
+    region: Tile,
+    nappes: Range<usize>,
+    tiles: &'a [Tile],
 }
 
 /// How echo samples are fetched at the computed delay.
@@ -575,33 +841,32 @@ impl Beamformer {
             self.beamform_tile_into(engine, rf, &mut state);
             state
         });
-        let n_depth = self.spec.volume_grid.n_depth();
         let mut out = BeamformedVolume::zeros(&self.spec);
-        for (tile, state) in tiles.iter().zip(per_tile) {
-            scatter_tile(&mut out, *tile, &state.values, n_depth);
-        }
+        scatter_tasks(&mut out, &per_tile);
         out
     }
 
-    /// Beamforms one tile into caller-owned warm state ([`TileState`]):
-    /// the state's slab selects the fan region and its `values` buffer
-    /// receives the result in `[scanline-within-tile][depth]` order. This
-    /// is the allocation-free kernel [`VolumeLoop`](crate::VolumeLoop)
-    /// and [`FramePipeline`](crate::FramePipeline) drive every frame.
+    /// Beamforms one task into caller-owned warm state ([`TileState`]):
+    /// the state selects the fan region, the depth band and the schedule
+    /// tiles its slab visits, and its `values` buffer receives the result
+    /// in `[scanline-in-region][nappe-in-band]` order. This is the
+    /// allocation-free kernel [`VolumeLoop`](crate::VolumeLoop) and
+    /// [`FramePipeline`](crate::FramePipeline) drive every frame.
     ///
-    /// One voxel-parallel kernel serves every transmit sequence, split by
-    /// interpolation mode into two monomorphized loops chosen **once per
-    /// tile**. Per (nappe, transmit), delay rows come from the engine's
-    /// fused [`DelayEngine::fill_nappe_streamed`] for a single transmit,
-    /// or from one [`DelayEngine::fill_nappe_rx`] per nappe plus one
+    /// One voxel-parallel kernel serves every transmit sequence and task
+    /// shape, split by interpolation mode into two monomorphized loops
+    /// chosen **once per task**. Per (nappe, transmit), delay rows come
+    /// from the engine's fused [`DelayEngine::fill_nappe_streamed`] for a
+    /// single transmit (once per schedule tile of the task), or from one
+    /// [`DelayEngine::fill_nappe_rx`] per nappe plus one
     /// [`DelayEngine::combine_tx_row`] per row for a compound sequence;
-    /// the insonified rows are packed into a `[row][active]` block that
-    /// is summed one channel at a time into per-row accumulators. Every
-    /// voxel's delay-and-sum starts at `0.0` and adds its `w·s` terms in
-    /// ascending aperture order, and each transmit's sum enters the voxel
-    /// as `m·sum` in transmit order, skipping `m == 0` — so the output is
-    /// bit-identical to the scalar
-    /// [`beamform_voxel`](Self::beamform_voxel) walk.
+    /// the insonified rows are packed into a grouped block that is summed
+    /// one channel at a time into per-row accumulators. Every voxel's
+    /// delay-and-sum starts at `0.0` and adds its `w·s` terms in ascending
+    /// aperture order, and each transmit's sum enters the voxel as `m·sum`
+    /// in transmit order, skipping `m == 0` — so the output is
+    /// bit-identical to the scalar [`beamform_voxel`](Self::beamform_voxel)
+    /// walk.
     ///
     /// # Panics
     ///
@@ -614,23 +879,21 @@ impl Beamformer {
         rf: &RfFrame,
         state: &mut TileState,
     ) {
-        let tile = state.slab.tile();
-        let n_depth = self.spec.volume_grid.n_depth();
         let n_tx = self.spec.n_transmits();
-        let n_values = tile.scanlines() * n_depth;
+        let n_values = state.region.scanlines() * state.nappes.len();
         assert_eq!(
             state.values.len(),
             n_values,
-            "values buffer must cover the tile"
+            "values buffer must cover the task"
         );
         assert_eq!(
             state.tx_weights.len(),
             n_tx * n_values,
-            "tile state must be built for this spec's transmit sequence"
+            "task state must be built for this spec's transmit sequence"
         );
         assert_eq!(
-            state.delays.len(),
-            self.aperture.len(),
+            state.windows.len(),
+            2 * self.aperture.len(),
             "scratch rows must match the compacted aperture"
         );
         assert_eq!(
@@ -645,47 +908,76 @@ impl Beamformer {
         );
         let TileState {
             slab,
+            region,
+            nappes,
+            tiles,
             values,
             delays,
             index_block,
+            index_staging,
             delay_block,
+            delay_staging,
+            windows,
             acc,
             live,
             tx_row,
             tx_weights,
             post_scratch,
         } = state;
-        let block_len = match self.interpolation {
-            Interpolation::Nearest => index_block.len(),
-            Interpolation::Linear => delay_block.len(),
+        let (blocked, group) = match self.interpolation {
+            Interpolation::Nearest => (index_block.len(), i32::GROUP),
+            Interpolation::Linear => (delay_block.len(), f64::GROUP),
         };
         assert_eq!(
-            block_len,
-            tile.scanlines() * self.aperture.len(),
-            "tile state must be built for this beamformer's interpolation"
+            blocked,
+            block_len(region.scanlines(), self.aperture.len(), group),
+            "task state must be built for this beamformer's interpolation"
         );
+        let task = Task {
+            slab,
+            region: *region,
+            nappes: nappes.clone(),
+            tiles,
+        };
         let scratch = Scratch {
             delays,
             acc,
             live,
             tx_row,
+            windows,
         };
         match self.interpolation {
-            Interpolation::Nearest => {
-                self.tile_kernel(engine, rf, slab, values, tx_weights, scratch, index_block)
-            }
-            Interpolation::Linear => {
-                self.tile_kernel(engine, rf, slab, values, tx_weights, scratch, delay_block)
-            }
+            Interpolation::Nearest => self.tile_kernel(
+                engine,
+                rf,
+                task,
+                values,
+                tx_weights,
+                scratch,
+                index_block,
+                index_staging,
+            ),
+            Interpolation::Linear => self.tile_kernel(
+                engine,
+                rf,
+                task,
+                values,
+                tx_weights,
+                scratch,
+                delay_block,
+                delay_staging,
+            ),
         }
         if !self.post.is_empty() {
             // Fused post-processing: each scanline column runs through
             // the chain while it is still cache-hot from the kernel and
-            // before the scatter, using the tile's preallocated I/Q
-            // scratch (no heap traffic on the warm path). Columns are
-            // independent, so per-tile application is bit-identical to
-            // the whole-volume pass of the scalar reference.
-            for column in values.chunks_exact_mut(n_depth) {
+            // before the scatter, using the task's preallocated I/Q
+            // scratch (no heap traffic on the warm path). A
+            // post-processed task covers every nappe, so each column is
+            // whole; columns are independent, so per-task application is
+            // bit-identical to the whole-volume pass of the scalar
+            // reference.
+            for column in values.chunks_exact_mut(nappes.len()) {
                 self.post.apply_column(column, post_scratch);
             }
         }
@@ -693,34 +985,38 @@ impl Beamformer {
 
     /// The voxel-parallel tile kernel, for one interpolation mode.
     ///
-    /// Per nappe and transmit:
+    /// Per nappe of the task's band and per transmit:
     ///
     /// 1. Delay rows arrive in scanline order. A single-transmit frame
     ///    takes them from the engine's fused
-    ///    [`DelayEngine::fill_nappe_streamed`], each row handed over
-    ///    cache-hot; a compound frame fills the transmit-invariant
-    ///    receive leg once per nappe ([`DelayEngine::fill_nappe_rx`]) and
-    ///    builds each transmit's row with one
-    ///    [`DelayEngine::combine_tx_row`]. (Routing a single transmit
-    ///    through the receive leg plus a combine measured slower than the
-    ///    one-pass fused fill.)
-    /// 2. Only insonified rows (mask weight `m ≠ 0`) are packed into the
-    ///    `[row][active]` block, the `live` map recording their
-    ///    scanlines. A masked row contributes nothing, so it is skipped
-    ///    — except in nearest mode under an engine with rounding
-    ///    telemetry ([`DelayEngine::rounding_telemetry`]), where it is
-    ///    still quantized into the next free row (and overwritten) so
+    ///    [`DelayEngine::fill_nappe_streamed`], once per schedule tile of
+    ///    the task with the slab re-pointed at it, each row handed over
+    ///    cache-hot; a compound frame (one tile per task) fills the
+    ///    transmit-invariant receive leg once per nappe
+    ///    ([`DelayEngine::fill_nappe_rx`]) and builds each transmit's row
+    ///    with one [`DelayEngine::combine_tx_row`]. (Routing a single
+    ///    transmit through the receive leg plus a combine measured slower
+    ///    than the one-pass fused fill.)
+    /// 2. Only insonified rows (mask weight `m ≠ 0`) are packed, the
+    ///    `live` map recording their region slots. Rows are packed into a
+    ///    one-group staging buffer, and each full group is transposed into
+    ///    the block's `[group][channel][row-in-group]` layout; the last
+    ///    group holds only the live rows. A masked row contributes
+    ///    nothing, so it is skipped — except in nearest mode under an
+    ///    engine with rounding telemetry
+    ///    ([`DelayEngine::rounding_telemetry`]), where it is still
+    ///    quantized into the next free staging row (and overwritten) so
     ///    TABLESTEER's clamp counter counts every (voxel, transmit) row.
     /// 3. The aperture is walked channel by channel: channel `k` adds
-    ///    `w[k] · trace_k[block[r][k]]` into `acc[r]` for every block row.
-    ///    Per voxel that is the scalar walk's ascending-order sum from
-    ///    `0.0`; across voxels the accumulators are independent chains,
-    ///    and one channel's lookups stay inside a short window of one
-    ///    trace. `block` is read with a stride of one row rather than
-    ///    transposed into a channel-major copy, whose scattered writes
-    ///    would be a second pass over the block. Before channel `k`, the
-    ///    window channel `k + 8` will read — from its first row's index
-    ///    to its last's — is prefetched, so the trace 64 KB away is in
+    ///    `w[k] · trace_k[block[r][k]]` into `acc[r]` for every block row,
+    ///    group by group, each group one unit-stride cache line of
+    ///    entries. Per voxel that is the scalar walk's ascending-order sum
+    ///    from `0.0`; across voxels the accumulators are independent
+    ///    chains, and one channel's lookups for every scanline of the
+    ///    nappe are one pass over a short stretch of its trace. Before
+    ///    channel `k`, the window channel `k + 8` will read — from the
+    ///    lowest index of its rows to the highest, tracked during the
+    ///    transposes — is prefetched, so the trace 64 KB away is in
     ///    flight while this channel sums.
     /// 4. Each live voxel adds `m · acc[r]`. The zero-weight skip is a
     ///    correctness requirement, not an optimization: outside a steered
@@ -734,44 +1030,62 @@ impl Beamformer {
         &self,
         engine: &dyn DelayEngine,
         rf: &RfFrame,
-        slab: &mut NappeDelays,
+        task: Task<'_>,
         values: &mut [f64],
         tx_weights: &[f64],
         scratch: Scratch<'_>,
         block: &mut [T],
+        staging: &mut [T],
     ) {
+        let Task {
+            slab,
+            region,
+            nappes,
+            tiles,
+        } = task;
         let Scratch {
             delays,
             acc,
             live,
             tx_row,
+            windows,
         } = scratch;
-        let tile = slab.tile();
-        let n_depth = self.spec.volume_grid.n_depth();
+        let band = nappes.len();
         let n_values = values.len();
         let aperture = &self.aperture;
         let single = self.spec.n_transmits() == 1;
         let keep_masked = T::ROUNDS && engine.rounding_telemetry();
+        // The block's first whole cache line: every (group, channel) line
+        // then sits on one.
+        let aligned = block.as_ptr().align_offset(64);
+        let block = &mut block[aligned..];
         values.fill(0.0);
-        for id in 0..n_depth {
+        for (j, id) in nappes.enumerate() {
             for (tx, mask) in tx_weights.chunks_exact(n_values).enumerate() {
                 let mut rows = Block {
                     rows: &mut *block,
+                    staging: &mut *staging,
+                    windows: &mut *windows,
                     live: &mut *live,
                     scratch: &mut *delays,
                     len: 0,
                 };
                 if single {
-                    engine.fill_nappe_streamed(id, slab, &mut |slot, row| {
-                        let m = mask[slot * n_depth + id];
-                        rows.push(engine, aperture, slot, m, keep_masked, row);
-                    });
+                    for &tile in tiles {
+                        slab.retarget(tile);
+                        engine.fill_nappe_streamed(id, slab, &mut |slot, row| {
+                            let (it, ip) = tile.scanline_at(slot);
+                            let r = region.slot_of(it, ip);
+                            let m = mask[r * band + j];
+                            rows.push(engine, aperture, r, m, keep_masked, row);
+                        });
+                    }
                 } else {
                     if tx == 0 {
                         engine.fill_nappe_rx(id, slab);
                     }
-                    for (slot, it, ip) in tile.iter_scanlines() {
-                        let m = mask[slot * n_depth + id];
+                    for (slot, it, ip) in region.iter_scanlines() {
+                        let m = mask[slot * band + j];
                         if m == 0.0 && !keep_masked {
                             continue;
                         }
@@ -780,24 +1094,28 @@ impl Beamformer {
                         rows.push(engine, aperture, slot, m, keep_masked, tx_row);
                     }
                 }
-                let n_live = rows.len;
-                self.accumulate(rf, tx, id, block, n_live, acc, live, mask, values);
+                let n_live = rows.finish();
+                self.accumulate(
+                    rf, tx, j, band, block, windows, n_live, acc, live, mask, values,
+                );
             }
         }
     }
 
     /// Steps 3 and 4 of [`tile_kernel`](Self::tile_kernel) for one
-    /// (nappe `id`, transmit `tx`): the channel-outer MAC over the first
-    /// `n_live` rows of `block`, then each live voxel's `m · acc` into
-    /// `values`.
+    /// (nappe `j` of a `band`-nappe task, transmit `tx`): the
+    /// channel-outer MAC over the first `n_live` rows of the grouped
+    /// `block`, then each live voxel's `m · acc` into `values`.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn accumulate<T: Fetch>(
         &self,
         rf: &RfFrame,
         tx: usize,
-        id: usize,
+        j: usize,
+        band: usize,
         block: &[T],
+        windows: &[i32],
         n_live: usize,
         acc: &mut [f64],
         live: &[u32],
@@ -810,23 +1128,32 @@ impl Beamformer {
         let channels = self.aperture.channels();
         let weights = self.aperture.weights();
         let active = channels.len();
-        let block = &block[..n_live * active];
+        let group = T::GROUP;
+        let full = n_live / group;
         let acc = &mut acc[..n_live];
-        let last_row = (n_live - 1) * active;
         acc.fill(0.0);
+        let (full_acc, tail_acc) = acc.split_at_mut(full * group);
         for (k, (&chan, &w)) in channels.iter().zip(weights).enumerate() {
             if let Some(&ahead) = channels.get(k + PREFETCH_AHEAD) {
-                let j = k + PREFETCH_AHEAD;
-                rf.prefetch_window_for(tx, ahead, block[j].index(), block[last_row + j].index());
+                let next = k + PREFETCH_AHEAD;
+                rf.prefetch_window_for(tx, ahead, windows[next], windows[active + next]);
             }
             let trace = rf.channel_trace_for(tx, chan);
-            for (a, &at) in acc.iter_mut().zip(block[k..].iter().step_by(active)) {
-                *a += w * T::read(trace, at);
+            let lines = block[k * group..].chunks(group).step_by(active);
+            for (accs, line) in full_acc.chunks_exact_mut(group).zip(lines) {
+                for (a, &at) in accs.iter_mut().zip(line) {
+                    *a += w * T::read(trace, at);
+                }
+            }
+            if !tail_acc.is_empty() {
+                let line = &block[(full * active + k) * group..];
+                for (a, &at) in tail_acc.iter_mut().zip(line) {
+                    *a += w * T::read(trace, at);
+                }
             }
         }
-        let n_depth = self.spec.volume_grid.n_depth();
         for (&slot, &a) in live.iter().zip(acc.iter()) {
-            let v = slot as usize * n_depth + id;
+            let v = slot as usize * band + j;
             values[v] += mask[v] * a;
         }
     }
@@ -1111,6 +1438,129 @@ mod tests {
             let batched = bf(ScanOrder::NappeByNappe).beamform_volume(&engine, &rf);
             let scalar = bf(ScanOrder::ScanlineByScanline).beamform_volume(&engine, &rf);
             assert_eq!(batched, scalar, "{interp:?}");
+        }
+    }
+
+    #[test]
+    fn stale_block_entries_are_never_read() {
+        // Garbage past the live rows — NaN delays, indices at both ends
+        // of the i32 range — in every block, staging and window buffer
+        // must not reach the output: every task shape, both
+        // interpolations and a compound frame (whose masks leave short
+        // tails) give the volume a fresh state gives.
+        let (spec, rf) = setup(Vec3::new(0.003, 0.001, 0.05));
+        let (cspec, crf) = compound_setup();
+        for (spec, rf) in [(&spec, &rf), (&cspec, &crf)] {
+            let engine = ExactEngine::new(spec);
+            let n_depth = spec.volume_grid.n_depth();
+            let tiles = NappeSchedule::fitted(spec, 4).tiles();
+            let tasks: Vec<(Vec<Tile>, Range<usize>)> = if spec.n_transmits() == 1 {
+                vec![(tiles.clone(), 3..10), (tiles[1..2].to_vec(), 0..n_depth)]
+            } else {
+                vec![(tiles[2..3].to_vec(), 5..n_depth)]
+            };
+            for interp in [Interpolation::Nearest, Interpolation::Linear] {
+                let bf = Beamformer::new(spec).with_interpolation(interp);
+                for (tiles, nappes) in &tasks {
+                    let mut fresh = TileState::band(&bf, tiles, nappes.clone());
+                    bf.beamform_tile_into(&engine, rf, &mut fresh);
+                    let mut stale = TileState::band(&bf, tiles, nappes.clone());
+                    for (i, x) in stale.index_block.iter_mut().enumerate() {
+                        *x = if i % 2 == 0 { i32::MIN } else { i32::MAX };
+                    }
+                    stale.index_staging.fill(i32::MAX);
+                    stale.delay_block.fill(f64::NAN);
+                    stale.delay_staging.fill(f64::NAN);
+                    stale.acc.fill(f64::NAN);
+                    stale.values.fill(f64::NAN);
+                    stale.windows.fill(i32::MIN);
+                    bf.beamform_tile_into(&engine, rf, &mut stale);
+                    let bits =
+                        |s: &TileState| s.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&stale), bits(&fresh), "{interp:?} {nappes:?}");
+                    // A second frame reuses the block the first one left.
+                    bf.beamform_tile_into(&engine, rf, &mut stale);
+                    assert_eq!(bits(&stale), bits(&fresh), "{interp:?} {nappes:?} warm");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn grouped_block_lays_one_line_per_group_and_channel() {
+        // The block read by the MAC: entry (row r, channel k) of a task
+        // sits at [r / L][k][r % L], with each (group, channel) line
+        // starting on a 64-byte boundary — checked against the quantized
+        // rows of a scalar fill.
+        let (spec, rf) = setup(Vec3::new(0.0, 0.0, 0.05));
+        let engine = ExactEngine::new(&spec);
+        let bf = Beamformer::new(&spec);
+        let active = bf.aperture().len();
+        let tiles = NappeSchedule::fitted(&spec, 2).tiles();
+        let last = spec.volume_grid.n_depth() - 1;
+        let mut state = TileState::band(&bf, &tiles, last..last + 1);
+        bf.beamform_tile_into(&engine, &rf, &mut state);
+        let offset = state.index_block.as_ptr().align_offset(64);
+        let block = &state.index_block[offset..];
+        let region = state.region();
+        let mut row = vec![0.0; active];
+        let mut expected = vec![0; active];
+        let mut r = 0;
+        for &tile in &tiles {
+            let mut slab = NappeDelays::for_tile(&spec, tile);
+            engine.fill_nappe(last, &mut slab);
+            for (slot, it, ip) in tile.iter_scanlines() {
+                bf.aperture().compact_row(slab.row(slot), &mut row);
+                engine.quantize_row(&row, &mut expected);
+                assert_eq!(state.live[r] as usize, region.slot_of(it, ip));
+                for (k, &e) in expected.iter().enumerate() {
+                    assert_eq!(
+                        block[((r / 16) * active + k) * 16 + r % 16],
+                        e,
+                        "row {r} channel {k}"
+                    );
+                }
+                r += 1;
+            }
+        }
+        assert_eq!(r, 64, "every scanline of the fan is one block row");
+        assert_eq!((block.as_ptr() as usize) % 64, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "compound task covers one schedule tile")]
+    fn compound_band_over_several_tiles_is_rejected() {
+        let (spec, _) = compound_setup();
+        let tiles = NappeSchedule::fitted(&spec, 4).tiles();
+        let _ = TileState::band(&Beamformer::new(&spec), &tiles, 0..4);
+    }
+
+    #[test]
+    #[should_panic(expected = "post-processed task covers every nappe")]
+    fn post_processed_band_is_rejected() {
+        let spec = SystemSpec::tiny();
+        let bf = Beamformer::new(&spec)
+            .with_postproc(PostChain::bmode(crate::BmodeConfig::from_spec(&spec)));
+        let _ = TileState::band(&bf, &NappeSchedule::fitted(&spec, 1).tiles(), 0..8);
+    }
+
+    #[test]
+    #[should_panic(expected = "partition")]
+    fn tiles_that_leave_a_gap_are_rejected() {
+        let spec = SystemSpec::tiny();
+        let tiles = NappeSchedule::fitted(&spec, 4).tiles();
+        let _ = TileState::band(&Beamformer::new(&spec), &[tiles[0], tiles[3]], 0..4);
+    }
+
+    #[test]
+    fn depth_bands_cover_every_nappe_once() {
+        for (n_depth, workers) in [(16, 4), (64, 2), (5, 4), (3, 1), (7, 0)] {
+            let bands: Vec<_> = depth_bands(n_depth, workers).collect();
+            assert_eq!(bands.len(), (2 * workers.max(1)).min(n_depth));
+            assert_eq!(bands[0].start, 0);
+            assert_eq!(bands.last().unwrap().end, n_depth);
+            assert!(bands.windows(2).all(|b| b[0].end == b[1].start));
+            assert!(bands.iter().all(|b| !b.is_empty()));
         }
     }
 

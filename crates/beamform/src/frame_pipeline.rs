@@ -50,7 +50,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use usbf_core::{DelayEngine, NappeSchedule, Tile};
+use usbf_core::{DelayEngine, NappeSchedule};
 use usbf_par::{JobHandle, PendingJob, ThreadPool};
 use usbf_sim::{EchoSynthesizer, Phantom, Pulse, RfFrame};
 
@@ -313,8 +313,8 @@ struct FrameCtx {
     rf: RfFrame,
 }
 
-/// The tile task: one schedule tile beamformed into its warm state
-/// (slab, scratch rows and staging buffer). A plain `fn` — the
+/// The frame task: one schedule tile or depth band beamformed into its
+/// warm state (slab, scratch rows and staging buffer). A plain `fn` — the
 /// asynchronous dispatch path erases no closures.
 fn beamform_tile_task(ctx: &FrameCtx, _i: usize, state: &mut TileState) {
     ctx.beamformer
@@ -326,8 +326,8 @@ fn beamform_tile_task(ctx: &FrameCtx, _i: usize, state: &mut TileState) {
 /// the in-flight [`PendingJob`] borrows the tile states and context —
 /// disjoint pipeline fields, checked by the borrow checker.
 struct FinishState {
-    tiles: Vec<Tile>,
-    n_depth: usize,
+    /// Schedule tiles per frame.
+    n_tiles: usize,
     /// Double-buffered output: frame `n` scatters into `outs[n % 2]`,
     /// leaving `n−1` intact for consumption while `n` is in flight.
     outs: [BeamformedVolume; 2],
@@ -413,8 +413,9 @@ impl FramePipeline {
 
     /// Builds a pipeline on an explicit pool and schedule. All
     /// allocation happens here: three RF ring buffers (current,
-    /// acquiring, idle), one delay slab and staging buffer per schedule
-    /// tile, the double-buffered output volumes, the preregistered pool
+    /// acquiring, idle), one delay slab and staging buffer per task (see
+    /// [`task_count`](Self::task_count)), the double-buffered output
+    /// volumes, the preregistered pool
     /// job, and the acquisition thread — the only thread this runtime
     /// ever spawns.
     #[must_use]
@@ -426,7 +427,6 @@ impl FramePipeline {
         schedule: &NappeSchedule,
     ) -> Self {
         let spec = beamformer.spec().clone();
-        let n_depth = spec.volume_grid.n_depth();
         // Buffers hold one acquisition block per transmit of the spec's
         // sequence, so an N-angle compound moves through the pipeline as
         // ONE frame (one submit, one ticket, one volume).
@@ -439,7 +439,7 @@ impl FramePipeline {
             )
         };
         let tiles = schedule.tiles();
-        let tile_states = crate::beamformer::warm_tile_states(&beamformer, &tiles);
+        let tile_states = crate::beamformer::warm_task_states(&beamformer, &tiles, pool.threads());
         let outs = [
             BeamformedVolume::zeros(&spec),
             BeamformedVolume::zeros(&spec),
@@ -459,8 +459,7 @@ impl FramePipeline {
                 rf: make_buffer(),
             },
             fin: FinishState {
-                tiles,
-                n_depth,
+                n_tiles: tiles.len(),
                 outs,
                 frames: 0,
                 errors: 0,
@@ -614,7 +613,6 @@ impl FramePipeline {
         }
         let grid = &self.ctx.beamformer.spec().volume_grid;
         Some(crate::VolumeView::new(
-            &self.fin.tiles,
             &self.tile_states,
             grid.n_theta(),
             grid.n_phi(),
@@ -637,9 +635,16 @@ impl FramePipeline {
         self.fin.abandoned
     }
 
-    /// Schedule tiles per frame (= parallel tasks per submitted frame).
+    /// Schedule tiles per frame: the units of delay generation.
     pub fn tile_count(&self) -> usize {
-        self.fin.tiles.len()
+        self.fin.n_tiles
+    }
+
+    /// Parallel tasks per submitted frame: two whole-fan depth bands
+    /// per pool worker for a single-transmit raw frame, one task per
+    /// schedule tile otherwise.
+    pub fn task_count(&self) -> usize {
+        self.tile_states.len()
     }
 
     /// The delay engine this pipeline beamforms with.
@@ -754,12 +759,7 @@ impl<'p> VolumeTicket<'p> {
         fin.beamform_wait += wait_start.elapsed();
         match payload {
             None => {
-                crate::beamformer::scatter_tiles(
-                    &mut fin.outs[self.which],
-                    &fin.tiles,
-                    states,
-                    fin.n_depth,
-                );
+                crate::beamformer::scatter_tasks(&mut fin.outs[self.which], states);
                 fin.frames += 1;
                 fin.latency.record(self.submitted.elapsed());
                 Ok(&fin.outs[self.which])
@@ -848,7 +848,7 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
 mod tests {
     use super::*;
     use crate::VolumeLoop;
-    use usbf_core::ExactEngine;
+    use usbf_core::{ExactEngine, NappeDelays};
     use usbf_geometry::{SystemSpec, Vec3, VoxelIndex};
 
     fn recorded_frames(spec: &SystemSpec, n: usize) -> Vec<RfFrame> {
@@ -860,6 +860,56 @@ mod tests {
                 synth.synthesize(&Phantom::point(spec.volume_grid.position(vox)), &pulse)
             })
             .collect()
+    }
+
+    #[test]
+    fn task_shape_follows_the_frame_shape() {
+        // A single-transmit raw frame runs as two whole-fan depth bands
+        // per pool worker, each re-pointing its slab at every schedule
+        // tile; compound and post-processed frames keep one task per
+        // schedule tile over every nappe.
+        let spec = SystemSpec::tiny();
+        let n_depth = spec.volume_grid.n_depth();
+        let fan = NappeDelays::full(&spec).tile();
+        let compound = spec
+            .clone()
+            .with_transmits(usbf_geometry::TransmitModel::plane_wave_fan(
+                3,
+                usbf_geometry::deg(5.0),
+            ));
+        let bmode = Beamformer::new(&spec).with_postproc(crate::PostChain::bmode(
+            crate::BmodeConfig::from_spec(&spec),
+        ));
+        let schedule = NappeSchedule::fitted(&spec, 8);
+        for workers in [1, 2, 4] {
+            let pipe = |bf: Beamformer| {
+                let spec = bf.spec().clone();
+                let rf = RfFrame::zeros_multi(8, 8, spec.echo_buffer_len(), spec.n_transmits());
+                FramePipeline::with_pool(
+                    bf,
+                    Arc::new(ExactEngine::new(&spec)),
+                    FrameRing::new(vec![rf]),
+                    Arc::new(ThreadPool::new(workers)),
+                    &NappeSchedule::fitted(&spec, 8),
+                )
+            };
+            let raw = pipe(Beamformer::new(&spec));
+            assert_eq!(raw.tile_count(), schedule.n_blocks());
+            assert_eq!(raw.task_count(), 2 * workers, "{workers} workers");
+            let mut next = 0;
+            for state in &raw.tile_states {
+                assert_eq!(state.region(), fan, "a band spans the whole fan");
+                assert_eq!(state.nappes().start, next, "bands are contiguous");
+                next = state.nappes().end;
+            }
+            assert_eq!(next, n_depth);
+            for fan_tiled in [pipe(Beamformer::new(&compound)), pipe(bmode.clone())] {
+                assert_eq!(fan_tiled.task_count(), schedule.n_blocks());
+                for (state, tile) in fan_tiled.tile_states.iter().zip(schedule.tiles()) {
+                    assert_eq!((state.region(), state.nappes()), (tile, 0..n_depth));
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //!   paper leaves out of scope but relies on to suppress edge artifacts);
 //! * [`Beamformer`] — per-voxel delay-and-sum with nearest-index fetch
 //!   (the paper's datapath) or linear interpolation (extension); its tile
-//!   kernel runs as two monomorphized, row-batched loops over the
-//!   compacted [`ActiveAperture`] and a reusable [`TileState`]
-//!   (quantized index row → gathered sample row → weighted accumulate),
-//!   bit-identical to the scalar walk;
+//!   kernel runs as two monomorphized, voxel-parallel loops over the
+//!   compacted [`ActiveAperture`] and a reusable [`TileState`] (fan tile
+//!   or whole-fan depth band; quantized index rows → grouped index
+//!   block → channel-outer gather and accumulate), bit-identical to the
+//!   scalar walk;
 //! * [`BeamformedVolume`] — the reconstructed volume with profile/slice
 //!   accessors for image-quality metrics;
 //! * [`PostChain`] — fused B-mode post-processing (IQ demodulation →
@@ -23,7 +24,7 @@
 //!   preallocated scratch and bit-identical to a whole-volume pass;
 //! * [`VolumeView`] — re-slices ([`SlicePlane`]) and max-intensity
 //!   projections ([`ProjectionAxis`]) assembled straight from the warm
-//!   tile outputs, never materializing the full volume;
+//!   task outputs, never materializing the full volume;
 //! * [`VolumeLoop`] — the real-time frame loop: repeated volumes on the
 //!   persistent `usbf_par` worker pool with preallocated delay slabs and
 //!   buffers and a preregistered pool job, bit-identical to the cold

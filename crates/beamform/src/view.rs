@@ -13,7 +13,6 @@
 //! beamformer carries a [`PostChain`](crate::PostChain).
 
 use crate::beamformer::TileState;
-use usbf_core::Tile;
 
 /// A plane of the volume selected by fixing one coordinate.
 ///
@@ -47,7 +46,9 @@ pub enum ProjectionAxis {
 }
 
 /// A read-only window onto a runtime's most recent beamformed frame,
-/// assembled per request from the warm tile outputs. Borrowed from
+/// assembled per request from the warm task outputs — fan tiles or
+/// whole-fan depth bands alike, each task's values read through its own
+/// region and band. Borrowed from
 /// [`VolumeLoop::view`](crate::VolumeLoop::view),
 /// [`FramePipeline::view`](crate::FramePipeline::view) or
 /// [`ShardedRuntime::view_of`](crate::ShardedRuntime::view_of); the
@@ -55,7 +56,6 @@ pub enum ProjectionAxis {
 /// alive.
 #[derive(Clone, Copy)]
 pub struct VolumeView<'a> {
-    tiles: &'a [Tile],
     states: &'a [TileState],
     n_theta: usize,
     n_phi: usize,
@@ -64,15 +64,12 @@ pub struct VolumeView<'a> {
 
 impl<'a> VolumeView<'a> {
     pub(crate) fn new(
-        tiles: &'a [Tile],
         states: &'a [TileState],
         n_theta: usize,
         n_phi: usize,
         n_depth: usize,
     ) -> Self {
-        debug_assert_eq!(tiles.len(), states.len());
         VolumeView {
-            tiles,
             states,
             n_theta,
             n_phi,
@@ -136,35 +133,30 @@ impl<'a> VolumeView<'a> {
     pub fn slice_into(&self, plane: SlicePlane, out: &mut [f64]) {
         assert_eq!(out.len(), self.slice_len(plane), "output length mismatch");
         let nd = self.n_depth;
-        match plane {
-            SlicePlane::Theta(it) => {
-                for (tile, state) in self.tiles.iter().zip(self.states) {
-                    if it < tile.theta_start || it >= tile.theta_end {
-                        continue;
-                    }
-                    for ip in tile.phi_start..tile.phi_end {
-                        let slot = tile.slot_of(it, ip);
-                        out[ip * nd..(ip + 1) * nd]
-                            .copy_from_slice(&state.values()[slot * nd..(slot + 1) * nd]);
-                    }
-                }
-            }
-            SlicePlane::Phi(ip) => {
-                for (tile, state) in self.tiles.iter().zip(self.states) {
-                    if ip < tile.phi_start || ip >= tile.phi_end {
-                        continue;
-                    }
-                    for it in tile.theta_start..tile.theta_end {
-                        let slot = tile.slot_of(it, ip);
-                        out[it * nd..(it + 1) * nd]
-                            .copy_from_slice(&state.values()[slot * nd..(slot + 1) * nd]);
+        for state in self.states {
+            let (region, band) = (state.region(), state.nappes());
+            let columns = state.values().chunks_exact(band.len());
+            match plane {
+                SlicePlane::Theta(it) => {
+                    for (column, (_, t, ip)) in columns.zip(region.iter_scanlines()) {
+                        if t == it {
+                            out[ip * nd..(ip + 1) * nd][band.clone()].copy_from_slice(column);
+                        }
                     }
                 }
-            }
-            SlicePlane::Depth(id) => {
-                for (tile, state) in self.tiles.iter().zip(self.states) {
-                    for (slot, it, ip) in tile.iter_scanlines() {
-                        out[it * self.n_phi + ip] = state.values()[slot * nd + id];
+                SlicePlane::Phi(ip) => {
+                    for (column, (_, it, p)) in columns.zip(region.iter_scanlines()) {
+                        if p == ip {
+                            out[it * nd..(it + 1) * nd][band.clone()].copy_from_slice(column);
+                        }
+                    }
+                }
+                SlicePlane::Depth(id) => {
+                    if !band.contains(&id) {
+                        continue;
+                    }
+                    for (column, (_, it, ip)) in columns.zip(region.iter_scanlines()) {
+                        out[it * self.n_phi + ip] = column[id - band.start];
                     }
                 }
             }
@@ -191,26 +183,21 @@ impl<'a> VolumeView<'a> {
         assert_eq!(out.len(), self.mip_len(axis), "output length mismatch");
         out.fill(f64::NEG_INFINITY);
         let nd = self.n_depth;
-        for (tile, state) in self.tiles.iter().zip(self.states) {
-            for (slot, it, ip) in tile.iter_scanlines() {
-                let column = &state.values()[slot * nd..(slot + 1) * nd];
-                match axis {
-                    ProjectionAxis::Theta => {
-                        let row = &mut out[ip * nd..(ip + 1) * nd];
-                        for (o, &v) in row.iter_mut().zip(column) {
-                            *o = o.max(v);
-                        }
-                    }
-                    ProjectionAxis::Phi => {
-                        let row = &mut out[it * nd..(it + 1) * nd];
-                        for (o, &v) in row.iter_mut().zip(column) {
-                            *o = o.max(v);
-                        }
-                    }
+        for state in self.states {
+            let (region, band) = (state.region(), state.nappes());
+            let columns = state.values().chunks_exact(band.len());
+            for (column, (_, it, ip)) in columns.zip(region.iter_scanlines()) {
+                let row = match axis {
+                    ProjectionAxis::Theta => &mut out[ip * nd..(ip + 1) * nd][band.clone()],
+                    ProjectionAxis::Phi => &mut out[it * nd..(it + 1) * nd][band.clone()],
                     ProjectionAxis::Depth => {
                         let o = &mut out[it * self.n_phi + ip];
                         *o = column.iter().fold(*o, |m, &v| m.max(v));
+                        continue;
                     }
+                };
+                for (o, &v) in row.iter_mut().zip(column) {
+                    *o = o.max(v);
                 }
             }
         }
@@ -283,6 +270,33 @@ mod tests {
                 view.mip_into(axis, &mut out);
                 assert_eq!(out, dense.mip(axis), "{axis:?} (into)");
             }
+        }
+    }
+
+    #[test]
+    fn banded_view_crosses_band_boundaries() {
+        // Two workers run a raw tiny frame as 4 whole-fan bands of 4
+        // nappes: depth slices on both sides of each band edge, every
+        // θ/φ slice (which stitch all four bands into each column) and
+        // every MIP must equal the dense volume's.
+        let (spec, rf) = setup();
+        let engine = ExactEngine::new(&spec);
+        let pool = Arc::new(usbf_par::ThreadPool::new(2));
+        let schedule = usbf_core::NappeSchedule::fitted(&spec, 4);
+        let mut rt = VolumeLoop::with_pool(Beamformer::new(&spec), pool, &schedule);
+        assert_eq!(rt.task_count(), 4);
+        rt.beamform(&engine, &rf);
+        let dense = rt.volume().clone();
+        let view = rt.view();
+        for id in [3, 4, 7, 8, 11, 12] {
+            let plane = SlicePlane::Depth(id);
+            assert_eq!(view.slice(plane), dense.slice(plane), "{plane:?}");
+        }
+        for plane in all_planes(&spec) {
+            assert_eq!(view.slice(plane), dense.slice(plane), "{plane:?}");
+        }
+        for axis in AXES {
+            assert_eq!(view.mip(axis), dense.mip(axis), "{axis:?}");
         }
     }
 

@@ -9,7 +9,7 @@
 //! output volume, and (historically) freshly spawned threads.
 //! [`VolumeLoop`] hoists all of that out of the frame path: it owns a
 //! handle to the persistent [`ThreadPool`], one [`NappeDelays`] slab and
-//! values buffer per schedule tile, a reusable output volume, and a
+//! values buffer per task, a reusable output volume, and a
 //! preregistered [`JobHandle`] on the pool. After the first frame,
 //! beamforming a volume performs **no thread spawns, no slab, buffer or
 //! volume allocations, and no per-tile job allocations** — the job's
@@ -19,7 +19,7 @@
 use crate::beamformer::TileState;
 use crate::{BeamformedVolume, Beamformer};
 use std::sync::Arc;
-use usbf_core::{DelayEngine, NappeSchedule, Tile};
+use usbf_core::{DelayEngine, NappeSchedule};
 use usbf_par::{JobHandle, ThreadPool};
 use usbf_sim::RfFrame;
 
@@ -55,7 +55,8 @@ use usbf_sim::RfFrame;
 pub struct VolumeLoop {
     beamformer: Beamformer,
     job: JobHandle,
-    tiles: Vec<Tile>,
+    /// Schedule tiles per frame.
+    n_tiles: usize,
     states: Vec<TileState>,
     out: BeamformedVolume,
     frames: u64,
@@ -75,8 +76,9 @@ impl VolumeLoop {
     }
 
     /// Builds a loop on an explicit pool and schedule. All allocation
-    /// happens here: one slab and one values buffer per schedule tile,
-    /// the output volume, and the preregistered pool job the frame path
+    /// happens here: one slab and one values buffer per task (see
+    /// [`task_count`](Self::task_count)), the output volume, and the
+    /// preregistered pool job the frame path
     /// re-announces.
     #[must_use]
     pub fn with_pool(
@@ -86,12 +88,13 @@ impl VolumeLoop {
     ) -> Self {
         let spec = beamformer.spec().clone();
         let tiles = schedule.tiles();
-        let states = crate::beamformer::warm_tile_states(&beamformer, &tiles);
+        let states = crate::beamformer::warm_task_states(&beamformer, &tiles, pool.threads());
+        let n_tiles = tiles.len();
         let out = BeamformedVolume::zeros(&spec);
         VolumeLoop {
             beamformer,
             job: ThreadPool::register(&pool),
-            tiles,
+            n_tiles,
             states,
             out,
             frames: 0,
@@ -99,8 +102,9 @@ impl VolumeLoop {
     }
 
     /// Beamforms one frame into the loop's reusable volume and returns
-    /// it. Each schedule tile is one task of the loop's preregistered
-    /// pool job, writing into its own warm slab and staging buffer; the
+    /// it. Each task (a whole-fan depth band or a schedule tile) is one
+    /// task of the loop's preregistered pool job, writing into its own
+    /// warm slab and staging buffer; the
     /// sequential scatter into the output volume is deterministic, so
     /// repeated frames of identical input are bit-identical (and
     /// identical to the cold path), for **any** pool size.
@@ -109,8 +113,7 @@ impl VolumeLoop {
         self.job.run(&mut self.states, &|_, state: &mut TileState| {
             beamformer.beamform_tile_into(engine, rf, state);
         });
-        let n_depth = beamformer.spec().volume_grid.n_depth();
-        crate::beamformer::scatter_tiles(&mut self.out, &self.tiles, &self.states, n_depth);
+        crate::beamformer::scatter_tasks(&mut self.out, &self.states);
         self.frames += 1;
         &self.out
     }
@@ -128,13 +131,7 @@ impl VolumeLoop {
     /// frame, like [`volume`](Self::volume).
     pub fn view(&self) -> crate::VolumeView<'_> {
         let grid = &self.beamformer.spec().volume_grid;
-        crate::VolumeView::new(
-            &self.tiles,
-            &self.states,
-            grid.n_theta(),
-            grid.n_phi(),
-            grid.n_depth(),
-        )
+        crate::VolumeView::new(&self.states, grid.n_theta(), grid.n_phi(), grid.n_depth())
     }
 
     /// Frames beamformed since construction.
@@ -142,9 +139,16 @@ impl VolumeLoop {
         self.frames
     }
 
-    /// Number of schedule tiles (= parallel tasks per frame).
+    /// Number of schedule tiles: the units of delay generation.
     pub fn tile_count(&self) -> usize {
-        self.tiles.len()
+        self.n_tiles
+    }
+
+    /// Parallel tasks per frame: two whole-fan depth bands per pool
+    /// worker for a single-transmit raw frame, one task per schedule
+    /// tile otherwise.
+    pub fn task_count(&self) -> usize {
+        self.states.len()
     }
 
     /// The beamformer configuration driving the loop.

@@ -2,11 +2,11 @@
 
 use proptest::prelude::*;
 use usbf_beamform::{
-    ActiveAperture, Apodization, Beamformer, BmodeConfig, Interpolation, PostChain,
+    ActiveAperture, Apodization, Beamformer, BmodeConfig, Interpolation, PostChain, TileState,
 };
 use usbf_core::{
-    DelayEngine, ExactEngine, NaiveTableEngine, TableFreeConfig, TableFreeEngine, TableSteerConfig,
-    TableSteerEngine,
+    DelayEngine, ExactEngine, NaiveTableEngine, NappeSchedule, TableFreeConfig, TableFreeEngine,
+    TableSteerConfig, TableSteerEngine, Tile,
 };
 use usbf_geometry::scan::ScanOrder;
 use usbf_geometry::{
@@ -94,8 +94,152 @@ fn random_transmits(n_tx: usize, kinds: usize, a: usize, b: usize) -> Vec<Transm
         .collect()
 }
 
+/// The schedule tiles inside a rectangle of `schedule`'s tile grid: tile
+/// rows `a % rows ..` spanning `1 + b % …` of them, likewise for tile
+/// columns — from one tile up to the whole fan.
+fn tile_rectangle(spec: &SystemSpec, schedule: &NappeSchedule, a: usize, b: usize) -> Vec<Tile> {
+    let block = schedule.block_spec();
+    let rows = spec.volume_grid.n_theta() / block.x_per_cycle;
+    let cols = spec.volume_grid.n_phi() / block.y_per_cycle;
+    let (r0, c0) = (a % rows, (a / rows) % cols);
+    let (r1, c1) = (r0 + 1 + b % (rows - r0), c0 + 1 + (b / rows) % (cols - c0));
+    schedule
+        .tiles()
+        .into_iter()
+        .filter(|t| {
+            let (r, c) = (
+                t.theta_start / block.x_per_cycle,
+                t.phi_start / block.y_per_cycle,
+            );
+            (r0..r1).contains(&r) && (c0..c1).contains(&c)
+        })
+        .collect()
+}
+
+/// Beamforms one task and checks every voxel it covers against the
+/// scalar walk, bit for bit.
+fn task_matches_scalar(
+    bf: &Beamformer,
+    engine: &dyn DelayEngine,
+    rf: &usbf_sim::RfFrame,
+    tiles: &[Tile],
+    nappes: std::ops::Range<usize>,
+) -> Result<(), TestCaseError> {
+    let mut state = TileState::band(bf, tiles, nappes.clone());
+    bf.beamform_tile_into(engine, rf, &mut state);
+    let region = state.region();
+    let columns = state.values().chunks_exact(nappes.len());
+    for (column, (_, it, ip)) in columns.zip(region.iter_scanlines()) {
+        for (&v, id) in column.iter().zip(nappes.clone()) {
+            let scalar = bf.beamform_voxel(engine, rf, VoxelIndex::new(it, ip, id));
+            prop_assert_eq!(
+                v.to_bits(),
+                scalar.to_bits(),
+                "{} {:?} region {:?} ({} tiles) nappes {:?} voxel ({},{},{}): {} vs {}",
+                engine.name(),
+                bf.aperture().len(),
+                region,
+                tiles.len(),
+                nappes,
+                it,
+                ip,
+                id,
+                v,
+                scalar
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn every_task_shape_is_bit_identical_to_scalar_reference(
+        nx in 2usize..6,
+        ny in 2usize..6,
+        n_theta in 1usize..7,
+        n_phi in 1usize..7,
+        n_depth in 3usize..12,
+        target in 0usize..1_000_000,
+        apod_pick in 0usize..3,
+        tiles_pick in 0usize..1000,
+        rect_a in 0usize..1000,
+        rect_b in 0usize..1000,
+        band_start in 0usize..1000,
+        band_len in 0usize..1000,
+    ) {
+        // A depth-band task over any rectangle of schedule tiles — one
+        // sub-tile up to the whole fan — and any run of nappes, most of
+        // which do not divide the depth count, sums every voxel it covers
+        // exactly as the scalar walk does, for all four engines × both
+        // interpolations × Rect/Hann/Tukey. Fans of 1 to 36 scanlines put
+        // the packed row count below, at and just past the group widths
+        // (8 and 16 rows), so full groups and exact tails both run.
+        let spec = random_spec(nx, ny, n_theta, n_phi, n_depth);
+        let schedule = NappeSchedule::fitted(&spec, 1 + tiles_pick % (n_theta * n_phi));
+        let tiles = tile_rectangle(&spec, &schedule, rect_a, rect_b);
+        let start = band_start % n_depth;
+        let nappes = start..start + 1 + band_len % (n_depth - start);
+        let vox = spec.volume_grid.voxel_at(target % spec.volume_grid.voxel_count());
+        let rf = rf_for(&spec, vox);
+        let apod = [Apodization::Rect, Apodization::Hann, Apodization::Tukey(0.5)][apod_pick];
+        let exact = ExactEngine::new(&spec);
+        let naive = NaiveTableEngine::build(&spec, u64::MAX).expect("tiny table fits");
+        let tablefree = TableFreeEngine::new(&spec, TableFreeConfig::paper()).expect("builds");
+        let tablesteer = TableSteerEngine::new(&spec, TableSteerConfig::bits18()).expect("builds");
+        let engines: [&dyn DelayEngine; 4] = [&exact, &naive, &tablefree, &tablesteer];
+        for engine in engines {
+            for interp in [Interpolation::Nearest, Interpolation::Linear] {
+                let bf = Beamformer::new(&spec).with_apodization(apod).with_interpolation(interp);
+                task_matches_scalar(&bf, engine, &rf, &tiles, nappes.clone())?;
+            }
+        }
+    }
+
+    #[test]
+    fn compound_tasks_straddling_the_group_width_match_scalar_reference(
+        shape in 0usize..7,
+        nx in 2usize..6,
+        ny in 2usize..6,
+        n_depth in 3usize..9,
+        target in 0usize..1_000_000,
+        n_tx in 2usize..5,
+        kinds in 0usize..16,
+        angle_a in 0usize..1000,
+        angle_b in 0usize..1000,
+        apod_pick in 0usize..3,
+        band_start in 0usize..1000,
+    ) {
+        // A compound frame's task covers one schedule tile. Here that
+        // tile is the whole fan, of 1, 7, 8, 9, 15, 16 or 17 scanlines —
+        // one row, L − 1, L and L + 1 live rows of a point-source
+        // transmit for both group widths L (8 linear, 16 nearest) — while
+        // the plane waves' masks leave other live-row counts. Every
+        // voxel of the task, over a random run of nappes, matches the
+        // scalar compound walk.
+        let (n_theta, n_phi) = [(1, 1), (7, 1), (2, 4), (3, 3), (3, 5), (4, 4), (17, 1)][shape];
+        let mut txs = random_transmits(n_tx, kinds, angle_a, angle_b);
+        txs[0] = TransmitModel::PointSource;
+        let spec = random_compound_spec(nx, ny, n_theta, n_phi, n_depth).with_transmits(txs);
+        let tiles = NappeSchedule::fitted(&spec, 1).tiles();
+        let start = band_start % n_depth;
+        let vox = spec.volume_grid.voxel_at(target % spec.volume_grid.voxel_count());
+        let rf = rf_for(&spec, vox);
+        let apod = [Apodization::Rect, Apodization::Hann, Apodization::Tukey(0.5)][apod_pick];
+        let exact = ExactEngine::new(&spec);
+        let naive = NaiveTableEngine::build(&spec, u64::MAX).expect("tiny table fits");
+        let tablefree = TableFreeEngine::new(&spec, TableFreeConfig::paper()).expect("builds");
+        let tablesteer = TableSteerEngine::new(&spec, TableSteerConfig::bits18()).expect("builds");
+        let engines: [&dyn DelayEngine; 4] = [&exact, &naive, &tablefree, &tablesteer];
+        for engine in engines {
+            for interp in [Interpolation::Nearest, Interpolation::Linear] {
+                let bf = Beamformer::new(&spec).with_apodization(apod).with_interpolation(interp);
+                task_matches_scalar(&bf, engine, &rf, &tiles, start..n_depth)?;
+            }
+        }
+    }
 
     #[test]
     fn beamforming_is_linear_in_rf(

@@ -80,6 +80,24 @@ fn bench_beamform(c: &mut Criterion) {
             })
         });
     }
+    // The same kernel as a depth-band task: 16 nappes over the whole fan,
+    // its slab re-pointed at each of the 8 tiles a 2-worker pool's
+    // schedule cuts the fan into, so every channel's lookups for a nappe
+    // are one pass over its trace. Voxels per second compare directly
+    // with the fan-tile task above.
+    let tiles = usbf_core::NappeSchedule::fitted(&red, 8).tiles();
+    let band = 56..72;
+    g.throughput(Throughput::Elements(
+        (red.volume_grid.scanline_count() * band.len()) as u64,
+    ));
+    g.bench_function("tablesteer18_whole_fan_band", |b| {
+        let bf = Beamformer::new(&red).with_apodization(Apodization::Hann);
+        let mut state = TileState::band(&bf, &tiles, band.clone());
+        b.iter(|| {
+            bf.beamform_tile_into(black_box(&red_steer), black_box(&red_rf), &mut state);
+            black_box(state.values()[0])
+        })
+    });
     g.finish();
 
     // TABLEFREE slab-fill throughput (delays/s) on the reduced spec: the

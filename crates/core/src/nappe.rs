@@ -31,6 +31,8 @@ pub struct NappeDelays {
     n_elements: usize,
     elements_nx: usize,
     n_depth: usize,
+    /// `(n_theta, n_phi)` of the fan, the bound on retargeted tiles.
+    fan: (usize, usize),
     nappe: Option<usize>,
     // Engine fill scratch, preallocated with the slab so warm refills
     // stay allocation-free (excluded from equality — scratch contents
@@ -48,6 +50,7 @@ impl PartialEq for NappeDelays {
             && self.n_elements == other.n_elements
             && self.elements_nx == other.elements_nx
             && self.n_depth == other.n_depth
+            && self.fan == other.fan
             && self.nappe == other.nappe
     }
 }
@@ -95,6 +98,7 @@ impl NappeDelays {
             n_elements,
             elements_nx: spec.elements.nx(),
             n_depth: v.n_depth(),
+            fan: (v.n_theta(), v.n_phi()),
             nappe: None,
             row_args: vec![0.0; n_elements],
             line_args: vec![0.0; tile.scanlines()],
@@ -188,6 +192,34 @@ impl NappeDelays {
     #[inline]
     pub fn n_depth(&self) -> usize {
         self.n_depth
+    }
+
+    /// Re-points the slab at another tile of the same shape, clearing
+    /// the held-nappe marker — how one slab serves every schedule tile
+    /// of a depth-band task in turn without a reallocation. A fill after
+    /// retargeting equals a fresh [`for_tile`](Self::for_tile) slab's
+    /// fill of the same tile.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tile`'s shape differs from the slab's, or if it lies
+    /// outside the fan.
+    pub fn retarget(&mut self, tile: Tile) {
+        let shape = |t: Tile| (t.theta_end - t.theta_start, t.phi_end - t.phi_start);
+        assert_eq!(
+            shape(tile),
+            shape(self.tile),
+            "retarget to {tile:?} needs the slab's shape, {:?}",
+            self.tile
+        );
+        assert!(
+            tile.theta_end <= self.fan.0 && tile.phi_end <= self.fan.1,
+            "tile {tile:?} outside the {}x{} fan",
+            self.fan.0,
+            self.fan.1
+        );
+        self.tile = tile;
+        self.nappe = None;
     }
 
     /// Clears the held-nappe marker, returning the slab to its
@@ -372,6 +404,58 @@ mod tests {
         assert_eq!(slab.nappe(), Some(3));
         slab.reset();
         assert_eq!(slab.nappe(), None);
+    }
+
+    #[test]
+    fn retargeted_fill_equals_a_fresh_slab_fill() {
+        let spec = SystemSpec::tiny();
+        let engines: [&dyn DelayEngine; 4] = [
+            &ExactEngine::new(&spec),
+            &crate::NaiveTableEngine::build(&spec, u64::MAX).unwrap(),
+            &crate::TableFreeEngine::new(&spec, crate::TableFreeConfig::paper()).unwrap(),
+            &crate::TableSteerEngine::new(&spec, crate::TableSteerConfig::bits18()).unwrap(),
+        ];
+        let tiles = crate::NappeSchedule::fitted(&spec, 4).tiles();
+        for engine in engines {
+            let mut slab = NappeDelays::for_tile(&spec, tiles[0]);
+            for id in [2, 9] {
+                for &tile in tiles.iter().rev() {
+                    engine.fill_nappe(id, &mut slab);
+                    slab.retarget(tile);
+                    assert_eq!(slab.nappe(), None, "retarget clears the marker");
+                    engine.fill_nappe(id, &mut slab);
+                    let mut fresh = NappeDelays::for_tile(&spec, tile);
+                    engine.fill_nappe(id, &mut fresh);
+                    assert_eq!(slab, fresh, "{} {tile:?} nappe {id}", engine.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "needs the slab's shape")]
+    fn retarget_rejects_another_shape() {
+        let spec = SystemSpec::tiny();
+        let tile = |theta_end, phi_end| Tile {
+            theta_start: 0,
+            theta_end,
+            phi_start: 0,
+            phi_end,
+        };
+        NappeDelays::for_tile(&spec, tile(2, 4)).retarget(tile(4, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the")]
+    fn retarget_rejects_a_tile_outside_the_fan() {
+        let spec = SystemSpec::tiny();
+        let tile = |theta_start| Tile {
+            theta_start,
+            theta_end: theta_start + 4,
+            phi_start: 0,
+            phi_end: 4,
+        };
+        NappeDelays::for_tile(&spec, tile(0)).retarget(tile(6));
     }
 
     #[test]

@@ -96,8 +96,9 @@ fn main() {
         stats.overlap_fraction()
     );
     println!(
-        "            {} schedule tiles per frame, zero heap allocations on warm frames (see tests/warm_frame_allocs.rs)",
-        pipe.tile_count()
+        "            {} schedule tiles in {} tasks per frame, zero heap allocations on warm frames (see tests/warm_frame_allocs.rs)",
+        pipe.tile_count(),
+        pipe.task_count()
     );
     println!(
         "(with purely CPU-bound acquisition the two modes tie on a single core; the overlap pays \

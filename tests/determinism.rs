@@ -117,6 +117,38 @@ fn frame_pipeline_is_bit_identical_across_pool_sizes() {
 }
 
 #[test]
+fn pool_sized_runtimes_run_the_task_shape_the_tests_above_compare() {
+    // The two tests above would pass without ever running a depth band
+    // if the runtimes fell back to fan-tile tasks; this pins which shape
+    // each pool size actually runs. A single-transmit raw frame is two
+    // whole-fan depth bands per worker, not one task per schedule tile;
+    // a post-processed frame keeps one task per tile.
+    let spec = SystemSpec::tiny();
+    let frames = recorded_frames(&spec, 1);
+    let schedule = NappeSchedule::fitted(&spec, 8);
+    let engine: Arc<dyn DelayEngine + Send + Sync> = Arc::new(ExactEngine::new(&spec));
+    let bmode = PostChain::bmode(BmodeConfig::from_spec(&spec));
+    for threads in POOL_SIZES {
+        let pool = Arc::new(ThreadPool::new(threads));
+        let rt = VolumeLoop::with_pool(Beamformer::new(&spec), Arc::clone(&pool), &schedule);
+        assert_eq!(rt.tile_count(), 8);
+        assert_eq!(rt.task_count(), 2 * threads, "{threads} worker(s)");
+        let pipe = |bf: Beamformer| {
+            FramePipeline::with_pool(
+                bf,
+                Arc::clone(&engine),
+                FrameRing::new(frames.clone()),
+                Arc::clone(&pool),
+                &schedule,
+            )
+        };
+        assert_eq!(pipe(Beamformer::new(&spec)).task_count(), 2 * threads);
+        let post = pipe(Beamformer::new(&spec).with_postproc(bmode.clone()));
+        assert_eq!(post.task_count(), post.tile_count());
+    }
+}
+
+#[test]
 fn sharded_runtime_is_bit_identical_across_pool_sizes() {
     let spec = SystemSpec::tiny();
     let frames = recorded_frames(&spec, 2);

@@ -76,6 +76,9 @@ fn warm_frames_do_no_per_tile_allocation() {
     // --- VolumeLoop on an explicit pool ---
     let pool = Arc::new(ThreadPool::new(WORKERS));
     let mut rt = VolumeLoop::with_pool(Beamformer::new(&spec), Arc::clone(&pool), &schedule);
+    // A raw single-transmit frame runs as whole-fan depth bands, each
+    // band's slab re-pointed at all 64 tiles per nappe.
+    assert_eq!(rt.task_count(), 2 * WORKERS);
     for _ in 0..5 {
         rt.beamform(&engine, &rf); // warm-up: all allocation happens here
     }
@@ -93,6 +96,27 @@ fn warm_frames_do_no_per_tile_allocation() {
         loop_allocs, 0,
         "warm VolumeLoop frames must not allocate ({FRAMES} frames, \
          {tiles} tiles each) — the per-tile dispatch path is allocating again"
+    );
+
+    // --- The banded loop's views: depth slices and MIPs stitched from
+    // the bands' staging buffers into caller-owned buffers ---
+    let (n_theta, n_phi, n_depth) = rt.view().dims();
+    let mut slice_buf = vec![0.0; n_theta * n_phi];
+    let mut column_buf = vec![0.0; n_phi * n_depth];
+    let mut mip_buf = vec![0.0; n_theta * n_phi];
+    let before = ALLOCS.load(Ordering::SeqCst);
+    for id in 0..FRAMES as usize {
+        rt.beamform(&engine, &rf);
+        let view = rt.view();
+        view.slice_into(SlicePlane::Depth(id % n_depth), &mut slice_buf);
+        view.slice_into(SlicePlane::Theta(id % n_theta), &mut column_buf);
+        view.mip_into(ProjectionAxis::Depth, &mut mip_buf);
+    }
+    let view_allocs = ALLOCS.load(Ordering::SeqCst) - before;
+    eprintln!("BANDED_VIEW_ALLOCS={view_allocs}");
+    assert_eq!(
+        view_allocs, 0,
+        "warm banded VolumeLoop frames plus slice/MIP views must not allocate"
     );
 
     // --- FramePipeline, synchronous shape (acquisition handoff + pool
