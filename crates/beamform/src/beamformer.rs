@@ -1,14 +1,15 @@
 //! The delay-and-sum kernel (Eq. 1) over any delay engine.
 //!
 //! The volume path mirrors the paper's architecture: delays are consumed
-//! as per-nappe slabs ([`DelayEngine::fill_nappe`]) rather than per-voxel
-//! queries, and the steering fan is split into [`NappeSchedule`] tiles,
-//! each filled like a Fig. 4 block bound to its correction registers.
-//! The parallel tasks are either those tiles (walking every nappe) or,
-//! for single-transmit raw frames in the warm runtimes, whole-fan depth
-//! bands whose slab visits every tile per nappe — so each channel's echo
-//! samples for a nappe are read in one pass, the paper's nappe-major
-//! streaming applied to the echo buffer. The output volume is
+//! as per-nappe slabs ([`DelayEngine::fill_nappe_streamed`], or
+//! [`DelayEngine::fill_nappe_rx`] for a compound sequence) rather than
+//! per-voxel queries, and the steering fan is split into
+//! [`NappeSchedule`] tiles, each filled like a Fig. 4 block bound to its
+//! correction registers. The parallel tasks are either those tiles
+//! (walking every nappe) or, for single-transmit raw frames, whole-fan
+//! depth bands whose slab visits every tile per nappe — so each
+//! channel's echo samples for a nappe are read in one pass, the paper's
+//! nappe-major streaming applied to the echo buffer. The output volume is
 //! bit-identical to the scalar per-voxel path, which is kept as the
 //! reference implementation (and as the executed path for
 //! scanline-by-scanline traversal).
@@ -781,14 +782,19 @@ impl Beamformer {
 
     /// Beamforms the whole volume.
     ///
-    /// Nappe-by-nappe order (the default) runs the batched pipeline:
-    /// parallel over [`NappeSchedule`] tiles on the persistent
-    /// `usbf_par` pool, one delay slab per (tile, nappe) via
-    /// [`DelayEngine::fill_nappe`]. Scanline-by-scanline order keeps the
-    /// scalar per-voxel walk as the reference path. Both produce
-    /// bit-identical volumes. For repeated frames, prefer
-    /// [`VolumeLoop`](crate::VolumeLoop), which reuses this path's slabs
-    /// and buffers across calls.
+    /// Nappe-by-nappe order (the default) runs the batched kernel as one
+    /// frame of a [`VolumeLoop`](crate::VolumeLoop) on the global
+    /// `usbf_par` pool, with the schedule fitted to that pool: the same
+    /// tasks, slabs and kernel as every warm frame, built for this call
+    /// and dropped after it. Delay rows come from the engine's fused
+    /// [`DelayEngine::fill_nappe_streamed`] for a single transmit, or
+    /// from [`DelayEngine::fill_nappe_rx`] plus
+    /// [`DelayEngine::combine_tx_row`] for a compound sequence (see
+    /// [`beamform_tile_into`](Self::beamform_tile_into)).
+    /// Scanline-by-scanline order keeps the scalar per-voxel walk as the
+    /// reference path. Both produce bit-identical volumes. For repeated
+    /// frames, keep a [`VolumeLoop`](crate::VolumeLoop), which reuses its
+    /// slabs and buffers across calls.
     ///
     /// ```
     /// use usbf_beamform::Beamformer;
@@ -807,10 +813,9 @@ impl Beamformer {
     /// ```
     pub fn beamform_volume(&self, engine: &dyn DelayEngine, rf: &RfFrame) -> BeamformedVolume {
         match self.order {
-            ScanOrder::NappeByNappe => {
-                let schedule = pool_fitted_schedule(&self.spec, usbf_par::global());
-                self.beamform_volume_tiled(engine, rf, &schedule)
-            }
+            ScanOrder::NappeByNappe => crate::VolumeLoop::new(self.clone())
+                .beamform(engine, rf)
+                .clone(),
             ScanOrder::ScanlineByScanline => {
                 let mut out = BeamformedVolume::zeros(&self.spec);
                 for vox in self.order.iter(&self.spec.volume_grid) {
@@ -823,27 +828,6 @@ impl Beamformer {
                 out
             }
         }
-    }
-
-    /// Beamforms the whole volume with an explicit tile schedule: each
-    /// tile is an independent unit of work (run in parallel, one worker
-    /// slab each), and within a tile delays stream one nappe slab at a
-    /// time in depth order.
-    pub fn beamform_volume_tiled(
-        &self,
-        engine: &dyn DelayEngine,
-        rf: &RfFrame,
-        schedule: &NappeSchedule,
-    ) -> BeamformedVolume {
-        let tiles = schedule.tiles();
-        let per_tile: Vec<TileState> = usbf_par::par_map(&tiles, |_, &tile| {
-            let mut state = TileState::new(self, tile);
-            self.beamform_tile_into(engine, rf, &mut state);
-            state
-        });
-        let mut out = BeamformedVolume::zeros(&self.spec);
-        scatter_tasks(&mut out, &per_tile);
-        out
     }
 
     /// Beamforms one task into caller-owned warm state ([`TileState`]):
@@ -1344,11 +1328,15 @@ mod tests {
         let (spec, rf) = setup(Vec3::new(0.0, 0.003, 0.06));
         let engine = ExactEngine::new(&spec);
         let bf = Beamformer::new(&spec);
-        let reference =
-            bf.beamform_volume_tiled(&engine, &rf, &usbf_core::NappeSchedule::fitted(&spec, 1));
-        for target in [2, 4, 16, 64] {
+        let beamform_on = |target| {
             let schedule = usbf_core::NappeSchedule::fitted(&spec, target);
-            let vol = bf.beamform_volume_tiled(&engine, &rf, &schedule);
+            crate::VolumeLoop::with_pool(bf.clone(), usbf_par::global_arc(), &schedule)
+                .beamform(&engine, &rf)
+                .clone()
+        };
+        let reference = beamform_on(1);
+        for target in [2, 4, 16, 64] {
+            let vol = beamform_on(target);
             assert_eq!(vol, reference, "{target} tiles");
         }
     }
@@ -1406,7 +1394,12 @@ mod tests {
         let batched = TableSteerEngine::new(&spec, TableSteerConfig::bits18()).unwrap();
         let oracle = batched.clone(); // fresh zeroed counter
         let bf = Beamformer::new(&spec).with_apodization(crate::Apodization::Hann);
-        bf.beamform_volume_tiled(&batched, &rf, &usbf_core::NappeSchedule::fitted(&spec, 2));
+        crate::VolumeLoop::with_pool(
+            bf.clone(),
+            usbf_par::global_arc(),
+            &usbf_core::NappeSchedule::fitted(&spec, 2),
+        )
+        .beamform(&batched, &rf);
         let nx = spec.elements.nx();
         for i in 0..spec.volume_grid.voxel_count() {
             let vox = spec.volume_grid.voxel_at(i);

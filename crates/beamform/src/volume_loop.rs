@@ -3,11 +3,12 @@
 //!
 //! The paper's architecture exists to sustain delay generation at 3D
 //! frame rates — the delays for a volume are regenerated for **every
-//! insonification**, thousands of times per second. A loop that calls
-//! [`Beamformer::beamform_volume`] per frame pays, each time, for a tile
-//! schedule, one delay slab and one values buffer per tile, a fresh
-//! output volume, and (historically) freshly spawned threads.
-//! [`VolumeLoop`] hoists all of that out of the frame path: it owns a
+//! insonification**, thousands of times per second. A cold
+//! [`Beamformer::beamform_volume`] call is one frame of a loop built for
+//! that call, so calling it per frame pays, each time, for a tile
+//! schedule, one delay slab and one values buffer per task, a fresh
+//! output volume and a pool job registration. [`VolumeLoop`] kept
+//! across frames hoists all of that out of the frame path: it owns a
 //! handle to the persistent [`ThreadPool`], one [`NappeDelays`] slab and
 //! values buffer per task, a reusable output volume, and a
 //! preregistered [`JobHandle`] on the pool. After the first frame,
@@ -64,10 +65,9 @@ pub struct VolumeLoop {
 
 impl VolumeLoop {
     /// Builds a loop on the global pool with a schedule fitted to that
-    /// pool's worker count — the same schedule
-    /// [`Beamformer::beamform_volume`] uses, so outputs stay
-    /// bit-identical to the cold path (they are bit-identical for *any*
-    /// schedule, but sharing one also matches the work split).
+    /// pool's worker count. A cold [`Beamformer::beamform_volume`] call
+    /// in nappe order is one frame of such a loop (outputs are
+    /// bit-identical for *any* pool and schedule).
     #[must_use]
     pub fn new(beamformer: Beamformer) -> Self {
         let pool = usbf_par::global_arc();

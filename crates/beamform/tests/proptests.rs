@@ -3,6 +3,7 @@
 use proptest::prelude::*;
 use usbf_beamform::{
     ActiveAperture, Apodization, Beamformer, BmodeConfig, Interpolation, PostChain, TileState,
+    VolumeLoop,
 };
 use usbf_core::{
     DelayEngine, ExactEngine, NaiveTableEngine, NappeSchedule, TableFreeConfig, TableFreeEngine,
@@ -13,6 +14,7 @@ use usbf_geometry::{
     ElementIndex, SystemSpec, TransducerArray, TransducerSpec, TransmitModel, Vec3, VolumeSpec,
     VoxelIndex, SPEED_OF_SOUND,
 };
+use usbf_par::global_arc;
 use usbf_sim::{EchoSynthesizer, Phantom, Pulse};
 
 fn rf_for(spec: &SystemSpec, vox: VoxelIndex) -> usbf_sim::RfFrame {
@@ -348,8 +350,10 @@ proptest! {
                 };
                 let scalar = bf(ScanOrder::ScanlineByScanline).beamform_volume(engine, &rf);
                 let pooled = bf(ScanOrder::NappeByNappe).beamform_volume(engine, &rf);
-                let tiled = bf(ScanOrder::NappeByNappe).beamform_volume_tiled(engine, &rf, &schedule);
-                for (label, vectorized) in [("pool", &pooled), ("fitted", &tiled)] {
+                let mut fitted =
+                    VolumeLoop::with_pool(bf(ScanOrder::NappeByNappe), global_arc(), &schedule);
+                let tiled = fitted.beamform(engine, &rf);
+                for (label, vectorized) in [("pool", &pooled), ("fitted", tiled)] {
                     for (i, (a, b)) in vectorized
                         .as_slice()
                         .iter()
@@ -412,7 +416,9 @@ proptest! {
                         .with_interpolation(interp)
                         .with_order(order)
                 };
-                let tiled = bf(ScanOrder::NappeByNappe).beamform_volume_tiled(engine, &rf, &schedule);
+                let mut fitted =
+                    VolumeLoop::with_pool(bf(ScanOrder::NappeByNappe), global_arc(), &schedule);
+                let tiled = fitted.beamform(engine, &rf);
                 let scalar = bf(ScanOrder::ScanlineByScanline).beamform_volume(engine, &rf);
                 for (i, (a, b)) in tiled.as_slice().iter().zip(scalar.as_slice()).enumerate() {
                     prop_assert_eq!(
@@ -432,7 +438,7 @@ proptest! {
         let oracle = tablesteer.clone();
         let batched = tablesteer.clone();
         let bf = Beamformer::new(&spec).with_apodization(apod);
-        bf.beamform_volume_tiled(&batched, &rf, &schedule);
+        VolumeLoop::with_pool(bf.clone(), global_arc(), &schedule).beamform(&batched, &rf);
         let nx = spec.elements.nx();
         for i in 0..spec.volume_grid.voxel_count() {
             let vox = spec.volume_grid.voxel_at(i);

@@ -3,10 +3,9 @@
 //! Three views, all with a fixed worker count so the comparison is
 //! meaningful on any host:
 //!
-//! * `dispatch_only` — per-frame dispatch overhead of the two pool
-//!   paths: a `scope` that boxes one task per tile vs a preregistered
-//!   [`JobHandle`] run (barrier allocated once, borrowed closure, no
-//!   per-tile boxing);
+//! * `dispatch_only` — per-frame dispatch overhead of a preregistered
+//!   [`JobHandle`](usbf_par::JobHandle) run (barrier allocated once,
+//!   borrowed closure, no per-tile boxing) over trivial tasks;
 //! * `frames_per_second` — end-to-end frame rate, acquisition included:
 //!   a serial loop (acquire, then beamform, on one thread) vs the
 //!   overlapped [`FramePipeline`] (acquisition of frame `n+1` hidden
@@ -16,9 +15,8 @@
 //!   followed by CPU-side echo synthesis; that latency is exactly what
 //!   the overlap hides, on any core count. The reported elements/s
 //!   **is** frames/s;
-//! * `volume_loop_dispatch` — the warm `VolumeLoop` frame itself, now on
-//!   the preregistered path, against the same work dispatched through a
-//!   boxed scope (what `VolumeLoop` did before this layer existed).
+//! * `volume_loop_dispatch` — the warm `VolumeLoop` frame itself, on its
+//!   preregistered job.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -72,20 +70,9 @@ fn bench_pipeline(c: &mut Criterion) {
     let pulse = Pulse::from_spec(&spec);
     let phantom = speckle_phantom();
 
-    // Pure dispatch overhead: trivial per-task work, so the difference
-    // is (Arc + per-tile box + queue churn) vs (re-announce + claim).
+    // Pure dispatch overhead: trivial per-task work, so the time is the
+    // re-announce, claim and barrier of one run.
     let mut g = c.benchmark_group("pipeline_dispatch_only");
-    g.bench_function("scope_boxed_tasks", |b| {
-        let mut slots = vec![0u64; n_tiles];
-        b.iter(|| {
-            pool.scope(|s| {
-                for slot in slots.iter_mut() {
-                    s.spawn(move || *slot = black_box(*slot) * 2 + 1);
-                }
-            });
-            black_box(slots[0])
-        })
-    });
     g.bench_function("preregistered_job", |b| {
         let mut job = ThreadPool::register(&pool);
         let mut slots = vec![0u64; n_tiles];
@@ -153,32 +140,10 @@ fn bench_pipeline(c: &mut Criterion) {
     });
     g.finish();
 
-    // The warm VolumeLoop frame on its preregistered job, vs the same
-    // tile kernels dispatched through a boxed scope per frame.
+    // The warm VolumeLoop frame on its preregistered job.
     let mut g = c.benchmark_group("pipeline_volume_loop_dispatch");
     g.throughput(Throughput::Elements(1));
     let rf = EchoSynthesizer::new(&spec).synthesize(&phantom, &pulse);
-    g.bench_function("boxed_scope_per_frame", |b| {
-        let bf = Beamformer::new(&spec);
-        let mut states: Vec<usbf_beamform::TileState> = schedule
-            .tiles()
-            .iter()
-            .map(|&tile| usbf_beamform::TileState::new(&bf, tile))
-            .collect();
-        b.iter(|| {
-            let bf = &bf;
-            let engine = engine.as_ref();
-            let rf = &rf;
-            pool.scope(|s| {
-                for state in states.iter_mut() {
-                    s.spawn(move || {
-                        bf.beamform_tile_into(black_box(engine), black_box(rf), state);
-                    });
-                }
-            });
-            black_box(states[0].values()[0])
-        })
-    });
     g.bench_function("preregistered_volume_loop", |b| {
         let mut rt = VolumeLoop::with_pool(Beamformer::new(&spec), Arc::clone(&pool), &schedule);
         rt.beamform(engine.as_ref(), &rf); // warm-up

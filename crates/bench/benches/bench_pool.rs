@@ -107,14 +107,21 @@ fn bench_pool(c: &mut Criterion) {
     let tiles = schedule.tiles();
 
     // Pure dispatch overhead: the work itself is one multiply per item,
-    // so the difference is thread spawn + join vs channel wake.
+    // so the difference is thread spawn + join vs re-announcing a
+    // registered job.
     let items: Vec<u64> = (0..tiles.len() as u64).collect();
     let mut g = c.benchmark_group("pool_dispatch_only");
     g.bench_function("spawn_per_call", |b| {
         b.iter(|| spawn_per_call_map(WORKERS, black_box(&items), |_, &x| x * 2))
     });
     g.bench_function("persistent_pool", |b| {
-        b.iter(|| pool.par_map_indexed(black_box(&items), |_, &x| x * 2))
+        let mut job = ThreadPool::register(&pool);
+        let mut out = vec![0u64; items.len()];
+        b.iter(|| {
+            let items = black_box(&items);
+            job.run(&mut out, &|i, s: &mut u64| *s = items[i] * 2);
+            black_box(out[0])
+        })
     });
     g.finish();
 

@@ -1,39 +1,42 @@
 //! Persistent worker-pool runtime for the workspace's data parallelism.
 //!
 //! The build environment has no registry access, so this crate provides
-//! the small rayon-style API subset the workspace needs — now backed by a
-//! **persistent [`ThreadPool`]** instead of per-call scoped threads. The
-//! paper's streaming architecture beamforms thousands of volumes per
-//! second; spawning a thread per tile per volume is exactly the kind of
-//! per-frame cost it amortizes away, so workers here are created once,
-//! parked on preallocated per-worker queues, and handed jobs by
-//! reference.
+//! the small slice of a rayon-style runtime the workspace needs, backed
+//! by a **persistent [`ThreadPool`]**. The paper's streaming architecture
+//! beamforms thousands of volumes per second; spawning a thread per tile
+//! per volume is exactly the kind of per-frame cost it amortizes away, so
+//! workers here are created once, parked on preallocated per-worker
+//! queues, and handed jobs by reference.
 //!
-//! Four layers:
+//! Two layers:
 //!
 //! * [`ThreadPool`] — the pool itself: `new(threads)` or the process-wide
-//!   [`global`] instance (sized from `USBF_POOL_THREADS` or the available
-//!   parallelism);
-//! * [`ThreadPool::scope`] / [`PoolScope::spawn`] — structured borrowed
-//!   tasks, shaped like [`std::thread::scope`] but executed by the pool;
+//!   instance behind [`global_arc`] (sized from `USBF_POOL_THREADS` or
+//!   the available parallelism);
 //! * [`ThreadPool::register`] / [`JobHandle::run`] /
-//!   [`JobHandle::start`] — preregistered job slots for frame loops: the
-//!   completion barrier is allocated once and re-announced per frame,
-//!   with borrowed state dispatched through a function pointer, so a
+//!   [`JobHandle::start`] — preregistered job slots, the one dispatch
+//!   shape: the completion barrier is allocated once and re-announced per
+//!   run, with borrowed state dispatched through a function pointer, so a
 //!   warm run performs **zero per-task heap allocations** (no `Arc`
-//!   churn, no task boxing). `start` returns a [`PendingJob`] guard that
-//!   keeps the run in flight while the caller does other work —
-//!   `wait()`/`try_wait()` redeem it, dropping it joins;
-//! * [`par_map`] / [`par_map_indexed`] / [`par_for_each_index`] — the
-//!   drop-in parallel maps every call site already uses, with dynamic
-//!   work claiming so stragglers don't serialize the pool.
+//!   churn, no task boxing). `run` joins before returning; `start`
+//!   returns a [`PendingJob`] guard that keeps the run in flight while
+//!   the caller does other work — `wait()`/`try_wait()` redeem it,
+//!   dropping it joins. A one-shot parallel section is a fresh handle
+//!   run once.
 //!
-//! The calling thread always participates in its own job, which makes
-//! nested `scope`/`par_map` calls from inside tasks deadlock-free: the
-//! inner job is drained by its own caller even when every worker is busy.
+//! Tasks are claimed by index, so stragglers don't serialize the pool,
+//! and idle workers steal unclaimed tasks from any registered run. The
+//! calling thread always participates in its own run, which makes a
+//! `run` started from inside another run's task deadlock-free: the inner
+//! run is drained by its own caller even when every worker is busy.
 //!
 //! ```
-//! let squares = usbf_par::par_map(&[1u64, 2, 3, 4], |_, &x| x * x);
+//! let pool = std::sync::Arc::new(usbf_par::ThreadPool::new(2));
+//! let items = [1u64, 2, 3, 4];
+//! let mut squares = vec![0u64; items.len()];
+//! usbf_par::ThreadPool::register(&pool).run(&mut squares, &|i, s: &mut u64| {
+//!     *s = items[i] * items[i];
+//! });
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //! ```
 
@@ -41,140 +44,30 @@
 #![warn(missing_docs)]
 
 mod arena;
-mod job;
 mod pool;
 mod registered;
-mod scope;
 
-pub use pool::{global, global_arc, ThreadPool};
+pub use pool::{global_arc, ThreadPool};
 pub use registered::{JobHandle, PendingJob};
-pub use scope::PoolScope;
 
 /// The pool's default sizing: `USBF_POOL_THREADS` when set to a positive
 /// integer, the host's available parallelism otherwise. This is the size
-/// [`global`] is built with, exposed so schedule planners (e.g. tile
-/// fitting) can agree with the pool instead of re-deriving a core count
-/// that ignores the override. A pure query — it does not build the
-/// global pool.
+/// the global pool ([`global_arc`]) is built with, exposed so schedule
+/// planners (e.g. tile fitting) can agree with the pool instead of
+/// re-deriving a core count that ignores the override. A pure query — it
+/// does not build the global pool.
 pub fn default_threads() -> usize {
     ThreadPool::default_threads()
-}
-
-/// Number of claimants [`par_map`] would use for `n_items` of work: the
-/// default pool size ([`default_threads`]), capped by the item count
-/// (never zero). A pure query — it does not build the global pool.
-pub fn thread_count(n_items: usize) -> usize {
-    default_threads().min(n_items).max(1)
-}
-
-/// Maps `f` over `items` on the global pool, returning the results in
-/// input order. `f` receives `(index, &item)`.
-///
-/// Items are claimed dynamically (one atomic fetch-add per item), so
-/// stragglers don't serialize the pool. Panics in `f` propagate. This is
-/// the historical entry point and is identical to [`par_map_indexed`];
-/// no threads are spawned by the call — the persistent workers of
-/// [`global`] do the work.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    global().par_map_indexed(items, f)
-}
-
-/// Explicitly named alias of [`par_map`]: maps `(index, &item) → R` over
-/// the global pool, preserving input order.
-pub fn par_map_indexed<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    global().par_map_indexed(items, f)
-}
-
-/// Runs `f` for every index in `0..n`, in parallel on the global pool,
-/// discarding results.
-pub fn par_for_each_index<F>(n: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    let indices: Vec<usize> = (0..n).collect();
-    par_map(&indices, |_, &i| f(i));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    #[test]
-    fn map_preserves_order() {
-        let items: Vec<usize> = (0..1000).collect();
-        let out = par_map(&items, |i, &x| {
-            assert_eq!(i, x);
-            x * 2
-        });
-        assert_eq!(out, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn empty_input_is_fine() {
-        let out: Vec<u32> = par_map(&[] as &[u32], |_, &x| x);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn single_item_runs_inline() {
-        let out = par_map(&[41u32], |_, &x| x + 1);
-        assert_eq!(out, vec![42]);
-    }
-
-    #[test]
-    fn for_each_visits_every_index_once() {
-        let sum = AtomicU64::new(0);
-        par_for_each_index(100, |i| {
-            sum.fetch_add(i as u64, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 4950);
-    }
-
-    #[test]
-    fn thread_count_is_capped_by_items() {
-        assert_eq!(thread_count(0), 1);
-        assert_eq!(thread_count(1), 1);
-        assert!(thread_count(1_000_000) >= 1);
-    }
-
-    #[test]
-    fn indexed_alias_matches_par_map() {
-        let items: Vec<u32> = (0..32).collect();
-        assert_eq!(
-            par_map(&items, |i, &x| x as usize + i),
-            par_map_indexed(&items, |i, &x| x as usize + i)
-        );
-    }
+    use std::sync::Arc;
 
     #[test]
     fn global_pool_is_built_once() {
-        let a = global() as *const ThreadPool;
-        let b = global() as *const ThreadPool;
-        assert_eq!(a, b);
-        assert_eq!(global_arc().threads(), global().threads());
-    }
-
-    #[test]
-    #[should_panic]
-    fn worker_panic_propagates() {
-        // Enough items that a parallel path is taken on any machine.
-        let items: Vec<usize> = (0..64).collect();
-        par_map(&items, |_, &x| {
-            if x == 13 {
-                panic!("boom");
-            }
-            x
-        });
+        assert!(Arc::ptr_eq(&global_arc(), &global_arc()));
+        assert_eq!(global_arc().threads(), default_threads());
     }
 }

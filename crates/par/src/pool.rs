@@ -1,7 +1,6 @@
 //! The persistent worker pool.
 
 use crate::arena::ClaimArena;
-use crate::job::JobCore;
 use crate::registered::RegisteredCore;
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
@@ -9,15 +8,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
-/// What a worker queue carries: either a one-shot scoped job (its core
-/// allocated by the announcing `scope` call) or a preregistered job slot
-/// (its core allocated once, at `ThreadPool::register`). Announcing
-/// either kind only clones an `Arc` — the distinction is who paid for
-/// the allocation, and when.
-pub(crate) enum WorkItem {
-    Scoped(Arc<JobCore>),
-    Registered(Arc<RegisteredCore>),
-}
+/// What a worker queue carries: the core of a preregistered job slot,
+/// allocated once at `ThreadPool::register`. Announcing a run only
+/// clones the `Arc`.
+type WorkItem = Arc<RegisteredCore>;
 
 /// How many announcements a worker queue can hold before its ring
 /// buffer grows. Queues drain continuously (an announcement is an
@@ -112,23 +106,27 @@ enum Popped {
 /// A pool of persistent worker threads with a per-worker job injector.
 ///
 /// Workers are spawned **once**, at construction, and parked on their own
-/// preallocated work queue; every [`scope`](ThreadPool::scope) /
-/// [`par_map_indexed`](ThreadPool::par_map_indexed) call announces its job
-/// to the per-worker queues instead of spawning threads, which is what
-/// removes the per-frame thread-creation cost from real-time volume loops
-/// (see `usbf_beamform::VolumeLoop`). The calling thread always
-/// participates in its own job, so a pool is deadlock-free even when all
-/// workers are busy — nested `scope`/`par_map` calls from inside tasks
-/// simply run on the threads already committed to them.
+/// preallocated work queue; every run of a registered [`JobHandle`]
+/// (see [`register`](ThreadPool::register)) is announced to the
+/// per-worker queues instead of spawning threads, which is what removes
+/// the per-frame thread-creation cost from real-time volume loops (see
+/// `usbf_beamform::VolumeLoop`). The calling thread always participates
+/// in its own run, so a pool is deadlock-free even when all workers are
+/// busy — a run started from inside another run's task simply runs on
+/// the thread already committed to it.
 ///
 /// ```
-/// let pool = usbf_par::ThreadPool::new(2);
-/// let squares = pool.par_map_indexed(&[1u64, 2, 3, 4], |_, &x| x * x);
+/// let pool = std::sync::Arc::new(usbf_par::ThreadPool::new(2));
+/// let mut job = usbf_par::ThreadPool::register(&pool);
+/// let mut squares = vec![0u64; 4];
+/// job.run(&mut squares, &|i, s: &mut u64| *s = (i as u64 + 1).pow(2));
 /// assert_eq!(squares, vec![1, 4, 9, 16]);
-/// // The same two workers serve every subsequent call.
-/// let sums = pool.par_map_indexed(&[1u64, 2], |i, &x| x + i as u64);
-/// assert_eq!(sums, vec![1, 3]);
+/// // The same two workers serve every subsequent run.
+/// job.run(&mut squares, &|i, s: &mut u64| *s += i as u64);
+/// assert_eq!(squares, vec![1, 5, 11, 19]);
 /// ```
+///
+/// [`JobHandle`]: crate::JobHandle
 pub struct ThreadPool {
     queues: Vec<Arc<WorkQueue>>,
     handles: Vec<JoinHandle<()>>,
@@ -142,10 +140,13 @@ pub struct ThreadPool {
 impl ThreadPool {
     /// Builds a pool with exactly `threads` persistent workers.
     ///
-    /// A pool of 0 or 1 threads is valid: `par_map` and `scope` tasks
-    /// then run inline on the caller (matching the old spawn-per-call
-    /// behaviour on single-core hosts), with no queueing or
-    /// coordination cost.
+    /// A pool of 0 or 1 threads is valid: [`JobHandle::run`] then runs
+    /// every task inline on the caller, with no queueing or
+    /// coordination cost, and [`JobHandle::start`] on a 0-thread pool
+    /// runs them inline before returning an already complete guard.
+    ///
+    /// [`JobHandle::run`]: crate::JobHandle::run
+    /// [`JobHandle::start`]: crate::JobHandle::start
     ///
     /// The constructor blocks until every worker is actually **running**,
     /// not merely spawned: a freshly created OS thread performs lazy
@@ -228,21 +229,6 @@ impl ThreadPool {
         &self.arena
     }
 
-    /// Announces a job to one worker queue, round-robin: every spawn
-    /// pokes a worker, so a burst of spawns reaches every worker without
-    /// waking the whole pool per task. Workers that are busy see the
-    /// announcement after finishing their current job; stale
-    /// announcements for completed jobs cost one empty queue check.
-    pub(crate) fn announce(&self, job: &Arc<JobCore>) {
-        if self.queues.is_empty() {
-            return;
-        }
-        let i = self.next_announce.fetch_add(1, Ordering::Relaxed) % self.queues.len();
-        // Announcing to a dropping pool is a no-op; the announcing scope
-        // still drains its own queue, so tasks are never lost.
-        self.queues[i].push(WorkItem::Scoped(Arc::clone(job)));
-    }
-
     /// Announces a preregistered job to `count` distinct worker queues,
     /// round-robin. One announcement per *worker*, never per task: the
     /// job's tasks are claimed by index from the shared core, so waking
@@ -255,9 +241,9 @@ impl ThreadPool {
         let start = self.next_announce.fetch_add(n, Ordering::Relaxed);
         for k in 0..n {
             let i = (start + k) % self.queues.len();
-            // As with scoped jobs, announcing mid-drop is a no-op; the
-            // run's owner drains its own job regardless.
-            self.queues[i].push(WorkItem::Registered(Arc::clone(core)));
+            // Announcing to a dropping pool is a no-op; the run's owner
+            // drains its own job regardless, so tasks are never lost.
+            self.queues[i].push(Arc::clone(core));
         }
     }
 }
@@ -283,11 +269,7 @@ fn worker_loop(queue: &WorkQueue, arena: &ClaimArena) {
     // queue, so no run can pend while a worker sleeps.
     loop {
         match queue.try_pop() {
-            Popped::Item(WorkItem::Scoped(job)) => {
-                job.drain(false);
-                continue;
-            }
-            Popped::Item(WorkItem::Registered(core)) => {
+            Popped::Item(core) => {
                 core.drain(false);
                 continue;
             }
@@ -298,10 +280,7 @@ fn worker_loop(queue: &WorkQueue, arena: &ClaimArena) {
             continue;
         }
         match queue.pop() {
-            Some(WorkItem::Scoped(job)) => {
-                job.drain(false);
-            }
-            Some(WorkItem::Registered(core)) => {
+            Some(core) => {
                 core.drain(false);
             }
             None => return,
@@ -311,19 +290,9 @@ fn worker_loop(queue: &WorkQueue, arena: &ClaimArena) {
 
 static GLOBAL: OnceLock<Arc<ThreadPool>> = OnceLock::new();
 
-fn global_cell() -> &'static Arc<ThreadPool> {
-    GLOBAL.get_or_init(|| Arc::new(ThreadPool::with_default_size()))
-}
-
 /// The process-wide shared pool, built on first use and sized by
-/// [`ThreadPool::default_threads`]. All free functions
-/// ([`par_map`](crate::par_map) and friends) run on it.
-pub fn global() -> &'static ThreadPool {
-    global_cell()
-}
-
-/// The global pool as a cloneable handle, for owners that want to store
-/// it (e.g. `usbf_beamform::VolumeLoop`).
+/// [`ThreadPool::default_threads`], as a cloneable handle for owners
+/// that store it (e.g. `usbf_beamform::VolumeLoop`).
 pub fn global_arc() -> Arc<ThreadPool> {
-    Arc::clone(global_cell())
+    Arc::clone(GLOBAL.get_or_init(|| Arc::new(ThreadPool::with_default_size())))
 }

@@ -2,18 +2,18 @@
 //! allocations removed, and a guard-object API for keeping a run **in
 //! flight** while the caller does other work.
 //!
-//! A [`scope`](crate::ThreadPool::scope) call allocates one
-//! `Arc<JobCore>` per job and one boxed closure per spawned task. For a
-//! one-shot parallel section that is noise, but a real-time volume loop
-//! announces the *same* job shape thousands of times per second — the
-//! per-tile boxes are the last per-frame heap traffic on the dispatch
-//! path. A [`JobHandle`] removes them: the completion barrier is
+//! A real-time volume loop announces the *same* job shape thousands of
+//! times per second, so anything allocated per run — a job core, one
+//! boxed closure per task — is steady per-frame heap traffic on the
+//! dispatch path. A [`JobHandle`] has none: its completion barrier is
 //! allocated **once**, at [`ThreadPool::register`], and every run
 //! re-announces it with borrowed state dispatched through a
 //! monomorphized function pointer — no task boxing, no `Arc` creation,
-//! no per-tile allocation of any kind.
+//! no per-tile allocation of any kind. It is the only kind of job the
+//! pool runs; a one-shot parallel section registers a handle, runs it
+//! once and drops it.
 //!
-//! Two dispatch shapes share that machinery:
+//! Two ways to run a handle share that machinery:
 //!
 //! * [`JobHandle::run`] — synchronous: announce, help drain, return when
 //!   every task has finished (the shape `usbf_beamform::VolumeLoop`
@@ -32,8 +32,8 @@
 //! Tasks are indexed rather than enqueued: a run claims each index in
 //! `0..states.len()` exactly once (one claim under the job mutex),
 //! handing task `i` exclusive access to `states[i]`. That fits the fixed
-//! work shape of a frame loop — one task per schedule tile, each owning
-//! its warm slab — and is what lets the borrow discipline stay sound
+//! work shape of a frame loop — one task per depth band or schedule
+//! tile, each owning its warm slab — and is what lets the borrow discipline stay sound
 //! without erasing one closure per task.
 
 use crate::pool::ThreadPool;
@@ -187,16 +187,15 @@ impl RegisteredCore {
 /// A reusable, preregistered job slot on a [`ThreadPool`], created by
 /// [`ThreadPool::register`].
 ///
-/// Where [`ThreadPool::scope`] allocates a fresh job core and boxes one
-/// closure per spawned task, a `JobHandle` owns its completion barrier
-/// for life and dispatches every run through borrowed state — a warm
-/// [`run`](JobHandle::run) or [`start`](JobHandle::start) performs
-/// **zero** heap allocations beyond the pool's internal worker wake-ups
-/// (which are per-worker, never per-task). This is the dispatch path
-/// real-time frame loops sit on: `usbf_beamform::VolumeLoop` registers
-/// one handle at construction and re-announces it every frame, and
-/// `usbf_beamform::FramePipeline` starts one asynchronous run per
-/// submitted frame.
+/// A `JobHandle` owns its completion barrier for life and dispatches
+/// every run through borrowed state — a warm [`run`](JobHandle::run) or
+/// [`start`](JobHandle::start) performs **zero** heap allocations
+/// beyond the pool's internal worker wake-ups (which are per-worker,
+/// never per-task). Every parallel run in the workspace sits on it:
+/// `usbf_beamform::VolumeLoop` registers one handle at construction and
+/// re-announces it every frame (a cold `Beamformer::beamform_volume` is
+/// one such frame), and `usbf_beamform::FramePipeline` starts one
+/// asynchronous run per submitted frame.
 ///
 /// ```
 /// let pool = std::sync::Arc::new(usbf_par::ThreadPool::new(2));

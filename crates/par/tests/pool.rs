@@ -1,178 +1,41 @@
-//! Behavioural tests for the persistent pool: reuse, panic propagation,
-//! nesting, and structured-scope semantics. Pools here are built with an
-//! explicit worker count so the multi-worker paths are exercised even on
-//! single-core CI hosts.
+//! Behavioural tests for the persistent pool and its registered jobs:
+//! reuse, panic propagation, nesting, and the asynchronous guard API.
+//! Pools here are built with an explicit worker count so the
+//! multi-worker paths are exercised even on single-core CI hosts.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use usbf_par::ThreadPool;
 
 #[test]
-fn pool_is_reused_across_many_par_map_calls() {
-    let pool = ThreadPool::new(4);
-    assert_eq!(pool.threads(), 4);
-    for round in 0..200usize {
-        let items: Vec<usize> = (0..64).collect();
-        let out = pool.par_map_indexed(&items, |i, &x| x * 2 + round + (i - x));
-        assert_eq!(out, (0..64).map(|x| x * 2 + round).collect::<Vec<_>>());
-    }
-}
-
-#[test]
-fn par_map_matches_serial_reference() {
-    let pool = ThreadPool::new(3);
-    let items: Vec<f64> = (0..500).map(|i| i as f64 * 0.25).collect();
-    let serial: Vec<f64> = items.iter().map(|x| x.sqrt() + 1.0).collect();
-    let parallel = pool.par_map_indexed(&items, |_, x| x.sqrt() + 1.0);
-    assert_eq!(parallel, serial);
-}
-
-#[test]
-fn scope_tasks_borrow_caller_state() {
-    let pool = ThreadPool::new(2);
-    let sum = AtomicU64::new(0);
-    let data: Vec<u64> = (1..=100).collect();
-    pool.scope(|s| {
-        for chunk in data.chunks(10) {
-            s.spawn(|| {
-                sum.fetch_add(chunk.iter().sum(), Ordering::Relaxed);
-            });
-        }
-    });
-    assert_eq!(sum.load(Ordering::Relaxed), 5050);
-}
-
-#[test]
-fn tasks_can_spawn_onto_their_own_scope() {
-    let pool = ThreadPool::new(2);
-    let count = AtomicUsize::new(0);
-    pool.scope(|s| {
-        for _ in 0..4 {
-            s.spawn(|| {
-                count.fetch_add(1, Ordering::Relaxed);
-                // Nested spawn onto the same scope, from inside a task.
-                s.spawn(|| {
-                    count.fetch_add(1, Ordering::Relaxed);
-                });
-            });
-        }
-    });
-    assert_eq!(count.load(Ordering::Relaxed), 8);
-}
-
-#[test]
-fn nested_par_map_inside_par_map_completes() {
-    // Inner jobs are drained by their own callers, so nesting cannot
-    // deadlock even when the pool is saturated by the outer call.
-    let pool = ThreadPool::new(2);
-    let outer: Vec<usize> = (0..8).collect();
-    let totals = pool.par_map_indexed(&outer, |_, &o| {
-        let inner: Vec<usize> = (0..50).collect();
-        pool.par_map_indexed(&inner, |_, &i| i + o)
-            .into_iter()
-            .sum::<usize>()
-    });
-    for (o, total) in totals.into_iter().enumerate() {
-        assert_eq!(total, (0..50).sum::<usize>() + 50 * o);
-    }
-}
-
-#[test]
-fn nested_scope_inside_scope_completes() {
-    let pool = ThreadPool::new(2);
-    let hits = AtomicUsize::new(0);
-    pool.scope(|outer| {
-        for _ in 0..3 {
-            outer.spawn(|| {
-                pool.scope(|inner| {
-                    for _ in 0..3 {
-                        inner.spawn(|| {
-                            hits.fetch_add(1, Ordering::Relaxed);
-                        });
-                    }
-                });
-            });
-        }
-    });
-    assert_eq!(hits.load(Ordering::Relaxed), 9);
-}
-
-#[test]
-fn panic_in_task_propagates_and_pool_survives() {
-    let pool = ThreadPool::new(4);
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        pool.scope(|s| {
-            s.spawn(|| panic!("task panic payload"));
-        });
-    }));
-    let payload = result.expect_err("scope must re-throw the task panic");
-    let msg = payload
-        .downcast_ref::<&str>()
-        .copied()
-        .unwrap_or("<non-str payload>");
-    assert_eq!(msg, "task panic payload");
-
-    // The pool must remain fully usable after a panicked job.
-    let items: Vec<usize> = (0..64).collect();
-    let out = pool.par_map_indexed(&items, |_, &x| x + 1);
-    assert_eq!(out, (1..=64).collect::<Vec<_>>());
-}
-
-#[test]
-fn panic_in_par_map_item_propagates() {
-    let pool = ThreadPool::new(4);
-    let items: Vec<usize> = (0..64).collect();
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        pool.par_map_indexed(&items, |_, &x| {
-            if x == 13 {
-                panic!("boom");
-            }
-            x
-        })
-    }));
-    assert!(result.is_err(), "panic in f must reach the caller");
-    // Subsequent calls still work.
-    assert_eq!(pool.par_map_indexed(&items, |_, &x| x), items);
-}
-
-#[test]
-fn sibling_tasks_finish_even_when_one_panics() {
-    let pool = ThreadPool::new(2);
-    let done = AtomicUsize::new(0);
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        pool.scope(|s| {
-            for i in 0..6 {
-                let done = &done;
-                s.spawn(move || {
-                    if i == 2 {
-                        panic!("one bad task");
-                    }
-                    done.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
-    }));
-    assert!(result.is_err());
-    // The barrier ran every sibling before re-throwing.
-    assert_eq!(done.load(Ordering::Relaxed), 5);
-}
-
-#[test]
-fn scope_returns_closure_value() {
-    let pool = ThreadPool::new(2);
-    let value = pool.scope(|s| {
-        s.spawn(|| {});
-        42u32
-    });
-    assert_eq!(value, 42);
-}
-
-#[test]
 fn dropping_a_pool_joins_its_workers() {
-    let pool = ThreadPool::new(3);
-    let items: Vec<usize> = (0..32).collect();
-    let _ = pool.par_map_indexed(&items, |_, &x| x);
-    drop(pool); // must not hang or leak threads that outlive the join
+    let pool = Arc::new(ThreadPool::new(3));
+    let mut out = vec![0usize; 32];
+    ThreadPool::register(&pool).run(&mut out, &|i, s: &mut usize| *s = i);
+    // The last handle is gone, so this drop is the pool's: it must not
+    // hang or leak threads that outlive the join.
+    drop(Arc::into_inner(pool).expect("no other owner"));
+}
+
+#[test]
+fn registered_run_inside_a_registered_task_completes() {
+    // Every caller drains its own run, so a run started from inside a
+    // task of another run cannot deadlock, even when the outer run has
+    // both workers busy.
+    let pool = Arc::new(ThreadPool::new(2));
+    let outer: Vec<usize> = (0..8).collect();
+    let inner: Vec<usize> = (0..50).collect();
+    let mut totals = vec![0usize; outer.len()];
+    ThreadPool::register(&pool).run(&mut totals, &|o, total: &mut usize| {
+        let mut terms = vec![0usize; inner.len()];
+        ThreadPool::register(&pool).run(&mut terms, &|i, t: &mut usize| *t = inner[i] + outer[o]);
+        *total = terms.iter().sum();
+    });
+    let serial: Vec<usize> = outer
+        .iter()
+        .map(|&o| inner.iter().map(|&i| i + o).sum())
+        .collect();
+    assert_eq!(totals, serial);
 }
 
 #[test]
@@ -234,7 +97,9 @@ fn registered_job_panic_propagates_and_handle_survives() {
     job.run(&mut slots, &|i, s: &mut usize| *s = i + 1);
     assert_eq!(slots, (1..=32).collect::<Vec<_>>());
     let items: Vec<usize> = (0..16).collect();
-    assert_eq!(pool.par_map_indexed(&items, |_, &x| x), items);
+    let mut probe = vec![0usize; items.len()];
+    ThreadPool::register(&pool).run(&mut probe, &|i, s: &mut usize| *s = items[i]);
+    assert_eq!(probe, items);
 }
 
 #[test]
@@ -253,19 +118,6 @@ fn multiple_registered_jobs_share_one_pool() {
 }
 
 #[test]
-fn registered_jobs_interleave_with_scoped_jobs() {
-    let pool = std::sync::Arc::new(ThreadPool::new(3));
-    let mut job = ThreadPool::register(&pool);
-    let mut slots = vec![0usize; 24];
-    for round in 0..10 {
-        job.run(&mut slots, &|i, s: &mut usize| *s = i * round);
-        let items: Vec<usize> = (0..24).collect();
-        let mapped = pool.par_map_indexed(&items, |_, &x| x * round);
-        assert_eq!(&slots, &mapped, "round {round}");
-    }
-}
-
-#[test]
 fn registered_job_inline_paths() {
     // Empty runs, single-task runs and ≤1-thread pools all run inline on
     // the caller with no coordination.
@@ -277,25 +129,6 @@ fn registered_job_inline_paths() {
         let mut one = vec![41u32];
         job.run(&mut one, &|_, v: &mut u32| *v += 1);
         assert_eq!(one, vec![42], "{threads} threads");
-    }
-}
-
-#[test]
-fn zero_and_one_thread_pools_run_inline() {
-    for threads in [0usize, 1] {
-        let pool = ThreadPool::new(threads);
-        let items: Vec<usize> = (0..16).collect();
-        assert_eq!(
-            pool.par_map_indexed(&items, |_, &x| x * 3),
-            (0..16).map(|x| x * 3).collect::<Vec<_>>()
-        );
-        let hit = AtomicUsize::new(0);
-        pool.scope(|s| {
-            s.spawn(|| {
-                hit.fetch_add(1, Ordering::Relaxed);
-            });
-        });
-        assert_eq!(hit.load(Ordering::Relaxed), 1);
     }
 }
 
@@ -389,7 +222,9 @@ fn pending_panic_is_delivered_on_wait_and_everything_survives() {
     job.start(&mut slots, &none, |_, _, s: &mut u64| *s += 1)
         .wait();
     let items: Vec<usize> = (0..16).collect();
-    assert_eq!(pool.par_map_indexed(&items, |_, &x| x), items);
+    let mut probe = vec![0usize; items.len()];
+    ThreadPool::register(&pool).run(&mut probe, &|i, s: &mut usize| *s = items[i]);
+    assert_eq!(probe, items);
 }
 
 #[test]
@@ -619,10 +454,9 @@ mod claim_interleavings {
             // whole churn history.
             prop_assert!(pool.steal_count() >= steal_floor);
             let items: Vec<usize> = (0..32).collect();
-            prop_assert_eq!(
-                pool.par_map_indexed(&items, |_, &x| x + 1),
-                (1..=32).collect::<Vec<_>>()
-            );
+            let mut probe = vec![0usize; items.len()];
+            ThreadPool::register(&pool).run(&mut probe, &|i, s: &mut usize| *s = items[i] + 1);
+            prop_assert_eq!(probe, (1..=32).collect::<Vec<_>>());
             for shard in shards.iter_mut() {
                 let ctx = Tile { claims: AtomicU64::new(0), spin: 0 };
                 shard.job.start(&mut shard.slots, &ctx, tile_task).wait();
@@ -793,10 +627,9 @@ mod pending_interleavings {
 
             // The pool and every handle survive the whole history.
             let items: Vec<usize> = (0..32).collect();
-            prop_assert_eq!(
-                pool.par_map_indexed(&items, |_, &x| x + 1),
-                (1..=32).collect::<Vec<_>>()
-            );
+            let mut probe = vec![0usize; items.len()];
+            ThreadPool::register(&pool).run(&mut probe, &|i, s: &mut usize| *s = items[i] + 1);
+            prop_assert_eq!(probe, (1..=32).collect::<Vec<_>>());
             for (h, handle) in handles.iter_mut().enumerate() {
                 let ctx = TaskCtx { panic_at: None, spin: 0 };
                 handle.start(&mut slots[h], &ctx, task).wait();

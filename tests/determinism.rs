@@ -326,3 +326,36 @@ fn pool_sized_loops_match_the_cold_single_shot_path() {
         assert_eq!(rt.beamform(&engine, rf), &cold, "{threads} worker(s)");
     }
 }
+
+#[test]
+fn concurrent_cold_calls_on_the_global_pool_match_the_scalar_walk() {
+    // Every cold nappe-order call registers a one-shot job on the global
+    // pool and retires it when the call returns. Four callers doing that
+    // at once must each get their own frame's volume, bit-identical to
+    // the scalar walk.
+    const CALLERS: usize = 4;
+    let spec = SystemSpec::tiny();
+    let frames = recorded_frames(&spec, CALLERS);
+    let engine = TableSteerEngine::new(&spec, TableSteerConfig::bits18()).unwrap();
+    let scalar: Vec<_> = frames
+        .iter()
+        .map(|rf| {
+            Beamformer::new(&spec)
+                .with_order(ScanOrder::ScanlineByScanline)
+                .beamform_volume(&engine, rf)
+        })
+        .collect();
+    let start = std::sync::Barrier::new(CALLERS);
+    std::thread::scope(|s| {
+        for (caller, (rf, expect)) in frames.iter().zip(&scalar).enumerate() {
+            let (spec, engine, start) = (&spec, &engine, &start);
+            s.spawn(move || {
+                start.wait();
+                for round in 0..3 {
+                    let cold = Beamformer::new(spec).beamform_volume(engine, rf);
+                    assert_eq!(&cold, expect, "caller {caller} round {round}");
+                }
+            });
+        }
+    });
+}

@@ -260,10 +260,11 @@ fn pipelined_beamform_panic_is_a_clean_error_and_the_pool_survives() {
             assert_eq!(pipe.next_volume().expect("recovered"), &reference);
         }
         let items: Vec<usize> = (0..32).collect();
-        assert_eq!(
-            pool.par_map_indexed(&items, |_, &x| x + 1),
-            (1..=32).collect::<Vec<_>>()
-        );
+        let mut probe = vec![0usize; items.len()];
+        usbf::par::ThreadPool::register(&pool).run(&mut probe, &|i, s: &mut usize| {
+            *s = items[i] + 1;
+        });
+        assert_eq!(probe, (1..=32).collect::<Vec<_>>());
     }
 }
 

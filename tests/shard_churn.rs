@@ -293,8 +293,7 @@ fn churning_fleet_stays_bit_identical_fair_and_allocation_free() {
     assert_eq!(rt.n_shards(), 0);
     assert_eq!(rt.fleet_latency().count(), 0);
     let items: Vec<usize> = (0..64).collect();
-    assert_eq!(
-        pool.par_map_indexed(&items, |_, &x| x * 2),
-        items.iter().map(|x| x * 2).collect::<Vec<_>>()
-    );
+    let mut probe = vec![0usize; items.len()];
+    ThreadPool::register(&pool).run(&mut probe, &|i, s: &mut usize| *s = items[i] * 2);
+    assert_eq!(probe, items.iter().map(|x| x * 2).collect::<Vec<_>>());
 }
