@@ -320,8 +320,9 @@ fn bounding_region(tiles: &[Tile]) -> Tile {
 }
 
 /// Channels the tile kernel prefetches ahead of the one it sums: far
-/// enough for a sample window 64 KB away to arrive, near enough that it
-/// is still cached when its turn comes.
+/// enough for a sample window eight traces away (128 KB at 8192 16-bit
+/// samples per trace) to arrive, near enough that it is still cached
+/// when its turn comes.
 const PREFETCH_AHEAD: usize = 8;
 
 /// One interpolation mode of the tile kernel: the block entry type
@@ -348,9 +349,10 @@ trait Fetch: Copy {
         out: &mut [Self],
     );
 
-    /// Reads `trace` at this entry, bit-identical to the scalar walk's
-    /// [`RfFrame`] read; out-of-window reads give `0.0`.
-    fn read(trace: &[f64], at: Self) -> f64;
+    /// Reads the raw samples `trace` at this entry as an unscaled value,
+    /// bit-identical to the scalar walk's read; out-of-window reads give
+    /// `0.0`.
+    fn read(trace: &[i16], at: Self) -> f64;
 
     /// The sample index this entry reads near, for prefetching.
     fn index(self) -> i32;
@@ -386,11 +388,11 @@ impl Fetch for i32 {
         engine.quantize_row(active, out);
     }
 
-    /// [`RfFrame::sample`]: negative indices wrap to huge under the cast
-    /// and read `0.0` like any other out-of-window index.
+    /// Negative indices wrap to huge under the cast and read `0.0` like
+    /// any other out-of-window index.
     #[inline(always)]
-    fn read(trace: &[f64], i: i32) -> f64 {
-        trace.get(i as usize).copied().unwrap_or(0.0)
+    fn read(trace: &[i16], i: i32) -> f64 {
+        trace.get(i as usize).map_or(0.0, |&r| f64::from(r))
     }
 
     #[inline(always)]
@@ -423,18 +425,17 @@ impl Fetch for f64 {
         }
     }
 
-    /// The floor/blend arithmetic of [`RfFrame::sample_interp`], with the
+    /// The floor/blend arithmetic of [`usbf_sim::Trace::raw_interp`], with the
     /// same zero reads outside the window.
     #[inline(always)]
-    fn read(trace: &[f64], t: f64) -> f64 {
+    fn read(trace: &[i16], t: f64) -> f64 {
         let i0 = t.floor() as i64;
         let frac = t - i0 as f64;
         let at = |i: i64| {
             usize::try_from(i)
                 .ok()
                 .and_then(|i| trace.get(i))
-                .copied()
-                .unwrap_or(0.0)
+                .map_or(0.0, |&r| f64::from(r))
         };
         at(i0) * (1.0 - frac) + at(i0 + 1) * frac
     }
@@ -733,10 +734,7 @@ impl Beamformer {
     /// call.
     pub fn beamform_voxel(&self, engine: &dyn DelayEngine, rf: &RfFrame, vox: VoxelIndex) -> f64 {
         if self.spec.is_single_point_source() {
-            return self.scalar_aperture_sum(&mut |e| match self.interpolation {
-                Interpolation::Nearest => rf.sample(e, engine.delay_index(0, vox, e)),
-                Interpolation::Linear => rf.sample_interp(e, engine.delay_samples(0, vox, e)),
-            });
+            return self.beamform_voxel_for(engine, rf, 0, vox);
         }
         let s = self.spec.volume_grid.position(vox);
         let mut acc = 0.0;
@@ -751,8 +749,9 @@ impl Beamformer {
 
     /// Beamforms a single focal point from one transmit event's
     /// acquisition: the low-resolution-image sample `Σ_D w·e_tx(D, tp)`
-    /// before the compound mask weight is applied. Transmit 0 of a
-    /// single-emission spec reproduces
+    /// before the compound mask weight is applied, summed over the raw
+    /// 16-bit samples and scaled once (`scale · Σ_D w·raw_tx(D, tp)`).
+    /// Transmit 0 of a single-emission spec reproduces
     /// [`beamform_voxel`](Self::beamform_voxel).
     pub fn beamform_voxel_for(
         &self,
@@ -761,23 +760,21 @@ impl Beamformer {
         tx: usize,
         vox: VoxelIndex,
     ) -> f64 {
-        self.scalar_aperture_sum(&mut |e| match self.interpolation {
-            Interpolation::Nearest => rf.sample_for(tx, e, engine.delay_index(tx, vox, e)),
-            Interpolation::Linear => rf.sample_interp_for(tx, e, engine.delay_samples(tx, vox, e)),
-        })
-    }
-
-    /// The scalar reference walk's Eq. 1 sum over the compacted aperture,
-    /// with `fetch` producing each element's delayed sample: one running
-    /// accumulator from `0.0`, in ascending aperture order — the addition
-    /// order every batched kernel reproduces per voxel.
-    fn scalar_aperture_sum(&self, fetch: &mut dyn FnMut(ElementIndex) -> f64) -> f64 {
+        // Eq. 1 over the compacted aperture on raw samples: one running
+        // accumulator from `0.0`, in ascending aperture order — the
+        // addition order every batched kernel reproduces per voxel — and
+        // the frame's scale applied once to the sum.
         let nx = self.spec.elements.nx();
         let mut acc = 0.0;
         for (&chan, &w) in self.aperture.channels().iter().zip(self.aperture.weights()) {
-            acc += w * fetch(ElementIndex::new(chan as usize % nx, chan as usize / nx));
+            let e = ElementIndex::new(chan as usize % nx, chan as usize / nx);
+            let trace = rf.channel_trace_for(tx, chan);
+            acc += w * match self.interpolation {
+                Interpolation::Nearest => trace.raw_at(engine.delay_index(tx, vox, e)),
+                Interpolation::Linear => trace.raw_interp(engine.delay_samples(tx, vox, e)),
+            };
         }
-        acc
+        rf.scale() * acc
     }
 
     /// Beamforms the whole volume.
@@ -992,7 +989,8 @@ impl Beamformer {
     ///    quantized into the next free staging row (and overwritten) so
     ///    TABLESTEER's clamp counter counts every (voxel, transmit) row.
     /// 3. The aperture is walked channel by channel: channel `k` adds
-    ///    `w[k] · trace_k[block[r][k]]` into `acc[r]` for every block row,
+    ///    `w[k] · raw_k[block[r][k]]` (the 16-bit sample, unscaled) into
+    ///    `acc[r]` for every block row,
     ///    group by group, each group one unit-stride cache line of
     ///    entries. Per voxel that is the scalar walk's ascending-order sum
     ///    from `0.0`; across voxels the accumulators are independent
@@ -1000,9 +998,12 @@ impl Beamformer {
     ///    nappe are one pass over a short stretch of its trace. Before
     ///    channel `k`, the window channel `k + 8` will read — from the
     ///    lowest index of its rows to the highest, tracked during the
-    ///    transposes — is prefetched, so the trace 64 KB away is in
-    ///    flight while this channel sums.
-    /// 4. Each live voxel adds `m · acc[r]`. The zero-weight skip is a
+    ///    transposes — is prefetched, so the trace 128 KB away (at 8192
+    ///    two-byte samples per trace) is in flight while this channel
+    ///    sums.
+    /// 4. Each live voxel adds `m · (scale · acc[r])`, the frame's scale
+    ///    applied once per (voxel, transmit) exactly as the scalar walk
+    ///    applies it to its sum. The zero-weight skip is a
     ///    correctness requirement, not an optimization: outside a steered
     ///    wave's footprint the sum is meaningless (and may be non-finite
     ///    under hostile inputs), so it must never enter the arithmetic —
@@ -1089,7 +1090,7 @@ impl Beamformer {
     /// Steps 3 and 4 of [`tile_kernel`](Self::tile_kernel) for one
     /// (nappe `j` of a `band`-nappe task, transmit `tx`): the
     /// channel-outer MAC over the first `n_live` rows of the grouped
-    /// `block`, then each live voxel's `m · acc` into `values`.
+    /// `block`, then each live voxel's `m · (scale · acc)` into `values`.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn accumulate<T: Fetch>(
@@ -1122,7 +1123,7 @@ impl Beamformer {
                 let next = k + PREFETCH_AHEAD;
                 rf.prefetch_window_for(tx, ahead, windows[next], windows[active + next]);
             }
-            let trace = rf.channel_trace_for(tx, chan);
+            let trace = rf.channel_trace_for(tx, chan).raw();
             let lines = block[k * group..].chunks(group).step_by(active);
             for (accs, line) in full_acc.chunks_exact_mut(group).zip(lines) {
                 for (a, &at) in accs.iter_mut().zip(line) {
@@ -1136,9 +1137,10 @@ impl Beamformer {
                 }
             }
         }
+        let scale = rf.scale();
         for (&slot, &a) in live.iter().zip(acc.iter()) {
             let v = slot as usize * band + j;
-            values[v] += mask[v] * a;
+            values[v] += mask[v] * (scale * a);
         }
     }
 

@@ -79,11 +79,16 @@ impl<F: FnMut(&mut RfFrame) + Send> FrameSource for F {
 /// A [`FrameSource`] that synthesizes each frame with an
 /// [`EchoSynthesizer`], cycling through a list of phantoms (one phantom
 /// per frame — a moving target is a list of its positions over time).
+/// A phantom whose echoes are not finite fails its frame as
+/// [`PipelineError::Source`].
 pub struct SynthesizedFrames {
     synth: EchoSynthesizer,
     pulse: Pulse,
     phantoms: Vec<Phantom>,
     next: usize,
+    /// One frame of full-width samples: the synthesizer's staging
+    /// buffer, allocated once.
+    scratch: Vec<f64>,
 }
 
 impl SynthesizedFrames {
@@ -96,6 +101,7 @@ impl SynthesizedFrames {
     pub fn new(synth: EchoSynthesizer, pulse: Pulse, phantoms: Vec<Phantom>) -> Self {
         assert!(!phantoms.is_empty(), "need at least one phantom");
         SynthesizedFrames {
+            scratch: vec![0.0; synth.frame_len()],
             synth,
             pulse,
             phantoms,
@@ -108,7 +114,12 @@ impl FrameSource for SynthesizedFrames {
     fn next_frame(&mut self, out: &mut RfFrame) {
         let phantom = &self.phantoms[self.next % self.phantoms.len()];
         self.next += 1;
-        self.synth.synthesize_into(phantom, &self.pulse, out);
+        if let Err(e) = self
+            .synth
+            .synthesize_into(phantom, &self.pulse, &mut self.scratch, out)
+        {
+            panic!("frame synthesis failed: {e}");
+        }
     }
 }
 
@@ -1041,6 +1052,46 @@ mod tests {
             let got = pipe.next_volume().expect("healthy pipeline");
             assert_eq!(got, &expect, "frame {i}");
         }
+    }
+
+    #[test]
+    fn non_finite_echoes_fail_their_frame_not_the_pipeline() {
+        // A phantom whose echoes are NaN or ±∞ has no 16-bit frame: its
+        // acquisition is a typed `Source` error, and the next (finite)
+        // phantom beamforms exactly as offline.
+        let spec = SystemSpec::tiny();
+        let pulse = Pulse::from_spec(&spec);
+        let target = spec.volume_grid.position(VoxelIndex::new(4, 4, 8));
+        let hostile = |amplitude| {
+            Phantom::from_scatterers(vec![usbf_sim::Scatterer {
+                position: target,
+                amplitude,
+            }])
+        };
+        let phantoms = vec![
+            hostile(f64::NAN),
+            Phantom::point(target),
+            hostile(f64::INFINITY),
+            Phantom::point(target),
+        ];
+        let source = SynthesizedFrames::new(EchoSynthesizer::new(&spec), pulse.clone(), phantoms);
+        let mut pipe = FramePipeline::new(
+            Beamformer::new(&spec),
+            Arc::new(ExactEngine::new(&spec)),
+            source,
+        );
+        let rf = EchoSynthesizer::new(&spec).synthesize(&Phantom::point(target), &pulse);
+        let expect = VolumeLoop::new(Beamformer::new(&spec))
+            .beamform(&ExactEngine::new(&spec), &rf)
+            .clone();
+        for round in 0..2 {
+            match pipe.next_volume() {
+                Err(PipelineError::Source(msg)) => assert!(msg.contains("non-finite"), "{msg}"),
+                other => panic!("round {round}: expected a source error, got {other:?}"),
+            }
+            assert_eq!(pipe.next_volume().expect("finite frame"), &expect);
+        }
+        assert_eq!((pipe.stats().frames, pipe.stats().errors), (2, 2));
     }
 
     #[test]

@@ -13,7 +13,7 @@ use usbf_core::{
 use usbf_geometry::scan::ScanOrder;
 use usbf_geometry::{deg, SystemSpec, TransducerSpec, TransmitModel, Vec3, VolumeSpec, VoxelIndex};
 use usbf_par::ThreadPool;
-use usbf_sim::{EchoSynthesizer, Phantom, Pulse, RfFrame};
+use usbf_sim::{EchoSynthesizer, Phantom, Pulse, RfError, RfFrame};
 
 /// A plane-wave-friendly geometry: the stock test cone (±36.5° to 500λ)
 /// back-projects every voxel outside a small aperture's footprint, so
@@ -166,41 +166,65 @@ fn compound_frame_is_one_pipeline_frame_and_pool_size_invariant() {
 
 #[test]
 fn masked_angle_cannot_poison_the_compound_sum() {
-    // The NaN-safety contract: a voxel outside one angle's insonified
-    // footprint must take NO arithmetic contribution from that angle —
-    // even a block full of NaN acquisitions stays quarantined behind the
-    // zero mask weight.
+    // The NaN-safety contract, at both of its layers. A NaN or ±∞
+    // acquisition cannot become a frame: 16-bit RF has no value for it,
+    // so it is rejected with a typed error where it enters. And a voxel
+    // outside one angle's insonified footprint must take NO arithmetic
+    // contribution from that angle — not even `0 · x`: a finite block
+    // near `f64::MAX` makes that angle's scaled sum overflow to ±∞, and
+    // `0 · ∞` is NaN, so it stays quarantined only if it is skipped.
     let spec = cpwc_base().with_transmits(vec![
         TransmitModel::plane_wave(0.0, 0.0),
         TransmitModel::plane_wave(deg(35.0), 0.0),
     ]);
-    let mut rf = cpwc_rf(&spec);
-    for e in spec.elements.iter() {
-        rf.trace_for_mut(1, e).fill(f64::NAN);
+    let clean = cpwc_rf(&spec);
+    let (nx, ny, n) = (clean.nx(), clean.ny(), clean.n_samples());
+    let peak = clean.max_abs();
+    assert!(peak > 0.0);
+    // Transmit 0 is the clean acquisition times `gain`; `block_1` writes
+    // transmit 1.
+    let with_blocks = |gain: f64, block_1: f64| {
+        RfFrame::from_traces(nx, ny, n, 2, |tx, e, t| {
+            for (d, s) in t.iter_mut().zip(clean.trace_for(0, e).iter()) {
+                *d = if tx == 0 { gain * s } else { block_1 };
+            }
+        })
+    };
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let err = with_blocks(1.0, bad).expect_err("a non-finite acquisition has no 16-bit value");
+        assert!(matches!(err, RfError::NonFinite { tx: 1, .. }), "{err}");
     }
-    // Find a voxel the unsteered wave insonifies but the hard-steered
-    // one misses (its footprint back-projects far off the tiny
-    // aperture).
+    // Block 1 sets the frame's scale at `f64::MAX / 2`; block 0 is
+    // raised to 1/64 of that, so it still reads on ~9 bits of the
+    // shared scale.
+    let huge = f64::MAX / 2.0;
+    let rf = with_blocks(huge / 64.0 / peak, huge).expect("finite samples");
+    assert_eq!(rf.scale(), huge / f64::from(i16::MAX));
+    // Find a voxel the unsteered wave insonifies, and hears an echo
+    // at, but the hard-steered one misses (its footprint back-projects
+    // far off the tiny aperture).
+    let engine = ExactEngine::new(&spec);
+    let bf = Beamformer::new(&spec);
     let probe = voxels(&spec)
         .into_iter()
         .find(|&v| {
             let s = spec.volume_grid.position(v);
-            spec.transmit_weight(0, s) != 0.0 && spec.transmit_weight(1, s) == 0.0
+            spec.transmit_weight(0, s) != 0.0
+                && spec.transmit_weight(1, s) == 0.0
+                && bf.beamform_voxel_for(&engine, &rf, 0, v) != 0.0
         })
-        .expect("the steered footprint must exclude some insonified voxel");
-    let engine = ExactEngine::new(&spec);
-    let bf = Beamformer::new(&spec);
+        .expect("the steered footprint must exclude some echoing voxel");
     let tiled = bf.beamform_volume(&engine, &rf);
     let scalar_bf = Beamformer::new(&spec).with_order(ScanOrder::ScanlineByScanline);
     let scalar = scalar_bf.beamform_volume(&engine, &rf);
     assert!(
         tiled.get(probe).is_finite(),
-        "masked NaN block poisoned the tiled compound: {}",
+        "masked block poisoned the tiled compound: {}",
         tiled.get(probe)
     );
     assert!(
         scalar.get(probe).is_finite(),
-        "masked NaN block poisoned the scalar compound: {}",
+        "masked block poisoned the scalar compound: {}",
         scalar.get(probe)
     );
     assert_eq!(tiled.get(probe).to_bits(), scalar.get(probe).to_bits());
@@ -209,6 +233,10 @@ fn masked_angle_cannot_poison_the_compound_sum() {
     let s = spec.volume_grid.position(probe);
     let expect = spec.transmit_weight(0, s) * bf.beamform_voxel_for(&engine, &rf, 0, probe);
     assert_eq!(tiled.get(probe).to_bits(), expect.to_bits());
+    // The steered angle's own sum at the probe is out of range, so only
+    // skipping it keeps the compound finite.
+    let steered = bf.beamform_voxel_for(&engine, &rf, 1, probe);
+    assert!(steered.is_infinite(), "steered sum {steered} must overflow");
 }
 
 #[test]

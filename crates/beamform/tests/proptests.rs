@@ -254,13 +254,12 @@ proptest! {
         let vox = VoxelIndex::new(it, ip, id);
         let rf = rf_for(&spec, vox);
         // Scale the RF by `gain` and compare beamformed values.
-        let mut scaled = usbf_sim::RfFrame::zeros(8, 8, rf.n_samples());
-        for e in spec.elements.iter() {
-            let src = rf.trace(e).to_vec();
-            for (d, s) in scaled.trace_mut(e).iter_mut().zip(src) {
+        let scaled = usbf_sim::RfFrame::from_traces(8, 8, rf.n_samples(), 1, |_, e, t| {
+            for (d, s) in t.iter_mut().zip(rf.trace(e).iter()) {
                 *d = gain * s;
             }
-        }
+        })
+        .unwrap();
         let bf = Beamformer::new(&spec);
         let engine = ExactEngine::new(&spec);
         let a = bf.beamform_voxel(&engine, &rf, vox);
@@ -507,12 +506,10 @@ proptest! {
         // With an all-ones apodization and a synthetic frame whose traces
         // are constant, nearest and linear fetch agree exactly.
         let spec = SystemSpec::tiny();
-        let mut rf = usbf_sim::RfFrame::zeros(8, 8, spec.echo_buffer_len());
-        for e in spec.elements.iter() {
-            for v in rf.trace_mut(e) {
-                *v = 1.0;
-            }
-        }
+        let rf = usbf_sim::RfFrame::from_traces(8, 8, spec.echo_buffer_len(), 1, |_, _, t| {
+            t.fill(1.0);
+        })
+        .unwrap();
         let engine = ExactEngine::new(&spec);
         let vox = VoxelIndex::new(it, ip, id);
         let near = Beamformer::new(&spec)

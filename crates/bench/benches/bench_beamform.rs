@@ -138,6 +138,23 @@ fn bench_beamform(c: &mut Criterion) {
     g.bench_function("speckle_256_tiny", |b| {
         b.iter(|| EchoSynthesizer::new(&spec).synthesize(black_box(&phantom), black_box(&pulse)))
     });
+    // The live-source path: one pass into a kept frame and scratch.
+    g.bench_function("speckle_256_tiny_into", |b| {
+        let synth = EchoSynthesizer::new(&spec);
+        let mut scratch = vec![0.0; synth.frame_len()];
+        let mut out = synth.synthesize(&phantom, &pulse);
+        b.iter(|| {
+            synth
+                .synthesize_into(
+                    black_box(&phantom),
+                    black_box(&pulse),
+                    &mut scratch,
+                    &mut out,
+                )
+                .expect("finite echoes");
+            black_box(out.scale())
+        })
+    });
     g.finish();
 }
 

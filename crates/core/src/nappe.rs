@@ -70,7 +70,7 @@ pub struct FillBuffers<'a> {
     pub line_vals: &'a mut [f64],
     /// One element-row of register scratch (`elements_nx` slots):
     /// TABLESTEER's per-scanline x-corrections, held as integer-valued
-    /// `f64`s.
+    /// `f64`s, or TABLEFREE's per-column squared x-distances.
     pub row_regs: &'a mut [f64],
 }
 

@@ -3,7 +3,7 @@
 use crate::{DelayEngine, EngineError, NappeDelays};
 use std::sync::atomic::{AtomicU64, Ordering};
 use usbf_geometry::scan::ScanOrder;
-use usbf_geometry::{ElementIndex, SystemSpec, TransmitModel, Vec3, VoxelIndex};
+use usbf_geometry::{ElementIndex, SystemSpec, TransmitModel, VoxelIndex};
 use usbf_pwl::{LutFormats, PwlApprox, QuantizedPwl, SqrtFn, TrackerStats, TrackingEvaluator};
 
 /// Configuration of the TABLEFREE engine.
@@ -68,8 +68,11 @@ pub struct TableFreeEngine {
     config: TableFreeConfig,
     pwl: PwlApprox,
     quant: QuantizedPwl,
-    /// Element positions in linear order, cached for the batched fill.
-    elem_pos: Vec<Vec3>,
+    /// Element x positions by column (`ix`) and y positions by row
+    /// (`iy`): the grid is separable, so the batched fill squares each
+    /// column's and each row's distance once per scanline.
+    elem_x: Vec<f64>,
+    elem_y: Vec<f64>,
     echo_len: usize,
     samples_per_metre: f64,
     sqrt_evals: AtomicU64,
@@ -83,7 +86,8 @@ impl Clone for TableFreeEngine {
             config: self.config,
             pwl: self.pwl.clone(),
             quant: self.quant.clone(),
-            elem_pos: self.elem_pos.clone(),
+            elem_x: self.elem_x.clone(),
+            elem_y: self.elem_y.clone(),
             echo_len: self.echo_len,
             samples_per_metre: self.samples_per_metre,
             sqrt_evals: AtomicU64::new(0),
@@ -106,10 +110,11 @@ impl TableFreeEngine {
             .unwrap_or_else(|| LutFormats::fitted_to(&pwl));
         let quant = QuantizedPwl::quantize(&pwl, formats)?;
         Ok(TableFreeEngine {
-            elem_pos: spec
-                .elements
-                .iter()
-                .map(|e| spec.elements.position(e))
+            elem_x: (0..spec.elements.nx())
+                .map(|ix| spec.elements.position(ElementIndex::new(ix, 0)).x)
+                .collect(),
+            elem_y: (0..spec.elements.ny())
+                .map(|iy| spec.elements.position(ElementIndex::new(0, iy)).y)
                 .collect(),
             spec: spec.clone(),
             config,
@@ -286,6 +291,7 @@ impl TableFreeEngine {
         let line_args = bufs.line_args;
         let line_vals = bufs.line_vals;
         let row_args = bufs.row_args;
+        let dx2 = bufs.row_regs;
         let position = |it, ip| {
             self.spec
                 .volume_grid
@@ -325,10 +331,20 @@ impl TableFreeEngine {
             let s = position(it, ip);
             let dz = s.z * spm;
             let dz2 = dz * dz;
-            for (a, d) in row_args.iter_mut().zip(&self.elem_pos) {
-                let dx = (s.x - d.x) * spm;
-                let dy = (s.y - d.y) * spm;
-                *a = dx * dx + dy * dy + dz2;
+            // §IV-B's per-row/column reuse: DX² once per element column
+            // and DY² once per element row, then two adds per element.
+            // `(DX²[ix] + DY²[iy]) + dz²` is the scalar `rx_alpha`'s
+            // `dx*dx + dy*dy + dz*dz` in the same order, so bit-identical.
+            for (q, &x) in dx2.iter_mut().zip(&self.elem_x) {
+                let dx = (s.x - x) * spm;
+                *q = dx * dx;
+            }
+            for (args, &y) in row_args.chunks_exact_mut(dx2.len()).zip(&self.elem_y) {
+                let dy = (s.y - y) * spm;
+                let dy2 = dy * dy;
+                for (a, &q) in args.iter_mut().zip(dx2.iter()) {
+                    *a = q + dy2 + dz2;
+                }
             }
             let row = &mut buf[slot * n_elements..(slot + 1) * n_elements];
             self.quant.eval_row_tracked(&mut rx_hint, row_args, row);

@@ -77,6 +77,8 @@ pub struct QuantizedPwl {
     slopes: Vec<Fixed>,
     intercepts: Vec<Fixed>,
     formats: LutFormats,
+    /// The row datapath's constants, resolved once from `formats`.
+    kernel: RowKernel,
 }
 
 impl QuantizedPwl {
@@ -108,6 +110,7 @@ impl QuantizedPwl {
             boundaries,
             slopes,
             intercepts,
+            kernel: RowKernel::new(&formats),
             formats,
         })
     }
@@ -224,7 +227,6 @@ impl QuantizedPwl {
             ..TrackerStats::default()
         };
         let mut cur = (*hint).min(n - 1);
-        let kernel = self.row_kernel();
         let mut i = 0;
         while i < xs.len() {
             let target = self.locate_from(cur, xs[i]);
@@ -250,7 +252,7 @@ impl QuantizedPwl {
             while i < xs.len() && xs[i] >= lo && xs[i] < hi {
                 i += 1;
             }
-            self.eval_span(&kernel, cur, hi, &xs[start..i], &mut out[start..i]);
+            self.eval_span(cur, hi, &xs[start..i], &mut out[start..i]);
         }
         *hint = cur;
         stats
@@ -268,69 +270,11 @@ impl QuantizedPwl {
         self.eval_row_tracked(&mut hint, xs, out);
     }
 
-    /// Resolves the per-call constants of the row datapath: everything in
-    /// [`QuantizedPwl::eval_at`] that depends only on the formats, hoisted
-    /// out of the element loop.
-    fn row_kernel(&self) -> RowKernel {
-        let arg = self.formats.argument;
-        let slope = self.formats.slope;
-        let acc = self.formats.accumulator;
-        let icept = self.formats.intercept;
-        let output = self.formats.output;
-        let sum = QFormat::sum_format(acc, icept);
-        let shift = (arg.frac_bits() + slope.frac_bits()) as i32 - acc.frac_bits() as i32;
-        // The libm-free fast kernel replicates the scalar rounding only
-        // under these conditions (all hold for the paper's formats and
-        // every `fitted_to` output):
-        //  * integer unsigned argument ≤ 52 bits — `round(x)` reduces to
-        //    the guarded `(x + 0.5) as i64` (exact: x + 0.5 is exactly
-        //    representable for 0.5 ≤ x < 2^52, and `max_raw as f64` is);
-        //  * unsigned slope with arg·slope ≤ 62 bits — the product fits
-        //    i64 and is non-negative, so HalfUp's `floor` is a plain
-        //    truncating cast;
-        //  * positive multiplier shift — the accumulator rescale is the
-        //    float division path, reproduced by multiplying with the
-        //    exact reciprocal `2^-shift`;
-        //  * unsigned output ≤ 52 bits — the saturating compare-select
-        //    works on exactly-representable bounds.
-        let fast = !arg.is_signed()
-            && arg.frac_bits() == 0
-            && arg.total_bits() <= 52
-            && !slope.is_signed()
-            && arg.total_bits() + slope.total_bits() <= 62
-            && shift > 0
-            && !output.is_signed()
-            && output.total_bits() <= 52;
-        // The branch-free *vector* kernel additionally runs the integer
-        // registers as IEEE doubles, which is bit-exact only while every
-        // raw value stays exactly representable: a ≤52-bit slope makes
-        // the f64 product of two exact factors round identically to the
-        // exact integer product, and a ≤52-bit sum format makes the
-        // accumulator truncation, the power-of-two alignments and the
-        // aligned add all exact.
-        let vec = fast && slope.total_bits() <= 52 && sum.total_bits() <= 52;
-        let sh_acc = sum.frac_bits() - acc.frac_bits();
-        RowKernel {
-            fast,
-            vec,
-            arg_max_raw: arg.max_raw(),
-            mul_inv: (-shift as f64).exp2(),
-            acc_max_raw: acc.max_raw(),
-            sh_acc,
-            acc_scale: if vec { (1u64 << sh_acc) as f64 } else { 0.0 },
-            sh_icept: sum.frac_bits() - icept.frac_bits(),
-            sum_res: sum.resolution(),
-            out_scale: (output.frac_bits() as f64).exp2(),
-            out_max_raw: output.max_raw(),
-            out_max_f: output.max_raw() as f64,
-            out_res: output.resolution(),
-        }
-    }
-
     /// Evaluates one contiguous span of arguments that all live on segment
     /// `idx`, with the coefficients fetched once. Bit-identical to calling
     /// [`QuantizedPwl::eval_at`] per element.
-    fn eval_span(&self, k: &RowKernel, idx: usize, hi: f64, xs: &[f64], out: &mut [f64]) {
+    fn eval_span(&self, idx: usize, hi: f64, xs: &[f64], out: &mut [f64]) {
+        let k = &self.kernel;
         if !k.fast {
             for (o, &x) in out.iter_mut().zip(xs) {
                 *o = self.eval_at(idx, x);
@@ -450,8 +394,8 @@ impl QuantizedPwl {
     }
 }
 
-/// Per-row constants of the batched datapath (see
-/// [`QuantizedPwl::row_kernel`]).
+/// Per-row constants of the batched datapath (see [`RowKernel::new`]).
+#[derive(Debug, Clone, PartialEq)]
 struct RowKernel {
     /// Whether the formats admit the libm-free fast span kernel.
     fast: bool,
@@ -479,6 +423,67 @@ struct RowKernel {
     out_max_f: f64,
     /// Resolution of the output register.
     out_res: f64,
+}
+
+impl RowKernel {
+    /// Resolves the constants of the row datapath: everything in
+    /// [`QuantizedPwl::eval_at`] that depends only on the formats, hoisted
+    /// out of the element loop — once per table, at quantization.
+    fn new(formats: &LutFormats) -> RowKernel {
+        let arg = formats.argument;
+        let slope = formats.slope;
+        let acc = formats.accumulator;
+        let icept = formats.intercept;
+        let output = formats.output;
+        let sum = QFormat::sum_format(acc, icept);
+        let shift = (arg.frac_bits() + slope.frac_bits()) as i32 - acc.frac_bits() as i32;
+        // The libm-free fast kernel replicates the scalar rounding only
+        // under these conditions (all hold for the paper's formats and
+        // every `fitted_to` output):
+        //  * integer unsigned argument ≤ 52 bits — `round(x)` reduces to
+        //    the guarded `(x + 0.5) as i64` (exact: x + 0.5 is exactly
+        //    representable for 0.5 ≤ x < 2^52, and `max_raw as f64` is);
+        //  * unsigned slope with arg·slope ≤ 62 bits — the product fits
+        //    i64 and is non-negative, so HalfUp's `floor` is a plain
+        //    truncating cast;
+        //  * positive multiplier shift — the accumulator rescale is the
+        //    float division path, reproduced by multiplying with the
+        //    exact reciprocal `2^-shift`;
+        //  * unsigned output ≤ 52 bits — the saturating compare-select
+        //    works on exactly-representable bounds.
+        let fast = !arg.is_signed()
+            && arg.frac_bits() == 0
+            && arg.total_bits() <= 52
+            && !slope.is_signed()
+            && arg.total_bits() + slope.total_bits() <= 62
+            && shift > 0
+            && !output.is_signed()
+            && output.total_bits() <= 52;
+        // The branch-free *vector* kernel additionally runs the integer
+        // registers as IEEE doubles, which is bit-exact only while every
+        // raw value stays exactly representable: a ≤52-bit slope makes
+        // the f64 product of two exact factors round identically to the
+        // exact integer product, and a ≤52-bit sum format makes the
+        // accumulator truncation, the power-of-two alignments and the
+        // aligned add all exact.
+        let vec = fast && slope.total_bits() <= 52 && sum.total_bits() <= 52;
+        let sh_acc = sum.frac_bits() - acc.frac_bits();
+        RowKernel {
+            fast,
+            vec,
+            arg_max_raw: arg.max_raw(),
+            mul_inv: (-shift as f64).exp2(),
+            acc_max_raw: acc.max_raw(),
+            sh_acc,
+            acc_scale: if vec { (1u64 << sh_acc) as f64 } else { 0.0 },
+            sh_icept: sum.frac_bits() - icept.frac_bits(),
+            sum_res: sum.resolution(),
+            out_scale: (output.frac_bits() as f64).exp2(),
+            out_max_raw: output.max_raw(),
+            out_max_f: output.max_raw() as f64,
+            out_res: output.resolution(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -673,7 +678,7 @@ mod tests {
         let t = table();
         for formats in [LutFormats::paper_default(), LutFormats::fitted_to(&t)] {
             let q = QuantizedPwl::quantize(&t, formats).unwrap();
-            let k = q.row_kernel();
+            let k = &q.kernel;
             assert!(k.fast && k.vec, "formats {formats:?} left the vector path");
         }
     }
@@ -687,7 +692,7 @@ mod tests {
         let mut formats = LutFormats::fitted_to(&t);
         formats.slope = QFormat::unsigned(0, 53);
         let q = QuantizedPwl::quantize(&t, formats).unwrap();
-        assert!(q.row_kernel().fast && !q.row_kernel().vec);
+        assert!(q.kernel.fast && !q.kernel.vec);
         let xs: Vec<f64> = (0..500)
             .map(|i| 64.0 + 436.0 * (i as f64 / 499.0))
             .chain([0.0, 63.9, 500.0, 1e9, f64::INFINITY, 80.0])
@@ -709,10 +714,7 @@ mod tests {
         let mut formats = LutFormats::fitted_to(&t);
         formats.accumulator = QFormat::signed(4, 8);
         let q = QuantizedPwl::quantize(&t, formats).unwrap();
-        assert!(
-            q.row_kernel().vec,
-            "gate is format-only; overflow is per span"
-        );
+        assert!(q.kernel.vec, "gate is format-only; overflow is per span");
         let xs = edge_stream();
         let mut scalar_hint = 0usize;
         let mut row_hint = 0usize;

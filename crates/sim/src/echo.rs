@@ -1,9 +1,10 @@
 //! RF echo synthesis: exact two-way propagation into sampled traces.
 
-use crate::{Phantom, Pulse, RfFrame};
+use crate::rf::trace_peak;
+use crate::{Phantom, Pulse, RfError, RfFrame};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use usbf_geometry::{Directivity, SystemSpec};
+use usbf_geometry::{Directivity, ElementIndex, SystemSpec};
 
 /// Physical options for echo synthesis.
 #[derive(Debug, Clone)]
@@ -71,6 +72,20 @@ impl EchoSynthesizer {
 
     /// Generates one receive frame — one acquisition block per transmit
     /// event of the spec's sequence.
+    ///
+    /// Bit-identical to [`synthesize_into`](Self::synthesize_into), but
+    /// lean: it stages one trace at full `f64` width, not the whole
+    /// frame, and so synthesizes every trace twice — once to find the
+    /// frame's largest |sample|, which sets its scale, and once to
+    /// quantize. A frame-long staging buffer would be four times the
+    /// 16-bit frame; this one-shot path builds set-up rings, where peak
+    /// memory counts and per-frame time does not.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an echo is NaN or ±∞ (a non-finite scatterer amplitude or
+    /// position); [`synthesize_into`](Self::synthesize_into) reports that
+    /// as an [`RfError`] instead.
     pub fn synthesize(&self, phantom: &Phantom, pulse: &Pulse) -> RfFrame {
         let spec = &self.spec;
         let mut rf = RfFrame::zeros_multi(
@@ -79,14 +94,36 @@ impl EchoSynthesizer {
             spec.echo_buffer_len(),
             spec.n_transmits(),
         );
-        self.synthesize_into(phantom, pulse, &mut rf);
+        let mut trace = vec![0.0; rf.n_samples()];
+        let mut peak = 0.0f64;
+        let found = self.traces(phantom, pulse, &mut trace, |tx, e, samples| {
+            peak = peak.max(trace_peak(tx, e, samples)?);
+            Ok(())
+        });
+        if let Err(e) = found {
+            panic!("echo synthesis failed: {e}");
+        }
+        rf.set_peak(peak);
+        let stored = self.traces(phantom, pulse, &mut trace, |tx, e, samples| {
+            rf.store_trace(tx, e, samples);
+            Ok(())
+        });
+        debug_assert!(stored.is_ok());
         rf
     }
 
-    /// Generates one receive frame into a caller-owned buffer, clearing
-    /// it first — the allocation-free variant real-time frame sources
-    /// drive every acquisition ([`synthesize`](Self::synthesize) is this
-    /// plus one fresh allocation, and the two are bit-identical).
+    /// Generates one receive frame into a caller-owned buffer — the
+    /// allocation-free variant real-time frame sources drive every
+    /// acquisition.
+    ///
+    /// Every trace is synthesized once, at full `f64` width, into
+    /// `scratch` (grown to one frame of samples if shorter — keep it
+    /// across calls), and the frame is quantized once from there.
+    ///
+    /// # Errors
+    ///
+    /// [`RfError::NonFinite`] if an echo is NaN or ±∞; `rf` then keeps
+    /// its previous contents.
     ///
     /// # Panics
     ///
@@ -95,7 +132,13 @@ impl EchoSynthesizer {
     /// traces to the wrong elements) and the trace depth must be the
     /// spec's echo-buffer length (a shorter buffer would silently
     /// truncate echoes).
-    pub fn synthesize_into(&self, phantom: &Phantom, pulse: &Pulse, rf: &mut RfFrame) {
+    pub fn synthesize_into(
+        &self,
+        phantom: &Phantom,
+        pulse: &Pulse,
+        scratch: &mut Vec<f64>,
+        rf: &mut RfFrame,
+    ) -> Result<(), RfError> {
         let spec = &self.spec;
         assert!(
             rf.nx() == spec.elements.nx()
@@ -112,15 +155,58 @@ impl EchoSynthesizer {
             spec.elements.ny(),
             spec.echo_buffer_len()
         );
-        rf.fill(0.0);
-        let n_samples = rf.n_samples();
+        let len = self.frame_len();
+        if scratch.len() < len {
+            scratch.resize(len, 0.0);
+        }
+        let staged = &mut scratch[..len];
+        let mut peak = 0.0f64;
+        self.traces(phantom, pulse, staged, |tx, e, samples| {
+            peak = peak.max(trace_peak(tx, e, samples)?);
+            Ok(())
+        })?;
+        rf.store_frame(peak, staged);
+        Ok(())
+    }
+
+    /// Samples in one frame of the spec: the length of a
+    /// [`synthesize_into`](Self::synthesize_into) scratch buffer.
+    pub fn frame_len(&self) -> usize {
+        let spec = &self.spec;
+        spec.n_transmits() * spec.elements.count() * spec.echo_buffer_len()
+    }
+
+    /// Synthesizes every trace of the spec's sequence, one at a time in
+    /// the frame's storage order (transmit-major, in element order), and
+    /// hands each to `each`. Trace `k` is written at `k · n_samples`
+    /// modulo the length of `staging`: a frame-long `staging` keeps every
+    /// trace, a one-trace one reuses its start. Every call draws the same
+    /// noise: the stream restarts from the seed.
+    fn traces(
+        &self,
+        phantom: &Phantom,
+        pulse: &Pulse,
+        staging: &mut [f64],
+        mut each: impl FnMut(usize, ElementIndex, &[f64]) -> Result<(), RfError>,
+    ) -> Result<(), RfError> {
+        let spec = &self.spec;
+        let n_samples = spec.echo_buffer_len();
+        debug_assert!(!staging.is_empty() && staging.len().is_multiple_of(n_samples));
         let half = pulse.half_duration_samples() as i64;
         let fs = spec.sampling_frequency;
+        // Every transmit event is its own acquisition, so each block gets
+        // independent noise from the one seeded stream.
+        let mut rng =
+            (self.options.noise_rms > 0.0).then(|| StdRng::seed_from_u64(self.options.seed));
 
+        let mut at = 0;
         for tx in 0..spec.n_transmits() {
             for e in spec.elements.iter() {
                 let d = spec.elements.position(e);
-                let trace = rf.trace_for_mut(tx, e);
+                let start = at;
+                at = (at + n_samples) % staging.len();
+                let trace = &mut staging[start..start + n_samples];
+                trace.fill(0.0);
                 for s in phantom.scatterers() {
                     let r_tx = spec.transmit_distance(tx, s.position);
                     let r_rx = s.position.distance(d);
@@ -143,16 +229,8 @@ impl EchoSynthesizer {
                         trace[i as usize] += amp * pulse.sample((i as f64 - center) / fs);
                     }
                 }
-            }
-        }
-
-        if self.options.noise_rms > 0.0 {
-            // Every transmit event is its own acquisition, so each block
-            // gets independent noise from the one seeded stream.
-            let mut rng = StdRng::seed_from_u64(self.options.seed);
-            for tx in 0..spec.n_transmits() {
-                for e in spec.elements.iter() {
-                    for v in rf.trace_for_mut(tx, e) {
+                if let Some(rng) = &mut rng {
+                    for v in trace.iter_mut() {
                         // Box–Muller: two uniforms → one standard normal.
                         let u1: f64 = rng.random_range(f64::EPSILON..1.0);
                         let u2: f64 = rng.random_range(0.0..1.0);
@@ -160,8 +238,10 @@ impl EchoSynthesizer {
                         *v += self.options.noise_rms * n;
                     }
                 }
+                each(tx, e, trace)?;
             }
         }
+        Ok(())
     }
 }
 
@@ -269,28 +349,97 @@ mod tests {
 
     #[test]
     fn synthesize_into_matches_synthesize_bit_exactly() {
+        // One transmit, and a compound frame whose every block must land
+        // in its place: the one-pass path stages the whole frame, the
+        // lean path restages one trace.
+        let fan = usbf_geometry::TransmitModel::plane_wave_fan(3, deg(10.0));
+        for spec in [spec(), spec().with_transmits(fan)] {
+            let phantom = Phantom::point(Vec3::new(0.002, -0.001, 0.04));
+            let pulse = Pulse::from_spec(&spec);
+            let synth = EchoSynthesizer::new(&spec).with_options(EchoOptions {
+                noise_rms: 0.05,
+                seed: 9,
+                spreading: true,
+                ..EchoOptions::default()
+            });
+            let fresh = synth.synthesize(&phantom, &pulse);
+            // A dirty, reused buffer must come out identical:
+            // synthesize_into clears before accumulating.
+            let n_tx = spec.n_transmits();
+            let mut reused = RfFrame::zeros_multi(8, 8, spec.echo_buffer_len(), n_tx);
+            reused.fill(123.0);
+            let mut scratch = vec![f64::NAN; synth.frame_len()];
+            let ptrs = |rf: &RfFrame, scratch: &[f64]| {
+                (
+                    rf.trace(ElementIndex::new(0, 0)).raw().as_ptr(),
+                    scratch.as_ptr(),
+                )
+            };
+            let before = ptrs(&reused, &scratch);
+            synth
+                .synthesize_into(&phantom, &pulse, &mut scratch, &mut reused)
+                .unwrap();
+            assert_eq!(reused, fresh);
+            assert_eq!(ptrs(&reused, &scratch), before, "no reallocation");
+        }
+    }
+
+    #[test]
+    fn quantization_maps_the_peak_to_full_scale_and_rounds_every_sample() {
         let spec = spec();
-        let phantom = Phantom::point(Vec3::new(0.002, -0.001, 0.04));
+        let phantom = Phantom::point(Vec3::new(0.001, 0.002, 0.05));
         let pulse = Pulse::from_spec(&spec);
         let synth = EchoSynthesizer::new(&spec).with_options(EchoOptions {
-            noise_rms: 0.05,
-            seed: 9,
-            spreading: true,
+            noise_rms: 0.02,
+            seed: 4,
             ..EchoOptions::default()
         });
-        let fresh = synth.synthesize(&phantom, &pulse);
-        // A dirty, reused buffer must come out identical: synthesize_into
-        // clears before accumulating.
-        let mut reused = RfFrame::zeros(8, 8, spec.echo_buffer_len());
-        reused.fill(123.0);
-        let ptr = reused.trace(ElementIndex::new(0, 0)).as_ptr();
-        synth.synthesize_into(&phantom, &pulse, &mut reused);
-        assert_eq!(reused, fresh);
-        assert_eq!(
-            reused.trace(ElementIndex::new(0, 0)).as_ptr(),
-            ptr,
-            "no reallocation"
-        );
+        let rf = synth.synthesize(&phantom, &pulse);
+        let mut full = Vec::new();
+        let mut trace = vec![0.0; spec.echo_buffer_len()];
+        synth
+            .traces(&phantom, &pulse, &mut trace, |tx, e, samples| {
+                full.push((tx, e, samples.to_vec()));
+                Ok(())
+            })
+            .unwrap();
+        let peak = full
+            .iter()
+            .flat_map(|(_, _, t)| t.iter())
+            .fold(0.0f64, |m, x| m.max(x.abs()));
+        assert_eq!(rf.scale(), peak / f64::from(crate::FULL_SCALE));
+        let mut at_full_scale = 0;
+        for (tx, e, samples) in &full {
+            let read = rf.trace_for(*tx, *e);
+            for ((v, &raw), &x) in read.iter().zip(read.raw()).zip(samples) {
+                assert!((v - x).abs() <= rf.scale() / 2.0 + 2.0 * f64::EPSILON * x.abs());
+                if x.abs() == peak {
+                    assert_eq!(raw.unsigned_abs(), crate::FULL_SCALE.unsigned_abs());
+                    at_full_scale += 1;
+                }
+            }
+        }
+        assert!(at_full_scale >= 1);
+    }
+
+    #[test]
+    fn non_finite_echoes_are_rejected_and_leave_the_frame_alone() {
+        let spec = spec();
+        let pulse = Pulse::from_spec(&spec);
+        let synth = EchoSynthesizer::new(&spec);
+        let mut rf = synth.synthesize(&Phantom::point(Vec3::new(0.0, 0.0, 0.04)), &pulse);
+        let before = rf.clone();
+        for amplitude in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let hostile = Phantom::from_scatterers(vec![crate::Scatterer {
+                position: Vec3::new(0.0, 0.0, 0.05),
+                amplitude,
+            }]);
+            let err = synth
+                .synthesize_into(&hostile, &pulse, &mut Vec::new(), &mut rf)
+                .expect_err("a non-finite echo has no 16-bit value");
+            assert!(matches!(err, RfError::NonFinite { tx: 0, .. }), "{err}");
+            assert_eq!(rf, before);
+        }
     }
 
     #[test]
@@ -298,11 +447,14 @@ mod tests {
     fn synthesize_into_rejects_mismatched_frames() {
         let spec = spec();
         let mut rf = RfFrame::zeros(4, 4, 64);
-        EchoSynthesizer::new(&spec).synthesize_into(
-            &Phantom::empty(),
-            &Pulse::from_spec(&spec),
-            &mut rf,
-        );
+        EchoSynthesizer::new(&spec)
+            .synthesize_into(
+                &Phantom::empty(),
+                &Pulse::from_spec(&spec),
+                &mut Vec::new(),
+                &mut rf,
+            )
+            .unwrap();
     }
 
     #[test]
@@ -324,11 +476,14 @@ mod tests {
             base.frame_rate,
         );
         let mut rf = RfFrame::zeros(4, 16, wide.echo_buffer_len());
-        EchoSynthesizer::new(&wide).synthesize_into(
-            &Phantom::empty(),
-            &Pulse::from_spec(&wide),
-            &mut rf,
-        );
+        EchoSynthesizer::new(&wide)
+            .synthesize_into(
+                &Phantom::empty(),
+                &Pulse::from_spec(&wide),
+                &mut Vec::new(),
+                &mut rf,
+            )
+            .unwrap();
     }
 
     #[test]
@@ -361,19 +516,42 @@ mod tests {
     #[test]
     fn compound_blocks_match_per_angle_synthesis() {
         // Each transmit block of a compound frame must be bit-identical
-        // to synthesizing that angle alone with a single-transmit spec.
+        // to synthesizing that angle alone with a single-transmit spec at
+        // full width; quantized, each frame is within half its own raw
+        // step of those samples.
         let fan = usbf_geometry::TransmitModel::plane_wave_fan(3, deg(10.0));
         let spec = SystemSpec::tiny().with_transmits(fan.clone());
         let phantom = Phantom::point(Vec3::new(0.002, -0.001, 0.045));
         let pulse = Pulse::from_spec(&spec);
-        let compound = EchoSynthesizer::new(&spec).synthesize(&phantom, &pulse);
+        let full_width = |synth: &EchoSynthesizer| {
+            let mut out = Vec::new();
+            let mut trace = vec![0.0; spec.echo_buffer_len()];
+            synth
+                .traces(&phantom, &pulse, &mut trace, |_, _, t| {
+                    out.extend(t.iter().map(|v| v.to_bits()));
+                    Ok(())
+                })
+                .unwrap();
+            out
+        };
+        let synth = EchoSynthesizer::new(&spec);
+        let compound_bits = full_width(&synth);
+        let compound = synth.synthesize(&phantom, &pulse);
         assert_eq!(compound.n_transmits(), 3);
+        let block = spec.elements.count() * spec.echo_buffer_len();
         for (tx, model) in fan.iter().enumerate() {
             let single_spec = SystemSpec::tiny().with_transmits(vec![*model]);
-            let single = EchoSynthesizer::new(&single_spec).synthesize(&phantom, &pulse);
+            let single_synth = EchoSynthesizer::new(&single_spec);
+            assert_eq!(
+                compound_bits[tx * block..(tx + 1) * block],
+                full_width(&single_synth)[..],
+                "tx {tx}"
+            );
+            let single = single_synth.synthesize(&phantom, &pulse);
+            let tol = (compound.scale() + single.scale()) / 2.0 + 1e-12;
             for e in spec.elements.iter() {
-                for (a, b) in compound.trace_for(tx, e).iter().zip(single.trace(e)) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "tx {tx} element {e}");
+                for (a, b) in compound.trace_for(tx, e).iter().zip(single.trace(e).iter()) {
+                    assert!((a - b).abs() <= tol, "tx {tx} element {e}: {a} vs {b}");
                 }
             }
         }
@@ -412,10 +590,13 @@ mod tests {
         let rf_a = synth.synthesize(&a, &pulse);
         let rf_b = synth.synthesize(&b, &pulse);
         let rf_ab = synth.synthesize(&both, &pulse);
+        // Each frame carries its own scale, so the sum holds to within
+        // half a raw step of each.
+        let tol = (rf_a.scale() + rf_b.scale() + rf_ab.scale()) / 2.0 + 1e-12;
         let e = ElementIndex::new(0, 0);
-        for i in 0..rf_ab.n_samples() {
-            let sum = rf_a.sample(e, i as i64) + rf_b.sample(e, i as i64);
-            assert!((rf_ab.sample(e, i as i64) - sum).abs() < 1e-12);
+        let (ta, tb) = (rf_a.trace(e), rf_b.trace(e));
+        for ((va, vb), vab) in ta.iter().zip(tb.iter()).zip(rf_ab.trace(e).iter()) {
+            assert!((vab - (va + vb)).abs() <= tol);
         }
     }
 }

@@ -14,7 +14,8 @@
 //!   delay of Eq. 2, with optional spreading loss, element directivity and
 //!   additive noise;
 //! * [`RfFrame`] — the sampled echo buffers (one per element, "slightly
-//!   more than 8000 samples" deep at paper scale);
+//!   more than 8000 samples" deep at paper scale), stored as 16-bit
+//!   samples with one scale per frame;
 //! * [`metrics`] — FWHM, peak-sidelobe level, RMSE, contrast.
 //!
 //! This substitutes for probe hardware and tissue: delay-architecture
@@ -53,4 +54,4 @@ pub use envelope::{
 };
 pub use phantom::{Phantom, Scatterer};
 pub use pulse::Pulse;
-pub use rf::RfFrame;
+pub use rf::{RfError, RfFrame, Trace, FULL_SCALE};

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use usbf_geometry::{ElementIndex, SystemSpec, Vec3};
-use usbf_sim::{metrics, EchoSynthesizer, Phantom, Pulse, RfFrame};
+use usbf_sim::{metrics, EchoSynthesizer, Phantom, Pulse, RfFrame, FULL_SCALE};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -38,8 +38,8 @@ proptest! {
             .synthesize(&Phantom::point(target), &Pulse::from_spec(&spec));
         let e = ElementIndex::new(ex, ey);
         let expect = spec.two_way_delay_samples(target, spec.elements.position(e));
-        let trace = rf.trace(e);
-        let peak = metrics::peak_index(trace);
+        let trace = rf.trace(e).to_vec();
+        let peak = metrics::peak_index(&trace);
         prop_assert!((peak as f64 - expect).abs() <= 1.5, "peak {} vs {}", peak, expect);
     }
 
@@ -65,12 +65,15 @@ proptest! {
         a in -2.0f64..2.0,
         b in -2.0f64..2.0,
     ) {
-        let mut rf = RfFrame::zeros(1, 1, 32);
         let e = ElementIndex::new(0, 0);
-        rf.trace_mut(e)[idx] = a;
-        rf.trace_mut(e)[idx + 1] = b;
-        let v = rf.sample_interp(e, idx as f64 + frac);
-        let (lo, hi) = (a.min(b), a.max(b));
+        let rf = RfFrame::from_traces(1, 1, 32, 1, |_, _, t| {
+            t[idx] = a;
+            t[idx + 1] = b;
+        })
+        .unwrap();
+        let v = rf.trace(e).raw_interp(idx as f64 + frac) * rf.scale();
+        // The neighbours are read back within half a raw step.
+        let (lo, hi) = (a.min(b) - rf.scale() / 2.0, a.max(b) + rf.scale() / 2.0);
         prop_assert!(v >= lo - 1e-12 && v <= hi + 1e-12);
     }
 
@@ -87,22 +90,21 @@ proptest! {
         // A prefetch is a hint: for any window — random extremes and
         // windows near the 48-sample trace, in either order — it must
         // neither panic nor change what a read returns.
-        let mut rf = RfFrame::zeros_multi(3, 2, 48, 3);
-        for t in 0..3 {
-            for l in 0..6 {
-                let e = ElementIndex::new(l % 3, l / 3);
-                for (i, v) in rf.trace_for_mut(t, e).iter_mut().enumerate() {
-                    *v = ((seed as usize + 31 * t + 7 * l + i) % 97) as f64 - 48.0;
-                }
+        let rf = RfFrame::from_traces(3, 2, 48, 3, |t, e, trace| {
+            let l = e.iy * 3 + e.ix;
+            for (i, v) in trace.iter_mut().enumerate() {
+                *v = ((seed as usize + 31 * t + 7 * l + i) % 97) as f64 - 48.0;
             }
-        }
+        })
+        .unwrap();
         let read = |rf: &RfFrame| -> Vec<(f64, f64)> {
             (0..6)
                 .map(|l| {
                     let e = ElementIndex::new(l % 3, l / 3);
                     let i = i64::from(near_a) + 9 * l as i64;
                     let t = f64::from(near_b) + 7.25 * l as f64;
-                    (rf.sample_for(tx, e, i), rf.sample_interp_for(tx, e, t))
+                    let trace = rf.trace_for(tx, e);
+                    (trace.raw_at(i), trace.raw_interp(t))
                 })
                 .collect()
         };
@@ -129,8 +131,61 @@ proptest! {
         let rf = EchoSynthesizer::new(&spec)
             .with_options(usbf_sim::EchoOptions { noise_rms: 0.3, seed, ..Default::default() })
             .synthesize(&Phantom::empty(), &Pulse::from_spec(&spec));
-        let trace = rf.trace(ElementIndex::new(0, 0));
+        let trace = rf.trace(ElementIndex::new(0, 0)).to_vec();
         let env = usbf_sim::envelope(&trace[..256], 4.0e6, 32.0e6);
         prop_assert!(env.iter().all(|&v| v >= 0.0));
+    }
+
+    #[test]
+    fn quantized_reads_stay_within_half_a_step(
+        nx in 1usize..4,
+        ny in 1usize..4,
+        n in 1usize..40,
+        n_tx in 1usize..3,
+        magnitude in -12i32..12,
+        seed in 0u64..1_000_000,
+    ) {
+        // Random samples over a random decade: the frame's largest
+        // |sample| maps to ±FULL_SCALE, every read is within scale/2 of
+        // its input, and a copy carries the raw samples and the scale.
+        let amp = 10f64.powi(magnitude);
+        let mut state = seed;
+        let mut inputs = Vec::new();
+        let rf = RfFrame::from_traces(nx, ny, n, n_tx, |_, _, t| {
+            for v in t.iter_mut() {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                *v = amp * ((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5);
+            }
+            inputs.extend_from_slice(t);
+        })
+        .unwrap();
+        let peak = inputs.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+        prop_assert_eq!(rf.scale(), peak / f64::from(FULL_SCALE));
+        let mut k = 0;
+        for tx in 0..n_tx {
+            for c in 0..(nx * ny) as u32 {
+                let trace = rf.channel_trace_for(tx, c);
+                for (v, &raw) in trace.iter().zip(trace.raw()) {
+                    let x = inputs[k];
+                    k += 1;
+                    prop_assert!(raw.unsigned_abs() <= FULL_SCALE.unsigned_abs());
+                    if rf.scale() != 0.0 {
+                        prop_assert_eq!(raw, (x / rf.scale()).round_ties_even() as i16);
+                    }
+                    prop_assert!(
+                        (v - x).abs() <= rf.scale() / 2.0 + 2.0 * f64::EPSILON * x.abs(),
+                        "{} read as {} at scale {}", x, v, rf.scale()
+                    );
+                    if x.abs() == peak {
+                        prop_assert_eq!(raw.unsigned_abs(), FULL_SCALE.unsigned_abs());
+                    }
+                }
+            }
+        }
+        let mut copy = RfFrame::zeros_multi(nx, ny, n, n_tx);
+        copy.fill(-amp);
+        copy.copy_from(&rf);
+        prop_assert_eq!(copy.scale().to_bits(), rf.scale().to_bits());
+        prop_assert_eq!(&copy, &rf);
     }
 }

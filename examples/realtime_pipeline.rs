@@ -37,10 +37,13 @@ fn main() {
         spec.elements.ny(),
         spec.echo_buffer_len(),
     );
+    let mut scratch = Vec::new();
     let mut serial_peaks = Vec::with_capacity(n_frames);
     let serial_start = Instant::now();
     for i in 0..n_frames {
-        synth.synthesize_into(&phantoms[i % phantoms.len()], &pulse, &mut rf);
+        synth
+            .synthesize_into(&phantoms[i % phantoms.len()], &pulse, &mut scratch, &mut rf)
+            .expect("finite echoes");
         let vol = serial_loop.beamform(engine.as_ref(), &rf);
         serial_peaks.push(vol.argmax());
     }
