@@ -101,7 +101,7 @@ fn bench_beamform(c: &mut Criterion) {
     g.finish();
 
     // TABLEFREE slab-fill throughput (delays/s) on the reduced spec: the
-    // segment-major batched row evaluator.
+    // one-pass row evaluator.
     let red_free = TableFreeEngine::new(&red, TableFreeConfig::paper()).expect("builds");
     let mut g = c.benchmark_group("tablefree_fill_reduced");
     {
@@ -110,7 +110,7 @@ fn bench_beamform(c: &mut Criterion) {
             * slab.scanline_count() as u64
             * slab.n_elements() as u64;
         g.throughput(Throughput::Elements(per_pass));
-        g.bench_function("segment_major_batched", |b| {
+        g.bench_function("batched_rows", |b| {
             b.iter(|| {
                 for id in 0..red.volume_grid.n_depth() {
                     red_free.fill_nappe(id, &mut slab);

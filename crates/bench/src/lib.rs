@@ -36,6 +36,26 @@ pub fn cpwc_spec(n_angles: usize) -> SystemSpec {
     .with_transmits(TransmitModel::plane_wave_fan(n_angles, deg(10.0)))
 }
 
+/// The mid-size point-source geometry: the `reduced` preset's 32 × 32
+/// elements over a 16 × 16-line fan with 64 depths — a 1024-element
+/// receive row per focal point.
+pub fn mid_spec() -> SystemSpec {
+    let r = SystemSpec::reduced();
+    SystemSpec::new(
+        r.speed_of_sound,
+        r.sampling_frequency,
+        r.transducer.clone(),
+        VolumeSpec {
+            n_theta: 16,
+            n_phi: 16,
+            n_depth: 64,
+            ..r.volume.clone()
+        },
+        r.origin,
+        r.frame_rate,
+    )
+}
+
 /// Renders selection-error stats the way Table II's inaccuracy column
 /// does: `avg <mean>, max <max>`.
 pub fn inaccuracy_selection(s: &SelectionErrorStats) -> String {

@@ -62,7 +62,9 @@ impl PartialEq for NappeDelays {
 pub struct FillBuffers<'a> {
     /// The slab's raw sample buffer, row-major.
     pub samples: &'a mut [f64],
-    /// One element-row of argument scratch (`n_elements` slots).
+    /// One element-row of scratch (`n_elements` slots): TABLESTEER's
+    /// per-element reference registers, or TABLEFREE's per-row squared
+    /// y-distances in its first `elements_ny` slots.
     pub row_args: &'a mut [f64],
     /// Per-scanline argument scratch (`scanlines` slots).
     pub line_args: &'a mut [f64],

@@ -257,25 +257,27 @@ impl TableFreeEngine {
         tracker.stats()
     }
 
-    /// The segment-major slab walk shared by both batched fills (§IV-B's
-    /// streaming view). Per scanline, the receive arguments are assembled
-    /// into a row and pushed through [`QuantizedPwl::eval_row_tracked`],
-    /// which fetches each PWL segment's `(c1, c0)` once per contiguous
-    /// element span instead of once per element. The arguments a
-    /// nappe-major sweep produces drift slowly — exactly the paper's "no
-    /// segment search needed" operating regime, which is also what makes
-    /// the spans long and the walk O(segments) per row. Bit-exact with
+    /// The slab walk shared by both batched fills (§IV-B's streaming
+    /// view). A receive row is the aperture flattened: along every
+    /// aperture row its argument is a parabola in the element column, so
+    /// most rows cross a PWL segment boundary, back and forth. Each
+    /// row therefore goes through [`QuantizedPwl::eval_grid`] as the
+    /// separable `(DX²[ix] + DY²[iy]) + dz²` it is: the row's exact
+    /// argument range fixes the few segments it touches, every element
+    /// picks its `(c1, c0)` by compare-select, and the argument build,
+    /// the PWL square root and the transmit add run as one branch-free
+    /// pass that writes the finished row into the slab. Bit-exact with
     /// the scalar path because the row evaluator replicates the `Fixed`
     /// datapath stage for stage.
     ///
     /// With `with_tx` (the fused transmit-0 fill), the transmit terms of
-    /// the nappe are first evaluated in one batched pass — one tracked
-    /// row evaluation for a point source, the exact projection `n̂ · S`
-    /// for a plane wave (no square root: CPWC makes TABLEFREE's transmit
-    /// leg free) — and added to each receive value in the scalar path's
-    /// `tx + rx` order. Without it (the receive-leg fill) the rows hold
-    /// the receive square roots alone. Each completed row is handed to
-    /// `consume` while still cache-hot.
+    /// the nappe are first evaluated in one batched pass — one row
+    /// evaluation for a point source, the exact projection `n̂ · S` for a
+    /// plane wave (no square root: CPWC makes TABLEFREE's transmit leg
+    /// free) — and each row's term is added to its receive values in the
+    /// row evaluator's final adder. Without it (the receive-leg fill) the
+    /// rows hold the receive square roots alone. Each completed row is
+    /// handed to `consume` while still cache-hot.
     fn fill_rows(
         &self,
         nappe_idx: usize,
@@ -290,8 +292,8 @@ impl TableFreeEngine {
         let buf = bufs.samples;
         let line_args = bufs.line_args;
         let line_vals = bufs.line_vals;
-        let row_args = bufs.row_args;
         let dx2 = bufs.row_regs;
+        let dy2 = &mut bufs.row_args[..self.elem_y.len()];
         let position = |it, ip| {
             self.spec
                 .volume_grid
@@ -309,9 +311,7 @@ impl TableFreeEngine {
                             *v = a.sqrt();
                         }
                     } else {
-                        let mut tx_hint = 0usize;
-                        self.quant
-                            .eval_row_tracked(&mut tx_hint, line_args, line_vals);
+                        self.quant.eval_row(line_args, line_vals);
                     }
                 }
                 TransmitModel::PlaneWave(pw) => {
@@ -325,12 +325,10 @@ impl TableFreeEngine {
                 }
             }
         }
-        // Pass 2: one receive row per scanline, segment-major.
-        let mut rx_hint = 0usize;
+        // Pass 2: one receive row per scanline, in one pass per row.
         for (slot, it, ip) in tile.iter_scanlines() {
             let s = position(it, ip);
             let dz = s.z * spm;
-            let dz2 = dz * dz;
             // §IV-B's per-row/column reuse: DX² once per element column
             // and DY² once per element row, then two adds per element.
             // `(DX²[ix] + DY²[iy]) + dz²` is the scalar `rx_alpha`'s
@@ -339,23 +337,17 @@ impl TableFreeEngine {
                 let dx = (s.x - x) * spm;
                 *q = dx * dx;
             }
-            for (args, &y) in row_args.chunks_exact_mut(dx2.len()).zip(&self.elem_y) {
+            for (q, &y) in dy2.iter_mut().zip(&self.elem_y) {
                 let dy = (s.y - y) * spm;
-                let dy2 = dy * dy;
-                for (a, &q) in args.iter_mut().zip(dx2.iter()) {
-                    *a = q + dy2 + dz2;
-                }
+                *q = dy * dy;
             }
+            // IEEE addition commutes bit-for-bit, so adding the transmit
+            // term in the row evaluator's final adder matches the scalar
+            // path's `tx + rx` exactly (and `rx + 0.0` is `rx`: the PWL
+            // never yields −0.0).
+            let t = if with_tx { line_vals[slot] } else { 0.0 };
             let row = &mut buf[slot * n_elements..(slot + 1) * n_elements];
-            self.quant.eval_row_tracked(&mut rx_hint, row_args, row);
-            if with_tx {
-                let t = line_vals[slot];
-                // IEEE addition commutes bit-for-bit, so += matches the
-                // scalar path's `tx + rx` exactly.
-                for value in row.iter_mut() {
-                    *value += t;
-                }
-            }
+            self.quant.eval_grid(dx2, dy2, dz * dz, t, row);
             consume(slot, row);
         }
         // One bulk update keeps the op counter consistent with the scalar
@@ -391,7 +383,7 @@ impl DelayEngine for TableFreeEngine {
         crate::engine::quantize_row_clamped(self.echo_len, row, out);
     }
 
-    /// Segment-major fused fill of transmit 0 (see the shared slab walk
+    /// One-pass fused fill of transmit 0 (see the shared slab walk
     /// behind both fills): the gather/MAC of row *s* can run while row
     /// *s + 1* is generated.
     fn fill_nappe_streamed(
@@ -418,7 +410,7 @@ impl DelayEngine for TableFreeEngine {
     /// Transmit combine: `rx + t` with the transmit term computed once
     /// per row (point sources one PWL/exact square root, plane waves the
     /// free projection `n̂ · S`). IEEE addition commutes bit-for-bit and
-    /// the tracked row evaluation is bit-exact with the scalar
+    /// the row evaluator is bit-exact with the scalar
     /// [`QuantizedPwl::eval`], so the combined row matches the scalar
     /// [`delay_samples`](DelayEngine::delay_samples) queries exactly. The
     /// square-root counter advances by the transmit cost only — the
@@ -588,18 +580,77 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fill_nappe_bit_exact_with_scalar_path() {
-        let (spec, tf, _) = engines();
-        let mut batched = NappeDelays::full(&spec);
-        let mut scalar = NappeDelays::full(&spec);
-        for id in 0..spec.volume_grid.n_depth() {
+    /// Fills `nappes` of the whole fan batched and scalar and requires
+    /// every delay to match bit for bit, and the batched fill to count
+    /// one receive root per delay plus one transmit root per scanline.
+    fn assert_fill_matches_scalar(spec: &SystemSpec, nappes: &[usize]) {
+        let tf = TableFreeEngine::new(spec, TableFreeConfig::paper()).unwrap();
+        let mut batched = NappeDelays::full(spec);
+        let mut scalar = NappeDelays::full(spec);
+        let per_fill = (batched.scanline_count() * (batched.n_elements() + 1)) as u64;
+        for &id in nappes {
+            let before = tf.sqrt_evals();
             tf.fill_nappe(id, &mut batched);
+            assert_eq!(tf.sqrt_evals() - before, per_fill, "nappe {id}");
             scalar.fill_scalar(&tf, 0, id);
-            for (a, b) in batched.samples().iter().zip(scalar.samples()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "nappe {id}");
+            for (i, (a, b)) in batched.samples().iter().zip(scalar.samples()).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "nappe {id}, slab entry {i}");
             }
         }
+    }
+
+    #[test]
+    fn fill_nappe_bit_exact_with_scalar_path() {
+        let tiny = SystemSpec::tiny();
+        assert_fill_matches_scalar(&tiny, &(0..tiny.volume_grid.n_depth()).collect::<Vec<_>>());
+        // Real-geometry receive rows: a 32 × 32 aperture flattened, whose
+        // argument is a parabola along every aperture row, so most rows
+        // cross PWL segment boundaries several times — a shape the
+        // random monotone streams of the pwl tests never produce.
+        // Shallow, middle and deep nappes of a 16 × 16-line fan.
+        let r = SystemSpec::reduced();
+        let spec = SystemSpec::new(
+            r.speed_of_sound,
+            r.sampling_frequency,
+            r.transducer.clone(),
+            usbf_geometry::VolumeSpec {
+                n_theta: 16,
+                n_phi: 16,
+                n_depth: 64,
+                ..r.volume.clone()
+            },
+            r.origin,
+            r.frame_rate,
+        );
+        assert_eq!(spec.elements.count(), 1024);
+        let tf = TableFreeEngine::new(&spec, TableFreeConfig::paper()).unwrap();
+        let q = tf.quantized();
+        let nappes = [0, 31, 63];
+        let v = &spec.volume_grid;
+        let rows: Vec<VoxelIndex> = nappes
+            .iter()
+            .flat_map(|&id| {
+                (0..v.n_theta())
+                    .flat_map(move |it| (0..v.n_phi()).map(move |ip| VoxelIndex::new(it, ip, id)))
+            })
+            .collect();
+        let crossing = rows
+            .iter()
+            .filter(|&&vox| {
+                let segs: Vec<usize> = spec
+                    .elements
+                    .iter()
+                    .map(|e| q.locate(tf.rx_alpha(vox, e)))
+                    .collect();
+                segs.iter().min() != segs.iter().max()
+            })
+            .count();
+        assert!(
+            2 * crossing > rows.len(),
+            "most rows should cross a segment boundary, {crossing} of {} do",
+            rows.len()
+        );
+        assert_fill_matches_scalar(&spec, &nappes);
     }
 
     #[test]

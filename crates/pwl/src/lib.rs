@@ -18,7 +18,8 @@
 //! * [`PwlApprox`] — the segment table built greedily so each segment's
 //!   minimax error is exactly δ (except the last);
 //! * [`QuantizedPwl`] — coefficient LUTs quantized to fixed point, the
-//!   hardware-faithful evaluation path;
+//!   hardware-faithful evaluation path, with a branch-free row evaluator
+//!   bit-identical to it;
 //! * [`TrackingEvaluator`] — the segment-pointer evaluator with step
 //!   statistics and an optional strict mode for failure injection.
 //!

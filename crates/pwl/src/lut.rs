@@ -6,7 +6,7 @@
 //! quantizes a [`PwlApprox`] into such LUTs and models the datapath
 //! arithmetic bit-exactly.
 
-use crate::{Concave, PwlApprox, SqrtFn, TrackerStats};
+use crate::{Concave, PwlApprox, SqrtFn};
 use usbf_fixed::{Fixed, FixedError, QFormat, RoundingMode};
 
 /// Fixed-point formats of the PWL datapath.
@@ -79,7 +79,14 @@ pub struct QuantizedPwl {
     formats: LutFormats,
     /// The row datapath's constants, resolved once from `formats`.
     kernel: RowKernel,
+    /// Per segment, the vector row kernel's folded coefficients; `None`
+    /// where the formats or the segment fail its exactness gates.
+    lanes: Vec<Option<Lane>>,
 }
+
+/// Widest segment range the vector row kernel selects among. A mid-size
+/// receive row touches at most 7 segments; wider rows are split.
+const WINDOW_MAX: usize = 8;
 
 impl QuantizedPwl {
     /// Quantizes every segment of `table` into the given formats.
@@ -106,12 +113,27 @@ impl QuantizedPwl {
             )?);
         }
         boundaries.push(table.domain().1);
+        let kernel = RowKernel::new(&formats);
+        let n = slopes.len();
+        let lanes = (0..n)
+            .map(|s| {
+                // The last segment also takes every argument past the
+                // domain, up to the argument register's maximum.
+                let hi = if s + 1 == n {
+                    f64::INFINITY
+                } else {
+                    boundaries[s + 1]
+                };
+                kernel.lane(slopes[s].raw(), intercepts[s].raw(), hi)
+            })
+            .collect();
         Ok(QuantizedPwl {
             boundaries,
             slopes,
             intercepts,
-            kernel: RowKernel::new(&formats),
             formats,
+            kernel,
+            lanes,
         })
     }
 
@@ -176,7 +198,7 @@ impl QuantizedPwl {
     /// §IV-B tracking policy ("transitions across segments are gradual, so
     /// no search is needed"). Returns exactly what [`QuantizedPwl::locate`]
     /// returns, in O(steps) instead of O(log n) when arguments drift
-    /// slowly, as a nappe-major sweep produces.
+    /// slowly.
     pub fn locate_from(&self, hint: usize, x: f64) -> usize {
         let n = self.segment_count();
         let mut i = hint.min(n - 1);
@@ -189,176 +211,137 @@ impl QuantizedPwl {
         i
     }
 
-    /// Tracked locate + evaluate: walks the segment pointer from `*hint`,
-    /// stores the found segment back into it, and evaluates there.
-    /// Bit-identical to [`QuantizedPwl::eval`].
-    #[inline]
-    pub fn eval_tracked(&self, hint: &mut usize, x: f64) -> f64 {
-        *hint = self.locate_from(*hint, x);
-        self.eval_at(*hint, x)
-    }
-
-    /// Evaluates a whole row of arguments segment-major: walks the
-    /// segment pointer from `*hint` exactly like per-element
-    /// [`QuantizedPwl::eval_tracked`] calls would, but fetches each
-    /// segment's `(c1, c0)` coefficients **once per contiguous span** of
-    /// arguments instead of once per element, and runs the span through a
-    /// branch-free fixed-point multiply-add and saturating quantize.
-    ///
-    /// Bit-identical to calling `eval_tracked(hint, x)` for every element
-    /// in order — same [`Fixed`] rounding at every stage, same final
-    /// pointer in `*hint` — and the returned [`TrackerStats`] match what
-    /// a [`crate::TrackingEvaluator`]-style per-element step count would
-    /// accumulate: `evals = xs.len()`, `steps`/`max_step` from the
-    /// pointer movements (elements inside a span move the pointer by 0),
-    /// and `seeks = 0` (tracking never searches).
+    /// Evaluates a whole row of arguments, bit-identical to calling
+    /// [`QuantizedPwl::eval`] per element: a one-row
+    /// [`QuantizedPwl::eval_grid`] whose range comes from one vectorized
+    /// reduction over the row.
     ///
     /// Arguments must not be NaN (the scalar datapath rejects NaN with a
-    /// panic; the batched kernel's behaviour on NaN is unspecified).
+    /// panic; the row kernel's behaviour on NaN is unspecified).
     ///
     /// # Panics
     ///
     /// Panics if `xs` and `out` have different lengths.
-    pub fn eval_row_tracked(&self, hint: &mut usize, xs: &[f64], out: &mut [f64]) -> TrackerStats {
-        assert_eq!(xs.len(), out.len(), "argument/output rows must match");
-        let n = self.segment_count();
-        let mut stats = TrackerStats {
-            evals: xs.len() as u64,
-            ..TrackerStats::default()
-        };
-        let mut cur = (*hint).min(n - 1);
-        let mut i = 0;
-        while i < xs.len() {
-            let target = self.locate_from(cur, xs[i]);
-            let moved = (target as i64 - cur as i64).unsigned_abs();
-            stats.steps += moved;
-            stats.max_step = stats.max_step.max(moved);
-            cur = target;
-            // The span stays on segment `cur` exactly while
-            // `locate_from(cur, x) == cur`: at the table ends the pointer
-            // clamps, so the matching boundary check drops away.
-            let lo = if cur == 0 {
-                f64::NEG_INFINITY
-            } else {
-                self.boundaries[cur]
-            };
-            let hi = if cur + 1 == n {
-                f64::INFINITY
-            } else {
-                self.boundaries[cur + 1]
-            };
-            let start = i;
-            i += 1;
-            while i < xs.len() && xs[i] >= lo && xs[i] < hi {
-                i += 1;
-            }
-            self.eval_span(cur, hi, &xs[start..i], &mut out[start..i]);
-        }
-        *hint = cur;
-        stats
-    }
-
-    /// Segment-major row evaluation starting from a binary-search seek on
-    /// the first element — bit-identical to per-element
-    /// [`QuantizedPwl::eval`].
     pub fn eval_row(&self, xs: &[f64], out: &mut [f64]) {
         assert_eq!(xs.len(), out.len(), "argument/output rows must match");
-        if xs.is_empty() {
-            return;
-        }
-        let mut hint = self.locate(xs[0]);
-        self.eval_row_tracked(&mut hint, xs, out);
+        // `(x + 0.0) + 0.0` is x except that −0.0 becomes +0.0, which
+        // lands on the same segment and the same argument register.
+        self.eval_grid(xs, &[0.0], 0.0, 0.0, out);
     }
 
-    /// Evaluates one contiguous span of arguments that all live on segment
-    /// `idx`, with the coefficients fetched once. Bit-identical to calling
-    /// [`QuantizedPwl::eval_at`] per element.
-    fn eval_span(&self, idx: usize, hi: f64, xs: &[f64], out: &mut [f64]) {
-        let k = &self.kernel;
-        if !k.fast {
-            for (o, &x) in out.iter_mut().zip(xs) {
-                *o = self.eval_at(idx, x);
-            }
+    /// Evaluates the separable argument grid of §IV-B — the squared
+    /// distance assembled from per-column and per-row partial sums with
+    /// two adders, `α = (cols[c] + rows[r]) + offset` — and adds `add` to
+    /// each result, the datapath's final adder: row-major,
+    /// `out[r · cols.len() + c] = eval(α) + add`, bit-identical to those
+    /// scalar expressions.
+    ///
+    /// Rounding is monotone, so `(min cols + min rows) + offset` and
+    /// `(max cols + max rows) + offset` are the grid's exact extreme
+    /// arguments. They fix the few consecutive segments it can touch.
+    /// When those segments pass the vector gates, every element picks
+    /// its `(c₁, c₀)` by compare-select against the boundaries inside
+    /// that range and runs the folded datapath — one branch-free pass
+    /// that builds the argument, evaluates and adds, whatever the order
+    /// of the arguments. Grids touching more than 8 segments
+    /// are split by rows; formats outside the vector gate, segments that
+    /// fail its overflow gate and single rows that are still too wide
+    /// take the checked integer or scalar datapath per element.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != cols.len() · rows.len()`.
+    pub fn eval_grid(&self, cols: &[f64], rows: &[f64], offset: f64, add: f64, out: &mut [f64]) {
+        assert_eq!(
+            out.len(),
+            cols.len() * rows.len(),
+            "argument/output rows must match"
+        );
+        if out.is_empty() {
             return;
         }
-        let slope_raw = self.slopes[idx].raw();
-        let icept_shifted = self.intercepts[idx].raw() << k.sh_icept;
-        if k.vec {
-            // Overflow is decided once per span, not per element: every
-            // span element satisfies `x < hi` (the segment's upper
-            // boundary; +∞ on the last segment, where the argument
-            // register saturates anyway), the argument register is
-            // non-negative, and the accumulator is monotone in it
-            // (non-negative slope, rounded rescale, truncation). If even
-            // the span's largest possible accumulator fits, no element
-            // needs the saturating fallback and the whole span runs
-            // branch-free.
-            let t_max = if hi.is_finite() {
-                ((hi + 0.5) as i64).min(k.arg_max_raw).max(0)
-            } else {
-                k.arg_max_raw
-            };
-            let acc_span_max = ((t_max * slope_raw) as f64 * k.mul_inv + 0.5) as i64;
-            if acc_span_max <= k.acc_max_raw {
-                // The same datapath as the checked loop below, run
-                // entirely in IEEE doubles (exact under the `vec` format
-                // gate): straight-line floor/trunc/min/select ops that
-                // the compiler auto-vectorizes, no i64↔f64 round trips.
-                let slope_f = slope_raw as f64;
-                let icept_f = icept_shifted as f64;
-                let arg_max_f = k.arg_max_raw as f64;
-                for (o, &x) in out.iter_mut().zip(xs) {
-                    let r = (x + 0.5).floor().min(arg_max_f);
-                    let t = if x < 0.5 { 0.0 } else { r };
-                    let acc = (t * slope_f * k.mul_inv + 0.5).trunc();
-                    let sum = acc * k.acc_scale + icept_f;
-                    let w = (sum * k.sum_res) * k.out_scale + 0.5;
-                    let raw = if w < 1.0 {
-                        0.0
-                    } else if w >= k.out_max_f {
-                        k.out_max_f
-                    } else {
-                        w.trunc()
-                    };
-                    *o = raw * k.out_res;
-                }
+        let ((c_lo, c_hi), (r_lo, r_hi)) = (bounds(cols), bounds(rows));
+        let (lo, hi) = ((c_lo + r_lo) + offset, (c_hi + r_hi) + offset);
+        // The vector kernel needs every argument inside the argument
+        // register's range, where rounding it never saturates.
+        if 0.0 <= lo && hi <= self.kernel.arg_max_f {
+            let (first, last) = (self.locate(lo), self.locate(hi));
+            let width = last - first + 1;
+            if width <= WINDOW_MAX && self.lanes[first..=last].iter().all(Option::is_some) {
+                let grid = Grid {
+                    cols,
+                    rows,
+                    offset,
+                    add,
+                };
+                return match width {
+                    1 => Window::<1>::new(self, first, width).eval(&self.kernel, grid, out),
+                    2 => Window::<2>::new(self, first, width).eval(&self.kernel, grid, out),
+                    3 | 4 => Window::<4>::new(self, first, width).eval(&self.kernel, grid, out),
+                    _ => {
+                        Window::<WINDOW_MAX>::new(self, first, width).eval(&self.kernel, grid, out)
+                    }
+                };
+            }
+            if width > WINDOW_MAX && self.kernel.vec && rows.len() > 1 {
+                let (rows_a, rows_b) = rows.split_at(rows.len() / 2);
+                let (out_a, out_b) = out.split_at_mut(rows_a.len() * cols.len());
+                self.eval_grid(cols, rows_a, offset, add, out_a);
+                self.eval_grid(cols, rows_b, offset, add, out_b);
                 return;
             }
         }
-        for (o, &x) in out.iter_mut().zip(xs) {
-            // Argument register: Nearest-rounded integer quantize with
-            // saturation. The `x < 0.5` guard keeps values that round to
-            // zero (including 0.49999999999999994, where `x + 0.5`
-            // float-rounds up to 1.0) off the add; the cast saturates
-            // huge and infinite x before the clamp.
-            let t = if x < 0.5 { 0 } else { (x + 0.5) as i64 };
-            let t = t.min(k.arg_max_raw);
-            // Multiplier → accumulator register: exact integer product,
-            // rescaled through f64 exactly like `mul_into`'s division
-            // path, HalfUp-rounded (the product is non-negative, so
-            // `floor` is a truncating cast).
-            let prod = t * slope_raw;
-            let acc_raw = (prod as f64 * k.mul_inv + 0.5) as i64;
-            if acc_raw > k.acc_max_raw {
-                // Accumulator overflow: the scalar path re-quantizes with
-                // saturation. Rare and cold — delegate to the scalar.
-                *o = self.eval_at(idx, x);
-                continue;
+        // The per-element tiers: the segment pointer walks from element
+        // to element (only NaNs leave no range; the scalar datapath
+        // reports them).
+        let mut idx = 0;
+        for (out_r, &r) in out.chunks_exact_mut(cols.len()).zip(rows) {
+            for (o, &c) in out_r.iter_mut().zip(cols) {
+                let x = (c + r) + offset;
+                idx = self.locate_from(idx, x);
+                *o = self.eval_checked(idx, x) + add;
             }
-            // Full-width adder, then HalfUp into the output register with
-            // a saturating compare-select (`floor(w) ≤ 0 ⟺ w < 1`,
-            // `floor(w) ≥ max ⟺ w ≥ max` for integer max).
-            let sum_raw = (acc_raw << k.sh_acc) + icept_shifted;
-            let w = (sum_raw as f64 * k.sum_res) * k.out_scale + 0.5;
-            let raw = if w < 1.0 {
-                0
-            } else if w >= k.out_max_f {
-                k.out_max_raw
-            } else {
-                w as i64
-            };
-            *o = raw as f64 * k.out_res;
         }
+    }
+
+    /// [`QuantizedPwl::eval_at`] through the libm-free checked integer
+    /// datapath where the formats allow it (the fast gate).
+    fn eval_checked(&self, idx: usize, x: f64) -> f64 {
+        let k = &self.kernel;
+        if !k.fast {
+            return self.eval_at(idx, x);
+        }
+        // Argument register: Nearest-rounded integer quantize with
+        // saturation. The `x < 0.5` guard keeps values that round to zero
+        // (including 0.49999999999999994, where `x + 0.5` float-rounds up
+        // to 1.0) off the add; the cast saturates huge and infinite x
+        // before the clamp.
+        let t = if x < 0.5 { 0 } else { (x + 0.5) as i64 };
+        let t = t.min(k.arg_max_raw);
+        // Multiplier → accumulator register: exact integer product,
+        // rescaled through f64 exactly like `mul_into`'s division path,
+        // HalfUp-rounded (the product is non-negative, so `floor` is a
+        // truncating cast).
+        let prod = t * self.slopes[idx].raw();
+        let acc_raw = (prod as f64 * k.mul_inv + 0.5) as i64;
+        if acc_raw > k.acc_max_raw {
+            // Accumulator overflow: the scalar path re-quantizes with
+            // saturation. Rare and cold — delegate to the scalar.
+            return self.eval_at(idx, x);
+        }
+        // Full-width adder, then HalfUp into the output register with a
+        // saturating compare-select (`floor(w) ≤ 0 ⟺ w < 1`,
+        // `floor(w) ≥ max ⟺ w ≥ max` for integer max).
+        let sum_raw = (acc_raw << k.sh_acc) + (self.intercepts[idx].raw() << k.sh_icept);
+        let w = (sum_raw as f64 * k.sum_res) * k.out_scale + 0.5;
+        let raw = if w < 1.0 {
+            0
+        } else if w >= k.out_max_f {
+            k.out_max_raw
+        } else {
+            w as i64
+        };
+        raw as f64 * k.out_res
     }
 
     /// Total LUT storage in bits: boundaries (argument format) + slopes +
@@ -394,29 +377,142 @@ impl QuantizedPwl {
     }
 }
 
-/// Per-row constants of the batched datapath (see [`RowKernel::new`]).
+/// Smallest and largest of `xs` (NaN-free input). Compares run on the
+/// IEEE total-order keys: a signed-integer min/max the compiler
+/// vectorizes, where f64 compare-select reductions stay scalar.
+fn bounds(xs: &[f64]) -> (f64, f64) {
+    // The key is an involution: it maps keys back to values too.
+    let key = |x: u64| (x ^ (((x as i64 >> 63) as u64) >> 1)) as i64;
+    let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+    for &x in xs {
+        let k = key(x.to_bits());
+        lo = lo.min(k);
+        hi = hi.max(k);
+    }
+    (
+        f64::from_bits(key(lo as u64) as u64),
+        f64::from_bits(key(hi as u64) as u64),
+    )
+}
+
+/// The arguments and final add of [`QuantizedPwl::eval_grid`].
+#[derive(Clone, Copy)]
+struct Grid<'a> {
+    cols: &'a [f64],
+    rows: &'a [f64],
+    offset: f64,
+    add: f64,
+}
+
+/// `0.5⁻`, the largest double below ½. For `x ≥ 0`, `trunc(x + 0.5⁻)`
+/// is `round(x)` (half away from zero); `floor(x + 0.5)` is not, because
+/// `0.49999999999999994 + 0.5` rounds up to 1.0.
+const HALF_DOWN: f64 = 0.49999999999999994;
+
+/// The vector row kernel's registers for the `width ≤ K` consecutive
+/// segments from `first`: slot `j` holds segment `first + j` from its
+/// lower boundary on. Slots past the range repeat its last segment
+/// behind a +∞ boundary that no argument reaches; slot 0's boundary is
+/// never compared.
+struct Window<const K: usize> {
+    lo: [f64; K],
+    slope: [f64; K],
+    icept: [f64; K],
+}
+
+impl<const K: usize> Window<K> {
+    fn new(q: &QuantizedPwl, first: usize, width: usize) -> Self {
+        let mut w = Window {
+            lo: [f64::INFINITY; K],
+            slope: [0.0; K],
+            icept: [0.0; K],
+        };
+        for j in 0..K {
+            let s = first + j.min(width - 1);
+            let lane = q.lanes[s].expect("window segments pass the vector gate");
+            w.slope[j] = lane.slope;
+            w.icept[j] = lane.icept;
+            if j < width {
+                w.lo[j] = q.boundaries[s];
+            }
+        }
+        w
+    }
+
+    /// Runs the grid through the folded datapath, bit-identical to
+    /// [`QuantizedPwl::eval_at`] on each element's segment plus `add`:
+    /// every argument lies inside the window by construction.
+    fn eval(&self, k: &RowKernel, g: Grid<'_>, out: &mut [f64]) {
+        let (acc_out, out_max, out_res) = (k.acc_out, k.out_max_f, k.out_res);
+        for (out_r, &r) in out.chunks_exact_mut(g.cols.len()).zip(g.rows) {
+            for (o, &c) in out_r.iter_mut().zip(g.cols) {
+                let x = (c + r) + g.offset;
+                // Segment choice: the last boundary at or below x wins,
+                // exactly as `locate` picks.
+                let (mut m, mut b) = (self.slope[0], self.icept[0]);
+                for j in 1..K {
+                    if x >= self.lo[j] {
+                        m = self.slope[j];
+                        b = self.icept[j];
+                    }
+                }
+                // Argument register: round half away (x lies inside the
+                // register's range, so it never saturates).
+                let t = (x + HALF_DOWN).trunc();
+                // Multiplier → accumulator, HalfUp (non-negative, so
+                // `trunc` is `floor`); the rescale is folded into `m`.
+                let acc = (t * m + 0.5).trunc();
+                // Adder → output register, HalfUp with `c₀ + ½` folded
+                // into `b`: `acc · 2^(out − acc)` is exact, so the fused
+                // multiply-add rounds once, like the scalar sum.
+                // `acc` and `b` are non-negative, so only the upper
+                // saturation bound can bind.
+                let w = acc.mul_add(acc_out, b);
+                let w = if w < out_max { w } else { out_max };
+                // The output scale is a power of two: exact product,
+                // one rounding in the final adder.
+                *o = w.trunc().mul_add(out_res, g.add);
+            }
+        }
+    }
+}
+
+/// One segment's coefficients folded for the vector row kernel.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Lane {
+    /// `c₁ · 2^-shift`: the slope with the multiplier's rescale applied.
+    slope: f64,
+    /// `c₀` aligned to the output register's scale, plus ½.
+    icept: f64,
+}
+
+/// Per-table constants of the row datapath (see [`RowKernel::new`]).
 #[derive(Debug, Clone, PartialEq)]
 struct RowKernel {
-    /// Whether the formats admit the libm-free fast span kernel.
+    /// Whether the formats admit the libm-free checked integer datapath.
     fast: bool,
-    /// Whether they additionally admit the all-f64 vector span kernel.
+    /// Whether they additionally admit the all-f64 vector row kernel.
     vec: bool,
     /// Saturation bound of the argument register.
     arg_max_raw: i64,
+    /// The same bound as f64 (exact: ≤ 52 bits on the fast path).
+    arg_max_f: f64,
     /// Exact reciprocal `2^-shift` of the multiplier's rescale divisor.
     mul_inv: f64,
     /// Saturation bound of the accumulator register.
     acc_max_raw: i64,
     /// Left shift aligning the accumulator raw into the sum format.
     sh_acc: u32,
-    /// The same shift as an exact power-of-two factor (vector path only).
-    acc_scale: f64,
     /// Left shift aligning the intercept raw into the sum format.
     sh_icept: u32,
     /// Resolution of the full-width sum format.
     sum_res: f64,
     /// `2^frac` of the output register.
     out_scale: f64,
+    /// Exponent taking an intercept raw to the output register's scale.
+    icept_to_out: i32,
+    /// `2^(out.frac − acc.frac)`: an accumulator raw at the output scale.
+    acc_out: f64,
     /// Saturation bound of the output register.
     out_max_raw: i64,
     /// The same bound as f64 (exact: ≤ 52 bits on the fast path).
@@ -437,9 +533,9 @@ impl RowKernel {
         let output = formats.output;
         let sum = QFormat::sum_format(acc, icept);
         let shift = (arg.frac_bits() + slope.frac_bits()) as i32 - acc.frac_bits() as i32;
-        // The libm-free fast kernel replicates the scalar rounding only
-        // under these conditions (all hold for the paper's formats and
-        // every `fitted_to` output):
+        // The libm-free checked datapath replicates the scalar rounding
+        // only under these conditions (all hold for the paper's formats
+        // and every `fitted_to` output):
         //  * integer unsigned argument ≤ 52 bits — `round(x)` reduces to
         //    the guarded `(x + 0.5) as i64` (exact: x + 0.5 is exactly
         //    representable for 0.5 ≤ x < 2^52, and `max_raw as f64` is);
@@ -463,26 +559,70 @@ impl RowKernel {
         // registers as IEEE doubles, which is bit-exact only while every
         // raw value stays exactly representable: a ≤52-bit slope makes
         // the f64 product of two exact factors round identically to the
-        // exact integer product, and a ≤52-bit sum format makes the
-        // accumulator truncation, the power-of-two alignments and the
-        // aligned add all exact.
+        // exact integer product, and a ≤52-bit sum format keeps the
+        // full-width sum exact.
         let vec = fast && slope.total_bits() <= 52 && sum.total_bits() <= 52;
-        let sh_acc = sum.frac_bits() - acc.frac_bits();
         RowKernel {
             fast,
             vec,
             arg_max_raw: arg.max_raw(),
+            arg_max_f: arg.max_raw() as f64,
             mul_inv: (-shift as f64).exp2(),
             acc_max_raw: acc.max_raw(),
-            sh_acc,
-            acc_scale: if vec { (1u64 << sh_acc) as f64 } else { 0.0 },
+            sh_acc: sum.frac_bits() - acc.frac_bits(),
             sh_icept: sum.frac_bits() - icept.frac_bits(),
             sum_res: sum.resolution(),
             out_scale: (output.frac_bits() as f64).exp2(),
+            icept_to_out: output.frac_bits() as i32 - icept.frac_bits() as i32,
+            acc_out: ((output.frac_bits() as i32 - acc.frac_bits() as i32) as f64).exp2(),
             out_max_raw: output.max_raw(),
             out_max_f: output.max_raw() as f64,
             out_res: output.resolution(),
         }
+    }
+
+    /// Folds one segment's coefficients for the vector kernel, or `None`
+    /// if the folded datapath could differ from the scalar one by a bit
+    /// anywhere below `hi`, the segment's upper boundary:
+    ///
+    /// * the accumulator must not overflow — it is monotone in the
+    ///   non-negative argument register (non-negative slope, rounded
+    ///   rescale, truncation), so checking the largest argument the
+    ///   segment sees decides it for all of them;
+    /// * `c₁ · 2^-shift` must stay normal, so the power-of-two rescale
+    ///   stays exact and `t · m` rounds like the scaled integer product;
+    /// * `c₀ · 2^(out − icept) + ½` must be exact: then
+    ///   `acc · 2^(out − acc) + c`, whose product is exact, rounds once,
+    ///   at the same real value as the scalar path's
+    ///   `sum · 2^(out − sum) + ½` (fused or not);
+    /// * and non-negative (every square-root table's intercepts are), so
+    ///   the sum never needs the output register's lower saturation.
+    fn lane(&self, slope_raw: i64, icept_raw: i64, hi: f64) -> Option<Lane> {
+        if !self.vec {
+            return None;
+        }
+        let t_max = if hi.is_finite() {
+            ((hi + 0.5) as i64).min(self.arg_max_raw).max(0)
+        } else {
+            self.arg_max_raw
+        };
+        let acc_max = ((t_max * slope_raw) as f64 * self.mul_inv + 0.5) as i64;
+        let slope = slope_raw as f64 * self.mul_inv;
+        if acc_max > self.acc_max_raw || (slope_raw != 0 && !slope.is_normal()) {
+            return None;
+        }
+        // `c₀ · 2^e + ½` in units of 2^-f, f ≥ 1 fractional bits: exact
+        // iff that integer fits the 53-bit significand.
+        let e = self.icept_to_out;
+        let f = (-e).max(1);
+        let units = (i128::from(icept_raw) << (e + f)) + (1i128 << (f - 1));
+        if !(0..=1i128 << 53).contains(&units) {
+            return None;
+        }
+        Some(Lane {
+            slope,
+            icept: units as f64 * (-f as f64).exp2(),
+        })
     }
 }
 
@@ -546,17 +686,6 @@ mod tests {
     }
 
     #[test]
-    fn eval_tracked_is_bit_identical_to_eval() {
-        let q = QuantizedPwl::quantize(&table(), LutFormats::paper_default()).unwrap();
-        let mut hint = 0usize;
-        // A drifting argument stream, as one element's unit sees per nappe.
-        for i in 0..5000 {
-            let x = 64.0 + (16.0e6 - 64.0) * (i as f64 / 4999.0).powi(2);
-            assert_eq!(q.eval_tracked(&mut hint, x).to_bits(), q.eval(x).to_bits());
-        }
-    }
-
-    #[test]
     fn eval_saturates_out_of_range() {
         let q = QuantizedPwl::quantize(&table(), LutFormats::paper_default()).unwrap();
         // Far beyond the domain: output register saturates, no panic.
@@ -586,100 +715,60 @@ mod tests {
         xs
     }
 
-    #[test]
-    fn eval_row_tracked_bit_identical_to_scalar_eval_tracked() {
-        let q = QuantizedPwl::quantize(&table(), LutFormats::paper_default()).unwrap();
-        let xs = edge_stream();
-        for start_hint in [0usize, 10, q.segment_count() - 1, usize::MAX] {
-            let mut scalar_hint = start_hint;
-            let expected: Vec<f64> = xs
-                .iter()
-                .map(|&x| q.eval_tracked(&mut scalar_hint, x))
-                .collect();
-            let mut row_hint = start_hint;
-            let mut got = vec![0.0; xs.len()];
-            q.eval_row_tracked(&mut row_hint, &xs, &mut got);
-            for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
-                assert_eq!(g.to_bits(), e.to_bits(), "element {i}, x = {}", xs[i]);
-            }
-            assert_eq!(row_hint, scalar_hint, "final pointer, hint {start_hint}");
+    /// `eval_row` against per-element `eval`, bit for bit.
+    fn assert_row_matches_eval(q: &QuantizedPwl, xs: &[f64]) {
+        let mut got = vec![f64::NAN; xs.len()];
+        q.eval_row(xs, &mut got);
+        for (i, (&g, &x)) in got.iter().zip(xs).enumerate() {
+            assert_eq!(
+                g.to_bits(),
+                q.eval(x).to_bits(),
+                "element {i} of {}, x = {x:e}",
+                xs.len()
+            );
         }
     }
 
-    #[test]
-    fn eval_row_tracked_telemetry_matches_per_element_tracking() {
-        let q = QuantizedPwl::quantize(&table(), LutFormats::paper_default()).unwrap();
-        let xs = edge_stream();
-        let n = q.segment_count();
-        for start_hint in [0usize, n / 2, n - 1] {
-            // Per-element reference: what a chain of locate_from calls
-            // moves the pointer by.
-            let mut cur = start_hint.min(n - 1);
-            let mut expected = TrackerStats {
-                evals: xs.len() as u64,
-                ..TrackerStats::default()
-            };
-            for &x in &xs {
-                let target = q.locate_from(cur, x);
-                let moved = (target as i64 - cur as i64).unsigned_abs();
-                expected.steps += moved;
-                expected.max_step = expected.max_step.max(moved);
-                cur = target;
-            }
-            let mut hint = start_hint;
-            let mut out = vec![0.0; xs.len()];
-            let got = q.eval_row_tracked(&mut hint, &xs, &mut out);
-            assert_eq!(got, expected, "hint {start_hint}");
-            assert_eq!(got.seeks, 0);
-        }
+    /// Segment range `last − first` the row kernel sees for a row.
+    fn segment_range(q: &QuantizedPwl, xs: &[f64]) -> usize {
+        let (lo, hi) = bounds(xs);
+        q.locate(hi) - q.locate(lo)
     }
 
     #[test]
     fn eval_row_bit_identical_to_per_element_eval() {
         let q = QuantizedPwl::quantize(&table(), LutFormats::paper_default()).unwrap();
-        let xs = edge_stream();
-        let mut got = vec![0.0; xs.len()];
-        q.eval_row(&xs, &mut got);
-        for (i, (&g, &x)) in got.iter().zip(&xs).enumerate() {
-            assert_eq!(g.to_bits(), q.eval(x).to_bits(), "element {i}, x = {x}");
-        }
+        assert_row_matches_eval(&q, &edge_stream());
     }
 
     #[test]
     fn eval_row_generic_fallback_formats_stay_bit_identical() {
-        // Formats the fast kernel refuses (fractional argument bits,
-        // signed output): the generic span path must still match the
-        // scalar datapath bit for bit.
+        // Formats the fast gate refuses (fractional argument bits,
+        // signed output): the per-element scalar tier must still match
+        // the scalar datapath bit for bit.
         let t = table();
         let mut formats = LutFormats::paper_default();
         formats.argument = QFormat::unsigned(25, 2);
         formats.output = QFormat::signed(13, 5);
         let q = QuantizedPwl::quantize(&t, formats).unwrap();
-        let xs = edge_stream();
-        let mut scalar_hint = 0usize;
-        let mut row_hint = 0usize;
-        let expected: Vec<f64> = xs
-            .iter()
-            .map(|&x| q.eval_tracked(&mut scalar_hint, x))
-            .collect();
-        let mut got = vec![0.0; xs.len()];
-        q.eval_row_tracked(&mut row_hint, &xs, &mut got);
-        for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
-            assert_eq!(g.to_bits(), e.to_bits(), "element {i}, x = {}", xs[i]);
-        }
-        assert_eq!(row_hint, scalar_hint);
+        assert!(!q.kernel.fast && q.lanes.iter().all(Option::is_none));
+        assert_row_matches_eval(&q, &edge_stream());
     }
 
     #[test]
-    fn paper_and_fitted_formats_take_the_vector_span_kernel() {
-        // The perf claim rides on the all-f64 vector path: the paper's
-        // formats (and any fitted_to output) must pass both gates, or
-        // the fill silently degrades to the checked scalar loop.
+    fn paper_and_fitted_formats_take_the_vector_row_kernel() {
+        // The perf claim rides on the all-f64 vector kernel: the paper's
+        // formats (and any fitted_to output) must pass its gates on
+        // every segment, or the fill silently degrades to the checked
+        // per-element loop.
         let t = table();
         for formats in [LutFormats::paper_default(), LutFormats::fitted_to(&t)] {
             let q = QuantizedPwl::quantize(&t, formats).unwrap();
-            let k = &q.kernel;
-            assert!(k.fast && k.vec, "formats {formats:?} left the vector path");
+            assert!(
+                q.kernel.fast && q.kernel.vec,
+                "formats {formats:?} left the vector path"
+            );
+            assert!(q.lanes.iter().all(Option::is_some), "formats {formats:?}");
         }
     }
 
@@ -687,7 +776,7 @@ mod tests {
     fn eval_row_wide_slope_format_uses_checked_loop_bit_identically() {
         // A 53-bit slope passes the fast gate (arg 9 + slope 53 = 62)
         // but not the vector gate: the checked integer loop must carry
-        // the span bit-identically to the scalar datapath.
+        // the row bit-identically to the scalar datapath.
         let t = PwlApprox::build(&SqrtFn, (64.0, 500.0), 0.25).unwrap();
         let mut formats = LutFormats::fitted_to(&t);
         formats.slope = QFormat::unsigned(0, 53);
@@ -697,47 +786,135 @@ mod tests {
             .map(|i| 64.0 + 436.0 * (i as f64 / 499.0))
             .chain([0.0, 63.9, 500.0, 1e9, f64::INFINITY, 80.0])
             .collect();
-        let mut got = vec![0.0; xs.len()];
-        q.eval_row(&xs, &mut got);
-        for (i, (&g, &x)) in got.iter().zip(&xs).enumerate() {
-            assert_eq!(g.to_bits(), q.eval(x).to_bits(), "element {i}, x = {x}");
+        assert_row_matches_eval(&q, &xs);
+    }
+
+    /// A deliberately narrow accumulator: the overflow gate refuses the
+    /// vector kernel on the segments where some argument could overflow,
+    /// and keeps it on the others.
+    fn narrow_accumulator() -> QuantizedPwl {
+        let t = table();
+        let mut formats = LutFormats::fitted_to(&t);
+        formats.accumulator = QFormat::signed(4, 8);
+        QuantizedPwl::quantize(&t, formats).unwrap()
+    }
+
+    #[test]
+    fn eval_row_accumulator_overflow_segments_fall_back_bit_identically() {
+        let q = narrow_accumulator();
+        assert!(
+            q.kernel.vec,
+            "the format gate passes; overflow is per segment"
+        );
+        assert!(q.lanes.iter().any(Option::is_none));
+        assert!(q.lanes.iter().any(Option::is_some));
+        assert_row_matches_eval(&q, &edge_stream());
+    }
+
+    /// Every edge the row kernel's compare-selects and roundings meet:
+    /// each segment boundary and the doubles either side of it, the
+    /// half-integers around it, `0.49999999999999994`, ±0.0, ±∞ and
+    /// negative arguments, and the argument register's saturation point.
+    fn edge_arguments(q: &QuantizedPwl) -> Vec<f64> {
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.49999999999999994,
+            0.5,
+            0.5f64.next_up(),
+            1.5,
+            2.5,
+            -0.5,
+            -1e300,
+            1e300,
+        ];
+        for &b in &q.boundaries {
+            xs.extend([b, b.next_up(), b.next_down()]);
+            let h = b.floor() + 0.5;
+            xs.extend([h, h.next_up(), h.next_down(), h + 1.0, h - 1.0]);
+        }
+        let am = q.kernel.arg_max_raw as f64;
+        xs.extend([am - 0.5, am, am + 0.5, am.next_up(), am + 1.0]);
+        xs.extend([2f64.powi(52), 2f64.powi(52) - 0.5, 2f64.powi(53)]);
+        xs
+    }
+
+    /// A row spanning segments `first ..= first + range`: a parabola
+    /// whose vertex sits on the first segment's lower boundary — the
+    /// shape of a receive row along one aperture row — salted with the
+    /// inner boundaries and their neighbours.
+    fn parabola_row(q: &QuantizedPwl, first: usize, range: usize, len: usize) -> Vec<f64> {
+        let lo = q.boundaries[first];
+        let top = q.boundaries[first + range + 1].next_down();
+        let mut xs: Vec<f64> = (0..len)
+            .map(|i| {
+                let u = 2.0 * i as f64 / (len.max(2) - 1) as f64 - 1.0;
+                lo + (top - lo) * u * u
+            })
+            .collect();
+        for &b in &q.boundaries[first + 1..=first + range] {
+            let at = xs.len() / 2;
+            xs.splice(at..at, [b.next_down(), b, b.next_up()]);
+        }
+        xs
+    }
+
+    #[test]
+    fn eval_row_is_edge_exact() {
+        let t = table();
+        let mut narrow_output = LutFormats::fitted_to(&t);
+        // sqrt(16e6) = 4000 overflows a u10.5 result register.
+        narrow_output.output = QFormat::unsigned(10, 5);
+        let mut cases = vec![
+            QuantizedPwl::quantize(&t, LutFormats::paper_default()).unwrap(),
+            QuantizedPwl::quantize(&t, narrow_output).unwrap(),
+            narrow_accumulator(),
+        ];
+        // A table whose domain passes the argument register's saturation
+        // point, so the saturated arguments meet a real segment.
+        let short = PwlApprox::build(&SqrtFn, (1.0, 3000.0), 0.25).unwrap();
+        let mut saturating = LutFormats::fitted_to(&short);
+        saturating.argument = QFormat::unsigned(10, 0);
+        cases.push(QuantizedPwl::quantize(&short, saturating).unwrap());
+        for q in &cases {
+            let mut edges = edge_arguments(q);
+            assert_row_matches_eval(q, &edges);
+            edges.sort_by(f64::total_cmp);
+            assert_row_matches_eval(q, &edges);
+            // Short rows and every vector remainder, at every offset.
+            for len in 0..=17 {
+                for start in (0..=edges.len() - len).step_by(5) {
+                    assert_row_matches_eval(q, &edges[start..start + len]);
+                }
+            }
         }
     }
 
     #[test]
-    fn eval_row_accumulator_overflow_spans_fall_back_bit_identically() {
-        // A deliberately narrow accumulator: the span precheck must
-        // refuse the vector loop wherever any element could overflow,
-        // and the checked loop's per-element fallback must saturate
-        // exactly like the scalar datapath.
-        let t = table();
-        let mut formats = LutFormats::fitted_to(&t);
-        formats.accumulator = QFormat::signed(4, 8);
-        let q = QuantizedPwl::quantize(&t, formats).unwrap();
-        assert!(q.kernel.vec, "gate is format-only; overflow is per span");
-        let xs = edge_stream();
-        let mut scalar_hint = 0usize;
-        let mut row_hint = 0usize;
-        let expected: Vec<f64> = xs
-            .iter()
-            .map(|&x| q.eval_tracked(&mut scalar_hint, x))
-            .collect();
-        let mut got = vec![0.0; xs.len()];
-        q.eval_row_tracked(&mut row_hint, &xs, &mut got);
-        for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
-            assert_eq!(g.to_bits(), e.to_bits(), "element {i}, x = {}", xs[i]);
+    fn eval_row_is_exact_at_every_window_width() {
+        // Rows touching 1, 2, …, WINDOW_MAX + 2 segments: each window
+        // size the kernel dispatches on, and the split past it.
+        let q = QuantizedPwl::quantize(&table(), LutFormats::paper_default()).unwrap();
+        let n = q.segment_count();
+        for range in 0..=WINDOW_MAX + 1 {
+            for first in [0, 1, n / 2, n - 1 - range] {
+                for len in [1, 2, 3, 5, 8, 17, 64, 1024] {
+                    let xs = parabola_row(&q, first, range, len);
+                    if len >= 3 {
+                        assert_eq!(segment_range(&q, &xs), range, "first {first}, len {len}");
+                    }
+                    assert_row_matches_eval(&q, &xs);
+                }
+            }
         }
-        assert_eq!(row_hint, scalar_hint);
     }
 
     #[test]
     fn eval_row_empty_is_a_no_op() {
         let q = QuantizedPwl::quantize(&table(), LutFormats::paper_default()).unwrap();
         q.eval_row(&[], &mut []);
-        let mut hint = 3usize;
-        let stats = q.eval_row_tracked(&mut hint, &[], &mut []);
-        assert_eq!(hint, 3);
-        assert_eq!(stats, TrackerStats::default());
     }
 
     #[test]

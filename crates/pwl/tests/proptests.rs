@@ -1,21 +1,19 @@
-//! Property-based bit-identity of the segment-major row evaluator.
+//! Property-based bit-identity of the row evaluator.
 //!
-//! `eval_row` / `eval_row_tracked` are fast paths over the scalar
-//! `eval` / `eval_tracked` datapath: these properties drive them with
-//! random tables, random coefficient formats (exercising both the
-//! libm-free fast span kernel and the generic fallback), random starting
-//! hints and randomly-shaped argument streams — including out-of-domain
-//! saturation excursions at both ends — and require the values, the final
-//! segment pointer and the tracker telemetry to match the per-element
-//! walk exactly.
+//! `eval_row` is a fast path over the scalar `eval` datapath: this
+//! property drives it with random tables, random coefficient formats
+//! (exercising the vector row kernel, its split of wide rows and the
+//! per-element fallback) and randomly-shaped argument streams — including
+//! out-of-domain saturation excursions at both ends — and requires every
+//! value to match the per-element datapath exactly.
 
 use proptest::prelude::*;
 use usbf_fixed::QFormat;
-use usbf_pwl::{LutFormats, PwlApprox, QuantizedPwl, SqrtFn, TrackerStats};
+use usbf_pwl::{LutFormats, PwlApprox, QuantizedPwl, SqrtFn};
 
 /// Builds a random table + formats from the generated picks. Formats
 /// cycle through fitted (fast kernel), fractional-argument and
-/// signed-output variants (generic fallback) so every span path runs.
+/// signed-output variants (generic fallback) so every row path runs.
 fn random_quantized(lo: f64, span: f64, delta: f64, fmt_pick: usize) -> QuantizedPwl {
     let table = PwlApprox::build(&SqrtFn, (lo, lo + span), delta).expect("valid domain");
     let mut formats = LutFormats::fitted_to(&table);
@@ -64,7 +62,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn eval_row_tracked_matches_scalar_values_pointer_and_telemetry(
+    fn eval_row_matches_per_element_eval(
         lo in 1.0f64..500.0,
         span in 100.0f64..2.0e6,
         delta in 0.05f64..0.5,
@@ -72,63 +70,56 @@ proptest! {
         shape in 0usize..3,
         len in 16usize..400,
         salt in 0usize..10_000,
-        hint_pick in 0usize..1000,
+        range_pick in 0usize..2,
     ) {
         let q = random_quantized(lo, span, delta, fmt_pick);
-        let xs = random_stream(lo, span, shape, len, salt);
-        let n = q.segment_count();
-        let start_hint = hint_pick % (n + 2); // occasionally past the end
-
-        // Per-element scalar reference: values via eval_tracked, steps
-        // via the same locate_from chain the hardware pointer walks.
-        let mut scalar_hint = start_hint;
-        let mut cur = start_hint.min(n - 1);
-        let mut expected_stats = TrackerStats {
-            evals: xs.len() as u64,
-            ..TrackerStats::default()
-        };
-        let mut expected = Vec::with_capacity(xs.len());
-        for &x in &xs {
-            let target = q.locate_from(cur, x);
-            let moved = (target as i64 - cur as i64).unsigned_abs();
-            expected_stats.steps += moved;
-            expected_stats.max_step = expected_stats.max_step.max(moved);
-            cur = target;
-            expected.push(q.eval_tracked(&mut scalar_hint, x));
+        let mut xs = random_stream(lo, span, shape, len, salt);
+        if range_pick == 1 {
+            // Without the excursions past the argument register, rows
+            // within a few segments take the vector kernel.
+            let arg_max = q.formats().argument.max_value();
+            xs.retain(|&x| x <= arg_max);
         }
-
-        let mut row_hint = start_hint;
-        let mut got = vec![0.0; xs.len()];
-        let stats = q.eval_row_tracked(&mut row_hint, &xs, &mut got);
-        for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
-            prop_assert_eq!(
-                g.to_bits(), e.to_bits(),
-                "element {} of {}: {} vs {} at x = {}",
-                i, xs.len(), g, e, xs[i]
-            );
-        }
-        prop_assert_eq!(row_hint, scalar_hint, "final segment pointer");
-        prop_assert_eq!(stats, expected_stats, "tracker telemetry");
-        prop_assert_eq!(stats.seeks, 0u64);
-    }
-
-    #[test]
-    fn eval_row_matches_per_element_eval(
-        lo in 1.0f64..500.0,
-        span in 100.0f64..2.0e6,
-        delta in 0.05f64..0.5,
-        fmt_pick in 0usize..3,
-        shape in 0usize..3,
-        len in 16usize..200,
-        salt in 0usize..10_000,
-    ) {
-        let q = random_quantized(lo, span, delta, fmt_pick);
-        let xs = random_stream(lo, span, shape, len, salt);
         let mut got = vec![0.0; xs.len()];
         q.eval_row(&xs, &mut got);
         for (i, (&g, &x)) in got.iter().zip(&xs).enumerate() {
             prop_assert_eq!(
                 g.to_bits(), q.eval(x).to_bits(),
+                "element {} at x = {}", i, x
+            );
+        }
+    }
+
+    #[test]
+    fn eval_grid_matches_per_element_eval(
+        lo in 1.0f64..500.0,
+        span in 100.0f64..2.0e6,
+        delta in 0.05f64..0.5,
+        fmt_pick in 0usize..3,
+        n_cols in 0usize..40,
+        n_rows in 0usize..40,
+        col_reach in 0.0f64..1.0,
+        row_reach in 0.0f64..1.0,
+        salt in 0usize..10_000,
+        add in -100.0f64..5000.0,
+    ) {
+        // A separable grid like a receive row's: squared column and row
+        // distances around a vertex, plus a depth term, spanning anywhere
+        // from one segment to the whole table.
+        let q = random_quantized(lo, span, delta, fmt_pick);
+        let square = |i: usize, n: usize, reach: f64| {
+            let u = (i as f64 + 0.5) / n as f64 - (salt % 7) as f64 / 7.0;
+            u * u * span * reach
+        };
+        let cols: Vec<f64> = (0..n_cols).map(|i| square(i, n_cols, col_reach)).collect();
+        let rows: Vec<f64> = (0..n_rows).map(|i| square(i, n_rows, row_reach)).collect();
+        let offset = lo + (salt % 13) as f64;
+        let mut got = vec![0.0; n_cols * n_rows];
+        q.eval_grid(&cols, &rows, offset, add, &mut got);
+        for (i, &g) in got.iter().enumerate() {
+            let x = (cols[i % n_cols] + rows[i / n_cols]) + offset;
+            prop_assert_eq!(
+                g.to_bits(), (q.eval(x) + add).to_bits(),
                 "element {} at x = {}", i, x
             );
         }
