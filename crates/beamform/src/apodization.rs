@@ -70,8 +70,8 @@ impl Apodization {
 /// A separable window zeroes whole border rows and columns, so the active
 /// channels fall into a few long runs of consecutive channels (Hann on a
 /// 32×32 array: 30 runs of 30). The runs are recorded at build time, and
-/// [`compact_row`](Self::compact_row) copies them as slices instead of
-/// gathering channel by channel.
+/// [`compact_in_place`](Self::compact_in_place) moves them as slices
+/// instead of gathering channel by channel.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ActiveAperture {
     channels: Vec<u32>,
@@ -137,21 +137,25 @@ impl ActiveAperture {
         &self.runs
     }
 
-    /// Compacts one full element row down to the active aperture, `out[k]
-    /// = row[channels[k]]`, one slice copy per run.
+    /// Compacts one full element row down to the active aperture in
+    /// place, `row[k] = row[channels[k]]`, one slice move per run, and
+    /// returns the compacted prefix of [`len`](Self::len) entries. Runs
+    /// ascend, so each moves left over entries already read; a run
+    /// already in place (all of a full aperture) is not moved.
     ///
     /// # Panics
     ///
-    /// Panics if `row` is shorter than the array or `out` shorter than
-    /// [`len`](Self::len).
+    /// Panics if `row` is shorter than the array.
     #[inline]
-    pub fn compact_row(&self, row: &[f64], out: &mut [f64]) {
+    pub fn compact_in_place<'r>(&self, row: &'r mut [f64]) -> &'r [f64] {
         let mut k = 0;
         for run in &self.runs {
-            let n = run.len();
-            out[k..k + n].copy_from_slice(&row[run.clone()]);
-            k += n;
+            if run.start != k {
+                row.copy_within(run.clone(), k);
+            }
+            k += run.len();
         }
+        &row[..k]
     }
 
     /// Number of active elements.
@@ -166,8 +170,8 @@ impl ActiveAperture {
         self.channels.is_empty()
     }
 
-    /// Whether every element of the array is active — when true, a slab
-    /// row needs no compaction before quantization.
+    /// Whether every element of the array is active — when true,
+    /// compaction leaves a row as it is.
     #[inline]
     pub fn is_full(&self) -> bool {
         self.channels.len() == self.n_elements

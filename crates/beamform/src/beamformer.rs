@@ -1,9 +1,9 @@
 //! The delay-and-sum kernel (Eq. 1) over any delay engine.
 //!
 //! The volume path mirrors the paper's architecture: delays are consumed
-//! as per-nappe slabs ([`DelayEngine::fill_nappe_streamed`], or
-//! [`DelayEngine::fill_nappe_rx`] for a compound sequence) rather than
-//! per-voxel queries, and the steering fan is split into
+//! as per-nappe receive-leg slabs ([`DelayEngine::fill_nappe_rx`]) plus
+//! one transmit term per row, whatever the transmit sequence, rather
+//! than per-voxel queries, and the steering fan is split into
 //! [`NappeSchedule`] tiles, each filled like a Fig. 4 block bound to its
 //! correction registers. The parallel tasks are either those tiles
 //! (walking every nappe) or, for single-transmit raw frames, whole-fan
@@ -117,23 +117,20 @@ pub struct TileState {
     tiles: Vec<Tile>,
     /// Output, `[scanline-in-region][nappe-in-band]`.
     pub(crate) values: Vec<f64>,
-    /// Active elements' delays of one row, compacted out of a full
-    /// element row before quantization (bypassed when the aperture is
-    /// full — the row is already the active row).
-    pub(crate) delays: Vec<f64>,
     /// Nearest kernel: quantized echo-buffer indices in the grouped
     /// `[group][channel][row-in-group]` layout (see [`Fetch::GROUP`]),
     /// plus one group's slack for aligning it to a cache line. Empty for
     /// linear interpolation.
     pub(crate) index_block: Vec<i32>,
     /// Nearest kernel: one group of packed rows, `[row-in-group][active]`
-    /// — [`DelayEngine::quantize_row`] writes each row here, and a full
+    /// — [`DelayEngine::quantize_tx_row`] writes each row here, and a full
     /// group is transposed into `index_block` in one pass.
     index_staging: Vec<i32>,
     /// Linear kernel: compacted fractional delays, same grouped layout as
     /// `index_block`. Empty for nearest interpolation.
     pub(crate) delay_block: Vec<f64>,
-    /// Linear kernel: one group of packed rows, like `index_staging`.
+    /// Linear kernel: one group of packed rows, like `index_staging`,
+    /// written by [`DelayEngine::combine_tx_row`].
     delay_staging: Vec<f64>,
     /// Per active channel, the lowest sample index the block's rows
     /// read, then per active channel the highest: the windows the kernel
@@ -145,10 +142,6 @@ pub struct TileState {
     /// The region slot each block row belongs to: only insonified
     /// (nonzero-weight) rows are packed into the block.
     pub(crate) live: Vec<u32>,
-    /// One combined per-transmit delay row of a compound frame:
-    /// [`DelayEngine::combine_tx_row`] writes the transmit term folded
-    /// onto a receive-leg slab row here. Sized to the full element row.
-    pub(crate) tx_row: Vec<f64>,
     /// Mask weights, `[transmit][scanline-in-region][nappe-in-band]`
     /// (same inner layout as `values`): the per-voxel insonification
     /// weight of each transmit, precomputed at construction so the warm
@@ -230,10 +223,8 @@ impl TileState {
             nappes,
             tiles: tiles.to_vec(),
             values: vec![0.0; n_values],
-            delays: vec![0.0; active],
             acc: vec![0.0; rows],
             live: vec![0; rows],
-            tx_row: vec![0.0; spec.elements.count()],
             tx_weights,
             windows: vec![0; 2 * active],
             // The blocks are allocated after the small row buffers: placed
@@ -327,7 +318,7 @@ const PREFETCH_AHEAD: usize = 8;
 
 /// One interpolation mode of the tile kernel: the block entry type
 /// (`i32` echo-buffer indices for nearest fetch, `f64` fractional delays
-/// for linear), how a full element delay row is packed into a block row,
+/// for linear), how a compacted receive-leg row becomes a block row,
 /// and how a trace is read at an entry. The kernel is generic over it, so
 /// each mode compiles to its own monomorphized loop.
 trait Fetch: Copy {
@@ -335,19 +326,9 @@ trait Fetch: Copy {
     /// 64-byte cache line.
     const GROUP: usize = 64 / std::mem::size_of::<Self>();
 
-    /// Whether packing runs the engine's rounding stage (and with it any
-    /// rounding telemetry).
-    const ROUNDS: bool;
-
-    /// Packs one full element row into one block row of active
-    /// channels, using `scratch` for the compaction if needed.
-    fn pack(
-        engine: &dyn DelayEngine,
-        aperture: &ActiveAperture,
-        row: &[f64],
-        scratch: &mut [f64],
-        out: &mut [Self],
-    );
+    /// Writes transmit `tx`'s block row for focal point `vox` from the
+    /// active channels' receive-leg entries `rx`.
+    fn pack(engine: &dyn DelayEngine, tx: usize, vox: VoxelIndex, rx: &[f64], out: &mut [Self]);
 
     /// Reads the raw samples `trace` at this entry as an unscaled value,
     /// bit-identical to the scalar walk's read; out-of-window reads give
@@ -365,27 +346,13 @@ trait Fetch: Copy {
 }
 
 impl Fetch for i32 {
-    const ROUNDS: bool = true;
-
-    /// Compaction, then the engine's own final rounding stage via one
-    /// [`DelayEngine::quantize_row`] call, so rounding telemetry
+    /// The transmit add fused into the engine's own final rounding stage
+    /// ([`DelayEngine::quantize_tx_row`]), so rounding telemetry
     /// (TABLESTEER's clamp counter) advances exactly as it does for
     /// per-element queries.
     #[inline]
-    fn pack(
-        engine: &dyn DelayEngine,
-        aperture: &ActiveAperture,
-        row: &[f64],
-        scratch: &mut [f64],
-        out: &mut [i32],
-    ) {
-        let active = if aperture.is_full() {
-            row
-        } else {
-            aperture.compact_row(row, scratch);
-            scratch
-        };
-        engine.quantize_row(active, out);
+    fn pack(engine: &dyn DelayEngine, tx: usize, vox: VoxelIndex, rx: &[f64], out: &mut [i32]) {
+        engine.quantize_tx_row(tx, vox, rx, out);
     }
 
     /// Negative indices wrap to huge under the cast and read `0.0` like
@@ -406,23 +373,11 @@ impl Fetch for i32 {
 }
 
 impl Fetch for f64 {
-    const ROUNDS: bool = false;
-
-    /// No quantization stage: the row is copied (or compacted) straight
-    /// into the block.
+    /// No quantization stage: the transmit combine writes the fractional
+    /// delays straight into the staging row.
     #[inline]
-    fn pack(
-        _: &dyn DelayEngine,
-        aperture: &ActiveAperture,
-        row: &[f64],
-        _: &mut [f64],
-        out: &mut [f64],
-    ) {
-        if aperture.is_full() {
-            out.copy_from_slice(row);
-        } else {
-            aperture.compact_row(row, out);
-        }
+    fn pack(engine: &dyn DelayEngine, tx: usize, vox: VoxelIndex, rx: &[f64], out: &mut [f64]) {
+        engine.combine_tx_row(tx, vox, rx, out);
     }
 
     /// The floor/blend arithmetic of [`usbf_sim::Trace::raw_interp`], with the
@@ -467,34 +422,30 @@ struct Block<'a, T> {
     /// the highest.
     windows: &'a mut [i32],
     live: &'a mut [u32],
-    scratch: &'a mut [f64],
     /// Packed (live) rows so far.
     len: usize,
 }
 
 impl<T: Fetch> Block<'_, T> {
-    /// Offers region slot `slot`'s delay row with mask weight `m`. A live
-    /// row is packed into the next free staging row; a masked row is
-    /// dropped, unless `keep_masked` — then it is still packed into the
-    /// next free row (which the next live row overwrites) so the engine's
-    /// rounding telemetry counts it.
+    /// Offers transmit `tx`'s row of focal point `vox` — region slot
+    /// `slot`, mask weight `m`, the active channels' receive leg `rx` —
+    /// packed into the next free staging row. Every row is packed; a
+    /// masked row is overwritten by the next live row, so it never
+    /// reaches the block, but the engine's rounding telemetry counts it.
     #[inline]
     fn push(
         &mut self,
         engine: &dyn DelayEngine,
-        aperture: &ActiveAperture,
+        tx: usize,
+        vox: VoxelIndex,
         slot: usize,
         m: f64,
-        keep_masked: bool,
-        row: &[f64],
+        rx: &[f64],
     ) {
-        if m == 0.0 && !keep_masked {
-            return;
-        }
-        let active = aperture.len();
+        let active = rx.len();
         let r = self.len % T::GROUP;
         let out = &mut self.staging[r * active..(r + 1) * active];
-        T::pack(engine, aperture, row, self.scratch, out);
+        T::pack(engine, tx, vox, rx, out);
         if m != 0.0 {
             self.live[self.len] = slot as u32;
             self.len += 1;
@@ -584,10 +535,8 @@ fn transpose_group<T: Fetch, const N: usize>(
 
 /// The kernel's row-sized scratch, borrowed out of a [`TileState`].
 struct Scratch<'a> {
-    delays: &'a mut [f64],
     acc: &'a mut [f64],
     live: &'a mut [u32],
-    tx_row: &'a mut [f64],
     windows: &'a mut [i32],
 }
 
@@ -783,11 +732,9 @@ impl Beamformer {
     /// frame of a [`VolumeLoop`](crate::VolumeLoop) on the global
     /// `usbf_par` pool, with the schedule fitted to that pool: the same
     /// tasks, slabs and kernel as every warm frame, built for this call
-    /// and dropped after it. Delay rows come from the engine's fused
-    /// [`DelayEngine::fill_nappe_streamed`] for a single transmit, or
-    /// from [`DelayEngine::fill_nappe_rx`] plus
-    /// [`DelayEngine::combine_tx_row`] for a compound sequence (see
-    /// [`beamform_tile_into`](Self::beamform_tile_into)).
+    /// and dropped after it. Delay rows come from the engine's receive
+    /// leg ([`DelayEngine::fill_nappe_rx`]) plus one transmit term per row
+    /// (see [`beamform_tile_into`](Self::beamform_tile_into)).
     /// Scanline-by-scanline order keeps the scalar per-voxel walk as the
     /// reference path. Both produce bit-identical volumes. For repeated
     /// frames, keep a [`VolumeLoop`](crate::VolumeLoop), which reuses its
@@ -836,12 +783,12 @@ impl Beamformer {
     ///
     /// One voxel-parallel kernel serves every transmit sequence and task
     /// shape, split by interpolation mode into two monomorphized loops
-    /// chosen **once per task**. Per (nappe, transmit), delay rows come
-    /// from the engine's fused [`DelayEngine::fill_nappe_streamed`] for a
-    /// single transmit (once per schedule tile of the task), or from one
-    /// [`DelayEngine::fill_nappe_rx`] per nappe plus one
-    /// [`DelayEngine::combine_tx_row`] per row for a compound sequence;
-    /// the insonified rows are packed into a grouped block that is summed
+    /// chosen **once per task**. Per (tile, nappe), the engine fills the
+    /// receive leg ([`DelayEngine::fill_nappe_rx`]) once; per row and
+    /// transmit, the transmit term is added in the rounding pass
+    /// ([`DelayEngine::quantize_tx_row`], nearest) or by
+    /// [`DelayEngine::combine_tx_row`] (linear). The insonified rows are
+    /// packed into a grouped block that is summed
     /// one channel at a time into per-row accumulators. Every voxel's
     /// delay-and-sum starts at `0.0` and adds its `w·s` terms in ascending
     /// aperture order, and each transmit's sum enters the voxel as `m·sum`
@@ -893,7 +840,6 @@ impl Beamformer {
             nappes,
             tiles,
             values,
-            delays,
             index_block,
             index_staging,
             delay_block,
@@ -901,7 +847,6 @@ impl Beamformer {
             windows,
             acc,
             live,
-            tx_row,
             tx_weights,
             post_scratch,
         } = state;
@@ -920,13 +865,7 @@ impl Beamformer {
             nappes: nappes.clone(),
             tiles,
         };
-        let scratch = Scratch {
-            delays,
-            acc,
-            live,
-            tx_row,
-            windows,
-        };
+        let scratch = Scratch { acc, live, windows };
         match self.interpolation {
             Interpolation::Nearest => self.tile_kernel(
                 engine,
@@ -968,26 +907,22 @@ impl Beamformer {
     ///
     /// Per nappe of the task's band and per transmit:
     ///
-    /// 1. Delay rows arrive in scanline order. A single-transmit frame
-    ///    takes them from the engine's fused
-    ///    [`DelayEngine::fill_nappe_streamed`], once per schedule tile of
-    ///    the task with the slab re-pointed at it, each row handed over
-    ///    cache-hot; a compound frame (one tile per task) fills the
-    ///    transmit-invariant receive leg once per nappe
-    ///    ([`DelayEngine::fill_nappe_rx`]) and builds each transmit's row
-    ///    with one [`DelayEngine::combine_tx_row`]. (Routing a single
-    ///    transmit through the receive leg plus a combine measured slower
-    ///    than the one-pass fused fill.)
-    /// 2. Only insonified rows (mask weight `m ≠ 0`) are packed, the
-    ///    `live` map recording their region slots. Rows are packed into a
-    ///    one-group staging buffer, and each full group is transposed into
-    ///    the block's `[group][channel][row-in-group]` layout; the last
-    ///    group holds only the live rows. A masked row contributes
-    ///    nothing, so it is skipped — except in nearest mode under an
-    ///    engine with rounding telemetry
-    ///    ([`DelayEngine::rounding_telemetry`]), where it is still
-    ///    quantized into the next free staging row (and overwritten) so
-    ///    TABLESTEER's clamp counter counts every (voxel, transmit) row.
+    /// 1. At transmit 0, the slab is re-pointed at each schedule tile of
+    ///    the task in turn and filled with the transmit-invariant receive
+    ///    leg ([`DelayEngine::fill_nappe_rx`]); a compound task has one
+    ///    tile, so that fill serves every transmit. Each row, in scanline
+    ///    order, is compacted in place to the active aperture at its first
+    ///    use (transmit 0) and gets its transmit term in one engine call:
+    ///    fused into the rounding pass ([`DelayEngine::quantize_tx_row`])
+    ///    for nearest fetch, or [`DelayEngine::combine_tx_row`] for
+    ///    linear. Both are element-wise, so compacting first is exact.
+    /// 2. Every row is packed into a one-group staging buffer, and each
+    ///    full group is transposed into the block's
+    ///    `[group][channel][row-in-group]` layout. Only insonified rows
+    ///    (mask weight `m ≠ 0`) advance the buffer, the `live` map
+    ///    recording their region slots; a masked row is overwritten by the
+    ///    next live row, so it never reaches the block, but TABLESTEER's
+    ///    clamp counter counts every (voxel, transmit) row.
     /// 3. The aperture is walked channel by channel: channel `k` adds
     ///    `w[k] · raw_k[block[r][k]]` (the 16-bit sample, unscaled) into
     ///    `acc[r]` for every block row,
@@ -1028,18 +963,10 @@ impl Beamformer {
             nappes,
             tiles,
         } = task;
-        let Scratch {
-            delays,
-            acc,
-            live,
-            tx_row,
-            windows,
-        } = scratch;
+        let Scratch { acc, live, windows } = scratch;
         let band = nappes.len();
         let n_values = values.len();
-        let aperture = &self.aperture;
-        let single = self.spec.n_transmits() == 1;
-        let keep_masked = T::ROUNDS && engine.rounding_telemetry();
+        let active = self.aperture.len();
         // The block's first whole cache line: every (group, channel) line
         // then sits on one.
         let aligned = block.as_ptr().align_offset(64);
@@ -1052,31 +979,26 @@ impl Beamformer {
                     staging: &mut *staging,
                     windows: &mut *windows,
                     live: &mut *live,
-                    scratch: &mut *delays,
                     len: 0,
                 };
-                if single {
-                    for &tile in tiles {
-                        slab.retarget(tile);
-                        engine.fill_nappe_streamed(id, slab, &mut |slot, row| {
-                            let (it, ip) = tile.scanline_at(slot);
-                            let r = region.slot_of(it, ip);
-                            let m = mask[r * band + j];
-                            rows.push(engine, aperture, r, m, keep_masked, row);
-                        });
-                    }
-                } else {
+                for &tile in tiles {
                     if tx == 0 {
+                        slab.retarget(tile);
                         engine.fill_nappe_rx(id, slab);
                     }
-                    for (slot, it, ip) in region.iter_scanlines() {
-                        let m = mask[slot * band + j];
-                        if m == 0.0 && !keep_masked {
-                            continue;
-                        }
+                    for (slot, it, ip) in tile.iter_scanlines() {
+                        let r = region.slot_of(it, ip);
                         let vox = VoxelIndex::new(it, ip, id);
-                        engine.combine_tx_row(tx, vox, slab.row(slot), tx_row);
-                        rows.push(engine, aperture, slot, m, keep_masked, tx_row);
+                        let m = mask[r * band + j];
+                        // Compacted in place at transmit 0, in the same
+                        // pass that rounds the row, and reused after.
+                        let row = slab.row_mut(slot);
+                        let rx = if tx == 0 {
+                            self.aperture.compact_in_place(row)
+                        } else {
+                            &row[..active]
+                        };
+                        rows.push(engine, tx, vox, r, m, rx);
                     }
                 }
                 let n_live = rows.finish();
@@ -1294,7 +1216,9 @@ mod tests {
     fn batched_path_preserves_clamp_telemetry() {
         // A wide aperture on the tiny grid steers some corner fetches out
         // of the echo window; the batched path must count those clamps
-        // exactly like the scalar path does.
+        // exactly like the scalar path does — over the full aperture and
+        // over a Hann aperture, whose receive rows are compacted before
+        // the fused rounding.
         let base = SystemSpec::tiny();
         let spec = SystemSpec::new(
             base.speed_of_sound,
@@ -1309,20 +1233,54 @@ mod tests {
             base.frame_rate,
         );
         let rf = RfFrame::zeros(100, 100, spec.echo_buffer_len());
-        let scalar_engine = TableSteerEngine::new(&spec, TableSteerConfig::bits18()).unwrap();
-        let batched_engine = scalar_engine.clone(); // fresh zeroed counter
-        let bf = |order| {
-            Beamformer::new(&spec)
-                .with_apodization(crate::Apodization::Rect)
-                .with_order(order)
-        };
-        bf(ScanOrder::ScanlineByScanline).beamform_volume(&scalar_engine, &rf);
-        bf(ScanOrder::NappeByNappe).beamform_volume(&batched_engine, &rf);
-        assert!(
-            scalar_engine.clamp_events() > 0,
-            "setup must actually clamp"
+        for apodization in [crate::Apodization::Rect, crate::Apodization::Hann] {
+            let scalar_engine = TableSteerEngine::new(&spec, TableSteerConfig::bits18()).unwrap();
+            let batched_engine = scalar_engine.clone(); // fresh zeroed counter
+            let bf = |order| {
+                Beamformer::new(&spec)
+                    .with_apodization(apodization)
+                    .with_order(order)
+            };
+            assert_eq!(
+                bf(ScanOrder::NappeByNappe).aperture().is_full(),
+                apodization == crate::Apodization::Rect
+            );
+            bf(ScanOrder::ScanlineByScanline).beamform_volume(&scalar_engine, &rf);
+            bf(ScanOrder::NappeByNappe).beamform_volume(&batched_engine, &rf);
+            assert!(
+                scalar_engine.clamp_events() > 0,
+                "{apodization:?} setup must actually clamp"
+            );
+            assert_eq!(
+                batched_engine.clamp_events(),
+                scalar_engine.clamp_events(),
+                "{apodization:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn whole_fan_band_frame_counts_one_transmit_root_per_row() {
+        // TABLEFREE's op counter over one whole-fan depth-band frame: per
+        // (tile, nappe) the receive leg counts one root per element, and
+        // each row's fused rounding one transmit root — scanlines ×
+        // (elements + 1) × nappes in all, the fill cost §IV-B argues for.
+        let (spec, rf) = setup(Vec3::new(0.0, 0.0, 0.05));
+        let engine =
+            usbf_core::TableFreeEngine::new(&spec, usbf_core::TableFreeConfig::paper()).unwrap();
+        let bf = Beamformer::new(&spec);
+        let tiles = NappeSchedule::fitted(&spec, 4).tiles();
+        assert!(tiles.len() > 1, "the band must re-point its slab");
+        let n_depth = spec.volume_grid.n_depth();
+        let mut state = TileState::band(&bf, &tiles, 0..n_depth);
+        let before = engine.sqrt_evals();
+        bf.beamform_tile_into(&engine, &rf, &mut state);
+        let scanlines = spec.volume_grid.n_theta() * spec.volume_grid.n_phi();
+        let per_row = spec.elements.count() + 1;
+        assert_eq!(
+            engine.sqrt_evals() - before,
+            (scanlines * per_row * n_depth) as u64
         );
-        assert_eq!(batched_engine.clamp_events(), scalar_engine.clamp_events());
     }
 
     #[test]
@@ -1498,15 +1456,14 @@ mod tests {
         let offset = state.index_block.as_ptr().align_offset(64);
         let block = &state.index_block[offset..];
         let region = state.region();
-        let mut row = vec![0.0; active];
         let mut expected = vec![0; active];
         let mut r = 0;
         for &tile in &tiles {
             let mut slab = NappeDelays::for_tile(&spec, tile);
             engine.fill_nappe(last, &mut slab);
             for (slot, it, ip) in tile.iter_scanlines() {
-                bf.aperture().compact_row(slab.row(slot), &mut row);
-                engine.quantize_row(&row, &mut expected);
+                let row = bf.aperture().compact_in_place(slab.row_mut(slot));
+                engine.quantize_row(row, &mut expected);
                 assert_eq!(state.live[r] as usize, region.slot_of(it, ip));
                 for (k, &e) in expected.iter().enumerate() {
                     assert_eq!(

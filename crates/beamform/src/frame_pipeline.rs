@@ -1259,7 +1259,7 @@ mod tests {
         let calls = Arc::new(std::sync::atomic::AtomicU64::new(0));
         let recorder = Arc::clone(&calls);
         let source = move |out: &mut RfFrame| {
-            out.fill(0.0);
+            out.fill(0.0).expect("a finite fill value");
             recorder.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         };
         let mut pipe = FramePipeline::new(Beamformer::new(&spec), engine, source);

@@ -299,7 +299,7 @@ struct Slot {
 /// let frame = RfFrame::zeros(8, 8, spec.echo_buffer_len());
 /// let shard = |seed: f64| {
 ///     let mut rf = frame.clone();
-///     rf.fill(seed);
+///     rf.fill(seed).expect("a finite fill value");
 ///     ShardConfig::new(
 ///         Beamformer::new(&spec),
 ///         Arc::new(ExactEngine::new(&spec)),

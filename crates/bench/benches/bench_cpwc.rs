@@ -9,7 +9,7 @@
 //!   sequence, the way the tile kernel runs it: one receive-leg
 //!   `fill_nappe_rx` per nappe of a full-fan slab, then one
 //!   `combine_tx_row` per row and transmit. EXACT recomputes the
-//!   transmit leg per row, NAIVE-TABLE widens its per-transmit table
+//!   transmit leg per row, NAIVE-TABLE reads its per-transmit table
 //!   rows, TABLESTEER adds its folded Δtx constant and TABLEFREE pays no
 //!   sqrt for the linear plane-wave leg — the sweep makes those scaling
 //!   laws measurable;

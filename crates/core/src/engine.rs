@@ -17,14 +17,19 @@ use usbf_geometry::{ElementIndex, VoxelIndex};
 /// * [`DelayEngine::delay_index`] — the integer echo-buffer index the
 ///   hardware would emit (final `floor(x + ½)` rounding stage);
 ///
-/// plus the batched streaming view of the paper's architecture, per nappe
-/// (one depth step) over a fan tile:
+/// plus one batched view of the paper's architecture, per nappe (one
+/// depth step) over a fan tile, for every transmit sequence: the
+/// transmit-invariant receive leg ([`DelayEngine::fill_nappe_rx`]) once
+/// per nappe, then per row and transmit the per-voxel transmit term —
+/// TABLESTEER's `ref + cx + cy` plus `Δtx`. The term is either added
+/// alone ([`DelayEngine::combine_tx_row`], fractional delays) or added
+/// inside the final rounding pass ([`DelayEngine::quantize_tx_row`],
+/// echo-buffer indices).
 ///
-/// * [`DelayEngine::fill_nappe_streamed`] — every delay of transmit 0,
-///   fused, each row handed over cache-hot (the single-transmit path);
-/// * [`DelayEngine::fill_nappe_rx`] + [`DelayEngine::combine_tx_row`] —
-///   the transmit-invariant receive leg once per nappe, then one cheap
-///   per-row combine per transmit (the compound path).
+/// Both row methods are **element-wise**: entry `i` of the output
+/// depends only on `(tx, vox, rx_row[i])`. A consumer may therefore
+/// compact a receive row to the active aperture first and combine only
+/// the entries it keeps.
 ///
 /// Every batched view must stay **bit-exact** with the scalar per-voxel
 /// queries ([`NappeDelays::fill_scalar`] is the oracle).
@@ -59,10 +64,11 @@ pub trait DelayEngine: Sync {
     }
 
     /// Final rounding stage: echo-buffer index for an already-computed
-    /// fractional delay (`floor(x + ½)`, clamped). Both the scalar
-    /// [`DelayEngine::delay_index`] and batched slab consumers route
-    /// through this, so engines with rounding telemetry (TABLESTEER's
-    /// clamp counter) observe every path.
+    /// fractional delay (`floor(x + ½)`, clamped). The scalar
+    /// [`DelayEngine::delay_index`] routes through this; the row methods
+    /// [`DelayEngine::quantize_row`] and [`DelayEngine::quantize_tx_row`]
+    /// must match it bit for bit, rounding telemetry (TABLESTEER's clamp
+    /// counter) included.
     fn delay_index_from(&self, samples: f64) -> i64 {
         let idx = (samples + 0.5).floor() as i64;
         idx.clamp(0, self.echo_buffer_len() as i64 - 1)
@@ -71,83 +77,26 @@ pub trait DelayEngine: Sync {
     /// Batched final rounding: quantizes one row of fractional delays to
     /// echo-buffer indices, writing `out[i] = delay_index_from(row[i])`.
     ///
-    /// This is the per-row counterpart of
-    /// [`DelayEngine::delay_index_from`]: the beamformer's inner kernel
-    /// calls it **once per (nappe, scanline) row** instead of making one
-    /// virtual `delay_index_from` call per element, so specialized
-    /// overrides run a tight, monomorphic clamp loop. Overrides must be
-    /// bit-identical to the default, and engines with rounding telemetry
-    /// (TABLESTEER's clamp counter) must accumulate **exactly** the same
-    /// counts the per-element path would — `tests/engine_consistency.rs`
-    /// enforces both.
+    /// The default is the shared vector loop, bit-identical to the
+    /// default [`DelayEngine::delay_index_from`]. An engine that overrides
+    /// the scalar stage (TABLESTEER, to count clamps) must override this
+    /// too and accumulate **exactly** the counts the per-element path
+    /// would — `tests/engine_consistency.rs` enforces both.
     ///
     /// # Panics
     ///
     /// Panics if `row` and `out` differ in length.
     fn quantize_row(&self, row: &[f64], out: &mut [i32]) {
-        assert_eq!(row.len(), out.len(), "index row must match delay row");
-        assert!(
-            self.echo_buffer_len() as u64 <= i32::MAX as u64,
-            "echo buffer too long for i32 indices"
-        );
-        for (o, &s) in out.iter_mut().zip(row) {
-            *o = self.delay_index_from(s) as i32;
-        }
-    }
-
-    /// Whether this engine's final rounding stage carries **observable
-    /// telemetry** — counters a caller could read that advance once per
-    /// quantized value (TABLESTEER's clamp counter is the one live
-    /// example). The tile kernel skips a (voxel, transmit) row whose mask
-    /// weight is zero, since it contributes nothing to the sum; for an
-    /// engine answering `true` it still quantizes that row (and discards
-    /// it), so the counters count every (voxel, transmit) row of a frame
-    /// — the same count as `delay_index` over every voxel, transmit and
-    /// active channel. Engines that add rounding telemetry MUST override
-    /// this to `true`, or masked rows stop being counted.
-    fn rounding_telemetry(&self) -> bool {
-        false
-    }
-
-    /// Fused slab fill of **transmit 0**: fills `out` with every delay of
-    /// nappe `nappe_idx` over the slab's fan tile, handing each completed
-    /// row to `consume(slot, row)` as soon as it is produced, while the
-    /// row is still cache-hot.
-    ///
-    /// This is the single-transmit path of the tile kernel: for
-    /// fill-bound engines (TABLEFREE's PWL datapath) the kernel quantizes
-    /// row *s* while it is hot instead of only after the whole slab is
-    /// done. Rows are delivered exactly once each, in slab slot order,
-    /// and the slab is completely filled when this returns. Specialized
-    /// implementations (TABLEFREE's tracked PWL walk, TABLESTEER's
-    /// per-scanline correction reuse) must produce bit-identical slabs —
-    /// `tests/engine_consistency.rs` enforces this.
-    ///
-    /// The default fills through the scalar [`NappeDelays::fill_scalar`]
-    /// walk and then replays the rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nappe_idx` is outside the slab's depth range (checked
-    /// in release builds at the [`NappeDelays::begin_fill`] boundary).
-    fn fill_nappe_streamed(
-        &self,
-        nappe_idx: usize,
-        out: &mut NappeDelays,
-        consume: &mut dyn FnMut(usize, &[f64]),
-    ) {
-        out.fill_scalar(self, 0, nappe_idx);
-        for slot in 0..out.scanline_count() {
-            consume(slot, out.row(slot));
-        }
+        quantize_row_clamped(self.echo_buffer_len(), row, out, |x| x);
     }
 
     /// Fills `out` with every delay of transmit 0 for nappe `nappe_idx`:
-    /// [`DelayEngine::fill_nappe_streamed`] with no row consumer.
+    /// the receive leg ([`DelayEngine::fill_nappe_rx`]), then exactly one
+    /// [`DelayEngine::combine_tx_row`] per row, in place.
     ///
     /// # Panics
     ///
-    /// Same contract as [`DelayEngine::fill_nappe_streamed`].
+    /// Same contract as [`DelayEngine::fill_nappe_rx`].
     ///
     /// ```
     /// use usbf_core::{DelayEngine, ExactEngine, NappeDelays};
@@ -163,52 +112,77 @@ pub trait DelayEngine: Sync {
     /// assert_eq!(slab.at(4, 4, e), engine.delay_samples(0, vox, e));
     /// ```
     fn fill_nappe(&self, nappe_idx: usize, out: &mut NappeDelays) {
-        self.fill_nappe_streamed(nappe_idx, out, &mut |_, _| {});
+        self.fill_nappe_rx(nappe_idx, out);
+        out.rewrite_rows(|vox, rx, row| self.combine_tx_row(0, vox, rx, row));
     }
 
     /// Fills `out` with the transmit-invariant **receive leg** of nappe
     /// `nappe_idx`: the per-element part of Eq. 2 (`|S − D|`), which
     /// dominates fill cost and is shared by every transmit of a compound
     /// frame. Consumers fill it once per (nappe, tile) and run one cheap
-    /// [`DelayEngine::combine_tx_row`] per transmit, turning the per-voxel
-    /// fill cost from `O(N · elements)` into `O(elements + N)`.
+    /// row method per transmit, turning the per-voxel fill cost from
+    /// `O(N · elements)` into `O(elements + N)`.
     ///
     /// The slab's contents after this call are **engine-defined
     /// intermediates** (EXACT stores receive distances in metres,
-    /// TABLESTEER pre-scale raw fixed-point sums, …): only the output of
-    /// [`DelayEngine::combine_tx_row`] on a slab row is specified. The
-    /// slab's nappe marker is set, so warm slabs are reused exactly like
-    /// fused fills reuse them.
+    /// TABLESTEER pre-scale raw fixed-point sums, NAIVE element slots, …):
+    /// only the output of the row methods on a slab row is specified. The
+    /// slab's nappe marker is set, so warm slabs are reused in place.
     ///
     /// # Panics
     ///
-    /// Panics if `nappe_idx` is out of range, as
-    /// [`DelayEngine::fill_nappe`] does.
+    /// Panics if `nappe_idx` is outside the slab's depth range (checked
+    /// in release builds at the [`NappeDelays::begin_fill`] boundary).
     fn fill_nappe_rx(&self, nappe_idx: usize, out: &mut NappeDelays);
 
-    /// Combines one receive-leg row (row `slot` of a
-    /// [`DelayEngine::fill_nappe_rx`] slab, for the scanline of `vox`)
-    /// with transmit `tx`'s per-voxel term, writing into `out` the exact
-    /// fractional-delay row the scalar [`DelayEngine::delay_samples`]
-    /// queries of `(tx, vox)` produce — **bit-identical**, before the
-    /// engine's own quantization stage. For EXACT / NAIVE / TABLEFREE the
-    /// combine is an f64 add (or a table widen); for TABLESTEER it is the
-    /// already-folded fixed-point transmit-correction constant.
+    /// Combines receive-leg entries (from row `slot` of a
+    /// [`DelayEngine::fill_nappe_rx`] slab, for the scanline of `vox`,
+    /// whole or compacted) with transmit `tx`'s per-voxel term, writing
+    /// into `out` the fractional delays the scalar
+    /// [`DelayEngine::delay_samples`] queries of `(tx, vox)` produce for
+    /// those elements — **bit-identical**, before the engine's own
+    /// quantization stage. For EXACT and TABLEFREE the combine is an f64
+    /// add, for NAIVE a table read, and for TABLESTEER the already-folded
+    /// fixed-point transmit correction plus the final scale. Element-wise
+    /// (see the trait docs).
     ///
     /// # Panics
     ///
     /// Implementations panic if `rx_row` and `out` differ in length.
     fn combine_tx_row(&self, tx: usize, vox: VoxelIndex, rx_row: &[f64], out: &mut [f64]);
+
+    /// [`DelayEngine::combine_tx_row`] and [`DelayEngine::quantize_row`]
+    /// fused into one pass: writes the echo-buffer indices of the
+    /// combined delays, bit-identical to quantizing the combined row —
+    /// rounding telemetry included — without materializing it. This is
+    /// the nearest-interpolation kernel's only rounding call.
+    ///
+    /// # Panics
+    ///
+    /// Implementations panic if `rx_row` and `out` differ in length.
+    fn quantize_tx_row(&self, tx: usize, vox: VoxelIndex, rx_row: &[f64], out: &mut [i32]);
 }
 
-/// The shared branch-free body of the specialized
-/// [`DelayEngine::quantize_row`] overrides: `floor(x + ½)` rounding
-/// clamped to `[0, echo_len)`, exactly the default `delay_index_from`
-/// arithmetic, plus a clamp count for engines that keep rounding
-/// telemetry. One definition so the engines cannot drift from each other
-/// (or from the scalar rounding stage).
-#[inline]
-pub(crate) fn quantize_row_clamped(echo_len: usize, row: &[f64], out: &mut [i32]) -> u64 {
+/// The shared branch-free rounding loop behind every row method:
+/// `out[i] = floor(f(row[i]) + ½)` clamped to `[0, echo_len)` — exactly
+/// the default `delay_index_from` arithmetic on `f(row[i])` — returning
+/// the clamp count for engines that keep rounding telemetry. `f` is the
+/// engine's element-wise transmit combine (the identity for
+/// [`DelayEngine::quantize_row`]), inlined so the combine and the
+/// rounding are one pass. One definition so the engines cannot drift
+/// from each other (or from the scalar rounding stage).
+///
+/// # Panics
+///
+/// Panics if `row` and `out` differ in length, or if `echo_len` does not
+/// fit an `i32`.
+#[inline(always)]
+pub(crate) fn quantize_row_clamped(
+    echo_len: usize,
+    row: &[f64],
+    out: &mut [i32],
+    f: impl Fn(f64) -> f64,
+) -> u64 {
     assert_eq!(row.len(), out.len(), "index row must match delay row");
     assert!(
         echo_len as u64 <= i32::MAX as u64,
@@ -220,7 +194,7 @@ pub(crate) fn quantize_row_clamped(echo_len: usize, row: &[f64], out: &mut [i32]
     let hi = (echo_len - 1) as f64;
     let lim = echo_len as f64;
     let mut clamps = 0u64;
-    for (o, &s) in out.iter_mut().zip(row) {
+    for (o, &x) in out.iter_mut().zip(row) {
         // Floor and clamp in float space, then read the integer out of
         // the biased value's bits. The saturating `f64 as i32` cast keeps
         // the loop scalar even on x86-64-v3 (its NaN and range fix-ups
@@ -232,7 +206,7 @@ pub(crate) fn quantize_row_clamped(echo_len: usize, row: &[f64], out: &mut [i32]
         // and its low 32 bits are `z`. A fetch is out of window exactly
         // when `x+½ < 0` (floor < 0) or `x+½ ≥ echo_len` (floor > hi),
         // which is the clamp-telemetry condition below.
-        let y = s + 0.5;
+        let y = f(x) + 0.5;
         let z = y.floor().max(0.0).min(hi);
         clamps += u64::from((y < 0.0) | (y >= lim));
         *o = (z + BIAS).to_bits() as i32;
@@ -243,7 +217,9 @@ pub(crate) fn quantize_row_clamped(echo_len: usize, row: &[f64], out: &mut [i32]
 /// Test oracle shared by the engines' unit tests: for every transmit of
 /// the engine and each of `nappes`, the receive-leg fill plus
 /// [`DelayEngine::combine_tx_row`] must reproduce the scalar per-transmit
-/// walk ([`NappeDelays::fill_scalar`]) bit for bit over the whole fan.
+/// walk ([`NappeDelays::fill_scalar`]) bit for bit over the whole fan,
+/// and [`DelayEngine::quantize_tx_row`] must equal
+/// [`DelayEngine::quantize_row`] of each combined row.
 #[cfg(test)]
 pub(crate) fn assert_rx_combine_matches_scalar(
     engine: &dyn DelayEngine,
@@ -253,6 +229,8 @@ pub(crate) fn assert_rx_combine_matches_scalar(
     let mut rx = NappeDelays::full(spec);
     let mut scalar = NappeDelays::full(spec);
     let mut combined = vec![0.0; rx.n_elements()];
+    let mut fused = vec![0; rx.n_elements()];
+    let mut quantized = vec![0; rx.n_elements()];
     for &id in nappes {
         engine.fill_nappe_rx(id, &mut rx);
         assert_eq!(rx.nappe(), Some(id));
@@ -269,6 +247,9 @@ pub(crate) fn assert_rx_combine_matches_scalar(
                         engine.name()
                     );
                 }
+                engine.quantize_tx_row(tx, vox, rx.row(slot), &mut fused);
+                engine.quantize_row(&combined, &mut quantized);
+                assert_eq!(fused, quantized, "{} tx {tx} nappe {id}", engine.name());
             }
         }
     }
@@ -350,6 +331,9 @@ mod tests {
         fn combine_tx_row(&self, _: usize, _: VoxelIndex, rx_row: &[f64], out: &mut [f64]) {
             out.copy_from_slice(rx_row);
         }
+        fn quantize_tx_row(&self, _: usize, _: VoxelIndex, rx_row: &[f64], out: &mut [i32]) {
+            self.quantize_row(rx_row, out);
+        }
     }
 
     #[test]
@@ -384,7 +368,7 @@ mod tests {
     fn quantize_row_clamped_counts_every_clamp() {
         let row = [-1.0, 0.0, 50.0, 99.2, 2e9];
         let mut out = [0i32; 5];
-        let clamps = quantize_row_clamped(100, &row, &mut out);
+        let clamps = quantize_row_clamped(100, &row, &mut out, |x| x);
         assert_eq!(out, [0, 0, 50, 99, 99]);
         assert_eq!(clamps, 2); // -1.0 and 2e9 fall outside the window
     }
@@ -396,20 +380,56 @@ mod tests {
     }
 
     #[test]
-    fn default_streamed_fill_delivers_every_row_once_in_order() {
+    fn fused_rounding_counts_clamps_of_the_combined_value() {
+        // The combine runs before the rounding: 60 + 50 overruns a
+        // 100-sample window although 60 alone does not.
+        let row = [-20.0, 10.0, 60.0];
+        let mut out = [0i32; 3];
+        let clamps = quantize_row_clamped(100, &row, &mut out, |x| x + 50.0);
+        assert_eq!(out, [30, 60, 99]);
+        assert_eq!(clamps, 1);
+    }
+
+    #[test]
+    fn default_fill_nappe_combines_every_row_exactly_once() {
+        // The receive leg stamps the element slot, the combine adds one
+        // per call: each entry ends one above its slot only if its row
+        // was combined exactly once, in place.
+        struct Slots;
+        impl DelayEngine for Slots {
+            fn name(&self) -> &'static str {
+                "SLOTS"
+            }
+            fn echo_buffer_len(&self) -> usize {
+                100
+            }
+            fn delay_samples(&self, _: usize, _: VoxelIndex, e: ElementIndex) -> f64 {
+                (e.iy * 8 + e.ix) as f64 + 1.0
+            }
+            fn fill_nappe_rx(&self, nappe_idx: usize, out: &mut NappeDelays) {
+                let n = out.n_elements();
+                for row in out.begin_fill(nappe_idx).chunks_exact_mut(n) {
+                    for (j, x) in row.iter_mut().enumerate() {
+                        *x = j as f64;
+                    }
+                }
+            }
+            fn combine_tx_row(&self, _: usize, _: VoxelIndex, rx_row: &[f64], out: &mut [f64]) {
+                for (o, &x) in out.iter_mut().zip(rx_row) {
+                    *o = x + 1.0;
+                }
+            }
+            fn quantize_tx_row(&self, _: usize, _: VoxelIndex, rx_row: &[f64], out: &mut [i32]) {
+                quantize_row_clamped(100, rx_row, out, |x| x + 1.0);
+            }
+        }
         let spec = usbf_geometry::SystemSpec::tiny();
-        let eng = ConstEngine(7.25);
         let mut slab = NappeDelays::full(&spec);
-        let mut seen = Vec::new();
-        eng.fill_nappe_streamed(3, &mut slab, &mut |slot, row| {
-            assert!(row.iter().all(|&d| d == 7.25));
-            seen.push((slot, row.len()));
-        });
+        let mut scalar = NappeDelays::full(&spec);
+        Slots.fill_nappe(3, &mut slab);
+        scalar.fill_scalar(&Slots, 0, 3);
         assert_eq!(slab.nappe(), Some(3));
-        let expected: Vec<_> = (0..slab.scanline_count())
-            .map(|s| (s, slab.n_elements()))
-            .collect();
-        assert_eq!(seen, expected);
+        assert_eq!(slab, scalar);
     }
 
     #[test]

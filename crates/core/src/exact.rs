@@ -43,28 +43,15 @@ impl ExactEngine {
         &self.spec
     }
 
-    /// The shared slab walk of both batched fills: per scanline of the
-    /// tile, `row(s, slab_row)` writes the row of focal point `s`, which
-    /// is then handed to `consume`.
-    fn fill_rows(
-        &self,
-        nappe_idx: usize,
-        out: &mut NappeDelays,
-        row: impl Fn(Vec3, &mut [f64]),
-        consume: &mut dyn FnMut(usize, &[f64]),
-    ) {
-        let tile = out.tile();
-        let n_elements = out.n_elements();
-        let buf = out.begin_fill(nappe_idx);
-        for (slot, it, ip) in tile.iter_scanlines() {
-            let s = self
-                .spec
-                .volume_grid
-                .position(VoxelIndex::new(it, ip, nappe_idx));
-            let range = slot * n_elements..(slot + 1) * n_elements;
-            row(s, &mut buf[range.clone()]);
-            consume(slot, &buf[range]);
-        }
+    /// Transmit `tx`'s element-wise combine at focal point `vox`: a
+    /// receive distance to its two-way delay in samples.
+    #[inline]
+    fn tx_combine(&self, tx: usize, vox: VoxelIndex) -> impl Fn(f64) -> f64 {
+        let (c, fs) = (self.spec.speed_of_sound, self.spec.sampling_frequency);
+        let t = self
+            .spec
+            .transmit_distance(tx, self.spec.volume_grid.position(vox));
+        move |rx| (t + rx) / c * fs
     }
 }
 
@@ -87,44 +74,24 @@ impl DelayEngine for ExactEngine {
         self.spec.two_way_delay_samples_for(tx, s, d)
     }
 
-    /// Batched rounding: one monomorphic clamp loop per row instead of a
-    /// virtual `delay_index_from` call per element.
-    fn quantize_row(&self, row: &[f64], out: &mut [i32]) {
-        crate::engine::quantize_row_clamped(self.echo_len, row, out);
-    }
-
-    /// Batched nappe fill: the focal-point position and the transmit leg
-    /// (point source `|S − O|`, plane wave `n̂ · S`) are computed once per
-    /// focal point and shared across all elements (the scalar path
-    /// re-derives both per query). Bit-exact: the per-element expression
-    /// `((tx + |S − D|) / c) · fs` is unchanged.
-    fn fill_nappe_streamed(
-        &self,
-        nappe_idx: usize,
-        out: &mut NappeDelays,
-        consume: &mut dyn FnMut(usize, &[f64]),
-    ) {
-        let (c, fs) = (self.spec.speed_of_sound, self.spec.sampling_frequency);
-        let row = |s: Vec3, row: &mut [f64]| {
-            let t = self.spec.transmit_distance(0, s);
-            for (value, d) in row.iter_mut().zip(&self.elem_pos) {
-                *value = (t + s.distance(*d)) / c * fs;
-            }
-        };
-        self.fill_rows(nappe_idx, out, row, consume);
-    }
-
     /// Receive-leg fill: the slab rows hold `|S − D|` in **metres** — the
-    /// per-element Euclidean distances, which are the expensive,
-    /// transmit-invariant part of the fused fill's
-    /// `((tx + |S − D|) / c) · fs` expression.
+    /// per-element Euclidean distances, the expensive, transmit-invariant
+    /// part of the scalar `((tx + |S − D|) / c) · fs`. The focal-point
+    /// position is computed once per row (the scalar path re-derives it
+    /// per query).
     fn fill_nappe_rx(&self, nappe_idx: usize, out: &mut NappeDelays) {
-        let row = |s: Vec3, row: &mut [f64]| {
+        let tile = out.tile();
+        let n_elements = out.n_elements();
+        let buf = out.begin_fill(nappe_idx);
+        for ((_, it, ip), row) in tile.iter_scanlines().zip(buf.chunks_exact_mut(n_elements)) {
+            let s = self
+                .spec
+                .volume_grid
+                .position(VoxelIndex::new(it, ip, nappe_idx));
             for (value, d) in row.iter_mut().zip(&self.elem_pos) {
                 *value = s.distance(*d);
             }
-        };
-        self.fill_rows(nappe_idx, out, row, &mut |_, _| {});
+        }
     }
 
     /// Transmit combine: `((t + rx) / c) · fs` with the transmit distance
@@ -133,14 +100,15 @@ impl DelayEngine for ExactEngine {
     /// output is bit-identical to [`ExactEngine::delay_samples`].
     fn combine_tx_row(&self, tx: usize, vox: VoxelIndex, rx_row: &[f64], out: &mut [f64]) {
         assert_eq!(rx_row.len(), out.len(), "combine row length mismatch");
-        let spec = &self.spec;
-        let fs = spec.sampling_frequency;
-        let c = spec.speed_of_sound;
-        let s = spec.volume_grid.position(vox);
-        let t = spec.transmit_distance(tx, s);
+        let delay = self.tx_combine(tx, vox);
         for (o, &rx) in out.iter_mut().zip(rx_row) {
-            *o = (t + rx) / c * fs;
+            *o = delay(rx);
         }
+    }
+
+    /// The combine inside the shared rounding loop.
+    fn quantize_tx_row(&self, tx: usize, vox: VoxelIndex, rx_row: &[f64], out: &mut [i32]) {
+        crate::engine::quantize_row_clamped(self.echo_len, rx_row, out, self.tx_combine(tx, vox));
     }
 }
 

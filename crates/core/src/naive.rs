@@ -85,15 +85,12 @@ impl NaiveTableEngine {
         self.table.len() as u64 * 2
     }
 
-    /// Widens transmit `tx`'s stored index row of focal point `vox` —
-    /// one contiguous run of the table — into `out` as `f64`s.
-    fn widen_row(&self, tx: usize, vox: VoxelIndex, out: &mut [f64]) {
+    /// Transmit `tx`'s stored index row of focal point `vox`: one
+    /// contiguous run of the table, in linear element order.
+    fn table_row(&self, tx: usize, vox: VoxelIndex) -> &[u16] {
         let vi = (vox.it * self.n_phi + vox.ip) * self.n_depth + vox.id;
         let base = tx * self.transmit_stride + vi * self.elements_per_voxel;
-        let src = &self.table[base..base + self.elements_per_voxel];
-        for (value, &raw) in out.iter_mut().zip(src) {
-            *value = raw as i64 as f64;
-        }
+        &self.table[base..base + self.elements_per_voxel]
     }
 }
 
@@ -120,47 +117,40 @@ impl DelayEngine for NaiveTableEngine {
         self.table[tx * self.transmit_stride + vi * self.elements_per_voxel + ei] as i64
     }
 
-    /// Batched rounding. The stored indices are already integral and
-    /// in-window, but the arithmetic must stay the shared rounding stage
-    /// so the table path cannot drift from `delay_index_from`.
-    fn quantize_row(&self, row: &[f64], out: &mut [i32]) {
-        crate::engine::quantize_row_clamped(self.echo_len, row, out);
-    }
-
-    /// Batched nappe fill: each scanline's element block is one contiguous
-    /// run of the precomputed table, widened `u16 → f64` in place of
-    /// per-query indexed lookups.
-    fn fill_nappe_streamed(
-        &self,
-        nappe_idx: usize,
-        out: &mut NappeDelays,
-        consume: &mut dyn FnMut(usize, &[f64]),
-    ) {
-        let tile = out.tile();
+    /// The naive table has **no separable receive leg** — it stores the
+    /// final rounded index per `(transmit, voxel, element)`, with the two
+    /// legs fused at precompute time. Its receive leg is therefore each
+    /// element's slot in the row (`j` as an `f64`), and the row methods
+    /// read `(tx, vox)`'s table row through those slots — element-wise,
+    /// so a compacted receive row reads exactly its own elements.
+    fn fill_nappe_rx(&self, nappe_idx: usize, out: &mut NappeDelays) {
         let n_elements = out.n_elements();
-        let buf = out.begin_fill(nappe_idx);
-        for (slot, it, ip) in tile.iter_scanlines() {
-            let row = &mut buf[slot * n_elements..(slot + 1) * n_elements];
-            self.widen_row(0, VoxelIndex::new(it, ip, nappe_idx), row);
-            consume(slot, row);
+        for row in out.begin_fill(nappe_idx).chunks_exact_mut(n_elements) {
+            for (j, slot) in row.iter_mut().enumerate() {
+                *slot = j as f64;
+            }
         }
     }
 
-    /// The naive table has **no separable receive leg** — it stores the
-    /// final rounded index per `(transmit, voxel, element)`, with the two
-    /// legs fused at precompute time. The rx pass therefore only stamps
-    /// the slab's nappe marker; [`NaiveTableEngine::combine_tx_row`]
-    /// produces each transmit's row entirely from the table, at identical
-    /// work to a fused per-transmit fill.
-    fn fill_nappe_rx(&self, nappe_idx: usize, out: &mut NappeDelays) {
-        out.begin_fill(nappe_idx);
-    }
-
-    /// Transmit combine: the contiguous `u16 → f64` table-row widen for
-    /// `(tx, vox)`, ignoring the rx row.
+    /// Transmit combine: the `u16 → f64` widen of `(tx, vox)`'s table
+    /// entries at the receive row's element slots.
     fn combine_tx_row(&self, tx: usize, vox: VoxelIndex, rx_row: &[f64], out: &mut [f64]) {
         assert_eq!(rx_row.len(), out.len(), "combine row length mismatch");
-        self.widen_row(tx, vox, out);
+        let row = self.table_row(tx, vox);
+        for (o, &j) in out.iter_mut().zip(rx_row) {
+            *o = f64::from(row[j as usize]);
+        }
+    }
+
+    /// The table read inside the shared rounding loop. The stored indices
+    /// are already integral and in-window, but the arithmetic stays the
+    /// shared rounding stage so the table path cannot drift from
+    /// `delay_index_from`.
+    fn quantize_tx_row(&self, tx: usize, vox: VoxelIndex, rx_row: &[f64], out: &mut [i32]) {
+        let row = self.table_row(tx, vox);
+        crate::engine::quantize_row_clamped(self.echo_len, rx_row, out, |j| {
+            f64::from(row[j as usize])
+        });
     }
 }
 

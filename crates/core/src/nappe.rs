@@ -9,13 +9,12 @@
 //! fan (a [`NappeSchedule`](crate::NappeSchedule) block's ownership), for
 //! every element.
 //!
-//! Engines fill slabs through
-//! [`fill_nappe_streamed`](crate::DelayEngine::fill_nappe_streamed) (the
-//! fused transmit-0 fill) and
-//! [`fill_nappe_rx`](crate::DelayEngine::fill_nappe_rx) (the receive leg
-//! of a compound frame); [`NappeDelays::fill_scalar`] falls back to scalar
+//! Engines fill slabs with one source, the receive leg
+//! ([`fill_nappe_rx`](crate::DelayEngine::fill_nappe_rx)), for every
+//! transmit sequence; each transmit's delays are that leg plus a per-row
+//! transmit term. [`NappeDelays::fill_scalar`] falls back to scalar
 //! [`delay_samples`](crate::DelayEngine::delay_samples) queries and is the
-//! bit-exactness reference for both.
+//! bit-exactness reference for the pair.
 
 use crate::schedule::Tile;
 use usbf_geometry::{ElementIndex, SystemSpec, VoxelIndex};
@@ -38,8 +37,6 @@ pub struct NappeDelays {
     // stay allocation-free (excluded from equality — scratch contents
     // are not part of the slab's value).
     row_args: Vec<f64>,
-    line_args: Vec<f64>,
-    line_vals: Vec<f64>,
     row_regs: Vec<f64>,
 }
 
@@ -66,10 +63,6 @@ pub struct FillBuffers<'a> {
     /// per-element reference registers, or TABLEFREE's per-row squared
     /// y-distances in its first `elements_ny` slots.
     pub row_args: &'a mut [f64],
-    /// Per-scanline argument scratch (`scanlines` slots).
-    pub line_args: &'a mut [f64],
-    /// Per-scanline value scratch (`scanlines` slots).
-    pub line_vals: &'a mut [f64],
     /// One element-row of register scratch (`elements_nx` slots):
     /// TABLESTEER's per-scanline x-corrections, held as integer-valued
     /// `f64`s, or TABLEFREE's per-column squared x-distances.
@@ -103,8 +96,6 @@ impl NappeDelays {
             fan: (v.n_theta(), v.n_phi()),
             nappe: None,
             row_args: vec![0.0; n_elements],
-            line_args: vec![0.0; tile.scanlines()],
-            line_vals: vec![0.0; tile.scanlines()],
             row_regs: vec![0.0; spec.elements.nx()],
         }
     }
@@ -175,6 +166,14 @@ impl NappeDelays {
         &self.samples[slot * self.n_elements..(slot + 1) * self.n_elements]
     }
 
+    /// One scanline's row, writable — for consumers that rework a
+    /// filled row in place (the tile kernel compacts receive-leg rows to
+    /// its active aperture).
+    #[inline]
+    pub fn row_mut(&mut self, slot: usize) -> &mut [f64] {
+        &mut self.samples[slot * self.n_elements..(slot + 1) * self.n_elements]
+    }
+
     /// Delay for scanline `(it, ip)` and element `e` — the batched
     /// counterpart of [`delay_samples`](crate::DelayEngine::delay_samples)
     /// at the held nappe.
@@ -236,7 +235,7 @@ impl NappeDelays {
     /// Marks the slab as holding `nappe_idx` and hands out the raw buffer
     /// for an engine's batched fill.
     ///
-    /// Every engine's slab fill (fused, receive-leg or scalar) routes
+    /// Every engine's slab fill (receive-leg or scalar) routes
     /// through here, so this is the single validation point for
     /// the slab API.
     ///
@@ -269,19 +268,35 @@ impl NappeDelays {
         FillBuffers {
             samples: &mut self.samples,
             row_args: &mut self.row_args,
-            line_args: &mut self.line_args,
-            line_vals: &mut self.line_vals,
             row_regs: &mut self.row_regs,
+        }
+    }
+
+    /// Rewrites every row of the held nappe in place: `f(vox, old, row)`
+    /// receives the row's focal point, a copy of its current contents
+    /// (kept in the slab's scratch row, so nothing is allocated) and the
+    /// row to overwrite — how
+    /// [`fill_nappe`](crate::DelayEngine::fill_nappe) turns a receive-leg
+    /// slab into delays with one transmit combine per row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no nappe has been filled.
+    pub(crate) fn rewrite_rows(&mut self, mut f: impl FnMut(VoxelIndex, &[f64], &mut [f64])) {
+        let id = self.nappe.expect("rewrite_rows needs a filled slab");
+        let rows = self.samples.chunks_exact_mut(self.n_elements);
+        for ((_, it, ip), row) in self.tile.iter_scanlines().zip(rows) {
+            self.row_args.copy_from_slice(row);
+            f(VoxelIndex::new(it, ip, id), &self.row_args, row);
         }
     }
 
     /// Scalar reference fill of transmit `tx`: one
     /// [`delay_samples`](crate::DelayEngine::delay_samples) query per slab
-    /// entry. This is the
-    /// [`fill_nappe_streamed`](crate::DelayEngine::fill_nappe_streamed)
-    /// default, and the bit-exactness oracle for every batched path — the
-    /// fused transmit-0 fill and each transmit's receive-leg fill plus
-    /// [`combine_tx_row`](crate::DelayEngine::combine_tx_row) alike.
+    /// entry — the bit-exactness oracle for every batched path: each
+    /// transmit's receive-leg fill plus
+    /// [`combine_tx_row`](crate::DelayEngine::combine_tx_row) (or
+    /// [`quantize_tx_row`](crate::DelayEngine::quantize_tx_row)).
     pub fn fill_scalar<E: crate::DelayEngine + ?Sized>(
         &mut self,
         engine: &E,
@@ -370,8 +385,6 @@ mod tests {
         let bufs = slab.begin_fill_scratch(7);
         assert_eq!(bufs.samples.len(), 6 * 64);
         assert_eq!(bufs.row_args.len(), 64);
-        assert_eq!(bufs.line_args.len(), 6);
-        assert_eq!(bufs.line_vals.len(), 6);
         assert_eq!(bufs.row_regs.len(), 8);
         bufs.row_args[0] = 42.0; // scratch contents are not slab value…
         assert_eq!(slab.nappe(), Some(7));

@@ -75,8 +75,17 @@ pub struct TableFreeEngine {
     elem_y: Vec<f64>,
     echo_len: usize,
     samples_per_metre: f64,
-    sqrt_evals: AtomicU64,
+    sqrt_evals: OpCounter,
 }
+
+/// The square-root counter, on cache lines of its own: every worker's
+/// row methods bump it once per delay row, and a counter sharing a line
+/// with the engine's read-mostly fields would evict them from the other
+/// workers' caches at each bump. 128 bytes, because the adjacent-line
+/// prefetcher moves lines in pairs.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct OpCounter(AtomicU64);
 
 impl Clone for TableFreeEngine {
     /// Clones the engine with a fresh (zeroed) op counter.
@@ -90,7 +99,7 @@ impl Clone for TableFreeEngine {
             elem_y: self.elem_y.clone(),
             echo_len: self.echo_len,
             samples_per_metre: self.samples_per_metre,
-            sqrt_evals: AtomicU64::new(0),
+            sqrt_evals: OpCounter::default(),
         }
     }
 }
@@ -122,7 +131,7 @@ impl TableFreeEngine {
             quant,
             echo_len: spec.echo_buffer_len(),
             samples_per_metre: spec.sampling_frequency / spec.speed_of_sound,
-            sqrt_evals: AtomicU64::new(0),
+            sqrt_evals: OpCounter::default(),
         })
     }
 
@@ -178,7 +187,7 @@ impl TableFreeEngine {
 
     /// Number of square-root evaluations performed so far (op counter).
     pub fn sqrt_evals(&self) -> u64 {
-        self.sqrt_evals.load(Ordering::Relaxed)
+        self.sqrt_evals.0.load(Ordering::Relaxed)
     }
 
     /// Per-element datapath cost of one delay: **2 additions** (assembling
@@ -191,7 +200,7 @@ impl TableFreeEngine {
 
     #[inline]
     fn sqrt_approx(&self, alpha: f64) -> f64 {
-        self.sqrt_evals.fetch_add(1, Ordering::Relaxed);
+        self.sqrt_evals.0.fetch_add(1, Ordering::Relaxed);
         self.quant.eval(alpha)
     }
 
@@ -212,18 +221,8 @@ impl TableFreeEngine {
             }
             TransmitModel::PlaneWave(pw) => {
                 let s = self.spec.volume_grid.position(vox);
-                pw.steering.unit().dot(s) * self.samples_per_metre
+                pw.normal().dot(s) * self.samples_per_metre
             }
-        }
-    }
-
-    /// Square-root evaluations the transmit term of transmit `tx` costs
-    /// per focal point (0 for plane waves and exact transmit).
-    #[inline]
-    fn tx_sqrt_cost(&self, tx: usize) -> u64 {
-        match &self.spec.transmits[tx] {
-            TransmitModel::PointSource => u64::from(!self.config.exact_transmit),
-            TransmitModel::PlaneWave(_) => 0,
         }
     }
 
@@ -256,106 +255,6 @@ impl TableFreeEngine {
         }
         tracker.stats()
     }
-
-    /// The slab walk shared by both batched fills (§IV-B's streaming
-    /// view). A receive row is the aperture flattened: along every
-    /// aperture row its argument is a parabola in the element column, so
-    /// most rows cross a PWL segment boundary, back and forth. Each
-    /// row therefore goes through [`QuantizedPwl::eval_grid`] as the
-    /// separable `(DX²[ix] + DY²[iy]) + dz²` it is: the row's exact
-    /// argument range fixes the few segments it touches, every element
-    /// picks its `(c1, c0)` by compare-select, and the argument build,
-    /// the PWL square root and the transmit add run as one branch-free
-    /// pass that writes the finished row into the slab. Bit-exact with
-    /// the scalar path because the row evaluator replicates the `Fixed`
-    /// datapath stage for stage.
-    ///
-    /// With `with_tx` (the fused transmit-0 fill), the transmit terms of
-    /// the nappe are first evaluated in one batched pass — one row
-    /// evaluation for a point source, the exact projection `n̂ · S` for a
-    /// plane wave (no square root: CPWC makes TABLEFREE's transmit leg
-    /// free) — and each row's term is added to its receive values in the
-    /// row evaluator's final adder. Without it (the receive-leg fill) the
-    /// rows hold the receive square roots alone. Each completed row is
-    /// handed to `consume` while still cache-hot.
-    fn fill_rows(
-        &self,
-        nappe_idx: usize,
-        out: &mut NappeDelays,
-        with_tx: bool,
-        consume: &mut dyn FnMut(usize, &[f64]),
-    ) {
-        let tile = out.tile();
-        let n_elements = out.n_elements();
-        let spm = self.samples_per_metre;
-        let bufs = out.begin_fill_scratch(nappe_idx);
-        let buf = bufs.samples;
-        let line_args = bufs.line_args;
-        let line_vals = bufs.line_vals;
-        let dx2 = bufs.row_regs;
-        let dy2 = &mut bufs.row_args[..self.elem_y.len()];
-        let position = |it, ip| {
-            self.spec
-                .volume_grid
-                .position(VoxelIndex::new(it, ip, nappe_idx))
-        };
-        // Pass 1: all transmit terms of the nappe, batched.
-        if with_tx {
-            match &self.spec.transmits[0] {
-                TransmitModel::PointSource => {
-                    for (slot, it, ip) in tile.iter_scanlines() {
-                        line_args[slot] = self.tx_alpha(VoxelIndex::new(it, ip, nappe_idx));
-                    }
-                    if self.config.exact_transmit {
-                        for (v, &a) in line_vals.iter_mut().zip(line_args.iter()) {
-                            *v = a.sqrt();
-                        }
-                    } else {
-                        self.quant.eval_row(line_args, line_vals);
-                    }
-                }
-                TransmitModel::PlaneWave(pw) => {
-                    // The same `unit().dot(s) * spm` expression as the
-                    // scalar `tx_term`, so the batched path stays
-                    // bit-exact.
-                    let n = pw.steering.unit();
-                    for (slot, it, ip) in tile.iter_scanlines() {
-                        line_vals[slot] = n.dot(position(it, ip)) * spm;
-                    }
-                }
-            }
-        }
-        // Pass 2: one receive row per scanline, in one pass per row.
-        for (slot, it, ip) in tile.iter_scanlines() {
-            let s = position(it, ip);
-            let dz = s.z * spm;
-            // §IV-B's per-row/column reuse: DX² once per element column
-            // and DY² once per element row, then two adds per element.
-            // `(DX²[ix] + DY²[iy]) + dz²` is the scalar `rx_alpha`'s
-            // `dx*dx + dy*dy + dz*dz` in the same order, so bit-identical.
-            for (q, &x) in dx2.iter_mut().zip(&self.elem_x) {
-                let dx = (s.x - x) * spm;
-                *q = dx * dx;
-            }
-            for (q, &y) in dy2.iter_mut().zip(&self.elem_y) {
-                let dy = (s.y - y) * spm;
-                *q = dy * dy;
-            }
-            // IEEE addition commutes bit-for-bit, so adding the transmit
-            // term in the row evaluator's final adder matches the scalar
-            // path's `tx + rx` exactly (and `rx + 0.0` is `rx`: the PWL
-            // never yields −0.0).
-            let t = if with_tx { line_vals[slot] } else { 0.0 };
-            let row = &mut buf[slot * n_elements..(slot + 1) * n_elements];
-            self.quant.eval_grid(dx2, dy2, dz * dz, t, row);
-            consume(slot, row);
-        }
-        // One bulk update keeps the op counter consistent with the scalar
-        // path's per-evaluation increments.
-        let per_voxel = n_elements as u64 + if with_tx { self.tx_sqrt_cost(0) } else { 0 };
-        self.sqrt_evals
-            .fetch_add(tile.scanlines() as u64 * per_voxel, Ordering::Relaxed);
-    }
 }
 
 impl DelayEngine for TableFreeEngine {
@@ -377,50 +276,83 @@ impl DelayEngine for TableFreeEngine {
         t + rx
     }
 
-    /// Batched rounding: one monomorphic clamp loop per row instead of a
-    /// virtual `delay_index_from` call per element.
-    fn quantize_row(&self, row: &[f64], out: &mut [i32]) {
-        crate::engine::quantize_row_clamped(self.echo_len, row, out);
-    }
-
-    /// One-pass fused fill of transmit 0 (see the shared slab walk
-    /// behind both fills): the gather/MAC of row *s* can run while row
-    /// *s + 1* is generated.
-    fn fill_nappe_streamed(
-        &self,
-        nappe_idx: usize,
-        out: &mut NappeDelays,
-        consume: &mut dyn FnMut(usize, &[f64]),
-    ) {
-        self.fill_rows(nappe_idx, out, true, consume);
-    }
-
-    /// Receive-leg fill: the fused fill's per-element datapath **without**
-    /// the transmit add — the slab rows hold the receive square roots in
-    /// samples. This is where the factorization pays: the per-element PWL
-    /// evaluations (the §IV datapath cost) run once per compound frame
-    /// instead of once per angle, so `sqrt_evals` grows by
-    /// `scanlines · elements` here and only by the per-row transmit cost
-    /// in each combine — `O(elements + N)` per voxel instead of
-    /// `O(N · elements)`.
+    /// Receive-leg fill (§IV-B's streaming view): the slab rows hold the
+    /// receive square roots in samples. A receive row is the aperture
+    /// flattened: along every aperture row its argument is a parabola in
+    /// the element column, so most rows cross a PWL segment boundary,
+    /// back and forth. Each row therefore goes through
+    /// [`QuantizedPwl::eval_grid`] as the separable
+    /// `(DX²[ix] + DY²[iy]) + dz²` it is: the row's exact argument range
+    /// fixes the few segments it touches, every element picks its
+    /// `(c1, c0)` by compare-select, and the argument build and the PWL
+    /// square root run as one branch-free pass that writes the row into
+    /// the slab.
+    /// Bit-exact with the scalar path because the row evaluator
+    /// replicates the `Fixed` datapath stage for stage.
+    ///
+    /// This is where the factorization pays: the per-element PWL
+    /// evaluations (the §IV datapath cost) run once per nappe whatever
+    /// the transmit count, so `sqrt_evals` grows by `scanlines ·
+    /// elements` here and only by the per-row transmit cost in each row
+    /// method — `O(elements + N)` per voxel instead of `O(N · elements)`.
     fn fill_nappe_rx(&self, nappe_idx: usize, out: &mut NappeDelays) {
-        self.fill_rows(nappe_idx, out, false, &mut |_, _| {});
+        let tile = out.tile();
+        let n_elements = out.n_elements();
+        let spm = self.samples_per_metre;
+        let bufs = out.begin_fill_scratch(nappe_idx);
+        let dx2 = bufs.row_regs;
+        let dy2 = &mut bufs.row_args[..self.elem_y.len()];
+        let rows = bufs.samples.chunks_exact_mut(n_elements);
+        for ((_, it, ip), row) in tile.iter_scanlines().zip(rows) {
+            let s = self
+                .spec
+                .volume_grid
+                .position(VoxelIndex::new(it, ip, nappe_idx));
+            let dz = s.z * spm;
+            // §IV-B's per-row/column reuse: DX² once per element column
+            // and DY² once per element row, then two adds per element.
+            // `(DX²[ix] + DY²[iy]) + dz²` is the scalar `rx_alpha`'s
+            // `dx*dx + dy*dy + dz*dz` in the same order, so bit-identical.
+            for (q, &x) in dx2.iter_mut().zip(&self.elem_x) {
+                let dx = (s.x - x) * spm;
+                *q = dx * dx;
+            }
+            for (q, &y) in dy2.iter_mut().zip(&self.elem_y) {
+                let dy = (s.y - y) * spm;
+                *q = dy * dy;
+            }
+            // `rx + 0.0` is `rx`: the PWL never yields −0.0.
+            self.quant.eval_grid(dx2, dy2, dz * dz, 0.0, row);
+        }
+        // One bulk update keeps the op counter consistent with the scalar
+        // path's per-evaluation increments.
+        self.sqrt_evals
+            .0
+            .fetch_add((tile.scanlines() * n_elements) as u64, Ordering::Relaxed);
     }
 
     /// Transmit combine: `rx + t` with the transmit term computed once
-    /// per row (point sources one PWL/exact square root, plane waves the
-    /// free projection `n̂ · S`). IEEE addition commutes bit-for-bit and
-    /// the row evaluator is bit-exact with the scalar
-    /// [`QuantizedPwl::eval`], so the combined row matches the scalar
-    /// [`delay_samples`](DelayEngine::delay_samples) queries exactly. The
-    /// square-root counter advances by the transmit cost only — the
-    /// receive roots were already counted by the rx fill.
+    /// per call (point sources one PWL/exact square root, plane waves the
+    /// free projection `n̂ · S`, so CPWC makes TABLEFREE's transmit leg
+    /// free). IEEE addition commutes bit-for-bit and the row evaluator is
+    /// bit-exact with the scalar [`QuantizedPwl::eval`], so the combined
+    /// row matches the scalar [`delay_samples`](DelayEngine::delay_samples)
+    /// queries exactly. The square-root counter advances by the transmit
+    /// cost only — the receive roots were counted by the rx fill — so a
+    /// full row must be combined in **one** call.
     fn combine_tx_row(&self, tx: usize, vox: VoxelIndex, rx_row: &[f64], out: &mut [f64]) {
         assert_eq!(rx_row.len(), out.len(), "combine row length mismatch");
         let t = self.tx_term(tx, vox);
         for (o, &rx) in out.iter_mut().zip(rx_row) {
             *o = rx + t;
         }
+    }
+
+    /// The `rx + t` combine inside the shared rounding loop, counting the
+    /// transmit root once per call like the combine.
+    fn quantize_tx_row(&self, tx: usize, vox: VoxelIndex, rx_row: &[f64], out: &mut [i32]) {
+        let t = self.tx_term(tx, vox);
+        crate::engine::quantize_row_clamped(self.echo_len, rx_row, out, |rx| rx + t);
     }
 }
 
@@ -676,26 +608,6 @@ mod tests {
     }
 
     #[test]
-    fn streamed_fill_rows_match_final_slab() {
-        let (spec, tf, _) = engines();
-        let mut slab = NappeDelays::full(&spec);
-        let mut reference = NappeDelays::full(&spec);
-        tf.fill_nappe(5, &mut reference);
-        let mut seen = Vec::new();
-        let mut captured = Vec::new();
-        tf.fill_nappe_streamed(5, &mut slab, &mut |slot, row| {
-            seen.push(slot);
-            captured.extend_from_slice(row);
-        });
-        // Rows arrive once each, in slot order, already in final form.
-        assert_eq!(seen, (0..slab.scanline_count()).collect::<Vec<_>>());
-        for (a, b) in captured.iter().zip(reference.samples()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert_eq!(slab, reference);
-    }
-
-    #[test]
     fn fill_nappe_counts_ops_like_scalar() {
         let spec = SystemSpec::tiny();
         let tf = TableFreeEngine::new(&spec, TableFreeConfig::paper()).unwrap();
@@ -730,8 +642,8 @@ mod tests {
 
     #[test]
     fn plane_wave_fill_bit_exact_with_scalar_path() {
-        // A single steered wave: the fused transmit-0 fill takes the
-        // projection pass instead of the transmit square roots.
+        // A single steered wave: transmit 0's combine adds the
+        // projection instead of a transmit square root.
         let spec = SystemSpec::tiny().with_transmits(vec![TransmitModel::plane_wave(
             usbf_geometry::deg(10.0),
             0.0,

@@ -158,12 +158,12 @@ pub struct TableSteerEngine {
 /// chain: every operand of a batched fill shares the same three formats,
 /// so the alignment shifts of [`Fixed::wide_add`] and the output scale of
 /// [`Fixed::to_f64`] are fixed per engine. With them, one element is
-/// `((r << (sh_r + sh_12)) + (cx << (sh_c1 + sh_12)) + ((cy + Δtx) <<
-/// sh_c2)) · res` — the scalar chain's raw integers through the same
-/// shifts (a shift distributes over an integer add), so the final `f64`s
-/// match it bit for bit.
+/// `((r << (sh_r + sh_12)) + (cx << (sh_c1 + sh_12)) + (cy << sh_c2) +
+/// (Δtx << sh_c2)) · res` — the scalar chain's raw integers through the
+/// same shifts (a shift distributes over an integer add), so the final
+/// `f64`s match it bit for bit.
 ///
-/// The batched fills run those adds on integer-valued `f64`s rather than
+/// The batched paths run those adds on integer-valued `f64`s rather than
 /// `i64`s, which is exact only while every partial sum stays below 2⁵³ in
 /// magnitude. The partial sums all fit the final sum format `f3`, so the
 /// chain requires `f3` to be at most 53 bits wide; [`SumChain::new`]
@@ -178,8 +178,7 @@ struct SumChain {
     sh_12: u32,
     /// Correction → `f2` alignment. `f3 = f2 + Δtx` shares `f2`'s
     /// fraction bits (both cy and Δtx carry the correction format), so
-    /// the last add needs no shift of its own and Δtx folds into the
-    /// per-row constant alongside cy.
+    /// the last add, the transmit combine's, reuses this shift.
     sh_c2: u32,
     /// Resolution of the final sum format `f3`.
     res: f64,
@@ -374,93 +373,21 @@ impl TableSteerEngine {
         Fixed::saturating_from_f64(delta, self.config.correction_format, RoundingMode::Nearest)
     }
 
-    /// The batched slab walk shared by both fills — the Fig. 4 schedule
-    /// in software. Within one insonification the correction registers
-    /// of a block never change: the quadrant fold maps and the quantized
-    /// y-corrections are depth-independent and cached at construction,
-    /// and the quantized x-corrections are built once per scanline
-    /// **row** (`nx` conversions) instead of `2·nx·ny` float→fixed
-    /// conversions per scanline; the reference BRAM is read as one
-    /// nappe slice, exactly what the §V-B circular buffer streams.
-    ///
-    /// The chain runs as packed `f64` adds on the raw integers of
-    /// [`SumChain`]. The nappe's folded reference slice is unfolded once
-    /// per call into the slab's `row_args` scratch as `r << (sh_r +
-    /// sh_12)`, and each scanline's x-corrections go into `row_regs` as
-    /// `cx << (sh_c1 + sh_12)` (both preallocated with the slab, so a
-    /// warm refill allocates nothing). One element is then
-    /// `((ref + cx) + row_const) · scale`: integer-valued `f64`s below
-    /// 2⁵³ add exactly, so every sum equals the scalar chain's `i64` sum
-    /// and the closing multiply is the scalar chain's `raw as f64 · res`.
-    ///
-    /// With `with_tx` (the fused transmit-0 fill), transmit 0's Δtx — a
-    /// per-scanline constant at a fixed nappe depth — folds into the
-    /// per-row constant alongside the y-correction, so the fourth add of
-    /// the scalar chain costs **nothing** in the inner loop, and each raw
-    /// sum is scaled to samples. Without it (the receive-leg fill) the
-    /// rows hold the **pre-scale raw** sums (engine-defined
-    /// intermediates, not delays): Δtx and the scale move into
-    /// [`combine_tx_row`](DelayEngine::combine_tx_row).
-    fn fill_rows(
-        &self,
-        nappe_idx: usize,
-        out: &mut NappeDelays,
-        with_tx: bool,
-        consume: &mut dyn FnMut(usize, &[f64]),
-    ) {
-        let tile = out.tile();
-        let n_elements = out.n_elements();
-        let (qx, qy) = self.reference.quadrant_dims();
-        let nx = self.spec.elements.nx();
-        let ny = self.spec.elements.ny();
-        let fmt = self.config.correction_format;
-        let SumChain {
-            sh_r,
-            sh_c1,
-            sh_12,
-            sh_c2,
-            res,
-        } = self.chain;
-        let scale = if with_tx { res } else { 1.0 };
-        let ref_slice = &self.ref_fixed[nappe_idx * qy * qx..(nappe_idx + 1) * qy * qx];
-        let bufs = out.begin_fill_scratch(nappe_idx);
-        let buf = bufs.samples;
-        let refs = &mut bufs.row_args[..n_elements];
-        for (ref_row, &fy) in refs.chunks_exact_mut(nx).zip(&self.fold_y) {
-            let folded = &ref_slice[fy * qx..(fy + 1) * qx];
-            for (r, &fx) in ref_row.iter_mut().zip(&self.fold_x) {
-                *r = (folded[fx].raw() << (sh_r + sh_12)) as f64;
-            }
-        }
-        let cx = &mut bufs.row_regs[..nx];
-        for (slot, it, ip) in tile.iter_scanlines() {
-            for (ix, c) in cx.iter_mut().enumerate() {
-                let raw = Fixed::saturating_from_f64(
-                    -self.steering.x_term_samples(ix, it, ip),
-                    fmt,
-                    RoundingMode::Nearest,
-                )
-                .raw();
-                *c = (raw << (sh_c1 + sh_12)) as f64;
-            }
-            let dtx = if with_tx {
-                self.dtx_fixed(0, VoxelIndex::new(it, ip, nappe_idx)).raw() << sh_c2
-            } else {
-                0
-            };
-            let cy_col = &self.cy_fixed[ip * ny..(ip + 1) * ny];
-            let row = &mut buf[slot * n_elements..(slot + 1) * n_elements];
-            for ((chunk, ref_row), cy) in row
-                .chunks_exact_mut(nx)
-                .zip(refs.chunks_exact(nx))
-                .zip(cy_col)
-            {
-                let row_const = ((cy.raw() << sh_c2) + dtx) as f64;
-                for ((value, &r), &c) in chunk.iter_mut().zip(ref_row).zip(&*cx) {
-                    *value = ((r + c) + row_const) * scale;
-                }
-            }
-            consume(slot, row);
+    /// Transmit `tx`'s element-wise combine at focal point `vox`: a
+    /// receive-leg raw sum to its delay in samples, `(rx + Δtx) · res`.
+    #[inline]
+    fn tx_combine(&self, tx: usize, vox: VoxelIndex) -> impl Fn(f64) -> f64 {
+        let SumChain { sh_c2, res, .. } = self.chain;
+        let dtx = (self.dtx_fixed(tx, vox).raw() << sh_c2) as f64;
+        move |rx| (rx + dtx) * res
+    }
+
+    /// Adds one row's clamps to the counter: one atomic add per row, none
+    /// for a row without clamps.
+    #[inline]
+    fn publish_clamps(&self, clamps: u64) {
+        if clamps > 0 {
+            self.clamp_events.fetch_add(clamps, Ordering::Relaxed);
         }
     }
 }
@@ -509,52 +436,110 @@ impl DelayEngine for TableSteerEngine {
     /// to N — while `clamp_events` advances by exactly what N
     /// per-element `delay_index_from` calls would have added.
     fn quantize_row(&self, row: &[f64], out: &mut [i32]) {
-        let clamps = crate::engine::quantize_row_clamped(self.echo_len, row, out);
-        if clamps > 0 {
-            self.clamp_events.fetch_add(clamps, Ordering::Relaxed);
-        }
+        self.publish_clamps(crate::engine::quantize_row_clamped(
+            self.echo_len,
+            row,
+            out,
+            |x| x,
+        ));
     }
 
-    /// TABLESTEER's rounding stage publishes clamp telemetry
-    /// ([`TableSteerEngine::clamp_events`]), so the tile kernel keeps
-    /// quantizing masked rows to count their clamps.
-    fn rounding_telemetry(&self) -> bool {
-        true
-    }
-
-    /// Batched fused fill of transmit 0 (see the shared slab walk behind
-    /// both fills). Bit-exact with the scalar path by construction
-    /// (`fill_nappe_bit_exact_*` tests).
-    fn fill_nappe_streamed(
-        &self,
-        nappe_idx: usize,
-        out: &mut NappeDelays,
-        consume: &mut dyn FnMut(usize, &[f64]),
-    ) {
-        self.fill_rows(nappe_idx, out, true, consume);
-    }
-
-    /// Receive-leg fill: TABLESTEER's datapath **already factors** the
-    /// transmit term, so the rx pass is the fused `r + cx + cy` raw chain
-    /// with Δtx and the final scale left to the combine.
+    /// Receive-leg fill — the Fig. 4 schedule in software. TABLESTEER's
+    /// datapath **already factors** the transmit term, so the receive
+    /// leg is the `ref + cx + cy` chain as **pre-scale raw** sums
+    /// (engine-defined intermediates, not delays); Δtx and the final
+    /// scale are the row methods' work.
+    ///
+    /// Within one insonification the correction registers of a block
+    /// never change: the quadrant fold maps and the quantized
+    /// y-corrections are depth-independent and cached at construction,
+    /// and the quantized x-corrections are built once per scanline
+    /// **row** (`nx` conversions) instead of `2·nx·ny` float→fixed
+    /// conversions per scanline; the reference BRAM is read as one
+    /// nappe slice, exactly what the §V-B circular buffer streams.
+    ///
+    /// The chain runs as packed `f64` adds on the raw integers of the
+    /// engine's `SumChain`. The nappe's folded reference slice is
+    /// unfolded once per call into the slab's `row_args` scratch as
+    /// `r << (sh_r + sh_12)`, and each scanline's x-corrections go into
+    /// `row_regs` as `cx << (sh_c1 + sh_12)` (both preallocated with the
+    /// slab, so a warm refill allocates nothing). One element is then
+    /// `(ref + cx) + (cy << sh_c2)`: integer-valued `f64`s below 2⁵³ add
+    /// exactly, so every sum equals the scalar chain's `i64` sum.
     fn fill_nappe_rx(&self, nappe_idx: usize, out: &mut NappeDelays) {
-        self.fill_rows(nappe_idx, out, false, &mut |_, _| {});
+        let tile = out.tile();
+        let n_elements = out.n_elements();
+        let (qx, qy) = self.reference.quadrant_dims();
+        let nx = self.spec.elements.nx();
+        let ny = self.spec.elements.ny();
+        let fmt = self.config.correction_format;
+        let SumChain {
+            sh_r,
+            sh_c1,
+            sh_12,
+            sh_c2,
+            ..
+        } = self.chain;
+        let ref_slice = &self.ref_fixed[nappe_idx * qy * qx..(nappe_idx + 1) * qy * qx];
+        let bufs = out.begin_fill_scratch(nappe_idx);
+        let refs = &mut bufs.row_args[..n_elements];
+        for (ref_row, &fy) in refs.chunks_exact_mut(nx).zip(&self.fold_y) {
+            let folded = &ref_slice[fy * qx..(fy + 1) * qx];
+            for (r, &fx) in ref_row.iter_mut().zip(&self.fold_x) {
+                *r = (folded[fx].raw() << (sh_r + sh_12)) as f64;
+            }
+        }
+        let cx = &mut bufs.row_regs[..nx];
+        let rows = bufs.samples.chunks_exact_mut(n_elements);
+        for ((_, it, ip), row) in tile.iter_scanlines().zip(rows) {
+            for (ix, c) in cx.iter_mut().enumerate() {
+                let raw = Fixed::saturating_from_f64(
+                    -self.steering.x_term_samples(ix, it, ip),
+                    fmt,
+                    RoundingMode::Nearest,
+                )
+                .raw();
+                *c = (raw << (sh_c1 + sh_12)) as f64;
+            }
+            let cy_col = &self.cy_fixed[ip * ny..(ip + 1) * ny];
+            for ((chunk, ref_row), cy) in row
+                .chunks_exact_mut(nx)
+                .zip(refs.chunks_exact(nx))
+                .zip(cy_col)
+            {
+                let row_const = (cy.raw() << sh_c2) as f64;
+                for ((value, &r), &c) in chunk.iter_mut().zip(ref_row).zip(&*cx) {
+                    *value = (r + c) + row_const;
+                }
+            }
+        }
     }
 
     /// Transmit combine: adds the pre-shifted raw transmit correction and
     /// applies the final scale — `(rx_raw + Δtx_raw) · res`. Bit-identical
     /// to the scalar chain because both addends are integer-valued `f64`s
-    /// below 2⁵³ (a precondition checked at construction),
-    /// so the float add reproduces the raw i64 add exactly, and the
-    /// closing multiply is the identical operation on the identical
-    /// value.
+    /// below 2⁵³ (a precondition checked at construction), so the float
+    /// add reproduces the raw i64 add exactly, and the closing multiply
+    /// is the identical operation on the identical value.
     fn combine_tx_row(&self, tx: usize, vox: VoxelIndex, rx_row: &[f64], out: &mut [f64]) {
         assert_eq!(rx_row.len(), out.len(), "combine row length mismatch");
-        let SumChain { sh_c2, res, .. } = self.chain;
-        let dtx = (self.dtx_fixed(tx, vox).raw() << sh_c2) as f64;
+        let delay = self.tx_combine(tx, vox);
         for (o, &rx) in out.iter_mut().zip(rx_row) {
-            *o = (rx + dtx) * res;
+            *o = delay(rx);
         }
+    }
+
+    /// The combine inside the shared rounding loop — Fig. 4's rounding
+    /// adders, which add the last correction and round in one stage —
+    /// publishing the row's clamps like [`DelayEngine::quantize_row`].
+    fn quantize_tx_row(&self, tx: usize, vox: VoxelIndex, rx_row: &[f64], out: &mut [i32]) {
+        let delay = self.tx_combine(tx, vox);
+        self.publish_clamps(crate::engine::quantize_row_clamped(
+            self.echo_len,
+            rx_row,
+            out,
+            delay,
+        ));
     }
 }
 
@@ -569,16 +554,6 @@ mod tests {
         let ts = TableSteerEngine::new(&spec, TableSteerConfig::bits18()).unwrap();
         let ex = ExactEngine::new(&spec);
         (spec, ts, ex)
-    }
-
-    #[test]
-    fn quantization_reports_rounding_telemetry() {
-        // TABLESTEER is the one engine whose rounding stage has an
-        // observable counter; the flag is what keeps the tile kernel from
-        // skipping masked quantizations (and their clamp counts).
-        let (_, ts, ex) = engines();
-        assert!(ts.rounding_telemetry());
-        assert!(!ex.rounding_telemetry());
     }
 
     #[test]
@@ -778,8 +753,8 @@ mod tests {
 
     #[test]
     fn plane_wave_fill_bit_exact_with_scalar_path() {
-        // A single steered wave: the fused transmit-0 fill folds a
-        // nonzero Δtx into the row constant.
+        // A single steered wave: transmit 0's combine adds a nonzero
+        // Δtx to the receive leg.
         let spec =
             SystemSpec::tiny().with_transmits(vec![usbf_geometry::TransmitModel::plane_wave(
                 usbf_geometry::deg(8.0),

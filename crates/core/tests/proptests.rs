@@ -309,9 +309,8 @@ proptest! {
     ) {
         // Every engine's receive-leg fill plus per-row transmit combine
         // must reproduce the scalar per-voxel reference bit for bit on
-        // every transmit of a random compound sequence; the fused
-        // streamed fill must do the same for transmit 0 and deliver each
-        // row exactly once, in slot order, equal to the slab row.
+        // every transmit of a random compound sequence, and `fill_nappe`
+        // (the same pair, in place) must do the same for transmit 0.
         let transmits = random_transmits(n_tx, kinds, angle_a, angle_b);
         let origin = random_origin(origin_pick);
         let spec =
@@ -347,21 +346,99 @@ proptest! {
             }
 
             scalar.fill_scalar(engine, 0, nappe);
-            let mut streamed = NappeDelays::for_tile(&spec, tile);
-            let mut delivered: Vec<(usize, Vec<f64>)> = Vec::new();
-            engine.fill_nappe_streamed(nappe, &mut streamed, &mut |slot, row| {
-                delivered.push((slot, row.to_vec()));
-            });
+            let mut filled = NappeDelays::for_tile(&spec, tile);
+            engine.fill_nappe(nappe, &mut filled);
             prop_assert_eq!(
-                streamed.samples(), scalar.samples(),
-                "{} streamed transmit 0 drifted from scalar", engine.name()
+                filled.samples(), scalar.samples(),
+                "{} fill_nappe drifted from scalar transmit 0", engine.name()
             );
-            prop_assert_eq!(delivered.len(), tile.scanlines());
-            for (i, (slot, row)) in delivered.iter().enumerate() {
-                prop_assert_eq!(*slot, i, "{} rows out of order", engine.name());
-                prop_assert_eq!(row.as_slice(), streamed.row(i));
+        }
+    }
+
+    #[test]
+    fn row_methods_are_element_wise_on_compacted_receive_rows(
+        nx in 2usize..6,
+        ny in 2usize..6,
+        n_theta in 2usize..6,
+        n_phi in 2usize..6,
+        n_depth in 4usize..10,
+        nappe_pick in 0usize..1000,
+        origin_pick in 0usize..1000,
+        config_pick in 0usize..3,
+        n_tx in 1usize..5,
+        kinds in 0usize..16,
+        angle_a in 0usize..1000,
+        angle_b in 0usize..1000,
+        runs_seed in any::<u64>(),
+    ) {
+        // The contract the tile kernel compacts under: each entry of
+        // `combine_tx_row` / `quantize_tx_row` depends only on its own
+        // receive entry. Combining a receive row compacted to random
+        // runs of active elements must equal compacting the full
+        // combined row, bit for bit, on every transmit; the fused
+        // rounding must equal `quantize_row` of that row, TABLESTEER's
+        // clamp count included.
+        let transmits = random_transmits(n_tx, kinds, angle_a, angle_b);
+        let origin = random_origin(origin_pick);
+        let spec =
+            random_spec(nx, ny, n_theta, n_phi, n_depth, origin).with_transmits(transmits);
+        let n_elements = nx * ny;
+        let mut state = runs_seed;
+        let mut on = splitmix(&mut state).is_multiple_of(2);
+        let mut channels: Vec<usize> = (0..n_elements)
+            .filter(|_| {
+                if splitmix(&mut state).is_multiple_of(3) {
+                    on = !on;
+                }
+                on
+            })
+            .collect();
+        if channels.is_empty() {
+            channels.push((runs_seed % n_elements as u64) as usize);
+        }
+        let exact = ExactEngine::new(&spec);
+        let naive = NaiveTableEngine::build(&spec, u64::MAX).expect("tiny table fits");
+        let tablefree = TableFreeEngine::new(&spec, TableFreeConfig::paper()).expect("builds");
+        let config = random_tablesteer_config(config_pick);
+        let fused_ts = TableSteerEngine::new(&spec, config).expect("builds");
+        let split_ts = fused_ts.clone();
+        let nappe = nappe_pick % n_depth;
+        let pairs: [(&dyn DelayEngine, &dyn DelayEngine); 4] = [
+            (&exact, &exact),
+            (&naive, &naive),
+            (&tablefree, &tablefree),
+            (&fused_ts, &split_ts),
+        ];
+        let compact = |row: &[f64]| channels.iter().map(|&c| row[c]).collect::<Vec<f64>>();
+        let active = channels.len();
+        for (fused, split) in pairs {
+            let mut rx = NappeDelays::full(&spec);
+            fused.fill_nappe_rx(nappe, &mut rx);
+            let mut full = vec![0.0; n_elements];
+            let mut combined = vec![0.0; active];
+            let mut indices = vec![0i32; active];
+            let mut expected = vec![0i32; active];
+            for tx in 0..n_tx {
+                for (slot, it, ip) in rx.scanlines() {
+                    let vox = VoxelIndex::new(it, ip, nappe);
+                    let rx_active = compact(rx.row(slot));
+                    split.combine_tx_row(tx, vox, rx.row(slot), &mut full);
+                    fused.combine_tx_row(tx, vox, &rx_active, &mut combined);
+                    let bits = |row: &[f64]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(
+                        bits(&combined), bits(&compact(&full)),
+                        "{} tx {}/{} slot {} channels {:?}", fused.name(), tx, n_tx, slot, channels
+                    );
+                    fused.quantize_tx_row(tx, vox, &rx_active, &mut indices);
+                    split.quantize_row(&compact(&full), &mut expected);
+                    prop_assert_eq!(
+                        &indices, &expected,
+                        "{} tx {}/{} slot {} channels {:?}", fused.name(), tx, n_tx, slot, channels
+                    );
+                }
             }
         }
+        prop_assert_eq!(fused_ts.clamp_events(), split_ts.clamp_events());
     }
 
     #[test]

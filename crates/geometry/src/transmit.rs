@@ -25,6 +25,18 @@ use crate::{SphericalDirection, TransducerArray, Vec3};
 pub struct PlaneWave {
     /// Steering direction of the wavefront normal.
     pub steering: SphericalDirection,
+    /// `steering.unit()`, computed once: delay engines project a focal
+    /// point onto it per delay row.
+    normal: Vec3,
+}
+
+impl PlaneWave {
+    /// The unit wavefront normal `n̂` (bit-identical to
+    /// `self.steering.unit()`).
+    #[inline]
+    pub fn normal(&self) -> Vec3 {
+        self.normal
+    }
 }
 
 /// The transmit model of one insonification.
@@ -45,9 +57,11 @@ pub enum TransmitModel {
 impl TransmitModel {
     /// A plane wave steered by `(theta, phi)` radians.
     #[inline]
-    pub const fn plane_wave(theta: f64, phi: f64) -> Self {
+    pub fn plane_wave(theta: f64, phi: f64) -> Self {
+        let steering = SphericalDirection::new(theta, phi);
         TransmitModel::PlaneWave(PlaneWave {
-            steering: SphericalDirection::new(theta, phi),
+            steering,
+            normal: steering.unit(),
         })
     }
 
@@ -79,7 +93,7 @@ impl TransmitModel {
     pub fn distance(&self, origin: Vec3, s: Vec3) -> f64 {
         match self {
             TransmitModel::PointSource => s.distance(origin),
-            TransmitModel::PlaneWave(pw) => pw.steering.unit().dot(s),
+            TransmitModel::PlaneWave(pw) => pw.normal.dot(s),
         }
     }
 
@@ -96,7 +110,7 @@ impl TransmitModel {
         match self {
             TransmitModel::PointSource => 1.0,
             TransmitModel::PlaneWave(pw) => {
-                let n = pw.steering.unit();
+                let n = pw.normal;
                 if n.z <= 1e-12 {
                     return 0.0; // steered past the aperture plane
                 }
@@ -144,6 +158,20 @@ mod tests {
         let s = Vec3::new(0.0, 0.0, 50.0e-3);
         // On-axis point: projection shortens by cos θ.
         assert!((pw.distance(Vec3::ZERO, s) - s.z * theta.cos()).abs() < 1e-15);
+    }
+
+    #[test]
+    fn cached_normal_is_the_steering_unit_vector() {
+        for (theta, phi) in [(0.0, 0.0), (deg(10.0), 0.0), (deg(-7.0), deg(12.5))] {
+            let TransmitModel::PlaneWave(pw) = TransmitModel::plane_wave(theta, phi) else {
+                unreachable!()
+            };
+            let (n, u) = (pw.normal(), pw.steering.unit());
+            assert_eq!(
+                [n.x, n.y, n.z].map(f64::to_bits),
+                [u.x, u.y, u.z].map(f64::to_bits)
+            );
+        }
     }
 
     #[test]

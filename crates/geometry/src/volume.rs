@@ -53,6 +53,10 @@ pub struct ImagingVolume {
     n_theta: usize,
     n_phi: usize,
     n_depth: usize,
+    /// `(sin, cos)` of every azimuth line's angle, then of every
+    /// elevation line's: [`position`](Self::position) runs per delay row,
+    /// so the trigonometry of Eq. 5 is done once per line here.
+    line_sin_cos: Vec<(f64, f64)>,
 }
 
 impl ImagingVolume {
@@ -84,6 +88,7 @@ impl ImagingVolume {
             phi_max > 0.0 && phi_max < std::f64::consts::FRAC_PI_2,
             "phi_max must be in (0, π/2), got {phi_max}"
         );
+        let lines = |n, max| (0..n).map(move |i| Self::angle_of(i, n, max).sin_cos());
         ImagingVolume {
             theta_max,
             phi_max,
@@ -91,6 +96,9 @@ impl ImagingVolume {
             n_theta,
             n_phi,
             n_depth,
+            line_sin_cos: lines(n_theta, theta_max)
+                .chain(lines(n_phi, phi_max))
+                .collect(),
         }
     }
 
@@ -183,10 +191,15 @@ impl ImagingVolume {
         SphericalDirection::new(self.theta_of(it), self.phi_of(ip))
     }
 
-    /// Cartesian position of a focal point (Eq. 5).
+    /// Cartesian position of a focal point (Eq. 5): bit-identical to
+    /// `self.direction(v.it, v.ip).point_at(self.depth_of(v.id))`, with
+    /// the direction's sines and cosines read from the per-line table.
     #[inline]
     pub fn position(&self, v: VoxelIndex) -> Vec3 {
-        self.direction(v.it, v.ip).point_at(self.depth_of(v.id))
+        debug_assert!(v.it < self.n_theta && v.ip < self.n_phi);
+        let (st, ct) = self.line_sin_cos[v.it];
+        let (sp, cp) = self.line_sin_cos[self.n_theta + v.ip];
+        Vec3::new(cp * st, sp, cp * ct) * self.depth_of(v.id)
     }
 
     /// Flattens a voxel index into scanline-major linear order
@@ -268,6 +281,25 @@ mod tests {
         for id in 0..v.n_depth() {
             let p = v.position(VoxelIndex::new(3, 2, id));
             assert!((p.norm() - v.depth_of(id)).abs() < 1e-15);
+        }
+    }
+
+    #[test]
+    fn tabled_positions_equal_the_eq5_direction_walk_bit_for_bit() {
+        for v in [
+            vol(),
+            ImagingVolume::new(deg(4.0), deg(70.0), 0.02, 1, 17, 3),
+        ] {
+            for i in 0..v.voxel_count() {
+                let vox = v.voxel_at(i);
+                let walk = v.direction(vox.it, vox.ip).point_at(v.depth_of(vox.id));
+                let p = v.position(vox);
+                assert_eq!(
+                    [p.x, p.y, p.z].map(f64::to_bits),
+                    [walk.x, walk.y, walk.z].map(f64::to_bits),
+                    "{vox}"
+                );
+            }
         }
     }
 

@@ -367,7 +367,7 @@ mod tests {
             // synthesize_into clears before accumulating.
             let n_tx = spec.n_transmits();
             let mut reused = RfFrame::zeros_multi(8, 8, spec.echo_buffer_len(), n_tx);
-            reused.fill(123.0);
+            reused.fill(123.0).unwrap();
             let mut scratch = vec![f64::NAN; synth.frame_len()];
             let ptrs = |rf: &RfFrame, scratch: &[f64]| {
                 (

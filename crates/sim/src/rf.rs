@@ -369,11 +369,19 @@ impl RfFrame {
     /// each raw sample becomes ±[`FULL_SCALE`] (or 0), and the scale
     /// `|value| / FULL_SCALE`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `value` is NaN or ±∞.
-    pub fn fill(&mut self, value: f64) {
-        assert!(value.is_finite(), "cannot fill a frame with {value}");
+    /// [`RfError::NonFinite`] naming the frame's first sample (index 0 of
+    /// element (0, 0), transmit 0) if `value` is NaN or ±∞; the frame is
+    /// left untouched.
+    pub fn fill(&mut self, value: f64) -> Result<(), RfError> {
+        if !value.is_finite() {
+            return Err(RfError::NonFinite {
+                tx: 0,
+                element: ElementIndex::new(0, 0),
+                index: 0,
+            });
+        }
         self.set_peak(value.abs());
         let raw = if value == 0.0 {
             0
@@ -381,6 +389,7 @@ impl RfFrame {
             quantize(value, self.scale)
         };
         self.data.fill(raw);
+        Ok(())
     }
 
     /// Copies another frame's samples and scale into this one, reusing
@@ -656,9 +665,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cannot fill a frame with NaN")]
     fn fill_rejects_non_finite_values() {
-        RfFrame::zeros(2, 2, 4).fill(f64::NAN);
+        let src = frame(2, 2, 4, 1, |_, _, t| t.fill(0.5));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut rf = src.clone();
+            assert_eq!(
+                rf.fill(bad),
+                Err(RfError::NonFinite {
+                    tx: 0,
+                    element: ElementIndex::new(0, 0),
+                    index: 0
+                })
+            );
+            assert_eq!(rf, src, "a rejected fill leaves the frame untouched");
+            assert_eq!(rf.scale().to_bits(), src.scale().to_bits());
+        }
     }
 
     #[test]
@@ -669,7 +690,7 @@ mod tests {
             }
         });
         let mut dst = RfFrame::zeros(2, 2, 4);
-        dst.fill(-9.0);
+        dst.fill(-9.0).unwrap();
         assert_eq!(dst.trace(ElementIndex::new(0, 1)).raw(), &[-FULL_SCALE; 4]);
         assert!(dst
             .trace(ElementIndex::new(0, 1))

@@ -183,7 +183,7 @@ proptest! {
             }
         }
         let mut copy = RfFrame::zeros_multi(nx, ny, n, n_tx);
-        copy.fill(-amp);
+        copy.fill(-amp).expect("a finite fill value");
         copy.copy_from(&rf);
         prop_assert_eq!(copy.scale().to_bits(), rf.scale().to_bits());
         prop_assert_eq!(&copy, &rf);

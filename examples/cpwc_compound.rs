@@ -1,8 +1,8 @@
 //! Coherent plane-wave compounding demo: a 16-angle steered fan
 //! acquired and beamformed as ONE compound frame through the warm
 //! `FramePipeline`, with the tile kernel's delay-generation stages (the
-//! transmit-invariant receive leg vs the per-transmit combine vs the
-//! quantize/gather/MAC back end) timed individually on one tile.
+//! transmit-invariant receive leg vs the per-transmit combine fused into
+//! rounding vs the gather/MAC back end) timed individually on one tile.
 //!
 //! Run with: `cargo run --release --example cpwc_compound`
 
@@ -67,13 +67,15 @@ fn main() {
     // --- Per-stage split on one tile, single-threaded: peel the
     // compound kernel apart through the public engine API. The receive
     // leg is filled ONCE per nappe regardless of the angle count; only
-    // the combine and the gather/MAC scale with N. ---
+    // the fused combine + rounding and the gather/MAC scale with N. ---
     let bf = Beamformer::new(&spec);
     let tile = NappeSchedule::fitted(&spec, 16).tiles()[5];
     let n_depth = grid.n_depth();
     let n_tx = spec.n_transmits();
+    let channels = bf.aperture().channels();
     let mut slab = NappeDelays::for_tile(&spec, tile);
-    let mut tx_row = vec![0.0; spec.elements.count()];
+    let mut rx_active = vec![0.0; channels.len()];
+    let mut indices = vec![0i32; channels.len()];
     let budget = 0.2;
     let fill_s = time_mean(budget, || {
         for id in 0..n_depth {
@@ -81,49 +83,39 @@ fn main() {
         }
         std::hint::black_box(slab.samples()[0]);
     });
-    // Mirror the kernel's masked-transmit skip: EXACT has no rounding
-    // telemetry, so the kernel never combines a (voxel, transmit) pair
-    // outside that wave's footprint. Precompute which pairs are
-    // insonified so the peel times only combine work.
-    let skip_masked = !engine.rounding_telemetry();
-    let voxels: Vec<VoxelIndex> = (0..n_depth)
-        .flat_map(|id| {
-            tile.iter_scanlines()
-                .map(move |(_, it, ip)| VoxelIndex::new(it, ip, id))
-        })
-        .collect();
-    let insonified: Vec<bool> = voxels
-        .iter()
-        .flat_map(|&vox| (0..n_tx).map(move |tx| (vox, tx)))
-        .map(|(vox, tx)| !skip_masked || spec.transmit_weight(tx, grid.position(vox)) != 0.0)
-        .collect();
-    let fill_combine_s = time_mean(budget, || {
+    // Mirror the kernel: every (voxel, transmit) row, masked or not, is
+    // compacted to the active aperture and quantized with its transmit
+    // term added in the same pass.
+    let fill_quantize_s = time_mean(budget, || {
         for id in 0..n_depth {
             engine.fill_nappe_rx(id, &mut slab);
-            for slot in 0..tile.scanlines() {
-                let v = id * tile.scanlines() + slot;
-                for tx in (0..n_tx).filter(|&tx| insonified[v * n_tx + tx]) {
-                    engine.combine_tx_row(tx, voxels[v], slab.row(slot), &mut tx_row);
+            for (slot, it, ip) in tile.iter_scanlines() {
+                let vox = VoxelIndex::new(it, ip, id);
+                for (a, &c) in rx_active.iter_mut().zip(channels) {
+                    *a = slab.row(slot)[c as usize];
+                }
+                for tx in 0..n_tx {
+                    engine.quantize_tx_row(tx, vox, &rx_active, &mut indices);
                 }
             }
         }
-        std::hint::black_box(tx_row[0]);
+        std::hint::black_box(indices[0]);
     });
     let mut state = TileState::new(&bf, tile);
     let total_s = time_mean(budget, || {
         bf.beamform_tile_into(&engine, &rf, &mut state);
         std::hint::black_box(state.values()[0]);
     });
-    let combine_s = (fill_combine_s - fill_s).max(0.0);
-    let back_end_s = (total_s - fill_combine_s).max(0.0);
+    let quantize_s = (fill_quantize_s - fill_s).max(0.0);
+    let back_end_s = (total_s - fill_quantize_s).max(0.0);
     println!(
         "per-stage split on one tile ({} voxels, {N_ANGLES} transmits):",
         tile.scanlines() * n_depth
     );
     for (stage, s) in [
         ("rx-leg slab fill (once per nappe)", fill_s),
-        ("per-transmit combine (xN angles)", combine_s),
-        ("quantize + gather + MAC (xN)", back_end_s),
+        ("combine + rounding (xN angles)", quantize_s),
+        ("gather + MAC (xN)", back_end_s),
         ("total tile kernel", total_s),
     ] {
         println!(

@@ -135,9 +135,9 @@ impl FaultyEngine {
     }
 }
 
-/// Every delay path faults when armed: the scalar queries (and through
-/// them the default fused fill a single-transmit frame takes) and the
-/// receive-leg fill and combine of a compound frame.
+/// Every delay path faults when armed: the scalar queries, the
+/// receive-leg fill every frame takes, and the per-row combine and fused
+/// rounding.
 impl DelayEngine for FaultyEngine {
     fn name(&self) -> &'static str {
         "FAULTY"
@@ -159,6 +159,10 @@ impl DelayEngine for FaultyEngine {
     fn combine_tx_row(&self, tx: usize, vox: VoxelIndex, rx_row: &[f64], out: &mut [f64]) {
         self.fault_if_armed();
         self.inner.combine_tx_row(tx, vox, rx_row, out);
+    }
+    fn quantize_tx_row(&self, tx: usize, vox: VoxelIndex, rx_row: &[f64], out: &mut [i32]) {
+        self.fault_if_armed();
+        self.inner.quantize_tx_row(tx, vox, rx_row, out);
     }
 }
 

@@ -233,11 +233,10 @@ fn warm_frames_do_no_per_tile_allocation() {
     drop(pipe);
 
     // --- Coherent plane-wave compounding: a warm 4-angle compound
-    // frame fills the receive-leg slab once per nappe and combines each
-    // transmit's per-voxel term through the preallocated `tx_row`
-    // scratch into the same live-row block — all of it slab/state-
-    // resident, so the N-angle frame must measure 0 just like the
-    // single-transmit one. (Narrow cone: under tiny()'s ±36.5° the
+    // frame fills the receive-leg slab once per nappe and adds each
+    // transmit's per-voxel term in the rounding pass that writes the
+    // same live-row block — all of it slab/state-resident, so the
+    // N-angle frame must measure 0 just like the single-transmit one. (Narrow cone: under tiny()'s ±36.5° the
     // plane-wave footprints miss the whole grid and the compound would
     // be vacuously zero.) ---
     let lambda = spec.wavelength();
@@ -289,7 +288,7 @@ fn warm_frames_do_no_per_tile_allocation() {
     // --- ShardedRuntime (3 shards multiplexed on the same pool) ---
     let shard = |fill: f64| {
         let mut frame = rf.clone();
-        frame.fill(fill);
+        frame.fill(fill).expect("a finite fill value");
         ShardConfig::new(
             Beamformer::new(&spec),
             Arc::clone(&arc_engine),
