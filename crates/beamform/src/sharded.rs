@@ -24,11 +24,11 @@
 //!   are live than the per-round in-flight budget, rounds *defer*
 //!   excess shards ([`ShardRound::Deferred`]) under a rotating window,
 //!   so backpressure stays fair instead of starving the tail;
-//! * **work-stealing tile claims** — each shard's frame is a
-//!   preregistered job whose tiles are claimed by index from a shared
-//!   cursor; the pool's claim arena (`usbf_par`) lets *any* idle worker
-//!   steal tiles of any in-flight shard, so one slow shard can no
-//!   longer idle pool workers that its announcements didn't reach;
+//! * **registry tile claims** — each shard's frame is a preregistered
+//!   job whose tiles are claimed by index from a shared cursor; every
+//!   pool worker takes its tasks from one registry of all registered
+//!   jobs (`usbf_par`), so *any* awake worker claims tiles of any
+//!   in-flight shard and one slow shard cannot idle the pool;
 //! * **per-shard accounting** — every shard keeps its own
 //!   [`PipelineStats`], including a fixed-bucket
 //!   [`LatencyHistogram`](crate::LatencyHistogram) of frame
@@ -40,8 +40,8 @@
 //!   shards' tickets redeem normally and the shared pool survives.
 //!
 //! Volumes are **bit-identical** to running each shard's frames through
-//! its own serial [`VolumeLoop`](crate::VolumeLoop) — multiplexing and
-//! stealing reorder only *when* tiles execute, never *what* they
+//! its own serial [`VolumeLoop`](crate::VolumeLoop) — multiplexing
+//! reorders only *when* tiles execute, never *what* they
 //! compute — and warm sharded rounds perform zero heap allocations
 //! (`tests/warm_frame_allocs.rs`); `tests/shard_stress.rs` and
 //! `tests/shard_churn.rs` soak the whole arrangement for hundreds of
@@ -97,7 +97,7 @@ impl ShardConfig {
 /// into one unsplittable task). A full round therefore dispatches about
 /// `threads × 4` comparably-sized tiles regardless of shard count —
 /// enough claim granularity for load balancing, with no shard able to
-/// monopolize the queues by sheer tile count.
+/// monopolize the pool's workers by sheer tile count.
 #[must_use]
 pub fn shard_fitted_schedule(
     spec: &usbf_geometry::SystemSpec,
@@ -310,8 +310,9 @@ struct Slot {
 /// let mut rt = ShardedRuntime::new(pool, vec![shard(0.0), shard(1.0)]);
 /// let outcomes = rt.round();
 /// assert!(outcomes.iter().all(|o| o.is_ok()));
-/// assert_eq!(rt.shard(0).frames(), 1);
-/// assert!(rt.volume(1).is_some());
+/// let ids = rt.shard_ids();
+/// assert_eq!(rt.shard_of(ids[0]).map(|s| s.frames()), Some(1));
+/// assert!(rt.volume_of(ids[1]).is_some());
 /// // Elastic: attach a third session mid-flight, stream, detach it.
 /// let id = rt.attach_shard(shard(2.0)).expect("within budget");
 /// let outcomes = rt.round();
@@ -359,20 +360,9 @@ impl ShardedRuntime {
         }
     }
 
-    /// Builds the runtime on the process-wide global pool.
-    #[must_use]
-    pub fn on_global(configs: Vec<ShardConfig>) -> Self {
-        Self::new(usbf_par::global_arc(), configs)
-    }
-
     /// Number of live (attached) shards.
     pub fn n_shards(&self) -> usize {
         self.slots.iter().filter(|s| s.pipeline.is_some()).count()
-    }
-
-    /// The shared pool all shards dispatch onto.
-    pub fn pool(&self) -> &Arc<ThreadPool> {
-        &self.pool
     }
 
     /// The budget admission decisions are made against.
@@ -641,53 +631,6 @@ impl ShardedRuntime {
         merged
     }
 
-    /// The `i`-th live shard's pipeline, in slot order. Positional
-    /// accessors index the *live* fleet (detached slots are skipped):
-    /// for a statically-built runtime this matches construction order.
-    fn nth_live(&self, i: usize) -> &FramePipeline {
-        self.slots
-            .iter()
-            .filter_map(|s| s.pipeline.as_ref())
-            .nth(i)
-            .expect("live shard index in range")
-    }
-
-    /// Shard `i`'s most recent volume (`None` before its first
-    /// successful frame). Positional: indexes live shards in slot
-    /// order; prefer [`volume_of`](Self::volume_of) under churn.
-    pub fn volume(&self, shard: usize) -> Option<&BeamformedVolume> {
-        self.nth_live(shard).volume()
-    }
-
-    /// Shard `i`'s zero-scatter view (`None` before its first
-    /// successful frame). Positional; prefer
-    /// [`view_of`](Self::view_of) under churn.
-    pub fn view(&self, shard: usize) -> Option<crate::VolumeView<'_>> {
-        self.nth_live(shard).view()
-    }
-
-    /// Shard `i`'s lifetime counters (positional; prefer
-    /// [`stats_of`](Self::stats_of) under churn).
-    pub fn stats(&self, shard: usize) -> PipelineStats {
-        self.nth_live(shard).stats()
-    }
-
-    /// Borrows shard `i`'s pipeline (positional; prefer
-    /// [`shard_of`](Self::shard_of) under churn).
-    pub fn shard(&self, shard: usize) -> &FramePipeline {
-        self.nth_live(shard)
-    }
-
-    /// Mutably borrows shard `i`'s pipeline (positional; prefer
-    /// [`shard_mut_of`](Self::shard_mut_of) under churn).
-    pub fn shard_mut(&mut self, shard: usize) -> &mut FramePipeline {
-        self.slots
-            .iter_mut()
-            .filter_map(|s| s.pipeline.as_mut())
-            .nth(shard)
-            .expect("live shard index in range")
-    }
-
     /// Frame counts per live shard, in slot order — the fairness
     /// snapshot the soak tests assert on (`max − min ≤` a small bound
     /// when every shard is driven through [`round`](Self::round)).
@@ -753,12 +696,13 @@ mod tests {
         let mut baseline1 = VolumeLoop::new(Beamformer::new(&spec));
         let expect0 = baseline0.beamform(exact.as_ref(), &frames[0]).clone();
         let expect1 = baseline1.beamform(steer.as_ref(), &frames[1]).clone();
+        let ids = rt.shard_ids();
         for round in 0..4 {
             let outcomes = rt.round();
             assert!(outcomes.iter().all(|o| o.is_ok()), "round {round}");
             assert!(outcomes.iter().all(|o| o.is_completed()), "round {round}");
-            assert_eq!(rt.volume(0), Some(&expect0), "round {round}");
-            assert_eq!(rt.volume(1), Some(&expect1), "round {round}");
+            assert_eq!(rt.volume_of(ids[0]), Some(&expect0), "round {round}");
+            assert_eq!(rt.volume_of(ids[1]), Some(&expect1), "round {round}");
         }
         assert_eq!(rt.frame_counts(), vec![4, 4]);
     }

@@ -340,11 +340,12 @@ mod tests {
                 ),
             ],
         );
-        assert!(rt.view(0).is_none(), "no frames yet");
+        let ids = rt.shard_ids();
+        assert!(rt.view_of(ids[0]).is_none(), "no frames yet");
         rt.round();
-        for shard in 0..2 {
-            let dense = rt.volume(shard).expect("round completed").clone();
-            let view = rt.view(shard).expect("view after a round");
+        for (shard, &id) in ids.iter().enumerate() {
+            let dense = rt.volume_of(id).expect("round completed").clone();
+            let view = rt.view_of(id).expect("view after a round");
             for axis in AXES {
                 assert_eq!(view.mip(axis), dense.mip(axis), "shard {shard} {axis:?}");
             }
@@ -356,8 +357,8 @@ mod tests {
         }
         // The raw and post-processed shards must actually differ.
         assert_ne!(
-            rt.view(0).unwrap().slice(SlicePlane::Depth(8)),
-            rt.view(1).unwrap().slice(SlicePlane::Depth(8))
+            rt.view_of(ids[0]).unwrap().slice(SlicePlane::Depth(8)),
+            rt.view_of(ids[1]).unwrap().slice(SlicePlane::Depth(8))
         );
     }
 

@@ -19,7 +19,8 @@
 //!   fleet (the control-plane price of elasticity, dominated by
 //!   schedule fitting and the pipeline's acquisition thread), and a
 //!   16-shard round (fleet-scale multiplexing, 4× oversubscribed
-//!   workers, where the work-stealing claim arena earns its keep).
+//!   workers, where any awake worker claiming any shard's tiles earns
+//!   its keep).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;

@@ -1,25 +1,23 @@
 //! The claim arena: a generation-tagged registry of the pool's
-//! preregistered job slots, giving idle workers something to **steal**.
+//! preregistered job slots, and the pool workers' **only** source of
+//! tasks.
 //!
 //! Every [`JobHandle`](crate::JobHandle) is enrolled here for its whole
 //! lifetime; each of its runs keeps its own claim cursor (the
 //! `RunState::next` index inside the job's `RegisteredCore`). The arena
-//! is the shared view over those per-shard cursors: a worker whose own
-//! announcement queue runs dry walks the arena and drains any enrolled
-//! run that still has unclaimed tasks, instead of parking while another
-//! shard's tiles wait for a busy worker.
+//! is the shared view over those per-shard cursors. An announcement
+//! carries no work, it only wakes the workers: each woken worker walks
+//! the arena and drains every enrolled run that still has unclaimed
+//! tasks, and parks again once a whole sweep runs nothing.
 //!
-//! Why this matters for the sharded runtime: announcements are delivered
-//! round-robin to per-worker queues, so without stealing the set of
-//! workers that can touch a run is fixed at announce time. One shard
-//! with slow tiles can then pin exactly the workers that were also
-//! announced a sibling's frame — the sibling's tiles sit unclaimed while
-//! other workers idle. With the arena, *any* awake worker claims them.
+//! Why this matters for the sharded runtime: the set of workers that
+//! can touch a run is never fixed at announce time. One shard with slow
+//! tiles cannot idle the pool while a sibling's tiles wait — *any* awake
+//! worker claims them.
 //!
-//! Soundness mirrors the announce path: stealing only ever calls
-//! [`RegisteredCore::drain`] with `owner == false`, which claims task
-//! indices under the run's own mutex — the same exactly-once claim the
-//! announced workers and the owning guard use. Slots are
+//! Soundness: a sweep only ever calls [`RegisteredCore::drain`] with
+//! `owner == false`, which claims task indices under the run's own
+//! mutex — the same exactly-once claim the owning guard uses. Slots are
 //! generation-tagged so a retired handle's slot can be reused without a
 //! stale retire clearing the newcomer: `retire(slot, generation)` is a
 //! no-op unless the generation still matches. The arena holds `Weak`
@@ -38,10 +36,11 @@ struct ArenaSlot {
 }
 
 /// The pool-wide registry of enrolled preregistered jobs. See the module
-/// docs for the stealing contract.
+/// docs for the claim contract.
 pub(crate) struct ClaimArena {
     slots: Mutex<Vec<ArenaSlot>>,
-    /// Tasks executed via the steal path (telemetry, monotonic).
+    /// Tasks executed by sweeps, that is, by pool workers (telemetry,
+    /// monotonic).
     stolen: AtomicU64,
 }
 
@@ -55,7 +54,7 @@ impl ClaimArena {
 
     /// Enrolls a job core, returning its `(slot, generation)` ticket.
     /// Allocation (a possible `Vec` grow) happens here — at
-    /// `ThreadPool::register` time — never on the warm steal path.
+    /// `ThreadPool::register` time — never on the warm sweep path.
     pub(crate) fn enroll(&self, core: &Arc<RegisteredCore>) -> (usize, u64) {
         let mut slots = self.slots.lock().unwrap();
         if let Some(i) = slots.iter().position(|s| s.core.is_none()) {
@@ -82,7 +81,7 @@ impl ClaimArena {
         }
     }
 
-    /// One steal sweep: drains every enrolled core that currently has
+    /// One sweep: drains every enrolled core that currently has
     /// claimable tasks, returning `true` if at least one task was
     /// actually executed here. The slots mutex is never held while a
     /// task runs — each iteration takes the lock only long enough to
@@ -109,7 +108,7 @@ impl ClaimArena {
         executed > 0
     }
 
-    /// Lifetime count of tasks executed via the steal path.
+    /// Lifetime count of tasks executed by sweeps.
     pub(crate) fn stolen(&self) -> u64 {
         self.stolen.load(Ordering::Relaxed)
     }
@@ -122,7 +121,7 @@ mod tests {
     use std::sync::{Arc, Barrier};
 
     /// Deterministic steal: pin both workers inside one job's tasks,
-    /// start a second job whose announcements therefore sit unconsumed,
+    /// start a second job that no worker is free to sweep,
     /// and run a steal sweep from the test thread — it must claim and
     /// execute every one of the second job's tasks exactly once.
     #[test]

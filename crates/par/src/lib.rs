@@ -5,8 +5,8 @@
 //! by a **persistent [`ThreadPool`]**. The paper's streaming architecture
 //! beamforms thousands of volumes per second; spawning a thread per tile
 //! per volume is exactly the kind of per-frame cost it amortizes away, so
-//! workers here are created once, parked on preallocated per-worker
-//! queues, and handed jobs by reference.
+//! workers here are created once, parked on one shared wake-up counter,
+//! and take their tasks from the pool's registry of preregistered jobs.
 //!
 //! Two layers:
 //!
@@ -15,20 +15,23 @@
 //!   the available parallelism);
 //! * [`ThreadPool::register`] / [`JobHandle::run`] /
 //!   [`JobHandle::start`] — preregistered job slots, the one dispatch
-//!   shape: the completion barrier is allocated once and re-announced per
-//!   run, with borrowed state dispatched through a function pointer, so a
-//!   warm run performs **zero per-task heap allocations** (no `Arc`
-//!   churn, no task boxing). `run` joins before returning; `start`
-//!   returns a [`PendingJob`] guard that keeps the run in flight while
-//!   the caller does other work — `wait()`/`try_wait()` redeem it,
-//!   dropping it joins. A one-shot parallel section is a fresh handle
-//!   run once.
+//!   shape: the completion barrier is allocated once and listed in the
+//!   pool's registry for the handle's lifetime; a run only activates it
+//!   and wakes the workers, with borrowed state dispatched through a
+//!   function pointer, so a warm run performs **zero per-task heap
+//!   allocations** (no `Arc` churn, no task boxing). `run` joins before
+//!   returning; `start` returns a [`PendingJob`] guard that keeps the run
+//!   in flight while the caller does other work — `wait()`/`try_wait()`
+//!   redeem it, dropping it joins. A one-shot parallel section is a fresh
+//!   handle run once.
 //!
-//! Tasks are claimed by index, so stragglers don't serialize the pool,
-//! and idle workers steal unclaimed tasks from any registered run. The
-//! calling thread always participates in its own run, which makes a
-//! `run` started from inside another run's task deadlock-free: the inner
-//! run is drained by its own caller even when every worker is busy.
+//! Tasks are claimed by index, so stragglers don't serialize the pool.
+//! Every announcement wakes every worker; a woken worker claims the
+//! unclaimed tasks of *any* active registered run until none is left,
+//! then parks again. The calling thread always participates in its own
+//! run, which makes a `run` started from inside another run's task
+//! deadlock-free: the inner run is drained by its own caller even when
+//! every worker is busy.
 //!
 //! ```
 //! let pool = std::sync::Arc::new(usbf_par::ThreadPool::new(2));
@@ -57,7 +60,15 @@ pub use registered::{JobHandle, PendingJob};
 /// re-deriving a core count that ignores the override. A pure query — it
 /// does not build the global pool.
 pub fn default_threads() -> usize {
-    ThreadPool::default_threads()
+    std::env::var("USBF_POOL_THREADS")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+        })
 }
 
 #[cfg(test)]

@@ -87,11 +87,13 @@ pub(crate) struct RegisteredCore {
     run: Mutex<RunState>,
     complete: Condvar,
     panic: Mutex<Option<Box<dyn Any + Send>>>,
-    /// Lock-free shadow of `RunState::active`, used by the steal path
-    /// (`crate::arena::ClaimArena`) to skip idle jobs without touching
-    /// the run mutex. A stale `true` only costs one no-op lock; a stale
-    /// `false` only delays a steal until the next sweep — correctness
-    /// still rests entirely on the mutex-guarded claim in `drain`.
+    /// Lock-free shadow of `RunState::active`, used by the workers'
+    /// registry sweep (`crate::arena::ClaimArena`) to skip idle jobs
+    /// without touching the run mutex. A stale `true` only costs one
+    /// no-op lock; a stale `false` only delays a claim until the next
+    /// sweep — correctness still rests entirely on the mutex-guarded
+    /// claim in `drain`. `JobHandle::start` sets it before announcing,
+    /// so a worker woken by that announcement never reads it stale.
     active_hint: AtomicBool,
 }
 
@@ -114,7 +116,7 @@ impl RegisteredCore {
         }
     }
 
-    /// Cheap pre-check for the steal sweep: whether this job *might*
+    /// Cheap pre-check for the registry sweep: whether this job *might*
     /// have claimable tasks. See `active_hint`.
     pub(crate) fn maybe_claimable(&self) -> bool {
         self.active_hint.load(Ordering::Relaxed)
@@ -189,13 +191,13 @@ impl RegisteredCore {
 ///
 /// A `JobHandle` owns its completion barrier for life and dispatches
 /// every run through borrowed state — a warm [`run`](JobHandle::run) or
-/// [`start`](JobHandle::start) performs **zero** heap allocations
-/// beyond the pool's internal worker wake-ups (which are per-worker,
-/// never per-task). Every parallel run in the workspace sits on it:
-/// `usbf_beamform::VolumeLoop` registers one handle at construction and
-/// re-announces it every frame (a cold `Beamformer::beamform_volume` is
-/// one such frame), and `usbf_beamform::FramePipeline` starts one
-/// asynchronous run per submitted frame.
+/// [`start`](JobHandle::start) performs **zero** heap allocations (waking
+/// the workers bumps a counter). Every parallel run in the workspace sits
+/// on it: `usbf_beamform::VolumeLoop` registers one handle at
+/// construction and re-announces it every frame (a cold
+/// `Beamformer::beamform_volume` is one such frame), and
+/// `usbf_beamform::FramePipeline` starts one asynchronous run per
+/// submitted frame.
 ///
 /// ```
 /// let pool = std::sync::Arc::new(usbf_par::ThreadPool::new(2));
@@ -354,25 +356,16 @@ impl JobHandle {
             run.active = true;
             self.core.active_hint.store(true, Ordering::Relaxed);
         }
-        // Announce to every worker, not `min(n, threads)`: with the
-        // claim arena, an awake worker whose own queue is empty steals
-        // from *any* active run, so waking the whole pool lets idle
-        // workers absorb this run's tasks even when a concurrent run has
-        // the originally-announced workers pinned. Stale wake-ups cost
-        // one empty queue check + one arena sweep.
-        self.pool
-            .announce_registered(&self.core, self.pool.threads());
+        // Only now, with the run active and `active_hint` set, wake the
+        // workers: a worker woken by this announcement sweeps the
+        // registry and sees the run.
+        self.pool.announce();
         PendingJob {
             core: Arc::clone(&self.core),
             announced: true,
             states: Some(states),
             _ctx: PhantomData,
         }
-    }
-
-    /// The pool this job is registered on.
-    pub fn pool(&self) -> &Arc<ThreadPool> {
-        &self.pool
     }
 }
 
@@ -492,7 +485,7 @@ impl Drop for JobHandle {
         }
         // Hand the arena slot back (generation-checked, so a slot this
         // handle no longer owns is left alone). Workers mid-sweep hold a
-        // `Weak` at most — retiring never races a running steal into a
+        // `Weak` at most — retiring never races a running sweep into a
         // freed core.
         self.pool
             .arena()

@@ -4,7 +4,9 @@
 //! multi-worker paths are exercised even on single-core CI hosts.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use usbf_par::ThreadPool;
 
 #[test]
@@ -284,18 +286,85 @@ fn multiple_pending_jobs_fly_concurrently_on_one_pool() {
 }
 
 // ---------------------------------------------------------------------
+// Wake-ups: every announcement must reach every parked worker.
+// ---------------------------------------------------------------------
+
+/// Shared context of one rendezvous round: `workers` tasks that each
+/// wait, until `deadline`, for all of them to have started.
+struct Rendezvous {
+    arrived: AtomicUsize,
+    workers: usize,
+    deadline: Instant,
+}
+
+fn rendezvous_task(ctx: &Rendezvous, _: usize, met: &mut bool) {
+    ctx.arrived.fetch_add(1, Ordering::SeqCst);
+    while ctx.arrived.load(Ordering::SeqCst) < ctx.workers && Instant::now() < ctx.deadline {
+        std::thread::yield_now();
+    }
+    *met = ctx.arrived.load(Ordering::SeqCst) >= ctx.workers;
+}
+
+#[test]
+fn every_announcement_wakes_every_worker() {
+    // Each round starts one task per worker that only completes its
+    // rendezvous once every worker is inside one. The caller never
+    // drains (it only polls `try_wait`), and a task blocks its worker
+    // until the rendezvous, so the tasks meet only if this announcement
+    // woke every worker. A second job started just before keeps workers
+    // mid-sweep when the rendezvous is announced, which is where a
+    // wake-up is lost if a worker parks without re-checking. The
+    // rendezvous counter has a deadline, so a missed wake-up fails the
+    // assertion instead of hanging the suite.
+    const ROUNDS: usize = 2000;
+    for workers in [2usize, 4] {
+        let pool = Arc::new(ThreadPool::new(workers));
+        let mut rendezvous = ThreadPool::register(&pool);
+        let mut other = ThreadPool::register(&pool);
+        let mut met = vec![false; workers];
+        let mut filler = vec![0u64; 1];
+        for round in 0..ROUNDS {
+            let ctx = Rendezvous {
+                arrived: AtomicUsize::new(0),
+                workers,
+                deadline: Instant::now() + Duration::from_secs(5),
+            };
+            let give_up = ctx.deadline + Duration::from_secs(5);
+            met.fill(false);
+            let pending_other = other.start(&mut filler, &(), |_, _, s: &mut u64| *s += 1);
+            let pending = rendezvous.start(&mut met, &ctx, rendezvous_task);
+            while !pending.try_wait() || !pending_other.try_wait() {
+                assert!(
+                    Instant::now() < give_up,
+                    "{workers} workers, round {round}: no worker ran the tasks"
+                );
+                std::thread::yield_now();
+            }
+            pending_other.wait();
+            let met = pending.wait();
+            assert!(
+                met.iter().all(|&m| m),
+                "{workers} workers, round {round}: a worker slept through \
+                 the announcement ({met:?})"
+            );
+        }
+        assert_eq!(filler, vec![ROUNDS as u64]);
+    }
+}
+
+// ---------------------------------------------------------------------
 // Concurrency-order property tests: random interleavings of
 // start / try_wait / wait / drop across multiple PendingJobs, including
 // drop-without-wait and panic-mid-flight.
 // ---------------------------------------------------------------------
 
 // ---------------------------------------------------------------------
-// Claim/steal/complete interleavings under shard churn: a rotating set
-// of 2–8 pseudo-shards (JobHandles), where handles detach (drop) and
-// attach (re-register) between rounds while sibling runs are in flight.
-// Every tile must be claimed exactly once per run — whether it was
-// executed by an announced worker, stolen by an idle one, or drained by
-// the owner — and no claim may be lost when a shard detaches mid-round.
+// Claim/complete interleavings under shard churn: a rotating set of 2–8
+// pseudo-shards (JobHandles), where handles detach (drop) and attach
+// (re-register) between rounds while sibling runs are in flight. Every
+// tile must be claimed exactly once per run — whether a pool worker ran
+// it from its registry sweep or the owner drained it — and no claim may
+// be lost when a shard detaches mid-round.
 // ---------------------------------------------------------------------
 
 mod claim_interleavings {
@@ -450,8 +519,8 @@ mod claim_interleavings {
                 }
             }
 
-            // Steal telemetry is monotonic, and the pool outlives the
-            // whole churn history.
+            // The worker-task count is monotonic, and the pool outlives
+            // the whole churn history.
             prop_assert!(pool.steal_count() >= steal_floor);
             let items: Vec<usize> = (0..32).collect();
             let mut probe = vec![0usize; items.len()];

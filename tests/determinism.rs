@@ -173,12 +173,13 @@ fn sharded_runtime_is_bit_identical_across_pool_sizes() {
                 ),
             ],
         );
+        let ids = rt.shard_ids();
         let mut volumes = Vec::new();
         for round in 0..4 {
             let outcomes = rt.round();
             assert!(outcomes.iter().all(|o| o.is_ok()), "round {round}");
-            for shard in 0..rt.n_shards() {
-                volumes.push(rt.volume(shard).expect("completed frame").clone());
+            for &id in &ids {
+                volumes.push(rt.volume_of(id).expect("completed frame").clone());
             }
         }
         match &reference {

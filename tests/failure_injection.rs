@@ -300,6 +300,7 @@ fn sharded_engine_panic_never_poisons_sibling_shards() {
                 ),
             ],
         );
+        let ids = rt.shard_ids();
         assert!(rt.round().iter().all(|o| o.is_ok()), "clean warm-up round");
         faulty.arm(true);
         let outcomes = rt.round();
@@ -312,14 +313,14 @@ fn sharded_engine_panic_never_poisons_sibling_shards() {
         // The sibling's frame of the same round is untouched — the shared
         // pool contained the panic to shard 0's tasks.
         assert!(outcomes[1].is_ok(), "sibling shard must stay healthy");
-        assert_eq!(rt.volume(1), Some(&reference));
+        assert_eq!(rt.volume_of(ids[1]), Some(&reference));
         faulty.arm(false);
         // Both shards recover on the same pool; counters attribute the
         // lost frame to the faulty shard only.
         assert!(rt.round().iter().all(|o| o.is_ok()), "recovery round");
-        assert_eq!(rt.volume(0), Some(&faulty_reference));
-        assert_eq!(rt.shard(0).errors(), 1);
-        assert_eq!(rt.shard(1).errors(), 0);
+        assert_eq!(rt.volume_of(ids[0]), Some(&faulty_reference));
+        assert_eq!(rt.shard_of(ids[0]).expect("live shard").errors(), 1);
+        assert_eq!(rt.shard_of(ids[1]).expect("live shard").errors(), 0);
         assert_eq!(rt.frame_counts(), vec![2, 3]);
     }
 }

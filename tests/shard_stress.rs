@@ -47,6 +47,7 @@ fn soak(plans: &[ShardPlan], workers: usize, rounds: usize) {
     let pool = Arc::new(ThreadPool::new(workers));
     let configs = plans.iter().map(ShardPlan::config).collect();
     let mut rt = ShardedRuntime::new(pool, configs);
+    let ids = rt.shard_ids();
     let mut outcomes = Vec::new();
 
     for round in 0..rounds {
@@ -59,7 +60,7 @@ fn soak(plans: &[ShardPlan], workers: usize, rounds: usize) {
             );
             let expect = &baselines[shard][round % ring_lens[shard]];
             assert_eq!(
-                rt.volume(shard).expect("completed frame"),
+                rt.volume_of(ids[shard]).expect("completed frame"),
                 expect,
                 "{} diverged from its serial baseline at round {round} \
                  with {workers} worker(s)",
@@ -84,7 +85,7 @@ fn soak(plans: &[ShardPlan], workers: usize, rounds: usize) {
         "every shard completes every frame ({workers} workers)"
     );
     for (shard, plan) in plans.iter().enumerate() {
-        let stats = rt.stats(shard);
+        let stats = rt.stats_of(ids[shard]).expect("live shard");
         assert_eq!(stats.frames, rounds as u64, "{}", plan.name);
         assert_eq!(stats.errors, 0, "{}", plan.name);
         assert_eq!(stats.abandoned, 0, "{}", plan.name);
@@ -114,8 +115,8 @@ fn three_heterogeneous_shards_soak_bit_identical_at_every_pool_size() {
 fn wider_fleets_soak_bit_identical() {
     // Fleet sizes above the worker count (6 shards / 4 workers) and far
     // above it (10 / 2): tile claims from many shards contend for few
-    // workers, the regime the work-stealing arena exists for. Shorter
-    // soaks — the 3-shard test above owns the long-haul budget.
+    // workers, the regime the pool's shared job registry exists for.
+    // Shorter soaks — the 3-shard test above owns the long-haul budget.
     for (n_shards, workers, rounds) in [(6usize, 4usize, 120usize), (10, 2, 60)] {
         let plans = shard_plans(n_shards, 0xFEED_FACE ^ n_shards as u64);
         soak(&plans, workers, rounds);
