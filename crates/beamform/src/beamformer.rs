@@ -2,17 +2,19 @@
 //!
 //! The volume path mirrors the paper's architecture: delays are consumed
 //! as per-nappe receive-leg slabs ([`DelayEngine::fill_nappe_rx`]) plus
-//! one transmit term per row, whatever the transmit sequence, rather
-//! than per-voxel queries, and the steering fan is split into
-//! [`NappeSchedule`] tiles, each filled like a Fig. 4 block bound to its
-//! correction registers. The parallel tasks are either those tiles
-//! (walking every nappe) or, for single-transmit raw frames, whole-fan
-//! depth bands whose slab visits every tile per nappe — so each
-//! channel's echo samples for a nappe are read in one pass, the paper's
-//! nappe-major streaming applied to the echo buffer. The output volume is
-//! bit-identical to the scalar per-voxel path, which is kept as the
-//! reference implementation (and as the executed path for
-//! scanline-by-scanline traversal).
+//! one transmit term per row, computed a run of rows at a time, whatever
+//! the transmit sequence, rather than per-voxel queries, and the steering
+//! fan is split into [`NappeSchedule`] tiles, each filled like a Fig. 4
+//! block bound to its correction registers. A raw frame's parallel tasks
+//! are whole-fan depth bands, so each channel's echo samples for a nappe
+//! are read in one pass — the paper's nappe-major streaming applied to
+//! the echo buffer: a single-transmit band's slab visits every schedule
+//! tile per nappe, and a compound band's slab covers the whole fan, so
+//! one receive-leg fill per nappe serves every transmit. A
+//! post-processed frame's tasks are the schedule tiles, each walking
+//! every nappe. The output volume is bit-identical to the scalar
+//! per-voxel path, which is kept as the reference implementation (and as
+//! the executed path for scanline-by-scanline traversal).
 
 use crate::postproc::{PostChain, PostScratch};
 use crate::{ActiveAperture, Apodization, BeamformedVolume};
@@ -32,29 +34,36 @@ pub(crate) fn pool_fitted_schedule(
     NappeSchedule::fitted(spec, pool.threads().max(1) * 4)
 }
 
-/// The depth bands a single-transmit raw frame is split into on a pool
-/// of `workers`: two per worker (so a worker that finishes early can
-/// claim a second band), never more than the volume has nappes. Each
-/// band is one task over the whole fan.
+/// The depth bands a raw frame is split into on a pool of `workers`: two
+/// per worker (so a worker that finishes early can claim a second band),
+/// never more than the volume has nappes. Each band is one task over the
+/// whole fan, single-transmit and compound frames alike.
 pub(crate) fn depth_bands(n_depth: usize, workers: usize) -> impl Iterator<Item = Range<usize>> {
     let n = (2 * workers.max(1)).min(n_depth);
     (0..n).map(move |b| b * n_depth / n..(b + 1) * n_depth / n)
 }
 
-/// Builds a runtime's warm task states for one frame shape. A
-/// single-transmit frame with raw output runs as whole-fan depth bands
-/// ([`depth_bands`]), each band's slab re-pointed at every schedule tile
-/// in turn; compound frames (whose receive leg is reused across
-/// transmits) and post-processed frames (whose chain needs whole depth
-/// columns) run one task per schedule tile over every nappe. The only
-/// place the task shape is chosen.
+/// Builds a runtime's warm task states for one frame shape. A frame with
+/// raw output runs as whole-fan depth bands ([`depth_bands`]). A
+/// single-transmit band's slab is one schedule tile, re-pointed at every
+/// tile in turn. A compound band's receive leg is reused by every
+/// transmit, so its slab can never move: its one tile is the fan region
+/// the schedule tiles cover ([`bounding_region`]), and the slab holds
+/// that whole region's receive leg — `scanlines × elements × 8 B` per
+/// band (32 KB on the 8 × 8-line, 64-element benchmark compounds; 2 MB
+/// for a 16 × 16-line fan under a 32 × 32 aperture). Post-processed
+/// frames (whose chain needs whole depth columns) run one task per
+/// schedule tile over every nappe. The only place the task shape is
+/// chosen.
 pub(crate) fn warm_task_states(
     beamformer: &Beamformer,
     tiles: &[Tile],
     workers: usize,
 ) -> Vec<TileState> {
     let spec = beamformer.spec();
-    if spec.n_transmits() == 1 && beamformer.postproc().is_empty() {
+    if beamformer.postproc().is_empty() {
+        let fan = [bounding_region(tiles)];
+        let tiles = if spec.n_transmits() == 1 { tiles } else { &fan };
         depth_bands(spec.volume_grid.n_depth(), workers)
             .map(|band| TileState::band(beamformer, tiles, band))
             .collect()
@@ -91,12 +100,13 @@ pub(crate) fn scatter_tasks(out: &mut BeamformedVolume, states: &[TileState]) {
 /// every frame.
 ///
 /// A task beamforms a depth band (`nappes`) over a fan region (`region`),
-/// tiled by one or more schedule tiles of one shape. Its slab stays one
-/// schedule tile in size and is re-pointed at each of them in turn
-/// ([`NappeDelays::retarget`]), so the engines' per-(tile, nappe) fill
-/// is the same whatever the task shape. [`TileState::new`] builds the
+/// tiled by one or more tiles of one shape. Its slab is one tile in size
+/// and is re-pointed at each of them in turn ([`NappeDelays::retarget`]),
+/// so the engines' per-(tile, nappe) fill is the same whatever the task
+/// shape. A compound task has one tile, which is the whole region: its
+/// receive leg serves every transmit. [`TileState::new`] builds the
 /// fan-tile task (one schedule tile, every nappe); [`TileState::band`]
-/// builds any other.
+/// builds any other — a runtime's raw frames run as whole-fan bands.
 ///
 /// The kernel's block holds one (nappe, transmit)'s worth of quantized
 /// indices (or fractional delays) for up to every scanline of the
@@ -123,8 +133,9 @@ pub struct TileState {
     /// linear interpolation.
     pub(crate) index_block: Vec<i32>,
     /// Nearest kernel: one group of packed rows, `[row-in-group][active]`
-    /// — [`DelayEngine::quantize_tx_row`] writes each row here, and a full
-    /// group is transposed into `index_block` in one pass.
+    /// — [`DelayEngine::quantize_tx_run`] writes each run of rows here,
+    /// after the live rows already staged, and a full group is
+    /// transposed into `index_block` in one pass.
     index_staging: Vec<i32>,
     /// Linear kernel: compacted fractional delays, same grouped layout as
     /// `index_block`. Empty for nearest interpolation.
@@ -169,7 +180,8 @@ impl TileState {
     /// slab (one tile in size), the `[scanline][nappe]` values buffer,
     /// the grouped index (nearest) or delay (linear) block and its
     /// one-group staging buffer, sized to the region and the compacted
-    /// aperture, and every transmit's mask weights.
+    /// aperture, and every transmit's mask weights. A compound band over
+    /// the whole fan passes the fan as its one tile.
     ///
     /// # Panics
     ///
@@ -318,17 +330,24 @@ const PREFETCH_AHEAD: usize = 8;
 
 /// One interpolation mode of the tile kernel: the block entry type
 /// (`i32` echo-buffer indices for nearest fetch, `f64` fractional delays
-/// for linear), how a compacted receive-leg row becomes a block row,
-/// and how a trace is read at an entry. The kernel is generic over it, so
-/// each mode compiles to its own monomorphized loop.
+/// for linear), how a run of compacted receive-leg rows becomes block
+/// rows, and how a trace is read at an entry. The kernel is generic over
+/// it, so each mode compiles to its own monomorphized loop.
 trait Fetch: Copy {
     /// Block rows per group: one channel's entries for a group fill one
     /// 64-byte cache line.
     const GROUP: usize = 64 / std::mem::size_of::<Self>();
 
-    /// Writes transmit `tx`'s block row for focal point `vox` from the
-    /// active channels' receive-leg entries `rx`.
-    fn pack(engine: &dyn DelayEngine, tx: usize, vox: VoxelIndex, rx: &[f64], out: &mut [Self]);
+    /// Writes transmit `tx`'s block rows for the run `slots` of `slab`,
+    /// whose rows hold the active channels' receive-leg entries in their
+    /// first `out.len() / slots.len()` slots.
+    fn pack(
+        engine: &dyn DelayEngine,
+        tx: usize,
+        slab: &NappeDelays,
+        slots: Range<usize>,
+        out: &mut [Self],
+    );
 
     /// Reads the raw samples `trace` at this entry as an unscaled value,
     /// bit-identical to the scalar walk's read; out-of-window reads give
@@ -346,13 +365,19 @@ trait Fetch: Copy {
 }
 
 impl Fetch for i32 {
-    /// The transmit add fused into the engine's own final rounding stage
-    /// ([`DelayEngine::quantize_tx_row`]), so rounding telemetry
-    /// (TABLESTEER's clamp counter) advances exactly as it does for
-    /// per-element queries.
+    /// The run's transmit terms in one engine pass, each added in the
+    /// engine's own final rounding stage ([`DelayEngine::quantize_tx_run`]),
+    /// so rounding telemetry (TABLESTEER's clamp counter) advances
+    /// exactly as it does for per-element queries.
     #[inline]
-    fn pack(engine: &dyn DelayEngine, tx: usize, vox: VoxelIndex, rx: &[f64], out: &mut [i32]) {
-        engine.quantize_tx_row(tx, vox, rx, out);
+    fn pack(
+        engine: &dyn DelayEngine,
+        tx: usize,
+        slab: &NappeDelays,
+        slots: Range<usize>,
+        out: &mut [i32],
+    ) {
+        engine.quantize_tx_run(tx, slab, slots, out);
     }
 
     /// Negative indices wrap to huge under the cast and read `0.0` like
@@ -373,11 +398,25 @@ impl Fetch for i32 {
 }
 
 impl Fetch for f64 {
-    /// No quantization stage: the transmit combine writes the fractional
-    /// delays straight into the staging row.
+    /// No quantization stage: one transmit combine per row writes the
+    /// fractional delays straight into the staging rows.
     #[inline]
-    fn pack(engine: &dyn DelayEngine, tx: usize, vox: VoxelIndex, rx: &[f64], out: &mut [f64]) {
-        engine.combine_tx_row(tx, vox, rx, out);
+    fn pack(
+        engine: &dyn DelayEngine,
+        tx: usize,
+        slab: &NappeDelays,
+        slots: Range<usize>,
+        out: &mut [f64],
+    ) {
+        let active = out.len() / slots.len();
+        let id = slab.nappe().expect("the kernel packs filled slabs");
+        let tile = slab.tile();
+        for (k, slot) in slots.enumerate() {
+            let (it, ip) = tile.scanline_at(slot);
+            let vox = VoxelIndex::new(it, ip, id);
+            let out = &mut out[k * active..(k + 1) * active];
+            engine.combine_tx_row(tx, vox, &slab.row(slot)[..active], out);
+        }
     }
 
     /// The floor/blend arithmetic of [`usbf_sim::Trace::raw_interp`], with the
@@ -406,8 +445,8 @@ impl Fetch for f64 {
 }
 
 /// The kernel's per-(nappe, transmit) block under construction: rows are
-/// pushed in region order, the insonified ones packed densely into a
-/// one-group staging buffer, and each full group transposed into the
+/// pushed a run at a time in region order, the insonified ones packed
+/// densely into a staging buffer, and each full group transposed into the
 /// grouped block.
 ///
 /// The block is `[group][channel][row-in-group]`: one cache line per
@@ -416,7 +455,8 @@ impl Fetch for f64 {
 struct Block<'a, T> {
     /// The grouped block, starting on a cache line.
     rows: &'a mut [T],
-    /// One group of packed rows, `[row-in-group][active]`.
+    /// One group of packed rows, `[row-in-group][active]`: the live rows
+    /// not yet transposed, then the run being packed.
     staging: &'a mut [T],
     /// Per channel, the lowest index the block reads, then per channel
     /// the highest.
@@ -427,31 +467,41 @@ struct Block<'a, T> {
 }
 
 impl<T: Fetch> Block<'_, T> {
-    /// Offers transmit `tx`'s row of focal point `vox` — region slot
-    /// `slot`, mask weight `m`, the active channels' receive leg `rx` —
-    /// packed into the next free staging row. Every row is packed; a
-    /// masked row is overwritten by the next live row, so it never
-    /// reaches the block, but the engine's rounding telemetry counts it.
+    /// Offers transmit `tx`'s rows `slots` of `slab` — no more than the
+    /// staged group has room for — with `places` giving each row's region
+    /// slot and mask weight, in slot order. Every row of the run is
+    /// packed, in one [`Fetch::pack`], after the rows already staged; the
+    /// insonified ones then move down over the masked ones, so a masked
+    /// row never reaches the block, but the engine's rounding telemetry
+    /// counts it. A group the run fills is transposed.
     #[inline]
-    fn push(
+    fn push_run(
         &mut self,
         engine: &dyn DelayEngine,
         tx: usize,
-        vox: VoxelIndex,
-        slot: usize,
-        m: f64,
-        rx: &[f64],
+        slab: &NappeDelays,
+        slots: Range<usize>,
+        places: impl Iterator<Item = (usize, f64)>,
     ) {
-        let active = rx.len();
-        let r = self.len % T::GROUP;
-        let out = &mut self.staging[r * active..(r + 1) * active];
-        T::pack(engine, tx, vox, rx, out);
-        if m != 0.0 {
-            self.live[self.len] = slot as u32;
-            self.len += 1;
-            if self.len.is_multiple_of(T::GROUP) {
-                self.transpose(T::GROUP);
+        let active = self.windows.len() / 2;
+        let pending = self.len % T::GROUP;
+        debug_assert!(pending + slots.len() <= T::GROUP);
+        let run = &mut self.staging[pending * active..(pending + slots.len()) * active];
+        T::pack(engine, tx, slab, slots.clone(), run);
+        let mut staged = pending;
+        for (k, (r, m)) in places.take(slots.len()).enumerate() {
+            if m != 0.0 {
+                let at = (pending + k) * active;
+                if staged != pending + k {
+                    self.staging.copy_within(at..at + active, staged * active);
+                }
+                self.live[self.len] = r as u32;
+                self.len += 1;
+                staged += 1;
             }
+        }
+        if staged == T::GROUP {
+            self.transpose(T::GROUP);
         }
     }
 
@@ -784,10 +834,11 @@ impl Beamformer {
     /// One voxel-parallel kernel serves every transmit sequence and task
     /// shape, split by interpolation mode into two monomorphized loops
     /// chosen **once per task**. Per (tile, nappe), the engine fills the
-    /// receive leg ([`DelayEngine::fill_nappe_rx`]) once; per row and
-    /// transmit, the transmit term is added in the rounding pass
-    /// ([`DelayEngine::quantize_tx_row`], nearest) or by
-    /// [`DelayEngine::combine_tx_row`] (linear). The insonified rows are
+    /// receive leg ([`DelayEngine::fill_nappe_rx`]) once; per transmit,
+    /// the transmit terms of a run of rows are computed in one pass and
+    /// added in the rounding pass ([`DelayEngine::quantize_tx_run`],
+    /// nearest), or one row's term by [`DelayEngine::combine_tx_row`]
+    /// (linear). The insonified rows are
     /// packed into a grouped block that is summed
     /// one channel at a time into per-row accumulators. Every voxel's
     /// delay-and-sum starts at `0.0` and adds its `w·s` terms in ascending
@@ -907,22 +958,26 @@ impl Beamformer {
     ///
     /// Per nappe of the task's band and per transmit:
     ///
-    /// 1. At transmit 0, the slab is re-pointed at each schedule tile of
-    ///    the task in turn and filled with the transmit-invariant receive
-    ///    leg ([`DelayEngine::fill_nappe_rx`]); a compound task has one
-    ///    tile, so that fill serves every transmit. Each row, in scanline
-    ///    order, is compacted in place to the active aperture at its first
-    ///    use (transmit 0) and gets its transmit term in one engine call:
-    ///    fused into the rounding pass ([`DelayEngine::quantize_tx_row`])
-    ///    for nearest fetch, or [`DelayEngine::combine_tx_row`] for
-    ///    linear. Both are element-wise, so compacting first is exact.
-    /// 2. Every row is packed into a one-group staging buffer, and each
-    ///    full group is transposed into the block's
-    ///    `[group][channel][row-in-group]` layout. Only insonified rows
-    ///    (mask weight `m ≠ 0`) advance the buffer, the `live` map
-    ///    recording their region slots; a masked row is overwritten by the
-    ///    next live row, so it never reaches the block, but TABLESTEER's
-    ///    clamp counter counts every (voxel, transmit) row.
+    /// 1. At transmit 0, the slab is re-pointed at each tile of the task
+    ///    in turn and filled with the transmit-invariant receive leg
+    ///    ([`DelayEngine::fill_nappe_rx`]); a compound task has one tile,
+    ///    the whole region, so that fill serves every transmit. The rows
+    ///    go in scanline order, in runs that end where the one-group
+    ///    staging buffer fills (a whole group of rows when every row is
+    ///    insonified): at transmit 0 each run's rows are first compacted
+    ///    in place to the active aperture, then every run gets its
+    ///    transmit terms in one engine call — computed for the whole run
+    ///    and fused into the rounding pass
+    ///    ([`DelayEngine::quantize_tx_run`]) for nearest fetch, or one
+    ///    [`DelayEngine::combine_tx_row`] per row for linear. Both are
+    ///    element-wise, so compacting first is exact.
+    /// 2. A run is packed into the staging buffer after the live rows
+    ///    already staged, and each full group is transposed into the
+    ///    block's `[group][channel][row-in-group]` layout. Only
+    ///    insonified rows (mask weight `m ≠ 0`) stay staged, the `live`
+    ///    map recording their region slots; a masked row is overwritten
+    ///    by the live rows after it, so it never reaches the block, but
+    ///    TABLESTEER's clamp counter counts every (voxel, transmit) row.
     /// 3. The aperture is walked channel by channel: channel `k` adds
     ///    `w[k] · raw_k[block[r][k]]` (the 16-bit sample, unscaled) into
     ///    `acc[r]` for every block row,
@@ -966,7 +1021,6 @@ impl Beamformer {
         let Scratch { acc, live, windows } = scratch;
         let band = nappes.len();
         let n_values = values.len();
-        let active = self.aperture.len();
         // The block's first whole cache line: every (group, channel) line
         // then sits on one.
         let aligned = block.as_ptr().align_offset(64);
@@ -986,19 +1040,26 @@ impl Beamformer {
                         slab.retarget(tile);
                         engine.fill_nappe_rx(id, slab);
                     }
-                    for (slot, it, ip) in tile.iter_scanlines() {
+                    let mut places = tile.iter_scanlines().map(|(_, it, ip)| {
                         let r = region.slot_of(it, ip);
-                        let vox = VoxelIndex::new(it, ip, id);
-                        let m = mask[r * band + j];
-                        // Compacted in place at transmit 0, in the same
-                        // pass that rounds the row, and reused after.
-                        let row = slab.row_mut(slot);
-                        let rx = if tx == 0 {
-                            self.aperture.compact_in_place(row)
-                        } else {
-                            &row[..active]
-                        };
-                        rows.push(engine, tx, vox, r, m, rx);
+                        (r, mask[r * band + j])
+                    });
+                    // Runs end where the staged group fills, so a run
+                    // never outgrows the one-group staging buffer.
+                    let n_rows = tile.scanlines();
+                    let mut first = 0;
+                    while first < n_rows {
+                        let room = T::GROUP - rows.len % T::GROUP;
+                        let run = first..(first + room).min(n_rows);
+                        if tx == 0 {
+                            // Compacted in place just before the run is
+                            // rounded, and reused by later transmits.
+                            for slot in run.clone() {
+                                self.aperture.compact_in_place(slab.row_mut(slot));
+                            }
+                        }
+                        first = run.end;
+                        rows.push_run(engine, tx, slab, run, places.by_ref());
                     }
                 }
                 let n_live = rows.finish();
@@ -1283,6 +1344,56 @@ mod tests {
         );
     }
 
+    /// Requires `tasks` to be the compound band shape: depth bands that
+    /// cover every nappe once, each over the whole fan, with a slab that
+    /// holds the whole fan's receive leg.
+    fn assert_whole_fan_compound_bands(spec: &SystemSpec, tasks: &[TileState]) {
+        let fan = NappeDelays::full(spec).tile();
+        assert!(spec.n_transmits() > 1, "a compound sequence");
+        let mut next = 0;
+        for state in tasks {
+            assert_eq!(state.region(), fan, "a compound band spans the whole fan");
+            assert_eq!(state.slab.tile(), fan, "its slab holds the whole fan");
+            assert_eq!(state.nappes().start, next, "bands are contiguous");
+            next = state.nappes().end;
+        }
+        assert_eq!(next, spec.volume_grid.n_depth(), "bands cover every nappe");
+    }
+
+    #[test]
+    fn compound_band_frame_counts_rx_roots_once_and_one_root_per_point_source_row() {
+        // TABLEFREE's op counter over one frame of whole-fan compound
+        // bands, on a mixed sequence: per nappe, each band's fan-wide
+        // receive leg counts one root per element, and each row's
+        // point-source transmits one root each (plane waves are a free
+        // projection) — scanlines × (elements + point-source transmits)
+        // × nappes, whatever the band count.
+        let spec = SystemSpec::tiny().with_transmits(vec![
+            usbf_geometry::TransmitModel::PointSource,
+            usbf_geometry::TransmitModel::plane_wave(usbf_geometry::deg(5.0), 0.0),
+            usbf_geometry::TransmitModel::PointSource,
+            usbf_geometry::TransmitModel::plane_wave(0.0, usbf_geometry::deg(-5.0)),
+        ]);
+        let rf = RfFrame::zeros_multi(8, 8, spec.echo_buffer_len(), spec.n_transmits());
+        let engine =
+            usbf_core::TableFreeEngine::new(&spec, usbf_core::TableFreeConfig::paper()).unwrap();
+        let mut rt = crate::VolumeLoop::with_pool(
+            Beamformer::new(&spec),
+            std::sync::Arc::new(usbf_par::ThreadPool::new(2)),
+            &NappeSchedule::fitted(&spec, 8),
+        );
+        assert_eq!(rt.task_count(), 4);
+        assert_whole_fan_compound_bands(&spec, rt.tasks());
+        let before = engine.sqrt_evals();
+        rt.beamform(&engine, &rf);
+        let scanlines = spec.volume_grid.n_theta() * spec.volume_grid.n_phi();
+        let per_row = spec.elements.count() + 2;
+        assert_eq!(
+            engine.sqrt_evals() - before,
+            (scanlines * per_row * spec.volume_grid.n_depth()) as u64
+        );
+    }
+
     #[test]
     fn every_tile_schedule_gives_the_same_volume() {
         let (spec, rf) = setup(Vec3::new(0.0, 0.003, 0.06));
@@ -1354,12 +1465,13 @@ mod tests {
         let batched = TableSteerEngine::new(&spec, TableSteerConfig::bits18()).unwrap();
         let oracle = batched.clone(); // fresh zeroed counter
         let bf = Beamformer::new(&spec).with_apodization(crate::Apodization::Hann);
-        crate::VolumeLoop::with_pool(
+        let mut rt = crate::VolumeLoop::with_pool(
             bf.clone(),
             usbf_par::global_arc(),
             &usbf_core::NappeSchedule::fitted(&spec, 2),
-        )
-        .beamform(&batched, &rf);
+        );
+        assert_whole_fan_compound_bands(&spec, rt.tasks());
+        rt.beamform(&batched, &rf);
         let nx = spec.elements.nx();
         for i in 0..spec.volume_grid.voxel_count() {
             let vox = spec.volume_grid.voxel_at(i);
@@ -1400,7 +1512,8 @@ mod tests {
         // of the i32 range — in every block, staging and window buffer
         // must not reach the output: every task shape, both
         // interpolations and a compound frame (whose masks leave short
-        // tails) give the volume a fresh state gives.
+        // tails), on one schedule tile and as a whole-fan band, give the
+        // volume a fresh state gives.
         let (spec, rf) = setup(Vec3::new(0.003, 0.001, 0.05));
         let (cspec, crf) = compound_setup();
         for (spec, rf) in [(&spec, &rf), (&cspec, &crf)] {
@@ -1410,7 +1523,8 @@ mod tests {
             let tasks: Vec<(Vec<Tile>, Range<usize>)> = if spec.n_transmits() == 1 {
                 vec![(tiles.clone(), 3..10), (tiles[1..2].to_vec(), 0..n_depth)]
             } else {
-                vec![(tiles[2..3].to_vec(), 5..n_depth)]
+                let fan = NappeDelays::full(spec).tile();
+                vec![(tiles[2..3].to_vec(), 5..n_depth), (vec![fan], 3..10)]
             };
             for interp in [Interpolation::Nearest, Interpolation::Linear] {
                 let bf = Beamformer::new(spec).with_interpolation(interp);

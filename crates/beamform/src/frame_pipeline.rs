@@ -652,8 +652,8 @@ impl FramePipeline {
     }
 
     /// Parallel tasks per submitted frame: two whole-fan depth bands
-    /// per pool worker for a single-transmit raw frame, one task per
-    /// schedule tile otherwise.
+    /// per pool worker for a raw frame (single-transmit or compound),
+    /// one task per schedule tile for a post-processed one.
     pub fn task_count(&self) -> usize {
         self.tile_states.len()
     }
@@ -875,10 +875,10 @@ mod tests {
 
     #[test]
     fn task_shape_follows_the_frame_shape() {
-        // A single-transmit raw frame runs as two whole-fan depth bands
-        // per pool worker, each re-pointing its slab at every schedule
-        // tile; compound and post-processed frames keep one task per
-        // schedule tile over every nappe.
+        // A raw frame runs as two whole-fan depth bands per pool worker:
+        // a single-transmit band re-points its slab at every schedule
+        // tile, a compound band's slab is the whole fan. A post-processed
+        // frame keeps one task per schedule tile over every nappe.
         let spec = SystemSpec::tiny();
         let n_depth = spec.volume_grid.n_depth();
         let fan = NappeDelays::full(&spec).tile();
@@ -914,11 +914,21 @@ mod tests {
                 next = state.nappes().end;
             }
             assert_eq!(next, n_depth);
-            for fan_tiled in [pipe(Beamformer::new(&compound)), pipe(bmode.clone())] {
-                assert_eq!(fan_tiled.task_count(), schedule.n_blocks());
-                for (state, tile) in fan_tiled.tile_states.iter().zip(schedule.tiles()) {
-                    assert_eq!((state.region(), state.nappes()), (tile, 0..n_depth));
-                }
+            let compound = pipe(Beamformer::new(&compound));
+            assert_eq!(compound.tile_count(), schedule.n_blocks());
+            assert_eq!(compound.task_count(), 2 * workers, "{workers} workers");
+            let mut next = 0;
+            for state in &compound.tile_states {
+                assert_eq!(state.region(), fan, "a compound band spans the whole fan");
+                assert_eq!(state.slab.tile(), fan, "its slab holds the whole fan");
+                assert_eq!(state.nappes().start, next, "bands are contiguous");
+                next = state.nappes().end;
+            }
+            assert_eq!(next, n_depth);
+            let fan_tiled = pipe(bmode.clone());
+            assert_eq!(fan_tiled.task_count(), schedule.n_blocks());
+            for (state, tile) in fan_tiled.tile_states.iter().zip(schedule.tiles()) {
+                assert_eq!((state.region(), state.nappes()), (tile, 0..n_depth));
             }
         }
     }

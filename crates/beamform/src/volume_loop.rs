@@ -145,10 +145,17 @@ impl VolumeLoop {
     }
 
     /// Parallel tasks per frame: two whole-fan depth bands per pool
-    /// worker for a single-transmit raw frame, one task per schedule
-    /// tile otherwise.
+    /// worker for a raw frame (single-transmit or compound), one task per
+    /// schedule tile for a post-processed one.
     pub fn task_count(&self) -> usize {
         self.states.len()
+    }
+
+    /// The loop's warm task states, in task order: their regions and
+    /// nappes are the frame's task shape, their values the most recent
+    /// frame's staged output.
+    pub fn tasks(&self) -> &[TileState] {
+        &self.states
     }
 
     /// The beamformer configuration driving the loop.

@@ -433,11 +433,21 @@ proptest! {
         // (voxel, transmit) row, masked ones included, so TABLESTEER's
         // clamp count equals that of per-element `delay_index` queries
         // over every voxel × transmit × active channel (clones start
-        // zeroed).
+        // zeroed). The loop runs the frame as whole-fan depth bands, so
+        // the count is taken through the band shape.
         let oracle = tablesteer.clone();
         let batched = tablesteer.clone();
         let bf = Beamformer::new(&spec).with_apodization(apod);
-        VolumeLoop::with_pool(bf.clone(), global_arc(), &schedule).beamform(&batched, &rf);
+        let mut banded = VolumeLoop::with_pool(bf.clone(), global_arc(), &schedule);
+        let fan = NappeSchedule::fitted(&spec, 1).tiles()[0];
+        let mut next = 0;
+        for task in banded.tasks() {
+            prop_assert_eq!(task.region(), fan, "a band spans the whole fan");
+            prop_assert_eq!(task.nappes().start, next, "bands are contiguous");
+            next = task.nappes().end;
+        }
+        prop_assert_eq!(next, n_depth, "bands cover every nappe");
+        banded.beamform(&batched, &rf);
         let nx = spec.elements.nx();
         for i in 0..spec.volume_grid.voxel_count() {
             let vox = spec.volume_grid.voxel_at(i);

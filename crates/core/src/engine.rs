@@ -3,6 +3,7 @@
 use crate::NappeDelays;
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 use usbf_geometry::{ElementIndex, VoxelIndex};
 
 /// A source of beamforming delays: given a transmit, a focal point and a
@@ -20,13 +21,15 @@ use usbf_geometry::{ElementIndex, VoxelIndex};
 /// plus one batched view of the paper's architecture, per nappe (one
 /// depth step) over a fan tile, for every transmit sequence: the
 /// transmit-invariant receive leg ([`DelayEngine::fill_nappe_rx`]) once
-/// per nappe, then per row and transmit the per-voxel transmit term —
-/// TABLESTEER's `ref + cx + cy` plus `Δtx`. The term is either added
-/// alone ([`DelayEngine::combine_tx_row`], fractional delays) or added
-/// inside the final rounding pass ([`DelayEngine::quantize_tx_row`],
-/// echo-buffer indices).
+/// per nappe, then per transmit the per-voxel transmit term —
+/// TABLESTEER's `ref + cx + cy` plus `Δtx`. The term is either added to
+/// one row alone ([`DelayEngine::combine_tx_row`], fractional delays) or
+/// computed for a whole run of rows in one pass and added inside the
+/// final rounding pass ([`DelayEngine::quantize_tx_run`], echo-buffer
+/// indices). Both take the term from the same per-engine computation, so
+/// a row's term is the same bits whichever method adds it.
 ///
-/// Both row methods are **element-wise**: entry `i` of the output
+/// Both row methods are **element-wise**: entry `i` of a row's output
 /// depends only on `(tx, vox, rx_row[i])`. A consumer may therefore
 /// compact a receive row to the active aperture first and combine only
 /// the entries it keeps.
@@ -66,7 +69,7 @@ pub trait DelayEngine: Sync {
     /// Final rounding stage: echo-buffer index for an already-computed
     /// fractional delay (`floor(x + ½)`, clamped). The scalar
     /// [`DelayEngine::delay_index`] routes through this; the row methods
-    /// [`DelayEngine::quantize_row`] and [`DelayEngine::quantize_tx_row`]
+    /// [`DelayEngine::quantize_row`] and [`DelayEngine::quantize_tx_run`]
     /// must match it bit for bit, rounding telemetry (TABLESTEER's clamp
     /// counter) included.
     fn delay_index_from(&self, samples: f64) -> i64 {
@@ -152,15 +155,100 @@ pub trait DelayEngine: Sync {
     fn combine_tx_row(&self, tx: usize, vox: VoxelIndex, rx_row: &[f64], out: &mut [f64]);
 
     /// [`DelayEngine::combine_tx_row`] and [`DelayEngine::quantize_row`]
-    /// fused into one pass: writes the echo-buffer indices of the
-    /// combined delays, bit-identical to quantizing the combined row —
-    /// rounding telemetry included — without materializing it. This is
-    /// the nearest-interpolation kernel's only rounding call.
+    /// fused over a **run** of consecutive rows of one filled receive-leg
+    /// slab: rows `slots` of `rx`'s tile at its held nappe, for transmit
+    /// `tx`. Every row's transmit term is computed first, in one
+    /// branch-free pass over the run; each row is then rounded with its
+    /// term added in the shared rounding loop. `out` holds one row of
+    /// `width = out.len() / slots.len()` indices per slot, in slot order,
+    /// and row `k` reads the first `width` entries of slab row
+    /// `slots.start + k` — so a consumer that compacted its rows in place
+    /// rounds only the active aperture.
+    ///
+    /// Row `k` is bit-identical to quantizing what
+    /// [`DelayEngine::combine_tx_row`] writes for that row, and rounding
+    /// telemetry (TABLESTEER's clamp counter, TABLEFREE's square-root
+    /// counter) advances by exactly what those per-row calls would add,
+    /// published once per run. This is the nearest-interpolation
+    /// kernel's only rounding call.
     ///
     /// # Panics
     ///
-    /// Implementations panic if `rx_row` and `out` differ in length.
-    fn quantize_tx_row(&self, tx: usize, vox: VoxelIndex, rx_row: &[f64], out: &mut [i32]);
+    /// Panics if `rx` holds no nappe, if `slots` runs past its tile, or
+    /// if `out.len()` is not `slots.len()` rows of at most
+    /// [`NappeDelays::n_elements`] entries.
+    fn quantize_tx_run(&self, tx: usize, rx: &NappeDelays, slots: Range<usize>, out: &mut [i32]);
+}
+
+/// Most rows [`quantize_run`] takes through one term pass: the run's
+/// focal points and terms are staged in on-stack arrays of this length.
+pub(crate) const RUN_PASS: usize = 16;
+
+/// Validates a [`DelayEngine::quantize_tx_run`] call and returns its
+/// shape: the slab's held nappe, its tile and the row width.
+///
+/// # Panics
+///
+/// Same contract as [`DelayEngine::quantize_tx_run`].
+pub(crate) fn run_shape(
+    rx: &NappeDelays,
+    slots: &Range<usize>,
+    out_len: usize,
+) -> (usize, crate::Tile, usize) {
+    let id = rx.nappe().expect("a run reads a filled receive-leg slab");
+    let tile = rx.tile();
+    assert!(
+        slots.start <= slots.end && slots.end <= tile.scanlines(),
+        "run {slots:?} outside the slab's {} rows",
+        tile.scanlines()
+    );
+    let width = out_len.checked_div(slots.len()).unwrap_or(0);
+    assert!(
+        width * slots.len() == out_len && width <= rx.n_elements(),
+        "run output must be {} rows of at most {} entries",
+        slots.len(),
+        rx.n_elements()
+    );
+    (id, tile, width)
+}
+
+/// The shared body of the engines' [`DelayEngine::quantize_tx_run`]: per
+/// pass of up to [`RUN_PASS`] rows, `terms` writes every row's transmit
+/// term from its focal point in one pass, then each row goes through
+/// [`quantize_row_clamped`] with `combine(term, rx)` as its element-wise
+/// combine. Returns the run's clamp count.
+///
+/// # Panics
+///
+/// Same contract as [`DelayEngine::quantize_tx_run`].
+pub(crate) fn quantize_run(
+    echo_len: usize,
+    rx: &NappeDelays,
+    slots: Range<usize>,
+    out: &mut [i32],
+    mut terms: impl FnMut(&[VoxelIndex], &mut [f64]),
+    combine: impl Fn(f64, f64) -> f64,
+) -> u64 {
+    let (id, tile, width) = run_shape(rx, &slots, out.len());
+    let mut voxels = [VoxelIndex::new(0, 0, 0); RUN_PASS];
+    let mut term = [0.0; RUN_PASS];
+    let mut clamps = 0;
+    let mut scanlines = tile.iter_scanlines().skip(slots.start);
+    for first in slots.clone().step_by(RUN_PASS) {
+        let pass = first..(first + RUN_PASS).min(slots.end);
+        let n = pass.len();
+        for (v, (_, it, ip)) in voxels[..n].iter_mut().zip(scanlines.by_ref()) {
+            *v = VoxelIndex::new(it, ip, id);
+        }
+        terms(&voxels[..n], &mut term[..n]);
+        for (&t, slot) in term.iter().zip(pass) {
+            let k = slot - slots.start;
+            let row = &rx.row(slot)[..width];
+            let o = &mut out[k * width..(k + 1) * width];
+            clamps += quantize_row_clamped(echo_len, row, o, |x| combine(t, x));
+        }
+    }
+    clamps
 }
 
 /// The shared branch-free rounding loop behind every row method:
@@ -218,7 +306,8 @@ pub(crate) fn quantize_row_clamped(
 /// the engine and each of `nappes`, the receive-leg fill plus
 /// [`DelayEngine::combine_tx_row`] must reproduce the scalar per-transmit
 /// walk ([`NappeDelays::fill_scalar`]) bit for bit over the whole fan,
-/// and [`DelayEngine::quantize_tx_row`] must equal
+/// and [`DelayEngine::quantize_tx_run`] — over the whole slab in one run
+/// (several term passes) and in runs of 3 rows — must equal
 /// [`DelayEngine::quantize_row`] of each combined row.
 #[cfg(test)]
 pub(crate) fn assert_rx_combine_matches_scalar(
@@ -228,14 +317,23 @@ pub(crate) fn assert_rx_combine_matches_scalar(
 ) {
     let mut rx = NappeDelays::full(spec);
     let mut scalar = NappeDelays::full(spec);
-    let mut combined = vec![0.0; rx.n_elements()];
-    let mut fused = vec![0; rx.n_elements()];
-    let mut quantized = vec![0; rx.n_elements()];
+    let n = rx.n_elements();
+    let rows = rx.scanline_count();
+    let mut combined = vec![0.0; n];
+    let mut whole = vec![0; rows * n];
+    let mut runs = vec![0; rows * n];
+    let mut quantized = vec![0; n];
     for &id in nappes {
         engine.fill_nappe_rx(id, &mut rx);
         assert_eq!(rx.nappe(), Some(id));
         for tx in 0..engine.transmit_count() {
             scalar.fill_scalar(engine, tx, id);
+            engine.quantize_tx_run(tx, &rx, 0..rows, &mut whole);
+            for first in (0..rows).step_by(3) {
+                let run = first..(first + 3).min(rows);
+                let out = &mut runs[first * n..run.end * n];
+                engine.quantize_tx_run(tx, &rx, run, out);
+            }
             for (slot, it, ip) in rx.scanlines() {
                 let vox = VoxelIndex::new(it, ip, id);
                 engine.combine_tx_row(tx, vox, rx.row(slot), &mut combined);
@@ -247,9 +345,15 @@ pub(crate) fn assert_rx_combine_matches_scalar(
                         engine.name()
                     );
                 }
-                engine.quantize_tx_row(tx, vox, rx.row(slot), &mut fused);
                 engine.quantize_row(&combined, &mut quantized);
-                assert_eq!(fused, quantized, "{} tx {tx} nappe {id}", engine.name());
+                let row = slot * n..(slot + 1) * n;
+                assert_eq!(
+                    whole[row.clone()],
+                    quantized,
+                    "{} tx {tx} nappe {id}",
+                    engine.name()
+                );
+                assert_eq!(runs[row], quantized, "{} tx {tx} nappe {id}", engine.name());
             }
         }
     }
@@ -331,8 +435,14 @@ mod tests {
         fn combine_tx_row(&self, _: usize, _: VoxelIndex, rx_row: &[f64], out: &mut [f64]) {
             out.copy_from_slice(rx_row);
         }
-        fn quantize_tx_row(&self, _: usize, _: VoxelIndex, rx_row: &[f64], out: &mut [i32]) {
-            self.quantize_row(rx_row, out);
+        fn quantize_tx_run(
+            &self,
+            _: usize,
+            rx: &NappeDelays,
+            slots: Range<usize>,
+            out: &mut [i32],
+        ) {
+            quantize_run(100, rx, slots, out, |_, t| t.fill(0.0), |_, x| x);
         }
     }
 
@@ -380,6 +490,22 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "run output must be 2 rows")]
+    fn quantize_tx_run_rejects_a_ragged_output() {
+        let spec = usbf_geometry::SystemSpec::tiny();
+        let mut slab = NappeDelays::full(&spec);
+        ConstEngine(0.0).fill_nappe_rx(3, &mut slab);
+        ConstEngine(0.0).quantize_tx_run(0, &slab, 4..6, &mut [0i32; 7]);
+    }
+
+    #[test]
+    #[should_panic(expected = "filled receive-leg slab")]
+    fn quantize_tx_run_needs_a_filled_slab() {
+        let slab = NappeDelays::full(&usbf_geometry::SystemSpec::tiny());
+        ConstEngine(0.0).quantize_tx_run(0, &slab, 0..1, &mut [0i32; 8]);
+    }
+
+    #[test]
     fn fused_rounding_counts_clamps_of_the_combined_value() {
         // The combine runs before the rounding: 60 + 50 overruns a
         // 100-sample window although 60 alone does not.
@@ -419,8 +545,14 @@ mod tests {
                     *o = x + 1.0;
                 }
             }
-            fn quantize_tx_row(&self, _: usize, _: VoxelIndex, rx_row: &[f64], out: &mut [i32]) {
-                quantize_row_clamped(100, rx_row, out, |x| x + 1.0);
+            fn quantize_tx_run(
+                &self,
+                _: usize,
+                rx: &NappeDelays,
+                slots: Range<usize>,
+                out: &mut [i32],
+            ) {
+                quantize_run(100, rx, slots, out, |_, t| t.fill(1.0), |t, x| x + t);
             }
         }
         let spec = usbf_geometry::SystemSpec::tiny();

@@ -1,7 +1,8 @@
 //! The double-precision golden model.
 
 use crate::{DelayEngine, NappeDelays};
-use usbf_geometry::{ElementIndex, SystemSpec, Vec3, VoxelIndex};
+use std::ops::Range;
+use usbf_geometry::{ElementIndex, SystemSpec, TransmitModel, Vec3, VoxelIndex};
 
 /// Exact Eq. 2 evaluation in double precision — the reference every
 /// approximate architecture is compared against ("we compared our
@@ -43,15 +44,35 @@ impl ExactEngine {
         &self.spec
     }
 
-    /// Transmit `tx`'s element-wise combine at focal point `vox`: a
-    /// receive distance to its two-way delay in samples.
+    /// Transmit `tx`'s one-way distance (metres) to each focal point of
+    /// `voxels`, in one pass with the transmit model resolved once — the
+    /// `t` of the row methods' `((t + rx) / c) · fs`, the same expression
+    /// as the scalar [`SystemSpec::transmit_distance`].
+    fn tx_distances(&self, tx: usize, voxels: &[VoxelIndex], out: &mut [f64]) {
+        let grid = &self.spec.volume_grid;
+        let points = voxels.iter().map(|&v| grid.position(v));
+        match &self.spec.transmits[tx] {
+            TransmitModel::PointSource => {
+                let o = self.spec.origin;
+                for (t, s) in out.iter_mut().zip(points) {
+                    *t = s.distance(o);
+                }
+            }
+            TransmitModel::PlaneWave(pw) => {
+                let n = pw.normal();
+                for (t, s) in out.iter_mut().zip(points) {
+                    *t = n.dot(s);
+                }
+            }
+        }
+    }
+
+    /// The element-wise combine: a transmit distance and a receive
+    /// distance to the two-way delay in samples.
     #[inline]
-    fn tx_combine(&self, tx: usize, vox: VoxelIndex) -> impl Fn(f64) -> f64 {
+    fn delay(&self) -> impl Fn(f64, f64) -> f64 {
         let (c, fs) = (self.spec.speed_of_sound, self.spec.sampling_frequency);
-        let t = self
-            .spec
-            .transmit_distance(tx, self.spec.volume_grid.position(vox));
-        move |rx| (t + rx) / c * fs
+        move |t, rx| (t + rx) / c * fs
     }
 }
 
@@ -100,15 +121,19 @@ impl DelayEngine for ExactEngine {
     /// output is bit-identical to [`ExactEngine::delay_samples`].
     fn combine_tx_row(&self, tx: usize, vox: VoxelIndex, rx_row: &[f64], out: &mut [f64]) {
         assert_eq!(rx_row.len(), out.len(), "combine row length mismatch");
-        let delay = self.tx_combine(tx, vox);
+        let mut t = [0.0];
+        self.tx_distances(tx, &[vox], &mut t);
+        let delay = self.delay();
         for (o, &rx) in out.iter_mut().zip(rx_row) {
-            *o = delay(rx);
+            *o = delay(t[0], rx);
         }
     }
 
-    /// The combine inside the shared rounding loop.
-    fn quantize_tx_row(&self, tx: usize, vox: VoxelIndex, rx_row: &[f64], out: &mut [i32]) {
-        crate::engine::quantize_row_clamped(self.echo_len, rx_row, out, self.tx_combine(tx, vox));
+    /// The run's transmit distances in one pass, then the combine inside
+    /// the shared rounding loop.
+    fn quantize_tx_run(&self, tx: usize, rx: &NappeDelays, slots: Range<usize>, out: &mut [i32]) {
+        let terms = |voxels: &[VoxelIndex], t: &mut [f64]| self.tx_distances(tx, voxels, t);
+        crate::engine::quantize_run(self.echo_len, rx, slots, out, terms, self.delay());
     }
 }
 

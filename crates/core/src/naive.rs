@@ -1,6 +1,7 @@
 //! The §II-B baseline: a fully precomputed per-(voxel, element) table.
 
 use crate::{DelayEngine, EngineError, ExactEngine, NappeDelays};
+use std::ops::Range;
 use usbf_geometry::{ElementIndex, SystemSpec, VoxelIndex};
 
 /// The naive architecture the paper rules out: every delay index
@@ -142,15 +143,20 @@ impl DelayEngine for NaiveTableEngine {
         }
     }
 
-    /// The table read inside the shared rounding loop. The stored indices
+    /// The table read inside the shared rounding loop, one stored row
+    /// per run row — the naive table's transmit terms. The stored indices
     /// are already integral and in-window, but the arithmetic stays the
     /// shared rounding stage so the table path cannot drift from
     /// `delay_index_from`.
-    fn quantize_tx_row(&self, tx: usize, vox: VoxelIndex, rx_row: &[f64], out: &mut [i32]) {
-        let row = self.table_row(tx, vox);
-        crate::engine::quantize_row_clamped(self.echo_len, rx_row, out, |j| {
-            f64::from(row[j as usize])
-        });
+    fn quantize_tx_run(&self, tx: usize, rx: &NappeDelays, slots: Range<usize>, out: &mut [i32]) {
+        let (id, tile, width) = crate::engine::run_shape(rx, &slots, out.len());
+        for (slot, o) in slots.zip(out.chunks_exact_mut(width.max(1))) {
+            let (it, ip) = tile.scanline_at(slot);
+            let row = self.table_row(tx, VoxelIndex::new(it, ip, id));
+            crate::engine::quantize_row_clamped(self.echo_len, &rx.row(slot)[..width], o, |j| {
+                f64::from(row[j as usize])
+            });
+        }
     }
 }
 

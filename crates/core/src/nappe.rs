@@ -296,7 +296,7 @@ impl NappeDelays {
     /// entry — the bit-exactness oracle for every batched path: each
     /// transmit's receive-leg fill plus
     /// [`combine_tx_row`](crate::DelayEngine::combine_tx_row) (or
-    /// [`quantize_tx_row`](crate::DelayEngine::quantize_tx_row)).
+    /// [`quantize_tx_run`](crate::DelayEngine::quantize_tx_run)).
     pub fn fill_scalar<E: crate::DelayEngine + ?Sized>(
         &mut self,
         engine: &E,

@@ -101,11 +101,19 @@ impl Tile {
     }
 
     /// Iterates `(slot, it, ip)` over the tile in canonical slot order —
-    /// the single source of truth for slab row enumeration.
+    /// the single source of truth for slab row enumeration. The scanline
+    /// steps along φ and wraps to the next θ line, so enumerating a row
+    /// costs no integer division.
     pub fn iter_scanlines(self) -> impl Iterator<Item = (usize, usize, usize)> {
-        let phi_w = self.phi_end - self.phi_start;
-        (0..self.scanlines())
-            .map(move |s| (s, self.theta_start + s / phi_w, self.phi_start + s % phi_w))
+        let (mut it, mut ip) = (self.theta_start, self.phi_start);
+        (0..self.scanlines()).map(move |s| {
+            let at = (s, it, ip);
+            ip += 1;
+            if ip == self.phi_end {
+                (it, ip) = (it + 1, self.phi_start);
+            }
+            at
+        })
     }
 }
 

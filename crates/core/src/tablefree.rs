@@ -1,6 +1,7 @@
 //! TABLEFREE: on-the-fly delay computation (§IV, Fig. 2).
 
 use crate::{DelayEngine, EngineError, NappeDelays};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use usbf_geometry::scan::ScanOrder;
 use usbf_geometry::{ElementIndex, SystemSpec, TransmitModel, VoxelIndex};
@@ -204,10 +205,44 @@ impl TableFreeEngine {
         self.quant.eval(alpha)
     }
 
-    /// The transmit term of transmit `tx` at a focal point, in samples.
-    /// Point sources go through the (approximated or exact) square root;
-    /// plane waves are a **linear projection** `n̂ · S` — no square root at
-    /// all, so the TABLEFREE datapath gets *cheaper* per added CPWC angle.
+    /// The transmit term of transmit `tx` at each focal point of
+    /// `voxels` (at most a run pass of them), in samples, in one pass
+    /// with the transmit model resolved once. Point sources go through
+    /// the square root — the PWL for all the points as one
+    /// [`QuantizedPwl::eval_row`] (bit-identical to a scalar evaluation
+    /// per point), counted with one add, or the exact root; plane waves
+    /// are a **linear projection** `n̂ · S` — no square root at all, so
+    /// the TABLEFREE datapath gets *cheaper* per added CPWC angle.
+    fn tx_terms(&self, tx: usize, voxels: &[VoxelIndex], out: &mut [f64]) {
+        match &self.spec.transmits[tx] {
+            TransmitModel::PointSource => {
+                let mut alpha = [0.0; crate::engine::RUN_PASS];
+                let alpha = &mut alpha[..voxels.len()];
+                for (a, &v) in alpha.iter_mut().zip(voxels) {
+                    *a = self.tx_alpha(v);
+                }
+                if self.config.exact_transmit {
+                    for (t, &a) in out.iter_mut().zip(&*alpha) {
+                        *t = a.sqrt();
+                    }
+                } else {
+                    self.quant.eval_row(alpha, out);
+                    self.sqrt_evals
+                        .0
+                        .fetch_add(voxels.len() as u64, Ordering::Relaxed);
+                }
+            }
+            TransmitModel::PlaneWave(pw) => {
+                let (grid, n) = (&self.spec.volume_grid, pw.normal());
+                for (t, &v) in out.iter_mut().zip(voxels) {
+                    *t = n.dot(grid.position(v)) * self.samples_per_metre;
+                }
+            }
+        }
+    }
+
+    /// The transmit term of transmit `tx` at one focal point — the scalar
+    /// path's: the same arithmetic as [`tx_terms`](Self::tx_terms).
     #[inline]
     fn tx_term(&self, tx: usize, vox: VoxelIndex) -> f64 {
         match &self.spec.transmits[tx] {
@@ -342,17 +377,19 @@ impl DelayEngine for TableFreeEngine {
     /// full row must be combined in **one** call.
     fn combine_tx_row(&self, tx: usize, vox: VoxelIndex, rx_row: &[f64], out: &mut [f64]) {
         assert_eq!(rx_row.len(), out.len(), "combine row length mismatch");
-        let t = self.tx_term(tx, vox);
+        let mut t = [0.0];
+        self.tx_terms(tx, &[vox], &mut t);
         for (o, &rx) in out.iter_mut().zip(rx_row) {
-            *o = rx + t;
+            *o = rx + t[0];
         }
     }
 
-    /// The `rx + t` combine inside the shared rounding loop, counting the
-    /// transmit root once per call like the combine.
-    fn quantize_tx_row(&self, tx: usize, vox: VoxelIndex, rx_row: &[f64], out: &mut [i32]) {
-        let t = self.tx_term(tx, vox);
-        crate::engine::quantize_row_clamped(self.echo_len, rx_row, out, |rx| rx + t);
+    /// The run's transmit terms in one pass — one counter add for its
+    /// point-source roots — then each row's `rx + t` inside the shared
+    /// rounding loop.
+    fn quantize_tx_run(&self, tx: usize, rx: &NappeDelays, slots: Range<usize>, out: &mut [i32]) {
+        let terms = |voxels: &[VoxelIndex], t: &mut [f64]| self.tx_terms(tx, voxels, t);
+        crate::engine::quantize_run(self.echo_len, rx, slots, out, terms, |t, rx| rx + t);
     }
 }
 

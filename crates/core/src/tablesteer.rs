@@ -1,9 +1,10 @@
 //! TABLESTEER: reference delay table plus fixed-point steering (§V, Fig. 4).
 
 use crate::{DelayEngine, EngineError, NappeDelays};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use usbf_fixed::{Fixed, FixedError, QFormat, RoundingMode};
-use usbf_geometry::{ElementIndex, SystemSpec, VoxelIndex};
+use usbf_geometry::{ElementIndex, SystemSpec, TransmitModel, VoxelIndex};
 use usbf_tables::{fold_coord, ReferenceTable, SteeringTables};
 
 /// Folds an element coordinate into the stored quadrant: identity when the
@@ -373,17 +374,38 @@ impl TableSteerEngine {
         Fixed::saturating_from_f64(delta, self.config.correction_format, RoundingMode::Nearest)
     }
 
-    /// Transmit `tx`'s element-wise combine at focal point `vox`: a
-    /// receive-leg raw sum to its delay in samples, `(rx + Δtx) · res`.
-    #[inline]
-    fn tx_combine(&self, tx: usize, vox: VoxelIndex) -> impl Fn(f64) -> f64 {
-        let SumChain { sh_c2, res, .. } = self.chain;
-        let dtx = (self.dtx_fixed(tx, vox).raw() << sh_c2) as f64;
-        move |rx| (rx + dtx) * res
+    /// The quantized transmit corrections of transmit `tx` at each focal
+    /// point of `voxels`, pre-shifted into the sum chain's raw units —
+    /// `(Δtx_raw << sh_c2)` as an `f64`, the addend of the row methods'
+    /// `(rx + Δtx) · res` — in one pass with the transmit model resolved
+    /// once. A point source's correction is exactly zero (see
+    /// [`dtx_fixed`](Self::dtx_fixed)); a plane wave's is
+    /// `dtx_fixed`'s arithmetic per row.
+    fn dtx_terms(&self, tx: usize, voxels: &[VoxelIndex], out: &mut [f64]) {
+        let TransmitModel::PlaneWave(pw) = &self.spec.transmits[tx] else {
+            out.fill(0.0);
+            return;
+        };
+        let (grid, o, n) = (&self.spec.volume_grid, self.spec.origin, pw.normal());
+        let fmt = self.config.correction_format;
+        let sh = self.chain.sh_c2;
+        for (t, &v) in out.iter_mut().zip(voxels) {
+            let s = grid.position(v);
+            let delta = self.spec.metres_to_samples(n.dot(s) - s.distance(o));
+            *t = (Fixed::saturating_from_f64(delta, fmt, RoundingMode::Nearest).raw() << sh) as f64;
+        }
     }
 
-    /// Adds one row's clamps to the counter: one atomic add per row, none
-    /// for a row without clamps.
+    /// The element-wise combine: a pre-shifted transmit correction and a
+    /// receive-leg raw sum to the delay in samples, `(rx + Δtx) · res`.
+    #[inline]
+    fn delay(&self) -> impl Fn(f64, f64) -> f64 {
+        let res = self.chain.res;
+        move |dtx, rx| (rx + dtx) * res
+    }
+
+    /// Adds one call's clamps to the counter: one atomic add per row or
+    /// run, none for a call without clamps.
     #[inline]
     fn publish_clamps(&self, clamps: u64) {
         if clamps > 0 {
@@ -523,22 +545,27 @@ impl DelayEngine for TableSteerEngine {
     /// is the identical operation on the identical value.
     fn combine_tx_row(&self, tx: usize, vox: VoxelIndex, rx_row: &[f64], out: &mut [f64]) {
         assert_eq!(rx_row.len(), out.len(), "combine row length mismatch");
-        let delay = self.tx_combine(tx, vox);
+        let mut dtx = [0.0];
+        self.dtx_terms(tx, &[vox], &mut dtx);
+        let delay = self.delay();
         for (o, &rx) in out.iter_mut().zip(rx_row) {
-            *o = delay(rx);
+            *o = delay(dtx[0], rx);
         }
     }
 
-    /// The combine inside the shared rounding loop — Fig. 4's rounding
-    /// adders, which add the last correction and round in one stage —
-    /// publishing the row's clamps like [`DelayEngine::quantize_row`].
-    fn quantize_tx_row(&self, tx: usize, vox: VoxelIndex, rx_row: &[f64], out: &mut [i32]) {
-        let delay = self.tx_combine(tx, vox);
-        self.publish_clamps(crate::engine::quantize_row_clamped(
+    /// The run's Δtx registers in one pass, then each row's combine
+    /// inside the shared rounding loop — Fig. 4's rounding adders, which
+    /// add the last correction and round in one stage — publishing the
+    /// whole run's clamps with one atomic add.
+    fn quantize_tx_run(&self, tx: usize, rx: &NappeDelays, slots: Range<usize>, out: &mut [i32]) {
+        let terms = |voxels: &[VoxelIndex], t: &mut [f64]| self.dtx_terms(tx, voxels, t);
+        self.publish_clamps(crate::engine::quantize_run(
             self.echo_len,
-            rx_row,
+            rx,
+            slots,
             out,
-            delay,
+            terms,
+            self.delay(),
         ));
     }
 }
@@ -857,6 +884,47 @@ mod tests {
                 EngineError::Fixed(FixedError::Overflow { format: f3 }),
                 "u{int_bits}.4 reference"
             );
+        }
+    }
+
+    #[test]
+    fn quantized_tables_are_the_exp2_scaled_roundings() {
+        // `Fixed::from_f64` and `saturating_from_f64` scale by a power of
+        // two built from exponent bits rather than libm `exp2`: every
+        // stored reference delay and y-correction register must still be
+        // the raw integer the `exp2` scaling rounds to, for all three
+        // configurations, folded and unfolded.
+        let base = SystemSpec::tiny();
+        let off_axis = SystemSpec::new(
+            base.speed_of_sound,
+            base.sampling_frequency,
+            base.transducer.clone(),
+            base.volume.clone(),
+            usbf_geometry::Vec3::new(1.0e-3, -0.5e-3, 0.0),
+            base.frame_rate,
+        );
+        for spec in [SystemSpec::tiny(), off_axis, SystemSpec::reduced()] {
+            for config in [
+                TableSteerConfig::bits18(),
+                TableSteerConfig::bits14(),
+                TableSteerConfig::int13(),
+            ] {
+                let ts = TableSteerEngine::new(&spec, config).unwrap();
+                let scaled = |x: f64, fmt: QFormat| x * (fmt.frac_bits() as f64).exp2();
+                let reference = (0..ts.reference.n_depth()).flat_map(|id| ts.reference.slice(id));
+                let fmt = config.reference_format;
+                assert_eq!(ts.ref_fixed.len(), reference.clone().count());
+                for (q, &v) in ts.ref_fixed.iter().zip(reference) {
+                    assert_eq!(q.raw(), scaled(v, fmt).round() as i64, "reference {v}");
+                }
+                let fmt = config.correction_format;
+                let ny = spec.elements.ny();
+                for (i, q) in ts.cy_fixed.iter().enumerate() {
+                    let v = -ts.steering.y_term_samples(i % ny, i / ny);
+                    let raw = (scaled(v, fmt).round() as i64).clamp(fmt.min_raw(), fmt.max_raw());
+                    assert_eq!(q.raw(), raw, "y-correction {v}");
+                }
+            }
         }
     }
 

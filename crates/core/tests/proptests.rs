@@ -1,6 +1,7 @@
 //! Property-based invariants of the delay engines.
 
 use proptest::prelude::*;
+use usbf_core::stats::SampleErrorStats;
 use usbf_core::{
     DelayEngine, ExactEngine, NaiveTableEngine, NappeDelays, NappeSchedule, TableFreeConfig,
     TableFreeEngine, TableSteerConfig, TableSteerEngine, Tile,
@@ -8,7 +9,7 @@ use usbf_core::{
 use usbf_geometry::{
     SystemSpec, TransducerSpec, TransmitModel, Vec3, VolumeSpec, VoxelIndex, SPEED_OF_SOUND,
 };
-use usbf_tables::error::theoretical_bound_seconds;
+use usbf_tables::error::{steering_error_samples, theoretical_bound_seconds};
 
 use std::sync::OnceLock;
 
@@ -87,6 +88,74 @@ fn random_transmits(n_tx: usize, kinds: usize, a: usize, b: usize) -> Vec<Transm
             }
         })
         .collect()
+}
+
+/// A narrow CPWC cone over a random tiny geometry: half-angles of 2° to
+/// 8° and 40λ to 80λ deep from `(a, b)`, where steered plane-wave
+/// footprints cover the grid (under the stock ±36.5° cone most voxels
+/// back-project outside a tiny aperture).
+fn random_cpwc_spec(
+    nx: usize,
+    ny: usize,
+    n_theta: usize,
+    n_phi: usize,
+    n_depth: usize,
+    origin: Vec3,
+    (a, b): (usize, usize),
+) -> SystemSpec {
+    let wide = random_spec(nx, ny, n_theta, n_phi, n_depth, origin);
+    let lambda = wide.wavelength();
+    SystemSpec::new(
+        wide.speed_of_sound,
+        wide.sampling_frequency,
+        wide.transducer.clone(),
+        VolumeSpec {
+            theta_max: usbf_geometry::deg(2.0 + (a % 7) as f64),
+            phi_max: usbf_geometry::deg(2.0 + (b % 7) as f64),
+            depth_max: (40 + (a / 7) % 41) as f64 * lambda,
+            ..wide.volume.clone()
+        },
+        origin,
+        wide.frame_rate,
+    )
+}
+
+/// `SampleErrorStats` of `engine`'s batched delay rows against EXACT's,
+/// over every (transmit, voxel, element) of `spec`: per nappe the
+/// receive-leg fill, then one `combine_tx_row` per row and transmit —
+/// the rows the tile kernel rounds.
+fn row_error_stats(
+    engine: &dyn DelayEngine,
+    exact: &ExactEngine,
+    spec: &SystemSpec,
+) -> SampleErrorStats {
+    let mut rx = NappeDelays::full(spec);
+    let mut rx_exact = NappeDelays::full(spec);
+    let n = rx.n_elements();
+    let (mut row, mut row_exact) = (vec![0.0; n], vec![0.0; n]);
+    let (mut count, mut sum, mut max) = (0u64, 0.0, 0.0f64);
+    for id in 0..spec.volume_grid.n_depth() {
+        engine.fill_nappe_rx(id, &mut rx);
+        exact.fill_nappe_rx(id, &mut rx_exact);
+        for tx in 0..spec.n_transmits() {
+            for (slot, it, ip) in rx.scanlines() {
+                let vox = VoxelIndex::new(it, ip, id);
+                engine.combine_tx_row(tx, vox, rx.row(slot), &mut row);
+                exact.combine_tx_row(tx, vox, rx_exact.row(slot), &mut row_exact);
+                for (a, b) in row.iter().zip(&row_exact) {
+                    let d = (a - b).abs();
+                    count += 1;
+                    sum += d;
+                    max = max.max(d);
+                }
+            }
+        }
+    }
+    SampleErrorStats {
+        count,
+        mean_abs: sum / count as f64,
+        max_abs: max,
+    }
 }
 
 /// A random fan tile: `(a, b)` picks start/width within `n` lines.
@@ -222,6 +291,82 @@ proptest! {
         let e = f.spec.elements.element_at(e_pick % f.spec.elements.count());
         let err = (f.tablesteer.delay_samples(0, vox, e) - f.exact.delay_samples(0, vox, e)).abs();
         prop_assert!(err <= f.bound_samples + 1.0, "err = {} bound = {}", err, f.bound_samples);
+    }
+
+    #[test]
+    fn steered_plane_wave_rows_stay_within_format_bounds_of_exact(
+        nx in 2usize..7,
+        ny in 2usize..7,
+        n_theta in 2usize..7,
+        n_phi in 2usize..7,
+        n_depth in 4usize..10,
+        cone in (0usize..1000, 0usize..1000),
+        origin_pick in 0usize..1000,
+        config_pick in 0usize..3,
+        n_tx in 1usize..6,
+        angle_a in 0usize..1000,
+        angle_b in 0usize..1000,
+    ) {
+        // Accuracy of the compound rows against EXACT, on random steered
+        // plane-wave sequences (±12°) over random narrow CPWC cones. Each
+        // engine's plane-wave transmit leg is exact up to one
+        // quantization, so its error budget is its point-source budget
+        // plus that quantization:
+        // * TABLESTEER: the largest Taylor error of the steered reference
+        //   over the grid (`steering_error_samples`, in double precision:
+        //   the error its point-source rows already carry), plus ½ LSB of
+        //   the reference and ½ LSB for each of cx, cy and the folded Δtx
+        //   register — the mean likewise;
+        // * TABLEFREE: the n̂ · S projection is exact, so only the receive
+        //   root errs — δ of the PWL, its coefficient and output LSBs
+        //   (`quantization_error_bound`), ½ LSB of the argument register
+        //   times the root's steepest slope `1 / (2√α_lo)`, and ½ LSB of
+        //   the multiplier register.
+        let origin = random_origin(origin_pick);
+        let spec = random_cpwc_spec(nx, ny, n_theta, n_phi, n_depth, origin, cone)
+            .with_transmits(random_transmits(n_tx, usize::MAX, angle_a, angle_b));
+        let exact = ExactEngine::new(&spec);
+        let slop = 1e-9;
+        let config = random_tablesteer_config(config_pick);
+        let tablesteer = TableSteerEngine::new(&spec, config).expect("builds");
+        let (r, c) = (config.reference_format.resolution(), config.correction_format.resolution());
+        let quantization = r / 2.0 + 3.0 * c / 2.0 + slop;
+        let (reference, steering) = (tablesteer.reference(), tablesteer.steering());
+        let mut taylor = Vec::new();
+        for i in 0..spec.volume_grid.voxel_count() {
+            let vox = spec.volume_grid.voxel_at(i);
+            for e in spec.elements.iter() {
+                taylor.push(steering_error_samples(&spec, reference, steering, vox, e).abs());
+            }
+        }
+        let taylor_max = taylor.iter().copied().fold(0.0, f64::max);
+        let taylor_mean = taylor.iter().sum::<f64>() / taylor.len() as f64;
+        let ts = row_error_stats(&tablesteer, &exact, &spec);
+        prop_assert!(
+            ts.max_abs <= taylor_max + quantization,
+            "TABLESTEER {:?}: max {} > {} + {} ({:?})", config, ts.max_abs, taylor_max, quantization, ts
+        );
+        prop_assert!(
+            ts.mean_abs <= taylor_mean + quantization,
+            "TABLESTEER {:?}: mean {} > {} + {}", config, ts.mean_abs, taylor_mean, quantization
+        );
+        let tablefree = TableFreeEngine::new(&spec, TableFreeConfig::paper()).expect("builds");
+        let q = tablefree.quantized();
+        let f = q.formats();
+        let (alpha_lo, _) = TableFreeEngine::sqrt_domain(&spec);
+        let free_bound = tablefree.config().delta
+            + q.quantization_error_bound()
+            + f.argument.resolution() / 2.0 / (2.0 * alpha_lo.sqrt())
+            + f.accumulator.resolution() / 2.0
+            + slop;
+        let tf = row_error_stats(&tablefree, &exact, &spec);
+        prop_assert!(
+            tf.max_abs <= free_bound,
+            "TABLEFREE: max {} > {} ({:?})", tf.max_abs, free_bound, tf
+        );
+        let every = (spec.volume_grid.voxel_count() * spec.elements.count() * n_tx) as u64;
+        prop_assert_eq!((ts.count, tf.count), (every, every));
+        prop_assert!(ts.mean_abs <= ts.max_abs && tf.mean_abs <= tf.max_abs);
     }
 
     #[test]
@@ -372,12 +517,13 @@ proptest! {
         runs_seed in any::<u64>(),
     ) {
         // The contract the tile kernel compacts under: each entry of
-        // `combine_tx_row` / `quantize_tx_row` depends only on its own
+        // `combine_tx_row` / `quantize_tx_run` depends only on its own
         // receive entry. Combining a receive row compacted to random
         // runs of active elements must equal compacting the full
         // combined row, bit for bit, on every transmit; the fused
-        // rounding must equal `quantize_row` of that row, TABLESTEER's
-        // clamp count included.
+        // rounding of a run of rows compacted in place must equal
+        // `quantize_row` of each such row, TABLESTEER's clamp count
+        // included.
         let transmits = random_transmits(n_tx, kinds, angle_a, angle_b);
         let origin = random_origin(origin_pick);
         let spec =
@@ -414,11 +560,18 @@ proptest! {
         for (fused, split) in pairs {
             let mut rx = NappeDelays::full(&spec);
             fused.fill_nappe_rx(nappe, &mut rx);
+            let mut compacted = rx.clone();
+            for slot in 0..rx.scanline_count() {
+                let row = compact(rx.row(slot));
+                compacted.row_mut(slot)[..active].copy_from_slice(&row);
+            }
+            let rows = rx.scanline_count();
             let mut full = vec![0.0; n_elements];
             let mut combined = vec![0.0; active];
-            let mut indices = vec![0i32; active];
+            let mut run = vec![0i32; rows * active];
             let mut expected = vec![0i32; active];
             for tx in 0..n_tx {
+                fused.quantize_tx_run(tx, &compacted, 0..rows, &mut run);
                 for (slot, it, ip) in rx.scanlines() {
                     let vox = VoxelIndex::new(it, ip, nappe);
                     let rx_active = compact(rx.row(slot));
@@ -429,10 +582,9 @@ proptest! {
                         bits(&combined), bits(&compact(&full)),
                         "{} tx {}/{} slot {} channels {:?}", fused.name(), tx, n_tx, slot, channels
                     );
-                    fused.quantize_tx_row(tx, vox, &rx_active, &mut indices);
                     split.quantize_row(&compact(&full), &mut expected);
                     prop_assert_eq!(
-                        &indices, &expected,
+                        &run[slot * active..(slot + 1) * active], &expected[..],
                         "{} tx {}/{} slot {} channels {:?}", fused.name(), tx, n_tx, slot, channels
                     );
                 }

@@ -139,6 +139,17 @@ impl QFormat {
         }
     }
 
+    /// Raw units per unit value, `2^frac_bits`: the factor a real value
+    /// is scaled by before it is rounded onto the format's grid.
+    #[inline]
+    pub fn scale(&self) -> f64 {
+        // Assembled from the exponent field like `resolution`: the
+        // constructors keep `frac_bits ≤ 62`, so 2^n is a normal f64 and
+        // equals `(n as f64).exp2()` exactly — without the libm call
+        // that sat under every `Fixed::from_f64` conversion.
+        f64::from_bits(u64::from(1023 + self.frac_bits) << 52)
+    }
+
     /// Largest representable raw integer.
     #[inline]
     pub const fn max_raw(&self) -> i64 {
@@ -221,6 +232,17 @@ mod tests {
         assert_eq!(QFormat::REF_18.resolution(), 1.0 / 32.0);
         assert_eq!(QFormat::CORR_18.resolution(), 1.0 / 16.0);
         assert_eq!(QFormat::INT_13.resolution(), 1.0);
+    }
+
+    #[test]
+    fn scale_is_the_exact_power_of_two_for_every_admitted_format() {
+        // Every fractional width a format admits: 0 ..= 62 (unsigned with
+        // no integer bits; a zero-width format needs one integer bit).
+        for n in 0..=62 {
+            let f = QFormat::unsigned(u32::from(n == 0), n);
+            assert_eq!(f.scale().to_bits(), (n as f64).exp2().to_bits(), "{f}");
+            assert_eq!(f.scale() * f.resolution(), 1.0, "{f}");
+        }
     }
 
     #[test]

@@ -114,7 +114,7 @@ impl Fixed {
         if !x.is_finite() {
             return Err(FixedError::NotFinite);
         }
-        let scaled = mode.apply(x * (format.frac_bits() as f64).exp2());
+        let scaled = mode.apply(x * format.scale());
         if scaled < format.min_raw() as f64 || scaled > format.max_raw() as f64 {
             return Err(FixedError::Overflow { format });
         }
@@ -130,9 +130,10 @@ impl Fixed {
     /// # Panics
     ///
     /// Panics if `x` is NaN.
+    #[inline]
     pub fn saturating_from_f64(x: f64, format: QFormat, mode: RoundingMode) -> Self {
         assert!(!x.is_nan(), "cannot quantize NaN");
-        let scaled = mode.apply(x * (format.frac_bits() as f64).exp2());
+        let scaled = mode.apply(x * format.scale());
         let raw = if scaled <= format.min_raw() as f64 {
             format.min_raw()
         } else if scaled >= format.max_raw() as f64 {

@@ -1,15 +1,16 @@
 //! Coherent plane-wave compounding demo: a 16-angle steered fan
 //! acquired and beamformed as ONE compound frame through the warm
 //! `FramePipeline`, with the tile kernel's delay-generation stages (the
-//! transmit-invariant receive leg vs the per-transmit combine fused into
-//! rounding vs the gather/MAC back end) timed individually on one tile.
+//! transmit-invariant receive leg vs the per-run transmit terms fused
+//! into rounding vs the gather/MAC back end) timed individually on one
+//! whole-fan task, the shape a compound frame's depth bands run as.
 //!
 //! Run with: `cargo run --release --example cpwc_compound`
 
 use std::sync::Arc;
 use std::time::Instant;
 use usbf::beamform::{Beamformer, FramePipeline, FrameRing, TileState};
-use usbf::core::{DelayEngine, ExactEngine, NappeDelays, NappeSchedule};
+use usbf::core::{DelayEngine, ExactEngine, NappeDelays};
 use usbf::geometry::{deg, SystemSpec, TransmitModel, VolumeSpec, VoxelIndex};
 use usbf::sim::{EchoSynthesizer, Phantom, Pulse};
 
@@ -64,18 +65,21 @@ fn main() {
         grid.voxel_count()
     );
 
-    // --- Per-stage split on one tile, single-threaded: peel the
-    // compound kernel apart through the public engine API. The receive
-    // leg is filled ONCE per nappe regardless of the angle count; only
-    // the fused combine + rounding and the gather/MAC scale with N. ---
+    // --- Per-stage split on one whole-fan task over every nappe,
+    // single-threaded: peel the compound kernel apart through the public
+    // engine API. The receive leg is filled ONCE per nappe regardless of
+    // the angle count; only the fused transmit terms + rounding and the
+    // gather/MAC scale with N. ---
     let bf = Beamformer::new(&spec);
-    let tile = NappeSchedule::fitted(&spec, 16).tiles()[5];
+    let mut slab = NappeDelays::full(&spec);
+    let fan = slab.tile();
     let n_depth = grid.n_depth();
     let n_tx = spec.n_transmits();
     let channels = bf.aperture().channels();
-    let mut slab = NappeDelays::for_tile(&spec, tile);
-    let mut rx_active = vec![0.0; channels.len()];
-    let mut indices = vec![0i32; channels.len()];
+    let active = channels.len();
+    // The kernel's run: one group of 16 rows of nearest-fetch indices.
+    const RUN: usize = 16;
+    let mut indices = vec![0i32; RUN * active];
     let budget = 0.2;
     let fill_s = time_mean(budget, || {
         for id in 0..n_depth {
@@ -83,25 +87,30 @@ fn main() {
         }
         std::hint::black_box(slab.samples()[0]);
     });
-    // Mirror the kernel: every (voxel, transmit) row, masked or not, is
-    // compacted to the active aperture and quantized with its transmit
-    // term added in the same pass.
+    // Mirror the kernel: every row of the nappe, masked or not, is
+    // compacted in place to the active aperture, then each transmit's
+    // terms are computed a run of rows at a time and added in the same
+    // pass that rounds them.
     let fill_quantize_s = time_mean(budget, || {
         for id in 0..n_depth {
             engine.fill_nappe_rx(id, &mut slab);
-            for (slot, it, ip) in tile.iter_scanlines() {
-                let vox = VoxelIndex::new(it, ip, id);
-                for (a, &c) in rx_active.iter_mut().zip(channels) {
-                    *a = slab.row(slot)[c as usize];
+            for slot in 0..fan.scanlines() {
+                let row = slab.row_mut(slot);
+                for (k, &c) in channels.iter().enumerate() {
+                    row[k] = row[c as usize];
                 }
-                for tx in 0..n_tx {
-                    engine.quantize_tx_row(tx, vox, &rx_active, &mut indices);
+            }
+            for tx in 0..n_tx {
+                for first in (0..fan.scanlines()).step_by(RUN) {
+                    let run = first..(first + RUN).min(fan.scanlines());
+                    let out = &mut indices[..run.len() * active];
+                    engine.quantize_tx_run(tx, &slab, run, out);
                 }
             }
         }
         std::hint::black_box(indices[0]);
     });
-    let mut state = TileState::new(&bf, tile);
+    let mut state = TileState::band(&bf, &[fan], 0..n_depth);
     let total_s = time_mean(budget, || {
         bf.beamform_tile_into(&engine, &rf, &mut state);
         std::hint::black_box(state.values()[0]);
@@ -109,12 +118,12 @@ fn main() {
     let quantize_s = (fill_quantize_s - fill_s).max(0.0);
     let back_end_s = (total_s - fill_quantize_s).max(0.0);
     println!(
-        "per-stage split on one tile ({} voxels, {N_ANGLES} transmits):",
-        tile.scanlines() * n_depth
+        "per-stage split on one whole-fan task ({} voxels, {N_ANGLES} transmits):",
+        fan.scanlines() * n_depth
     );
     for (stage, s) in [
         ("rx-leg slab fill (once per nappe)", fill_s),
-        ("combine + rounding (xN angles)", quantize_s),
+        ("run terms + rounding (xN angles)", quantize_s),
         ("gather + MAC (xN)", back_end_s),
         ("total tile kernel", total_s),
     ] {

@@ -136,8 +136,8 @@ impl FaultyEngine {
 }
 
 /// Every delay path faults when armed: the scalar queries, the
-/// receive-leg fill every frame takes, and the per-row combine and fused
-/// rounding.
+/// receive-leg fill every frame takes, the per-row combine and the
+/// fused rounding of a run of rows.
 impl DelayEngine for FaultyEngine {
     fn name(&self) -> &'static str {
         "FAULTY"
@@ -160,9 +160,15 @@ impl DelayEngine for FaultyEngine {
         self.fault_if_armed();
         self.inner.combine_tx_row(tx, vox, rx_row, out);
     }
-    fn quantize_tx_row(&self, tx: usize, vox: VoxelIndex, rx_row: &[f64], out: &mut [i32]) {
+    fn quantize_tx_run(
+        &self,
+        tx: usize,
+        rx: &NappeDelays,
+        slots: std::ops::Range<usize>,
+        out: &mut [i32],
+    ) {
         self.fault_if_armed();
-        self.inner.quantize_tx_row(tx, vox, rx_row, out);
+        self.inner.quantize_tx_run(tx, rx, slots, out);
     }
 }
 
