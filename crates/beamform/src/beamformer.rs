@@ -17,6 +17,7 @@
 //! the executed path for scanline-by-scanline traversal).
 
 use crate::postproc::{PostChain, PostScratch};
+use crate::simd::{Avx2, MAC_CHANNELS};
 use crate::{ActiveAperture, Apodization, BeamformedVolume};
 use std::ops::Range;
 use usbf_core::{DelayEngine, NappeDelays, NappeSchedule, Tile};
@@ -360,8 +361,32 @@ trait Fetch: Copy {
     /// Moves staged rows (`[row][active]`, at most [`GROUP`](Self::GROUP)
     /// of them) into one group of the block (`[channel][row-in-group]`,
     /// one line per channel), widening each channel's `lows`/`highs`
-    /// read window to cover the rows' indices.
-    fn transpose(staging: &[Self], group: &mut [Self], lows: &mut [i32], highs: &mut [i32]);
+    /// read window to cover the rows' indices — with AVX2 where `isa`
+    /// has it and the mode has a vector pack.
+    fn transpose(
+        isa: Option<Avx2>,
+        staging: &[Self],
+        group: &mut [Self],
+        lows: &mut [i32],
+        highs: &mut [i32],
+    );
+
+    /// Adds [`MAC_CHANNELS`] channels' terms, in channel order, into
+    /// `acc` (whole groups of rows; `lines` starts at the first channel's
+    /// line of group 0, `active` lines per group) with the AVX2 MAC,
+    /// returning `false` — having added nothing — where the mode has
+    /// none.
+    #[inline]
+    fn mac4(
+        _avx2: Avx2,
+        _lines: &[Self],
+        _active: usize,
+        _traces: [usbf_sim::Trace<'_>; MAC_CHANNELS],
+        _weights: [f64; MAC_CHANNELS],
+        _acc: &mut [f64],
+    ) -> bool {
+        false
+    }
 }
 
 impl Fetch for i32 {
@@ -392,8 +417,34 @@ impl Fetch for i32 {
         self
     }
 
-    fn transpose(staging: &[i32], group: &mut [i32], lows: &mut [i32], highs: &mut [i32]) {
-        transpose_group::<i32, 16>(staging, group, lows, highs);
+    /// A full group's leading 16-channel squares take the AVX2 pack; a
+    /// partial group and the last `active % 16` channels the scalar one.
+    fn transpose(
+        isa: Option<Avx2>,
+        staging: &[i32],
+        group: &mut [i32],
+        lows: &mut [i32],
+        highs: &mut [i32],
+    ) {
+        let done = match isa {
+            Some(avx2) if staging.len() == group.len() => avx2.pack(staging, group, lows, highs),
+            _ => 0,
+        };
+        transpose_group::<i32, 16>(staging, group, lows, highs, done / 16);
+    }
+
+    /// The masked-gather MAC, reading each trace with its pad sample.
+    #[inline]
+    fn mac4(
+        avx2: Avx2,
+        lines: &[i32],
+        active: usize,
+        traces: [usbf_sim::Trace<'_>; MAC_CHANNELS],
+        weights: [f64; MAC_CHANNELS],
+        acc: &mut [f64],
+    ) -> bool {
+        avx2.mac4(lines, active, traces.map(|t| t.raw_padded()), weights, acc);
+        true
     }
 }
 
@@ -410,9 +461,8 @@ impl Fetch for f64 {
     ) {
         let active = out.len() / slots.len();
         let id = slab.nappe().expect("the kernel packs filled slabs");
-        let tile = slab.tile();
-        for (k, slot) in slots.enumerate() {
-            let (it, ip) = tile.scanline_at(slot);
+        let scanlines = slab.tile().iter_scanlines().skip(slots.start);
+        for (k, (slot, (_, it, ip))) in slots.zip(scanlines).enumerate() {
             let vox = VoxelIndex::new(it, ip, id);
             let out = &mut out[k * active..(k + 1) * active];
             engine.combine_tx_row(tx, vox, &slab.row(slot)[..active], out);
@@ -439,8 +489,14 @@ impl Fetch for f64 {
         self as i32
     }
 
-    fn transpose(staging: &[f64], group: &mut [f64], lows: &mut [i32], highs: &mut [i32]) {
-        transpose_group::<f64, 8>(staging, group, lows, highs);
+    fn transpose(
+        _isa: Option<Avx2>,
+        staging: &[f64],
+        group: &mut [f64],
+        lows: &mut [i32],
+        highs: &mut [i32],
+    ) {
+        transpose_group::<f64, 8>(staging, group, lows, highs, 0);
     }
 }
 
@@ -464,6 +520,8 @@ struct Block<'a, T> {
     live: &'a mut [u32],
     /// Packed (live) rows so far.
     len: usize,
+    /// The vector stages this CPU has.
+    isa: Option<Avx2>,
 }
 
 impl<T: Fetch> Block<'_, T> {
@@ -528,22 +586,24 @@ impl<T: Fetch> Block<'_, T> {
             highs.fill(i32::MIN);
         }
         let group = &mut self.rows[g * size..(g + 1) * size];
-        T::transpose(&self.staging[..rows * active], group, lows, highs);
+        T::transpose(self.isa, &self.staging[..rows * active], group, lows, highs);
     }
 }
 
-/// [`Fetch::transpose`] for a group of `N` rows (`N` = the type's
-/// [`Fetch::GROUP`]). The group is written one `N × N` square at a time
-/// — `N` channels × the staged rows — so the staging lines read and the
-/// block lines written stay in L1, and with `N` a constant the square's
-/// loops unroll and the window updates run across its channels as vector
-/// min/max.
+/// The scalar [`Fetch::transpose`] for a group of `N` rows (`N` = the
+/// type's [`Fetch::GROUP`]), from square `first` on: the squares before
+/// it are already written. The group is written one `N × N` square at a
+/// time — `N` channels × the staged rows — so the staging lines read and
+/// the block lines written stay in L1, and with `N` a constant the
+/// square's loops unroll and the window updates run across its channels
+/// as vector min/max.
 #[inline]
 fn transpose_group<T: Fetch, const N: usize>(
     staging: &[T],
     group: &mut [T],
     lows: &mut [i32],
     highs: &mut [i32],
+    first: usize,
 ) {
     debug_assert_eq!(N, T::GROUP);
     let active = lows.len();
@@ -551,7 +611,7 @@ fn transpose_group<T: Fetch, const N: usize>(
     let squares = lines
         .chunks_mut(N)
         .zip(lows.chunks_mut(N).zip(highs.chunks_mut(N)));
-    for (c, (square, (lo, hi))) in squares.enumerate() {
+    for (c, (square, (lo, hi))) in squares.enumerate().skip(first) {
         let width = lo.len();
         let rows = staging
             .chunks_exact(active)
@@ -581,6 +641,42 @@ fn transpose_group<T: Fetch, const N: usize>(
             }
         }
     }
+}
+
+/// The scalar pack of the nearest kernel: `transpose_group` over a
+/// staged group of up to 16 rows (`[row][active]`) into one block group
+/// (`[channel][row-in-group]`), widening the `lows`/`highs` windows —
+/// what [`Avx2::pack`] does for a full group's leading 16-channel
+/// squares.
+pub fn pack_group_scalar(staging: &[i32], group: &mut [i32], lows: &mut [i32], highs: &mut [i32]) {
+    transpose_group::<i32, 16>(staging, group, lows, highs, 0);
+}
+
+/// Adds one channel's `w · raw[entry]` into `acc`: accumulator `r` takes
+/// entry `r % GROUP` of the channel's line in group `r / GROUP`, with
+/// `lines` starting at the channel's line of group 0 and `active` lines
+/// per group. A short last chunk of `acc` reads the front of its line.
+#[inline]
+fn mac_channel<T: Fetch>(lines: &[T], active: usize, trace: &[i16], w: f64, acc: &mut [f64]) {
+    let mut lines = lines.chunks(T::GROUP).step_by(active);
+    let mut accs = acc.chunks_exact_mut(T::GROUP);
+    for (accs, line) in accs.by_ref().zip(lines.by_ref()) {
+        for (a, &at) in accs.iter_mut().zip(line) {
+            *a += w * T::read(trace, at);
+        }
+    }
+    if let Some(line) = lines.next() {
+        for (a, &at) in accs.into_remainder().iter_mut().zip(line) {
+            *a += w * T::read(trace, at);
+        }
+    }
+}
+
+/// The scalar MAC of the nearest kernel for one channel (`mac_channel`
+/// on `i32` entries): what [`Avx2::mac4`] does for four channels at a
+/// time.
+pub fn mac_channel_scalar(lines: &[i32], active: usize, trace: &[i16], w: f64, acc: &mut [f64]) {
+    mac_channel(lines, active, trace, w, acc);
 }
 
 /// The kernel's row-sized scratch, borrowed out of a [`TileState`].
@@ -990,7 +1086,11 @@ impl Beamformer {
     ///    lowest index of its rows to the highest, tracked during the
     ///    transposes — is prefetched, so the trace 128 KB away (at 8192
     ///    two-byte samples per trace) is in flight while this channel
-    ///    sums.
+    ///    sums. On a CPU with AVX2 ([`Avx2::detect`], once per task) the
+    ///    nearest kernel packs a full group's whole 16-channel squares
+    ///    with vector shuffles ([`Avx2::pack`]) and sums the full groups
+    ///    four channels at a time with masked gathers ([`Avx2::mac4`]);
+    ///    the scalar loops take the rest, in the same order per row.
     /// 4. Each live voxel adds `m · (scale · acc[r])`, the frame's scale
     ///    applied once per (voxel, transmit) exactly as the scalar walk
     ///    applies it to its sum. The zero-weight skip is a
@@ -1025,6 +1125,7 @@ impl Beamformer {
         // then sits on one.
         let aligned = block.as_ptr().align_offset(64);
         let block = &mut block[aligned..];
+        let isa = Avx2::detect();
         values.fill(0.0);
         for (j, id) in nappes.enumerate() {
             for (tx, mask) in tx_weights.chunks_exact(n_values).enumerate() {
@@ -1034,6 +1135,7 @@ impl Beamformer {
                     windows: &mut *windows,
                     live: &mut *live,
                     len: 0,
+                    isa,
                 };
                 for &tile in tiles {
                     if tx == 0 {
@@ -1064,7 +1166,7 @@ impl Beamformer {
                 }
                 let n_live = rows.finish();
                 self.accumulate(
-                    rf, tx, j, band, block, windows, n_live, acc, live, mask, values,
+                    rf, isa, tx, j, band, block, windows, n_live, acc, live, mask, values,
                 );
             }
         }
@@ -1079,6 +1181,7 @@ impl Beamformer {
     fn accumulate<T: Fetch>(
         &self,
         rf: &RfFrame,
+        isa: Option<Avx2>,
         tx: usize,
         j: usize,
         band: usize,
@@ -1101,22 +1204,37 @@ impl Beamformer {
         let acc = &mut acc[..n_live];
         acc.fill(0.0);
         let (full_acc, tail_acc) = acc.split_at_mut(full * group);
-        for (k, (&chan, &w)) in channels.iter().zip(weights).enumerate() {
-            if let Some(&ahead) = channels.get(k + PREFETCH_AHEAD) {
-                let next = k + PREFETCH_AHEAD;
-                rf.prefetch_window_for(tx, ahead, windows[next], windows[active + next]);
-            }
-            let trace = rf.channel_trace_for(tx, chan).raw();
-            let lines = block[k * group..].chunks(group).step_by(active);
-            for (accs, line) in full_acc.chunks_exact_mut(group).zip(lines) {
-                for (a, &at) in accs.iter_mut().zip(line) {
-                    *a += w * T::read(trace, at);
+        let trace = |k: usize| rf.channel_trace_for(tx, channels[k]);
+        for first in (0..active).step_by(MAC_CHANNELS) {
+            let ks = first..(first + MAC_CHANNELS).min(active);
+            for next in ks.clone().map(|k| k + PREFETCH_AHEAD) {
+                if let Some(&ahead) = channels.get(next) {
+                    rf.prefetch_window_for(tx, ahead, windows[next], windows[active + next]);
                 }
             }
-            if !tail_acc.is_empty() {
-                let line = &block[(full * active + k) * group..];
-                for (a, &at) in tail_acc.iter_mut().zip(line) {
-                    *a += w * T::read(trace, at);
+            // Four whole channels over the full groups take the vector MAC
+            // when there is one; the rest, and the partial group's rows,
+            // the scalar channel loop. Either way each row's channels
+            // arrive in ascending order.
+            let vector = match isa {
+                Some(avx2) if ks.len() == MAC_CHANNELS => T::mac4(
+                    avx2,
+                    &block[first * group..],
+                    active,
+                    std::array::from_fn(|c| trace(first + c)),
+                    std::array::from_fn(|c| weights[first + c]),
+                    full_acc,
+                ),
+                _ => false,
+            };
+            for k in ks {
+                let (raw, w) = (trace(k).raw(), weights[k]);
+                if !vector {
+                    mac_channel(&block[k * group..], active, raw, w, full_acc);
+                }
+                if !tail_acc.is_empty() {
+                    let line = &block[(full * active + k) * group..];
+                    mac_channel(line, active, raw, w, tail_acc);
                 }
             }
         }
@@ -1591,6 +1709,116 @@ mod tests {
         }
         assert_eq!(r, 64, "every scanline of the fan is one block row");
         assert_eq!((block.as_ptr() as usize) % 64, 0);
+    }
+
+    /// A deterministic stream of pseudo-random `u64`s (xorshift64*).
+    fn stream(seed: u64) -> impl FnMut() -> u64 {
+        let mut x = seed.max(1);
+        move || {
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            x.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+    }
+
+    #[test]
+    fn avx2_pack_matches_the_scalar_transpose() {
+        // Full and partial staged groups of random indices over 1 to 40
+        // channels (whole 16-channel squares, their tails, and fewer than
+        // one square): the AVX2 path writes the same block lines and
+        // widens the same windows as `transpose_group`, from equal
+        // windows. Without AVX2 there is nothing to compare.
+        let Some(avx2) = Avx2::detect() else {
+            eprintln!("no AVX2 on this CPU: only the scalar pack runs");
+            return;
+        };
+        let mut next = stream(25);
+        for active in 1..=40 {
+            for rows in [16, 1, 7, 15] {
+                let staging: Vec<i32> = (0..rows * active).map(|_| next() as i32).collect();
+                let windows: Vec<i32> = (0..2 * active).map(|_| next() as i32 >> 4).collect();
+                let mut scalar = (vec![-1; 16 * active], windows.clone());
+                let mut vector = scalar.clone();
+                {
+                    let (lows, highs) = scalar.1.split_at_mut(active);
+                    transpose_group::<i32, 16>(&staging, &mut scalar.0, lows, highs, 0);
+                }
+                let (lows, highs) = vector.1.split_at_mut(active);
+                <i32 as Fetch>::transpose(Some(avx2), &staging, &mut vector.0, lows, highs);
+                assert_eq!(vector, scalar, "{active} channels, {rows} rows");
+                if rows == 16 {
+                    let mut lines = vec![-1; 16 * active];
+                    let mut windows = windows.clone();
+                    let (lows, highs) = windows.split_at_mut(active);
+                    let done = avx2.pack(&staging, &mut lines, lows, highs);
+                    assert_eq!(done, active / 16 * 16);
+                    assert_eq!(lines[..16 * done], scalar.0[..16 * done]);
+                    assert!(lines[16 * done..].iter().all(|&x| x == -1));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn masked_gather_mac_matches_the_scalar_read_on_hostile_indices() {
+        // Block entries at and past both ends of a trace — i32::MIN, −1,
+        // 0, n − 2, n − 1, n, i32::MAX — and random ones, on every
+        // channel of a two-transmit frame, the last channel of the last
+        // transmit included (its 4-byte gather at n − 1 reads the
+        // frame's pad sample): the four-channel gather MAC leaves every
+        // accumulator bit-identical to four scalar channel passes.
+        let Some(avx2) = Avx2::detect() else {
+            eprintln!("no AVX2 on this CPU: the masked-gather MAC is not run");
+            return;
+        };
+        let n = 40;
+        let rf = RfFrame::from_traces(3, 2, n, 2, |tx, e, t| {
+            for (i, v) in t.iter_mut().enumerate() {
+                *v = ((tx * 7 + e.ix * 3 + e.iy * 5 + i) % 23) as f64 - 11.0;
+            }
+        })
+        .expect("finite samples");
+        let n = n as i32;
+        let hostile = [i32::MIN, -1, 0, n - 2, n - 1, n, i32::MAX];
+        let mut next = stream(7);
+        let (active, groups) = (6, 3);
+        let weights = [0.25, -1.5, 3.0e-3, 0.75, 1.0, 0.5];
+        for tx in 0..2 {
+            for trial in 0..40 {
+                let block: Vec<i32> = (0..(groups * active + 1) * 16)
+                    .map(|i| match next() % 3 {
+                        0 => hostile[(i + trial) % hostile.len()],
+                        1 => (next() % n as u64) as i32,
+                        _ => next() as i32,
+                    })
+                    .collect();
+                for first in [0, active - MAC_CHANNELS] {
+                    let start: Vec<f64> = (0..groups * 16).map(|r| r as f64 * 0.5).collect();
+                    let mut scalar = start.clone();
+                    for k in first..first + MAC_CHANNELS {
+                        let trace = rf.channel_trace_for(tx, k as u32).raw();
+                        mac_channel(&block[k * 16..], active, trace, weights[k], &mut scalar);
+                    }
+                    let mut vector = start;
+                    avx2.mac4(
+                        &block[first * 16..],
+                        active,
+                        std::array::from_fn(|c| {
+                            rf.channel_trace_for(tx, (first + c) as u32).raw_padded()
+                        }),
+                        std::array::from_fn(|c| weights[first + c]),
+                        &mut vector,
+                    );
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&vector),
+                        bits(&scalar),
+                        "tx {tx} trial {trial} first {first}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -58,7 +58,10 @@
 //! assert_eq!(vol.argmax(), vox);
 //! ```
 
-#![forbid(unsafe_code)]
+// `unsafe` is denied rather than forbidden so that one module, `simd`
+// (the kernel's runtime-detected AVX2 stages), can allow it; every block
+// there carries a `// SAFETY:` note.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod apodization;
@@ -67,6 +70,7 @@ mod frame_pipeline;
 mod latency;
 mod postproc;
 mod sharded;
+mod simd;
 mod view;
 mod volume;
 mod volume_loop;
@@ -86,5 +90,13 @@ pub use sharded::{
 pub use view::{ProjectionAxis, SlicePlane, VolumeView};
 pub use volume::BeamformedVolume;
 pub use volume_loop::VolumeLoop;
+
+/// The nearest-fetch tile kernel's pack and MAC stages, AVX2 and scalar,
+/// for microbenchmarks: not a stable API.
+#[doc(hidden)]
+pub mod kernel_stages {
+    pub use crate::beamformer::{mac_channel_scalar, pack_group_scalar};
+    pub use crate::simd::{Avx2, MAC_CHANNELS};
+}
 
 pub use usbf_core::DelayEngine;

@@ -244,6 +244,55 @@ proptest! {
     }
 
     #[test]
+    fn vector_pack_and_gather_mac_match_the_scalar_walk_on_1_to_40_channels(
+        nx in 1usize..9,
+        ny in 1usize..6,
+        n_theta in 4usize..7,
+        n_phi in 4usize..7,
+        n_depth in 3usize..7,
+        target in 0usize..1_000_000,
+        apod_pick in 0usize..3,
+        compound in 0usize..2,
+        n_tx in 2usize..4,
+        kinds in 0usize..8,
+        angle_a in 0usize..1000,
+        angle_b in 0usize..1000,
+    ) {
+        // The nearest kernel's AVX2 stages (where the CPU has them): a
+        // full 16-row group takes the vector pack for its whole
+        // 16-channel squares and the gather MAC for each whole block of
+        // four channels, and the scalar stages take the remaining
+        // channels and the partial group. Apertures of 1 to 40 active
+        // channels (Rect, Hann or Tukey; an aperture the window empties
+        // falls back to Rect) over fans of 16 to 36 scanlines put every
+        // split of the aperture and of the rows in play, and every voxel
+        // matches the scalar walk, single-transmit and compound.
+        let spec = if compound == 0 {
+            random_spec(nx, ny, n_theta, n_phi, n_depth)
+        } else {
+            let mut txs = random_transmits(n_tx, kinds, angle_a, angle_b);
+            txs[0] = TransmitModel::PointSource;
+            random_compound_spec(nx, ny, n_theta, n_phi, n_depth).with_transmits(txs)
+        };
+        let vox = spec.volume_grid.voxel_at(target % spec.volume_grid.voxel_count());
+        let rf = rf_for(&spec, vox);
+        let apod = [Apodization::Rect, Apodization::Hann, Apodization::Tukey(0.5)][apod_pick];
+        let exact = ExactEngine::new(&spec);
+        let tablesteer = TableSteerEngine::new(&spec, TableSteerConfig::bits18()).expect("builds");
+        let tiles = NappeSchedule::fitted(&spec, 1).tiles();
+        for engine in [&exact as &dyn DelayEngine, &tablesteer] {
+            for interp in [Interpolation::Nearest, Interpolation::Linear] {
+                let mut bf = Beamformer::new(&spec).with_apodization(apod).with_interpolation(interp);
+                if bf.aperture().is_empty() {
+                    bf = bf.with_apodization(Apodization::Rect);
+                }
+                prop_assert!((1..=40).contains(&bf.aperture().len()));
+                task_matches_scalar(&bf, engine, &rf, &tiles, 0..n_depth)?;
+            }
+        }
+    }
+
+    #[test]
     fn beamforming_is_linear_in_rf(
         it in 0usize..8,
         ip in 0usize..8,

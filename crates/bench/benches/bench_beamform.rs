@@ -100,6 +100,91 @@ fn bench_beamform(c: &mut Criterion) {
     });
     g.finish();
 
+    // The nearest kernel's pack and MAC stages, AVX2 against scalar, on
+    // one whole-fan band of the reduced spec (1024 rows × 900 Hann
+    // channels, nappe 64): the pack transposes every staged 16-row group
+    // into the grouped block (throughput in entries), and the MAC sums
+    // every channel of that block into one accumulator per row
+    // (throughput in MACs). The staged rows are precomputed, so the pack
+    // reads them from a 3.7 MB buffer rather than one group kept hot.
+    use usbf_beamform::kernel_stages::{mac_channel_scalar, pack_group_scalar, Avx2, MAC_CHANNELS};
+    let hann = Beamformer::new(&red).with_apodization(Apodization::Hann);
+    let aperture = hann.aperture();
+    let active = aperture.len();
+    let mut slab = usbf_core::NappeDelays::full(&red);
+    red_steer.fill_nappe(64, &mut slab);
+    let rows = slab.scanline_count();
+    let mut staged = vec![0; rows * active];
+    for (slot, out) in staged.chunks_exact_mut(active).enumerate() {
+        red_steer.quantize_row(aperture.compact_in_place(slab.row_mut(slot)), out);
+    }
+    let group_len = 16 * active;
+    let mut block = vec![0; staged.len()];
+    let (mut lows, mut highs) = (vec![i32::MAX; active], vec![i32::MIN; active]);
+    let avx2 = Avx2::detect();
+    let mut g = c.benchmark_group("tile_kernel_pack");
+    g.throughput(Throughput::Elements(staged.len() as u64));
+    g.bench_function("scalar", |b| {
+        b.iter(|| {
+            for (stage, group) in staged
+                .chunks_exact(group_len)
+                .zip(block.chunks_exact_mut(group_len))
+            {
+                pack_group_scalar(black_box(stage), group, &mut lows, &mut highs);
+            }
+            black_box(block[0])
+        })
+    });
+    if let Some(avx2) = avx2 {
+        g.bench_function("avx2", |b| {
+            b.iter(|| {
+                for (stage, group) in staged
+                    .chunks_exact(group_len)
+                    .zip(block.chunks_exact_mut(group_len))
+                {
+                    let done = avx2.pack(black_box(stage), group, &mut lows, &mut highs);
+                    assert_eq!(done, active / 16 * 16);
+                }
+                black_box(block[0])
+            })
+        });
+    }
+    g.finish();
+    let channels = aperture.channels();
+    let weights = aperture.weights();
+    let mut acc = vec![0.0; rows];
+    let mut g = c.benchmark_group("tile_kernel_mac");
+    g.throughput(Throughput::Elements((rows * active) as u64));
+    g.bench_function("scalar", |b| {
+        b.iter(|| {
+            acc.fill(0.0);
+            for (k, (&chan, &w)) in channels.iter().zip(weights).enumerate() {
+                let trace = red_rf.channel_trace_for(0, chan).raw();
+                mac_channel_scalar(&block[k * 16..], active, trace, w, &mut acc);
+            }
+            black_box(acc[0])
+        })
+    });
+    if let Some(avx2) = avx2 {
+        assert_eq!(active % MAC_CHANNELS, 0, "every channel in a block of four");
+        g.bench_function("avx2", |b| {
+            b.iter(|| {
+                acc.fill(0.0);
+                for first in (0..active).step_by(MAC_CHANNELS) {
+                    let traces = std::array::from_fn(|c| {
+                        red_rf
+                            .channel_trace_for(0, channels[first + c])
+                            .raw_padded()
+                    });
+                    let w = std::array::from_fn(|c| weights[first + c]);
+                    avx2.mac4(&block[first * 16..], active, traces, w, &mut acc);
+                }
+                black_box(acc[0])
+            })
+        });
+    }
+    g.finish();
+
     // TABLEFREE slab-fill throughput (delays/s) on the reduced spec: the
     // one-pass row evaluator.
     let red_free = TableFreeEngine::new(&red, TableFreeConfig::paper()).expect("builds");

@@ -53,6 +53,9 @@ pub struct ImagingVolume {
     n_theta: usize,
     n_phi: usize,
     n_depth: usize,
+    /// `depth_max / n_depth`, divided once here: [`depth_of`](Self::depth_of)
+    /// runs per delay row.
+    depth_step: f64,
     /// `(sin, cos)` of every azimuth line's angle, then of every
     /// elevation line's: [`position`](Self::position) runs per delay row,
     /// so the trigonometry of Eq. 5 is done once per line here.
@@ -96,6 +99,7 @@ impl ImagingVolume {
             n_theta,
             n_phi,
             n_depth,
+            depth_step: depth_max / n_depth as f64,
             line_sin_cos: lines(n_theta, theta_max)
                 .chain(lines(n_phi, phi_max))
                 .collect(),
@@ -153,7 +157,7 @@ impl ImagingVolume {
     /// Depth-step Δd in metres.
     #[inline]
     pub fn depth_step(&self) -> f64 {
-        self.depth_max / self.n_depth as f64
+        self.depth_step
     }
 
     fn angle_of(index: usize, n: usize, max: f64) -> f64 {
@@ -182,7 +186,7 @@ impl ImagingVolume {
     #[inline]
     pub fn depth_of(&self, id: usize) -> f64 {
         debug_assert!(id < self.n_depth);
-        (id as f64 + 1.0) * self.depth_step()
+        (id as f64 + 1.0) * self.depth_step
     }
 
     /// Steering direction of the scanline through voxel column `(it, ip)`.
@@ -273,6 +277,27 @@ mod tests {
         let v = vol();
         assert!((v.depth_of(0) - v.depth_step()).abs() < 1e-18);
         assert!((v.depth_of(9) - 0.09625).abs() < 1e-15);
+    }
+
+    #[test]
+    fn stored_depth_step_gives_the_divided_depths_bit_for_bit() {
+        use crate::SystemSpec;
+        let presets = [
+            SystemSpec::paper(),
+            SystemSpec::reduced(),
+            SystemSpec::figure3(),
+            SystemSpec::tiny(),
+        ];
+        let grids = presets
+            .map(|spec| spec.volume_grid)
+            .into_iter()
+            .chain([vol()]);
+        for v in grids {
+            for id in 0..v.n_depth() {
+                let divided = (id + 1) as f64 * (v.depth_max() / v.n_depth() as f64);
+                assert_eq!(v.depth_of(id).to_bits(), divided.to_bits(), "depth {id}");
+            }
+        }
     }
 
     #[test]

@@ -104,8 +104,14 @@ impl Error for RfError {}
 /// n_samples` block per transmit. A single-transmit frame
 /// ([`RfFrame::zeros`]) is block 0 alone, so every historical accessor
 /// keeps its meaning unchanged. All blocks share the frame's scale.
+///
+/// The buffer ends in one pad sample past the last trace, always zero,
+/// so every trace has one more `i16` after it in memory
+/// ([`Trace::raw_padded`]): a 4-byte vector gather at a trace's last
+/// sample stays inside the buffer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RfFrame {
+    /// Every trace, transmit-major, then the zero pad sample.
     data: Vec<i16>,
     /// The value of one raw step: the frame's peak over [`FULL_SCALE`].
     scale: f64,
@@ -143,7 +149,7 @@ impl RfFrame {
             "dimensions must be nonzero"
         );
         RfFrame {
-            data: vec![0; n_transmits * nx * ny * n_samples],
+            data: vec![0; n_transmits * nx * ny * n_samples + 1],
             scale: 0.0,
             nx,
             ny,
@@ -174,7 +180,7 @@ impl RfFrame {
         mut trace: impl FnMut(usize, ElementIndex, &mut [f64]),
     ) -> Result<Self, RfError> {
         let mut rf = Self::zeros_multi(nx, ny, n_samples, n_transmits);
-        let mut samples = vec![0.0; rf.data.len()];
+        let mut samples = vec![0.0; rf.samples().len()];
         let mut peak = 0.0f64;
         for (k, out) in samples.chunks_exact_mut(n_samples).enumerate() {
             let (tx, e) = rf.trace_at(k);
@@ -206,7 +212,7 @@ impl RfFrame {
     /// every trace in storage order, finite, with largest |sample|
     /// `peak`.
     pub(crate) fn store_frame(&mut self, peak: f64, staged: &[f64]) {
-        debug_assert_eq!(staged.len(), self.data.len());
+        debug_assert_eq!(staged.len(), self.samples().len());
         self.set_peak(peak);
         for (k, trace) in staged.chunks_exact(self.n_samples).enumerate() {
             let (tx, e) = self.trace_at(k);
@@ -274,10 +280,17 @@ impl RfFrame {
         self.scale
     }
 
-    /// Bytes of sample storage the frame holds.
+    /// Bytes of sample storage the frame holds (its traces; the one pad
+    /// sample is not counted).
     #[inline]
     pub fn sample_bytes(&self) -> usize {
-        std::mem::size_of_val(self.data.as_slice())
+        std::mem::size_of_val(self.samples())
+    }
+
+    /// Every trace's raw samples, without the pad.
+    #[inline]
+    fn samples(&self) -> &[i16] {
+        &self.data[..self.data.len() - 1]
     }
 
     /// Flat-sample offset of transmit block `tx`.
@@ -300,9 +313,15 @@ impl RfFrame {
 
     /// One element's trace of transmit event `tx`.
     pub fn trace_for(&self, tx: usize, e: ElementIndex) -> Trace<'_> {
-        let start = self.transmit_base(tx) + self.linear(e) * self.n_samples;
+        self.trace_at_offset(self.transmit_base(tx) + self.linear(e) * self.n_samples)
+    }
+
+    /// The trace starting at flat sample `start`, with the one sample
+    /// after it.
+    #[inline]
+    fn trace_at_offset(&self, start: usize) -> Trace<'_> {
         Trace {
-            raw: &self.data[start..start + self.n_samples],
+            padded: &self.data[start..=start + self.n_samples],
             scale: self.scale,
         }
     }
@@ -327,11 +346,7 @@ impl RfFrame {
     #[inline]
     pub fn channel_trace_for(&self, tx: usize, channel: u32) -> Trace<'_> {
         assert!(tx < self.n_transmits, "transmit {tx} out of range");
-        let start = self.transmit_base(tx) + self.bases[channel as usize];
-        Trace {
-            raw: &self.data[start..start + self.n_samples],
-            scale: self.scale,
-        }
+        self.trace_at_offset(self.transmit_base(tx) + self.bases[channel as usize])
     }
 
     /// Asks the CPU to pull the samples between indices `a` and `b`
@@ -347,7 +362,7 @@ impl RfFrame {
     /// Panics if `tx` or `channel` is out of range.
     #[inline]
     pub fn prefetch_window_for(&self, tx: usize, channel: u32, a: i32, b: i32) {
-        let trace = self.channel_trace_for(tx, channel).raw;
+        let trace = self.channel_trace_for(tx, channel).raw();
         let (lo, hi) = (i64::from(a.min(b)).max(0), i64::from(a.max(b)));
         let hi = hi.min(trace.len() as i64 - 1);
         if lo > hi {
@@ -388,7 +403,8 @@ impl RfFrame {
         } else {
             quantize(value, self.scale)
         };
-        self.data.fill(raw);
+        let pad = self.data.len() - 1;
+        self.data[..pad].fill(raw);
         Ok(())
     }
 
@@ -421,13 +437,13 @@ impl RfFrame {
 
     /// Largest |sample| in the frame.
     pub fn max_abs(&self) -> f64 {
-        let peak = self.data.iter().map(|r| r.unsigned_abs()).max();
+        let peak = self.samples().iter().map(|r| r.unsigned_abs()).max();
         peak.map_or(0.0, |p| f64::from(p) * self.scale)
     }
 
     /// Total energy (sum of squares).
     pub fn energy(&self) -> f64 {
-        self.data
+        self.samples()
             .iter()
             .map(|&r| value(r, self.scale).powi(2))
             .sum()
@@ -454,30 +470,49 @@ pub(crate) fn trace_peak(tx: usize, e: ElementIndex, samples: &[f64]) -> Result<
 
 /// A read-only view of one trace of an [`RfFrame`]: its raw samples and
 /// the frame's scale. Iterating it yields sample values
-/// (`f64::from(raw) · scale`).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// (`f64::from(raw) · scale`). Two views are equal when their samples
+/// and scales are.
+#[derive(Debug, Clone, Copy)]
 pub struct Trace<'a> {
-    raw: &'a [i16],
+    /// The trace's samples, then the one `i16` that follows them in the
+    /// frame's buffer.
+    padded: &'a [i16],
     scale: f64,
+}
+
+impl PartialEq for Trace<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.raw() == other.raw() && self.scale == other.scale
+    }
 }
 
 impl<'a> Trace<'a> {
     /// The raw 16-bit samples.
     #[inline]
     pub fn raw(&self) -> &'a [i16] {
-        self.raw
+        &self.padded[..self.padded.len() - 1]
+    }
+
+    /// The raw samples followed by the one `i16` after them in the
+    /// frame's buffer — the next trace's first sample, or the frame's
+    /// zero pad after its last trace: `len() + 1` samples, so a 4-byte
+    /// load at the last sample stays in bounds. Its last entry is not a
+    /// sample of this trace.
+    #[inline]
+    pub fn raw_padded(&self) -> &'a [i16] {
+        self.padded
     }
 
     /// Samples in the trace.
     #[inline]
     pub fn len(&self) -> usize {
-        self.raw.len()
+        self.padded.len() - 1
     }
 
     /// `true` for a trace of no samples.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.raw.is_empty()
+        self.len() == 0
     }
 
     /// Raw sample `i` as an unscaled value, or `0.0` outside the trace
@@ -488,7 +523,7 @@ impl<'a> Trace<'a> {
     pub fn raw_at(&self, i: i64) -> f64 {
         usize::try_from(i)
             .ok()
-            .and_then(|i| self.raw.get(i))
+            .and_then(|i| self.raw().get(i))
             .map_or(0.0, |&r| f64::from(r))
     }
 
@@ -507,7 +542,7 @@ impl<'a> Trace<'a> {
     #[inline]
     pub fn iter(&self) -> impl ExactSizeIterator<Item = f64> + 'a {
         let scale = self.scale;
-        self.raw.iter().map(move |&r| value(r, scale))
+        self.raw().iter().map(move |&r| value(r, scale))
     }
 
     /// The sample values, collected.
@@ -604,6 +639,20 @@ mod tests {
             &[16384, -FULL_SCALE, 0]
         );
         assert!((rf.energy() - 5.0).abs() < 2.0 * rf.scale());
+    }
+
+    #[test]
+    fn every_trace_has_one_sample_after_it() {
+        let mut rf = ramp_frame();
+        rf.fill(-3.0).unwrap();
+        let rf = rf;
+        let last = rf.channel_trace_for(1, 5);
+        assert_eq!(last.raw_padded().len(), 41);
+        assert_eq!(last.raw_padded()[..40], *last.raw());
+        assert_eq!(last.raw_padded()[40], 0, "the frame's pad stays zero");
+        let first = rf.channel_trace_for(0, 0);
+        assert_eq!(first.raw_padded()[40], rf.channel_trace_for(0, 1).raw()[0]);
+        assert_eq!(rf.sample_bytes(), 2 * 6 * 40 * 2, "the pad is not a sample");
     }
 
     #[test]
