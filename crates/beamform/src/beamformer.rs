@@ -12,12 +12,17 @@
 //! tile per nappe, and a compound band's slab covers the whole fan, so
 //! one receive-leg fill per nappe serves every transmit. A
 //! post-processed frame's tasks are the schedule tiles, each walking
-//! every nappe. The output volume is bit-identical to the scalar
-//! per-voxel path, which is kept as the reference implementation (and as
-//! the executed path for scanline-by-scanline traversal).
+//! every nappe.
+//!
+//! The kernel is nearest fetch only — the paper's datapath, where a
+//! delay "is used as an index into an echo buffer" — and its output is
+//! bit-identical to the scalar per-voxel walk, which is kept as the
+//! reference implementation. The scalar walk is also the executed path
+//! for scanline-by-scanline traversal and for linear interpolation, which
+//! a task then fills voxel by voxel.
 
 use crate::postproc::{PostChain, PostScratch};
-use crate::simd::{Avx2, MAC_CHANNELS};
+use crate::simd::{Avx2, GROUP, MAC_CHANNELS};
 use crate::{ActiveAperture, Apodization, BeamformedVolume};
 use std::ops::Range;
 use usbf_core::{DelayEngine, NappeDelays, NappeSchedule, Tile};
@@ -110,10 +115,11 @@ pub(crate) fn scatter_tasks(out: &mut BeamformedVolume, states: &[TileState]) {
 /// builds any other — a runtime's raw frames run as whole-fan bands.
 ///
 /// The kernel's block holds one (nappe, transmit)'s worth of quantized
-/// indices (or fractional delays) for up to every scanline of the
-/// region, in channel-interleaved groups of rows, with one accumulator
-/// per block row and a `live` map from block rows back to scanlines.
-/// One definition shared by [`VolumeLoop`](crate::VolumeLoop) and
+/// indices for up to every scanline of the region, in
+/// channel-interleaved groups of rows, with one accumulator per block row
+/// and a `live` map from block rows back to scanlines. A task of a
+/// linear-interpolation beamformer has no block: the scalar walk fills
+/// its `values` voxel by voxel. One definition shared by [`VolumeLoop`](crate::VolumeLoop) and
 /// [`FramePipeline`](crate::FramePipeline) (and through the latter,
 /// [`ShardedRuntime`](crate::ShardedRuntime)), so the warm-state shape
 /// (and with it the bit-identical-to-serial invariant) cannot drift
@@ -128,22 +134,17 @@ pub struct TileState {
     tiles: Vec<Tile>,
     /// Output, `[scanline-in-region][nappe-in-band]`.
     pub(crate) values: Vec<f64>,
-    /// Nearest kernel: quantized echo-buffer indices in the grouped
-    /// `[group][channel][row-in-group]` layout (see [`Fetch::GROUP`]),
-    /// plus one group's slack for aligning it to a cache line. Empty for
-    /// linear interpolation.
+    /// Quantized echo-buffer indices in the grouped
+    /// `[group][channel][row-in-group]` layout ([`GROUP`] rows per
+    /// group), plus one group's slack for aligning it to a cache line.
+    /// Empty for linear interpolation.
     pub(crate) index_block: Vec<i32>,
-    /// Nearest kernel: one group of packed rows, `[row-in-group][active]`
-    /// — [`DelayEngine::quantize_tx_run`] writes each run of rows here,
+    /// One group of packed rows, `[row-in-group][active]` —
+    /// [`DelayEngine::quantize_tx_run`] writes each run of rows here,
     /// after the live rows already staged, and a full group is
-    /// transposed into `index_block` in one pass.
+    /// transposed into `index_block` in one pass. Empty for linear
+    /// interpolation.
     index_staging: Vec<i32>,
-    /// Linear kernel: compacted fractional delays, same grouped layout as
-    /// `index_block`. Empty for nearest interpolation.
-    pub(crate) delay_block: Vec<f64>,
-    /// Linear kernel: one group of packed rows, like `index_staging`,
-    /// written by [`DelayEngine::combine_tx_row`].
-    delay_staging: Vec<f64>,
     /// Per active channel, the lowest sample index the block's rows
     /// read, then per active channel the highest: the windows the kernel
     /// prefetches.
@@ -179,9 +180,9 @@ impl TileState {
     /// Allocates the warm state of the task that beamforms the depth
     /// band `nappes` over the fan region `tiles` partition: the delay
     /// slab (one tile in size), the `[scanline][nappe]` values buffer,
-    /// the grouped index (nearest) or delay (linear) block and its
-    /// one-group staging buffer, sized to the region and the compacted
-    /// aperture, and every transmit's mask weights. A compound band over
+    /// the grouped index block and its one-group staging buffer, sized to
+    /// the region and the compacted aperture (nearest interpolation only),
+    /// and every transmit's mask weights. A compound band over
     /// the whole fan passes the fan as its one tile.
     ///
     /// # Panics
@@ -228,8 +229,6 @@ impl TileState {
                 }
             }
         }
-        let block = |group: usize| block_len(rows, active, group);
-        let staging = |group: usize| group * active;
         TileState {
             slab: NappeDelays::for_tile(spec, tiles[0]),
             region,
@@ -244,10 +243,8 @@ impl TileState {
             // between them, a block shifted glibc's heap layout so that a
             // pipeline's dropped RF ring stayed resident (+8 MB peak RSS
             // on the benchmark's cpwc16-tiny set-up, 2-vCPU x86-64).
-            index_staging: vec![0; if nearest { staging(i32::GROUP) } else { 0 }],
-            delay_staging: vec![0.0; if nearest { 0 } else { staging(f64::GROUP) }],
-            index_block: vec![0; if nearest { block(i32::GROUP) } else { 0 }],
-            delay_block: vec![0.0; if nearest { 0 } else { block(f64::GROUP) }],
+            index_staging: vec![0; if nearest { GROUP * active } else { 0 }],
+            index_block: vec![0; if nearest { block_len(rows, active) } else { 0 }],
             post_scratch: if beamformer.postproc().is_empty() {
                 PostScratch::default()
             } else {
@@ -271,8 +268,7 @@ impl TileState {
     /// The staged output values in `[scanline-in-region][nappe-in-band]`
     /// order — scanlines in the region's slot order
     /// ([`Tile::iter_scanlines`]), each holding one value per nappe of
-    /// [`nappes`](Self::nappes) (the layout the volume scatter and
-    /// [`VolumeView`](crate::VolumeView) consume).
+    /// [`nappes`](Self::nappes) (the layout the volume scatter consumes).
     #[inline]
     pub fn values(&self) -> &[f64] {
         &self.values
@@ -282,8 +278,8 @@ impl TileState {
 /// Entries of a grouped block over `rows` rows of `active` channels:
 /// whole groups, plus one group of slack so the kernel can start it on a
 /// cache line.
-fn block_len(rows: usize, active: usize, group: usize) -> usize {
-    (rows.div_ceil(group) * active + 1) * group
+fn block_len(rows: usize, active: usize) -> usize {
+    (rows.div_ceil(GROUP) * active + 1) * GROUP
 }
 
 /// The rectangle `tiles` partition.
@@ -329,191 +325,20 @@ fn bounding_region(tiles: &[Tile]) -> Tile {
 /// when its turn comes.
 const PREFETCH_AHEAD: usize = 8;
 
-/// One interpolation mode of the tile kernel: the block entry type
-/// (`i32` echo-buffer indices for nearest fetch, `f64` fractional delays
-/// for linear), how a run of compacted receive-leg rows becomes block
-/// rows, and how a trace is read at an entry. The kernel is generic over
-/// it, so each mode compiles to its own monomorphized loop.
-trait Fetch: Copy {
-    /// Block rows per group: one channel's entries for a group fill one
-    /// 64-byte cache line.
-    const GROUP: usize = 64 / std::mem::size_of::<Self>();
-
-    /// Writes transmit `tx`'s block rows for the run `slots` of `slab`,
-    /// whose rows hold the active channels' receive-leg entries in their
-    /// first `out.len() / slots.len()` slots.
-    fn pack(
-        engine: &dyn DelayEngine,
-        tx: usize,
-        slab: &NappeDelays,
-        slots: Range<usize>,
-        out: &mut [Self],
-    );
-
-    /// Reads the raw samples `trace` at this entry as an unscaled value,
-    /// bit-identical to the scalar walk's read; out-of-window reads give
-    /// `0.0`.
-    fn read(trace: &[i16], at: Self) -> f64;
-
-    /// The sample index this entry reads near, for prefetching.
-    fn index(self) -> i32;
-
-    /// Moves staged rows (`[row][active]`, at most [`GROUP`](Self::GROUP)
-    /// of them) into one group of the block (`[channel][row-in-group]`,
-    /// one line per channel), widening each channel's `lows`/`highs`
-    /// read window to cover the rows' indices — with AVX2 where `isa`
-    /// has it and the mode has a vector pack.
-    fn transpose(
-        isa: Option<Avx2>,
-        staging: &[Self],
-        group: &mut [Self],
-        lows: &mut [i32],
-        highs: &mut [i32],
-    );
-
-    /// Adds [`MAC_CHANNELS`] channels' terms, in channel order, into
-    /// `acc` (whole groups of rows; `lines` starts at the first channel's
-    /// line of group 0, `active` lines per group) with the AVX2 MAC,
-    /// returning `false` — having added nothing — where the mode has
-    /// none.
-    #[inline]
-    fn mac4(
-        _avx2: Avx2,
-        _lines: &[Self],
-        _active: usize,
-        _traces: [usbf_sim::Trace<'_>; MAC_CHANNELS],
-        _weights: [f64; MAC_CHANNELS],
-        _acc: &mut [f64],
-    ) -> bool {
-        false
-    }
-}
-
-impl Fetch for i32 {
-    /// The run's transmit terms in one engine pass, each added in the
-    /// engine's own final rounding stage ([`DelayEngine::quantize_tx_run`]),
-    /// so rounding telemetry (TABLESTEER's clamp counter) advances
-    /// exactly as it does for per-element queries.
-    #[inline]
-    fn pack(
-        engine: &dyn DelayEngine,
-        tx: usize,
-        slab: &NappeDelays,
-        slots: Range<usize>,
-        out: &mut [i32],
-    ) {
-        engine.quantize_tx_run(tx, slab, slots, out);
-    }
-
-    /// Negative indices wrap to huge under the cast and read `0.0` like
-    /// any other out-of-window index.
-    #[inline(always)]
-    fn read(trace: &[i16], i: i32) -> f64 {
-        trace.get(i as usize).map_or(0.0, |&r| f64::from(r))
-    }
-
-    #[inline(always)]
-    fn index(self) -> i32 {
-        self
-    }
-
-    /// A full group's leading 16-channel squares take the AVX2 pack; a
-    /// partial group and the last `active % 16` channels the scalar one.
-    fn transpose(
-        isa: Option<Avx2>,
-        staging: &[i32],
-        group: &mut [i32],
-        lows: &mut [i32],
-        highs: &mut [i32],
-    ) {
-        let done = match isa {
-            Some(avx2) if staging.len() == group.len() => avx2.pack(staging, group, lows, highs),
-            _ => 0,
-        };
-        transpose_group::<i32, 16>(staging, group, lows, highs, done / 16);
-    }
-
-    /// The masked-gather MAC, reading each trace with its pad sample.
-    #[inline]
-    fn mac4(
-        avx2: Avx2,
-        lines: &[i32],
-        active: usize,
-        traces: [usbf_sim::Trace<'_>; MAC_CHANNELS],
-        weights: [f64; MAC_CHANNELS],
-        acc: &mut [f64],
-    ) -> bool {
-        avx2.mac4(lines, active, traces.map(|t| t.raw_padded()), weights, acc);
-        true
-    }
-}
-
-impl Fetch for f64 {
-    /// No quantization stage: one transmit combine per row writes the
-    /// fractional delays straight into the staging rows.
-    #[inline]
-    fn pack(
-        engine: &dyn DelayEngine,
-        tx: usize,
-        slab: &NappeDelays,
-        slots: Range<usize>,
-        out: &mut [f64],
-    ) {
-        let active = out.len() / slots.len();
-        let id = slab.nappe().expect("the kernel packs filled slabs");
-        let scanlines = slab.tile().iter_scanlines().skip(slots.start);
-        for (k, (slot, (_, it, ip))) in slots.zip(scanlines).enumerate() {
-            let vox = VoxelIndex::new(it, ip, id);
-            let out = &mut out[k * active..(k + 1) * active];
-            engine.combine_tx_row(tx, vox, &slab.row(slot)[..active], out);
-        }
-    }
-
-    /// The floor/blend arithmetic of [`usbf_sim::Trace::raw_interp`], with the
-    /// same zero reads outside the window.
-    #[inline(always)]
-    fn read(trace: &[i16], t: f64) -> f64 {
-        let i0 = t.floor() as i64;
-        let frac = t - i0 as f64;
-        let at = |i: i64| {
-            usize::try_from(i)
-                .ok()
-                .and_then(|i| trace.get(i))
-                .map_or(0.0, |&r| f64::from(r))
-        };
-        at(i0) * (1.0 - frac) + at(i0 + 1) * frac
-    }
-
-    #[inline(always)]
-    fn index(self) -> i32 {
-        self as i32
-    }
-
-    fn transpose(
-        _isa: Option<Avx2>,
-        staging: &[f64],
-        group: &mut [f64],
-        lows: &mut [i32],
-        highs: &mut [i32],
-    ) {
-        transpose_group::<f64, 8>(staging, group, lows, highs, 0);
-    }
-}
-
-/// The kernel's per-(nappe, transmit) block under construction: rows are
-/// pushed a run at a time in region order, the insonified ones packed
-/// densely into a staging buffer, and each full group transposed into the
-/// grouped block.
+/// The kernel's per-(nappe, transmit) index block under construction:
+/// rows are pushed a run at a time in region order, the insonified ones
+/// packed densely into a staging buffer, and each full group transposed
+/// into the grouped block, which is then summed channel by channel.
 ///
 /// The block is `[group][channel][row-in-group]`: one cache line per
-/// (group, channel), holding that channel's entries for [`Fetch::GROUP`]
+/// (group, channel), holding that channel's indices for [`GROUP`]
 /// consecutive rows.
-struct Block<'a, T> {
+struct Block<'a> {
     /// The grouped block, starting on a cache line.
-    rows: &'a mut [T],
+    rows: &'a mut [i32],
     /// One group of packed rows, `[row-in-group][active]`: the live rows
     /// not yet transposed, then the run being packed.
-    staging: &'a mut [T],
+    staging: &'a mut [i32],
     /// Per channel, the lowest index the block reads, then per channel
     /// the highest.
     windows: &'a mut [i32],
@@ -524,14 +349,17 @@ struct Block<'a, T> {
     isa: Option<Avx2>,
 }
 
-impl<T: Fetch> Block<'_, T> {
+impl Block<'_> {
     /// Offers transmit `tx`'s rows `slots` of `slab` — no more than the
     /// staged group has room for — with `places` giving each row's region
     /// slot and mask weight, in slot order. Every row of the run is
-    /// packed, in one [`Fetch::pack`], after the rows already staged; the
-    /// insonified ones then move down over the masked ones, so a masked
-    /// row never reaches the block, but the engine's rounding telemetry
-    /// counts it. A group the run fills is transposed.
+    /// rounded after the rows already staged, in one engine pass that
+    /// adds the run's transmit terms in the engine's own final rounding
+    /// stage ([`DelayEngine::quantize_tx_run`]), so rounding telemetry
+    /// (TABLESTEER's clamp counter) advances exactly as it does for
+    /// per-element queries. The insonified rows then move down over the
+    /// masked ones, so a masked row never reaches the block, but the
+    /// telemetry counts it. A group the run fills is transposed.
     #[inline]
     fn push_run(
         &mut self,
@@ -542,10 +370,10 @@ impl<T: Fetch> Block<'_, T> {
         places: impl Iterator<Item = (usize, f64)>,
     ) {
         let active = self.windows.len() / 2;
-        let pending = self.len % T::GROUP;
-        debug_assert!(pending + slots.len() <= T::GROUP);
+        let pending = self.len % GROUP;
+        debug_assert!(pending + slots.len() <= GROUP);
         let run = &mut self.staging[pending * active..(pending + slots.len()) * active];
-        T::pack(engine, tx, slab, slots.clone(), run);
+        engine.quantize_tx_run(tx, slab, slots.clone(), run);
         let mut staged = pending;
         for (k, (r, m)) in places.take(slots.len()).enumerate() {
             if m != 0.0 {
@@ -558,15 +386,15 @@ impl<T: Fetch> Block<'_, T> {
                 staged += 1;
             }
         }
-        if staged == T::GROUP {
-            self.transpose(T::GROUP);
+        if staged == GROUP {
+            self.transpose(GROUP);
         }
     }
 
     /// Transposes the last partial group, if any, and returns the number
     /// of live rows.
     fn finish(&mut self) -> usize {
-        let tail = self.len % T::GROUP;
+        let tail = self.len % GROUP;
         if tail != 0 {
             self.transpose(tail);
         }
@@ -578,120 +406,163 @@ impl<T: Fetch> Block<'_, T> {
     /// them (starting the windows afresh at the block's first group).
     fn transpose(&mut self, rows: usize) {
         let active = self.windows.len() / 2;
-        let g = (self.len - rows) / T::GROUP;
-        let size = active * T::GROUP;
+        let g = (self.len - rows) / GROUP;
+        let size = active * GROUP;
         let (lows, highs) = self.windows.split_at_mut(active);
         if g == 0 {
             lows.fill(i32::MAX);
             highs.fill(i32::MIN);
         }
         let group = &mut self.rows[g * size..(g + 1) * size];
-        T::transpose(self.isa, &self.staging[..rows * active], group, lows, highs);
+        pack_group(self.isa, &self.staging[..rows * active], group, lows, highs);
+    }
+
+    /// Sums the block's first `acc.len()` rows over `aperture`, channel
+    /// by channel in aperture order, into `acc` from `0.0`: channel `k`
+    /// adds `w[k] · raw_k[index]`, reading transmit `tx`'s 16-bit trace
+    /// unscaled. Before each channel, the window of the channel
+    /// [`PREFETCH_AHEAD`] on is prefetched. With AVX2, four whole
+    /// channels over the full groups take the masked-gather MAC; the rest,
+    /// and the partial group's rows, the scalar channel loop. Either way
+    /// each row's channels arrive in ascending order.
+    #[inline]
+    fn mac(&self, aperture: &ActiveAperture, rf: &RfFrame, tx: usize, acc: &mut [f64]) {
+        let (block, windows) = (&*self.rows, &*self.windows);
+        let channels = aperture.channels();
+        let weights = aperture.weights();
+        let active = channels.len();
+        let full = acc.len() / GROUP;
+        acc.fill(0.0);
+        let (full_acc, tail_acc) = acc.split_at_mut(full * GROUP);
+        let trace = |k: usize| rf.channel_trace_for(tx, channels[k]);
+        for first in (0..active).step_by(MAC_CHANNELS) {
+            let ks = first..(first + MAC_CHANNELS).min(active);
+            for next in ks.clone().map(|k| k + PREFETCH_AHEAD) {
+                if let Some(&ahead) = channels.get(next) {
+                    rf.prefetch_window_for(tx, ahead, windows[next], windows[active + next]);
+                }
+            }
+            let vector = match self.isa {
+                Some(avx2) if ks.len() == MAC_CHANNELS => {
+                    avx2.mac4(
+                        &block[first * GROUP..],
+                        active,
+                        std::array::from_fn(|c| trace(first + c).raw_padded()),
+                        std::array::from_fn(|c| weights[first + c]),
+                        full_acc,
+                    );
+                    true
+                }
+                _ => false,
+            };
+            for k in ks {
+                let (raw, w) = (trace(k).raw(), weights[k]);
+                if !vector {
+                    mac_channel_scalar(&block[k * GROUP..], active, raw, w, full_acc);
+                }
+                if !tail_acc.is_empty() {
+                    let line = &block[(full * active + k) * GROUP..];
+                    mac_channel_scalar(line, active, raw, w, tail_acc);
+                }
+            }
+        }
     }
 }
 
-/// The scalar [`Fetch::transpose`] for a group of `N` rows (`N` = the
-/// type's [`Fetch::GROUP`]), from square `first` on: the squares before
-/// it are already written. The group is written one `N × N` square at a
-/// time — `N` channels × the staged rows — so the staging lines read and
-/// the block lines written stay in L1, and with `N` a constant the
-/// square's loops unroll and the window updates run across its channels
-/// as vector min/max.
-#[inline]
-fn transpose_group<T: Fetch, const N: usize>(
-    staging: &[T],
-    group: &mut [T],
+/// The pack of a staged group into the block: [`pack_group_scalar`] for
+/// every channel, except that a full group's leading 16-channel squares
+/// take the AVX2 pack where `isa` has it.
+fn pack_group(
+    isa: Option<Avx2>,
+    staging: &[i32],
+    group: &mut [i32],
     lows: &mut [i32],
     highs: &mut [i32],
-    first: usize,
 ) {
-    debug_assert_eq!(N, T::GROUP);
+    let done = match isa {
+        Some(avx2) if staging.len() == group.len() => avx2.pack(staging, group, lows, highs),
+        _ => 0,
+    };
+    pack_group_scalar(staging, group, lows, highs, done);
+}
+
+/// The scalar pack: moves staged rows (`[row][active]`, at most 16) into
+/// one group of the block (`[channel][row-in-group]`, one 16-entry line
+/// per channel), widening each channel's `lows`/`highs` read window over
+/// the rows — for the channels from `done` (a multiple of 16) on, the
+/// ones before it being already written. The group is written one
+/// 16 × 16 square at a time — 16 channels × the staged rows — so the
+/// staging lines read and the block lines written stay in L1, and with
+/// the square's size a constant its loops unroll and the window updates
+/// run across its channels as vector min/max. [`Avx2::pack`] does the
+/// same for a full group's leading whole squares.
+#[inline]
+pub fn pack_group_scalar(
+    staging: &[i32],
+    group: &mut [i32],
+    lows: &mut [i32],
+    highs: &mut [i32],
+    done: usize,
+) {
     let active = lows.len();
-    let (lines, _) = group.as_chunks_mut::<N>();
+    let (lines, _) = group.as_chunks_mut::<GROUP>();
     let squares = lines
-        .chunks_mut(N)
-        .zip(lows.chunks_mut(N).zip(highs.chunks_mut(N)));
-    for (c, (square, (lo, hi))) in squares.enumerate().skip(first) {
+        .chunks_mut(GROUP)
+        .zip(lows.chunks_mut(GROUP).zip(highs.chunks_mut(GROUP)));
+    for (c, (square, (lo, hi))) in squares.enumerate().skip(done / GROUP) {
         let width = lo.len();
         let rows = staging
             .chunks_exact(active)
-            .map(|row| &row[c * N..][..width]);
+            .map(|row| &row[c * GROUP..][..width]);
         if let (Ok(square), Ok(lo), Ok(hi)) = (
-            <&mut [[T; N]; N]>::try_from(&mut *square),
-            <&mut [i32; N]>::try_from(&mut *lo),
-            <&mut [i32; N]>::try_from(&mut *hi),
+            <&mut [[i32; GROUP]; GROUP]>::try_from(&mut *square),
+            <&mut [i32; GROUP]>::try_from(&mut *lo),
+            <&mut [i32; GROUP]>::try_from(&mut *hi),
         ) {
             for (r, src) in rows.enumerate() {
-                let src = <&[T; N]>::try_from(src).expect("a whole square row");
-                for k in 0..N {
+                let src = <&[i32; GROUP]>::try_from(src).expect("a whole square row");
+                for k in 0..GROUP {
                     square[k][r] = src[k];
-                    lo[k] = lo[k].min(src[k].index());
-                    hi[k] = hi[k].max(src[k].index());
+                    lo[k] = lo[k].min(src[k]);
+                    hi[k] = hi[k].max(src[k]);
                 }
             }
         } else {
-            // The aperture's last channels, fewer than `N`.
+            // The aperture's last channels, fewer than `GROUP`.
             for (r, src) in rows.enumerate() {
                 let lanes = square.iter_mut().zip(lo.iter_mut().zip(hi.iter_mut()));
                 for ((line, (l, h)), &x) in lanes.zip(src) {
                     line[r] = x;
-                    *l = (*l).min(x.index());
-                    *h = (*h).max(x.index());
+                    *l = (*l).min(x);
+                    *h = (*h).max(x);
                 }
             }
         }
     }
 }
 
-/// The scalar pack of the nearest kernel: `transpose_group` over a
-/// staged group of up to 16 rows (`[row][active]`) into one block group
-/// (`[channel][row-in-group]`), widening the `lows`/`highs` windows —
-/// what [`Avx2::pack`] does for a full group's leading 16-channel
-/// squares.
-pub fn pack_group_scalar(staging: &[i32], group: &mut [i32], lows: &mut [i32], highs: &mut [i32]) {
-    transpose_group::<i32, 16>(staging, group, lows, highs, 0);
-}
-
-/// Adds one channel's `w · raw[entry]` into `acc`: accumulator `r` takes
-/// entry `r % GROUP` of the channel's line in group `r / GROUP`, with
-/// `lines` starting at the channel's line of group 0 and `active` lines
-/// per group. A short last chunk of `acc` reads the front of its line.
+/// The scalar MAC: adds one channel's `w · raw[index]` into `acc`, where
+/// accumulator `r` takes entry `r % GROUP` of the channel's line in group
+/// `r / GROUP`, with `lines` starting at the channel's line of group 0
+/// and `active` lines per group. A short last chunk of `acc` reads the
+/// front of its line. An index outside `raw` reads `0.0` (a negative one
+/// wraps to huge under the cast). [`Avx2::mac4`] does the same for four
+/// channels at a time.
 #[inline]
-fn mac_channel<T: Fetch>(lines: &[T], active: usize, trace: &[i16], w: f64, acc: &mut [f64]) {
-    let mut lines = lines.chunks(T::GROUP).step_by(active);
-    let mut accs = acc.chunks_exact_mut(T::GROUP);
+pub fn mac_channel_scalar(lines: &[i32], active: usize, raw: &[i16], w: f64, acc: &mut [f64]) {
+    let read = |i: i32| raw.get(i as usize).map_or(0.0, |&r| f64::from(r));
+    let mut lines = lines.chunks(GROUP).step_by(active);
+    let mut accs = acc.chunks_exact_mut(GROUP);
     for (accs, line) in accs.by_ref().zip(lines.by_ref()) {
-        for (a, &at) in accs.iter_mut().zip(line) {
-            *a += w * T::read(trace, at);
+        for (a, &i) in accs.iter_mut().zip(line) {
+            *a += w * read(i);
         }
     }
     if let Some(line) = lines.next() {
-        for (a, &at) in accs.into_remainder().iter_mut().zip(line) {
-            *a += w * T::read(trace, at);
+        for (a, &i) in accs.into_remainder().iter_mut().zip(line) {
+            *a += w * read(i);
         }
     }
-}
-
-/// The scalar MAC of the nearest kernel for one channel (`mac_channel`
-/// on `i32` entries): what [`Avx2::mac4`] does for four channels at a
-/// time.
-pub fn mac_channel_scalar(lines: &[i32], active: usize, trace: &[i16], w: f64, acc: &mut [f64]) {
-    mac_channel(lines, active, trace, w, acc);
-}
-
-/// The kernel's row-sized scratch, borrowed out of a [`TileState`].
-struct Scratch<'a> {
-    acc: &'a mut [f64],
-    live: &'a mut [u32],
-    windows: &'a mut [i32],
-}
-
-/// What a [`TileState`] covers, borrowed out of it for the kernel.
-struct Task<'a> {
-    slab: &'a mut NappeDelays,
-    region: Tile,
-    nappes: Range<usize>,
-    tiles: &'a [Tile],
 }
 
 /// How echo samples are fetched at the computed delay.
@@ -702,7 +573,9 @@ pub enum Interpolation {
     #[default]
     Nearest,
     /// Linear interpolation at the fractional delay (extension; quantifies
-    /// how much of the error budget comes from index rounding).
+    /// how much of the error budget comes from index rounding). Served by
+    /// the scalar per-voxel walk on every path, the batched ones included:
+    /// the tile kernel is nearest fetch only.
     Linear,
 }
 
@@ -799,13 +672,6 @@ impl Beamformer {
     /// The system spec this beamformer is bound to.
     pub fn spec(&self) -> &SystemSpec {
         &self.spec
-    }
-
-    /// Apodization weights for every element, in linear element order —
-    /// the `w` of Eq. 1 before compaction (zero-weight elements
-    /// included).
-    pub fn element_weights(&self) -> Vec<f64> {
-        self.apodization.weights(&self.spec.elements)
     }
 
     /// The compacted aperture every beamforming path sums over: the
@@ -927,21 +793,19 @@ impl Beamformer {
     /// allocation-free kernel [`VolumeLoop`](crate::VolumeLoop) and
     /// [`FramePipeline`](crate::FramePipeline) drive every frame.
     ///
-    /// One voxel-parallel kernel serves every transmit sequence and task
-    /// shape, split by interpolation mode into two monomorphized loops
-    /// chosen **once per task**. Per (tile, nappe), the engine fills the
+    /// Nearest fetch runs one voxel-parallel kernel for every transmit
+    /// sequence and task shape. Per (tile, nappe), the engine fills the
     /// receive leg ([`DelayEngine::fill_nappe_rx`]) once; per transmit,
     /// the transmit terms of a run of rows are computed in one pass and
-    /// added in the rounding pass ([`DelayEngine::quantize_tx_run`],
-    /// nearest), or one row's term by [`DelayEngine::combine_tx_row`]
-    /// (linear). The insonified rows are
-    /// packed into a grouped block that is summed
-    /// one channel at a time into per-row accumulators. Every voxel's
-    /// delay-and-sum starts at `0.0` and adds its `w·s` terms in ascending
-    /// aperture order, and each transmit's sum enters the voxel as `m·sum`
-    /// in transmit order, skipping `m == 0` — so the output is
+    /// added in the rounding pass ([`DelayEngine::quantize_tx_run`]). The
+    /// insonified rows are packed into a grouped index block that is
+    /// summed one channel at a time into per-row accumulators. Every
+    /// voxel's delay-and-sum starts at `0.0` and adds its `w·s` terms in
+    /// ascending aperture order, and each transmit's sum enters the voxel
+    /// as `m·sum` in transmit order, skipping `m == 0` — so the output is
     /// bit-identical to the scalar [`beamform_voxel`](Self::beamform_voxel)
-    /// walk.
+    /// walk. Linear interpolation fills `values` with that walk itself,
+    /// one voxel at a time.
     ///
     /// # Panics
     ///
@@ -955,7 +819,8 @@ impl Beamformer {
         state: &mut TileState,
     ) {
         let n_tx = self.spec.n_transmits();
-        let n_values = state.region.scanlines() * state.nappes.len();
+        let rows = state.region.scanlines();
+        let n_values = rows * state.nappes.len();
         assert_eq!(
             state.values.len(),
             n_values,
@@ -981,59 +846,26 @@ impl Beamformer {
             n_tx,
             "RF frame must hold every transmit acquisition"
         );
-        let TileState {
-            slab,
-            region,
-            nappes,
-            tiles,
-            values,
-            index_block,
-            index_staging,
-            delay_block,
-            delay_staging,
-            windows,
-            acc,
-            live,
-            tx_weights,
-            post_scratch,
-        } = state;
-        let (blocked, group) = match self.interpolation {
-            Interpolation::Nearest => (index_block.len(), i32::GROUP),
-            Interpolation::Linear => (delay_block.len(), f64::GROUP),
-        };
+        let nearest = self.interpolation == Interpolation::Nearest;
         assert_eq!(
-            blocked,
-            block_len(region.scanlines(), self.aperture.len(), group),
+            state.index_block.len(),
+            if nearest {
+                block_len(rows, self.aperture.len())
+            } else {
+                0
+            },
             "task state must be built for this beamformer's interpolation"
         );
-        let task = Task {
-            slab,
-            region: *region,
-            nappes: nappes.clone(),
-            tiles,
-        };
-        let scratch = Scratch { acc, live, windows };
-        match self.interpolation {
-            Interpolation::Nearest => self.tile_kernel(
-                engine,
-                rf,
-                task,
-                values,
-                tx_weights,
-                scratch,
-                index_block,
-                index_staging,
-            ),
-            Interpolation::Linear => self.tile_kernel(
-                engine,
-                rf,
-                task,
-                values,
-                tx_weights,
-                scratch,
-                delay_block,
-                delay_staging,
-            ),
+        let band = state.nappes();
+        if nearest {
+            self.tile_kernel(engine, rf, Avx2::detect(), state);
+        } else {
+            let columns = state.values.chunks_exact_mut(band.len());
+            for (column, (_, it, ip)) in columns.zip(state.region.iter_scanlines()) {
+                for (v, id) in column.iter_mut().zip(band.clone()) {
+                    *v = self.beamform_voxel(engine, rf, VoxelIndex::new(it, ip, id));
+                }
+            }
         }
         if !self.post.is_empty() {
             // Fused post-processing: each scanline column runs through
@@ -1044,13 +876,14 @@ impl Beamformer {
             // whole; columns are independent, so per-task application is
             // bit-identical to the whole-volume pass of the scalar
             // reference.
-            for column in values.chunks_exact_mut(nappes.len()) {
-                self.post.apply_column(column, post_scratch);
+            for column in state.values.chunks_exact_mut(band.len()) {
+                self.post.apply_column(column, &mut state.post_scratch);
             }
         }
     }
 
-    /// The voxel-parallel tile kernel, for one interpolation mode.
+    /// The voxel-parallel tile kernel (nearest fetch), with the vector
+    /// stages `isa` names — `None` runs the scalar pack and MAC alone.
     ///
     /// Per nappe of the task's band and per transmit:
     ///
@@ -1062,12 +895,11 @@ impl Beamformer {
     ///    staging buffer fills (a whole group of rows when every row is
     ///    insonified): at transmit 0 each run's rows are first compacted
     ///    in place to the active aperture, then every run gets its
-    ///    transmit terms in one engine call — computed for the whole run
+    ///    transmit terms in one engine call, computed for the whole run
     ///    and fused into the rounding pass
-    ///    ([`DelayEngine::quantize_tx_run`]) for nearest fetch, or one
-    ///    [`DelayEngine::combine_tx_row`] per row for linear. Both are
-    ///    element-wise, so compacting first is exact.
-    /// 2. A run is packed into the staging buffer after the live rows
+    ///    ([`DelayEngine::quantize_tx_run`]). Both are element-wise, so
+    ///    compacting first is exact.
+    /// 2. A run is rounded into the staging buffer after the live rows
     ///    already staged, and each full group is transposed into the
     ///    block's `[group][channel][row-in-group]` layout. Only
     ///    insonified rows (mask weight `m ≠ 0`) stay staged, the `live`
@@ -1076,21 +908,20 @@ impl Beamformer {
     ///    TABLESTEER's clamp counter counts every (voxel, transmit) row.
     /// 3. The aperture is walked channel by channel: channel `k` adds
     ///    `w[k] · raw_k[block[r][k]]` (the 16-bit sample, unscaled) into
-    ///    `acc[r]` for every block row,
-    ///    group by group, each group one unit-stride cache line of
-    ///    entries. Per voxel that is the scalar walk's ascending-order sum
-    ///    from `0.0`; across voxels the accumulators are independent
-    ///    chains, and one channel's lookups for every scanline of the
-    ///    nappe are one pass over a short stretch of its trace. Before
-    ///    channel `k`, the window channel `k + 8` will read — from the
-    ///    lowest index of its rows to the highest, tracked during the
-    ///    transposes — is prefetched, so the trace 128 KB away (at 8192
-    ///    two-byte samples per trace) is in flight while this channel
-    ///    sums. On a CPU with AVX2 ([`Avx2::detect`], once per task) the
-    ///    nearest kernel packs a full group's whole 16-channel squares
-    ///    with vector shuffles ([`Avx2::pack`]) and sums the full groups
-    ///    four channels at a time with masked gathers ([`Avx2::mac4`]);
-    ///    the scalar loops take the rest, in the same order per row.
+    ///    `acc[r]` for every block row, group by group, each group one
+    ///    unit-stride cache line of indices. Per voxel that is the scalar
+    ///    walk's ascending-order sum from `0.0`; across voxels the
+    ///    accumulators are independent chains, and one channel's lookups
+    ///    for every scanline of the nappe are one pass over a short
+    ///    stretch of its trace. Before channel `k`, the window channel
+    ///    `k + 8` will read — from the lowest index of its rows to the
+    ///    highest, tracked during the transposes — is prefetched, so the
+    ///    trace 128 KB away (at 8192 two-byte samples per trace) is in
+    ///    flight while this channel sums. With AVX2 the kernel packs a
+    ///    full group's whole 16-channel squares with vector shuffles
+    ///    ([`Avx2::pack`]) and sums the full groups four channels at a
+    ///    time with masked gathers ([`Avx2::mac4`]); the scalar loops
+    ///    take the rest, in the same order per row.
     /// 4. Each live voxel adds `m · (scale · acc[r])`, the frame's scale
     ///    applied once per (voxel, transmit) exactly as the scalar walk
     ///    applies it to its sum. The zero-weight skip is a
@@ -1100,44 +931,46 @@ impl Beamformer {
     ///    `0.0 * NaN` is NaN. A point source weighs 1 everywhere, and an
     ///    accumulator starting at `+0.0` never becomes `-0.0`, so there
     ///    `0.0 + 1.0 · acc` is `acc` bit for bit.
-    #[allow(clippy::too_many_arguments)]
-    fn tile_kernel<T: Fetch>(
+    fn tile_kernel(
         &self,
         engine: &dyn DelayEngine,
         rf: &RfFrame,
-        task: Task<'_>,
-        values: &mut [f64],
-        tx_weights: &[f64],
-        scratch: Scratch<'_>,
-        block: &mut [T],
-        staging: &mut [T],
+        isa: Option<Avx2>,
+        state: &mut TileState,
     ) {
-        let Task {
+        let TileState {
             slab,
             region,
             nappes,
             tiles,
-        } = task;
-        let Scratch { acc, live, windows } = scratch;
+            values,
+            index_block,
+            index_staging,
+            windows,
+            acc,
+            live,
+            tx_weights,
+            ..
+        } = state;
         let band = nappes.len();
         let n_values = values.len();
+        let scale = rf.scale();
         // The block's first whole cache line: every (group, channel) line
         // then sits on one.
-        let aligned = block.as_ptr().align_offset(64);
-        let block = &mut block[aligned..];
-        let isa = Avx2::detect();
+        let aligned = index_block.as_ptr().align_offset(64);
+        let block = &mut index_block[aligned..];
         values.fill(0.0);
-        for (j, id) in nappes.enumerate() {
+        for (j, id) in nappes.clone().enumerate() {
             for (tx, mask) in tx_weights.chunks_exact(n_values).enumerate() {
                 let mut rows = Block {
                     rows: &mut *block,
-                    staging: &mut *staging,
-                    windows: &mut *windows,
-                    live: &mut *live,
+                    staging: index_staging,
+                    windows,
+                    live,
                     len: 0,
                     isa,
                 };
-                for &tile in tiles {
+                for &tile in tiles.iter() {
                     if tx == 0 {
                         slab.retarget(tile);
                         engine.fill_nappe_rx(id, slab);
@@ -1151,7 +984,7 @@ impl Beamformer {
                     let n_rows = tile.scanlines();
                     let mut first = 0;
                     while first < n_rows {
-                        let room = T::GROUP - rows.len % T::GROUP;
+                        let room = GROUP - rows.len % GROUP;
                         let run = first..(first + room).min(n_rows);
                         if tx == 0 {
                             // Compacted in place just before the run is
@@ -1165,83 +998,16 @@ impl Beamformer {
                     }
                 }
                 let n_live = rows.finish();
-                self.accumulate(
-                    rf, isa, tx, j, band, block, windows, n_live, acc, live, mask, values,
-                );
-            }
-        }
-    }
-
-    /// Steps 3 and 4 of [`tile_kernel`](Self::tile_kernel) for one
-    /// (nappe `j` of a `band`-nappe task, transmit `tx`): the
-    /// channel-outer MAC over the first `n_live` rows of the grouped
-    /// `block`, then each live voxel's `m · (scale · acc)` into `values`.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn accumulate<T: Fetch>(
-        &self,
-        rf: &RfFrame,
-        isa: Option<Avx2>,
-        tx: usize,
-        j: usize,
-        band: usize,
-        block: &[T],
-        windows: &[i32],
-        n_live: usize,
-        acc: &mut [f64],
-        live: &[u32],
-        mask: &[f64],
-        values: &mut [f64],
-    ) {
-        if n_live == 0 {
-            return;
-        }
-        let channels = self.aperture.channels();
-        let weights = self.aperture.weights();
-        let active = channels.len();
-        let group = T::GROUP;
-        let full = n_live / group;
-        let acc = &mut acc[..n_live];
-        acc.fill(0.0);
-        let (full_acc, tail_acc) = acc.split_at_mut(full * group);
-        let trace = |k: usize| rf.channel_trace_for(tx, channels[k]);
-        for first in (0..active).step_by(MAC_CHANNELS) {
-            let ks = first..(first + MAC_CHANNELS).min(active);
-            for next in ks.clone().map(|k| k + PREFETCH_AHEAD) {
-                if let Some(&ahead) = channels.get(next) {
-                    rf.prefetch_window_for(tx, ahead, windows[next], windows[active + next]);
+                if n_live == 0 {
+                    continue;
+                }
+                let acc = &mut acc[..n_live];
+                rows.mac(&self.aperture, rf, tx, acc);
+                for (&slot, &a) in live.iter().zip(acc.iter()) {
+                    let v = slot as usize * band + j;
+                    values[v] += mask[v] * (scale * a);
                 }
             }
-            // Four whole channels over the full groups take the vector MAC
-            // when there is one; the rest, and the partial group's rows,
-            // the scalar channel loop. Either way each row's channels
-            // arrive in ascending order.
-            let vector = match isa {
-                Some(avx2) if ks.len() == MAC_CHANNELS => T::mac4(
-                    avx2,
-                    &block[first * group..],
-                    active,
-                    std::array::from_fn(|c| trace(first + c)),
-                    std::array::from_fn(|c| weights[first + c]),
-                    full_acc,
-                ),
-                _ => false,
-            };
-            for k in ks {
-                let (raw, w) = (trace(k).raw(), weights[k]);
-                if !vector {
-                    mac_channel(&block[k * group..], active, raw, w, full_acc);
-                }
-                if !tail_acc.is_empty() {
-                    let line = &block[(full * active + k) * group..];
-                    mac_channel(line, active, raw, w, tail_acc);
-                }
-            }
-        }
-        let scale = rf.scale();
-        for (&slot, &a) in live.iter().zip(acc.iter()) {
-            let v = slot as usize * band + j;
-            values[v] += mask[v] * (scale * a);
         }
     }
 
@@ -1626,7 +1392,7 @@ mod tests {
 
     #[test]
     fn stale_block_entries_are_never_read() {
-        // Garbage past the live rows — NaN delays, indices at both ends
+        // Garbage past the live rows — NaN sums, indices at both ends
         // of the i32 range — in every block, staging and window buffer
         // must not reach the output: every task shape, both
         // interpolations and a compound frame (whose masks leave short
@@ -1654,8 +1420,6 @@ mod tests {
                         *x = if i % 2 == 0 { i32::MIN } else { i32::MAX };
                     }
                     stale.index_staging.fill(i32::MAX);
-                    stale.delay_block.fill(f64::NAN);
-                    stale.delay_staging.fill(f64::NAN);
                     stale.acc.fill(f64::NAN);
                     stale.values.fill(f64::NAN);
                     stale.windows.fill(i32::MIN);
@@ -1666,6 +1430,74 @@ mod tests {
                     // A second frame reuses the block the first one left.
                     bf.beamform_tile_into(&engine, rf, &mut stale);
                     assert_eq!(bits(&stale), bits(&fresh), "{interp:?} {nappes:?} warm");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scalar_stages_alone_match_the_scalar_walk() {
+        // The kernel without its vector stages — the scalar pack and MAC
+        // over whole groups too, as on a CPU without AVX2 — for all four
+        // engines, a single-transmit and a compound sequence, as a
+        // whole-fan depth band and as a fan tile over every nappe, gives
+        // the scalar walk's bits at every voxel. The targets sit on a
+        // voxel, and the compound cone is narrow enough for every plane
+        // wave's footprint to cover the grid, so no volume is all zeros.
+        let tiny = SystemSpec::tiny();
+        let narrow = SystemSpec::new(
+            tiny.speed_of_sound,
+            tiny.sampling_frequency,
+            tiny.transducer.clone(),
+            usbf_geometry::VolumeSpec {
+                theta_max: usbf_geometry::deg(4.0),
+                phi_max: usbf_geometry::deg(4.0),
+                depth_max: 60.0 * tiny.wavelength(),
+                ..tiny.volume.clone()
+            },
+            tiny.origin,
+            tiny.frame_rate,
+        )
+        .with_transmits(usbf_geometry::TransmitModel::plane_wave_fan(
+            4,
+            usbf_geometry::deg(10.0),
+        ));
+        for spec in [tiny, narrow] {
+            let target = on_voxel_target(&spec, VoxelIndex::new(3, 4, 6));
+            let rf = EchoSynthesizer::new(&spec)
+                .synthesize(&Phantom::point(target), &Pulse::from_spec(&spec));
+            let exact = ExactEngine::new(&spec);
+            let naive = usbf_core::NaiveTableEngine::build(&spec, u64::MAX).unwrap();
+            let tablefree =
+                usbf_core::TableFreeEngine::new(&spec, usbf_core::TableFreeConfig::paper())
+                    .unwrap();
+            let tablesteer = TableSteerEngine::new(&spec, TableSteerConfig::bits18()).unwrap();
+            let engines: [&dyn DelayEngine; 4] = [&exact, &naive, &tablefree, &tablesteer];
+            let bf = Beamformer::new(&spec);
+            let tiles = NappeSchedule::fitted(&spec, 4).tiles();
+            let fan = if spec.n_transmits() == 1 {
+                tiles.clone()
+            } else {
+                vec![NappeDelays::full(&spec).tile()]
+            };
+            for engine in engines {
+                let band = TileState::band(&bf, &fan, 3..11);
+                for mut state in [band, TileState::new(&bf, tiles[1])] {
+                    bf.tile_kernel(engine, &rf, None, &mut state);
+                    let nappes = state.nappes();
+                    let columns = state.values().chunks_exact(nappes.len());
+                    for (column, (_, it, ip)) in columns.zip(state.region().iter_scanlines()) {
+                        for (v, id) in column.iter().zip(nappes.clone()) {
+                            let vox = VoxelIndex::new(it, ip, id);
+                            let walk = bf.beamform_voxel(engine, &rf, vox);
+                            assert_eq!(v.to_bits(), walk.to_bits(), "{} {vox}", engine.name());
+                        }
+                    }
+                    assert!(
+                        state.values().iter().any(|&v| v != 0.0),
+                        "{}",
+                        engine.name()
+                    );
                 }
             }
         }
@@ -1727,7 +1559,7 @@ mod tests {
         // Full and partial staged groups of random indices over 1 to 40
         // channels (whole 16-channel squares, their tails, and fewer than
         // one square): the AVX2 path writes the same block lines and
-        // widens the same windows as `transpose_group`, from equal
+        // widens the same windows as `pack_group_scalar`, from equal
         // windows. Without AVX2 there is nothing to compare.
         let Some(avx2) = Avx2::detect() else {
             eprintln!("no AVX2 on this CPU: only the scalar pack runs");
@@ -1742,10 +1574,10 @@ mod tests {
                 let mut vector = scalar.clone();
                 {
                     let (lows, highs) = scalar.1.split_at_mut(active);
-                    transpose_group::<i32, 16>(&staging, &mut scalar.0, lows, highs, 0);
+                    pack_group_scalar(&staging, &mut scalar.0, lows, highs, 0);
                 }
                 let (lows, highs) = vector.1.split_at_mut(active);
-                <i32 as Fetch>::transpose(Some(avx2), &staging, &mut vector.0, lows, highs);
+                pack_group(Some(avx2), &staging, &mut vector.0, lows, highs);
                 assert_eq!(vector, scalar, "{active} channels, {rows} rows");
                 if rows == 16 {
                     let mut lines = vec![-1; 16 * active];
@@ -1798,7 +1630,13 @@ mod tests {
                     let mut scalar = start.clone();
                     for k in first..first + MAC_CHANNELS {
                         let trace = rf.channel_trace_for(tx, k as u32).raw();
-                        mac_channel(&block[k * 16..], active, trace, weights[k], &mut scalar);
+                        mac_channel_scalar(
+                            &block[k * 16..],
+                            active,
+                            trace,
+                            weights[k],
+                            &mut scalar,
+                        );
                     }
                     let mut vector = start;
                     avx2.mac4(

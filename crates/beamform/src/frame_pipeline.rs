@@ -611,24 +611,16 @@ impl FramePipeline {
         Some(&self.fin.outs[(self.fin.frames % 2) as usize])
     }
 
-    /// A zero-scatter view over the most recent successful frame's tile
-    /// outputs (`None` before the first one):
+    /// A view over [`volume`](Self::volume), the most recent successful
+    /// frame (`None` before the first one):
     /// [`slice`](crate::VolumeView::slice) and
-    /// [`mip`](crate::VolumeView::mip) read the warm staging buffers
-    /// directly, skipping the merged volume entirely. The view borrows
-    /// the pipeline, so it can never observe a frame mid-flight — a
-    /// [`VolumeTicket`] holds the pipeline's `&mut` until redeemed.
+    /// [`mip`](crate::VolumeView::mip) copy out one plane or projection.
+    /// The view borrows the pipeline, so it can never observe a frame
+    /// mid-flight — a [`VolumeTicket`] holds the pipeline's `&mut` until
+    /// redeemed — and a failed or abandoned frame leaves it on the last
+    /// successful one.
     pub fn view(&self) -> Option<crate::VolumeView<'_>> {
-        if self.fin.frames == 0 {
-            return None;
-        }
-        let grid = &self.ctx.beamformer.spec().volume_grid;
-        Some(crate::VolumeView::new(
-            &self.tile_states,
-            grid.n_theta(),
-            grid.n_phi(),
-            grid.n_depth(),
-        ))
+        self.volume().map(crate::VolumeView::new)
     }
 
     /// Frames beamformed successfully since construction.

@@ -10,12 +10,12 @@
 //! * [`Apodization`] — separable aperture windows (the `w(S)` weights the
 //!   paper leaves out of scope but relies on to suppress edge artifacts);
 //! * [`Beamformer`] — per-voxel delay-and-sum with nearest-index fetch
-//!   (the paper's datapath) or linear interpolation (extension); its tile
-//!   kernel runs as two monomorphized, voxel-parallel loops over the
-//!   compacted [`ActiveAperture`] and a reusable [`TileState`] (fan tile
-//!   or whole-fan depth band; quantized index rows → grouped index
-//!   block → channel-outer gather and accumulate), bit-identical to the
-//!   scalar walk;
+//!   (the paper's datapath) or linear interpolation (extension); nearest
+//!   fetch runs one voxel-parallel tile kernel over the compacted
+//!   [`ActiveAperture`] and a reusable [`TileState`] (fan tile or
+//!   whole-fan depth band; quantized index rows → grouped index block →
+//!   channel-outer gather and accumulate), bit-identical to the scalar
+//!   walk, which also serves linear interpolation;
 //! * [`BeamformedVolume`] — the reconstructed volume with profile/slice
 //!   accessors for image-quality metrics;
 //! * [`PostChain`] — fused B-mode post-processing (IQ demodulation →
@@ -23,8 +23,8 @@
 //!   envelope kernels) applied per tile inside the volume paths, with
 //!   preallocated scratch and bit-identical to a whole-volume pass;
 //! * [`VolumeView`] — re-slices ([`SlicePlane`]) and max-intensity
-//!   projections ([`ProjectionAxis`]) assembled straight from the warm
-//!   task outputs, never materializing the full volume;
+//!   projections ([`ProjectionAxis`]) of a runtime's most recent
+//!   successful volume, copied out one plane at a time;
 //! * [`VolumeLoop`] — the real-time frame loop: repeated volumes on the
 //!   persistent `usbf_par` worker pool with preallocated delay slabs and
 //!   buffers and a preregistered pool job, bit-identical to the cold

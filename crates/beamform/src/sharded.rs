@@ -587,12 +587,12 @@ impl ShardedRuntime {
         self.live(id)?.volume()
     }
 
-    /// A zero-scatter [`VolumeView`](crate::VolumeView) over shard
-    /// `id`'s most recent frame (`None` for stale ids or before the
-    /// shard's first successful frame): the per-viewer serving path —
-    /// a dashboard pulls a [`slice`](crate::VolumeView::slice) or
-    /// [`mip`](crate::VolumeView::mip) straight from the shard's warm
-    /// tile outputs, never the merged volume.
+    /// A [`VolumeView`](crate::VolumeView) over shard `id`'s most recent
+    /// successful volume (`None` for stale ids or before the shard's
+    /// first successful frame): the per-viewer serving path — a
+    /// dashboard pulls a [`slice`](crate::VolumeView::slice) or
+    /// [`mip`](crate::VolumeView::mip) of the volume
+    /// [`volume_of`](Self::volume_of) returns.
     pub fn view_of(&self, id: ShardId) -> Option<crate::VolumeView<'_>> {
         self.live(id)?.view()
     }

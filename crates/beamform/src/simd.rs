@@ -25,9 +25,9 @@ use std::arch::x86_64::{
     _mm256_unpacklo_epi64,
 };
 
-/// Rows per group of the nearest kernel's block (one 64-byte line of
-/// `i32` entries per (group, channel)).
-const GROUP: usize = 16;
+/// Rows per group of the tile kernel's index block: one channel's `i32`
+/// entries for a group fill one 64-byte cache line.
+pub const GROUP: usize = 16;
 
 /// Channels [`Avx2::mac4`] sums per call.
 pub const MAC_CHANNELS: usize = 4;

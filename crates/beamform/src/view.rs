@@ -1,18 +1,17 @@
-//! Cheap volume views: re-slices and max-intensity projections computed
-//! straight from the warm tile outputs.
+//! Cheap volume views: re-slices and max-intensity projections of a
+//! runtime's most recent volume.
 //!
-//! A dashboard viewer pulls a 2D image, not a 100 MB volume. Serving
-//! that image from the scattered [`BeamformedVolume`] means the runtime
-//! first merges every tile into the dense volume and the consumer then
-//! re-reads a plane of it. [`VolumeView`] skips both steps: it borrows
-//! the runtime's per-tile staging buffers (each tile's scanline columns
-//! in `[scanline][depth]` order) and assembles the requested plane
-//! directly — O(plane) writes, no volume-sized buffer touched, and with
-//! the `_into` variants no allocation at all. The values read are the
-//! most recent beamformed frame's, post-processing included when the
-//! beamformer carries a [`PostChain`](crate::PostChain).
+//! A dashboard viewer pulls a 2D image, not a 100 MB volume.
+//! [`VolumeView`] borrows the volume a runtime scattered its last
+//! successful frame into and copies out only the requested plane or
+//! projection: O(plane) writes, with the `_into` variants no allocation
+//! at all. The volume keeps each scanline column contiguous
+//! (`[θ][φ][depth]`), so a θ slice is one copy, a φ slice one copy per
+//! column and a depth slice one read per column. The values read are
+//! post-processed when the beamformer carries a
+//! [`PostChain`](crate::PostChain).
 
-use crate::beamformer::TileState;
+use crate::BeamformedVolume;
 
 /// A plane of the volume selected by fixing one coordinate.
 ///
@@ -45,36 +44,37 @@ pub enum ProjectionAxis {
     Depth,
 }
 
-/// A read-only window onto a runtime's most recent beamformed frame,
-/// assembled per request from the warm task outputs — fan tiles or
-/// whole-fan depth bands alike, each task's values read through its own
-/// region and band. Borrowed from
-/// [`VolumeLoop::view`](crate::VolumeLoop::view),
+/// A read-only window onto a runtime's most recent successful volume,
+/// borrowed from [`VolumeLoop::view`](crate::VolumeLoop::view),
 /// [`FramePipeline::view`](crate::FramePipeline::view) or
-/// [`ShardedRuntime::view_of`](crate::ShardedRuntime::view_of); the
-/// borrow checker guarantees no frame can be in flight while a view is
-/// alive.
+/// [`ShardedRuntime::view_of`](crate::ShardedRuntime::view_of) — the
+/// same volume their `volume` accessors return. The borrow checker
+/// guarantees no frame can be in flight while a view is alive, and a
+/// failed or abandoned frame never reaches the volume, so a view never
+/// shows one.
 #[derive(Clone, Copy)]
 pub struct VolumeView<'a> {
-    states: &'a [TileState],
+    volume: &'a BeamformedVolume,
     n_theta: usize,
     n_phi: usize,
     n_depth: usize,
 }
 
 impl<'a> VolumeView<'a> {
-    pub(crate) fn new(
-        states: &'a [TileState],
-        n_theta: usize,
-        n_phi: usize,
-        n_depth: usize,
-    ) -> Self {
+    pub(crate) fn new(volume: &'a BeamformedVolume) -> Self {
+        let (n_theta, n_phi, n_depth) = volume.dims();
         VolumeView {
-            states,
+            volume,
             n_theta,
             n_phi,
             n_depth,
         }
+    }
+
+    /// The volume's scanline columns, θ-major and φ-inner, each one
+    /// contiguous run of `n_depth` values.
+    fn columns(&self) -> std::slice::ChunksExact<'a, f64> {
+        self.volume.as_slice().chunks_exact(self.n_depth)
     }
 
     /// The `(n_theta, n_phi, n_depth)` extents of the viewed volume.
@@ -114,8 +114,7 @@ impl<'a> VolumeView<'a> {
     }
 
     /// Extracts a plane into a fresh buffer. See [`SlicePlane`] for the
-    /// output layout. Only the plane is ever written — the full volume
-    /// is never materialized.
+    /// output layout.
     pub fn slice(&self, plane: SlicePlane) -> Vec<f64> {
         let mut out = vec![0.0; self.slice_len(plane)];
         self.slice_into(plane, &mut out);
@@ -132,32 +131,20 @@ impl<'a> VolumeView<'a> {
     /// length.
     pub fn slice_into(&self, plane: SlicePlane, out: &mut [f64]) {
         assert_eq!(out.len(), self.slice_len(plane), "output length mismatch");
-        let nd = self.n_depth;
-        for state in self.states {
-            let (region, band) = (state.region(), state.nappes());
-            let columns = state.values().chunks_exact(band.len());
-            match plane {
-                SlicePlane::Theta(it) => {
-                    for (column, (_, t, ip)) in columns.zip(region.iter_scanlines()) {
-                        if t == it {
-                            out[ip * nd..(ip + 1) * nd][band.clone()].copy_from_slice(column);
-                        }
-                    }
+        let per_theta = self.n_phi * self.n_depth;
+        match plane {
+            SlicePlane::Theta(it) => {
+                out.copy_from_slice(&self.volume.as_slice()[it * per_theta..][..per_theta]);
+            }
+            SlicePlane::Phi(ip) => {
+                let columns = self.columns().skip(ip).step_by(self.n_phi);
+                for (row, column) in out.chunks_exact_mut(self.n_depth).zip(columns) {
+                    row.copy_from_slice(column);
                 }
-                SlicePlane::Phi(ip) => {
-                    for (column, (_, it, p)) in columns.zip(region.iter_scanlines()) {
-                        if p == ip {
-                            out[it * nd..(it + 1) * nd][band.clone()].copy_from_slice(column);
-                        }
-                    }
-                }
-                SlicePlane::Depth(id) => {
-                    if !band.contains(&id) {
-                        continue;
-                    }
-                    for (column, (_, it, ip)) in columns.zip(region.iter_scanlines()) {
-                        out[it * self.n_phi + ip] = column[id - band.start];
-                    }
+            }
+            SlicePlane::Depth(id) => {
+                for (o, column) in out.iter_mut().zip(self.columns()) {
+                    *o = column[id];
                 }
             }
         }
@@ -183,24 +170,34 @@ impl<'a> VolumeView<'a> {
         assert_eq!(out.len(), self.mip_len(axis), "output length mismatch");
         out.fill(f64::NEG_INFINITY);
         let nd = self.n_depth;
-        for state in self.states {
-            let (region, band) = (state.region(), state.nappes());
-            let columns = state.values().chunks_exact(band.len());
-            for (column, (_, it, ip)) in columns.zip(region.iter_scanlines()) {
-                let row = match axis {
-                    ProjectionAxis::Theta => &mut out[ip * nd..(ip + 1) * nd][band.clone()],
-                    ProjectionAxis::Phi => &mut out[it * nd..(it + 1) * nd][band.clone()],
-                    ProjectionAxis::Depth => {
-                        let o = &mut out[it * self.n_phi + ip];
-                        *o = column.iter().fold(*o, |m, &v| m.max(v));
-                        continue;
+        // The volume one θ plane at a time, each `[φ][depth]`.
+        let planes = self.volume.as_slice().chunks_exact(self.n_phi * nd);
+        match axis {
+            ProjectionAxis::Theta => {
+                for plane in planes {
+                    fold_max(out, plane);
+                }
+            }
+            ProjectionAxis::Phi => {
+                for (row, plane) in out.chunks_exact_mut(nd).zip(planes) {
+                    for column in plane.chunks_exact(nd) {
+                        fold_max(row, column);
                     }
-                };
-                for (o, &v) in row.iter_mut().zip(column) {
-                    *o = o.max(v);
+                }
+            }
+            ProjectionAxis::Depth => {
+                for (o, column) in out.iter_mut().zip(self.columns()) {
+                    *o = column.iter().fold(*o, |m, &v| m.max(v));
                 }
             }
         }
+    }
+}
+
+/// `out[i] = max(out[i], values[i])` for every `i`.
+fn fold_max(out: &mut [f64], values: &[f64]) {
+    for (o, &v) in out.iter_mut().zip(values) {
+        *o = o.max(v);
     }
 }
 
@@ -208,12 +205,14 @@ impl<'a> VolumeView<'a> {
 mod tests {
     use super::*;
     use crate::{
-        Beamformer, BmodeConfig, FramePipeline, FrameRing, PostChain, ShardConfig, ShardedRuntime,
-        VolumeLoop,
+        Beamformer, BmodeConfig, DelayEngine, FramePipeline, FrameRing, PipelineError, PostChain,
+        ShardConfig, ShardedRuntime, VolumeLoop,
     };
+    use std::ops::Range;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
-    use usbf_core::ExactEngine;
-    use usbf_geometry::{SystemSpec, VoxelIndex};
+    use usbf_core::{ExactEngine, NappeDelays};
+    use usbf_geometry::{ElementIndex, SystemSpec, VoxelIndex};
     use usbf_sim::{EchoSynthesizer, Phantom, Pulse, RfFrame};
 
     fn setup() -> (SystemSpec, RfFrame) {
@@ -360,6 +359,123 @@ mod tests {
             rt.view_of(ids[0]).unwrap().slice(SlicePlane::Depth(8)),
             rt.view_of(ids[1]).unwrap().slice(SlicePlane::Depth(8))
         );
+    }
+
+    /// EXACT with an injected fault: when armed, the receive-leg fill of
+    /// the last nappe panics — after every task has beamformed its other
+    /// nappes into its buffers.
+    struct LateFault {
+        inner: ExactEngine,
+        last: usize,
+        armed: AtomicBool,
+    }
+
+    impl DelayEngine for LateFault {
+        fn name(&self) -> &'static str {
+            "LATE_FAULT"
+        }
+        fn echo_buffer_len(&self) -> usize {
+            self.inner.echo_buffer_len()
+        }
+        fn delay_samples(&self, tx: usize, vox: VoxelIndex, e: ElementIndex) -> f64 {
+            self.inner.delay_samples(tx, vox, e)
+        }
+        fn fill_nappe_rx(&self, nappe_idx: usize, out: &mut NappeDelays) {
+            let armed = self.armed.load(Ordering::SeqCst);
+            assert!(!(armed && nappe_idx == self.last), "injected late fault");
+            self.inner.fill_nappe_rx(nappe_idx, out);
+        }
+        fn combine_tx_row(&self, tx: usize, vox: VoxelIndex, rx_row: &[f64], out: &mut [f64]) {
+            self.inner.combine_tx_row(tx, vox, rx_row, out);
+        }
+        fn quantize_tx_run(
+            &self,
+            tx: usize,
+            rx: &NappeDelays,
+            slots: Range<usize>,
+            out: &mut [i32],
+        ) {
+            self.inner.quantize_tx_run(tx, rx, slots, out);
+        }
+    }
+
+    /// Every slice and MIP of `view` equals the same one of `volume`.
+    fn assert_view_is(view: Option<VolumeView<'_>>, volume: Option<&BeamformedVolume>, what: &str) {
+        let (view, volume) = (view.expect("a view"), volume.expect("a volume"));
+        for plane in all_planes(&SystemSpec::tiny()) {
+            assert_eq!(view.slice(plane), volume.slice(plane), "{what}: {plane:?}");
+        }
+        for axis in AXES {
+            assert_eq!(view.mip(axis), volume.mip(axis), "{what}: {axis:?}");
+        }
+    }
+
+    #[test]
+    fn views_stay_on_the_last_successful_frame() {
+        // A ring of three distinct frames: the first completes, the
+        // second is beamformed and abandoned, the third fails at its last
+        // nappe. Each leaves the view on the first frame's volume — what
+        // `volume` returns — through a pipeline and through a shard, for
+        // raw band tasks and post-processed tile tasks.
+        let spec = SystemSpec::tiny();
+        let frames: Vec<RfFrame> = [(4, 4, 8), (2, 5, 11), (6, 1, 3)]
+            .into_iter()
+            .map(|(it, ip, id)| {
+                let target = spec.volume_grid.position(VoxelIndex::new(it, ip, id));
+                EchoSynthesizer::new(&spec)
+                    .synthesize(&Phantom::point(target), &Pulse::from_spec(&spec))
+            })
+            .collect();
+        let engine = Arc::new(LateFault {
+            inner: ExactEngine::new(&spec),
+            last: spec.volume_grid.n_depth() - 1,
+            armed: AtomicBool::new(false),
+        });
+        let pool = Arc::new(usbf_par::ThreadPool::new(2));
+        for post in [
+            PostChain::empty(),
+            PostChain::bmode(BmodeConfig::from_spec(&spec)),
+        ] {
+            let bf = Beamformer::new(&spec).with_postproc(post);
+            let mut pipe = FramePipeline::with_pool(
+                bf.clone(),
+                Arc::clone(&engine) as _,
+                FrameRing::new(frames.clone()),
+                Arc::clone(&pool),
+                &usbf_core::NappeSchedule::fitted(&spec, 4),
+            );
+            pipe.next_volume().expect("a healthy frame");
+            drop(pipe.submit().expect("a submitted frame"));
+            assert_eq!(pipe.abandoned(), 1);
+            assert_view_is(pipe.view(), pipe.volume(), "pipeline, abandoned");
+            engine.armed.store(true, Ordering::SeqCst);
+            assert!(matches!(
+                pipe.next_volume(),
+                Err(PipelineError::Beamform(_))
+            ));
+            engine.armed.store(false, Ordering::SeqCst);
+            assert_view_is(pipe.view(), pipe.volume(), "pipeline, failed");
+
+            let mut rt = ShardedRuntime::new(
+                Arc::clone(&pool),
+                vec![ShardConfig::new(
+                    bf,
+                    Arc::clone(&engine) as _,
+                    FrameRing::new(frames.clone()),
+                )],
+            );
+            let id = rt.shard_ids()[0];
+            assert!(rt.round()[0].is_ok(), "a healthy round");
+            drop(rt.shard_mut_of(id).expect("a live shard").submit());
+            assert_view_is(rt.view_of(id), rt.volume_of(id), "shard, abandoned");
+            engine.armed.store(true, Ordering::SeqCst);
+            assert!(matches!(
+                rt.round()[0].error(),
+                Some(PipelineError::Beamform(_))
+            ));
+            engine.armed.store(false, Ordering::SeqCst);
+            assert_view_is(rt.view_of(id), rt.volume_of(id), "shard, failed");
+        }
     }
 
     #[test]

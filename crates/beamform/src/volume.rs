@@ -96,6 +96,11 @@ impl BeamformedVolume {
         &self.data
     }
 
+    /// The `(n_theta, n_phi, n_depth)` extents.
+    pub(crate) fn dims(&self) -> (usize, usize, usize) {
+        (self.n_theta, self.n_phi, self.n_depth)
+    }
+
     /// Depth samples per scanline column.
     #[inline]
     pub fn n_depth(&self) -> usize {

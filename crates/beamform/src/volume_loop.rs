@@ -124,14 +124,12 @@ impl VolumeLoop {
         &self.out
     }
 
-    /// A zero-scatter view over the most recent frame's tile outputs:
+    /// A view over [`volume`](Self::volume):
     /// [`slice`](crate::VolumeView::slice) and
-    /// [`mip`](crate::VolumeView::mip) read the warm staging buffers
-    /// directly, without the merged volume. Zeros before the first
-    /// frame, like [`volume`](Self::volume).
+    /// [`mip`](crate::VolumeView::mip) copy out one plane or projection.
+    /// Zeros before the first frame.
     pub fn view(&self) -> crate::VolumeView<'_> {
-        let grid = &self.beamformer.spec().volume_grid;
-        crate::VolumeView::new(&self.states, grid.n_theta(), grid.n_phi(), grid.n_depth())
+        crate::VolumeView::new(&self.out)
     }
 
     /// Frames beamformed since construction.

@@ -130,7 +130,7 @@ fn bench_beamform(c: &mut Criterion) {
                 .chunks_exact(group_len)
                 .zip(block.chunks_exact_mut(group_len))
             {
-                pack_group_scalar(black_box(stage), group, &mut lows, &mut highs);
+                pack_group_scalar(black_box(stage), group, &mut lows, &mut highs, 0);
             }
             black_box(block[0])
         })

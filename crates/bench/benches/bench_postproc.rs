@@ -1,5 +1,4 @@
-//! Cost of the fused B-mode post-processing chain and the zero-scatter
-//! volume views.
+//! Cost of the fused B-mode post-processing chain and the volume views.
 //!
 //! Two groups, both at a fixed worker count so the comparison is
 //! meaningful on any host:
@@ -9,10 +8,10 @@
 //!   chain applied per tile column before the scatter. The gap is the
 //!   whole cost of turning raw beamformed depth traces into B-mode;
 //!   the reported elements/s **is** frames/s;
-//! * `views` — `VolumeView::slice_into`/`mip_into` computed straight
-//!   from the tile outputs into a caller buffer, against the
-//!   materialized `BeamformedVolume::slice`/`mip` reference that
-//!   allocates its result per call.
+//! * `views` — `VolumeView::slice_into`/`mip_into` copied out of the
+//!   pipeline's volume into a caller buffer, against the
+//!   `BeamformedVolume::slice`/`mip` reference that allocates its
+//!   result per call.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -68,8 +67,7 @@ fn bench_postproc(c: &mut Criterion) {
     }
     g.finish();
 
-    // Zero-scatter views over the fused tile outputs vs slicing the
-    // materialized volume.
+    // Views into caller buffers vs the allocating volume reference.
     let mut pipe = FramePipeline::with_pool(
         Beamformer::new(&spec).with_postproc(PostChain::bmode(BmodeConfig::from_spec(&spec))),
         Arc::clone(&engine),

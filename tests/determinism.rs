@@ -297,8 +297,8 @@ fn fused_bmode_post_stages_are_bit_identical_to_the_scalar_reference() {
                     engine.name()
                 );
             }
-            // The zero-scatter view over the fused tile outputs agrees
-            // with the scattered volume it bypasses.
+            // The view over the pipeline's volume agrees with the
+            // scalar reference's projections.
             let view = pipe.view().expect("frames completed");
             let last = reference.last().unwrap();
             for axis in [

@@ -98,8 +98,8 @@ fn warm_frames_do_no_per_tile_allocation() {
          {tiles} tiles each) — the per-tile dispatch path is allocating again"
     );
 
-    // --- The banded loop's views: depth slices and MIPs stitched from
-    // the bands' staging buffers into caller-owned buffers ---
+    // --- The banded loop's views: depth slices and MIPs copied out of
+    // the loop's volume into caller-owned buffers ---
     let (n_theta, n_phi, n_depth) = rt.view().dims();
     let mut slice_buf = vec![0.0; n_theta * n_phi];
     let mut column_buf = vec![0.0; n_phi * n_depth];
@@ -200,9 +200,8 @@ fn warm_frames_do_no_per_tile_allocation() {
 
     // --- FramePipeline with the fused B-mode post-stages: the demod →
     // envelope → log-compress chain runs per tile on the slab-resident
-    // I/Q scratch, so warm frames still measure 0 — and the zero-scatter
-    // views fill caller-provided buffers without materializing the
-    // volume ---
+    // I/Q scratch, so warm frames still measure 0 — and the views fill
+    // caller-provided buffers without allocating ---
     let mut pipe = FramePipeline::with_pool(
         Beamformer::new(&spec).with_postproc(PostChain::bmode(BmodeConfig::from_spec(&spec))),
         Arc::clone(&arc_engine),
