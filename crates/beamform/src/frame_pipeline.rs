@@ -34,15 +34,15 @@
 //! thread spawns, zero slab/buffer/volume allocations, zero per-tile
 //! job allocations and zero channel nodes — the RF buffers shuttle
 //! between the pipeline and the acquisition thread by move through the
-//! mutex-guarded exchange, and the tile tasks run on the pipeline's
+//! mutex-guarded exchange, and the band tasks run on the pipeline's
 //! preregistered [`JobHandle`](usbf_par::JobHandle). Output is
 //! bit-identical to running the same frames through a serial
 //! [`VolumeLoop`](crate::VolumeLoop), for any engine and any pool size
 //! — the pipeline only reorders *when* work happens, never *what* is
 //! computed.
 
-use crate::beamformer::TileState;
-use crate::{BeamformedVolume, Beamformer};
+use crate::beamformer::{finish_frame, TileState};
+use crate::{BeamformedVolume, Beamformer, PostChain, PostScratch};
 use std::any::Any;
 use std::error::Error;
 use std::fmt;
@@ -312,7 +312,7 @@ impl IngestLink {
     }
 }
 
-/// The read-only context every tile task of a frame shares: the fixed
+/// The read-only context every band task of a frame shares: the fixed
 /// beamformer configuration plus the per-frame inputs (`engine` is an
 /// `Arc` so the pipeline owns it across the in-flight period; `rf` is
 /// the acquired frame, swapped in by `submit`). Living in a pipeline
@@ -324,9 +324,9 @@ struct FrameCtx {
     rf: RfFrame,
 }
 
-/// The frame task: one schedule tile or depth band beamformed into its
-/// warm state (slab, scratch rows and staging buffer). A plain `fn` — the
-/// asynchronous dispatch path erases no closures.
+/// The frame task: one depth band beamformed into its warm state (slab,
+/// scratch rows and staging buffer). A plain `fn` — the asynchronous
+/// dispatch path erases no closures.
 fn beamform_tile_task(ctx: &FrameCtx, _i: usize, state: &mut TileState) {
     ctx.beamformer
         .beamform_tile_into(ctx.engine.as_ref(), &ctx.rf, state);
@@ -342,6 +342,8 @@ struct FinishState {
     /// Double-buffered output: frame `n` scatters into `outs[n % 2]`,
     /// leaving `n−1` intact for consumption while `n` is in flight.
     outs: [BeamformedVolume; 2],
+    /// I/Q scratch for the post-processing chain (empty without one).
+    post_scratch: PostScratch,
     frames: u64,
     errors: u64,
     abandoned: u64,
@@ -426,9 +428,9 @@ impl FramePipeline {
     /// allocation happens here: three RF ring buffers (current,
     /// acquiring, idle), one delay slab and staging buffer per task (see
     /// [`task_count`](Self::task_count)), the double-buffered output
-    /// volumes, the preregistered pool
-    /// job, and the acquisition thread — the only thread this runtime
-    /// ever spawns.
+    /// volumes, the post-processing scratch, the preregistered pool job,
+    /// and the acquisition thread — the only thread this runtime ever
+    /// spawns.
     #[must_use]
     pub fn with_pool<S: FrameSource + 'static>(
         beamformer: Beamformer,
@@ -455,6 +457,7 @@ impl FramePipeline {
             BeamformedVolume::zeros(&spec),
             BeamformedVolume::zeros(&spec),
         ];
+        let post_scratch = beamformer.postproc().scratch(spec.volume_grid.n_depth());
         let link = Arc::new(IngestLink::new());
         let ingest_link = Arc::clone(&link);
         let ingest = std::thread::Builder::new()
@@ -472,6 +475,7 @@ impl FramePipeline {
             fin: FinishState {
                 n_tiles: tiles.len(),
                 outs,
+                post_scratch,
                 frames: 0,
                 errors: 0,
                 abandoned: 0,
@@ -576,6 +580,7 @@ impl FramePipeline {
             .start(&mut self.tile_states, &self.ctx, beamform_tile_task);
         Ok(VolumeTicket {
             pending: Some(pending),
+            post: self.ctx.beamformer.postproc(),
             fin: Some(&mut self.fin),
             which,
             frame_id,
@@ -644,8 +649,8 @@ impl FramePipeline {
     }
 
     /// Parallel tasks per submitted frame: two whole-fan depth bands
-    /// per pool worker for a raw frame (single-transmit or compound),
-    /// one task per schedule tile for a post-processed one.
+    /// per pool worker (never more than the volume has nappes), for
+    /// every frame — raw or post-processed, single-transmit or compound.
     pub fn task_count(&self) -> usize {
         self.tile_states.len()
     }
@@ -694,14 +699,15 @@ impl Drop for FramePipeline {
 }
 
 /// The caller's handle on one in-flight frame, returned by
-/// [`FramePipeline::submit`]. While it lives, the frame's tile tasks are
+/// [`FramePipeline::submit`]. While it lives, the frame's band tasks are
 /// executing on the worker pool; the ticket borrows the pipeline, so no
 /// second frame can be submitted until this one is redeemed or dropped.
 ///
 /// * [`wait`](VolumeTicket::wait) — block until beamforming finishes
-///   (helping drain tile tasks), scatter the tiles into the output
-///   volume and return it; engine panics surface as
-///   [`PipelineError::Beamform`] and the pipeline stays healthy;
+///   (helping drain band tasks), scatter the bands into the output
+///   volume, run the post-processing chain over it and return it;
+///   engine panics surface as [`PipelineError::Beamform`] and the
+///   pipeline stays healthy;
 /// * [`try_wait`](VolumeTicket::try_wait) — poll without blocking;
 /// * [`previous_volume`](VolumeTicket::previous_volume) — the completed
 ///   frame before this one, readable **while** this one beamforms (the
@@ -712,6 +718,8 @@ impl Drop for FramePipeline {
 #[must_use = "dropping a VolumeTicket abandons the frame; call wait()"]
 pub struct VolumeTicket<'p> {
     pending: Option<PendingJob<'p, TileState>>,
+    /// The beamformer's post-processing chain, run at redemption.
+    post: &'p PostChain,
     fin: Option<&'p mut FinishState>,
     which: usize,
     frame_id: u64,
@@ -746,14 +754,16 @@ impl<'p> VolumeTicket<'p> {
         Some(&fin.outs[1 - self.which])
     }
 
-    /// Redeems the ticket: blocks until every tile task has finished
+    /// Redeems the ticket: blocks until every band task has finished
     /// (claiming remaining tasks on this thread, so redemption is never
-    /// slower than the synchronous path), scatters the tile results
-    /// into the output volume and returns it.
+    /// slower than the synchronous path), scatters the band results
+    /// into the output volume, runs the post-processing chain over it
+    /// on this thread, and returns it.
     ///
     /// If the engine panicked mid-flight, the panic is returned as
-    /// [`PipelineError::Beamform`] after the join — the pool, the warm
-    /// state and the acquisition thread all remain usable.
+    /// [`PipelineError::Beamform`] after the join, before any scatter or
+    /// chain pass — the pool, the warm state and the acquisition thread
+    /// all remain usable.
     pub fn wait(mut self) -> Result<&'p BeamformedVolume, PipelineError> {
         let pending = self.pending.take().expect("a ticket is redeemed once");
         let fin = self.fin.take().expect("a ticket is redeemed once");
@@ -762,7 +772,8 @@ impl<'p> VolumeTicket<'p> {
         fin.beamform_wait += wait_start.elapsed();
         match payload {
             None => {
-                crate::beamformer::scatter_tasks(&mut fin.outs[self.which], states);
+                let out = &mut fin.outs[self.which];
+                finish_frame(out, states, self.post, &mut fin.post_scratch);
                 fin.frames += 1;
                 fin.latency.record(self.submitted.elapsed());
                 Ok(&fin.outs[self.which])
@@ -867,10 +878,10 @@ mod tests {
 
     #[test]
     fn task_shape_follows_the_frame_shape() {
-        // A raw frame runs as two whole-fan depth bands per pool worker:
-        // a single-transmit band re-points its slab at every schedule
-        // tile, a compound band's slab is the whole fan. A post-processed
-        // frame keeps one task per schedule tile over every nappe.
+        // Every frame runs as two whole-fan depth bands per pool worker,
+        // a B-mode frame too: a single-transmit band re-points its slab
+        // at every schedule tile, a compound band's slab is the whole
+        // fan.
         let spec = SystemSpec::tiny();
         let n_depth = spec.volume_grid.n_depth();
         let fan = NappeDelays::full(&spec).tile();
@@ -896,16 +907,17 @@ mod tests {
                     &NappeSchedule::fitted(&spec, 8),
                 )
             };
-            let raw = pipe(Beamformer::new(&spec));
-            assert_eq!(raw.tile_count(), schedule.n_blocks());
-            assert_eq!(raw.task_count(), 2 * workers, "{workers} workers");
-            let mut next = 0;
-            for state in &raw.tile_states {
-                assert_eq!(state.region(), fan, "a band spans the whole fan");
-                assert_eq!(state.nappes().start, next, "bands are contiguous");
-                next = state.nappes().end;
+            for single in [pipe(Beamformer::new(&spec)), pipe(bmode.clone())] {
+                assert_eq!(single.tile_count(), schedule.n_blocks());
+                assert_eq!(single.task_count(), 2 * workers, "{workers} workers");
+                let mut next = 0;
+                for state in &single.tile_states {
+                    assert_eq!(state.region(), fan, "a band spans the whole fan");
+                    assert_eq!(state.nappes().start, next, "bands are contiguous");
+                    next = state.nappes().end;
+                }
+                assert_eq!(next, n_depth);
             }
-            assert_eq!(next, n_depth);
             let compound = pipe(Beamformer::new(&compound));
             assert_eq!(compound.tile_count(), schedule.n_blocks());
             assert_eq!(compound.task_count(), 2 * workers, "{workers} workers");
@@ -917,11 +929,6 @@ mod tests {
                 next = state.nappes().end;
             }
             assert_eq!(next, n_depth);
-            let fan_tiled = pipe(bmode.clone());
-            assert_eq!(fan_tiled.task_count(), schedule.n_blocks());
-            for (state, tile) in fan_tiled.tile_states.iter().zip(schedule.tiles()) {
-                assert_eq!((state.region(), state.nappes()), (tile, 0..n_depth));
-            }
         }
     }
 

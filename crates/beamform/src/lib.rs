@@ -12,16 +12,16 @@
 //! * [`Beamformer`] — per-voxel delay-and-sum with nearest-index fetch
 //!   (the paper's datapath) or linear interpolation (extension); nearest
 //!   fetch runs one voxel-parallel tile kernel over the compacted
-//!   [`ActiveAperture`] and a reusable [`TileState`] (fan tile or
-//!   whole-fan depth band; quantized index rows → grouped index block →
+//!   [`ActiveAperture`] and a reusable [`TileState`] (a whole-fan depth
+//!   band in every runtime; quantized index rows → grouped index block →
 //!   channel-outer gather and accumulate), bit-identical to the scalar
 //!   walk, which also serves linear interpolation;
 //! * [`BeamformedVolume`] — the reconstructed volume with profile/slice
 //!   accessors for image-quality metrics;
-//! * [`PostChain`] — fused B-mode post-processing (IQ demodulation →
+//! * [`PostChain`] — B-mode post-processing (IQ demodulation →
 //!   envelope detection → log compression, built from the `usbf_sim`
-//!   envelope kernels) applied per tile inside the volume paths, with
-//!   preallocated scratch and bit-identical to a whole-volume pass;
+//!   envelope kernels), run by every volume path as one serial pass over
+//!   the assembled volume with preallocated scratch;
 //! * [`VolumeView`] — re-slices ([`SlicePlane`]) and max-intensity
 //!   projections ([`ProjectionAxis`]) of a runtime's most recent
 //!   successful volume, copied out one plane at a time;

@@ -1,27 +1,24 @@
-//! Fused B-mode post-processing: IQ demodulation → envelope detection →
-//! log compression applied per tile, inside the beamforming pass.
+//! B-mode post-processing: IQ demodulation → envelope detection → log
+//! compression over every depth column of a beamformed volume.
 //!
 //! The delay-and-sum output oscillates at the carrier; a display consumer
-//! wants the log-compressed envelope (B-mode). Running that chain as a
-//! separate whole-volume pass re-reads ~megabytes of voxels that were
-//! cache-hot moments earlier and re-allocates intermediate buffers every
-//! frame. [`PostChain`] instead runs the chain over each tile's staged
-//! scanline columns right after the delay-and-sum kernel fills them —
-//! while they still sit in the worker's cache and **before** the scatter
-//! into the output volume — using per-tile scratch preallocated in
-//! [`TileState`](crate::TileState), so warm pipelined frames stay at zero
-//! heap allocations.
+//! wants the log-compressed envelope (B-mode). The chain needs whole
+//! depth columns, while a runtime's tasks are depth bands, so it runs
+//! after the tasks: [`PostChain::apply_volume`] makes one serial pass
+//! over the assembled raw volume, on the thread that redeems the frame,
+//! with one [`PostScratch`] the runtime allocates at construction — warm
+//! pipelined frames stay at zero heap allocations. The cold scalar
+//! reference path runs the same call on its voxel walk's volume, so
+//! every path applies the chain through one function.
 //!
 //! Every arithmetic kernel is one of the `usbf_sim` envelope building
 //! blocks ([`demodulate_into`](usbf_sim::demodulate_into),
 //! [`envelope_from_iq_into`](usbf_sim::envelope_from_iq_into),
 //! [`log_compress_into`](usbf_sim::log_compress_into)); this module only
-//! decides *where* they run. Because every stage is local to one axial
-//! scanline column — log compression is relative to a **fixed**
-//! [`BmodeConfig::reference`] level, never the volume peak — the chain
-//! commutes with any tiling of the fan, so the fused per-tile path is
-//! bit-identical to applying [`PostChain::apply_volume`] to a raw
-//! whole-volume reference.
+//! decides *where* they run. Every stage is local to one axial scanline
+//! column — log compression is relative to a **fixed**
+//! [`BmodeConfig::reference`] level, never the volume peak — so a
+//! column's output depends on that column alone.
 
 use crate::BeamformedVolume;
 use usbf_geometry::SystemSpec;
@@ -38,8 +35,7 @@ pub struct BmodeConfig {
     pub carrier_cycles_per_sample: f64,
     /// Fixed amplitude mapped to 0 dB by the log compression. A fixed
     /// level (rather than the per-volume peak) keeps the transform
-    /// pointwise, which is what lets the fused per-tile chain stay
-    /// bit-identical to a whole-volume pass.
+    /// pointwise, so a column's output depends on that column alone.
     pub reference: f64,
     /// Darkest displayed level; envelope values at or below silence
     /// clamp here.
@@ -101,7 +97,7 @@ impl BmodeConfig {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PostStage {
     /// Mix the column down to baseband I/Q at `w` radians per depth
-    /// sample, into the tile's scratch rows. Leaves the column itself
+    /// sample, into the scratch rows. Leaves the column itself
     /// untouched.
     IqDemod {
         /// Angular carrier frequency, radians per depth sample.
@@ -149,9 +145,9 @@ impl PostStage {
     }
 }
 
-/// Preallocated I/Q intermediates for one worker's post-processing: two
-/// depth-length rows, allocated once (at [`TileState`](crate::TileState)
-/// construction for the warm runtimes) and refilled every column.
+/// Preallocated I/Q intermediates for post-processing: two depth-length
+/// rows, allocated once (at construction, for the warm runtimes) and
+/// refilled every column.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PostScratch {
     i: Vec<f64>,
@@ -231,15 +227,27 @@ impl PostChain {
         }
     }
 
-    /// Applies the chain to a whole beamformed volume, column by column —
-    /// the scalar reference the fused per-tile path is bit-identical to.
-    pub fn apply_volume(&self, volume: &mut BeamformedVolume) {
+    /// Scratch for this chain's columns of `n_depth` samples: empty (no
+    /// allocation) for an empty chain, which never touches it.
+    pub(crate) fn scratch(&self, n_depth: usize) -> PostScratch {
+        PostScratch::new(if self.is_empty() { 0 } else { n_depth })
+    }
+
+    /// Applies the chain to a whole beamformed volume, column by column,
+    /// using `scratch` for the intermediates — the one whole-volume chain
+    /// site, shared by the scalar reference path and every runtime. The
+    /// chain is not idempotent: apply it once per raw volume.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a stage needs `scratch` (a demodulation) and it is
+    /// shorter than the volume's depth columns.
+    pub fn apply_volume(&self, volume: &mut BeamformedVolume, scratch: &mut PostScratch) {
         if self.is_empty() {
             return;
         }
-        let mut scratch = PostScratch::new(volume.n_depth());
         for column in volume.columns_mut() {
-            self.apply_column(column, &mut scratch);
+            self.apply_column(column, scratch);
         }
     }
 }
@@ -316,7 +324,8 @@ mod tests {
             vol.set(VoxelIndex::new(1, 2, id), v);
             vol.set(VoxelIndex::new(6, 3, id), v);
         }
-        PostChain::bmode(config()).apply_volume(&mut vol);
+        let mut scratch = PostScratch::new(spec.volume_grid.n_depth());
+        PostChain::bmode(config()).apply_volume(&mut vol, &mut scratch);
         for id in 0..spec.volume_grid.n_depth() {
             assert_eq!(
                 vol.get(VoxelIndex::new(1, 2, id)),
@@ -333,7 +342,7 @@ mod tests {
         let mut vol = BeamformedVolume::zeros(&spec);
         vol.set(VoxelIndex::new(3, 3, 3), 7.0);
         let before = vol.clone();
-        PostChain::empty().apply_volume(&mut vol);
+        PostChain::empty().apply_volume(&mut vol, &mut PostScratch::default());
         assert_eq!(vol, before);
     }
 }

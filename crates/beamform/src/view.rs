@@ -416,7 +416,7 @@ mod tests {
         // second is beamformed and abandoned, the third fails at its last
         // nappe. Each leaves the view on the first frame's volume — what
         // `volume` returns — through a pipeline and through a shard, for
-        // raw band tasks and post-processed tile tasks.
+        // raw and post-processed frames (both run as band tasks).
         let spec = SystemSpec::tiny();
         let frames: Vec<RfFrame> = [(4, 4, 8), (2, 5, 11), (6, 1, 3)]
             .into_iter()

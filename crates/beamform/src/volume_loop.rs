@@ -17,8 +17,8 @@
 //! completion barrier is allocated once at construction and re-announced
 //! per frame with a borrowed closure.
 
-use crate::beamformer::TileState;
-use crate::{BeamformedVolume, Beamformer};
+use crate::beamformer::{finish_frame, TileState};
+use crate::{BeamformedVolume, Beamformer, PostScratch};
 use std::sync::Arc;
 use usbf_core::{DelayEngine, NappeSchedule};
 use usbf_par::{JobHandle, ThreadPool};
@@ -60,6 +60,8 @@ pub struct VolumeLoop {
     n_tiles: usize,
     states: Vec<TileState>,
     out: BeamformedVolume,
+    /// I/Q scratch for the post-processing chain (empty without one).
+    post_scratch: PostScratch,
     frames: u64,
 }
 
@@ -77,9 +79,9 @@ impl VolumeLoop {
 
     /// Builds a loop on an explicit pool and schedule. All allocation
     /// happens here: one slab and one values buffer per task (see
-    /// [`task_count`](Self::task_count)), the output volume, and the
-    /// preregistered pool job the frame path
-    /// re-announces.
+    /// [`task_count`](Self::task_count)), the output volume, the
+    /// post-processing scratch, and the preregistered pool job the frame
+    /// path re-announces.
     #[must_use]
     pub fn with_pool(
         beamformer: Beamformer,
@@ -91,29 +93,33 @@ impl VolumeLoop {
         let states = crate::beamformer::warm_task_states(&beamformer, &tiles, pool.threads());
         let n_tiles = tiles.len();
         let out = BeamformedVolume::zeros(&spec);
+        let post_scratch = beamformer.postproc().scratch(spec.volume_grid.n_depth());
         VolumeLoop {
             beamformer,
             job: ThreadPool::register(&pool),
             n_tiles,
             states,
             out,
+            post_scratch,
             frames: 0,
         }
     }
 
     /// Beamforms one frame into the loop's reusable volume and returns
-    /// it. Each task (a whole-fan depth band or a schedule tile) is one
-    /// task of the loop's preregistered pool job, writing into its own
-    /// warm slab and staging buffer; the
-    /// sequential scatter into the output volume is deterministic, so
-    /// repeated frames of identical input are bit-identical (and
-    /// identical to the cold path), for **any** pool size.
+    /// it. Each whole-fan depth band is one task of the loop's
+    /// preregistered pool job, writing into its own warm slab and staging
+    /// buffer; the sequential scatter into the output volume is
+    /// deterministic, so repeated frames of identical input are
+    /// bit-identical (and identical to the cold path), for **any** pool
+    /// size. The post-processing chain, if any, then runs once over the
+    /// volume on this thread; a task's panic is rethrown before it.
     pub fn beamform(&mut self, engine: &dyn DelayEngine, rf: &RfFrame) -> &BeamformedVolume {
         let beamformer = &self.beamformer;
         self.job.run(&mut self.states, &|_, state: &mut TileState| {
             beamformer.beamform_tile_into(engine, rf, state);
         });
-        crate::beamformer::scatter_tasks(&mut self.out, &self.states);
+        let post = beamformer.postproc();
+        finish_frame(&mut self.out, &self.states, post, &mut self.post_scratch);
         self.frames += 1;
         &self.out
     }
@@ -143,8 +149,8 @@ impl VolumeLoop {
     }
 
     /// Parallel tasks per frame: two whole-fan depth bands per pool
-    /// worker for a raw frame (single-transmit or compound), one task per
-    /// schedule tile for a post-processed one.
+    /// worker (never more than the volume has nappes), for every frame —
+    /// raw or post-processed, single-transmit or compound.
     pub fn task_count(&self) -> usize {
         self.states.len()
     }
@@ -183,16 +189,24 @@ mod tests {
 
     #[test]
     fn warm_loop_is_bit_identical_to_cold_beamform_volume() {
+        // A B-mode loop too: its chain is not idempotent, so every warm
+        // frame equal to the cold volume pins one chain pass per column
+        // per frame.
         let (spec, rf) = setup();
         let exact = ExactEngine::new(&spec);
         let steer = TableSteerEngine::new(&spec, TableSteerConfig::bits18()).unwrap();
+        let bmode = Beamformer::new(&spec).with_postproc(crate::PostChain::bmode(
+            crate::BmodeConfig::from_spec(&spec),
+        ));
         for engine in [&exact as &dyn DelayEngine, &steer] {
-            let beamformer = Beamformer::new(&spec);
-            let cold = beamformer.beamform_volume(engine, &rf);
-            let mut rt = VolumeLoop::new(beamformer);
-            for frame in 0..5 {
-                let warm = rt.beamform(engine, &rf);
-                assert_eq!(warm, &cold, "{} frame {frame}", engine.name());
+            for beamformer in [Beamformer::new(&spec), bmode.clone()] {
+                let cold = beamformer.beamform_volume(engine, &rf);
+                let post = !beamformer.postproc().is_empty();
+                let mut rt = VolumeLoop::new(beamformer);
+                for frame in 0..5 {
+                    let warm = rt.beamform(engine, &rf);
+                    assert_eq!(warm, &cold, "{} B-mode {post} frame {frame}", engine.name());
+                }
             }
         }
     }

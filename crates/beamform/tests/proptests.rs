@@ -519,15 +519,14 @@ proptest! {
         n_depth in 4usize..10,
         target in 0usize..1_000_000,
     ) {
-        // The PR 8 tentpole invariant: the demod → envelope →
-        // log-compress chain fused into the per-tile kernel (each tile
-        // column runs through the chain on slab-resident scratch before
-        // the scatter) reproduces the scalar reference — a
-        // ScanlineByScanline walk followed by a separate whole-volume
-        // post-processing pass — bit for bit, for all four engines, on
-        // randomized geometry. Holds because every stage is
-        // column-local and the log-compression reference level is
-        // fixed, so the chain commutes with tiling.
+        // The demod → envelope → log-compress chain run once over the
+        // volume the depth bands scatter into — by a cold nappe-order
+        // call and by warm loops on 1 and 3 workers, whose band counts
+        // (2 and 6) need not divide `n_depth` — reproduces the scalar
+        // reference (a ScanlineByScanline walk followed by the same
+        // whole-volume pass) bit for bit, for all four engines, on
+        // randomized geometry. Every warm frame equals it, so the chain
+        // runs once per column per frame.
         let spec = random_spec(nx, ny, n_theta, n_phi, n_depth);
         let vox = spec.volume_grid.voxel_at(target % spec.volume_grid.voxel_count());
         let rf = rf_for(&spec, vox);
@@ -537,21 +536,43 @@ proptest! {
         let tablefree = TableFreeEngine::new(&spec, TableFreeConfig::paper()).expect("builds");
         let tablesteer = TableSteerEngine::new(&spec, TableSteerConfig::bits18()).expect("builds");
         let engines: [&dyn DelayEngine; 4] = [&exact, &naive, &tablefree, &tablesteer];
+        let bf = |order| {
+            Beamformer::new(&spec)
+                .with_order(order)
+                .with_postproc(bmode.clone())
+        };
+        let mut loops: Vec<(usize, VolumeLoop)> = [1, 3]
+            .into_iter()
+            .map(|workers| {
+                let pool = std::sync::Arc::new(usbf_par::ThreadPool::new(workers));
+                let schedule = NappeSchedule::fitted(&spec, 4 * workers);
+                (workers, VolumeLoop::with_pool(bf(ScanOrder::NappeByNappe), pool, &schedule))
+            })
+            .collect();
+        for (workers, rt) in &loops {
+            prop_assert_eq!(rt.task_count(), (2 * workers).min(n_depth), "{} workers", workers);
+        }
         for engine in engines {
-            let bf = |order| {
-                Beamformer::new(&spec)
-                    .with_order(order)
-                    .with_postproc(bmode.clone())
-            };
-            let fused = bf(ScanOrder::NappeByNappe).beamform_volume(engine, &rf);
             let scalar = bf(ScanOrder::ScanlineByScanline).beamform_volume(engine, &rf);
-            for (i, (a, b)) in fused.as_slice().iter().zip(scalar.as_slice()).enumerate() {
-                prop_assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{} voxel {}: {} vs {}",
-                    engine.name(), i, a, b
-                );
+            let mut volumes = vec![(
+                "cold nappe order".to_string(),
+                bf(ScanOrder::NappeByNappe).beamform_volume(engine, &rf),
+            )];
+            for (workers, rt) in &mut loops {
+                for frame in 0..2 {
+                    let vol = rt.beamform(engine, &rf).clone();
+                    volumes.push((format!("{workers} workers frame {frame}"), vol));
+                }
+            }
+            for (path, vol) in &volumes {
+                for (i, (a, b)) in vol.as_slice().iter().zip(scalar.as_slice()).enumerate() {
+                    prop_assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{} {} voxel {}: {} vs {}",
+                        engine.name(), path, i, a, b
+                    );
+                }
             }
         }
     }

@@ -82,9 +82,10 @@ fn bench_beamform(c: &mut Criterion) {
     }
     // The same kernel as a depth-band task: 16 nappes over the whole fan,
     // its slab re-pointed at each of the 8 tiles a 2-worker pool's
-    // schedule cuts the fan into, so every channel's lookups for a nappe
-    // are one pass over its trace. Voxels per second compare directly
-    // with the fan-tile task above.
+    // schedule cuts the fan into. A 128-scanline tile's block (461 KB at
+    // 900 channels) is all one MAC pass holds, so every channel's lookups
+    // for a nappe are one pass over its trace per tile. Voxels per second
+    // compare directly with the fan-tile task above.
     let tiles = usbf_core::NappeSchedule::fitted(&red, 8).tiles();
     let band = 56..72;
     g.throughput(Throughput::Elements(

@@ -11,8 +11,8 @@
 //!   wrappers used by the simulation metrics;
 //! * [`demodulate_into`] / [`envelope_from_iq_into`] /
 //!   [`log_compress_into`] — allocation-free building blocks operating on
-//!   caller-owned buffers, reused by the beamformer's fused per-tile
-//!   post-processing stages where warm frames must not touch the heap.
+//!   caller-owned buffers, reused by the beamformer's post-processing
+//!   stages where warm frames must not touch the heap.
 
 /// Mix an RF trace down to baseband I/Q at angular carrier frequency `w`
 /// (radians per sample), writing into caller-owned buffers.
@@ -68,9 +68,8 @@ pub fn envelope_from_iq_into(i_mix: &[f64], q_mix: &[f64], period: usize, out: &
 /// In-place log compression: `v ← max(20·log10(|v|/reference), floor_db)`.
 ///
 /// `reference` is a *fixed* level (not the trace peak): keeping the
-/// transform pointwise means it commutes with any partitioning of the
-/// volume, which is what lets the fused per-tile path stay bit-identical
-/// to a whole-volume pass. Zeros map to `floor_db` (via `-inf`), and NaN
+/// transform pointwise means a column's output depends on that column
+/// alone, whatever else the volume holds. Zeros map to `floor_db` (via `-inf`), and NaN
 /// inputs also clamp to `floor_db` because [`f64::max`] returns the
 /// non-NaN operand.
 ///
@@ -217,7 +216,7 @@ mod tests {
     #[test]
     fn building_blocks_compose_to_envelope() {
         // The _into building blocks must reproduce the allocating wrapper
-        // bit-for-bit: the beamformer's fused post-stages lean on this.
+        // bit-for-bit: the beamformer's post-stages lean on this.
         let rf: Vec<f64> = (0..300)
             .map(|i| {
                 let t = i as f64 / FS;

@@ -120,9 +120,9 @@ fn frame_pipeline_is_bit_identical_across_pool_sizes() {
 fn pool_sized_runtimes_run_the_task_shape_the_tests_above_compare() {
     // The two tests above would pass without ever running a depth band
     // if the runtimes fell back to fan-tile tasks; this pins which shape
-    // each pool size actually runs. A single-transmit raw frame is two
-    // whole-fan depth bands per worker, not one task per schedule tile;
-    // a post-processed frame keeps one task per tile.
+    // each pool size actually runs. A single-transmit frame, raw or
+    // post-processed, is two whole-fan depth bands per worker, not one
+    // task per schedule tile.
     let spec = SystemSpec::tiny();
     let frames = recorded_frames(&spec, 1);
     let schedule = NappeSchedule::fitted(&spec, 8);
@@ -144,7 +144,7 @@ fn pool_sized_runtimes_run_the_task_shape_the_tests_above_compare() {
         };
         assert_eq!(pipe(Beamformer::new(&spec)).task_count(), 2 * threads);
         let post = pipe(Beamformer::new(&spec).with_postproc(bmode.clone()));
-        assert_eq!(post.task_count(), post.tile_count());
+        assert_eq!(post.task_count(), 2 * threads);
     }
 }
 
@@ -251,11 +251,10 @@ fn churned_elastic_runtime_is_bit_identical_across_pool_sizes() {
 
 #[test]
 fn fused_bmode_post_stages_are_bit_identical_to_the_scalar_reference() {
-    // The PR 8 tentpole invariant: the demod → envelope → log-compress
-    // chain fused into the per-tile kernel (applied to each tile's
-    // columns before the scatter, through the warm FramePipeline) must
-    // reproduce, bit for bit, the scalar whole-volume reference — a
-    // per-voxel ScanlineByScanline walk followed by a separate
+    // The demod → envelope → log-compress chain run by the warm
+    // FramePipeline (once over the volume its depth bands scatter into,
+    // at redemption) must reproduce, bit for bit, the scalar reference — a
+    // per-voxel ScanlineByScanline walk followed by the same
     // whole-volume post-processing pass — for all four delay engines at
     // every pool size.
     let spec = SystemSpec::tiny();

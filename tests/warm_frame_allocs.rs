@@ -198,10 +198,11 @@ fn warm_frames_do_no_per_tile_allocation() {
         );
     }
 
-    // --- FramePipeline with the fused B-mode post-stages: the demod →
-    // envelope → log-compress chain runs per tile on the slab-resident
-    // I/Q scratch, so warm frames still measure 0 — and the views fill
-    // caller-provided buffers without allocating ---
+    // --- FramePipeline with the B-mode post-stages: the demod →
+    // envelope → log-compress chain runs once over the scattered volume
+    // on the pipeline's preallocated I/Q scratch, so warm frames still
+    // measure 0 — and the views fill caller-provided buffers without
+    // allocating ---
     let mut pipe = FramePipeline::with_pool(
         Beamformer::new(&spec).with_postproc(PostChain::bmode(BmodeConfig::from_spec(&spec))),
         Arc::clone(&arc_engine),
