@@ -160,8 +160,10 @@ pub enum PipelineError {
     Source(String),
     /// Beamforming panicked (e.g. a delay engine rejected an input).
     Beamform(String),
-    /// The acquisition thread is gone — only possible after an internal
-    /// failure of the pipeline itself, never after a source panic.
+    /// The acquisition thread is gone: after an internal failure of the
+    /// pipeline itself, or a source panic whose payload panics again
+    /// when dropped. An ordinary source panic is
+    /// [`Source`](PipelineError::Source). Every later frame reports it.
     Disconnected,
 }
 
@@ -274,10 +276,18 @@ type IngestReply = Result<RfFrame, (RfFrame, String)>;
 
 /// The preallocated two-slot exchange between the pipeline and its
 /// acquisition thread. One mutex, two condvars, zero per-frame heap
-/// traffic: buffers move through `request`/`reply` slots instead of
-/// channel nodes (an `mpsc` send may allocate; this never does, which
-/// is what keeps the warm async path at 0 allocations — see
-/// `tests/warm_frame_allocs.rs`).
+/// traffic: buffers move through `request`/`reply` slots.
+///
+/// A bounded `std::sync::mpsc::sync_channel(1)` each way would do the
+/// same job in ~80 fewer lines, and it allocates nothing per frame
+/// either: with that swap `tests/warm_frame_allocs.rs` still measured
+/// 0 warm allocations. It is not used because it moved the benchmark's
+/// `fleet-churn` `rss_mb` from 2.47 to 2.77 MB (median of 9 alternating
+/// 10 s pairs on a 2-vCPU x86-64 host; the bound is 5%). That rise is
+/// glibc heap layout, not memory the channels hold: it persisted with
+/// `MALLOC_ARENA_MAX=1` and vanished with `MALLOC_MMAP_THRESHOLD_=131072`,
+/// where both sides read 1.9–2.3 MB. Revisit once the benchmark's
+/// `rss_mb` baseline no longer counts heap layout (ROADMAP item 2).
 struct IngestLink {
     state: Mutex<LinkState>,
     /// Wakes the acquisition thread (a request or shutdown arrived).
@@ -1133,13 +1143,32 @@ mod tests {
         // must land in acquire_wait — and must NOT be misattributed to
         // beamform_wait (the redemption side), which was the historical
         // lumping bug.
-        const PAUSE: Duration = Duration::from_millis(15);
         const FRAMES: u32 = 3;
         let spec = SystemSpec::tiny();
         let engine = Arc::new(ExactEngine::new(&spec));
         let template = recorded_frames(&spec, 1).remove(0);
+        // Each redemption hides up to one frame's beamforming of the
+        // next pause, so the pause must dwarf a frame on this build: a
+        // tiny frame takes well under a millisecond optimized but
+        // several unoptimized, and more under CPU contention, where a
+        // fixed 15 ms pause let the two sums converge. Ten times the
+        // slowest warm frame of the same pipeline fed without a pause.
+        let frame = {
+            let ring = FrameRing::new(vec![template.clone()]);
+            let mut warm = FramePipeline::new(Beamformer::new(&spec), engine.clone(), ring);
+            warm.next_volume().unwrap();
+            (0..FRAMES)
+                .map(|_| {
+                    let t0 = Instant::now();
+                    warm.next_volume().unwrap();
+                    t0.elapsed()
+                })
+                .max()
+                .unwrap()
+        };
+        let pause = (10 * frame).max(Duration::from_millis(15));
         let source = move |out: &mut RfFrame| {
-            std::thread::sleep(PAUSE);
+            std::thread::sleep(pause);
             out.copy_from(&template);
         };
         let mut pipe = FramePipeline::new(Beamformer::new(&spec), engine, source);
@@ -1148,10 +1177,10 @@ mod tests {
         }
         let stats = pipe.stats();
         // Every acquisition pauses and nothing hides the first one; with
-        // sub-millisecond beamforming at this spec, later ones stay
-        // mostly exposed too. One full pause is the robust lower bound.
+        // the pause ten frames long, later ones stay mostly exposed too.
+        // One full pause is the robust lower bound.
         assert!(
-            stats.acquire_wait >= PAUSE,
+            stats.acquire_wait >= pause,
             "acquire_wait {:?} must absorb the source pause",
             stats.acquire_wait
         );

@@ -18,10 +18,10 @@
 //!   walk, which also serves linear interpolation;
 //! * [`BeamformedVolume`] — the reconstructed volume with profile/slice
 //!   accessors for image-quality metrics;
-//! * [`PostChain`] — B-mode post-processing (IQ demodulation →
-//!   envelope detection → log compression, built from the `usbf_sim`
-//!   envelope kernels), run by every volume path as one serial pass over
-//!   the assembled volume with preallocated scratch;
+//! * [`PostChain`] — none, or B-mode post-processing: one fixed function
+//!   calling the `usbf_sim` envelope kernels in order (IQ demodulation →
+//!   envelope detection → log compression), run by every volume path as
+//!   one serial pass over the assembled volume with preallocated scratch;
 //! * [`VolumeView`] — re-slices ([`SlicePlane`]) and max-intensity
 //!   projections ([`ProjectionAxis`]) of a runtime's most recent
 //!   successful volume, copied out one plane at a time;
@@ -82,7 +82,7 @@ pub use frame_pipeline::{
     VolumeTicket,
 };
 pub use latency::LatencyHistogram;
-pub use postproc::{BmodeConfig, PostChain, PostScratch, PostStage};
+pub use postproc::{BmodeConfig, PostChain, PostScratch};
 pub use sharded::{
     shard_fitted_schedule, AdmissionError, RuntimeBudget, ShardConfig, ShardId, ShardRound,
     ShardedRuntime,

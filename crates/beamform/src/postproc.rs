@@ -11,12 +11,15 @@
 //! reference path runs the same call on its voxel walk's volume, so
 //! every path applies the chain through one function.
 //!
-//! Every arithmetic kernel is one of the `usbf_sim` envelope building
-//! blocks ([`demodulate_into`](usbf_sim::demodulate_into),
-//! [`envelope_from_iq_into`](usbf_sim::envelope_from_iq_into),
-//! [`log_compress_into`](usbf_sim::log_compress_into)); this module only
-//! decides *where* they run. Every stage is local to one axial scanline
-//! column — log compression is relative to a **fixed**
+//! A [`PostChain`] is either empty (raw output) or B-mode; there is no
+//! stage list. [`PostChain::apply_column`] calls the three `usbf_sim`
+//! envelope building blocks directly, in a fixed order
+//! ([`demodulate_into`](usbf_sim::demodulate_into) into the scratch I/Q,
+//! [`envelope_from_iq_into`](usbf_sim::envelope_from_iq_into) back over
+//! the column, [`log_compress_into`](usbf_sim::log_compress_into) in
+//! place), so the envelope always reads the demodulation it needs; this
+//! module only decides *where* they run. Every step is local to one
+//! axial scanline column — log compression is relative to a **fixed**
 //! [`BmodeConfig::reference`] level, never the volume peak — so a
 //! column's output depends on that column alone.
 
@@ -57,20 +60,6 @@ impl BmodeConfig {
         }
     }
 
-    /// Sets the 0 dB reference amplitude.
-    #[must_use = "with_reference returns the configured value; dropping it discards the level"]
-    pub fn with_reference(mut self, reference: f64) -> Self {
-        self.reference = reference;
-        self
-    }
-
-    /// Sets the dB floor.
-    #[must_use = "with_floor_db returns the configured value; dropping it discards the floor"]
-    pub fn with_floor_db(mut self, floor_db: f64) -> Self {
-        self.floor_db = floor_db;
-        self
-    }
-
     /// Angular carrier frequency in radians per depth sample.
     #[inline]
     fn carrier_w(&self) -> f64 {
@@ -82,66 +71,6 @@ impl BmodeConfig {
     #[inline]
     fn period(&self) -> usize {
         usbf_sim::boxcar_period(self.carrier_cycles_per_sample, 1.0)
-    }
-}
-
-/// One post-processing stage over a single scanline's depth column.
-///
-/// Stages are data-flow steps, not independent filters: [`IqDemod`]
-/// writes the I/Q scratch that [`Envelope`] consumes. The canonical
-/// composition is [`PostChain::bmode`]; hand-built chains must keep a
-/// demodulation immediately before each envelope stage.
-///
-/// [`IqDemod`]: PostStage::IqDemod
-/// [`Envelope`]: PostStage::Envelope
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PostStage {
-    /// Mix the column down to baseband I/Q at `w` radians per depth
-    /// sample, into the scratch rows. Leaves the column itself
-    /// untouched.
-    IqDemod {
-        /// Angular carrier frequency, radians per depth sample.
-        w: f64,
-    },
-    /// Boxcar-filter the scratch I/Q over `period` samples and write the
-    /// magnitude (the envelope) back over the column.
-    Envelope {
-        /// Low-pass length in samples (one carrier period).
-        period: usize,
-    },
-    /// In-place `v ← max(20·log10(|v|/reference), floor_db)`.
-    LogCompress {
-        /// Amplitude mapped to 0 dB.
-        reference: f64,
-        /// Clamp floor in dB.
-        floor_db: f64,
-    },
-}
-
-impl PostStage {
-    /// Applies this stage to one depth column, using `scratch` for the
-    /// I/Q intermediates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scratch` is shorter than the column.
-    #[inline]
-    pub fn apply(&self, column: &mut [f64], scratch: &mut PostScratch) {
-        let n = column.len();
-        match *self {
-            PostStage::IqDemod { w } => {
-                usbf_sim::demodulate_into(column, w, &mut scratch.i, &mut scratch.q);
-            }
-            PostStage::Envelope { period } => {
-                usbf_sim::envelope_from_iq_into(&scratch.i[..n], &scratch.q[..n], period, column);
-            }
-            PostStage::LogCompress {
-                reference,
-                floor_db,
-            } => {
-                usbf_sim::log_compress_into(column, reference, floor_db);
-            }
-        }
     }
 }
 
@@ -165,66 +94,52 @@ impl PostScratch {
     }
 }
 
-/// An ordered chain of [`PostStage`]s a beamformer applies to every
-/// scanline column it produces — empty by default (raw delay-and-sum
-/// output).
+/// The post-processing a beamformer applies to every scanline column it
+/// produces: none (raw delay-and-sum output, the default) or the B-mode
+/// chain.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PostChain {
-    stages: Vec<PostStage>,
+    bmode: Option<BmodeConfig>,
 }
 
 impl PostChain {
-    /// The canonical B-mode chain: IQ demodulation → envelope →
-    /// log compression.
+    /// The B-mode chain: IQ demodulation → envelope → log compression.
     #[must_use]
     pub fn bmode(config: BmodeConfig) -> Self {
         PostChain {
-            stages: vec![
-                PostStage::IqDemod {
-                    w: config.carrier_w(),
-                },
-                PostStage::Envelope {
-                    period: config.period(),
-                },
-                PostStage::LogCompress {
-                    reference: config.reference,
-                    floor_db: config.floor_db,
-                },
-            ],
+            bmode: Some(config),
         }
     }
 
-    /// A chain with no stages (the raw-output default).
+    /// No post-processing (the raw-output default).
     #[must_use]
     pub fn empty() -> Self {
         PostChain::default()
     }
 
-    /// Appends a stage.
-    #[must_use = "push returns the extended chain; dropping it discards the stage"]
-    pub fn push(mut self, stage: PostStage) -> Self {
-        self.stages.push(stage);
-        self
-    }
-
-    /// Whether the chain has no stages.
+    /// Whether the chain leaves columns untouched.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.stages.is_empty()
+        self.bmode.is_none()
     }
 
-    /// The stages, in application order.
-    pub fn stages(&self) -> &[PostStage] {
-        &self.stages
-    }
-
-    /// Applies every stage, in order, to one scanline's depth column.
-    /// Allocation-free: all intermediates live in `scratch`.
+    /// Applies the chain to one scanline's depth column: demodulation
+    /// into `scratch`, the envelope of that I/Q back over the column,
+    /// then log compression in place. Allocation-free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chain is B-mode and `scratch` is shorter than the
+    /// column.
     #[inline]
     pub fn apply_column(&self, column: &mut [f64], scratch: &mut PostScratch) {
-        for stage in &self.stages {
-            stage.apply(column, scratch);
-        }
+        let Some(config) = &self.bmode else {
+            return;
+        };
+        let n = column.len();
+        usbf_sim::demodulate_into(column, config.carrier_w(), &mut scratch.i, &mut scratch.q);
+        usbf_sim::envelope_from_iq_into(&scratch.i[..n], &scratch.q[..n], config.period(), column);
+        usbf_sim::log_compress_into(column, config.reference, config.floor_db);
     }
 
     /// Scratch for this chain's columns of `n_depth` samples: empty (no
@@ -240,8 +155,8 @@ impl PostChain {
     ///
     /// # Panics
     ///
-    /// Panics if a stage needs `scratch` (a demodulation) and it is
-    /// shorter than the volume's depth columns.
+    /// Panics if the chain is B-mode and `scratch` is shorter than the
+    /// volume's depth columns.
     pub fn apply_volume(&self, volume: &mut BeamformedVolume, scratch: &mut PostScratch) {
         if self.is_empty() {
             return;
@@ -289,17 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn bmode_chain_has_three_stages_in_order() {
-        let chain = PostChain::bmode(config());
-        assert_eq!(chain.stages().len(), 3);
-        assert!(matches!(chain.stages()[0], PostStage::IqDemod { .. }));
-        assert!(matches!(chain.stages()[1], PostStage::Envelope { .. }));
-        assert!(matches!(chain.stages()[2], PostStage::LogCompress { .. }));
-        assert!(!chain.is_empty());
-        assert!(PostChain::empty().is_empty());
-    }
-
-    #[test]
     fn from_spec_uses_two_way_axial_carrier() {
         let spec = usbf_geometry::SystemSpec::tiny();
         let cfg = BmodeConfig::from_spec(&spec);
@@ -307,9 +211,6 @@ mod tests {
             / spec.speed_of_sound;
         assert_eq!(cfg.carrier_cycles_per_sample, expect);
         assert!(cfg.carrier_cycles_per_sample > 0.0);
-        let cfg = cfg.with_reference(0.5).with_floor_db(-40.0);
-        assert_eq!(cfg.reference, 0.5);
-        assert_eq!(cfg.floor_db, -40.0);
     }
 
     #[test]
@@ -342,6 +243,8 @@ mod tests {
         let mut vol = BeamformedVolume::zeros(&spec);
         vol.set(VoxelIndex::new(3, 3, 3), 7.0);
         let before = vol.clone();
+        assert!(PostChain::empty().is_empty());
+        assert!(!PostChain::bmode(config()).is_empty());
         PostChain::empty().apply_volume(&mut vol, &mut PostScratch::default());
         assert_eq!(vol, before);
     }

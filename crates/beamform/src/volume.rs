@@ -177,16 +177,6 @@ impl BeamformedVolume {
             })
             .collect()
     }
-
-    /// Log-compressed magnitude in dB relative to the volume peak, clamped
-    /// at `floor_db` (e.g. −60): the standard display transform.
-    pub fn to_db(&self, floor_db: f64) -> Vec<f64> {
-        let peak = self.max_abs().max(f64::MIN_POSITIVE);
-        self.data
-            .iter()
-            .map(|&v| (20.0 * (v.abs() / peak).log10()).max(floor_db))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -222,16 +212,5 @@ mod tests {
         assert_eq!(v.lateral_profile(0, 0).len(), 8);
         assert_eq!(v.len(), 8 * 8 * 16);
         assert!(!v.is_empty());
-    }
-
-    #[test]
-    fn to_db_peak_is_zero() {
-        let mut v = vol();
-        v.set(VoxelIndex::new(0, 0, 0), 4.0);
-        v.set(VoxelIndex::new(0, 0, 1), 0.4);
-        let db = v.to_db(-60.0);
-        assert_eq!(db[0], 0.0);
-        assert!((db[1] + 20.0).abs() < 1e-9);
-        assert_eq!(db[2], -60.0);
     }
 }

@@ -7,12 +7,14 @@
 //!
 //! The transform is exposed at two granularities:
 //!
-//! * [`envelope`] / [`envelope_db`] — allocating, whole-trace convenience
-//!   wrappers used by the simulation metrics;
+//! * [`envelope`] — an allocating, whole-trace convenience wrapper, the
+//!   reference the building blocks are tested against;
 //! * [`demodulate_into`] / [`envelope_from_iq_into`] /
 //!   [`log_compress_into`] — allocation-free building blocks operating on
-//!   caller-owned buffers, reused by the beamformer's post-processing
-//!   stages where warm frames must not touch the heap.
+//!   caller-owned buffers, which the beamformer's B-mode chain calls in
+//!   that order where warm frames must not touch the heap. Log
+//!   compression is relative to a fixed reference level, never the
+//!   trace's peak.
 
 /// Mix an RF trace down to baseband I/Q at angular carrier frequency `w`
 /// (radians per sample), writing into caller-owned buffers.
@@ -129,21 +131,6 @@ pub fn envelope(rf: &[f64], fc: f64, fs: f64) -> Vec<f64> {
     out
 }
 
-/// Log-compressed envelope in dB relative to its peak, clamped at
-/// `floor_db` — the standard B-mode display transform applied to a single
-/// trace.
-///
-/// # Panics
-///
-/// Panics as [`envelope`] does, or if the envelope is all zeros.
-pub fn envelope_db(rf: &[f64], fc: f64, fs: f64, floor_db: f64) -> Vec<f64> {
-    let mut env = envelope(rf, fc, fs);
-    let peak = env.iter().fold(0.0f64, |m, &v| m.max(v));
-    assert!(peak > 0.0, "silent signal has no dB envelope");
-    log_compress_into(&mut env, peak, floor_db);
-    env
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,20 +190,9 @@ mod tests {
     }
 
     #[test]
-    fn envelope_db_peak_is_zero() {
-        let rf: Vec<f64> = (0..256)
-            .map(|i| (2.0 * std::f64::consts::PI * FC * i as f64 / FS).cos())
-            .collect();
-        let db = envelope_db(&rf, FC, FS, -60.0);
-        let max = db.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        assert!((max - 0.0).abs() < 1e-9);
-        assert!(db.iter().all(|&v| v >= -60.0));
-    }
-
-    #[test]
     fn building_blocks_compose_to_envelope() {
         // The _into building blocks must reproduce the allocating wrapper
-        // bit-for-bit: the beamformer's post-stages lean on this.
+        // bit-for-bit: the beamformer's B-mode chain leans on this.
         let rf: Vec<f64> = (0..300)
             .map(|i| {
                 let t = i as f64 / FS;
@@ -258,11 +234,5 @@ mod tests {
     #[should_panic(expected = "empty signal")]
     fn empty_signal_panics() {
         envelope(&[], FC, FS);
-    }
-
-    #[test]
-    #[should_panic(expected = "silent signal")]
-    fn silent_db_panics() {
-        envelope_db(&[0.0; 64], FC, FS, -60.0);
     }
 }

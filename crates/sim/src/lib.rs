@@ -50,7 +50,7 @@ mod rf;
 
 pub use echo::{EchoOptions, EchoSynthesizer};
 pub use envelope::{
-    boxcar_period, demodulate_into, envelope, envelope_db, envelope_from_iq_into, log_compress_into,
+    boxcar_period, demodulate_into, envelope, envelope_from_iq_into, log_compress_into,
 };
 pub use phantom::{Phantom, Scatterer};
 pub use pulse::Pulse;

@@ -1,9 +1,12 @@
 //! Failure injection: the library fails loudly and predictably at its
 //! documented limits.
 
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
+use std::time::Duration;
 use usbf::beamform::{
-    Beamformer, FramePipeline, FrameRing, PipelineError, ShardConfig, ShardedRuntime, VolumeLoop,
+    Beamformer, FramePipeline, FrameRing, PipelineError, ShardConfig, ShardRound, ShardedRuntime,
+    VolumeLoop,
 };
 use usbf::core::{
     DelayEngine, EngineError, ExactEngine, NaiveTableEngine, NappeDelays, TableFreeConfig,
@@ -329,6 +332,115 @@ fn sharded_engine_panic_never_poisons_sibling_shards() {
         assert_eq!(rt.shard_of(ids[1]).expect("live shard").errors(), 0);
         assert_eq!(rt.frame_counts(), vec![2, 3]);
     }
+}
+
+/// A panic payload whose own drop panics. The acquisition thread drops
+/// a caught payload outside its `catch_unwind`, so this second panic
+/// unwinds and kills the thread.
+struct PanickingPayload;
+
+impl Drop for PanickingPayload {
+    fn drop(&mut self) {
+        panic!("injected payload-drop fault");
+    }
+}
+
+/// A source that panics with a [`PanickingPayload`] on its second
+/// acquisition, ending its acquisition thread.
+fn source_that_dies(template: RfFrame) -> impl FnMut(&mut RfFrame) + Send + 'static {
+    let mut produced = 0u32;
+    move |out: &mut RfFrame| {
+        produced += 1;
+        if produced == 2 {
+            std::panic::panic_any(PanickingPayload);
+        }
+        out.copy_from(&template);
+    }
+}
+
+/// Runs `body` on its own thread and fails if it has not returned within
+/// `limit`, so a pipeline parked on a dead thread fails the test instead
+/// of hanging it.
+fn within<T: Send + 'static>(limit: Duration, body: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let _ = tx.send(body());
+    });
+    match rx.recv_timeout(limit) {
+        Ok(value) => value,
+        Err(RecvTimeoutError::Timeout) => panic!("still running after {limit:?}: hung"),
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(worker.join().expect_err("body returned no value"))
+        }
+    }
+}
+
+#[test]
+fn dead_acquisition_thread_reads_disconnected_and_never_hangs() {
+    within(Duration::from_secs(30), || {
+        let spec = SystemSpec::tiny();
+        let rf = point_frame(&spec);
+        let engine: Arc<dyn DelayEngine + Send + Sync> = Arc::new(ExactEngine::new(&spec));
+        let reference = VolumeLoop::new(Beamformer::new(&spec))
+            .beamform(engine.as_ref(), &rf)
+            .clone();
+
+        let mut pipe = FramePipeline::new(
+            Beamformer::new(&spec),
+            Arc::clone(&engine),
+            source_that_dies(rf.clone()),
+        );
+        assert_eq!(pipe.next_volume().expect("frame 1 is clean"), &reference);
+        // The second acquisition killed the thread: every later frame
+        // reports it, and dropping the pipeline still joins the thread.
+        for _ in 0..3 {
+            match pipe.next_volume() {
+                Err(PipelineError::Disconnected) => {}
+                other => panic!("expected Disconnected, got {other:?}"),
+            }
+        }
+        drop(pipe);
+
+        // Through a sharded runtime, the dead shard fails alone.
+        let mut rt = ShardedRuntime::new(
+            Arc::new(usbf::par::ThreadPool::new(2)),
+            vec![
+                ShardConfig::new(
+                    Beamformer::new(&spec),
+                    Arc::clone(&engine),
+                    source_that_dies(rf.clone()),
+                ),
+                ShardConfig::new(
+                    Beamformer::new(&spec),
+                    Arc::clone(&engine),
+                    FrameRing::new(vec![rf.clone()]),
+                ),
+            ],
+        );
+        let ids = rt.shard_ids();
+        assert!(
+            rt.round().iter().all(|o| o.is_completed()),
+            "clean first round"
+        );
+        for _ in 0..3 {
+            let outcomes = rt.round();
+            match &outcomes[0] {
+                ShardRound::Failed(id, PipelineError::Disconnected) if *id == ids[0] => {}
+                other => panic!("expected shard 0 Disconnected, got {other:?}"),
+            }
+            assert!(
+                outcomes[1].is_completed(),
+                "sibling shard must keep completing"
+            );
+            assert_eq!(rt.volume_of(ids[1]), Some(&reference));
+        }
+        assert!(rt.detach_shard(ids[0]).is_some(), "dead shard detaches");
+        assert!(
+            rt.round().iter().all(|o| o.is_completed()),
+            "survivor round"
+        );
+        assert_eq!(rt.frame_counts(), vec![5]);
+    });
 }
 
 #[test]

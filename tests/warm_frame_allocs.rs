@@ -8,11 +8,14 @@
 //! dispatcher allocated one boxed task per tile per frame (plus an
 //! `Arc` job core and the collection buffers); the preregistered-job
 //! path allocates nothing per tile, and the pipeline's RF handoff moves
-//! buffers through a preallocated two-slot exchange instead of an
-//! `mpsc` channel. This test counts actual heap allocations across many
-//! warm frames — through the synchronous `VolumeLoop`, the synchronous
-//! and asynchronous `FramePipeline` shapes, and multi-shard
-//! `ShardedRuntime` rounds — and asserts the warm paths measure **0**.
+//! buffers through a preallocated two-slot exchange. (A bounded
+//! `sync_channel` handoff also measures 0 here; `IngestLink` in
+//! `frame_pipeline.rs` records why the exchange is kept: a heap-layout
+//! shift in the benchmark's `rss_mb`, not allocation.) This test counts
+//! actual heap allocations across many warm frames — through the
+//! synchronous `VolumeLoop`, the synchronous and asynchronous
+//! `FramePipeline` shapes, and multi-shard `ShardedRuntime` rounds —
+//! and asserts the warm paths measure **0**.
 //! All measurements live in one `#[test]` so no concurrent test
 //! pollutes the counter.
 
@@ -121,8 +124,8 @@ fn warm_frames_do_no_per_tile_allocation() {
 
     // --- FramePipeline, synchronous shape (acquisition handoff + pool
     // dispatch; the RF buffers move through the pipeline's preallocated
-    // two-slot exchange, so unlike an mpsc channel the handoff itself
-    // never allocates) ---
+    // two-slot exchange, so the handoff itself never allocates — nor
+    // would a bounded sync_channel, see `IngestLink`) ---
     let arc_engine: Arc<dyn DelayEngine + Send + Sync> = Arc::new(ExactEngine::new(&spec));
     let mut pipe = FramePipeline::with_pool(
         Beamformer::new(&spec),
