@@ -70,8 +70,9 @@ impl Apodization {
 /// A separable window zeroes whole border rows and columns, so the active
 /// channels fall into a few long runs of consecutive channels (Hann on a
 /// 32×32 array: 30 runs of 30). The runs are recorded at build time, and
-/// [`compact_in_place`](Self::compact_in_place) moves them as slices
-/// instead of gathering channel by channel.
+/// the delay engines' emit walks them as slices
+/// ([`DelayEngine::emit_run`](usbf_core::DelayEngine::emit_run)) instead
+/// of gathering channel by channel.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ActiveAperture {
     channels: Vec<u32>,
@@ -86,9 +87,18 @@ impl ActiveAperture {
     /// `weight != 0.0` in linear element order.
     #[must_use]
     pub fn build(apodization: Apodization, array: &TransducerArray) -> Self {
+        Self::from_weights(&apodization.weights(array))
+    }
+
+    /// Compacts any per-element weights, one per element in linear
+    /// element order, keeping those with `weight != 0.0` — an arbitrary
+    /// mask, whose runs may split element rows and span several (the
+    /// kernel's tests draw such masks).
+    #[must_use]
+    pub(crate) fn from_weights(element_weights: &[f64]) -> Self {
         let mut channels = Vec::new();
         let mut weights = Vec::new();
-        for (j, w) in apodization.weights(array).into_iter().enumerate() {
+        for (j, &w) in element_weights.iter().enumerate() {
             if w != 0.0 {
                 channels.push(j as u32);
                 weights.push(w);
@@ -112,7 +122,7 @@ impl ActiveAperture {
             channels,
             weights,
             runs,
-            n_elements: array.count(),
+            n_elements: element_weights.len(),
         }
     }
 
@@ -137,27 +147,6 @@ impl ActiveAperture {
         &self.runs
     }
 
-    /// Compacts one full element row down to the active aperture in
-    /// place, `row[k] = row[channels[k]]`, one slice move per run, and
-    /// returns the compacted prefix of [`len`](Self::len) entries. Runs
-    /// ascend, so each moves left over entries already read; a run
-    /// already in place (all of a full aperture) is not moved.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is shorter than the array.
-    #[inline]
-    pub fn compact_in_place<'r>(&self, row: &'r mut [f64]) -> &'r [f64] {
-        let mut k = 0;
-        for run in &self.runs {
-            if run.start != k {
-                row.copy_within(run.clone(), k);
-            }
-            k += run.len();
-        }
-        &row[..k]
-    }
-
     /// Number of active elements.
     #[inline]
     pub fn len(&self) -> usize {
@@ -170,8 +159,8 @@ impl ActiveAperture {
         self.channels.is_empty()
     }
 
-    /// Whether every element of the array is active — when true,
-    /// compaction leaves a row as it is.
+    /// Whether every element of the array is active — when true, the
+    /// aperture is one run.
     #[inline]
     pub fn is_full(&self) -> bool {
         self.channels.len() == self.n_elements

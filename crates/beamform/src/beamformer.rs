@@ -1,18 +1,21 @@
 //! The delay-and-sum kernel (Eq. 1) over any delay engine.
 //!
-//! The volume path mirrors the paper's architecture: delays are consumed
-//! as per-nappe receive-leg slabs ([`DelayEngine::fill_nappe_rx`]) plus
-//! one transmit term per row, computed a run of rows at a time, whatever
-//! the transmit sequence, rather than per-voxel queries, and the steering
-//! fan is split into [`NappeSchedule`] tiles, each filled like a Fig. 4
-//! block bound to its correction registers. A raw frame's parallel tasks
-//! are whole-fan depth bands, so each channel's echo samples for a nappe
-//! are read in one pass — the paper's nappe-major streaming applied to
-//! the echo buffer: a single-transmit band's slab visits every schedule
-//! tile per nappe, and a compound band's slab covers the whole fan, so
-//! one receive-leg fill per nappe serves every transmit. A task's
-//! values are always raw delay-and-sum: a beamformer's post-processing
-//! chain runs once over the assembled volume ([`PostChain::apply_volume`]).
+//! The volume path mirrors the paper's architecture: delays are not
+//! queried per voxel but emitted as echo-buffer indices, a run of rows
+//! at a time, straight into the kernel's staging rows — one engine set-up
+//! per (tile, nappe) ([`DelayEngine::begin_emit`]), then per transmit one
+//! pass that adds the receive leg and the transmit term and rounds
+//! ([`DelayEngine::emit_run`]), whatever the transmit sequence. The
+//! steering fan is split into [`NappeSchedule`] tiles, each emitted like
+//! a Fig. 4 block bound to its correction registers. A raw frame's
+//! parallel tasks are whole-fan depth bands, so each channel's echo
+//! samples for a nappe are read in one pass — the paper's nappe-major
+//! streaming applied to the echo buffer: a single-transmit band's slab
+//! visits every schedule tile per nappe, and a compound band's slab
+//! covers the whole fan, so one set-up per nappe serves every transmit.
+//! A task's values are always raw delay-and-sum: a beamformer's
+//! post-processing chain runs once over the assembled volume
+//! ([`PostChain::apply_volume`]).
 //!
 //! The kernel is nearest fetch only — the paper's datapath, where a
 //! delay "is used as an index into an echo buffer" — and its output is
@@ -140,10 +143,9 @@ pub struct TileState {
     /// Empty for linear interpolation.
     pub(crate) index_block: Vec<i32>,
     /// One group of packed rows, `[row-in-group][active]` —
-    /// [`DelayEngine::quantize_tx_run`] writes each run of rows here,
-    /// after the live rows already staged, and a full group is
-    /// transposed into `index_block` in one pass. Empty for linear
-    /// interpolation.
+    /// [`DelayEngine::emit_run`] writes each run of rows here, after the
+    /// live rows already staged, and a full group is transposed into
+    /// `index_block` in one pass. Empty for linear interpolation.
     index_staging: Vec<i32>,
     /// Per active channel, the lowest sample index the block's rows
     /// read, then per active channel the highest: the windows the kernel
@@ -178,7 +180,7 @@ impl TileState {
     /// band `nappes` over the fan region `tiles` partition: the delay
     /// slab (one tile in size), the `[scanline][nappe]` values buffer,
     /// the grouped index block (one MAC pass's rows) and its one-group
-    /// staging buffer, sized to the compacted aperture (nearest only),
+    /// staging buffer, sized to the active aperture (nearest only),
     /// and every transmit's mask weights. A compound band over
     /// the whole fan passes the fan as its one tile.
     ///
@@ -354,13 +356,13 @@ impl Block<'_> {
     /// Offers transmit `tx`'s rows `slots` of `slab` — no more than the
     /// staged group has room for — with `places` giving each row's region
     /// slot and mask weight, in slot order. Every row of the run is
-    /// rounded after the rows already staged, in one engine pass that
-    /// adds the run's transmit terms in the engine's own final rounding
-    /// stage ([`DelayEngine::quantize_tx_run`]), so rounding telemetry
-    /// (TABLESTEER's clamp counter) advances exactly as it does for
-    /// per-element queries. The insonified rows then move down over the
-    /// masked ones, so a masked row never reaches the block, but the
-    /// telemetry counts it. A group the run fills is transposed.
+    /// emitted over the aperture's `runs` after the rows already staged,
+    /// in one engine call that adds the receive leg and the run's
+    /// transmit terms and rounds ([`DelayEngine::emit_run`]), so rounding
+    /// telemetry (TABLESTEER's clamp counter) advances exactly as it
+    /// does for per-element queries. The insonified rows then move down
+    /// over the masked ones, so a masked row never reaches the block, but
+    /// the telemetry counts it. A group the run fills is transposed.
     #[inline]
     fn push_run(
         &mut self,
@@ -368,13 +370,14 @@ impl Block<'_> {
         tx: usize,
         slab: &NappeDelays,
         slots: Range<usize>,
+        runs: &[Range<usize>],
         places: impl Iterator<Item = (usize, f64)>,
     ) {
         let active = self.windows.len() / 2;
         let pending = self.len % GROUP;
         debug_assert!(pending + slots.len() <= GROUP);
         let run = &mut self.staging[pending * active..(pending + slots.len()) * active];
-        engine.quantize_tx_run(tx, slab, slots.clone(), run);
+        engine.emit_run(tx, slab, slots.clone(), runs, run);
         let mut staged = pending;
         for (k, (r, m)) in places.take(slots.len()).enumerate() {
             if m != 0.0 {
@@ -761,8 +764,7 @@ impl Beamformer {
     /// frame of a [`VolumeLoop`](crate::VolumeLoop) on the global
     /// `usbf_par` pool, with the schedule fitted to that pool: the same
     /// tasks, slabs and kernel as every warm frame, built for this call
-    /// and dropped after it. Delay rows come from the engine's receive
-    /// leg ([`DelayEngine::fill_nappe_rx`]) plus one transmit term per row
+    /// and dropped after it. Delay indices come from the engine's emit
     /// (see [`beamform_tile_into`](Self::beamform_tile_into)).
     /// Scanline-by-scanline order keeps the scalar per-voxel walk as the
     /// reference path. Both produce bit-identical volumes. For repeated
@@ -811,12 +813,13 @@ impl Beamformer {
     /// [`FramePipeline`](crate::FramePipeline) drive every frame.
     ///
     /// Nearest fetch runs one voxel-parallel kernel for every transmit
-    /// sequence and task shape. Per (tile, nappe), the engine fills the
-    /// receive leg ([`DelayEngine::fill_nappe_rx`]) once; per transmit,
-    /// the transmit terms of a run of rows are computed in one pass and
-    /// added in the rounding pass ([`DelayEngine::quantize_tx_run`]). The
-    /// insonified rows are packed into a grouped index block that is
-    /// summed one channel at a time into per-row accumulators. Every
+    /// sequence and task shape. Per (tile, nappe), the engine sets up its
+    /// emit ([`DelayEngine::begin_emit`]) once; per transmit, a run of
+    /// rows is emitted in one call that adds the receive leg and the
+    /// transmit terms and rounds, over the active aperture only
+    /// ([`DelayEngine::emit_run`]). The insonified rows are packed into a
+    /// grouped index block that is summed one channel at a time into
+    /// per-row accumulators. Every
     /// voxel's delay-and-sum starts at `0.0` and adds its `w·s` terms in
     /// ascending aperture order, and each transmit's sum enters the voxel
     /// as `m·sum` in transmit order, skipping `m == 0` — so the output is
@@ -893,18 +896,17 @@ impl Beamformer {
     /// Per nappe of the task's band and per transmit:
     ///
     /// 1. At transmit 0, the slab is re-pointed at each tile of the task
-    ///    in turn and filled with the transmit-invariant receive leg
-    ///    ([`DelayEngine::fill_nappe_rx`]); a compound task has one tile,
-    ///    the whole region, so that fill serves every transmit. The rows
-    ///    go in scanline order, in runs that end where the one-group
-    ///    staging buffer fills (a whole group of rows when every row is
-    ///    insonified): at transmit 0 each run's rows are first compacted
-    ///    in place to the active aperture, then every run gets its
-    ///    transmit terms in one engine call, computed for the whole run
-    ///    and fused into the rounding pass
-    ///    ([`DelayEngine::quantize_tx_run`]). Both are element-wise, so
-    ///    compacting first is exact.
-    /// 2. A run is rounded into the staging buffer after the live rows
+    ///    in turn and the engine's emit is set up for it
+    ///    ([`DelayEngine::begin_emit`]); a compound task has one tile, the
+    ///    whole region, so that set-up serves every transmit. The rows go
+    ///    in scanline order, in runs that end where the one-group staging
+    ///    buffer fills (a whole group of rows when every row is
+    ///    insonified), and every run is one engine call
+    ///    ([`DelayEngine::emit_run`]) that adds the receive leg and the
+    ///    run's transmit terms over the aperture's active runs and rounds
+    ///    — no delay row is stored, and the kernel makes no compaction
+    ///    pass.
+    /// 2. A run is emitted into the staging buffer after the live rows
     ///    already staged, and each full group is transposed into the
     ///    block's `[group][channel][row-in-group]` layout. Only
     ///    insonified rows (mask weight `m ≠ 0`) stay staged, the `live`
@@ -968,6 +970,7 @@ impl Beamformer {
         let aligned = index_block.as_ptr().align_offset(64);
         let block = &mut index_block[aligned..];
         let pass = pass_rows(tiles, self.aperture.len());
+        let runs = self.aperture.runs();
         values.fill(0.0);
         for (j, id) in nappes.clone().enumerate() {
             for (tx, mask) in tx_weights.chunks_exact(n_values).enumerate() {
@@ -989,7 +992,7 @@ impl Beamformer {
                     }
                     if tx == 0 {
                         slab.retarget(tile);
-                        engine.fill_nappe_rx(id, slab);
+                        engine.begin_emit(id, runs, slab);
                     }
                     let mut places = tile.iter_scanlines().map(|(_, it, ip)| {
                         let r = region.slot_of(it, ip);
@@ -1002,15 +1005,8 @@ impl Beamformer {
                     while first < n_rows {
                         let room = GROUP - rows.len % GROUP;
                         let run = first..(first + room).min(n_rows);
-                        if tx == 0 {
-                            // Compacted in place just before the run is
-                            // rounded, and reused by later transmits.
-                            for slot in run.clone() {
-                                self.aperture.compact_in_place(slab.row_mut(slot));
-                            }
-                        }
                         first = run.end;
-                        rows.push_run(engine, tx, slab, run, places.by_ref());
+                        rows.push_run(engine, tx, slab, run, runs, places.by_ref());
                     }
                 }
                 rows.flush(&self.aperture, rf, tx, acc, &mut add);
@@ -1181,8 +1177,8 @@ mod tests {
         // A wide aperture on the tiny grid steers some corner fetches out
         // of the echo window; the batched path must count those clamps
         // exactly like the scalar path does — over the full aperture and
-        // over a Hann aperture, whose receive rows are compacted before
-        // the fused rounding.
+        // over a Hann aperture, whose rows are emitted over its active
+        // runs only.
         let base = SystemSpec::tiny();
         let spec = SystemSpec::new(
             base.speed_of_sound,
@@ -1594,13 +1590,16 @@ mod tests {
         let block = &state.index_block[offset..];
         let region = state.region();
         let mut expected = vec![0; active];
+        let mut row = vec![0.0; active];
         let mut r = 0;
         for &tile in &tiles {
             let mut slab = NappeDelays::for_tile(&spec, tile);
             engine.fill_nappe(last, &mut slab);
             for (slot, it, ip) in tile.iter_scanlines() {
-                let row = bf.aperture().compact_in_place(slab.row_mut(slot));
-                engine.quantize_row(row, &mut expected);
+                for (x, &c) in row.iter_mut().zip(bf.aperture().channels()) {
+                    *x = slab.row(slot)[c as usize];
+                }
+                engine.quantize_row(&row, &mut expected);
                 assert_eq!(state.live[r] as usize, region.slot_of(it, ip));
                 for (k, &e) in expected.iter().enumerate() {
                     assert_eq!(
@@ -1771,5 +1770,176 @@ mod tests {
         let engine = ExactEngine::new(&spec);
         let vol = Beamformer::new(&spec).beamform_volume(&engine, &rf);
         assert_eq!(vol.max_abs(), 0.0);
+    }
+
+    /// A tiny narrow-cone geometry (±4° over 60λ, so plane-wave
+    /// footprints meet the grid) of an `nx × ny` array whose pitch is
+    /// `pitch` wavelengths, with `n_tx` transmits: bit `i` of `kinds`
+    /// makes transmit `i` a plane wave steered by `a` and `b`, else a
+    /// point emission.
+    fn mask_spec(
+        (nx, ny, pitch): (usize, usize, f64),
+        (n_theta, n_phi, n_depth): (usize, usize, usize),
+        (n_tx, kinds, a, b): (usize, usize, usize, usize),
+    ) -> SystemSpec {
+        use usbf_geometry::{deg, TransducerSpec, TransmitModel, VolumeSpec, SPEED_OF_SOUND};
+        let (fc, lambda) = (4.0e6, SPEED_OF_SOUND / 4.0e6);
+        let transducer = TransducerSpec {
+            center_frequency: fc,
+            bandwidth: 4.0e6,
+            nx,
+            ny,
+            pitch: pitch * lambda,
+        };
+        let volume = VolumeSpec {
+            theta_max: deg(4.0),
+            phi_max: deg(4.0),
+            depth_max: 60.0 * lambda,
+            n_theta,
+            n_phi,
+            n_depth,
+        };
+        let transmits = (0..n_tx)
+            .map(|i| {
+                if (kinds >> i) & 1 == 0 {
+                    TransmitModel::PointSource
+                } else {
+                    let theta = ((a + 7 * i) % 25) as f64 - 12.0;
+                    let phi = ((b + 5 * i) % 25) as f64 - 12.0;
+                    TransmitModel::plane_wave(deg(theta), deg(phi))
+                }
+            })
+            .collect();
+        SystemSpec::new(SPEED_OF_SOUND, 32.0e6, transducer, volume, Vec3::ZERO, 15.0)
+            .with_transmits(transmits)
+    }
+
+    /// Random per-element weights of `n` elements from `seed`: on and off
+    /// stretches of random length, so the active runs split element rows,
+    /// leave interior holes and span several rows; never all off.
+    fn random_mask(n: usize, seed: u64) -> Vec<f64> {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut on = next().is_multiple_of(2);
+        let mut weights: Vec<f64> = (0..n)
+            .map(|_| {
+                if next().is_multiple_of(3) {
+                    on = !on;
+                }
+                if on {
+                    0.25 + (next() % 64) as f64 / 64.0
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        if weights.iter().all(|&w| w == 0.0) {
+            weights[(seed % n as u64) as usize] = 1.0;
+        }
+        weights
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn emit_over_random_masks_matches_the_scalar_walk_and_its_telemetry(
+            nx in 2usize..7,
+            ny in 2usize..7,
+            n_theta in 2usize..5,
+            n_phi in 2usize..5,
+            n_depth in 3usize..8,
+            target in 0usize..1_000_000,
+            n_tx in 1usize..4,
+            kinds in 0usize..16,
+            angle_a in 0usize..1000,
+            angle_b in 0usize..1000,
+            wide in proptest::prelude::any::<bool>(),
+            mask_seed in proptest::prelude::any::<u64>(),
+            tiles_pick in 0usize..1000,
+        ) {
+            // The tile kernel's only delay source is the engines' emit
+            // over the aperture's active runs. Random masks make runs that
+            // split element rows, leave interior holes and span several
+            // rows; the volume must be the scalar `beamform_voxel` walk's
+            // bit for bit, for all four engines, on single-transmit frames
+            // (multi-tile bands) and compounds (whole-fan bands). A wide
+            // pitch puts far elements out of the echo window, so
+            // TABLESTEER clamps, and its clamp count must equal the scalar
+            // `delay_index` count over every voxel × transmit × active
+            // channel; TABLEFREE's root count must equal the row methods'
+            // (the receive-leg fill of every nappe, one `combine_tx_row`
+            // per row and transmit).
+            use crate::VolumeLoop;
+            use proptest::prelude::*;
+            use usbf_core::{NaiveTableEngine, TableFreeConfig, TableFreeEngine};
+            use usbf_par::global_arc;
+            let pitch = if wide { 40.0 } else { 0.5 };
+            let spec = mask_spec(
+                (nx, ny, pitch),
+                (n_theta, n_phi, n_depth),
+                (n_tx, kinds, angle_a, angle_b),
+            );
+            let mut bf = Beamformer::new(&spec);
+            bf.aperture = ActiveAperture::from_weights(&random_mask(nx * ny, mask_seed));
+            let schedule = NappeSchedule::fitted(&spec, 1 + tiles_pick % (n_theta * n_phi));
+            let grid = &spec.volume_grid;
+            let rf = point_rf(&spec, grid.voxel_at(target % grid.voxel_count()));
+            let exact = ExactEngine::new(&spec);
+            let naive = NaiveTableEngine::build(&spec, u64::MAX).expect("tiny table fits");
+            let tablefree = TableFreeEngine::new(&spec, TableFreeConfig::paper()).expect("builds");
+            let tablesteer =
+                TableSteerEngine::new(&spec, TableSteerConfig::bits18()).expect("builds");
+            let engines: [&dyn DelayEngine; 4] = [&exact, &naive, &tablefree, &tablesteer];
+            let what = format!(
+                "{nx}x{ny} mask {:?}, {n_tx} transmits (kinds {kinds:#x}), wide {wide}",
+                bf.aperture.runs()
+            );
+            for engine in engines {
+                let mut banded = VolumeLoop::with_pool(bf.clone(), global_arc(), &schedule);
+                let volume = banded.beamform(engine, &rf);
+                for i in 0..grid.voxel_count() {
+                    let v = grid.voxel_at(i);
+                    let (a, b) = (volume.get(v), bf.beamform_voxel(engine, &rf, v));
+                    prop_assert_eq!(
+                        a.to_bits(), b.to_bits(),
+                        "{} {} {}: {} vs {}", engine.name(), what, v, a, b
+                    );
+                }
+            }
+
+            let (batched, oracle) = (tablesteer.clone(), tablesteer.clone());
+            VolumeLoop::with_pool(bf.clone(), global_arc(), &schedule).beamform(&batched, &rf);
+            for i in 0..grid.voxel_count() {
+                for tx in 0..n_tx {
+                    for &chan in bf.aperture.channels() {
+                        let e = ElementIndex::new(chan as usize % nx, chan as usize / nx);
+                        oracle.delay_index(tx, grid.voxel_at(i), e);
+                    }
+                }
+            }
+            prop_assert!(!wide || oracle.clamp_events() > 0, "a wide aperture clamps: {}", what);
+            prop_assert_eq!(batched.clamp_events(), oracle.clamp_events(), "{}", what);
+
+            let (batched, oracle) = (tablefree.clone(), tablefree.clone());
+            VolumeLoop::with_pool(bf, global_arc(), &schedule).beamform(&batched, &rf);
+            let mut slab = NappeDelays::full(&spec);
+            let mut row = vec![0.0; nx * ny];
+            for id in 0..n_depth {
+                oracle.fill_nappe_rx(id, &mut slab);
+                for (slot, it, ip) in slab.scanlines() {
+                    for tx in 0..n_tx {
+                        let vox = VoxelIndex::new(it, ip, id);
+                        oracle.combine_tx_row(tx, vox, slab.row(slot), &mut row);
+                    }
+                }
+            }
+            prop_assert_eq!(batched.sqrt_evals(), oracle.sqrt_evals(), "{}", what);
+        }
     }
 }

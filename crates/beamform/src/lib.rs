@@ -13,7 +13,7 @@
 //!   (the paper's datapath) or linear interpolation (extension); nearest
 //!   fetch runs one voxel-parallel tile kernel over the compacted
 //!   [`ActiveAperture`] and a reusable [`TileState`] (a whole-fan depth
-//!   band in every runtime; quantized index rows → grouped index block →
+//!   band in every runtime; emitted index rows → grouped index block →
 //!   channel-outer gather and accumulate), bit-identical to the scalar
 //!   walk, which also serves linear interpolation;
 //! * [`BeamformedVolume`] — the reconstructed volume with profile/slice

@@ -232,8 +232,11 @@ pub enum ShardRound {
     /// window admits it in a following round.
     Deferred(ShardId),
     /// The shard's frame failed (source panic, engine panic,
-    /// disconnect). Siblings are unaffected; the shard itself recovers
-    /// on its next admitted round.
+    /// disconnect). Siblings are unaffected. After a source or engine
+    /// panic the shard recovers on its next admitted round; a shard
+    /// whose acquisition thread died reads
+    /// `Failed(id, PipelineError::Disconnected)` every round it is
+    /// admitted until the caller detaches it.
     Failed(ShardId, PipelineError),
 }
 
@@ -562,8 +565,9 @@ impl ShardedRuntime {
                 }
                 Err(error) => {
                     // Submit failed (source panic, disconnect): record it
-                    // and keep multiplexing the siblings; the shard
-                    // recovers on the next round.
+                    // and keep multiplexing the siblings. A source panic
+                    // costs this frame only; a dead acquisition thread
+                    // fails every round until the shard is detached.
                     outcomes[out_base] = ShardRound::Failed(id, error);
                     drive(rest, slot_base + 1, out_base + 1, outcomes);
                 }

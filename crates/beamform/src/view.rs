@@ -361,8 +361,8 @@ mod tests {
         );
     }
 
-    /// EXACT with an injected fault: when armed, the receive-leg fill of
-    /// the last nappe panics — after every task has beamformed its other
+    /// EXACT with an injected fault: when armed, the emit set-up of the
+    /// last nappe panics — after every task has beamformed its other
     /// nappes into its buffers.
     struct LateFault {
         inner: ExactEngine,
@@ -381,21 +381,25 @@ mod tests {
             self.inner.delay_samples(tx, vox, e)
         }
         fn fill_nappe_rx(&self, nappe_idx: usize, out: &mut NappeDelays) {
-            let armed = self.armed.load(Ordering::SeqCst);
-            assert!(!(armed && nappe_idx == self.last), "injected late fault");
             self.inner.fill_nappe_rx(nappe_idx, out);
         }
         fn combine_tx_row(&self, tx: usize, vox: VoxelIndex, rx_row: &[f64], out: &mut [f64]) {
             self.inner.combine_tx_row(tx, vox, rx_row, out);
         }
-        fn quantize_tx_run(
+        fn begin_emit(&self, nappe_idx: usize, runs: &[Range<usize>], slab: &mut NappeDelays) {
+            let armed = self.armed.load(Ordering::SeqCst);
+            assert!(!(armed && nappe_idx == self.last), "injected late fault");
+            self.inner.begin_emit(nappe_idx, runs, slab);
+        }
+        fn emit_run(
             &self,
             tx: usize,
-            rx: &NappeDelays,
+            slab: &NappeDelays,
             slots: Range<usize>,
+            runs: &[Range<usize>],
             out: &mut [i32],
         ) {
-            self.inner.quantize_tx_run(tx, rx, slots, out);
+            self.inner.emit_run(tx, slab, slots, runs, out);
         }
     }
 

@@ -367,13 +367,13 @@ proptest! {
         apod_pick in 0usize..3,
         tiles_pick in 0usize..1000,
     ) {
-        // The voxel-parallel tile kernel (per nappe: batched quantize_row
+        // The voxel-parallel tile kernel (per nappe: the engine's emit
         // into the [scanline][active] block, then one channel at a time
         // into per-scanline accumulators) reproduces the scalar
         // ScanlineByScanline walk bit for bit, for all four engines ×
         // both interpolations, on randomized geometry — including
-        // apertures with zero-weight borders (Hann) that exercise the row
-        // compaction and the full Rect aperture that skips it. Both the
+        // apertures with zero-weight borders (Hann), whose emit walks
+        // several runs, and the full Rect aperture, one run. Both the
         // global pool's schedule and a random tile count from one
         // single-scanline tile per scanline up to one whole-fan tile
         // drive the block kernel.
@@ -442,8 +442,8 @@ proptest! {
         // compound walk bit for bit, for all four engines × both
         // interpolations, on random transmit sequences mixing steered
         // plane waves with point emissions. Live-row packing depends on
-        // the tile shape and the compaction on the aperture, so both are
-        // random too.
+        // the tile shape and the emit's run walk on the aperture, so both
+        // are random too.
         let spec = random_compound_spec(nx, ny, n_theta, n_phi, n_depth)
             .with_transmits(random_transmits(n_tx, kinds, angle_a, angle_b));
         let schedule =
@@ -606,13 +606,12 @@ proptest! {
     }
 
     #[test]
-    fn aperture_runs_cover_the_channels_and_compact_like_a_gather(
+    fn aperture_runs_cover_the_channels(
         nx in 1usize..14,
         ny in 1usize..14,
         column in any::<bool>(),
         apod_pick in 0usize..4,
         taper in 0.0f64..1.0,
-        offset in -50.0f64..50.0,
     ) {
         // `column` forces a 1×N array; other draws cover odd and even
         // sizes of both axes.
@@ -633,13 +632,5 @@ proptest! {
         );
         let covered: Vec<u32> = runs.iter().flat_map(|r| r.clone()).map(|c| c as u32).collect();
         prop_assert_eq!(covered.as_slice(), aperture.channels(), "{:?} {}x{}", apod, nx, ny);
-
-        let row: Vec<f64> = (0..array.count()).map(|j| offset + 0.37 * j as f64).collect();
-        let mut compacted = row.clone();
-        let gathered: Vec<f64> = aperture.channels().iter().map(|&c| row[c as usize]).collect();
-        prop_assert_eq!(
-            aperture.compact_in_place(&mut compacted), gathered.as_slice(),
-            "{:?} {}x{}", apod, nx, ny
-        );
     }
 }

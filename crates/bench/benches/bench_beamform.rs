@@ -60,7 +60,7 @@ fn bench_beamform(c: &mut Criterion) {
 
     // Single-thread inner-kernel throughput on one schedule tile of the
     // reduced spec (1024 elements per voxel): the voxel-parallel tile
-    // kernel (quantize_row → index block → channel-outer MAC).
+    // kernel (emit → index block → channel-outer MAC).
     use usbf_beamform::TileState;
     let tile = usbf_core::NappeSchedule::fitted(&red, 64).tiles()[27];
     let tile_voxels = (tile.scanlines() * red.volume_grid.n_depth()) as u64;
@@ -113,12 +113,10 @@ fn bench_beamform(c: &mut Criterion) {
     let aperture = hann.aperture();
     let active = aperture.len();
     let mut slab = usbf_core::NappeDelays::full(&red);
-    red_steer.fill_nappe(64, &mut slab);
+    red_steer.begin_emit(64, aperture.runs(), &mut slab);
     let rows = slab.scanline_count();
     let mut staged = vec![0; rows * active];
-    for (slot, out) in staged.chunks_exact_mut(active).enumerate() {
-        red_steer.quantize_row(aperture.compact_in_place(slab.row_mut(slot)), out);
-    }
+    red_steer.emit_run(0, &slab, 0..rows, aperture.runs(), &mut staged);
     let group_len = 16 * active;
     let mut block = vec![0; staged.len()];
     let (mut lows, mut highs) = (vec![i32::MAX; active], vec![i32::MIN; active]);

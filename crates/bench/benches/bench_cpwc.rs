@@ -13,11 +13,12 @@
 //!   rows, TABLESTEER adds its folded Δtx constant and TABLEFREE pays no
 //!   sqrt for the linear plane-wave leg — the sweep makes those scaling
 //!   laws measurable;
-//! * `cpwc_quantize_run` — the same receive-leg fill, then the call the
-//!   nearest-fetch tile kernel makes: one `quantize_tx_run` per run of
-//!   16 rows and transmit, which computes the run's transmit terms in one
-//!   pass and rounds every row with its term added, beside `cpwc_fill`'s
-//!   per-row combine;
+//! * `cpwc_quantize_run` — the delay calls the nearest-fetch tile kernel
+//!   makes: one `begin_emit` per nappe of a full-fan slab, then one
+//!   `emit_run` per run of 16 rows and transmit over the Hann aperture's
+//!   active runs, which computes the run's transmit terms in one pass and
+//!   adds the receive leg and rounds every active entry, beside
+//!   `cpwc_fill`'s per-row combine;
 //! * `cpwc_compound_frame` — warm `FramePipeline` frames/s with the
 //!   N-angle compound running as ONE frame on a pinned 4-worker pool.
 //!   The reported elements/s **is** compound frames/s.
@@ -98,30 +99,31 @@ fn bench_cpwc(c: &mut Criterion) {
     }
     g.finish();
 
-    // The kernel's rounding call: per-run transmit terms fused into the
-    // rounding of every row, runs of one index group (16 rows).
+    // The kernel's delay calls: per nappe one emit set-up, then per run
+    // of one index group (16 rows) and transmit one emit over the active
+    // aperture.
     const RUN: usize = 16;
     let mut g = c.benchmark_group("cpwc_quantize_run");
     for n_angles in ANGLES {
         let spec = usbf_bench::cpwc_spec(n_angles);
         let mut slab = NappeDelays::full(&spec);
         let rows = slab.scanline_count();
-        let mut indices = vec![0i32; RUN * slab.n_elements()];
-        let delays_per_pass = n_angles as u64
-            * spec.volume_grid.n_depth() as u64
-            * rows as u64
-            * slab.n_elements() as u64;
+        let aperture = Beamformer::new(&spec).aperture().clone();
+        let active = aperture.len();
+        let mut indices = vec![0i32; RUN * active];
+        let delays_per_pass =
+            n_angles as u64 * spec.volume_grid.n_depth() as u64 * rows as u64 * active as u64;
         g.throughput(Throughput::Elements(delays_per_pass));
         for (name, engine) in engines(&spec) {
             g.bench_function(format!("{name}/{n_angles}"), |b| {
                 b.iter(|| {
                     for id in 0..spec.volume_grid.n_depth() {
-                        engine.fill_nappe_rx(id, &mut slab);
+                        engine.begin_emit(id, aperture.runs(), &mut slab);
                         for tx in 0..n_angles {
                             for first in (0..rows).step_by(RUN) {
                                 let run = first..(first + RUN).min(rows);
-                                let out = &mut indices[..run.len() * slab.n_elements()];
-                                engine.quantize_tx_run(tx, &slab, run, out);
+                                let out = &mut indices[..run.len() * active];
+                                engine.emit_run(tx, &slab, run, aperture.runs(), out);
                             }
                         }
                     }

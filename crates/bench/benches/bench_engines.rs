@@ -94,6 +94,56 @@ fn bench_engines(c: &mut Criterion) {
     }
     g.finish();
 
+    // The tile kernel's delay source on the mid band shape: one
+    // whole-fan depth band of 16 nappes of the mid geometry, its slab
+    // re-pointed at each of the 8 tiles a 2-worker pool's schedule cuts
+    // the fan into; per (tile, nappe) one emit set-up, then one emit per
+    // 16-row run over the Hann aperture's 900 active channels.
+    // Throughput is active delays, so the time per element is ns per
+    // active delay.
+    let mid = usbf_bench::mid_spec();
+    let hann = usbf_beamform::Beamformer::new(&mid);
+    let runs = hann.aperture().runs();
+    let active = hann.aperture().len();
+    let tiles = usbf_core::NappeSchedule::fitted(&mid, 8).tiles();
+    let band = 24..40;
+    let mut g = c.benchmark_group("delay_emit");
+    g.throughput(Throughput::Elements(
+        (mid.volume_grid.scanline_count() * active * band.len()) as u64,
+    ));
+    let mid_engines: [(&str, Box<dyn DelayEngine>); 3] = [
+        (
+            "tablesteer18",
+            Box::new(TableSteerEngine::new(&mid, TableSteerConfig::bits18()).expect("builds")),
+        ),
+        (
+            "tablefree",
+            Box::new(TableFreeEngine::new(&mid, TableFreeConfig::paper()).expect("builds")),
+        ),
+        ("exact", Box::new(ExactEngine::new(&mid))),
+    ];
+    for (name, eng) in &mid_engines {
+        g.bench_function(format!("{name}_mid_band"), |b| {
+            let mut slab = NappeDelays::for_tile(&mid, tiles[0]);
+            let mut staged = vec![0i32; 16 * active];
+            b.iter(|| {
+                for id in band.clone() {
+                    for &tile in &tiles {
+                        slab.retarget(tile);
+                        eng.begin_emit(black_box(id), runs, &mut slab);
+                        for first in (0..tile.scanlines()).step_by(16) {
+                            let run = first..(first + 16).min(tile.scanlines());
+                            let out = &mut staged[..run.len() * active];
+                            eng.emit_run(0, &slab, run, runs, out);
+                        }
+                    }
+                }
+                staged[0]
+            })
+        });
+    }
+    g.finish();
+
     let mut g = c.benchmark_group("engine_construction");
     g.bench_function("tablefree_build_reduced", |b| {
         b.iter_batched(

@@ -18,21 +18,29 @@ use usbf_geometry::{ElementIndex, VoxelIndex};
 /// * [`DelayEngine::delay_index`] — the integer echo-buffer index the
 ///   hardware would emit (final `floor(x + ½)` rounding stage);
 ///
-/// plus one batched view of the paper's architecture, per nappe (one
-/// depth step) over a fan tile, for every transmit sequence: the
-/// transmit-invariant receive leg ([`DelayEngine::fill_nappe_rx`]) once
-/// per nappe, then per transmit the per-voxel transmit term —
-/// TABLESTEER's `ref + cx + cy` plus `Δtx`. The term is either added to
-/// one row alone ([`DelayEngine::combine_tx_row`], fractional delays) or
-/// computed for a whole run of rows in one pass and added inside the
-/// final rounding pass ([`DelayEngine::quantize_tx_run`], echo-buffer
-/// indices). Both take the term from the same per-engine computation, so
-/// a row's term is the same bits whichever method adds it.
+/// plus two batched views of the paper's architecture, per nappe (one
+/// depth step) over a fan tile, for every transmit sequence:
 ///
-/// Both row methods are **element-wise**: entry `i` of a row's output
-/// depends only on `(tx, vox, rx_row[i])`. A consumer may therefore
-/// compact a receive row to the active aperture first and combine only
-/// the entries it keeps.
+/// * the **emit** — the Fig. 4 datapath, and the tile kernel's only delay
+///   source: a per-(tile, nappe) set-up for the active aperture's runs
+///   ([`DelayEngine::begin_emit`]), then per transmit and run of rows
+///   one pass that adds the receive leg and the transmit term and
+///   rounds, writing `i32` echo-buffer indices of the active channels
+///   straight into the caller's staging rows
+///   ([`DelayEngine::emit_run`]). No delay row is stored, and no pass
+///   compacts one: TABLESTEER's emit walks the runs itself, and the
+///   other engines' set-up writes only the active entries of their
+///   receive leg;
+/// * the **row methods** — the transmit-invariant receive leg as an `f64`
+///   slab ([`DelayEngine::fill_nappe_rx`]) once per nappe, then per
+///   transmit the per-voxel transmit term added to one row
+///   ([`DelayEngine::combine_tx_row`], fractional delays) and the final
+///   rounding of a row ([`DelayEngine::quantize_row`]). Both views take
+///   the transmit term from the same per-engine computation, so a row's
+///   term is the same bits whichever adds it.
+///
+/// The row methods are **element-wise**: entry `i` of a row's output
+/// depends only on `(tx, vox, rx_row[i])`.
 ///
 /// Every batched view must stay **bit-exact** with the scalar per-voxel
 /// queries ([`NappeDelays::fill_scalar`] is the oracle).
@@ -68,9 +76,9 @@ pub trait DelayEngine: Sync {
 
     /// Final rounding stage: echo-buffer index for an already-computed
     /// fractional delay (`floor(x + ½)`, clamped). The scalar
-    /// [`DelayEngine::delay_index`] routes through this; the row methods
-    /// [`DelayEngine::quantize_row`] and [`DelayEngine::quantize_tx_run`]
-    /// must match it bit for bit, rounding telemetry (TABLESTEER's clamp
+    /// [`DelayEngine::delay_index`] routes through this;
+    /// [`DelayEngine::quantize_row`] and [`DelayEngine::emit_run`] must
+    /// match it bit for bit, rounding telemetry (TABLESTEER's clamp
     /// counter) included.
     fn delay_index_from(&self, samples: f64) -> i64 {
         let idx = (samples + 0.5).floor() as i64;
@@ -139,8 +147,9 @@ pub trait DelayEngine: Sync {
     fn fill_nappe_rx(&self, nappe_idx: usize, out: &mut NappeDelays);
 
     /// Combines receive-leg entries (from row `slot` of a
-    /// [`DelayEngine::fill_nappe_rx`] slab, for the scanline of `vox`,
-    /// whole or compacted) with transmit `tx`'s per-voxel term, writing
+    /// [`DelayEngine::fill_nappe_rx`] slab, for the scanline of `vox`, or
+    /// any element-wise selection of them) with transmit `tx`'s per-voxel
+    /// term, writing
     /// into `out` the fractional delays the scalar
     /// [`DelayEngine::delay_samples`] queries of `(tx, vox)` produce for
     /// those elements — **bit-identical**, before the engine's own
@@ -154,84 +163,121 @@ pub trait DelayEngine: Sync {
     /// Implementations panic if `rx_row` and `out` differ in length.
     fn combine_tx_row(&self, tx: usize, vox: VoxelIndex, rx_row: &[f64], out: &mut [f64]);
 
-    /// [`DelayEngine::combine_tx_row`] and [`DelayEngine::quantize_row`]
-    /// fused over a **run** of consecutive rows of one filled receive-leg
-    /// slab: rows `slots` of `rx`'s tile at its held nappe, for transmit
-    /// `tx`. Every row's transmit term is computed first, in one
-    /// branch-free pass over the run; each row is then rounded with its
-    /// term added in the shared rounding loop. `out` holds one row of
-    /// `width = out.len() / slots.len()` indices per slot, in slot order,
-    /// and row `k` reads the first `width` entries of slab row
-    /// `slots.start + k` — so a consumer that compacted its rows in place
-    /// rounds only the active aperture.
-    ///
-    /// Row `k` is bit-identical to quantizing what
-    /// [`DelayEngine::combine_tx_row`] writes for that row, and rounding
-    /// telemetry (TABLESTEER's clamp counter, TABLEFREE's square-root
-    /// counter) advances by exactly what those per-row calls would add,
-    /// published once per run. This is the nearest-interpolation
-    /// kernel's only rounding call.
+    /// The emit's per-(tile, nappe) set-up: stages in `slab` what
+    /// [`DelayEngine::emit_run`] reads for nappe `nappe_idx` over the
+    /// slab's tile and the active aperture `runs` (the runs every emit of
+    /// this set-up walks), and sets the slab's nappe marker. EXACT,
+    /// TABLEFREE and NAIVE stage the active entries of their receive leg,
+    /// compacted to the front of each row — over the whole aperture it
+    /// is their [`DelayEngine::fill_nappe_rx`]: EXACT and NAIVE compute
+    /// only those entries, TABLEFREE evaluates whole rows (its root count
+    /// is per element) and compacts each while it is hot. TABLESTEER
+    /// stages the nappe's unfolded reference row, the BRAM stream of
+    /// Fig. 4 (its correction registers are depth-independent and held
+    /// by the engine), and for a single transmit leaves the slab's `f64`
+    /// rows untouched; with several, whose emits all add the same
+    /// receive leg, it stages that leg once, compacted to the runs.
     ///
     /// # Panics
     ///
-    /// Panics if `rx` holds no nappe, if `slots` runs past its tile, or
-    /// if `out.len()` is not `slots.len()` rows of at most
-    /// [`NappeDelays::n_elements`] entries.
-    fn quantize_tx_run(&self, tx: usize, rx: &NappeDelays, slots: Range<usize>, out: &mut [i32]);
+    /// Same contract as [`DelayEngine::fill_nappe_rx`].
+    fn begin_emit(&self, nappe_idx: usize, runs: &[Range<usize>], slab: &mut NappeDelays);
+
+    /// The emit: transmit `tx`'s echo-buffer indices for the rows `slots`
+    /// of `slab`'s tile at its held nappe, over the active aperture
+    /// `runs` — ascending, disjoint ranges of linear element slots.
+    /// `out` holds one row of `width` indices per slot, in slot order,
+    /// where `width` is the runs' total length, and entry `k` of a row
+    /// is the index of the `k`-th active element. Every row's transmit
+    /// term is computed first, in one pass over the run of rows; each
+    /// row is then one pass over the runs that adds the receive leg and
+    /// the term and rounds, reading and writing only active channels.
+    ///
+    /// Row `k` is bit-identical to the scalar
+    /// [`DelayEngine::delay_index`] of each active element, and rounding
+    /// telemetry (TABLESTEER's clamp counter, TABLEFREE's square-root
+    /// counter) advances by exactly what
+    /// [`DelayEngine::combine_tx_row`] and [`DelayEngine::quantize_row`]
+    /// of those rows would add, published once per call. `slab` must
+    /// hold this engine's [`DelayEngine::begin_emit`] of its tile and
+    /// nappe, for the same `runs`. This is the tile kernel's only delay
+    /// call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slab` holds no nappe, if `slots` runs past its tile, if
+    /// a run ends past [`NappeDelays::n_elements`], or if `out.len()` is
+    /// not `slots.len()` rows of `width` entries.
+    fn emit_run(
+        &self,
+        tx: usize,
+        slab: &NappeDelays,
+        slots: Range<usize>,
+        runs: &[Range<usize>],
+        out: &mut [i32],
+    );
 }
 
-/// Most rows [`quantize_run`] takes through one term pass: the run's
-/// focal points and terms are staged in on-stack arrays of this length.
+/// Most rows one term pass of [`emit_passes`] covers: the focal points
+/// and transmit terms of a pass are staged in on-stack arrays of this
+/// length.
 pub(crate) const RUN_PASS: usize = 16;
 
-/// Validates a [`DelayEngine::quantize_tx_run`] call and returns its
-/// shape: the slab's held nappe, its tile and the row width.
+/// Validates a [`DelayEngine::emit_run`] call and returns its shape: the
+/// slab's held nappe, its tile and the row width (the runs' total
+/// length).
 ///
 /// # Panics
 ///
-/// Same contract as [`DelayEngine::quantize_tx_run`].
-pub(crate) fn run_shape(
-    rx: &NappeDelays,
+/// Same contract as [`DelayEngine::emit_run`].
+fn emit_shape(
+    slab: &NappeDelays,
     slots: &Range<usize>,
+    runs: &[Range<usize>],
     out_len: usize,
 ) -> (usize, crate::Tile, usize) {
-    let id = rx.nappe().expect("a run reads a filled receive-leg slab");
-    let tile = rx.tile();
+    let id = slab.nappe().expect("an emit reads a set-up slab");
+    let tile = slab.tile();
     assert!(
         slots.start <= slots.end && slots.end <= tile.scanlines(),
         "run {slots:?} outside the slab's {} rows",
         tile.scanlines()
     );
-    let width = out_len.checked_div(slots.len()).unwrap_or(0);
     assert!(
-        width * slots.len() == out_len && width <= rx.n_elements(),
-        "run output must be {} rows of at most {} entries",
-        slots.len(),
-        rx.n_elements()
+        runs.iter().all(|r| r.end <= slab.n_elements()),
+        "aperture runs must lie within the slab's {} elements",
+        slab.n_elements()
+    );
+    let width: usize = runs.iter().map(ExactSizeIterator::len).sum();
+    assert!(
+        width * slots.len() == out_len,
+        "emit output must be {} rows of {width} entries",
+        slots.len()
     );
     (id, tile, width)
 }
 
-/// The shared body of the engines' [`DelayEngine::quantize_tx_run`]: per
+/// The pass walk behind every engine's [`DelayEngine::emit_run`]: per
 /// pass of up to [`RUN_PASS`] rows, `terms` writes every row's transmit
-/// term from its focal point in one pass, then each row goes through
-/// [`quantize_row_clamped`] with `combine(term, rx)` as its element-wise
-/// combine. Returns the run's clamp count.
+/// term from its focal point in one pass, then `rows` writes the pass's
+/// rows of indices (`out`, `width` entries per row) from their focal
+/// points and terms, returning their clamp count. Returns the call's
+/// clamp count.
 ///
 /// # Panics
 ///
-/// Same contract as [`DelayEngine::quantize_tx_run`].
-pub(crate) fn quantize_run(
-    echo_len: usize,
-    rx: &NappeDelays,
+/// Same contract as [`DelayEngine::emit_run`].
+pub(crate) fn emit_passes<T: Copy + Default>(
+    slab: &NappeDelays,
     slots: Range<usize>,
+    runs: &[Range<usize>],
     out: &mut [i32],
-    mut terms: impl FnMut(&[VoxelIndex], &mut [f64]),
-    combine: impl Fn(f64, f64) -> f64,
+    mut terms: impl FnMut(&[VoxelIndex], &mut [T]),
+    mut rows: impl FnMut(&[VoxelIndex], &[T], Range<usize>, usize, &mut [i32]) -> u64,
 ) -> u64 {
-    let (id, tile, width) = run_shape(rx, &slots, out.len());
+    let (id, tile, width) = emit_shape(slab, &slots, runs, out.len());
     let mut voxels = [VoxelIndex::new(0, 0, 0); RUN_PASS];
-    let mut term = [0.0; RUN_PASS];
+    let mut term = [T::default(); RUN_PASS];
     let mut clamps = 0;
     let mut scanlines = tile.iter_scanlines().skip(slots.start);
     for first in slots.clone().step_by(RUN_PASS) {
@@ -241,14 +287,64 @@ pub(crate) fn quantize_run(
             *v = VoxelIndex::new(it, ip, id);
         }
         terms(&voxels[..n], &mut term[..n]);
-        for (&t, slot) in term.iter().zip(pass) {
-            let k = slot - slots.start;
-            let row = &rx.row(slot)[..width];
-            let o = &mut out[k * width..(k + 1) * width];
-            clamps += quantize_row_clamped(echo_len, row, o, |x| combine(t, x));
-        }
+        let k = first - slots.start;
+        let out = &mut out[k * width..(k + n) * width];
+        clamps += rows(&voxels[..n], &term[..n], pass, width, out);
     }
     clamps
+}
+
+/// The emit of an `f64` receive leg (EXACT, TABLEFREE, NAIVE) on
+/// [`emit_passes`]: each row's staged receive leg — the active entries
+/// of its slab row, which the engine's set-up wrote compacted to the
+/// row's front — goes through `combine(term, rx)`, the engine's
+/// element-wise transmit combine, inside the shared rounding loop
+/// ([`quantize_row_clamped`]), one contiguous row per voxel. Returns the
+/// call's clamp count.
+///
+/// # Panics
+///
+/// Same contract as [`DelayEngine::emit_run`].
+#[inline(always)]
+pub(crate) fn emit_rows_f64<T: Copy + Default>(
+    echo_len: usize,
+    slab: &NappeDelays,
+    slots: Range<usize>,
+    runs: &[Range<usize>],
+    out: &mut [i32],
+    terms: impl FnMut(&[VoxelIndex], &mut [T]),
+    combine: impl Fn(T, f64) -> f64,
+) -> u64 {
+    emit_passes(
+        slab,
+        slots,
+        runs,
+        out,
+        terms,
+        |_, terms, pass, width, out| {
+            let rows = out.chunks_exact_mut(width.max(1)).zip(terms).zip(pass);
+            rows.map(|((o, &t), slot)| {
+                let rx = &slab.row(slot)[..width];
+                quantize_row_clamped(echo_len, rx, o, |x| combine(t, x))
+            })
+            .sum()
+        },
+    )
+}
+
+/// Compacts one filled receive-leg row to the active aperture in place,
+/// `row[k] = row[channels[k]]`, one slice move per run of `runs`
+/// (ascending, so each moves left over entries already read); a run
+/// already in place, as all of a full aperture is, is not moved.
+#[inline]
+pub(crate) fn compact_row(row: &mut [f64], runs: &[Range<usize>]) {
+    let mut k = 0;
+    for run in runs {
+        if run.start != k {
+            row.copy_within(run.clone(), k);
+        }
+        k += run.len();
+    }
 }
 
 /// The shared branch-free rounding loop behind every row method:
@@ -306,9 +402,11 @@ pub(crate) fn quantize_row_clamped(
 /// the engine and each of `nappes`, the receive-leg fill plus
 /// [`DelayEngine::combine_tx_row`] must reproduce the scalar per-transmit
 /// walk ([`NappeDelays::fill_scalar`]) bit for bit over the whole fan,
-/// and [`DelayEngine::quantize_tx_run`] — over the whole slab in one run
-/// (several term passes) and in runs of 3 rows — must equal
-/// [`DelayEngine::quantize_row`] of each combined row.
+/// and [`DelayEngine::emit_run`] after [`DelayEngine::begin_emit`] — over
+/// the whole slab in one call (several term passes) and in runs of 3
+/// rows, on the full aperture and on runs that split element rows and
+/// span several — must equal [`DelayEngine::quantize_row`] of each
+/// combined row's active entries.
 #[cfg(test)]
 pub(crate) fn assert_rx_combine_matches_scalar(
     engine: &dyn DelayEngine,
@@ -316,44 +414,49 @@ pub(crate) fn assert_rx_combine_matches_scalar(
     nappes: &[usize],
 ) {
     let mut rx = NappeDelays::full(spec);
+    let mut emit = NappeDelays::full(spec);
     let mut scalar = NappeDelays::full(spec);
     let n = rx.n_elements();
     let rows = rx.scanline_count();
     let mut combined = vec![0.0; n];
-    let mut whole = vec![0; rows * n];
-    let mut runs = vec![0; rows * n];
     let mut quantized = vec![0; n];
-    for &id in nappes {
-        engine.fill_nappe_rx(id, &mut rx);
-        assert_eq!(rx.nappe(), Some(id));
-        for tx in 0..engine.transmit_count() {
-            scalar.fill_scalar(engine, tx, id);
-            engine.quantize_tx_run(tx, &rx, 0..rows, &mut whole);
-            for first in (0..rows).step_by(3) {
-                let run = first..(first + 3).min(rows);
-                let out = &mut runs[first * n..run.end * n];
-                engine.quantize_tx_run(tx, &rx, run, out);
-            }
-            for (slot, it, ip) in rx.scanlines() {
-                let vox = VoxelIndex::new(it, ip, id);
-                engine.combine_tx_row(tx, vox, rx.row(slot), &mut combined);
-                for (a, b) in combined.iter().zip(scalar.row(slot)) {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "{} tx {tx} nappe {id} slot {slot}",
-                        engine.name()
-                    );
+    let split = [1..n / 2 - 1, n / 2..n / 2 + 1, n / 2 + 3..n];
+    for runs in [std::slice::from_ref(&(0..n)), &split[..]] {
+        let channels: Vec<usize> = runs.iter().flat_map(Range::clone).collect();
+        let width = channels.len();
+        let mut whole = vec![0; rows * width];
+        let mut by_three = vec![0; rows * width];
+        for &id in nappes {
+            engine.fill_nappe_rx(id, &mut rx);
+            engine.begin_emit(id, runs, &mut emit);
+            assert_eq!(rx.nappe(), Some(id));
+            assert_eq!(emit.nappe(), Some(id));
+            for tx in 0..engine.transmit_count() {
+                scalar.fill_scalar(engine, tx, id);
+                engine.emit_run(tx, &emit, 0..rows, runs, &mut whole);
+                for first in (0..rows).step_by(3) {
+                    let run = first..(first + 3).min(rows);
+                    let out = &mut by_three[first * width..run.end * width];
+                    engine.emit_run(tx, &emit, run, runs, out);
                 }
-                engine.quantize_row(&combined, &mut quantized);
-                let row = slot * n..(slot + 1) * n;
-                assert_eq!(
-                    whole[row.clone()],
-                    quantized,
-                    "{} tx {tx} nappe {id}",
-                    engine.name()
-                );
-                assert_eq!(runs[row], quantized, "{} tx {tx} nappe {id}", engine.name());
+                for (slot, it, ip) in rx.scanlines() {
+                    let vox = VoxelIndex::new(it, ip, id);
+                    engine.combine_tx_row(tx, vox, rx.row(slot), &mut combined);
+                    for (a, b) in combined.iter().zip(scalar.row(slot)) {
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "{} tx {tx} nappe {id} slot {slot}",
+                            engine.name()
+                        );
+                    }
+                    engine.quantize_row(&combined, &mut quantized);
+                    let expected: Vec<i32> = channels.iter().map(|&c| quantized[c]).collect();
+                    let row = slot * width..(slot + 1) * width;
+                    let what = format!("{} tx {tx} nappe {id} runs {runs:?}", engine.name());
+                    assert_eq!(whole[row.clone()], expected, "{what}");
+                    assert_eq!(by_three[row], expected, "{what}");
+                }
             }
         }
     }
@@ -435,14 +538,26 @@ mod tests {
         fn combine_tx_row(&self, _: usize, _: VoxelIndex, rx_row: &[f64], out: &mut [f64]) {
             out.copy_from_slice(rx_row);
         }
-        fn quantize_tx_run(
+        fn begin_emit(&self, nappe_idx: usize, _: &[Range<usize>], slab: &mut NappeDelays) {
+            self.fill_nappe_rx(nappe_idx, slab);
+        }
+        fn emit_run(
             &self,
             _: usize,
-            rx: &NappeDelays,
+            slab: &NappeDelays,
             slots: Range<usize>,
+            runs: &[Range<usize>],
             out: &mut [i32],
         ) {
-            quantize_run(100, rx, slots, out, |_, t| t.fill(0.0), |_, x| x);
+            emit_rows_f64(
+                100,
+                slab,
+                slots,
+                runs,
+                out,
+                |_, t: &mut [()]| t.fill(()),
+                |(), x| x,
+            );
         }
     }
 
@@ -490,19 +605,40 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "run output must be 2 rows")]
-    fn quantize_tx_run_rejects_a_ragged_output() {
+    #[should_panic(expected = "emit output must be 2 rows of 7 entries")]
+    fn emit_run_rejects_a_ragged_output() {
         let spec = usbf_geometry::SystemSpec::tiny();
         let mut slab = NappeDelays::full(&spec);
-        ConstEngine(0.0).fill_nappe_rx(3, &mut slab);
-        ConstEngine(0.0).quantize_tx_run(0, &slab, 4..6, &mut [0i32; 7]);
+        ConstEngine(0.0).begin_emit(3, &[1..4, 9..13], &mut slab);
+        ConstEngine(0.0).emit_run(0, &slab, 4..6, &[1..4, 9..13], &mut [0i32; 15]);
     }
 
     #[test]
-    #[should_panic(expected = "filled receive-leg slab")]
-    fn quantize_tx_run_needs_a_filled_slab() {
+    #[should_panic(expected = "within the slab's 64 elements")]
+    fn emit_run_rejects_runs_past_the_row() {
+        let spec = usbf_geometry::SystemSpec::tiny();
+        let mut slab = NappeDelays::full(&spec);
+        ConstEngine(0.0).begin_emit(3, std::slice::from_ref(&(0..64)), &mut slab);
+        ConstEngine(0.0).emit_run(
+            0,
+            &slab,
+            0..1,
+            std::slice::from_ref(&(60..65)),
+            &mut [0i32; 5],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "set-up slab")]
+    fn emit_run_needs_a_set_up_slab() {
         let slab = NappeDelays::full(&usbf_geometry::SystemSpec::tiny());
-        ConstEngine(0.0).quantize_tx_run(0, &slab, 0..1, &mut [0i32; 8]);
+        ConstEngine(0.0).emit_run(
+            0,
+            &slab,
+            0..1,
+            std::slice::from_ref(&(0..8)),
+            &mut [0i32; 8],
+        );
     }
 
     #[test]
@@ -545,14 +681,19 @@ mod tests {
                     *o = x + 1.0;
                 }
             }
-            fn quantize_tx_run(
+            fn begin_emit(&self, nappe_idx: usize, _: &[Range<usize>], slab: &mut NappeDelays) {
+                self.fill_nappe_rx(nappe_idx, slab);
+            }
+            fn emit_run(
                 &self,
                 _: usize,
-                rx: &NappeDelays,
+                slab: &NappeDelays,
                 slots: Range<usize>,
+                runs: &[Range<usize>],
                 out: &mut [i32],
             ) {
-                quantize_run(100, rx, slots, out, |_, t| t.fill(1.0), |t, x| x + t);
+                let terms = |_: &[VoxelIndex], t: &mut [f64]| t.fill(1.0);
+                emit_rows_f64(100, slab, slots, runs, out, terms, |t, x| x + t);
             }
         }
         let spec = usbf_geometry::SystemSpec::tiny();

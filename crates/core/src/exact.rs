@@ -99,20 +99,10 @@ impl DelayEngine for ExactEngine {
     /// per-element Euclidean distances, the expensive, transmit-invariant
     /// part of the scalar `((tx + |S − D|) / c) · fs`. The focal-point
     /// position is computed once per row (the scalar path re-derives it
-    /// per query).
+    /// per query). It is the emit's set-up over the whole aperture.
     fn fill_nappe_rx(&self, nappe_idx: usize, out: &mut NappeDelays) {
-        let tile = out.tile();
-        let n_elements = out.n_elements();
-        let buf = out.begin_fill(nappe_idx);
-        for ((_, it, ip), row) in tile.iter_scanlines().zip(buf.chunks_exact_mut(n_elements)) {
-            let s = self
-                .spec
-                .volume_grid
-                .position(VoxelIndex::new(it, ip, nappe_idx));
-            for (value, d) in row.iter_mut().zip(&self.elem_pos) {
-                *value = s.distance(*d);
-            }
-        }
+        let all = 0..out.n_elements();
+        self.begin_emit(nappe_idx, std::slice::from_ref(&all), out);
     }
 
     /// Transmit combine: `((t + rx) / c) · fs` with the transmit distance
@@ -129,11 +119,38 @@ impl DelayEngine for ExactEngine {
         }
     }
 
-    /// The run's transmit distances in one pass, then the combine inside
-    /// the shared rounding loop.
-    fn quantize_tx_run(&self, tx: usize, rx: &NappeDelays, slots: Range<usize>, out: &mut [i32]) {
+    /// The emit's set-up: the receive leg
+    /// ([`fill_nappe_rx`](DelayEngine::fill_nappe_rx)) of the active
+    /// elements alone, `|S − D|` for the elements of `runs`, compacted to
+    /// each row's front.
+    fn begin_emit(&self, nappe_idx: usize, runs: &[Range<usize>], slab: &mut NappeDelays) {
+        let tile = slab.tile();
+        let n_elements = slab.n_elements();
+        let buf = slab.begin_fill(nappe_idx);
+        for ((_, it, ip), row) in tile.iter_scanlines().zip(buf.chunks_exact_mut(n_elements)) {
+            let s = self
+                .spec
+                .volume_grid
+                .position(VoxelIndex::new(it, ip, nappe_idx));
+            let active = runs.iter().flat_map(|run| &self.elem_pos[run.clone()]);
+            for (value, d) in row.iter_mut().zip(active) {
+                *value = s.distance(*d);
+            }
+        }
+    }
+
+    /// The run's transmit distances in one pass, then per row the combine
+    /// inside the shared rounding loop, over the staged active entries.
+    fn emit_run(
+        &self,
+        tx: usize,
+        slab: &NappeDelays,
+        slots: Range<usize>,
+        runs: &[Range<usize>],
+        out: &mut [i32],
+    ) {
         let terms = |voxels: &[VoxelIndex], t: &mut [f64]| self.tx_distances(tx, voxels, t);
-        crate::engine::quantize_run(self.echo_len, rx, slots, out, terms, self.delay());
+        crate::engine::emit_rows_f64(self.echo_len, slab, slots, runs, out, terms, self.delay());
     }
 }
 

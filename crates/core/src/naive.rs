@@ -86,11 +86,17 @@ impl NaiveTableEngine {
         self.table.len() as u64 * 2
     }
 
+    /// Where transmit `tx`'s stored index row of focal point `vox`
+    /// starts in the table.
+    fn row_start(&self, tx: usize, vox: VoxelIndex) -> usize {
+        let vi = (vox.it * self.n_phi + vox.ip) * self.n_depth + vox.id;
+        tx * self.transmit_stride + vi * self.elements_per_voxel
+    }
+
     /// Transmit `tx`'s stored index row of focal point `vox`: one
     /// contiguous run of the table, in linear element order.
     fn table_row(&self, tx: usize, vox: VoxelIndex) -> &[u16] {
-        let vi = (vox.it * self.n_phi + vox.ip) * self.n_depth + vox.id;
-        let base = tx * self.transmit_stride + vi * self.elements_per_voxel;
+        let base = self.row_start(tx, vox);
         &self.table[base..base + self.elements_per_voxel]
     }
 }
@@ -123,14 +129,10 @@ impl DelayEngine for NaiveTableEngine {
     /// legs fused at precompute time. Its receive leg is therefore each
     /// element's slot in the row (`j` as an `f64`), and the row methods
     /// read `(tx, vox)`'s table row through those slots — element-wise,
-    /// so a compacted receive row reads exactly its own elements.
+    /// so a selection of a receive row reads exactly its own elements.
     fn fill_nappe_rx(&self, nappe_idx: usize, out: &mut NappeDelays) {
-        let n_elements = out.n_elements();
-        for row in out.begin_fill(nappe_idx).chunks_exact_mut(n_elements) {
-            for (j, slot) in row.iter_mut().enumerate() {
-                *slot = j as f64;
-            }
-        }
+        let all = 0..out.n_elements();
+        self.begin_emit(nappe_idx, std::slice::from_ref(&all), out);
     }
 
     /// Transmit combine: the `u16 → f64` widen of `(tx, vox)`'s table
@@ -143,20 +145,39 @@ impl DelayEngine for NaiveTableEngine {
         }
     }
 
-    /// The table read inside the shared rounding loop, one stored row
-    /// per run row — the naive table's transmit terms. The stored indices
-    /// are already integral and in-window, but the arithmetic stays the
-    /// shared rounding stage so the table path cannot drift from
-    /// `delay_index_from`.
-    fn quantize_tx_run(&self, tx: usize, rx: &NappeDelays, slots: Range<usize>, out: &mut [i32]) {
-        let (id, tile, width) = crate::engine::run_shape(rx, &slots, out.len());
-        for (slot, o) in slots.zip(out.chunks_exact_mut(width.max(1))) {
-            let (it, ip) = tile.scanline_at(slot);
-            let row = self.table_row(tx, VoxelIndex::new(it, ip, id));
-            crate::engine::quantize_row_clamped(self.echo_len, &rx.row(slot)[..width], o, |j| {
-                f64::from(row[j as usize])
-            });
+    /// The emit's set-up: the receive leg (the element slots) of the
+    /// elements of `runs`, compacted to each row's front.
+    fn begin_emit(&self, nappe_idx: usize, runs: &[Range<usize>], slab: &mut NappeDelays) {
+        let n_elements = slab.n_elements();
+        for row in slab.begin_fill(nappe_idx).chunks_exact_mut(n_elements) {
+            for (slot, j) in row.iter_mut().zip(runs.iter().flat_map(Range::clone)) {
+                *slot = j as f64;
+            }
         }
+    }
+
+    /// The table read inside the shared rounding loop, at each staged
+    /// element slot of one stored row per run row — the row's start is
+    /// the naive table's transmit term. The stored indices are already
+    /// integral and in-window, but the arithmetic stays the shared
+    /// rounding stage so the table path cannot drift from
+    /// `delay_index_from`.
+    fn emit_run(
+        &self,
+        tx: usize,
+        slab: &NappeDelays,
+        slots: Range<usize>,
+        runs: &[Range<usize>],
+        out: &mut [i32],
+    ) {
+        let terms = |voxels: &[VoxelIndex], t: &mut [usize]| {
+            for (t, &v) in t.iter_mut().zip(voxels) {
+                *t = self.row_start(tx, v);
+            }
+        };
+        crate::engine::emit_rows_f64(self.echo_len, slab, slots, runs, out, terms, |base, j| {
+            f64::from(self.table[base + j as usize])
+        });
     }
 }
 

@@ -12,9 +12,13 @@
 //! Engines fill slabs with one source, the receive leg
 //! ([`fill_nappe_rx`](crate::DelayEngine::fill_nappe_rx)), for every
 //! transmit sequence; each transmit's delays are that leg plus a per-row
-//! transmit term. [`NappeDelays::fill_scalar`] falls back to scalar
+//! transmit term. A slab is also the emit's per-(tile, nappe) set-up
+//! ([`begin_emit`](crate::DelayEngine::begin_emit)), which for a single
+//! TABLESTEER transmit is only the nappe's reference row in the slab's
+//! integer scratch.
+//! [`NappeDelays::fill_scalar`] falls back to scalar
 //! [`delay_samples`](crate::DelayEngine::delay_samples) queries and is the
-//! bit-exactness reference for the pair.
+//! bit-exactness reference for both.
 
 use crate::schedule::Tile;
 use usbf_geometry::{ElementIndex, SystemSpec, VoxelIndex};
@@ -38,6 +42,7 @@ pub struct NappeDelays {
     // are not part of the slab's value).
     row_args: Vec<f64>,
     row_regs: Vec<f64>,
+    row_raw: Vec<i32>,
 }
 
 impl PartialEq for NappeDelays {
@@ -67,6 +72,9 @@ pub struct FillBuffers<'a> {
     /// TABLESTEER's per-scanline x-corrections, held as integer-valued
     /// `f64`s, or TABLEFREE's per-column squared x-distances.
     pub row_regs: &'a mut [f64],
+    /// One element-row of integer registers (`n_elements` slots):
+    /// TABLESTEER's unfolded reference row.
+    pub row_raw: &'a mut [i32],
 }
 
 impl NappeDelays {
@@ -97,6 +105,7 @@ impl NappeDelays {
             nappe: None,
             row_args: vec![0.0; n_elements],
             row_regs: vec![0.0; spec.elements.nx()],
+            row_raw: vec![0; n_elements],
         }
     }
 
@@ -166,12 +175,11 @@ impl NappeDelays {
         &self.samples[slot * self.n_elements..(slot + 1) * self.n_elements]
     }
 
-    /// One scanline's row, writable — for consumers that rework a
-    /// filled row in place (the tile kernel compacts receive-leg rows to
-    /// its active aperture).
+    /// The integer register row an engine's set-up left in the slab
+    /// ([`FillBuffers::row_raw`]).
     #[inline]
-    pub fn row_mut(&mut self, slot: usize) -> &mut [f64] {
-        &mut self.samples[slot * self.n_elements..(slot + 1) * self.n_elements]
+    pub(crate) fn row_raw(&self) -> &[i32] {
+        &self.row_raw
     }
 
     /// Delay for scanline `(it, ip)` and element `e` — the batched
@@ -257,8 +265,8 @@ impl NappeDelays {
     /// Like [`begin_fill`](Self::begin_fill), but also hands out the
     /// slab's preallocated scratch rows — the warm state engines with a
     /// batched datapath (TABLEFREE's argument rows, TABLESTEER's unfolded
-    /// reference row and correction registers) use so a warm refill
-    /// allocates nothing.
+    /// reference row and correction registers) use so a warm refill or
+    /// emit set-up allocates nothing.
     ///
     /// # Panics
     ///
@@ -269,6 +277,7 @@ impl NappeDelays {
             samples: &mut self.samples,
             row_args: &mut self.row_args,
             row_regs: &mut self.row_regs,
+            row_raw: &mut self.row_raw,
         }
     }
 
@@ -295,8 +304,8 @@ impl NappeDelays {
     /// [`delay_samples`](crate::DelayEngine::delay_samples) query per slab
     /// entry — the bit-exactness oracle for every batched path: each
     /// transmit's receive-leg fill plus
-    /// [`combine_tx_row`](crate::DelayEngine::combine_tx_row) (or
-    /// [`quantize_tx_run`](crate::DelayEngine::quantize_tx_run)).
+    /// [`combine_tx_row`](crate::DelayEngine::combine_tx_row), and the
+    /// emit ([`emit_run`](crate::DelayEngine::emit_run)).
     pub fn fill_scalar<E: crate::DelayEngine + ?Sized>(
         &mut self,
         engine: &E,
@@ -386,6 +395,7 @@ mod tests {
         assert_eq!(bufs.samples.len(), 6 * 64);
         assert_eq!(bufs.row_args.len(), 64);
         assert_eq!(bufs.row_regs.len(), 8);
+        assert_eq!(bufs.row_raw.len(), 64);
         bufs.row_args[0] = 42.0; // scratch contents are not slab value…
         assert_eq!(slab.nappe(), Some(7));
         let fresh = {

@@ -331,10 +331,38 @@ impl DelayEngine for TableFreeEngine {
     /// elements` here and only by the per-row transmit cost in each row
     /// method — `O(elements + N)` per voxel instead of `O(N · elements)`.
     fn fill_nappe_rx(&self, nappe_idx: usize, out: &mut NappeDelays) {
-        let tile = out.tile();
-        let n_elements = out.n_elements();
+        let all = 0..out.n_elements();
+        self.begin_emit(nappe_idx, std::slice::from_ref(&all), out);
+    }
+
+    /// Transmit combine: `rx + t` with the transmit term computed once
+    /// per call (point sources one PWL/exact square root, plane waves the
+    /// free projection `n̂ · S`, so CPWC makes TABLEFREE's transmit leg
+    /// free). IEEE addition commutes bit-for-bit and the row evaluator is
+    /// bit-exact with the scalar [`QuantizedPwl::eval`], so the combined
+    /// row matches the scalar [`delay_samples`](DelayEngine::delay_samples)
+    /// queries exactly. The square-root counter advances by the transmit
+    /// cost only — the receive roots were counted by the rx fill — so a
+    /// full row must be combined in **one** call.
+    fn combine_tx_row(&self, tx: usize, vox: VoxelIndex, rx_row: &[f64], out: &mut [f64]) {
+        assert_eq!(rx_row.len(), out.len(), "combine row length mismatch");
+        let mut t = [0.0];
+        self.tx_terms(tx, &[vox], &mut t);
+        for (o, &rx) in out.iter_mut().zip(rx_row) {
+            *o = rx + t[0];
+        }
+    }
+
+    /// The emit's set-up: the receive leg
+    /// ([`fill_nappe_rx`](DelayEngine::fill_nappe_rx)), whose roots it
+    /// evaluates and counts for every element of the tile's rows, one
+    /// [`QuantizedPwl::eval_grid`] pass per row, each row then compacted
+    /// to the entries of `runs` while it is hot.
+    fn begin_emit(&self, nappe_idx: usize, runs: &[Range<usize>], slab: &mut NappeDelays) {
+        let tile = slab.tile();
+        let n_elements = slab.n_elements();
         let spm = self.samples_per_metre;
-        let bufs = out.begin_fill_scratch(nappe_idx);
+        let bufs = slab.begin_fill_scratch(nappe_idx);
         let dx2 = bufs.row_regs;
         let dy2 = &mut bufs.row_args[..self.elem_y.len()];
         let rows = bufs.samples.chunks_exact_mut(n_elements);
@@ -358,6 +386,7 @@ impl DelayEngine for TableFreeEngine {
             }
             // `rx + 0.0` is `rx`: the PWL never yields −0.0.
             self.quant.eval_grid(dx2, dy2, dz * dz, 0.0, row);
+            crate::engine::compact_row(row, runs);
         }
         // One bulk update keeps the op counter consistent with the scalar
         // path's per-evaluation increments.
@@ -366,30 +395,19 @@ impl DelayEngine for TableFreeEngine {
             .fetch_add((tile.scanlines() * n_elements) as u64, Ordering::Relaxed);
     }
 
-    /// Transmit combine: `rx + t` with the transmit term computed once
-    /// per call (point sources one PWL/exact square root, plane waves the
-    /// free projection `n̂ · S`, so CPWC makes TABLEFREE's transmit leg
-    /// free). IEEE addition commutes bit-for-bit and the row evaluator is
-    /// bit-exact with the scalar [`QuantizedPwl::eval`], so the combined
-    /// row matches the scalar [`delay_samples`](DelayEngine::delay_samples)
-    /// queries exactly. The square-root counter advances by the transmit
-    /// cost only — the receive roots were counted by the rx fill — so a
-    /// full row must be combined in **one** call.
-    fn combine_tx_row(&self, tx: usize, vox: VoxelIndex, rx_row: &[f64], out: &mut [f64]) {
-        assert_eq!(rx_row.len(), out.len(), "combine row length mismatch");
-        let mut t = [0.0];
-        self.tx_terms(tx, &[vox], &mut t);
-        for (o, &rx) in out.iter_mut().zip(rx_row) {
-            *o = rx + t[0];
-        }
-    }
-
     /// The run's transmit terms in one pass — one counter add for its
     /// point-source roots — then each row's `rx + t` inside the shared
-    /// rounding loop.
-    fn quantize_tx_run(&self, tx: usize, rx: &NappeDelays, slots: Range<usize>, out: &mut [i32]) {
+    /// rounding loop, over the staged active entries.
+    fn emit_run(
+        &self,
+        tx: usize,
+        slab: &NappeDelays,
+        slots: Range<usize>,
+        runs: &[Range<usize>],
+        out: &mut [i32],
+    ) {
         let terms = |voxels: &[VoxelIndex], t: &mut [f64]| self.tx_terms(tx, voxels, t);
-        crate::engine::quantize_run(self.echo_len, rx, slots, out, terms, |t, rx| rx + t);
+        crate::engine::emit_rows_f64(self.echo_len, slab, slots, runs, out, terms, |t, rx| rx + t);
     }
 }
 

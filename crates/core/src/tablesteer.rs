@@ -1,5 +1,6 @@
 //! TABLESTEER: reference delay table plus fixed-point steering (§V, Fig. 4).
 
+use crate::engine::{emit_passes, emit_rows_f64, RUN_PASS};
 use crate::{DelayEngine, EngineError, NappeDelays};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -149,6 +150,13 @@ pub struct TableSteerEngine {
     /// Quantized y-corrections for every `(φ line, element row)` pair,
     /// indexed `ip · ny + iy`. Depth- and θ-independent, so built once.
     cy_fixed: Vec<Fixed>,
+    /// Quantized x-corrections, the raw integers of the correction
+    /// format, for every `(θ line, folded φ line, element column)`,
+    /// indexed `(it · ⌈nφ/2⌉ + fold(ip)) · nx + ix` — one contiguous
+    /// register row per scanline, folded in φ like [`SteeringTables`]
+    /// (the x-term is even in φ). Depth-independent, so built once; the
+    /// scalar query, the receive-leg fill and the emit all read them.
+    cx_fixed: Vec<i32>,
     /// The batched fills' wide-add chain, derived once from the formats.
     chain: SumChain,
     echo_len: usize,
@@ -156,19 +164,24 @@ pub struct TableSteerEngine {
 }
 
 /// The raw-integer form of the scalar `ref + cx + cy + Δtx` wide-add
-/// chain: every operand of a batched fill shares the same three formats,
+/// chain: every operand of a batched path shares the same three formats,
 /// so the alignment shifts of [`Fixed::wide_add`] and the output scale of
-/// [`Fixed::to_f64`] are fixed per engine. With them, one element is
-/// `((r << (sh_r + sh_12)) + (cx << (sh_c1 + sh_12)) + (cy << sh_c2) +
-/// (Δtx << sh_c2)) · res` — the scalar chain's raw integers through the
-/// same shifts (a shift distributes over an integer add), so the final
-/// `f64`s match it bit for bit.
+/// [`Fixed::to_f64`] are fixed per engine. With them, one element's raw
+/// sum is `(r << (sh_r + sh_12)) + (cx << (sh_c1 + sh_12)) + (cy << sh_c2)
+/// + (Δtx << sh_c2)` — the scalar chain's raw integers through the same
+/// shifts (a shift distributes over an integer add), so the sums match
+/// it exactly in any order. The delay is that sum times `res`, and since
+/// `res` is `2^-frac`, the rounded index `floor(sum · res + ½)` is
+/// `(sum + half) >> frac` with `half = 2^frac >> 1`, bit for bit.
 ///
-/// The batched paths run those adds on integer-valued `f64`s rather than
-/// `i64`s, which is exact only while every partial sum stays below 2⁵³ in
-/// magnitude. The partial sums all fit the final sum format `f3`, so the
-/// chain requires `f3` to be at most 53 bits wide; [`SumChain::new`]
-/// rejects wider formats, and with them the engine.
+/// The emit adds those raw integers in `i32` lanes, so the chain requires
+/// the final sum format `f3` to be at most 32 bits wide. Then every
+/// partial sum, in any order, and the rounding's `+ half` stay inside
+/// `i32`: with `M` the widest operand's integer bits and `F` the fraction
+/// bits, `f3` is `M + F + 4` bits and the four operands and `half` add
+/// to less than `4.5 · 2^(M+F)`, a quarter of `2^32`. [`SumChain::new`]
+/// rejects wider formats, and with them the engine. The receive-leg fill
+/// runs the same adds on integer-valued `f64`s, exact far past that.
 #[derive(Debug, Clone, Copy)]
 struct SumChain {
     /// Reference → `f1 = ref + cx` alignment.
@@ -181,13 +194,15 @@ struct SumChain {
     /// fraction bits (both cy and Δtx carry the correction format), so
     /// the last add, the transmit combine's, reuses this shift.
     sh_c2: u32,
-    /// Resolution of the final sum format `f3`.
+    /// Resolution of the final sum format `f3`, `2^-frac`.
     res: f64,
+    /// Fraction bits of `f3`: the rounding shift.
+    frac: u32,
 }
 
 /// Widest final sum format whose raw integers (and every partial sum on
-/// the way to them) an `f64` holds exactly.
-const F64_EXACT_BITS: u32 = f64::MANTISSA_DIGITS;
+/// the way to them) the emit's `i32` lanes hold.
+const I32_LANE_BITS: u32 = i32::BITS;
 
 impl SumChain {
     /// Derives the chain from the engine's formats.
@@ -195,15 +210,14 @@ impl SumChain {
     /// # Errors
     ///
     /// [`FixedError::Overflow`] naming `f3` when the final sum format is
-    /// wider than 53 bits, where integer-valued `f64` adds stop being
-    /// exact.
+    /// wider than 32 bits, the most the emit's `i32` lanes hold.
     fn new(config: &TableSteerConfig) -> Result<Self, FixedError> {
         let (r, c) = (config.reference_format, config.correction_format);
         let f1 = QFormat::sum_format(r, c);
         let f2 = QFormat::sum_format(f1, c);
         let f3 = QFormat::sum_format(f2, c);
         debug_assert_eq!(f3.frac_bits(), f2.frac_bits());
-        if f3.total_bits() > F64_EXACT_BITS {
+        if f3.total_bits() > I32_LANE_BITS {
             return Err(FixedError::Overflow { format: f3 });
         }
         Ok(SumChain {
@@ -212,6 +226,7 @@ impl SumChain {
             sh_12: f2.frac_bits() - f1.frac_bits(),
             sh_c2: f2.frac_bits() - c.frac_bits(),
             res: f3.resolution(),
+            frac: f3.frac_bits(),
         })
     }
 }
@@ -228,6 +243,7 @@ impl Clone for TableSteerEngine {
             fold_x: self.fold_x.clone(),
             fold_y: self.fold_y.clone(),
             cy_fixed: self.cy_fixed.clone(),
+            cx_fixed: self.cx_fixed.clone(),
             chain: self.chain,
             echo_len: self.echo_len,
             clamp_events: AtomicU64::new(0),
@@ -242,8 +258,8 @@ impl TableSteerEngine {
     ///
     /// Returns a fixed-point overflow error if a delay or correction does
     /// not fit the configured formats (e.g. a geometry whose delays exceed
-    /// 13 integer bits), or if the formats' final sum is wider than the 53
-    /// bits the batched fills add exactly in `f64`.
+    /// 13 integer bits), or if the formats' final sum is wider than the 32
+    /// bits the emit adds in `i32` lanes.
     pub fn new(spec: &SystemSpec, config: TableSteerConfig) -> Result<Self, EngineError> {
         let chain = SumChain::new(&config)?;
         let reference = ReferenceTable::build(spec);
@@ -270,17 +286,22 @@ impl TableSteerEngine {
         let fold_x: Vec<usize> = (0..nx).map(|ix| fold(ix, nx, qx)).collect();
         let fold_y: Vec<usize> = (0..ny).map(|iy| fold(iy, ny, qy)).collect();
         let fmt = config.correction_format;
-        let n_phi = spec.volume_grid.n_phi();
-        let mut cy_fixed = Vec::with_capacity(n_phi * ny);
-        for ip in 0..n_phi {
-            for iy in 0..ny {
-                cy_fixed.push(Fixed::saturating_from_f64(
-                    -steering.y_term_samples(iy, ip),
-                    fmt,
-                    RoundingMode::Nearest,
-                ));
-            }
-        }
+        let quantize = |x: f64| Fixed::saturating_from_f64(-x, fmt, RoundingMode::Nearest);
+        let (n_theta, n_phi) = (spec.volume_grid.n_theta(), spec.volume_grid.n_phi());
+        let cy_fixed = (0..n_phi)
+            .flat_map(|ip| (0..ny).map(move |iy| (iy, ip)))
+            .map(|(iy, ip)| quantize(steering.y_term_samples(iy, ip)))
+            .collect();
+        // `n_phi / 2 + ipf` is the fold's representative φ line, so
+        // `fold_coord(ip)` reads the register of every line it folds to.
+        let cx_fixed = (0..n_theta)
+            .flat_map(|it| (0..n_phi.div_ceil(2)).map(move |ipf| (it, n_phi / 2 + ipf)))
+            .flat_map(|(it, ip)| (0..nx).map(move |ix| (ix, it, ip)))
+            .map(|(ix, it, ip)| {
+                let raw = quantize(steering.x_term_samples(ix, it, ip)).raw();
+                i32::try_from(raw).expect("a correction register fits the i32 lanes")
+            })
+            .collect();
         Ok(TableSteerEngine {
             spec: spec.clone(),
             config,
@@ -290,6 +311,7 @@ impl TableSteerEngine {
             fold_x,
             fold_y,
             cy_fixed,
+            cx_fixed,
             chain,
             echo_len: spec.echo_buffer_len(),
             clamp_events: AtomicU64::new(0),
@@ -345,15 +367,24 @@ impl TableSteerEngine {
         self.ref_fixed[(id * qy + self.fold_y[e.iy]) * qx + self.fold_x[e.ix]]
     }
 
+    /// Scanline `(it, ip)`'s x-correction registers, one per element
+    /// column, as raw integers of the correction format.
+    #[inline]
+    fn cx_row(&self, it: usize, ip: usize) -> &[i32] {
+        let nx = self.spec.elements.nx();
+        let n_phi = self.spec.volume_grid.n_phi();
+        let row = it * n_phi.div_ceil(2) + fold_coord(ip, n_phi);
+        &self.cx_fixed[row * nx..(row + 1) * nx]
+    }
+
     /// The two quantized correction terms for a query, as the hardware
     /// registers hold them.
     fn corrections_fixed(&self, vox: VoxelIndex, e: ElementIndex) -> (Fixed, Fixed) {
         let fmt = self.config.correction_format;
-        let cx = -self.steering.x_term_samples(e.ix, vox.it, vox.ip);
-        let cy = -self.steering.y_term_samples(e.iy, vox.ip);
+        let cx = i64::from(self.cx_row(vox.it, vox.ip)[e.ix]);
         (
-            Fixed::saturating_from_f64(cx, fmt, RoundingMode::Nearest),
-            Fixed::saturating_from_f64(cy, fmt, RoundingMode::Nearest),
+            Fixed::from_raw(cx, fmt).expect("a stored register fits its format"),
+            self.cy_fixed[vox.ip * self.spec.elements.ny() + e.iy],
         )
     }
 
@@ -376,14 +407,14 @@ impl TableSteerEngine {
 
     /// The quantized transmit corrections of transmit `tx` at each focal
     /// point of `voxels`, pre-shifted into the sum chain's raw units —
-    /// `(Δtx_raw << sh_c2)` as an `f64`, the addend of the row methods'
-    /// `(rx + Δtx) · res` — in one pass with the transmit model resolved
-    /// once. A point source's correction is exactly zero (see
-    /// [`dtx_fixed`](Self::dtx_fixed)); a plane wave's is
-    /// `dtx_fixed`'s arithmetic per row.
-    fn dtx_terms(&self, tx: usize, voxels: &[VoxelIndex], out: &mut [f64]) {
+    /// `Δtx_raw << sh_c2`, the last addend of the raw sum — in one pass
+    /// with the transmit model resolved once. A point source's correction
+    /// is exactly zero (see [`dtx_fixed`](Self::dtx_fixed)); a plane
+    /// wave's is `dtx_fixed`'s arithmetic per row, written as `i32`s for
+    /// the emit's adders or as `f64`s for the shared rounding loop.
+    fn dtx_terms<T: From<i32> + Copy>(&self, tx: usize, voxels: &[VoxelIndex], out: &mut [T]) {
         let TransmitModel::PlaneWave(pw) = &self.spec.transmits[tx] else {
-            out.fill(0.0);
+            out.fill(T::from(0));
             return;
         };
         let (grid, o, n) = (&self.spec.volume_grid, self.spec.origin, pw.normal());
@@ -392,16 +423,69 @@ impl TableSteerEngine {
         for (t, &v) in out.iter_mut().zip(voxels) {
             let s = grid.position(v);
             let delta = self.spec.metres_to_samples(n.dot(s) - s.distance(o));
-            *t = (Fixed::saturating_from_f64(delta, fmt, RoundingMode::Nearest).raw() << sh) as f64;
+            // In range: `f3` fits the i32 lanes (`SumChain::new`).
+            let raw = Fixed::saturating_from_f64(delta, fmt, RoundingMode::Nearest).raw();
+            *t = T::from((raw << sh) as i32);
         }
     }
 
-    /// The element-wise combine: a pre-shifted transmit correction and a
-    /// receive-leg raw sum to the delay in samples, `(rx + Δtx) · res`.
-    #[inline]
-    fn delay(&self) -> impl Fn(f64, f64) -> f64 {
-        let res = self.chain.res;
-        move |dtx, rx| (rx + dtx) * res
+    /// The set-up both batched paths share: unfolds nappe `nappe_idx`'s
+    /// folded reference slice into `refs`, one register per element in
+    /// linear order, pre-shifted into the raw sum's units
+    /// (`r << (sh_r + sh_12)`) — the nappe's BRAM stream.
+    fn stage_reference(&self, nappe_idx: usize, refs: &mut [i32]) {
+        let (qx, qy) = self.reference.quadrant_dims();
+        let nx = self.spec.elements.nx();
+        let shift = self.chain.sh_r + self.chain.sh_12;
+        let slice = &self.ref_fixed[nappe_idx * qy * qx..(nappe_idx + 1) * qy * qx];
+        for (ref_row, &fy) in refs.chunks_exact_mut(nx).zip(&self.fold_y) {
+            let folded = &slice[fy * qx..(fy + 1) * qx];
+            for (r, &fx) in ref_row.iter_mut().zip(&self.fold_x) {
+                // In range: `f3` fits the i32 lanes (`SumChain::new`).
+                *r = (folded[fx].raw() << shift) as i32;
+            }
+        }
+    }
+
+    /// The receive-leg rows of nappe `nappe_idx` over `out`'s tile (see
+    /// [`fill_nappe_rx`](DelayEngine::fill_nappe_rx)), each compacted to
+    /// the entries of `runs` while it is hot.
+    fn receive_rows(&self, nappe_idx: usize, runs: &[Range<usize>], out: &mut NappeDelays) {
+        let tile = out.tile();
+        let n_elements = out.n_elements();
+        let nx = self.spec.elements.nx();
+        let ny = self.spec.elements.ny();
+        let SumChain {
+            sh_c1,
+            sh_12,
+            sh_c2,
+            ..
+        } = self.chain;
+        let bufs = out.begin_fill_scratch(nappe_idx);
+        self.stage_reference(nappe_idx, &mut bufs.row_raw[..n_elements]);
+        let refs = &mut bufs.row_args[..n_elements];
+        for (r, &raw) in refs.iter_mut().zip(&*bufs.row_raw) {
+            *r = f64::from(raw);
+        }
+        let cx = &mut bufs.row_regs[..nx];
+        let rows = bufs.samples.chunks_exact_mut(n_elements);
+        for ((_, it, ip), row) in tile.iter_scanlines().zip(rows) {
+            for (c, &raw) in cx.iter_mut().zip(self.cx_row(it, ip)) {
+                *c = f64::from(raw << (sh_c1 + sh_12));
+            }
+            let cy_col = &self.cy_fixed[ip * ny..(ip + 1) * ny];
+            for ((chunk, ref_row), cy) in row
+                .chunks_exact_mut(nx)
+                .zip(refs.chunks_exact(nx))
+                .zip(cy_col)
+            {
+                let row_const = (cy.raw() << sh_c2) as f64;
+                for ((value, &r), &c) in chunk.iter_mut().zip(ref_row).zip(&*cx) {
+                    *value = (r + c) + row_const;
+                }
+            }
+            crate::engine::compact_row(row, runs);
+        }
     }
 
     /// Adds one call's clamps to the counter: one atomic add per row or
@@ -466,75 +550,20 @@ impl DelayEngine for TableSteerEngine {
         ));
     }
 
-    /// Receive-leg fill — the Fig. 4 schedule in software. TABLESTEER's
-    /// datapath **already factors** the transmit term, so the receive
-    /// leg is the `ref + cx + cy` chain as **pre-scale raw** sums
-    /// (engine-defined intermediates, not delays); Δtx and the final
-    /// scale are the row methods' work.
+    /// Receive-leg fill: the `ref + cx + cy` chain as **pre-scale raw**
+    /// sums (engine-defined intermediates, not delays); Δtx and the final
+    /// scale are the row methods' work. A compound's emit set-up stages
+    /// these rows, compacted ([`DelayEngine::begin_emit`]); a single
+    /// transmit's stages the reference row alone.
     ///
-    /// Within one insonification the correction registers of a block
-    /// never change: the quadrant fold maps and the quantized
-    /// y-corrections are depth-independent and cached at construction,
-    /// and the quantized x-corrections are built once per scanline
-    /// **row** (`nx` conversions) instead of `2·nx·ny` float→fixed
-    /// conversions per scanline; the reference BRAM is read as one
-    /// nappe slice, exactly what the §V-B circular buffer streams.
-    ///
-    /// The chain runs as packed `f64` adds on the raw integers of the
-    /// engine's `SumChain`. The nappe's folded reference slice is
-    /// unfolded once per call into the slab's `row_args` scratch as
-    /// `r << (sh_r + sh_12)`, and each scanline's x-corrections go into
-    /// `row_regs` as `cx << (sh_c1 + sh_12)` (both preallocated with the
-    /// slab, so a warm refill allocates nothing). One element is then
-    /// `(ref + cx) + (cy << sh_c2)`: integer-valued `f64`s below 2⁵³ add
-    /// exactly, so every sum equals the scalar chain's `i64` sum.
+    /// The nappe's reference row is staged as for the emit, in the slab's
+    /// `row_raw`, and each element is `(ref + cx) + (cy << sh_c2)` from
+    /// the engine's correction registers, added as packed `f64`s:
+    /// integer-valued `f64`s below 2⁵³ add exactly, so every sum equals
+    /// the scalar chain's integer sum.
     fn fill_nappe_rx(&self, nappe_idx: usize, out: &mut NappeDelays) {
-        let tile = out.tile();
-        let n_elements = out.n_elements();
-        let (qx, qy) = self.reference.quadrant_dims();
-        let nx = self.spec.elements.nx();
-        let ny = self.spec.elements.ny();
-        let fmt = self.config.correction_format;
-        let SumChain {
-            sh_r,
-            sh_c1,
-            sh_12,
-            sh_c2,
-            ..
-        } = self.chain;
-        let ref_slice = &self.ref_fixed[nappe_idx * qy * qx..(nappe_idx + 1) * qy * qx];
-        let bufs = out.begin_fill_scratch(nappe_idx);
-        let refs = &mut bufs.row_args[..n_elements];
-        for (ref_row, &fy) in refs.chunks_exact_mut(nx).zip(&self.fold_y) {
-            let folded = &ref_slice[fy * qx..(fy + 1) * qx];
-            for (r, &fx) in ref_row.iter_mut().zip(&self.fold_x) {
-                *r = (folded[fx].raw() << (sh_r + sh_12)) as f64;
-            }
-        }
-        let cx = &mut bufs.row_regs[..nx];
-        let rows = bufs.samples.chunks_exact_mut(n_elements);
-        for ((_, it, ip), row) in tile.iter_scanlines().zip(rows) {
-            for (ix, c) in cx.iter_mut().enumerate() {
-                let raw = Fixed::saturating_from_f64(
-                    -self.steering.x_term_samples(ix, it, ip),
-                    fmt,
-                    RoundingMode::Nearest,
-                )
-                .raw();
-                *c = (raw << (sh_c1 + sh_12)) as f64;
-            }
-            let cy_col = &self.cy_fixed[ip * ny..(ip + 1) * ny];
-            for ((chunk, ref_row), cy) in row
-                .chunks_exact_mut(nx)
-                .zip(refs.chunks_exact(nx))
-                .zip(cy_col)
-            {
-                let row_const = (cy.raw() << sh_c2) as f64;
-                for ((value, &r), &c) in chunk.iter_mut().zip(ref_row).zip(&*cx) {
-                    *value = (r + c) + row_const;
-                }
-            }
-        }
+        let all = 0..out.n_elements();
+        self.receive_rows(nappe_idx, std::slice::from_ref(&all), out);
     }
 
     /// Transmit combine: adds the pre-shifted raw transmit correction and
@@ -547,27 +576,136 @@ impl DelayEngine for TableSteerEngine {
         assert_eq!(rx_row.len(), out.len(), "combine row length mismatch");
         let mut dtx = [0.0];
         self.dtx_terms(tx, &[vox], &mut dtx);
-        let delay = self.delay();
+        let (dtx, res) = (dtx[0], self.chain.res);
         for (o, &rx) in out.iter_mut().zip(rx_row) {
-            *o = delay(dtx[0], rx);
+            *o = (rx + dtx) * res;
         }
     }
 
-    /// The run's Δtx registers in one pass, then each row's combine
-    /// inside the shared rounding loop — Fig. 4's rounding adders, which
-    /// add the last correction and round in one stage — publishing the
-    /// whole run's clamps with one atomic add.
-    fn quantize_tx_run(&self, tx: usize, rx: &NappeDelays, slots: Range<usize>, out: &mut [i32]) {
-        let terms = |voxels: &[VoxelIndex], t: &mut [f64]| self.dtx_terms(tx, voxels, t);
-        self.publish_clamps(crate::engine::quantize_run(
-            self.echo_len,
-            rx,
-            slots,
-            out,
-            terms,
-            self.delay(),
-        ));
+    /// The emit's set-up. A single transmit's emit reads the nappe's
+    /// reference row, unfolded into the slab's integer registers, and
+    /// the engine's correction registers, and touches no `f64` row. With
+    /// several transmits the receive leg serves all of them, so it is
+    /// staged once: the receive-leg rows, each compacted to the active
+    /// `runs`.
+    fn begin_emit(&self, nappe_idx: usize, runs: &[Range<usize>], slab: &mut NappeDelays) {
+        if self.transmit_count() > 1 {
+            self.receive_rows(nappe_idx, runs, slab);
+        } else {
+            self.stage_reference(nappe_idx, slab.begin_fill_scratch(nappe_idx).row_raw);
+        }
     }
+
+    /// Fig. 4 in software: the run's Δtx registers in one pass, then per
+    /// piece of an active run — its share of one element row — one pass
+    /// of raw `i32` adders per row,
+    /// `((ref + cx + cy + Δtx + half) >> frac).clamp(0, len − 1)`: the
+    /// reference row the set-up staged, each scanline's x-correction
+    /// registers and one `cy + Δtx + half` constant per (row, piece). The
+    /// pieces are the outer loop and the rows the inner one, so a piece's
+    /// bookkeeping is paid once per pass of rows. No float conversion and
+    /// no stored delay. With several transmits each row's staged receive
+    /// sums take the shared rounding loop instead, `(rx + Δtx) · res`, one
+    /// contiguous row per voxel: 16 plane waves on 8 × 8 elements, whose
+    /// active pieces are 6 entries long, ran at 1.3× the volume rate of
+    /// adding the whole chain per transmit (2-vCPU x86-64-v3 host).
+    /// Either way the call's clamps are published with one atomic add.
+    fn emit_run(
+        &self,
+        tx: usize,
+        slab: &NappeDelays,
+        slots: Range<usize>,
+        runs: &[Range<usize>],
+        out: &mut [i32],
+    ) {
+        if self.transmit_count() > 1 {
+            let terms = |voxels: &[VoxelIndex], t: &mut [f64]| self.dtx_terms(tx, voxels, t);
+            let res = self.chain.res;
+            let combine = move |dtx, rx| (rx + dtx) * res;
+            let clamps = emit_rows_f64(self.echo_len, slab, slots, runs, out, terms, combine);
+            self.publish_clamps(clamps);
+            return;
+        }
+        let nx = self.spec.elements.nx();
+        let ny = self.spec.elements.ny();
+        let n_phi = self.spec.volume_grid.n_phi();
+        let SumChain {
+            sh_c1,
+            sh_12,
+            sh_c2,
+            frac,
+            ..
+        } = self.chain;
+        let sh_cx = sh_c1 + sh_12;
+        let hi = i32::try_from(self.echo_len - 1).expect("echo buffer too long for i32 indices");
+        let half = (1i32 << frac) >> 1;
+        let refs = slab.row_raw();
+        let terms = |voxels: &[VoxelIndex], t: &mut [i32]| self.dtx_terms(tx, voxels, t);
+        let rows = |voxels: &[VoxelIndex], dtx: &[i32], _, width, out: &mut [i32]| {
+            // Per row, where its x-correction registers start and its
+            // y-correction column.
+            let mut cx_at = [0; RUN_PASS];
+            let mut cy_at = [0; RUN_PASS];
+            for ((x, y), v) in cx_at.iter_mut().zip(&mut cy_at).zip(voxels) {
+                *x = (v.it * n_phi.div_ceil(2) + fold_coord(v.ip, n_phi)) * nx;
+                *y = v.ip * ny;
+            }
+            let mut flags = [0; LANES];
+            let mut k = 0;
+            for (j, iy, len) in pieces(runs, nx) {
+                let (ix, refs) = (j - iy * nx, &refs[j..j + len]);
+                let rows = out.chunks_exact_mut(width).zip(dtx);
+                for ((row, &dtx), (&cx, &cy)) in rows.zip(cx_at.iter().zip(&cy_at)) {
+                    // In range: `f3` fits the i32 lanes (`SumChain::new`).
+                    let c = (self.cy_fixed[cy + iy].raw() << sh_c2) as i32 + dtx + half;
+                    let adder = |re: i32, x: i32| {
+                        let idx = (re + (x << sh_cx) + c) >> frac;
+                        let z = idx.clamp(0, hi);
+                        (z, u32::from(z != idx))
+                    };
+                    // Whole passes of `LANES` adders, then the rest one
+                    // by one.
+                    let cx = &self.cx_fixed[cx + ix..cx + ix + len];
+                    let (outs, out_rest) = row[k..k + len].as_chunks_mut::<LANES>();
+                    let (res, re_rest) = refs.as_chunks::<LANES>();
+                    let (cs, c_rest) = cx.as_chunks::<LANES>();
+                    for (o, (re, x)) in outs.iter_mut().zip(res.iter().zip(cs)) {
+                        for i in 0..LANES {
+                            let clamped;
+                            (o[i], clamped) = adder(re[i], x[i]);
+                            flags[i] += clamped;
+                        }
+                    }
+                    let rest = re_rest.iter().zip(c_rest);
+                    for (o, (&re, &x)) in out_rest.iter_mut().zip(rest) {
+                        let clamped;
+                        (*o, clamped) = adder(re, x);
+                        flags[0] += clamped;
+                    }
+                }
+                k += len;
+            }
+            flags.iter().map(|&f| u64::from(f)).sum()
+        };
+        let clamps = emit_passes(slab, slots, runs, out, terms, rows);
+        self.publish_clamps(clamps);
+    }
+}
+
+/// Lanes of one pass of the emit's rounding adders: eight `i32`
+/// indices, one `ymm` of them on x86-64-v3.
+const LANES: usize = 8;
+
+/// The pieces of `runs` on an aperture `nx` elements wide: each run cut
+/// at the ends of element rows, as `(first element, element row,
+/// length)`, in run order.
+fn pieces(runs: &[Range<usize>], nx: usize) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+    runs.iter().flat_map(move |run| {
+        (run.start / nx..run.end.div_ceil(nx)).map(move |iy| {
+            let first = run.start.max(iy * nx);
+            (first, iy, run.end.min((iy + 1) * nx) - first)
+        })
+    })
 }
 
 #[cfg(test)]
@@ -861,22 +999,23 @@ mod tests {
 
     #[test]
     fn sum_formats_wider_than_f64_mantissa_are_rejected() {
-        // The batched fills add raw integers as f64s, exact only while
-        // the final sum format `f3` is at most 53 bits wide. Reference
-        // u45.4 + three s13.4 corrections sums into s48.4 (53 bits, the
-        // widest accepted); one more reference integer bit gives s49.4.
+        // The emit adds raw integers in i32 lanes, exact only while the
+        // final sum format `f3` is at most 32 bits wide. Reference u24.4
+        // + three s13.4 corrections sums into s27.4 (32 bits, the widest
+        // accepted); one more reference integer bit gives s28.4.
         let spec = SystemSpec::tiny();
         let config = |int_bits| TableSteerConfig {
             reference_format: QFormat::unsigned(int_bits, 4),
             correction_format: QFormat::CORR_18,
         };
-        let widest = TableSteerEngine::new(&spec, config(45)).expect("53-bit sum builds");
+        let widest = TableSteerEngine::new(&spec, config(24)).expect("32-bit sum builds");
         let mut batched = NappeDelays::full(&spec);
         let mut scalar = NappeDelays::full(&spec);
         widest.fill_nappe(9, &mut batched);
         scalar.fill_scalar(&widest, 0, 9);
         assert_eq!(batched, scalar);
-        for int_bits in [46, 50, 54] {
+        crate::engine::assert_rx_combine_matches_scalar(&widest, &spec, &[9]);
+        for int_bits in [25, 46, 54] {
             let err = TableSteerEngine::new(&spec, config(int_bits)).unwrap_err();
             let f3 = QFormat::signed(int_bits + 3, 4);
             assert_eq!(
@@ -923,6 +1062,15 @@ mod tests {
                     let v = -ts.steering.y_term_samples(i % ny, i / ny);
                     let raw = (scaled(v, fmt).round() as i64).clamp(fmt.min_raw(), fmt.max_raw());
                     assert_eq!(q.raw(), raw, "y-correction {v}");
+                }
+                let v = &spec.volume_grid;
+                for (it, ip, ix) in (0..v.n_theta())
+                    .flat_map(|it| (0..v.n_phi()).map(move |ip| (it, ip)))
+                    .flat_map(|(it, ip)| (0..spec.elements.nx()).map(move |ix| (it, ip, ix)))
+                {
+                    let x = -ts.steering.x_term_samples(ix, it, ip);
+                    let raw = (scaled(x, fmt).round() as i64).clamp(fmt.min_raw(), fmt.max_raw());
+                    assert_eq!(i64::from(ts.cx_row(it, ip)[ix]), raw, "x-correction {x}");
                 }
             }
         }

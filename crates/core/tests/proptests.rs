@@ -474,9 +474,27 @@ proptest! {
             prop_assert_eq!(engine.transmit_count(), n_tx, "{}", engine.name());
             let mut scalar = NappeDelays::for_tile(&spec, tile);
             let mut rx = NappeDelays::for_tile(&spec, tile);
+            let mut emit = NappeDelays::for_tile(&spec, tile);
+            let n = rx.n_elements();
             engine.fill_nappe_rx(nappe, &mut rx);
-            let mut combined = vec![0.0; rx.n_elements()];
+            let all = 0..n;
+            let full = std::slice::from_ref(&all);
+            engine.begin_emit(nappe, full, &mut emit);
+            let mut combined = vec![0.0; n];
+            let mut indices = vec![0i32; tile.scanlines() * n];
             for tx in 0..n_tx {
+                engine.emit_run(tx, &emit, 0..tile.scanlines(), full, &mut indices);
+                for ((_, it, ip), row) in tile.iter_scanlines().zip(indices.chunks_exact(n)) {
+                    let vox = VoxelIndex::new(it, ip, nappe);
+                    for (j, &i) in row.iter().enumerate() {
+                        let e = usbf_geometry::ElementIndex::new(j % nx, j / nx);
+                        prop_assert_eq!(
+                            i64::from(i), engine.delay_index(tx, vox, e),
+                            "{} emit tx {}/{} {} {} on tile {:?}, origin {:?}, {:?}",
+                            engine.name(), tx, n_tx, vox, e, tile, origin, config
+                        );
+                    }
+                }
                 scalar.fill_scalar(engine, tx, nappe);
                 for (slot, it, ip) in tile.iter_scanlines() {
                     let vox = VoxelIndex::new(it, ip, nappe);
@@ -501,7 +519,7 @@ proptest! {
     }
 
     #[test]
-    fn row_methods_are_element_wise_on_compacted_receive_rows(
+    fn emit_over_random_runs_matches_the_row_methods(
         nx in 2usize..6,
         ny in 2usize..6,
         n_theta in 2usize..6,
@@ -516,14 +534,12 @@ proptest! {
         angle_b in 0usize..1000,
         runs_seed in any::<u64>(),
     ) {
-        // The contract the tile kernel compacts under: each entry of
-        // `combine_tx_row` / `quantize_tx_run` depends only on its own
-        // receive entry. Combining a receive row compacted to random
-        // runs of active elements must equal compacting the full
-        // combined row, bit for bit, on every transmit; the fused
-        // rounding of a run of rows compacted in place must equal
-        // `quantize_row` of each such row, TABLESTEER's clamp count
-        // included.
+        // The row methods are element-wise: combining a receive row
+        // restricted to random runs of active elements must equal
+        // restricting the full combined row, bit for bit, on every
+        // transmit. The emit over those runs — which split element rows,
+        // leave holes and span several rows — must equal `quantize_row`
+        // of each restricted row, TABLESTEER's clamp count included.
         let transmits = random_transmits(n_tx, kinds, angle_a, angle_b);
         let origin = random_origin(origin_pick);
         let spec =
@@ -555,28 +571,32 @@ proptest! {
             (&tablefree, &tablefree),
             (&fused_ts, &split_ts),
         ];
+        let mut runs: Vec<std::ops::Range<usize>> = Vec::new();
+        for &c in &channels {
+            match runs.last_mut() {
+                Some(run) if run.end == c => run.end += 1,
+                _ => runs.push(c..c + 1),
+            }
+        }
         let compact = |row: &[f64]| channels.iter().map(|&c| row[c]).collect::<Vec<f64>>();
         let active = channels.len();
         for (fused, split) in pairs {
             let mut rx = NappeDelays::full(&spec);
-            fused.fill_nappe_rx(nappe, &mut rx);
-            let mut compacted = rx.clone();
-            for slot in 0..rx.scanline_count() {
-                let row = compact(rx.row(slot));
-                compacted.row_mut(slot)[..active].copy_from_slice(&row);
-            }
+            let mut emit = NappeDelays::full(&spec);
+            split.fill_nappe_rx(nappe, &mut rx);
+            fused.begin_emit(nappe, &runs, &mut emit);
             let rows = rx.scanline_count();
             let mut full = vec![0.0; n_elements];
             let mut combined = vec![0.0; active];
             let mut run = vec![0i32; rows * active];
             let mut expected = vec![0i32; active];
             for tx in 0..n_tx {
-                fused.quantize_tx_run(tx, &compacted, 0..rows, &mut run);
+                fused.emit_run(tx, &emit, 0..rows, &runs, &mut run);
                 for (slot, it, ip) in rx.scanlines() {
                     let vox = VoxelIndex::new(it, ip, nappe);
                     let rx_active = compact(rx.row(slot));
                     split.combine_tx_row(tx, vox, rx.row(slot), &mut full);
-                    fused.combine_tx_row(tx, vox, &rx_active, &mut combined);
+                    split.combine_tx_row(tx, vox, &rx_active, &mut combined);
                     let bits = |row: &[f64]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                     prop_assert_eq!(
                         bits(&combined), bits(&compact(&full)),

@@ -1,9 +1,9 @@
 //! Coherent plane-wave compounding demo: a 16-angle steered fan
 //! acquired and beamformed as ONE compound frame through the warm
-//! `FramePipeline`, with the tile kernel's delay-generation stages (the
-//! transmit-invariant receive leg vs the per-run transmit terms fused
-//! into rounding vs the gather/MAC back end) timed individually on one
-//! whole-fan task, the shape a compound frame's depth bands run as.
+//! `FramePipeline`, with the tile kernel's stages (the per-nappe emit
+//! set-up vs the per-transmit emit runs vs the gather/MAC back end)
+//! timed individually on one whole-fan task, the shape a compound
+//! frame's depth bands run as.
 //!
 //! Run with: `cargo run --release --example cpwc_compound`
 
@@ -67,44 +67,38 @@ fn main() {
 
     // --- Per-stage split on one whole-fan task over every nappe,
     // single-threaded: peel the compound kernel apart through the public
-    // engine API. The receive leg is filled ONCE per nappe regardless of
-    // the angle count; only the fused transmit terms + rounding and the
-    // gather/MAC scale with N. ---
+    // engine API. The emit is set up ONCE per nappe regardless of the
+    // angle count (EXACT's set-up is its receive-leg fill); only the
+    // emit runs — transmit terms, receive leg and rounding in one pass —
+    // and the gather/MAC scale with N. ---
     let bf = Beamformer::new(&spec);
     let mut slab = NappeDelays::full(&spec);
     let fan = slab.tile();
     let n_depth = grid.n_depth();
     let n_tx = spec.n_transmits();
-    let channels = bf.aperture().channels();
-    let active = channels.len();
+    let runs = bf.aperture().runs();
+    let active = bf.aperture().len();
     // The kernel's run: one group of 16 rows of nearest-fetch indices.
     const RUN: usize = 16;
     let mut indices = vec![0i32; RUN * active];
     let budget = 0.2;
-    let fill_s = time_mean(budget, || {
+    let set_up_s = time_mean(budget, || {
         for id in 0..n_depth {
-            engine.fill_nappe_rx(id, &mut slab);
+            engine.begin_emit(id, runs, &mut slab);
         }
         std::hint::black_box(slab.samples()[0]);
     });
     // Mirror the kernel: every row of the nappe, masked or not, is
-    // compacted in place to the active aperture, then each transmit's
-    // terms are computed a run of rows at a time and added in the same
-    // pass that rounds them.
-    let fill_quantize_s = time_mean(budget, || {
+    // emitted for each transmit, a run of rows at a time, over the
+    // active aperture.
+    let set_up_emit_s = time_mean(budget, || {
         for id in 0..n_depth {
-            engine.fill_nappe_rx(id, &mut slab);
-            for slot in 0..fan.scanlines() {
-                let row = slab.row_mut(slot);
-                for (k, &c) in channels.iter().enumerate() {
-                    row[k] = row[c as usize];
-                }
-            }
+            engine.begin_emit(id, runs, &mut slab);
             for tx in 0..n_tx {
                 for first in (0..fan.scanlines()).step_by(RUN) {
                     let run = first..(first + RUN).min(fan.scanlines());
                     let out = &mut indices[..run.len() * active];
-                    engine.quantize_tx_run(tx, &slab, run, out);
+                    engine.emit_run(tx, &slab, run, runs, out);
                 }
             }
         }
@@ -115,15 +109,15 @@ fn main() {
         bf.beamform_tile_into(&engine, &rf, &mut state);
         std::hint::black_box(state.values()[0]);
     });
-    let quantize_s = (fill_quantize_s - fill_s).max(0.0);
-    let back_end_s = (total_s - fill_quantize_s).max(0.0);
+    let emit_s = (set_up_emit_s - set_up_s).max(0.0);
+    let back_end_s = (total_s - set_up_emit_s).max(0.0);
     println!(
         "per-stage split on one whole-fan task ({} voxels, {N_ANGLES} transmits):",
         fan.scanlines() * n_depth
     );
     for (stage, s) in [
-        ("rx-leg slab fill (once per nappe)", fill_s),
-        ("run terms + rounding (xN angles)", quantize_s),
+        ("emit set-up (once per nappe)", set_up_s),
+        ("emit runs (xN angles)", emit_s),
         ("gather + MAC (xN)", back_end_s),
         ("total tile kernel", total_s),
     ] {

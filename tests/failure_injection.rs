@@ -139,8 +139,8 @@ impl FaultyEngine {
 }
 
 /// Every delay path faults when armed: the scalar queries, the
-/// receive-leg fill every frame takes, the per-row combine and the
-/// fused rounding of a run of rows.
+/// receive-leg fill and the per-row combine, and the emit's set-up and
+/// runs that every frame takes.
 impl DelayEngine for FaultyEngine {
     fn name(&self) -> &'static str {
         "FAULTY"
@@ -163,15 +163,25 @@ impl DelayEngine for FaultyEngine {
         self.fault_if_armed();
         self.inner.combine_tx_row(tx, vox, rx_row, out);
     }
-    fn quantize_tx_run(
+    fn begin_emit(
+        &self,
+        nappe_idx: usize,
+        runs: &[std::ops::Range<usize>],
+        slab: &mut NappeDelays,
+    ) {
+        self.fault_if_armed();
+        self.inner.begin_emit(nappe_idx, runs, slab);
+    }
+    fn emit_run(
         &self,
         tx: usize,
-        rx: &NappeDelays,
+        slab: &NappeDelays,
         slots: std::ops::Range<usize>,
+        runs: &[std::ops::Range<usize>],
         out: &mut [i32],
     ) {
         self.fault_if_armed();
-        self.inner.quantize_tx_run(tx, rx, slots, out);
+        self.inner.emit_run(tx, slab, slots, runs, out);
     }
 }
 

@@ -92,9 +92,9 @@ fn warm_frames_do_no_per_tile_allocation() {
     let loop_allocs = ALLOCS.load(Ordering::SeqCst) - before;
     eprintln!("LOOP_ALLOCS={loop_allocs}");
     // One boxed task per tile would be FRAMES × 64 = 1280; the warm
-    // preregistered path (announcements included, now that worker
-    // queues are preallocated rings instead of mpsc channels) measures
-    // exactly zero.
+    // preregistered path measures exactly zero: workers take every task
+    // from the pool's job registry, so announcing a frame's tasks
+    // allocates nothing.
     assert_eq!(
         loop_allocs, 0,
         "warm VolumeLoop frames must not allocate ({FRAMES} frames, \
