@@ -21,8 +21,7 @@
 //! delay "is used as an index into an echo buffer" — and its output is
 //! bit-identical to the scalar per-voxel walk, which is kept as the
 //! reference implementation. The scalar walk is also the executed path
-//! for scanline-by-scanline traversal and for linear interpolation, which
-//! a task then fills voxel by voxel.
+//! for scanline-by-scanline traversal.
 
 use crate::postproc::{PostChain, PostScratch};
 use crate::simd::{Avx2, GROUP, MAC_CHANNELS};
@@ -120,9 +119,7 @@ pub(crate) fn finish_frame(
 /// the rows of as many whole tiles as keep it within 512 KB, the whole
 /// region when it fits — in channel-interleaved groups of rows, with
 /// one accumulator per block row and a `live` map from block rows back
-/// to scanlines. A task of a
-/// linear-interpolation beamformer has no block: the scalar walk fills
-/// its `values` voxel by voxel. One definition shared by [`VolumeLoop`](crate::VolumeLoop) and
+/// to scanlines. One definition shared by [`VolumeLoop`](crate::VolumeLoop) and
 /// [`FramePipeline`](crate::FramePipeline) (and through the latter,
 /// [`ShardedRuntime`](crate::ShardedRuntime)), so the warm-state shape
 /// (and with it the bit-identical-to-serial invariant) cannot drift
@@ -140,12 +137,11 @@ pub struct TileState {
     /// Quantized echo-buffer indices in the grouped
     /// `[group][channel][row-in-group]` layout ([`GROUP`] rows per
     /// group), plus one group's slack for aligning it to a cache line.
-    /// Empty for linear interpolation.
     pub(crate) index_block: Vec<i32>,
     /// One group of packed rows, `[row-in-group][active]` —
     /// [`DelayEngine::emit_run`] writes each run of rows here, after the
     /// live rows already staged, and a full group is transposed into
-    /// `index_block` in one pass. Empty for linear interpolation.
+    /// `index_block` in one pass.
     index_staging: Vec<i32>,
     /// Per active channel, the lowest sample index the block's rows
     /// read, then per active channel the highest: the windows the kernel
@@ -180,8 +176,8 @@ impl TileState {
     /// band `nappes` over the fan region `tiles` partition: the delay
     /// slab (one tile in size), the `[scanline][nappe]` values buffer,
     /// the grouped index block (one MAC pass's rows) and its one-group
-    /// staging buffer, sized to the active aperture (nearest only),
-    /// and every transmit's mask weights. A compound band over
+    /// staging buffer, sized to the active aperture, and every
+    /// transmit's mask weights. A compound band over
     /// the whole fan passes the fan as its one tile.
     ///
     /// # Panics
@@ -208,7 +204,6 @@ impl TileState {
         let pass = pass_rows(tiles, active);
         let rows = region.scanlines();
         let n_values = rows * nappes.len();
-        let nearest = beamformer.interpolation == Interpolation::Nearest;
         // Precompute every transmit's per-voxel mask weight in the
         // `values` layout, so the warm accumulate never calls back into
         // geometry.
@@ -238,8 +233,8 @@ impl TileState {
             // between them, a block shifted glibc's heap layout so that a
             // pipeline's dropped RF ring stayed resident (+8 MB peak RSS
             // on the benchmark's cpwc16-tiny set-up, 2-vCPU x86-64).
-            index_staging: vec![0; if nearest { GROUP * active } else { 0 }],
-            index_block: vec![0; if nearest { block_len(pass, active) } else { 0 }],
+            index_staging: vec![0; GROUP * active],
+            index_block: vec![0; block_len(pass, active)],
         }
     }
 
@@ -585,20 +580,6 @@ pub fn mac_channel_scalar(lines: &[i32], active: usize, raw: &[i16], w: f64, acc
     }
 }
 
-/// How echo samples are fetched at the computed delay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Interpolation {
-    /// Nearest-sample fetch via the engine's integer index — the paper's
-    /// datapath (delays "are used as an index into an echo buffer").
-    #[default]
-    Nearest,
-    /// Linear interpolation at the fractional delay (extension; quantifies
-    /// how much of the error budget comes from index rounding). Served by
-    /// the scalar per-voxel walk on every path, the batched ones included:
-    /// the tile kernel is nearest fetch only.
-    Linear,
-}
-
 /// A delay-and-sum beamformer bound to a system spec.
 ///
 /// The engine is passed per call, so one beamformer can compare multiple
@@ -607,7 +588,6 @@ pub enum Interpolation {
 pub struct Beamformer {
     spec: SystemSpec,
     apodization: Apodization,
-    interpolation: Interpolation,
     order: ScanOrder,
     /// The compacted `(channel, weight)` aperture — Eq. 1's `w`, built
     /// once per beamformer lifetime and shared by every path (scalar
@@ -627,7 +607,6 @@ impl Beamformer {
         Beamformer {
             spec: spec.clone(),
             apodization: Apodization::default(),
-            interpolation: Interpolation::default(),
             order: ScanOrder::NappeByNappe,
             aperture: ActiveAperture::build(Apodization::default(), &spec.elements),
             post: PostChain::empty(),
@@ -642,13 +621,6 @@ impl Beamformer {
             self.apodization = apodization;
             self.aperture = ActiveAperture::build(apodization, &self.spec.elements);
         }
-        self
-    }
-
-    /// Sets the sample-fetch interpolation.
-    #[must_use = "with_interpolation returns the configured beamformer; dropping it discards the mode"]
-    pub fn with_interpolation(mut self, interpolation: Interpolation) -> Self {
-        self.interpolation = interpolation;
         self
     }
 
@@ -750,10 +722,7 @@ impl Beamformer {
         for (&chan, &w) in self.aperture.channels().iter().zip(self.aperture.weights()) {
             let e = ElementIndex::new(chan as usize % nx, chan as usize / nx);
             let trace = rf.channel_trace_for(tx, chan);
-            acc += w * match self.interpolation {
-                Interpolation::Nearest => trace.raw_at(engine.delay_index(tx, vox, e)),
-                Interpolation::Linear => trace.raw_interp(engine.delay_samples(tx, vox, e)),
-            };
+            acc += w * trace.raw_at(engine.delay_index(tx, vox, e));
         }
         rf.scale() * acc
     }
@@ -812,8 +781,8 @@ impl Beamformer {
     /// allocation-free kernel [`VolumeLoop`](crate::VolumeLoop) and
     /// [`FramePipeline`](crate::FramePipeline) drive every frame.
     ///
-    /// Nearest fetch runs one voxel-parallel kernel for every transmit
-    /// sequence and task shape. Per (tile, nappe), the engine sets up its
+    /// One voxel-parallel kernel runs for every transmit sequence and
+    /// task shape. Per (tile, nappe), the engine sets up its
     /// emit ([`DelayEngine::begin_emit`]) once; per transmit, a run of
     /// rows is emitted in one call that adds the receive leg and the
     /// transmit terms and rounds, over the active aperture only
@@ -824,13 +793,12 @@ impl Beamformer {
     /// ascending aperture order, and each transmit's sum enters the voxel
     /// as `m·sum` in transmit order, skipping `m == 0` — so the output is
     /// bit-identical to the scalar [`beamform_voxel`](Self::beamform_voxel)
-    /// walk. Linear interpolation fills `values` with that walk itself,
-    /// one voxel at a time.
+    /// walk.
     ///
     /// # Panics
     ///
-    /// Panics if `state` was built for a different spec, aperture or
-    /// interpolation, or if the engine or RF frame does not carry every
+    /// Panics if `state` was built for a different spec or aperture, or
+    /// if the engine or RF frame does not carry every
     /// transmit of the spec's sequence.
     pub fn beamform_tile_into(
         &self,
@@ -866,31 +834,16 @@ impl Beamformer {
             n_tx,
             "RF frame must hold every transmit acquisition"
         );
-        let nearest = self.interpolation == Interpolation::Nearest;
         let active = self.aperture.len();
         assert_eq!(
             state.index_block.len(),
-            if nearest {
-                block_len(pass_rows(&state.tiles, active), active)
-            } else {
-                0
-            },
-            "task state must be built for this beamformer's interpolation"
+            block_len(pass_rows(&state.tiles, active), active),
+            "task state must be built for this aperture and these tiles"
         );
-        if nearest {
-            self.tile_kernel(engine, rf, Avx2::detect(), state);
-        } else {
-            let band = state.nappes();
-            let columns = state.values.chunks_exact_mut(band.len());
-            for (column, (_, it, ip)) in columns.zip(state.region.iter_scanlines()) {
-                for (v, id) in column.iter_mut().zip(band.clone()) {
-                    *v = self.beamform_voxel(engine, rf, VoxelIndex::new(it, ip, id));
-                }
-            }
-        }
+        self.tile_kernel(engine, rf, Avx2::detect(), state);
     }
 
-    /// The voxel-parallel tile kernel (nearest fetch), with the vector
+    /// The voxel-parallel tile kernel, with the vector
     /// stages `isa` names — `None` runs the scalar pack and MAC alone.
     ///
     /// Per nappe of the task's band and per transmit:
@@ -1121,21 +1074,6 @@ mod tests {
     }
 
     #[test]
-    fn linear_interpolation_at_least_as_focused() {
-        let spec = SystemSpec::tiny();
-        let vox = VoxelIndex::new(4, 4, 8);
-        let target = on_voxel_target(&spec, vox);
-        let rf = EchoSynthesizer::new(&spec)
-            .synthesize(&Phantom::point(target), &Pulse::from_spec(&spec));
-        let engine = ExactEngine::new(&spec);
-        let nearest = Beamformer::new(&spec).with_interpolation(Interpolation::Nearest);
-        let linear = Beamformer::new(&spec).with_interpolation(Interpolation::Linear);
-        let pn = nearest.beamform_voxel(&engine, &rf, vox).abs();
-        let pl = linear.beamform_voxel(&engine, &rf, vox).abs();
-        assert!(pl > 0.9 * pn, "linear {pl} vs nearest {pn}");
-    }
-
-    #[test]
     fn scanline_profile_matches_volume_column() {
         let (spec, rf) = setup(VoxelIndex::new(2, 3, 4));
         let engine = ExactEngine::new(&spec);
@@ -1152,23 +1090,19 @@ mod tests {
     fn batched_tiled_path_is_bit_identical_to_scalar_path() {
         // The tentpole invariant: the parallel nappe-slab pipeline must
         // reproduce the per-voxel reference walk exactly, for approximate
-        // engines and for both interpolation modes.
+        // engines too.
         let (spec, rf) = setup(VoxelIndex::new(6, 2, 5));
         let exact = ExactEngine::new(&spec);
         let steer = TableSteerEngine::new(&spec, TableSteerConfig::bits18()).unwrap();
-        for interp in [Interpolation::Nearest, Interpolation::Linear] {
-            for engine in [&exact as &dyn usbf_core::DelayEngine, &steer] {
-                let batched = Beamformer::new(&spec)
-                    .with_interpolation(interp)
-                    .with_order(ScanOrder::NappeByNappe)
-                    .beamform_volume(engine, &rf);
-                let scalar = Beamformer::new(&spec)
-                    .with_interpolation(interp)
-                    .with_order(ScanOrder::ScanlineByScanline)
-                    .beamform_volume(engine, &rf);
-                assert!(scalar.max_abs() > 0.0, "{} {interp:?}", engine.name());
-                assert_eq!(batched, scalar, "{} {interp:?}", engine.name());
-            }
+        for engine in [&exact as &dyn usbf_core::DelayEngine, &steer] {
+            let batched = Beamformer::new(&spec)
+                .with_order(ScanOrder::NappeByNappe)
+                .beamform_volume(engine, &rf);
+            let scalar = Beamformer::new(&spec)
+                .with_order(ScanOrder::ScanlineByScanline)
+                .beamform_volume(engine, &rf);
+            assert!(scalar.max_abs() > 0.0, "{}", engine.name());
+            assert_eq!(batched, scalar, "{}", engine.name());
         }
     }
 
@@ -1411,29 +1345,22 @@ mod tests {
         // End-to-end: the batched compound volume (receive-leg fill plus
         // per-transmit combines) equals the per-voxel scalar compound
         // walk, which reaches the same numbers through per-element
-        // delay_index / delay_samples queries, never the row family.
+        // delay_index queries, never the row family.
         let (spec, rf) = compound_setup();
         let engine = ExactEngine::new(&spec);
-        for interp in [Interpolation::Nearest, Interpolation::Linear] {
-            let bf = |order| {
-                Beamformer::new(&spec)
-                    .with_interpolation(interp)
-                    .with_order(order)
-            };
-            let batched = bf(ScanOrder::NappeByNappe).beamform_volume(&engine, &rf);
-            let scalar = bf(ScanOrder::ScanlineByScanline).beamform_volume(&engine, &rf);
-            assert!(scalar.max_abs() > 0.0, "{interp:?}");
-            assert_eq!(batched, scalar, "{interp:?}");
-        }
+        let bf = |order| Beamformer::new(&spec).with_order(order);
+        let batched = bf(ScanOrder::NappeByNappe).beamform_volume(&engine, &rf);
+        let scalar = bf(ScanOrder::ScanlineByScanline).beamform_volume(&engine, &rf);
+        assert!(scalar.max_abs() > 0.0);
+        assert_eq!(batched, scalar);
     }
 
     #[test]
     fn stale_block_entries_are_never_read() {
         // Garbage past the live rows — NaN sums, indices at both ends
         // of the i32 range — in every block, staging and window buffer
-        // must not reach the output: every task shape, both
-        // interpolations and a compound frame (whose masks leave short
-        // tails), on one schedule tile and as a whole-fan band, give the
+        // must not reach the output: every task shape and a compound
+        // frame (whose masks leave short tails), on one schedule tile and as a whole-fan band, give the
         // volume a fresh state gives.
         let (spec, rf) = setup(VoxelIndex::new(5, 4, 5));
         let (cspec, crf) = compound_setup();
@@ -1455,27 +1382,25 @@ mod tests {
                 let fan = NappeDelays::full(spec).tile();
                 vec![(tiles[2..3].to_vec(), 5..n_depth), (vec![fan], 3..10)]
             };
-            for interp in [Interpolation::Nearest, Interpolation::Linear] {
-                let bf = Beamformer::new(spec).with_interpolation(interp);
-                for (tiles, nappes) in &tasks {
-                    let mut fresh = TileState::band(&bf, tiles, nappes.clone());
-                    bf.beamform_tile_into(&engine, rf, &mut fresh);
-                    let mut stale = TileState::band(&bf, tiles, nappes.clone());
-                    for (i, x) in stale.index_block.iter_mut().enumerate() {
-                        *x = if i % 2 == 0 { i32::MIN } else { i32::MAX };
-                    }
-                    stale.index_staging.fill(i32::MAX);
-                    stale.acc.fill(f64::NAN);
-                    stale.values.fill(f64::NAN);
-                    stale.windows.fill(i32::MIN);
-                    bf.beamform_tile_into(&engine, rf, &mut stale);
-                    let bits =
-                        |s: &TileState| s.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(&stale), bits(&fresh), "{interp:?} {nappes:?}");
-                    // A second frame reuses the block the first one left.
-                    bf.beamform_tile_into(&engine, rf, &mut stale);
-                    assert_eq!(bits(&stale), bits(&fresh), "{interp:?} {nappes:?} warm");
+            let bf = Beamformer::new(spec);
+            for (tiles, nappes) in &tasks {
+                let mut fresh = TileState::band(&bf, tiles, nappes.clone());
+                bf.beamform_tile_into(&engine, rf, &mut fresh);
+                let mut stale = TileState::band(&bf, tiles, nappes.clone());
+                for (i, x) in stale.index_block.iter_mut().enumerate() {
+                    *x = if i % 2 == 0 { i32::MIN } else { i32::MAX };
                 }
+                stale.index_staging.fill(i32::MAX);
+                stale.acc.fill(f64::NAN);
+                stale.values.fill(f64::NAN);
+                stale.windows.fill(i32::MIN);
+                bf.beamform_tile_into(&engine, rf, &mut stale);
+                let bits =
+                    |s: &TileState| s.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&stale), bits(&fresh), "{nappes:?}");
+                // A second frame reuses the block the first one left.
+                bf.beamform_tile_into(&engine, rf, &mut stale);
+                assert_eq!(bits(&stale), bits(&fresh), "{nappes:?} warm");
             }
         }
     }

@@ -10,13 +10,13 @@
 //! * [`Apodization`] — separable aperture windows (the `w(S)` weights the
 //!   paper leaves out of scope but relies on to suppress edge artifacts);
 //! * [`Beamformer`] — per-voxel delay-and-sum with nearest-index fetch
-//!   (the paper's datapath) or linear interpolation (extension); nearest
-//!   fetch runs one voxel-parallel tile kernel over the compacted
+//!   (the paper's datapath: a delay indexes the echo buffer); one
+//!   voxel-parallel tile kernel runs over the compacted
 //!   [`ActiveAperture`] and a reusable [`TileState`] (a whole-fan depth
 //!   band in every runtime; emitted index rows → grouped index block →
 //!   channel-outer gather and accumulate), bit-identical to the scalar
-//!   walk, which also serves linear interpolation;
-//! * [`BeamformedVolume`] — the reconstructed volume with profile/slice
+//!   walk;
+//! * [`BeamformedVolume`] — the reconstructed volume with slice
 //!   accessors for image-quality metrics;
 //! * [`PostChain`] — none, or B-mode post-processing: one fixed function
 //!   calling the `usbf_sim` envelope kernels in order (IQ demodulation →
@@ -76,7 +76,7 @@ mod volume;
 mod volume_loop;
 
 pub use apodization::{ActiveAperture, Apodization};
-pub use beamformer::{Beamformer, Interpolation, TileState};
+pub use beamformer::{Beamformer, TileState};
 pub use frame_pipeline::{
     FramePipeline, FrameRing, FrameSource, PipelineError, PipelineStats, SynthesizedFrames,
     VolumeTicket,

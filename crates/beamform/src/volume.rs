@@ -77,20 +77,6 @@ impl BeamformedVolume {
         VoxelIndex::new(rest / self.n_phi, rest % self.n_phi, id)
     }
 
-    /// Axial profile (all depths) along scanline `(it, ip)`.
-    pub fn axial_profile(&self, it: usize, ip: usize) -> Vec<f64> {
-        (0..self.n_depth)
-            .map(|id| self.get(VoxelIndex::new(it, ip, id)))
-            .collect()
-    }
-
-    /// Lateral (θ) profile at fixed `(ip, id)`.
-    pub fn lateral_profile(&self, ip: usize, id: usize) -> Vec<f64> {
-        (0..self.n_theta)
-            .map(|it| self.get(VoxelIndex::new(it, ip, id)))
-            .collect()
-    }
-
     /// The raw values in scanline-major order.
     pub fn as_slice(&self) -> &[f64] {
         &self.data
@@ -206,10 +192,8 @@ mod tests {
     }
 
     #[test]
-    fn profiles_have_right_lengths() {
+    fn volume_covers_the_grid() {
         let v = vol();
-        assert_eq!(v.axial_profile(0, 0).len(), 16);
-        assert_eq!(v.lateral_profile(0, 0).len(), 8);
         assert_eq!(v.len(), 8 * 8 * 16);
         assert!(!v.is_empty());
     }

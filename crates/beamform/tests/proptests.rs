@@ -2,8 +2,7 @@
 
 use proptest::prelude::*;
 use usbf_beamform::{
-    ActiveAperture, Apodization, Beamformer, BmodeConfig, Interpolation, PostChain, TileState,
-    VolumeLoop,
+    ActiveAperture, Apodization, Beamformer, BmodeConfig, PostChain, TileState, VolumeLoop,
 };
 use usbf_core::{
     DelayEngine, ExactEngine, NaiveTableEngine, NappeSchedule, TableFreeConfig, TableFreeEngine,
@@ -175,10 +174,10 @@ proptest! {
         // A depth-band task over any rectangle of schedule tiles — one
         // sub-tile up to the whole fan — and any run of nappes, most of
         // which do not divide the depth count, sums every voxel it covers
-        // exactly as the scalar walk does, for all four engines × both
-        // interpolations × Rect/Hann/Tukey. Fans of 1 to 36 scanlines put
-        // the packed row count below, at and just past the group widths
-        // (8 and 16 rows), so full groups and exact tails both run.
+        // exactly as the scalar walk does, for all four engines ×
+        // Rect/Hann/Tukey. Fans of 1 to 36 scanlines put the packed row
+        // count below, at and just past the group width (16 rows), so
+        // full groups and exact tails both run.
         let spec = random_spec(nx, ny, n_theta, n_phi, n_depth);
         let schedule = NappeSchedule::fitted(&spec, 1 + tiles_pick % (n_theta * n_phi));
         let tiles = tile_rectangle(&spec, &schedule, rect_a, rect_b);
@@ -193,10 +192,8 @@ proptest! {
         let tablesteer = TableSteerEngine::new(&spec, TableSteerConfig::bits18()).expect("builds");
         let engines: [&dyn DelayEngine; 4] = [&exact, &naive, &tablefree, &tablesteer];
         for engine in engines {
-            for interp in [Interpolation::Nearest, Interpolation::Linear] {
-                let bf = Beamformer::new(&spec).with_apodization(apod).with_interpolation(interp);
-                task_matches_scalar(&bf, engine, &rf, &tiles, nappes.clone())?;
-            }
+            let bf = Beamformer::new(&spec).with_apodization(apod);
+            task_matches_scalar(&bf, engine, &rf, &tiles, nappes.clone())?;
         }
     }
 
@@ -216,9 +213,9 @@ proptest! {
     ) {
         // A compound frame's task covers one schedule tile. Here that
         // tile is the whole fan, of 1, 7, 8, 9, 15, 16 or 17 scanlines —
-        // one row, L − 1, L and L + 1 live rows of a point-source
-        // transmit for both group widths L (8 linear, 16 nearest) — while
-        // the plane waves' masks leave other live-row counts. Every
+        // one row, half a group and L − 1, L and L + 1 live rows of a
+        // point-source transmit for the group width L = 16 — while the
+        // plane waves' masks leave other live-row counts. Every
         // voxel of the task, over a random run of nappes, matches the
         // scalar compound walk.
         let (n_theta, n_phi) = [(1, 1), (7, 1), (2, 4), (3, 3), (3, 5), (4, 4), (17, 1)][shape];
@@ -236,10 +233,8 @@ proptest! {
         let tablesteer = TableSteerEngine::new(&spec, TableSteerConfig::bits18()).expect("builds");
         let engines: [&dyn DelayEngine; 4] = [&exact, &naive, &tablefree, &tablesteer];
         for engine in engines {
-            for interp in [Interpolation::Nearest, Interpolation::Linear] {
-                let bf = Beamformer::new(&spec).with_apodization(apod).with_interpolation(interp);
-                task_matches_scalar(&bf, engine, &rf, &tiles, start..n_depth)?;
-            }
+            let bf = Beamformer::new(&spec).with_apodization(apod);
+            task_matches_scalar(&bf, engine, &rf, &tiles, start..n_depth)?;
         }
     }
 
@@ -281,14 +276,12 @@ proptest! {
         let tablesteer = TableSteerEngine::new(&spec, TableSteerConfig::bits18()).expect("builds");
         let tiles = NappeSchedule::fitted(&spec, 1).tiles();
         for engine in [&exact as &dyn DelayEngine, &tablesteer] {
-            for interp in [Interpolation::Nearest, Interpolation::Linear] {
-                let mut bf = Beamformer::new(&spec).with_apodization(apod).with_interpolation(interp);
-                if bf.aperture().is_empty() {
-                    bf = bf.with_apodization(Apodization::Rect);
-                }
-                prop_assert!((1..=40).contains(&bf.aperture().len()));
-                task_matches_scalar(&bf, engine, &rf, &tiles, 0..n_depth)?;
+            let mut bf = Beamformer::new(&spec).with_apodization(apod);
+            if bf.aperture().is_empty() {
+                bf = bf.with_apodization(Apodization::Rect);
             }
+            prop_assert!((1..=40).contains(&bf.aperture().len()));
+            task_matches_scalar(&bf, engine, &rf, &tiles, 0..n_depth)?;
         }
     }
 
@@ -370,8 +363,8 @@ proptest! {
         // The voxel-parallel tile kernel (per nappe: the engine's emit
         // into the [scanline][active] block, then one channel at a time
         // into per-scanline accumulators) reproduces the scalar
-        // ScanlineByScanline walk bit for bit, for all four engines ×
-        // both interpolations, on randomized geometry — including
+        // ScanlineByScanline walk bit for bit, for all four engines, on
+        // randomized geometry — including
         // apertures with zero-weight borders (Hann), whose emit walks
         // several runs, and the full Rect aperture, one run. Both the
         // global pool's schedule and a random tile count from one
@@ -389,32 +382,25 @@ proptest! {
         let tablesteer = TableSteerEngine::new(&spec, TableSteerConfig::bits18()).expect("builds");
         let engines: [&dyn DelayEngine; 4] = [&exact, &naive, &tablefree, &tablesteer];
         for engine in engines {
-            for interp in [Interpolation::Nearest, Interpolation::Linear] {
-                let bf = |order| {
-                    Beamformer::new(&spec)
-                        .with_apodization(apod)
-                        .with_interpolation(interp)
-                        .with_order(order)
-                };
-                let scalar = bf(ScanOrder::ScanlineByScanline).beamform_volume(engine, &rf);
-                let pooled = bf(ScanOrder::NappeByNappe).beamform_volume(engine, &rf);
-                let mut fitted =
-                    VolumeLoop::with_pool(bf(ScanOrder::NappeByNappe), global_arc(), &schedule);
-                let tiled = fitted.beamform(engine, &rf);
-                for (label, vectorized) in [("pool", &pooled), ("fitted", tiled)] {
-                    for (i, (a, b)) in vectorized
-                        .as_slice()
-                        .iter()
-                        .zip(scalar.as_slice())
-                        .enumerate()
-                    {
-                        prop_assert_eq!(
-                            a.to_bits(),
-                            b.to_bits(),
-                            "{} {:?} {:?} {} schedule ({} tiles) voxel {}: {} vs {}",
-                            engine.name(), interp, apod, label, schedule.tiles().len(), i, a, b
-                        );
-                    }
+            let bf = |order| Beamformer::new(&spec).with_apodization(apod).with_order(order);
+            let scalar = bf(ScanOrder::ScanlineByScanline).beamform_volume(engine, &rf);
+            let pooled = bf(ScanOrder::NappeByNappe).beamform_volume(engine, &rf);
+            let mut fitted =
+                VolumeLoop::with_pool(bf(ScanOrder::NappeByNappe), global_arc(), &schedule);
+            let tiled = fitted.beamform(engine, &rf);
+            for (label, vectorized) in [("pool", &pooled), ("fitted", tiled)] {
+                for (i, (a, b)) in vectorized
+                    .as_slice()
+                    .iter()
+                    .zip(scalar.as_slice())
+                    .enumerate()
+                {
+                    prop_assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{} {:?} {} schedule ({} tiles) voxel {}: {} vs {}",
+                        engine.name(), apod, label, schedule.tiles().len(), i, a, b
+                    );
                 }
             }
         }
@@ -439,8 +425,8 @@ proptest! {
         // receive-leg fill; per transmit: combine each insonified row,
         // pack it into the live block, channel-outer MAC, masked
         // skip-on-zero accumulate) reproduces the scalar per-voxel
-        // compound walk bit for bit, for all four engines × both
-        // interpolations, on random transmit sequences mixing steered
+        // compound walk bit for bit, for all four engines, on random
+        // transmit sequences mixing steered
         // plane waves with point emissions. Live-row packing depends on
         // the tile shape and the emit's run walk on the aperture, so both
         // are random too.
@@ -457,25 +443,18 @@ proptest! {
         let tablesteer = TableSteerEngine::new(&spec, TableSteerConfig::bits18()).expect("builds");
         let engines: [&dyn DelayEngine; 4] = [&exact, &naive, &tablefree, &tablesteer];
         for engine in engines {
-            for interp in [Interpolation::Nearest, Interpolation::Linear] {
-                let bf = |order| {
-                    Beamformer::new(&spec)
-                        .with_apodization(apod)
-                        .with_interpolation(interp)
-                        .with_order(order)
-                };
-                let mut fitted =
-                    VolumeLoop::with_pool(bf(ScanOrder::NappeByNappe), global_arc(), &schedule);
-                let tiled = fitted.beamform(engine, &rf);
-                let scalar = bf(ScanOrder::ScanlineByScanline).beamform_volume(engine, &rf);
-                for (i, (a, b)) in tiled.as_slice().iter().zip(scalar.as_slice()).enumerate() {
-                    prop_assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "{} {:?} {:?} {} transmits (kinds {:#x}), {} tiles, voxel {}: {} vs {}",
-                        engine.name(), interp, apod, n_tx, kinds, schedule.tiles().len(), i, a, b
-                    );
-                }
+            let bf = |order| Beamformer::new(&spec).with_apodization(apod).with_order(order);
+            let mut fitted =
+                VolumeLoop::with_pool(bf(ScanOrder::NappeByNappe), global_arc(), &schedule);
+            let tiled = fitted.beamform(engine, &rf);
+            let scalar = bf(ScanOrder::ScanlineByScanline).beamform_volume(engine, &rf);
+            for (i, (a, b)) in tiled.as_slice().iter().zip(scalar.as_slice()).enumerate() {
+                prop_assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{} {:?} {} transmits (kinds {:#x}), {} tiles, voxel {}: {} vs {}",
+                    engine.name(), apod, n_tx, kinds, schedule.tiles().len(), i, a, b
+                );
             }
         }
         // Rounding-telemetry leg: the nearest kernel quantizes every
@@ -575,34 +554,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    #[test]
-    fn interpolation_agrees_on_integer_delays(
-        it in 0usize..8,
-        ip in 0usize..8,
-        id in 2usize..16,
-    ) {
-        // With an all-ones apodization and a synthetic frame whose traces
-        // are constant, nearest and linear fetch agree exactly.
-        let spec = SystemSpec::tiny();
-        let rf = usbf_sim::RfFrame::from_traces(8, 8, spec.echo_buffer_len(), 1, |_, _, t| {
-            t.fill(1.0);
-        })
-        .unwrap();
-        let engine = ExactEngine::new(&spec);
-        let vox = VoxelIndex::new(it, ip, id);
-        let near = Beamformer::new(&spec)
-            .with_apodization(Apodization::Rect)
-            .with_interpolation(Interpolation::Nearest)
-            .beamform_voxel(&engine, &rf, vox);
-        let lin = Beamformer::new(&spec)
-            .with_apodization(Apodization::Rect)
-            .with_interpolation(Interpolation::Linear)
-            .beamform_voxel(&engine, &rf, vox);
-        // Constant traces: both read 1.0 per element wherever the index
-        // lands inside the buffer.
-        prop_assert!((near - lin).abs() < 1e-9);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use usbf_core::{TableFreeConfig, TableFreeEngine};
-use usbf_geometry::VoxelIndex;
+use usbf_geometry::{SystemSpec, VoxelIndex};
 use usbf_pwl::{LutFormats, PwlApprox, QuantizedPwl, SqrtFn, TrackingEvaluator};
 
 fn bench_pwl(c: &mut Criterion) {
@@ -58,8 +58,9 @@ fn bench_pwl(c: &mut Criterion) {
     // `eval_row` on the mid-size probe's receive rows (32 × 32 elements
     // flattened: a parabola along every aperture row) at shallow, middle
     // and deep nappes of one off-axis line — rows that cross segment
-    // boundaries, named by how many segments they touch — and on a row
-    // that stays on one segment.
+    // boundaries, named by how many segments they touch — on a Table I
+    // row wider than the widest window, and on a row that stays on one
+    // segment.
     let spec = usbf_bench::mid_spec();
     let engine = TableFreeEngine::new(&spec, TableFreeConfig::paper()).expect("builds");
     let mid = engine.quantized();
@@ -83,6 +84,31 @@ fn bench_pwl(c: &mut Criterion) {
             })
         });
     }
+    // A Table I receive row (100 × 100 elements flattened) at the
+    // shallowest nappe of an edge line: a single aperture row of it spans
+    // more than the 8-segment window, so the row kernel halves it by
+    // columns until each part fits one.
+    let paper = SystemSpec::paper();
+    let wide = TableFreeEngine::new(&paper, TableFreeConfig::paper()).expect("builds");
+    let vox = VoxelIndex::new(0, 63, 0);
+    let row: Vec<f64> = paper
+        .elements
+        .iter()
+        .map(|e| wide.rx_alpha(vox, e))
+        .collect();
+    let q = wide.quantized();
+    let touched = q.locate(row.iter().copied().fold(row[0], f64::max))
+        - q.locate(row.iter().copied().fold(row[0], f64::min))
+        + 1;
+    let mut wide_out = vec![0.0; row.len()];
+    g.throughput(Throughput::Elements(row.len() as u64));
+    g.bench_function(format!("table1_rx_nappe0_{touched}seg"), |b| {
+        b.iter(|| {
+            q.eval_row(black_box(&row), &mut wide_out);
+            black_box(wide_out[0])
+        })
+    });
+    g.throughput(Throughput::Elements(n as u64));
     let seg = &table.segments()[table.locate(250_000.0)];
     let single: Vec<f64> = (0..n)
         .map(|i| seg.x0 + (seg.x1 - seg.x0) * 0.99 * i as f64 / n as f64)

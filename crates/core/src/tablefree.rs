@@ -13,9 +13,6 @@ pub struct TableFreeConfig {
     /// Maximum PWL square-root error in samples (the paper's δ = 0.25,
     /// chosen so the delay-selection error stays within ±1 sample).
     pub delta: f64,
-    /// Coefficient-LUT formats; `None` picks formats fitted to the table
-    /// ([`LutFormats::fitted_to`]).
-    pub lut_formats: Option<LutFormats>,
     /// Evaluate the transmit square root exactly instead of through the
     /// PWL (ablation: §IV notes the first square root "is comparatively
     /// much less critical"; the paper's error analysis still sums two
@@ -24,12 +21,11 @@ pub struct TableFreeConfig {
 }
 
 impl TableFreeConfig {
-    /// The paper's operating point: δ = 0.25, fitted LUT formats, both
-    /// square roots approximated.
+    /// The paper's operating point: δ = 0.25, both square roots
+    /// approximated.
     pub fn paper() -> Self {
         TableFreeConfig {
             delta: 0.25,
-            lut_formats: None,
             exact_transmit: false,
         }
     }
@@ -107,7 +103,8 @@ impl Clone for TableFreeEngine {
 
 impl TableFreeEngine {
     /// Builds the PWL table for the spec's distance range and quantizes
-    /// the coefficient LUTs.
+    /// the coefficient LUTs into formats fitted to it
+    /// ([`LutFormats::fitted_to`]).
     ///
     /// # Errors
     ///
@@ -115,10 +112,7 @@ impl TableFreeEngine {
     pub fn new(spec: &SystemSpec, config: TableFreeConfig) -> Result<Self, EngineError> {
         let (lo, hi) = Self::sqrt_domain(spec);
         let pwl = PwlApprox::build(&SqrtFn, (lo, hi), config.delta)?;
-        let formats = config
-            .lut_formats
-            .unwrap_or_else(|| LutFormats::fitted_to(&pwl));
-        let quant = QuantizedPwl::quantize(&pwl, formats)?;
+        let quant = QuantizedPwl::quantize(&pwl, LutFormats::fitted_to(&pwl))?;
         Ok(TableFreeEngine {
             elem_x: (0..spec.elements.nx())
                 .map(|ix| spec.elements.position(ElementIndex::new(ix, 0)).x)
@@ -177,7 +171,7 @@ impl TableFreeEngine {
     /// Transmit squared distance in samples² — the PWL argument of the
     /// first square root, shared by every element of a focal point.
     #[inline]
-    pub fn tx_alpha(&self, vox: VoxelIndex) -> f64 {
+    fn tx_alpha(&self, vox: VoxelIndex) -> f64 {
         let s = self.spec.volume_grid.position(vox);
         let o = self.spec.origin;
         let dx = (s.x - o.x) * self.samples_per_metre;

@@ -85,7 +85,8 @@ pub struct QuantizedPwl {
 }
 
 /// Widest segment range the vector row kernel selects among. A mid-size
-/// receive row touches at most 7 segments; wider rows are split.
+/// receive row touches at most 7 segments; wider grids are split, by rows
+/// and then by columns.
 const WINDOW_MAX: usize = 8;
 
 impl QuantizedPwl {
@@ -243,10 +244,12 @@ impl QuantizedPwl {
     /// its `(c₁, c₀)` by compare-select against the boundaries inside
     /// that range and runs the folded datapath — one branch-free pass
     /// that builds the argument, evaluates and adds, whatever the order
-    /// of the arguments. Grids touching more than 8 segments
-    /// are split by rows; formats outside the vector gate, segments that
-    /// fail its overflow gate and single rows that are still too wide
-    /// take the checked integer or scalar datapath per element.
+    /// of the arguments. Grids touching more than 8 segments are halved,
+    /// by rows while there are several and then by columns, until each
+    /// part fits a window. Formats outside the vector gate, segments that
+    /// fail its overflow gate and arguments outside the argument
+    /// register take the scalar datapath ([`QuantizedPwl::eval_at`]) per
+    /// element.
     ///
     /// # Panics
     ///
@@ -283,15 +286,24 @@ impl QuantizedPwl {
                     }
                 };
             }
-            if width > WINDOW_MAX && self.kernel.vec && rows.len() > 1 {
-                let (rows_a, rows_b) = rows.split_at(rows.len() / 2);
-                let (out_a, out_b) = out.split_at_mut(rows_a.len() * cols.len());
-                self.eval_grid(cols, rows_a, offset, add, out_a);
-                self.eval_grid(cols, rows_b, offset, add, out_b);
+            if width > WINDOW_MAX && self.kernel.vec {
+                // Each half is a grid of its own: rows while there are
+                // several, then the one row's columns.
+                if rows.len() > 1 {
+                    let (rows_a, rows_b) = rows.split_at(rows.len() / 2);
+                    let (out_a, out_b) = out.split_at_mut(rows_a.len() * cols.len());
+                    self.eval_grid(cols, rows_a, offset, add, out_a);
+                    self.eval_grid(cols, rows_b, offset, add, out_b);
+                } else {
+                    let (cols_a, cols_b) = cols.split_at(cols.len() / 2);
+                    let (out_a, out_b) = out.split_at_mut(cols_a.len());
+                    self.eval_grid(cols_a, rows, offset, add, out_a);
+                    self.eval_grid(cols_b, rows, offset, add, out_b);
+                }
                 return;
             }
         }
-        // The per-element tiers: the segment pointer walks from element
+        // The per-element tier: the segment pointer walks from element
         // to element (only NaNs leave no range; the scalar datapath
         // reports them).
         let mut idx = 0;
@@ -299,49 +311,9 @@ impl QuantizedPwl {
             for (o, &c) in out_r.iter_mut().zip(cols) {
                 let x = (c + r) + offset;
                 idx = self.locate_from(idx, x);
-                *o = self.eval_checked(idx, x) + add;
+                *o = self.eval_at(idx, x) + add;
             }
         }
-    }
-
-    /// [`QuantizedPwl::eval_at`] through the libm-free checked integer
-    /// datapath where the formats allow it (the fast gate).
-    fn eval_checked(&self, idx: usize, x: f64) -> f64 {
-        let k = &self.kernel;
-        if !k.fast {
-            return self.eval_at(idx, x);
-        }
-        // Argument register: Nearest-rounded integer quantize with
-        // saturation. The `x < 0.5` guard keeps values that round to zero
-        // (including 0.49999999999999994, where `x + 0.5` float-rounds up
-        // to 1.0) off the add; the cast saturates huge and infinite x
-        // before the clamp.
-        let t = if x < 0.5 { 0 } else { (x + 0.5) as i64 };
-        let t = t.min(k.arg_max_raw);
-        // Multiplier → accumulator register: exact integer product,
-        // rescaled through f64 exactly like `mul_into`'s division path,
-        // HalfUp-rounded (the product is non-negative, so `floor` is a
-        // truncating cast).
-        let prod = t * self.slopes[idx].raw();
-        let acc_raw = (prod as f64 * k.mul_inv + 0.5) as i64;
-        if acc_raw > k.acc_max_raw {
-            // Accumulator overflow: the scalar path re-quantizes with
-            // saturation. Rare and cold — delegate to the scalar.
-            return self.eval_at(idx, x);
-        }
-        // Full-width adder, then HalfUp into the output register with a
-        // saturating compare-select (`floor(w) ≤ 0 ⟺ w < 1`,
-        // `floor(w) ≥ max ⟺ w ≥ max` for integer max).
-        let sum_raw = (acc_raw << k.sh_acc) + (self.intercepts[idx].raw() << k.sh_icept);
-        let w = (sum_raw as f64 * k.sum_res) * k.out_scale + 0.5;
-        let raw = if w < 1.0 {
-            0
-        } else if w >= k.out_max_f {
-            k.out_max_raw
-        } else {
-            w as i64
-        };
-        raw as f64 * k.out_res
     }
 
     /// Total LUT storage in bits: boundaries (argument format) + slopes +
@@ -489,33 +461,22 @@ struct Lane {
 /// Per-table constants of the row datapath (see [`RowKernel::new`]).
 #[derive(Debug, Clone, PartialEq)]
 struct RowKernel {
-    /// Whether the formats admit the libm-free checked integer datapath.
-    fast: bool,
-    /// Whether they additionally admit the all-f64 vector row kernel.
+    /// Whether the formats admit the all-f64 vector row kernel.
     vec: bool,
     /// Saturation bound of the argument register.
     arg_max_raw: i64,
-    /// The same bound as f64 (exact: ≤ 52 bits on the fast path).
+    /// The same bound as f64 (exact: ≤ 52 bits under the vector gate).
     arg_max_f: f64,
     /// Exact reciprocal `2^-shift` of the multiplier's rescale divisor.
     mul_inv: f64,
     /// Saturation bound of the accumulator register.
     acc_max_raw: i64,
-    /// Left shift aligning the accumulator raw into the sum format.
-    sh_acc: u32,
-    /// Left shift aligning the intercept raw into the sum format.
-    sh_icept: u32,
-    /// Resolution of the full-width sum format.
-    sum_res: f64,
-    /// `2^frac` of the output register.
-    out_scale: f64,
     /// Exponent taking an intercept raw to the output register's scale.
     icept_to_out: i32,
     /// `2^(out.frac − acc.frac)`: an accumulator raw at the output scale.
     acc_out: f64,
-    /// Saturation bound of the output register.
-    out_max_raw: i64,
-    /// The same bound as f64 (exact: ≤ 52 bits on the fast path).
+    /// Saturation bound of the output register, as f64 (exact: ≤ 52
+    /// bits under the vector gate).
     out_max_f: f64,
     /// Resolution of the output register.
     out_res: f64,
@@ -533,49 +494,43 @@ impl RowKernel {
         let output = formats.output;
         let sum = QFormat::sum_format(acc, icept);
         let shift = (arg.frac_bits() + slope.frac_bits()) as i32 - acc.frac_bits() as i32;
-        // The libm-free checked datapath replicates the scalar rounding
+        // The branch-free vector kernel replicates the scalar rounding
         // only under these conditions (all hold for the paper's formats
         // and every `fitted_to` output):
         //  * integer unsigned argument ≤ 52 bits — `round(x)` reduces to
-        //    the guarded `(x + 0.5) as i64` (exact: x + 0.5 is exactly
-        //    representable for 0.5 ≤ x < 2^52, and `max_raw as f64` is);
+        //    `trunc(x + 0.5⁻)`, and the register's bound `max_raw as f64`
+        //    is exact;
         //  * unsigned slope with arg·slope ≤ 62 bits — the product fits
-        //    i64 and is non-negative, so HalfUp's `floor` is a plain
-        //    truncating cast;
+        //    i64 (the overflow gate in `lane` computes it) and is
+        //    non-negative, so HalfUp's `floor` is a truncation;
         //  * positive multiplier shift — the accumulator rescale is the
         //    float division path, reproduced by multiplying with the
         //    exact reciprocal `2^-shift`;
         //  * unsigned output ≤ 52 bits — the saturating compare-select
-        //    works on exactly-representable bounds.
-        let fast = !arg.is_signed()
+        //    works on exactly-representable bounds;
+        //  * the integer registers run as IEEE doubles, bit-exact only
+        //    while every raw value stays exactly representable: a ≤52-bit
+        //    slope makes the f64 product of two exact factors round like
+        //    the exact integer product, and a ≤52-bit sum format keeps
+        //    the full-width sum exact.
+        let vec = !arg.is_signed()
             && arg.frac_bits() == 0
             && arg.total_bits() <= 52
             && !slope.is_signed()
             && arg.total_bits() + slope.total_bits() <= 62
             && shift > 0
             && !output.is_signed()
-            && output.total_bits() <= 52;
-        // The branch-free *vector* kernel additionally runs the integer
-        // registers as IEEE doubles, which is bit-exact only while every
-        // raw value stays exactly representable: a ≤52-bit slope makes
-        // the f64 product of two exact factors round identically to the
-        // exact integer product, and a ≤52-bit sum format keeps the
-        // full-width sum exact.
-        let vec = fast && slope.total_bits() <= 52 && sum.total_bits() <= 52;
+            && output.total_bits() <= 52
+            && slope.total_bits() <= 52
+            && sum.total_bits() <= 52;
         RowKernel {
-            fast,
             vec,
             arg_max_raw: arg.max_raw(),
             arg_max_f: arg.max_raw() as f64,
             mul_inv: (-shift as f64).exp2(),
             acc_max_raw: acc.max_raw(),
-            sh_acc: sum.frac_bits() - acc.frac_bits(),
-            sh_icept: sum.frac_bits() - icept.frac_bits(),
-            sum_res: sum.resolution(),
-            out_scale: (output.frac_bits() as f64).exp2(),
             icept_to_out: output.frac_bits() as i32 - icept.frac_bits() as i32,
             acc_out: ((output.frac_bits() as i32 - acc.frac_bits() as i32) as f64).exp2(),
-            out_max_raw: output.max_raw(),
             out_max_f: output.max_raw() as f64,
             out_res: output.resolution(),
         }
@@ -743,7 +698,7 @@ mod tests {
 
     #[test]
     fn eval_row_generic_fallback_formats_stay_bit_identical() {
-        // Formats the fast gate refuses (fractional argument bits,
+        // Formats the vector gate refuses (fractional argument bits,
         // signed output): the per-element scalar tier must still match
         // the scalar datapath bit for bit.
         let t = table();
@@ -751,7 +706,7 @@ mod tests {
         formats.argument = QFormat::unsigned(25, 2);
         formats.output = QFormat::signed(13, 5);
         let q = QuantizedPwl::quantize(&t, formats).unwrap();
-        assert!(!q.kernel.fast && q.lanes.iter().all(Option::is_none));
+        assert!(!q.kernel.vec && q.lanes.iter().all(Option::is_none));
         assert_row_matches_eval(&q, &edge_stream());
     }
 
@@ -759,29 +714,26 @@ mod tests {
     fn paper_and_fitted_formats_take_the_vector_row_kernel() {
         // The perf claim rides on the all-f64 vector kernel: the paper's
         // formats (and any fitted_to output) must pass its gates on
-        // every segment, or the fill silently degrades to the checked
-        // per-element loop.
+        // every segment, or the fill silently degrades to the scalar
+        // per-element datapath.
         let t = table();
         for formats in [LutFormats::paper_default(), LutFormats::fitted_to(&t)] {
             let q = QuantizedPwl::quantize(&t, formats).unwrap();
-            assert!(
-                q.kernel.fast && q.kernel.vec,
-                "formats {formats:?} left the vector path"
-            );
+            assert!(q.kernel.vec, "formats {formats:?} left the vector path");
             assert!(q.lanes.iter().all(Option::is_some), "formats {formats:?}");
         }
     }
 
     #[test]
-    fn eval_row_wide_slope_format_uses_checked_loop_bit_identically() {
-        // A 53-bit slope passes the fast gate (arg 9 + slope 53 = 62)
-        // but not the vector gate: the checked integer loop must carry
-        // the row bit-identically to the scalar datapath.
+    fn eval_row_wide_slope_format_takes_the_scalar_datapath_bit_identically() {
+        // A 53-bit slope fits the i64 product (arg 9 + slope 53 = 62) but
+        // not an exact f64: the vector gate refuses it, and the scalar
+        // per-element datapath carries the row.
         let t = PwlApprox::build(&SqrtFn, (64.0, 500.0), 0.25).unwrap();
         let mut formats = LutFormats::fitted_to(&t);
         formats.slope = QFormat::unsigned(0, 53);
         let q = QuantizedPwl::quantize(&t, formats).unwrap();
-        assert!(q.kernel.fast && !q.kernel.vec);
+        assert!(!q.kernel.vec);
         let xs: Vec<f64> = (0..500)
             .map(|i| 64.0 + 436.0 * (i as f64 / 499.0))
             .chain([0.0, 63.9, 500.0, 1e9, f64::INFINITY, 80.0])
@@ -851,7 +803,7 @@ mod tests {
         let mut xs: Vec<f64> = (0..len)
             .map(|i| {
                 let u = 2.0 * i as f64 / (len.max(2) - 1) as f64 - 1.0;
-                lo + (top - lo) * u * u
+                (lo + (top - lo) * u * u).min(top)
             })
             .collect();
         for &b in &q.boundaries[first + 1..=first + range] {
@@ -894,12 +846,14 @@ mod tests {
 
     #[test]
     fn eval_row_is_exact_at_every_window_width() {
-        // Rows touching 1, 2, …, WINDOW_MAX + 2 segments: each window
-        // size the kernel dispatches on, and the split past it.
+        // Rows touching 1, 2, …, 2·WINDOW_MAX + 2 segments and the whole
+        // table: each window size the kernel dispatches on, and the
+        // column split past it, recursing more than once on the widest.
         let q = QuantizedPwl::quantize(&table(), LutFormats::paper_default()).unwrap();
         let n = q.segment_count();
-        for range in 0..=WINDOW_MAX + 1 {
-            for first in [0, 1, n / 2, n - 1 - range] {
+        for range in (0..=2 * WINDOW_MAX + 1).chain([n - 1]) {
+            let firsts = [0, 1, n / 2, n - 1 - range];
+            for first in firsts.into_iter().filter(|&f| f + range < n) {
                 for len in [1, 2, 3, 5, 8, 17, 64, 1024] {
                     let xs = parabola_row(&q, first, range, len);
                     if len >= 3 {

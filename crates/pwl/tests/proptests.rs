@@ -2,7 +2,7 @@
 //!
 //! `eval_row` is a fast path over the scalar `eval` datapath: this
 //! property drives it with random tables, random coefficient formats
-//! (exercising the vector row kernel, its split of wide rows and the
+//! (exercising the vector row kernel, its splits of wide grids and the
 //! per-element fallback) and randomly-shaped argument streams — including
 //! out-of-domain saturation excursions at both ends — and requires every
 //! value to match the per-element datapath exactly.
@@ -12,19 +12,19 @@ use usbf_fixed::QFormat;
 use usbf_pwl::{LutFormats, PwlApprox, QuantizedPwl, SqrtFn};
 
 /// Builds a random table + formats from the generated picks. Formats
-/// cycle through fitted (fast kernel), fractional-argument and
-/// signed-output variants (generic fallback) so every row path runs.
+/// cycle through fitted (vector kernel), fractional-argument and
+/// signed-output variants (per-element fallback) so every row path runs.
 fn random_quantized(lo: f64, span: f64, delta: f64, fmt_pick: usize) -> QuantizedPwl {
     let table = PwlApprox::build(&SqrtFn, (lo, lo + span), delta).expect("valid domain");
     let mut formats = LutFormats::fitted_to(&table);
     match fmt_pick % 3 {
         0 => {}
         1 => {
-            // Fractional argument bits: the fast gate refuses these.
+            // Fractional argument bits: the vector gate refuses these.
             formats.argument = QFormat::unsigned(formats.argument.int_bits(), 2);
         }
         _ => {
-            // Signed output: also refused by the fast gate.
+            // Signed output: also refused by the vector gate.
             formats.output = QFormat::signed(formats.output.int_bits(), formats.output.frac_bits());
         }
     }

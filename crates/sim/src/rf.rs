@@ -326,17 +326,8 @@ impl RfFrame {
         }
     }
 
-    /// Start offset of every channel's trace in the flat sample buffer,
-    /// in linear element order (`iy·nx + ix`) — precomputed at
-    /// construction for the per-channel trace reads.
-    #[inline]
-    pub fn channel_bases(&self) -> &[usize] {
-        &self.bases
-    }
-
     /// One channel's trace of transmit event `tx`, addressed by flat
-    /// channel index (`iy·nx + ix`, the order of
-    /// [`channel_bases`](Self::channel_bases)) — the per-channel read side
+    /// channel index (`iy·nx + ix`, linear element order) — the per-channel read side
     /// of the beamformer's voxel-parallel kernel, which sums its
     /// [`raw`](Trace::raw) samples.
     ///
@@ -527,17 +518,6 @@ impl<'a> Trace<'a> {
             .map_or(0.0, |&r| f64::from(r))
     }
 
-    /// The linearly interpolated raw read at fractional index `t` —
-    /// `raw_at(⌊t⌋)·(1 − f) + raw_at(⌊t⌋ + 1)·f` with `f = t − ⌊t⌋`, an
-    /// extension beyond the paper's nearest-index fetch. Unscaled, like
-    /// [`raw_at`](Self::raw_at).
-    #[inline]
-    pub fn raw_interp(&self, t: f64) -> f64 {
-        let i0 = t.floor() as i64;
-        let frac = t - i0 as f64;
-        self.raw_at(i0) * (1.0 - frac) + self.raw_at(i0 + 1) * frac
-    }
-
     /// The sample values, in order.
     #[inline]
     pub fn iter(&self) -> impl ExactSizeIterator<Item = f64> + 'a {
@@ -604,29 +584,6 @@ mod tests {
     }
 
     #[test]
-    fn interpolation_is_linear() {
-        let e = ElementIndex::new(0, 0);
-        let rf = frame(1, 1, 4, 1, |_, _, t| {
-            t.copy_from_slice(&[0.0, 1.0, 3.0, 0.0])
-        });
-        let trace = rf.trace(e);
-        let (one, three) = (trace.raw_at(1), trace.raw_at(2));
-        assert!(near(one * rf.scale(), 1.0, rf.scale()));
-        assert!(near(three * rf.scale(), 3.0, rf.scale()));
-        assert_eq!(trace.raw_interp(1.0), one);
-        assert_eq!(trace.raw_interp(1.5), (one + three) / 2.0);
-        assert_eq!(trace.raw_interp(0.25), one / 4.0);
-        assert_eq!(trace.raw_interp(3.5), 0.0);
-        assert_eq!(trace.raw_interp(-0.5), 0.0);
-    }
-
-    #[test]
-    fn channel_bases_cover_every_trace() {
-        let rf = RfFrame::zeros(3, 2, 10);
-        assert_eq!(rf.channel_bases(), &[0, 10, 20, 30, 40, 50]);
-    }
-
-    #[test]
     fn energy_and_max_abs() {
         let rf = frame(1, 2, 3, 1, |_, e, t| {
             if e == ElementIndex::new(0, 0) {
@@ -683,8 +640,6 @@ mod tests {
                     let e = ElementIndex::new(c as usize % 2, c as usize / 2);
                     for i in -2..18 {
                         assert_eq!(at(&rf, tx, e, i).to_bits(), 0);
-                        let read = rf.trace_for(tx, e).raw_interp(i as f64 + 0.5);
-                        assert_eq!(read.to_bits(), 0);
                     }
                 }
             }
@@ -835,13 +790,11 @@ mod tests {
     fn prefetch_accepts_any_window_and_changes_no_read() {
         let rf = ramp_frame();
         let indices = [0i64, 39, 7, -1, 40, 20];
-        let delays = [0.5, 38.75, -0.5, 39.5, 12.25, 0.0];
-        let reads = |rf: &RfFrame, tx: usize| -> Vec<(f64, f64)> {
+        let reads = |rf: &RfFrame, tx: usize| -> Vec<f64> {
             (0..6)
                 .map(|l| {
-                    let e = ElementIndex::new(l % 3, l / 3);
-                    let trace = rf.trace_for(tx, e);
-                    (trace.raw_at(indices[l]), trace.raw_interp(delays[l]))
+                    rf.trace_for(tx, ElementIndex::new(l % 3, l / 3))
+                        .raw_at(indices[l])
                 })
                 .collect()
         };

@@ -1,7 +1,7 @@
 //! End-to-end integration: synthetic echoes → delay engines → delay-and-
 //! sum → image metrics.
 
-use usbf::beamform::{Apodization, Beamformer, Interpolation};
+use usbf::beamform::{Apodization, Beamformer};
 use usbf::core::{
     DelayEngine, ExactEngine, TableFreeConfig, TableFreeEngine, TableSteerConfig, TableSteerEngine,
 };
@@ -118,32 +118,6 @@ fn apodization_trades_peak_for_sidelobes() {
     assert!(
         psl_hann < psl_rect,
         "hann PSL {psl_hann} should be below rect PSL {psl_rect}"
-    );
-}
-
-#[test]
-fn linear_interpolation_reduces_nrmse_for_tablesteer() {
-    // The extension experiment: fractional-delay fetch removes the index-
-    // rounding part of the error budget.
-    let spec = SystemSpec::tiny();
-    let vox = VoxelIndex::new(4, 4, 8);
-    let rf = point_setup(&spec, vox);
-    let exact = ExactEngine::new(&spec);
-    let steer = TableSteerEngine::new(&spec, TableSteerConfig::bits18()).unwrap();
-    let exact_lin = Beamformer::new(&spec)
-        .with_interpolation(Interpolation::Linear)
-        .beamform_volume(&exact, &rf);
-    let nearest = Beamformer::new(&spec)
-        .with_interpolation(Interpolation::Nearest)
-        .beamform_volume(&steer, &rf);
-    let linear = Beamformer::new(&spec)
-        .with_interpolation(Interpolation::Linear)
-        .beamform_volume(&steer, &rf);
-    let n_nearest = metrics::nrmse(exact_lin.as_slice(), nearest.as_slice());
-    let n_linear = metrics::nrmse(exact_lin.as_slice(), linear.as_slice());
-    assert!(
-        n_linear < n_nearest,
-        "linear {n_linear} should beat nearest {n_nearest}"
     );
 }
 

@@ -3,9 +3,9 @@
 
 use usbf::core::{
     stats, DelayEngine, ExactEngine, NaiveTableEngine, NappeDelays, NappeSchedule, TableFreeConfig,
-    TableFreeEngine, TableSteerConfig, TableSteerEngine,
+    TableFreeEngine, TableSteerConfig, TableSteerEngine, Tile,
 };
-use usbf::geometry::{SystemSpec, Vec3};
+use usbf::geometry::{ElementIndex, SystemSpec, Vec3, VoxelIndex};
 use usbf::tables::error::theoretical_bound_seconds;
 
 /// Asserts that an engine's batched `fill_nappe` is bit-exact with the
@@ -166,6 +166,71 @@ fn batched_fill_is_bit_exact_at_full_scale() {
     assert_fill_nappe_bit_exact(&tablefree, &spec, tile, &nappes);
     let tablesteer = TableSteerEngine::new(&spec, TableSteerConfig::bits18()).unwrap();
     assert_fill_nappe_bit_exact(&tablesteer, &spec, tile, &nappes);
+}
+
+#[test]
+fn tablefree_rows_wider_than_the_widest_window_are_bit_exact_at_table_one_scale() {
+    // At Table I scale (100 × 100 elements) a shallow receive row's
+    // argument spans more than 8 PWL segments along a single aperture
+    // row — more than the vector row kernel's widest window — so the
+    // row's grid is split by aperture rows and then by columns. Over a
+    // tile of 4 scanlines at shallow nappes, the receive-leg fill plus
+    // the transmit combine must equal the scalar `delay_samples` walk,
+    // and the emit the scalar `delay_index`, bit for bit.
+    let spec = SystemSpec::paper();
+    let tf = TableFreeEngine::new(&spec, TableFreeConfig::paper()).unwrap();
+    let tile = Tile {
+        theta_start: 0,
+        theta_end: 2,
+        phi_start: 63,
+        phi_end: 65,
+    };
+    let nappes = [0, 1, 3];
+    let (nx, ny) = (spec.elements.nx(), spec.elements.ny());
+    let q = tf.quantized();
+    let widest = (0..ny)
+        .map(|iy| {
+            let vox = VoxelIndex::new(tile.theta_start, tile.phi_start, nappes[0]);
+            let segs = (0..nx).map(|ix| q.locate(tf.rx_alpha(vox, ElementIndex::new(ix, iy))));
+            segs.clone().max().unwrap() - segs.min().unwrap() + 1
+        })
+        .max()
+        .unwrap();
+    assert!(
+        widest > 8,
+        "an aperture row must span > 8 segments, got {widest}"
+    );
+
+    let mut rx = NappeDelays::for_tile(&spec, tile);
+    let mut emit = NappeDelays::for_tile(&spec, tile);
+    let mut scalar = NappeDelays::for_tile(&spec, tile);
+    let n = rx.n_elements();
+    let rows = rx.scanline_count();
+    let all = 0..n;
+    let runs = std::slice::from_ref(&all);
+    let mut combined = vec![0.0; n];
+    let mut indices = vec![0; rows * n];
+    for id in nappes {
+        tf.fill_nappe_rx(id, &mut rx);
+        tf.begin_emit(id, runs, &mut emit);
+        tf.emit_run(0, &emit, 0..rows, runs, &mut indices);
+        scalar.fill_scalar(&tf, 0, id);
+        for (slot, it, ip) in rx.scanlines() {
+            let vox = VoxelIndex::new(it, ip, id);
+            tf.combine_tx_row(0, vox, rx.row(slot), &mut combined);
+            let emitted = &indices[slot * n..(slot + 1) * n];
+            for (j, ((a, b), &i)) in combined
+                .iter()
+                .zip(scalar.row(slot))
+                .zip(emitted)
+                .enumerate()
+            {
+                assert_eq!(a.to_bits(), b.to_bits(), "{vox} element {j}: {a} vs {b}");
+                let e = ElementIndex::new(j % nx, j / nx);
+                assert_eq!(i64::from(i), tf.delay_index(0, vox, e), "{vox} element {j}");
+            }
+        }
+    }
 }
 
 #[test]
