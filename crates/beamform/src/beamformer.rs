@@ -2,10 +2,14 @@
 //!
 //! The volume path mirrors the paper's architecture: delays are not
 //! queried per voxel but emitted as echo-buffer indices, a run of rows
-//! at a time, straight into the kernel's staging rows — one engine set-up
-//! per (tile, nappe) ([`DelayEngine::begin_emit`]), then per transmit one
-//! pass that adds the receive leg and the transmit term and rounds
-//! ([`DelayEngine::emit_run`]), whatever the transmit sequence. The
+//! at a time — one engine set-up per (tile, nappe)
+//! ([`DelayEngine::begin_emit`]), then per transmit one pass that adds
+//! the receive leg and the transmit term and rounds, whatever the
+//! transmit sequence. Where the engine has the path (a single TABLESTEER
+//! transmit), a whole group of 16 insonified rows is written straight
+//! into the MAC's index lines ([`DelayEngine::emit_group`]); every other
+//! run goes into the kernel's staging rows ([`DelayEngine::emit_run`])
+//! and is transposed into those lines. The
 //! steering fan is split into [`NappeSchedule`] tiles, each emitted like
 //! a Fig. 4 block bound to its correction registers. A raw frame's
 //! parallel tasks are whole-fan depth bands, so each channel's echo
@@ -139,9 +143,9 @@ pub struct TileState {
     /// group), plus one group's slack for aligning it to a cache line.
     pub(crate) index_block: Vec<i32>,
     /// One group of packed rows, `[row-in-group][active]` —
-    /// [`DelayEngine::emit_run`] writes each run of rows here, after the
-    /// live rows already staged, and a full group is transposed into
-    /// `index_block` in one pass.
+    /// [`DelayEngine::emit_run`] writes each run of rows the direct group
+    /// emit does not take here, after the live rows already staged, and a
+    /// full group is transposed into `index_block` in one pass.
     index_staging: Vec<i32>,
     /// Per active channel, the lowest sample index the block's rows
     /// read, then per active channel the highest: the windows the kernel
@@ -324,9 +328,12 @@ fn bounding_region(tiles: &[Tile]) -> Tile {
 const PREFETCH_AHEAD: usize = 8;
 
 /// The kernel's index block for one MAC pass of a (nappe, transmit):
-/// rows are pushed a run at a time in region order, the insonified ones
-/// packed densely into a staging buffer, and each full group transposed
-/// into the grouped block, which is then summed channel by channel.
+/// rows are pushed a run at a time in region order. A whole group of
+/// insonified rows the engine can emit directly is written straight into
+/// the grouped block ([`emit_group`](Self::emit_group)); other runs have
+/// their insonified rows packed densely into a staging buffer, each full
+/// group transposed into the block. The block is then summed channel by
+/// channel.
 ///
 /// The block is `[group][channel][row-in-group]`: one cache line per
 /// (group, channel), holding that channel's indices for [`GROUP`]
@@ -416,19 +423,43 @@ impl Block<'_> {
         self.len = 0;
     }
 
+    /// Offers transmit `tx`'s whole group of rows `first..first + GROUP`
+    /// of `slab` to the engine's direct group emit
+    /// ([`DelayEngine::emit_group`]), which writes each active channel's
+    /// line straight into the block's next group and widens its window —
+    /// no staging row and no transpose. The block must be at a group
+    /// boundary, and every row of `places` (the rows' region slots and
+    /// mask weights, in slot order) insonified. Returns whether the
+    /// engine took the group; only then are `places` consumed.
+    fn emit_group(
+        &mut self,
+        engine: &dyn DelayEngine,
+        tx: usize,
+        slab: &mut NappeDelays,
+        first: usize,
+        runs: &[Range<usize>],
+        places: impl Iterator<Item = (usize, f64)>,
+    ) -> bool {
+        debug_assert_eq!(self.len % GROUP, 0);
+        let group = open_group(self.rows, self.windows, self.len / GROUP);
+        let (lines, _) = group.as_chunks_mut::<GROUP>();
+        if !engine.emit_group(tx, slab, first, runs, lines, self.windows) {
+            return false;
+        }
+        for (r, _) in places.take(GROUP) {
+            self.live[self.len] = r as u32;
+            self.len += 1;
+        }
+        true
+    }
+
     /// Moves the first `rows` staging rows into the block's group that
     /// ends at row `len`, and widens each channel's read window to cover
-    /// them (starting the windows afresh at the block's first group).
+    /// them.
     fn transpose(&mut self, rows: usize) {
         let active = self.windows.len() / 2;
-        let g = (self.len - rows) / GROUP;
-        let size = active * GROUP;
+        let group = open_group(self.rows, self.windows, (self.len - rows) / GROUP);
         let (lows, highs) = self.windows.split_at_mut(active);
-        if g == 0 {
-            lows.fill(i32::MAX);
-            highs.fill(i32::MIN);
-        }
-        let group = &mut self.rows[g * size..(g + 1) * size];
         pack_group(self.isa, &self.staging[..rows * active], group, lows, highs);
     }
 
@@ -482,6 +513,19 @@ impl Block<'_> {
             }
         }
     }
+}
+
+/// Group `g` of a grouped block `rows`, about to be written: at the
+/// block's first group the read `windows` (per channel the low, then per
+/// channel the high) start afresh.
+fn open_group<'b>(rows: &'b mut [i32], windows: &mut [i32], g: usize) -> &'b mut [i32] {
+    let active = windows.len() / 2;
+    if g == 0 {
+        let (lows, highs) = windows.split_at_mut(active);
+        lows.fill(i32::MAX);
+        highs.fill(i32::MIN);
+    }
+    &mut rows[g * active * GROUP..(g + 1) * active * GROUP]
 }
 
 /// The pack of a staged group into the block: [`pack_group_scalar`] for
@@ -786,9 +830,10 @@ impl Beamformer {
     /// emit ([`DelayEngine::begin_emit`]) once; per transmit, a run of
     /// rows is emitted in one call that adds the receive leg and the
     /// transmit terms and rounds, over the active aperture only
-    /// ([`DelayEngine::emit_run`]). The insonified rows are packed into a
-    /// grouped index block that is summed one channel at a time into
-    /// per-row accumulators. Every
+    /// ([`DelayEngine::emit_run`], or for a whole group of insonified rows
+    /// [`DelayEngine::emit_group`] where the engine has it). The
+    /// insonified rows are packed into a grouped index block that is
+    /// summed one channel at a time into per-row accumulators. Every
     /// voxel's delay-and-sum starts at `0.0` and adds its `w·s` terms in
     /// ascending aperture order, and each transmit's sum enters the voxel
     /// as `m·sum` in transmit order, skipping `m == 0` — so the output is
@@ -854,14 +899,21 @@ impl Beamformer {
     ///    whole region, so that set-up serves every transmit. The rows go
     ///    in scanline order, in runs that end where the one-group staging
     ///    buffer fills (a whole group of rows when every row is
-    ///    insonified), and every run is one engine call
-    ///    ([`DelayEngine::emit_run`]) that adds the receive leg and the
-    ///    run's transmit terms over the aperture's active runs and rounds
-    ///    — no delay row is stored, and the kernel makes no compaction
-    ///    pass.
-    /// 2. A run is emitted into the staging buffer after the live rows
-    ///    already staged, and each full group is transposed into the
-    ///    block's `[group][channel][row-in-group]` layout. Only
+    ///    insonified), and every run is one engine call that adds the
+    ///    receive leg and the run's transmit terms over the aperture's
+    ///    active runs and rounds — no delay row is stored, and the kernel
+    ///    makes no compaction pass.
+    /// 2. A run of a whole group of insonified rows, starting a block
+    ///    group, is first offered to the engine's direct group emit
+    ///    ([`DelayEngine::emit_group`]): a single TABLESTEER transmit
+    ///    writes each active channel's 16-row line straight into the
+    ///    block's `[group][channel][row-in-group]` layout and widens the
+    ///    channel's read window, with no staging row and no transpose.
+    ///    After the engine's first decline the task stops offering. Every
+    ///    other run — a partial group, a group with a masked row, a
+    ///    compound's, an `f64` engine's — is emitted into the staging
+    ///    buffer ([`DelayEngine::emit_run`]) after the live rows already
+    ///    staged, and each full group is transposed into the block. Only
     ///    insonified rows (mask weight `m ≠ 0`) stay staged, the `live`
     ///    map recording their region slots; a masked row is overwritten
     ///    by the live rows after it, so it never reaches the block, but
@@ -878,9 +930,9 @@ impl Beamformer {
     ///    for every scanline of the pass are one pass over a short
     ///    stretch of its trace. Before channel `k`, the window channel
     ///    `k + 8` will read — from the lowest index of its rows to the
-    ///    highest, tracked during the transposes — is prefetched, so the
-    ///    trace 128 KB away (at 8192 two-byte samples per trace) is in
-    ///    flight while this channel sums. With AVX2 the kernel packs a
+    ///    highest, tracked by the direct emit and the transposes — is
+    ///    prefetched, so the trace 128 KB away (at 8192 two-byte samples
+    ///    per trace) is in flight while this channel sums. With AVX2 the kernel packs a
     ///    full group's whole 16-channel squares with vector shuffles
     ///    ([`Avx2::pack`]) and sums the full groups four channels at a
     ///    time with masked gathers ([`Avx2::mac4`]); the scalar loops
@@ -924,6 +976,9 @@ impl Beamformer {
         let block = &mut index_block[aligned..];
         let pass = pass_rows(tiles, self.aperture.len());
         let runs = self.aperture.runs();
+        // Whether to offer whole groups to the engine's direct emit:
+        // until its first decline, which holds for the engine's lifetime.
+        let mut direct = true;
         values.fill(0.0);
         for (j, id) in nappes.clone().enumerate() {
             for (tx, mask) in tx_weights.chunks_exact(n_values).enumerate() {
@@ -952,13 +1007,26 @@ impl Beamformer {
                         (r, mask[r * band + j])
                     });
                     // Runs end where the staged group fills, so a run
-                    // never outgrows the one-group staging buffer.
+                    // never outgrows the one-group staging buffer. A whole
+                    // group of insonified rows at a group boundary is
+                    // offered to the engine's direct emit first, until
+                    // the engine declines.
                     let n_rows = tile.scanlines();
                     let mut first = 0;
                     while first < n_rows {
                         let room = GROUP - rows.len % GROUP;
                         let run = first..(first + room).min(n_rows);
                         first = run.end;
+                        if direct
+                            && run.len() == GROUP
+                            && places.clone().take(GROUP).all(|(_, m)| m != 0.0)
+                        {
+                            direct =
+                                rows.emit_group(engine, tx, slab, run.start, runs, &mut places);
+                            if direct {
+                                continue;
+                            }
+                        }
                         rows.push_run(engine, tx, slab, run, runs, places.by_ref());
                     }
                 }
@@ -1767,6 +1835,105 @@ mod tests {
             weights[(seed % n as u64) as usize] = 1.0;
         }
         weights
+    }
+
+    #[test]
+    fn whole_groups_take_the_direct_emit_bit_identically() {
+        // Tiles of 16, 24, 32 and 40 rows: a whole group inside a tile
+        // takes TABLESTEER's direct group emit, a partial tail and a
+        // group that straddles two tiles the staged pack, and a group
+        // with a masked row (a plane wave's footprint) falls back in the
+        // middle of the band. A 40λ pitch makes TABLESTEER clamp. The
+        // values must be the scalar walk's bit for bit, the clamp count
+        // the per-element queries', and in the band's last (nappe, pass)
+        // every block line the per-element indices of its live rows and
+        // every window exactly their extremes.
+        use usbf_core::Tile;
+        let shapes = [
+            ((4, 4), (8, 8)),
+            ((4, 6), (8, 12)),
+            ((4, 8), (8, 8)),
+            ((5, 8), (10, 8)),
+        ];
+        for (case, ((dt, dp), (n_theta, n_phi))) in shapes.into_iter().enumerate() {
+            for (wide, plane) in [(false, false), (false, true), (true, false), (true, true)] {
+                let pitch = if wide { 40.0 } else { 0.5 };
+                let spec = mask_spec((5, 4, pitch), (n_theta, n_phi, 5), (1, plane.into(), 14, 9));
+                let mut bf = Beamformer::new(&spec);
+                bf.aperture = ActiveAperture::from_weights(&random_mask(20, 3 + case as u64));
+                let tiles: Vec<Tile> = (0..n_theta / dt)
+                    .flat_map(|a| (0..n_phi / dp).map(move |b| (a, b)))
+                    .map(|(a, b)| Tile {
+                        theta_start: a * dt,
+                        theta_end: (a + 1) * dt,
+                        phi_start: b * dp,
+                        phi_end: (b + 1) * dp,
+                    })
+                    .collect();
+                let band = 1..5;
+                let rf = point_rf(&spec, VoxelIndex::new(n_theta / 2, n_phi / 2, 3));
+                let engine = TableSteerEngine::new(&spec, TableSteerConfig::bits18()).unwrap();
+                let (oracle, scalar) = (engine.clone(), engine.clone());
+                let mut state = TileState::band(&bf, &tiles, band.clone());
+                let (region, active) = (state.region, bf.aperture.len());
+                assert_eq!(pass_rows(&tiles, active), region.scanlines(), "one pass");
+                bf.beamform_tile_into(&engine, &rf, &mut state);
+                let what = format!("{dt}x{dp} tiles, wide {wide}, plane {plane}");
+
+                let mut masked = 0;
+                for (slot, it, ip) in region.iter_scanlines() {
+                    for (j, id) in band.clone().enumerate() {
+                        let v = VoxelIndex::new(it, ip, id);
+                        let (a, b) = (
+                            state.values[slot * band.len() + j],
+                            bf.beamform_voxel(&oracle, &rf, v),
+                        );
+                        assert_eq!(a.to_bits(), b.to_bits(), "{what} {v}: {a} vs {b}");
+                        masked += usize::from(state.tx_weights[slot * band.len() + j] == 0.0);
+                        for &chan in bf.aperture.channels() {
+                            let e = ElementIndex::new(chan as usize % 5, chan as usize / 5);
+                            scalar.delay_index(0, v, e);
+                        }
+                    }
+                }
+                assert_eq!(engine.clamp_events(), scalar.clamp_events(), "{what}");
+                assert_eq!(wide, scalar.clamp_events() > 0, "{what}");
+                let n_voxels = region.scanlines() * band.len();
+                // The narrow aperture's plane-wave footprint covers part of
+                // the fan (a 40λ aperture's covers all of it).
+                let partly_masked = masked > 0 && masked < n_voxels;
+                assert_eq!(partly_masked, plane && !wide, "{what}: {masked} masked");
+
+                let last = band.len() - 1;
+                // The live rows in block order: tile by tile.
+                let live: Vec<usize> = tiles
+                    .iter()
+                    .flat_map(|t| t.iter_scanlines())
+                    .map(|(_, it, ip)| region.slot_of(it, ip))
+                    .filter(|&slot| state.tx_weights[slot * band.len() + last] != 0.0)
+                    .collect();
+                let block_rows = state.live[..live.len()].iter().map(|&r| r as usize);
+                assert!(block_rows.eq(live.iter().copied()), "{what}");
+                let block = &state.index_block[state.index_block.as_ptr().align_offset(64)..];
+                for (k, &chan) in bf.aperture.channels().iter().enumerate() {
+                    let e = ElementIndex::new(chan as usize % 5, chan as usize / 5);
+                    let line: Vec<i32> = (0..live.len())
+                        .map(|i| block[((i / GROUP) * active + k) * GROUP + i % GROUP])
+                        .collect();
+                    let expected: Vec<i32> = live
+                        .iter()
+                        .map(|&slot| {
+                            let (it, ip) = region.scanline_at(slot);
+                            oracle.delay_index(0, VoxelIndex::new(it, ip, band.end - 1), e) as i32
+                        })
+                        .collect();
+                    assert_eq!(line, expected, "{what} channel {k}");
+                    let window = (state.windows[k], state.windows[active + k]);
+                    let extremes = (*line.iter().min().unwrap(), *line.iter().max().unwrap());
+                    assert_eq!(window, extremes, "{what} channel {k}");
+                }
+            }
+        }
     }
 
     proptest::proptest! {

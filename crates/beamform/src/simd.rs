@@ -26,8 +26,10 @@ use std::arch::x86_64::{
 };
 
 /// Rows per group of the tile kernel's index block: one channel's `i32`
-/// entries for a group fill one 64-byte cache line.
-pub const GROUP: usize = 16;
+/// entries for a group fill one 64-byte cache line. The engines' direct
+/// group emit ([`usbf_core::DelayEngine::emit_group`]) writes lines of
+/// this length.
+pub const GROUP: usize = usbf_core::GROUP_ROWS;
 
 /// Channels [`Avx2::mac4`] sums per call.
 pub const MAC_CHANNELS: usize = 4;

@@ -99,6 +99,30 @@ fn bench_beamform(c: &mut Criterion) {
             black_box(state.values()[0])
         })
     });
+    // One task of the benchmark's `steer-mid` frame: the mid spec (16 ×
+    // 16 scanlines, 32 × 32 elements, 900 Hann channels), a 16-nappe
+    // whole-fan band over the 8 tiles of a 2-worker pool's schedule. Its
+    // 32-scanline tiles hold whole 16-row groups, so every group takes
+    // TABLESTEER's direct group emit.
+    let mid = usbf_bench::mid_spec();
+    let mid_rf = EchoSynthesizer::new(&mid).synthesize(
+        &Phantom::point(mid.volume_grid.position(VoxelIndex::new(8, 8, 32))),
+        &Pulse::from_spec(&mid),
+    );
+    let mid_steer = TableSteerEngine::new(&mid, TableSteerConfig::bits18()).expect("builds");
+    let mid_tiles = usbf_core::NappeSchedule::fitted(&mid, 8).tiles();
+    let band = 24..40;
+    g.throughput(Throughput::Elements(
+        (mid.volume_grid.scanline_count() * band.len()) as u64,
+    ));
+    g.bench_function("tablesteer18_mid_band", |b| {
+        let bf = Beamformer::new(&mid).with_apodization(Apodization::Hann);
+        let mut state = TileState::band(&bf, &mid_tiles, band.clone());
+        b.iter(|| {
+            bf.beamform_tile_into(black_box(&mid_steer), black_box(&mid_rf), &mut state);
+            black_box(state.values()[0])
+        })
+    });
     g.finish();
 
     // The nearest kernel's pack and MAC stages, AVX2 against scalar, on

@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 use std::hint::black_box;
 use usbf_core::{
     DelayEngine, ExactEngine, NaiveTableEngine, NappeDelays, TableFreeConfig, TableFreeEngine,
-    TableSteerConfig, TableSteerEngine,
+    TableSteerConfig, TableSteerEngine, GROUP_ROWS,
 };
 use usbf_geometry::SystemSpec;
 
@@ -142,6 +142,30 @@ fn bench_engines(c: &mut Criterion) {
             })
         });
     }
+    // TABLESTEER's direct group emit on the same band: every 16-row
+    // group written as one 16-entry line per active channel, its read
+    // window widened, straight into a grouped block.
+    g.bench_function("tablesteer18_mid_band_group", |b| {
+        let steer = TableSteerEngine::new(&mid, TableSteerConfig::bits18()).expect("builds");
+        let mut slab = NappeDelays::for_tile(&mid, tiles[0]);
+        let mut block = vec![[0i32; GROUP_ROWS]; active * tiles[0].scanlines() / GROUP_ROWS];
+        let mut windows = vec![0i32; 2 * active];
+        b.iter(|| {
+            for id in band.clone() {
+                for &tile in &tiles {
+                    slab.retarget(tile);
+                    steer.begin_emit(black_box(id), runs, &mut slab);
+                    let groups = block.chunks_exact_mut(active);
+                    for (first, lines) in (0..tile.scanlines()).step_by(GROUP_ROWS).zip(groups) {
+                        let taken =
+                            steer.emit_group(0, &mut slab, first, runs, lines, &mut windows);
+                        assert!(taken, "a single transmit takes the direct emit");
+                    }
+                }
+            }
+            block[0][0]
+        })
+    });
     g.finish();
 
     let mut g = c.benchmark_group("engine_construction");

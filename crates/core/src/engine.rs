@@ -21,16 +21,18 @@ use usbf_geometry::{ElementIndex, VoxelIndex};
 /// plus two batched views of the paper's architecture, per nappe (one
 /// depth step) over a fan tile, for every transmit sequence:
 ///
-/// * the **emit** — the Fig. 4 datapath, and the tile kernel's only delay
+/// * the **emit** — the Fig. 4 datapath, and the tile kernel's delay
 ///   source: a per-(tile, nappe) set-up for the active aperture's runs
 ///   ([`DelayEngine::begin_emit`]), then per transmit and run of rows
 ///   one pass that adds the receive leg and the transmit term and
 ///   rounds, writing `i32` echo-buffer indices of the active channels
 ///   straight into the caller's staging rows
-///   ([`DelayEngine::emit_run`]). No delay row is stored, and no pass
-///   compacts one: TABLESTEER's emit walks the runs itself, and the
-///   other engines' set-up writes only the active entries of their
-///   receive leg;
+///   ([`DelayEngine::emit_run`]) or, for a whole group of
+///   [`GROUP_ROWS`] rows where the engine has the path, one channel's
+///   line of the group at a time ([`DelayEngine::emit_group`]). No
+///   delay row is stored, and no pass compacts one: TABLESTEER's emit
+///   walks the runs itself, and the other engines' set-up writes only
+///   the active entries of their receive leg;
 /// * the **row methods** — the transmit-invariant receive leg as an `f64`
 ///   slab ([`DelayEngine::fill_nappe_rx`]) once per nappe, then per
 ///   transmit the per-voxel transmit term added to one row
@@ -200,8 +202,8 @@ pub trait DelayEngine: Sync {
     /// [`DelayEngine::combine_tx_row`] and [`DelayEngine::quantize_row`]
     /// of those rows would add, published once per call. `slab` must
     /// hold this engine's [`DelayEngine::begin_emit`] of its tile and
-    /// nappe, for the same `runs`. This is the tile kernel's only delay
-    /// call.
+    /// nappe, for the same `runs`. The tile kernel calls it for every
+    /// run of rows that [`DelayEngine::emit_group`] does not take.
     ///
     /// # Panics
     ///
@@ -216,7 +218,54 @@ pub trait DelayEngine: Sync {
         runs: &[Range<usize>],
         out: &mut [i32],
     );
+
+    /// The direct group emit: transmit `tx`'s echo-buffer indices for the
+    /// [`GROUP_ROWS`] rows `first..first + GROUP_ROWS` of `slab`'s tile,
+    /// written channel-major, one line per active channel: `lines[k][r]`
+    /// is row `first + r`'s index of the `k`-th active element of `runs`,
+    /// the layout the tile kernel's MAC reads. It is the transpose of
+    /// what [`DelayEngine::emit_run`] writes for those rows, **bit for
+    /// bit**. `windows` holds per active channel the lowest index the
+    /// caller's rows read, then per channel the highest, and each
+    /// channel's pair is widened over its line: `low[k] = min(low[k],
+    /// min_r lines[k][r])` and `high[k] = max(high[k], max_r
+    /// lines[k][r])` — exactly the line's extremes, no wider. Rounding
+    /// telemetry (TABLESTEER's clamp counter) advances by exactly what
+    /// `emit_run` of the rows would add, one count per clamped (row,
+    /// element), published once per call.
+    /// `slab` must hold this engine's [`DelayEngine::begin_emit`] of its
+    /// tile and nappe, for the same `runs`; it is `&mut` for the
+    /// engine's group registers, which the slab holds.
+    ///
+    /// Returns `false`, having written and counted nothing, when the
+    /// engine has no direct path; the caller then emits the rows with
+    /// `emit_run` and transposes them. The answer depends on the engine
+    /// alone, so a caller may stop asking after the first `false`. The
+    /// default declines; TABLESTEER takes a single transmit's groups.
+    ///
+    /// # Panics
+    ///
+    /// An engine that takes the call panics where `emit_run` of the rows
+    /// would, and if `lines` is not one line per active element or
+    /// `windows` not two entries per active element.
+    fn emit_group(
+        &self,
+        tx: usize,
+        slab: &mut NappeDelays,
+        first: usize,
+        runs: &[Range<usize>],
+        lines: &mut [[i32; GROUP_ROWS]],
+        windows: &mut [i32],
+    ) -> bool {
+        let _ = (tx, slab, first, runs, lines, windows);
+        false
+    }
 }
+
+/// Rows of one [`DelayEngine::emit_group`] call: one channel's `i32`
+/// indices for a group fill one 64-byte cache line, the tile kernel's
+/// block layout.
+pub const GROUP_ROWS: usize = 16;
 
 /// Most rows one term pass of [`emit_passes`] covers: the focal points
 /// and transmit terms of a pass are staged in on-stack arrays of this
@@ -230,7 +279,7 @@ pub(crate) const RUN_PASS: usize = 16;
 /// # Panics
 ///
 /// Same contract as [`DelayEngine::emit_run`].
-fn emit_shape(
+pub(crate) fn emit_shape(
     slab: &NappeDelays,
     slots: &Range<usize>,
     runs: &[Range<usize>],
@@ -243,12 +292,15 @@ fn emit_shape(
         "run {slots:?} outside the slab's {} rows",
         tile.scanlines()
     );
-    assert!(
-        runs.iter().all(|r| r.end <= slab.n_elements()),
-        "aperture runs must lie within the slab's {} elements",
-        slab.n_elements()
-    );
-    let width: usize = runs.iter().map(ExactSizeIterator::len).sum();
+    let mut width = 0;
+    for run in runs {
+        assert!(
+            run.end <= slab.n_elements(),
+            "aperture runs must lie within the slab's {} elements",
+            slab.n_elements()
+        );
+        width += run.len();
+    }
     assert!(
         width * slots.len() == out_len,
         "emit output must be {} rows of {width} entries",
@@ -406,7 +458,10 @@ pub(crate) fn quantize_row_clamped(
 /// the whole slab in one call (several term passes) and in runs of 3
 /// rows, on the full aperture and on runs that split element rows and
 /// span several — must equal [`DelayEngine::quantize_row`] of each
-/// combined row's active entries.
+/// combined row's active entries. Where the engine takes
+/// [`DelayEngine::emit_group`], each whole group of rows must be the
+/// transpose of that emit, with every window the running extremes of its
+/// channel's lines; where it declines, its outputs must be untouched.
 #[cfg(test)]
 pub(crate) fn assert_rx_combine_matches_scalar(
     engine: &dyn DelayEngine,
@@ -457,8 +512,46 @@ pub(crate) fn assert_rx_combine_matches_scalar(
                     assert_eq!(whole[row.clone()], expected, "{what}");
                     assert_eq!(by_three[row], expected, "{what}");
                 }
+                assert_group_emit_transposes(engine, tx, &mut emit, runs, &whole);
             }
         }
+    }
+}
+
+/// [`DelayEngine::emit_group`] on every whole group of `slab`'s rows,
+/// against `rows`, the engine's [`DelayEngine::emit_run`] of them: each
+/// line the transpose of its group's rows, each window the running
+/// minimum and maximum of its channel's lines from the first group on.
+/// An engine that declines must leave the lines and windows as they
+/// were.
+#[cfg(test)]
+fn assert_group_emit_transposes(
+    engine: &dyn DelayEngine,
+    tx: usize,
+    slab: &mut NappeDelays,
+    runs: &[Range<usize>],
+    rows: &[i32],
+) {
+    let width: usize = runs.iter().map(ExactSizeIterator::len).sum();
+    let mut lines = vec![[-7; GROUP_ROWS]; width];
+    let mut windows = [vec![i32::MAX; width], vec![i32::MIN; width]].concat();
+    let mut expected = windows.clone();
+    for first in (0..slab.scanline_count() / GROUP_ROWS * GROUP_ROWS).step_by(GROUP_ROWS) {
+        let what = format!("{} tx {tx} rows {first}.. runs {runs:?}", engine.name());
+        if !engine.emit_group(tx, slab, first, runs, &mut lines, &mut windows) {
+            assert!(lines.iter().flatten().all(|&i| i == -7), "{what}");
+            assert!(windows[..width].iter().all(|&w| w == i32::MAX), "{what}");
+            assert!(windows[width..].iter().all(|&w| w == i32::MIN), "{what}");
+            return;
+        }
+        for (k, line) in lines.iter().enumerate() {
+            for (r, &index) in line.iter().enumerate() {
+                assert_eq!(index, rows[(first + r) * width + k], "{what} channel {k}");
+                expected[k] = expected[k].min(index);
+                expected[width + k] = expected[width + k].max(index);
+            }
+        }
+        assert_eq!(windows, expected, "{what}");
     }
 }
 

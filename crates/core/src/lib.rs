@@ -49,7 +49,7 @@ pub mod stats;
 mod tablefree;
 mod tablesteer;
 
-pub use engine::{DelayEngine, EngineError};
+pub use engine::{DelayEngine, EngineError, GROUP_ROWS};
 pub use exact::ExactEngine;
 pub use naive::NaiveTableEngine;
 pub use nappe::{FillBuffers, NappeDelays};

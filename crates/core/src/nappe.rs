@@ -15,11 +15,14 @@
 //! transmit term. A slab is also the emit's per-(tile, nappe) set-up
 //! ([`begin_emit`](crate::DelayEngine::begin_emit)), which for a single
 //! TABLESTEER transmit is only the nappe's reference row in the slab's
-//! integer scratch.
+//! integer scratch; its direct group emit
+//! ([`emit_group`](crate::DelayEngine::emit_group)) sets up each group's
+//! transposed correction registers in the slab's group registers.
 //! [`NappeDelays::fill_scalar`] falls back to scalar
 //! [`delay_samples`](crate::DelayEngine::delay_samples) queries and is the
 //! bit-exactness reference for both.
 
+use crate::engine::GROUP_ROWS;
 use crate::schedule::Tile;
 use usbf_geometry::{ElementIndex, SystemSpec, VoxelIndex};
 
@@ -43,6 +46,7 @@ pub struct NappeDelays {
     row_args: Vec<f64>,
     row_regs: Vec<f64>,
     row_raw: Vec<i32>,
+    group_regs: Vec<[i32; GROUP_ROWS]>,
 }
 
 impl PartialEq for NappeDelays {
@@ -106,6 +110,7 @@ impl NappeDelays {
             row_args: vec![0.0; n_elements],
             row_regs: vec![0.0; spec.elements.nx()],
             row_raw: vec![0; n_elements],
+            group_regs: vec![[0; GROUP_ROWS]; spec.elements.nx() + spec.elements.ny()],
         }
     }
 
@@ -180,6 +185,16 @@ impl NappeDelays {
     #[inline]
     pub(crate) fn row_raw(&self) -> &[i32] {
         &self.row_raw
+    }
+
+    /// The integer register row an engine's set-up left in the slab, and
+    /// the slab's group registers: one [`GROUP_ROWS`]-lane register per
+    /// element column, then one per element row — TABLESTEER's
+    /// transposed correction registers for
+    /// [`emit_group`](crate::DelayEngine::emit_group).
+    #[inline]
+    pub(crate) fn group_registers(&mut self) -> (&[i32], &mut [[i32; GROUP_ROWS]]) {
+        (&self.row_raw, &mut self.group_regs)
     }
 
     /// Delay for scanline `(it, ip)` and element `e` — the batched

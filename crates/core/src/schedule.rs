@@ -104,7 +104,7 @@ impl Tile {
     /// the single source of truth for slab row enumeration. The scanline
     /// steps along φ and wraps to the next θ line, so enumerating a row
     /// costs no integer division.
-    pub fn iter_scanlines(self) -> impl Iterator<Item = (usize, usize, usize)> {
+    pub fn iter_scanlines(self) -> impl Iterator<Item = (usize, usize, usize)> + Clone {
         let (mut it, mut ip) = (self.theta_start, self.phi_start);
         (0..self.scanlines()).map(move |s| {
             let at = (s, it, ip);

@@ -1,6 +1,6 @@
 //! TABLESTEER: reference delay table plus fixed-point steering (§V, Fig. 4).
 
-use crate::engine::{emit_passes, emit_rows_f64, RUN_PASS};
+use crate::engine::{emit_passes, emit_rows_f64, emit_shape, GROUP_ROWS, RUN_PASS};
 use crate::{DelayEngine, EngineError, NappeDelays};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -690,6 +690,103 @@ impl DelayEngine for TableSteerEngine {
         let clamps = emit_passes(slab, slots, runs, out, terms, rows);
         self.publish_clamps(clamps);
     }
+
+    /// Fig. 4's adders writing the MAC's lines: a single transmit's
+    /// group of rows as one line of `GROUP_ROWS` adders per active
+    /// channel. The group's registers are set up transposed first, in
+    /// the slab's group registers: per element column `ix` the rows'
+    /// `cx << sh_cx`, per element row `iy` their `(cy << sh_c2) + Δtx +
+    /// half`. Channel `e`'s line is then `((ref[e] + cxT[ix][r] +
+    /// cT[iy][r]) >> frac).clamp(0, len − 1)` — `emit_run`'s adds in
+    /// `emit_run`'s order, across rows instead of across elements — and
+    /// its window widens over the line. A compound declines: its emit
+    /// rounds staged `f64` rows.
+    fn emit_group(
+        &self,
+        tx: usize,
+        slab: &mut NappeDelays,
+        first: usize,
+        runs: &[Range<usize>],
+        lines: &mut [[i32; GROUP_ROWS]],
+        windows: &mut [i32],
+    ) -> bool {
+        if self.transmit_count() > 1 {
+            return false;
+        }
+        let slots = first..first + GROUP_ROWS;
+        let (id, tile, width) = emit_shape(slab, &slots, runs, lines.len() * GROUP_ROWS);
+        assert_eq!(windows.len(), 2 * width, "a low and a high per channel");
+        let nx = self.spec.elements.nx();
+        let ny = self.spec.elements.ny();
+        let SumChain {
+            sh_c1,
+            sh_12,
+            sh_c2,
+            frac,
+            ..
+        } = self.chain;
+        let sh_cx = sh_c1 + sh_12;
+        let hi = i32::try_from(self.echo_len - 1).expect("echo buffer too long for i32 indices");
+        let half = (1i32 << frac) >> 1;
+        let mut voxels = [VoxelIndex::new(0, 0, 0); GROUP_ROWS];
+        for (v, (_, it, ip)) in voxels.iter_mut().zip(tile.iter_scanlines().skip(first)) {
+            *v = VoxelIndex::new(it, ip, id);
+        }
+        let mut dtx = [0; GROUP_ROWS];
+        self.dtx_terms(tx, &voxels, &mut dtx);
+        let (refs, regs) = slab.group_registers();
+        let (cx_t, c_t) = regs.split_at_mut(nx);
+        for (r, (v, &dtx)) in voxels.iter().zip(&dtx).enumerate() {
+            for (c, &x) in cx_t.iter_mut().zip(self.cx_row(v.it, v.ip)) {
+                c[r] = x << sh_cx;
+            }
+            for (c, cy) in c_t
+                .iter_mut()
+                .zip(&self.cy_fixed[v.ip * ny..(v.ip + 1) * ny])
+            {
+                // In range: `f3` fits the i32 lanes (`SumChain::new`).
+                c[r] = (cy.raw() << sh_c2) as i32 + dtx + half;
+            }
+        }
+        let (lows, highs) = windows.split_at_mut(width);
+        let mut clamps = 0;
+        let mut k = 0;
+        for (j, iy, len) in pieces(runs, nx) {
+            let (ix, c) = (j - iy * nx, &c_t[iy]);
+            let channels = lines[k..k + len].iter_mut().zip(&refs[j..j + len]);
+            let windows = lows[k..k + len].iter_mut().zip(&mut highs[k..k + len]);
+            for (((line, &re), x), (lo, hi_w)) in channels.zip(&cx_t[ix..ix + len]).zip(windows) {
+                let idx: [i32; GROUP_ROWS] = std::array::from_fn(|r| (re + x[r] + c[r]) >> frac);
+                // The line's extremes before the clamp: the window is
+                // their clamp (both are monotone), and a line needs
+                // clamping only when one of them is out of range.
+                let low = idx.iter().fold(i32::MAX, |m, &i| m.min(i));
+                let high = idx.iter().fold(i32::MIN, |m, &i| m.max(i));
+                if low < 0 || high > hi {
+                    clamps += count_clamps(&idx, hi);
+                }
+                for (o, &i) in line.iter_mut().zip(&idx) {
+                    *o = i.max(0).min(hi);
+                }
+                *lo = (*lo).min(low.max(0).min(hi));
+                *hi_w = (*hi_w).max(high.max(0).min(hi));
+            }
+            k += len;
+        }
+        self.publish_clamps(clamps);
+        true
+    }
+}
+
+/// The indices of a group line outside `[0, hi]`: the clamps its
+/// rounding makes. Out of line because a clamp is rare (extreme steering
+/// only), and so that the line loop stays one 16-lane body per channel,
+/// which the compiler vectorizes across the line's rows rather than
+/// across channels.
+#[cold]
+#[inline(never)]
+fn count_clamps(idx: &[i32; GROUP_ROWS], hi: i32) -> u64 {
+    idx.iter().map(|&i| u64::from(i < 0 || i > hi)).sum()
 }
 
 /// Lanes of one pass of the emit's rounding adders: eight `i32`
@@ -995,6 +1092,79 @@ mod tests {
             let ts = TableSteerEngine::new(&spec, config).unwrap();
             crate::engine::assert_rx_combine_matches_scalar(&ts, &spec, &[0, 9, 15]);
         }
+    }
+
+    #[test]
+    fn group_emit_is_the_row_emit_transposed_and_counts_its_clamps() {
+        // A single transmit takes the direct group emit: on a point
+        // source and on a plane wave (whose Δtx differs per row), in
+        // every fixed-point configuration, each line is the row emit's
+        // transpose and each window its lines' extremes (the shared
+        // oracle).
+        let plane = usbf_geometry::TransmitModel::plane_wave(usbf_geometry::deg(7.0), 0.0);
+        for spec in [
+            SystemSpec::tiny(),
+            SystemSpec::tiny().with_transmits(vec![plane]),
+        ] {
+            for config in [
+                TableSteerConfig::bits18(),
+                TableSteerConfig::bits14(),
+                TableSteerConfig::int13(),
+            ] {
+                let ts = TableSteerEngine::new(&spec, config).unwrap();
+                crate::engine::assert_rx_combine_matches_scalar(&ts, &spec, &[0, 9, 15]);
+            }
+        }
+        // A 40λ pitch puts far elements outside the echo window (a 6 × 6
+        // array over a 60λ-deep, ±4° fan keeps the table in its format):
+        // the group emit must count exactly the clamps of the row emit of
+        // the same rows, and of per-element queries.
+        let base = SystemSpec::tiny();
+        let lambda = base.wavelength();
+        let spec = SystemSpec::new(
+            base.speed_of_sound,
+            base.sampling_frequency,
+            usbf_geometry::TransducerSpec {
+                nx: 6,
+                ny: 6,
+                pitch: 40.0 * lambda,
+                ..base.transducer.clone()
+            },
+            usbf_geometry::VolumeSpec {
+                theta_max: usbf_geometry::deg(4.0),
+                phi_max: usbf_geometry::deg(4.0),
+                depth_max: 60.0 * lambda,
+                ..base.volume.clone()
+            },
+            base.origin,
+            base.frame_rate,
+        );
+        let ts = TableSteerEngine::new(&spec, TableSteerConfig::bits18()).unwrap();
+        let (by_group, by_row, scalar) = (ts.clone(), ts.clone(), ts);
+        let n = spec.elements.count();
+        let runs = [1..n / 2 - 3, n / 2..n - 1];
+        let width = runs.iter().map(ExactSizeIterator::len).sum::<usize>();
+        let mut slab = NappeDelays::full(&spec);
+        let rows = slab.scanline_count();
+        let mut out = vec![0; rows * width];
+        let mut lines = vec![[0; GROUP_ROWS]; width];
+        let mut windows = vec![0; 2 * width];
+        for id in [0, 9, 15] {
+            by_row.begin_emit(id, &runs, &mut slab);
+            by_row.emit_run(0, &slab, 0..rows, &runs, &mut out);
+            for first in (0..rows).step_by(GROUP_ROWS) {
+                assert!(by_group.emit_group(0, &mut slab, first, &runs, &mut lines, &mut windows));
+            }
+            for (_, it, ip) in slab.scanlines() {
+                for e in runs.iter().flat_map(Range::clone) {
+                    let e = ElementIndex::new(e % spec.elements.nx(), e / spec.elements.nx());
+                    scalar.delay_index(0, VoxelIndex::new(it, ip, id), e);
+                }
+            }
+        }
+        assert!(scalar.clamp_events() > 0, "a 40λ pitch clamps");
+        assert_eq!(by_row.clamp_events(), scalar.clamp_events());
+        assert_eq!(by_group.clamp_events(), scalar.clamp_events());
     }
 
     #[test]

@@ -76,6 +76,40 @@ fn volume_loop_is_bit_identical_across_pool_sizes() {
 }
 
 #[test]
+fn direct_group_emit_is_bit_identical_across_pool_sizes() {
+    // 32-scanline tiles hold whole 16-row groups, so TABLESTEER writes
+    // them with its direct group emit (the tests above run 8-row tiles,
+    // which never fill a group inside a tile).
+    let spec = SystemSpec::tiny();
+    let frames = recorded_frames(&spec, 2);
+    let schedule = NappeSchedule::fitted(&spec, 2);
+    assert!(schedule.tiles().iter().all(|t| t.scanlines() >= 16));
+    let engine = TableSteerEngine::new(&spec, TableSteerConfig::bits18()).unwrap();
+    let mut reference = None;
+    for threads in POOL_SIZES {
+        let pool = Arc::new(ThreadPool::new(threads));
+        let mut rt = VolumeLoop::with_pool(Beamformer::new(&spec), pool, &schedule);
+        let volumes: Vec<_> = frames
+            .iter()
+            .map(|rf| rt.beamform(&engine, rf).clone())
+            .collect();
+        match &reference {
+            None => reference = Some(volumes),
+            Some(expect) => assert_eq!(&volumes, expect, "{threads} worker(s) diverged"),
+        }
+    }
+    let bf = Beamformer::new(&spec);
+    let expect = reference.expect("one pool size ran");
+    for (rf, volume) in frames.iter().zip(&expect) {
+        for i in 0..spec.volume_grid.voxel_count() {
+            let v = spec.volume_grid.voxel_at(i);
+            let scalar = bf.beamform_voxel(&engine, rf, v);
+            assert_eq!(volume.get(v).to_bits(), scalar.to_bits(), "{v}");
+        }
+    }
+}
+
+#[test]
 fn frame_pipeline_is_bit_identical_across_pool_sizes() {
     let spec = SystemSpec::tiny();
     let frames = recorded_frames(&spec, 3);

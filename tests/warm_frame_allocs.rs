@@ -201,6 +201,28 @@ fn warm_frames_do_no_per_tile_allocation() {
         );
     }
 
+    // --- TABLESTEER on 16-scanline tiles: whole groups of rows take
+    // its direct group emit, whose transposed registers live in the
+    // slab, so warm frames must measure 0 on that path too ---
+    let group_schedule = NappeSchedule::fitted(&spec, 4);
+    assert!(group_schedule.tiles().iter().all(|t| t.scanlines() >= 16));
+    let steer = TableSteerEngine::new(&spec, TableSteerConfig::bits18()).expect("builds");
+    let mut rt = VolumeLoop::with_pool(Beamformer::new(&spec), Arc::clone(&pool), &group_schedule);
+    for _ in 0..5 {
+        rt.beamform(&steer, &rf);
+    }
+    let before = ALLOCS.load(Ordering::SeqCst);
+    for _ in 0..FRAMES {
+        rt.beamform(&steer, &rf);
+    }
+    let group_allocs = ALLOCS.load(Ordering::SeqCst) - before;
+    eprintln!("GROUP_EMIT_ALLOCS={group_allocs}");
+    assert_eq!(
+        group_allocs, 0,
+        "warm TABLESTEER frames on 16-scanline tiles must not allocate ({FRAMES} frames)"
+    );
+    drop(rt);
+
     // --- FramePipeline with the B-mode post-stages: the demod →
     // envelope → log-compress chain runs once over the scattered volume
     // on the pipeline's preallocated I/Q scratch, so warm frames still
